@@ -20,47 +20,56 @@ const RETRY_PROBE: Duration = Duration::from_millis(20);
 /// beats hammering the server.
 const ADMISSION_BACKOFF: Duration = Duration::from_millis(2);
 
+/// An outbox also leaves once it holds this many payload bytes, so a
+/// 64 KiB blob store goes out at once instead of pinning memory.
+const OUTBOX_BYTES: usize = 64 * 1024;
+
 /// Client-side batching knobs for the pipelined wire protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientConfig {
     /// Maximum tasks requested per `Get` round trip. Tasks beyond the
     /// first land in a local prefetch deque and are handed out with no
-    /// further server traffic; their lease acknowledgements batch into
-    /// one message on the next server trip. 1 disables prefetch (one
-    /// task per round trip).
+    /// further server traffic; their lease acknowledgements ride the
+    /// outbox on the next server trip. 1 disables prefetch (one task per
+    /// round trip).
     pub prefetch: u32,
-    /// Buffer up to this many puts and ship them as one `PutBatch` with a
-    /// single ack. 0 (the default) keeps puts eager — each put is its own
-    /// acknowledged round trip — which preserves the externally visible
-    /// submission order interactive callers rely on. Buffered puts are
-    /// always flushed before any other server round trip, so a client
-    /// never parks or reads data while holding unsubmitted work.
-    pub put_buffer: usize,
-    /// Flush the buffered stdout stream to the server once it exceeds
-    /// this many bytes (it also flushes before every awaited round trip
-    /// and at `finish`). 0 ships every [`AdlbClient::send_output`]
-    /// immediately.
-    pub output_buffer: usize,
+    /// Write-behind capacity, in requests, of the per-server outbox.
+    /// Requests whose answer is only Ok/Error (puts, creates, stores,
+    /// inserts, closes, writer-count changes, notifying subscribes) queue
+    /// here and leave as one [`Request::Batch`] when the outbox fills or
+    /// an awaited request (a read, a `get`, `finish`) is due; an error
+    /// surfaces from a later call, [`AdlbClient::flush`] at the latest. 0
+    /// or 1 (the default) keeps every request its own acknowledged round
+    /// trip, which preserves the externally visible order interactive
+    /// callers rely on. Everything is flushed before a client blocks, so
+    /// it never parks while holding unsubmitted work.
+    pub outbox: usize,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             prefetch: 8,
-            put_buffer: 0,
-            output_buffer: 0,
+            outbox: 0,
         }
     }
 }
 
 impl ClientConfig {
-    /// PR 1 wire behavior: one task per round trip, eager puts. The E5
-    /// ablation knob.
+    /// PR 1 wire behavior: one task per round trip, every request
+    /// awaited. The E5 ablation knob.
     pub fn unbatched() -> Self {
         ClientConfig {
             prefetch: 1,
-            put_buffer: 0,
-            output_buffer: 0,
+            outbox: 0,
+        }
+    }
+
+    /// Prefetching gets and write-behind outboxes: what Turbine runs on.
+    pub fn batched() -> Self {
+        ClientConfig {
+            prefetch: 8,
+            outbox: 64,
         }
     }
 }
@@ -70,8 +79,9 @@ impl ClientConfig {
 /// All operations are synchronous request/response with a server, exactly
 /// like the real ADLB C API (`ADLB_Put`, `ADLB_Get`, `ADLB_Store`, ...).
 /// Unlike the one-message-per-task PR 1 protocol, gets prefetch batches of
-/// tasks and lease acknowledgements ride back in batches (see
-/// [`ClientConfig`]); `DESIGN.md` documents the batched wire protocol.
+/// tasks, and writes, lease acknowledgements and stdout leave through a
+/// write-behind outbox per server (see [`ClientConfig`]); `DESIGN.md`
+/// documents the batched wire protocol.
 ///
 /// ## Failover
 ///
@@ -96,17 +106,24 @@ pub struct AdlbClient {
     handed_out: bool,
     /// Tasks delivered by the server but not yet handed to the caller.
     /// Invariant: the server's lease deque for this rank is exactly [the
-    /// handed-out task if any] + [unsent `pending_acks`]... followed by
-    /// this deque, so acks flushed in order always release the oldest
-    /// lease first.
+    /// tasks whose acks sit unsent in the home outbox] + [the handed-out
+    /// task if any], followed by this deque, so acks flushed in order
+    /// always release the oldest lease first.
     prefetch: VecDeque<Task>,
-    /// Recorded task outcomes not yet shipped to the server. Flushed (as
-    /// one `TaskDoneBatch`) before any server round trip.
-    pending_acks: Vec<(bool, String)>,
-    /// Buffered puts awaiting a flush (only when `config.put_buffer > 0`).
-    put_buf: Vec<Task>,
-    /// Buffered stdout awaiting a flush (see `ClientConfig::output_buffer`).
-    out_buf: String,
+    /// One ordered outbox per home server (indexed by server index):
+    /// write-behind requests, lease acks and stdout not yet sent. Order
+    /// across servers is kept where another rank could tell: a request
+    /// that can wake one (a put, a store or close, an ack) is queued only
+    /// after every *other* server's outbox has been flushed and answered,
+    /// so nothing it releases can overtake a write it depends on.
+    outbox: Vec<Vec<Request>>,
+    /// Payload bytes queued per outbox (see [`OUTBOX_BYTES`]).
+    outbox_bytes: Vec<usize>,
+    /// Where the handed-out task's own entries start in the home outbox;
+    /// a failed task discards its unsent writes from here on.
+    task_mark: usize,
+    /// First error a flushed write came back with, not yet reported.
+    deferred_err: Option<DataError>,
     /// Tenant stamped onto every put and output this client ships.
     /// Engines set it to their program's tenant; workers set it to the
     /// tenant of the task they are executing, so child tasks are
@@ -166,9 +183,10 @@ impl AdlbClient {
             finished_sent: false,
             handed_out: false,
             prefetch: VecDeque::new(),
-            pending_acks: Vec::new(),
-            put_buf: Vec::new(),
-            out_buf: String::new(),
+            outbox: vec![Vec::new(); layout.servers],
+            outbox_bytes: vec![0; layout.servers],
+            task_mark: 0,
+            deferred_err: None,
             tenant: 0,
             get_filter: None,
             cached_get: None,
@@ -306,121 +324,142 @@ impl AdlbClient {
         }
     }
 
-    /// One acknowledged round trip. Buffered puts, output and pending
-    /// acks are flushed first so the server observes this client's
-    /// operations in program order (non-overtaking delivery makes the
-    /// flushed messages land before `req`).
-    fn request(&mut self, home: Rank, req: &Request) -> Response {
-        self.flush_puts();
-        self.flush_output();
-        self.flush_acks();
+    /// Seal `req` and await its response from home server `home`.
+    fn roundtrip(&mut self, home: Rank, req: &Request) -> Response {
         let sealed = self.seal(&req.encode());
         self.exchange(home, sealed, self.next_seq)
     }
 
-    fn data_request(&mut self, id: u64, req: &Request) -> Response {
-        let t0 = trace::now_us();
-        let resp = self.request(self.layout.data_owner(id), req);
-        trace::record_since(trace::KIND_DATA_OP, id, t0);
-        resp
+    /// One acknowledged round trip for a request that cannot wait in an
+    /// outbox (a read, `Finished`). Everything queued goes first, so the
+    /// server observes this client's operations in program order and the
+    /// client never blocks on a receive while holding an unsent ack.
+    fn request(&mut self, home: Rank, req: &Request) -> Response {
+        self.flush_all();
+        self.roundtrip(home, req)
     }
 
-    // -- work -------------------------------------------------------------
+    // -- the outbox --------------------------------------------------------
 
-    /// Submit a task. `target` pins it to a rank; `priority` is
-    /// higher-runs-first. With `put_buffer > 0` the task may sit in the
-    /// local buffer until the next flush point (buffer full, any other
-    /// server round trip, or [`AdlbClient::flush`]).
-    pub fn put(&mut self, work_type: u32, priority: i32, target: Option<Rank>, payload: Vec<u8>) {
-        let task =
-            Task::new(work_type, priority, target, Bytes::from(payload)).with_tenant(self.tenant);
-        if self.config.put_buffer == 0 {
-            let t0 = trace::now_us();
-            let resp = self.request(self.my_server, &Request::Put(task));
-            trace::record_since(trace::KIND_TASK_PUT, 1, t0);
-            self.complete_put(resp);
+    /// Queue a write-behind request for `home`. `wakes` marks requests
+    /// whose effect another rank can act on; every other server's outbox
+    /// is flushed (and answered) before one is queued.
+    fn defer(&mut self, home: Rank, req: Request, wakes: bool) {
+        if wakes {
+            self.flush_except(home);
+        }
+        let i = self.layout.server_index(home);
+        self.outbox_bytes[i] += match &req {
+            Request::Put(t) => t.payload.len(),
+            Request::DataStore { value, .. } | Request::DataInsert { value, .. } => value.len(),
+            _ => 0,
+        };
+        self.outbox[i].push(req);
+        if self.outbox[i].len() >= self.config.outbox.max(1) || self.outbox_bytes[i] >= OUTBOX_BYTES
+        {
+            self.flush_home(home);
+        }
+    }
+
+    /// Queue a lease ack or stdout for the home server. These never fill
+    /// the outbox: they ride whatever leaves next.
+    fn defer_quiet(&mut self, req: Request) {
+        let i = self.layout.server_index(self.my_server);
+        self.outbox[i].push(req);
+    }
+
+    fn flush_except(&mut self, home: Rank) {
+        let layout = self.layout;
+        for s in layout.server_ranks() {
+            if s != home {
+                self.flush_home(s);
+            }
+        }
+    }
+
+    fn flush_all(&mut self) {
+        self.flush_except(self.my_server);
+        self.flush_home(self.my_server);
+    }
+
+    /// Send `home`'s outbox as one request. Awaited — errors land in
+    /// `deferred_err`, rejected puts are re-offered — unless every write
+    /// in it is followed by a `TaskDone`: then the server charges a failed
+    /// write to that task and the batch is fire-and-forget.
+    fn flush_home(&mut self, home: Rank) {
+        let i = self.layout.server_index(home);
+        if self.outbox[i].is_empty() {
+            return;
+        }
+        let mut ops = std::mem::take(&mut self.outbox[i]);
+        self.outbox_bytes[i] = 0;
+        if home == self.my_server {
+            self.task_mark = 0;
+        }
+        // Errors before the last ack belong to tasks already acked.
+        let settled = ops
+            .iter()
+            .rposition(|r| matches!(r, Request::TaskDone { .. }))
+            .map_or(0, |p| p + 1);
+        let puts = ops.iter().filter(|r| matches!(r, Request::Put(_))).count();
+        let n = ops.len() as u64;
+        let req = if ops.len() == 1 {
+            ops.swap_remove(0)
         } else {
-            self.put_buf.push(task);
-            if self.put_buf.len() >= self.config.put_buffer {
-                self.flush_puts();
-            }
-        }
-    }
-
-    /// Submit many tasks as one pipelined wire message with a single ack —
-    /// one round trip no matter how many tasks. Every task is stamped
-    /// with this client's current tenant.
-    pub fn put_batch(&mut self, mut tasks: Vec<Task>) {
-        if tasks.is_empty() {
+            Request::Batch(ops)
+        };
+        if !req.wants_reply() {
+            self.send_ff(req.encode());
             return;
         }
-        for t in &mut tasks {
-            t.tenant = self.tenant;
-        }
-        let n = tasks.len() as u64;
         let t0 = trace::now_us();
-        let resp = self.request(self.my_server, &Request::PutBatch(tasks));
-        trace::record_since(trace::KIND_TASK_PUT, n, t0);
-        self.complete_put(resp);
-    }
-
-    /// Force out any buffered puts now.
-    pub fn flush(&mut self) {
-        self.flush_puts();
-    }
-
-    fn flush_puts(&mut self) {
-        if self.put_buf.is_empty() {
-            return;
+        let resp = self.roundtrip(home, &req);
+        if puts > 0 {
+            trace::record_since(trace::KIND_TASK_PUT, puts as u64, t0);
+        } else {
+            trace::record_since(trace::KIND_DATA_OP, n, t0);
         }
-        let mut batch = std::mem::take(&mut self.put_buf);
-        let req = match batch.pop() {
-            Some(t) if batch.is_empty() => Request::Put(t),
-            Some(t) => {
-                batch.push(t);
-                Request::PutBatch(batch)
-            }
-            None => return, // guarded above; never panic on a race
+        let resps = match resp {
+            Response::Batch(resps) => resps,
+            one => vec![one],
         };
-        // Sealed exchange directly: request() would recurse into this
-        // flush.
-        let n = match &req {
-            Request::PutBatch(b) => b.len() as u64,
-            _ => 1,
-        };
-        let t0 = trace::now_us();
-        let sealed = self.seal(&req.encode());
-        let resp = self.exchange(self.my_server, sealed, self.next_seq);
-        trace::record_since(trace::KIND_TASK_PUT, n, t0);
-        self.complete_put(resp);
+        let rejected = self.absorb(resps, settled);
+        self.reoffer(rejected);
     }
 
-    /// Finish a put round trip, absorbing admission backpressure: when the
-    /// server rejects tasks for an over-quota tenant, hold them locally and
-    /// re-offer until the quota drains. The client stays mid-put (never
-    /// parked), so termination detection keeps waiting on it — the work
-    /// cannot be lost, only delayed.
-    fn complete_put(&mut self, first: Response) {
-        let mut resp = first;
-        loop {
+    /// Digest the per-entry responses of a flushed outbox: remember the
+    /// first error past `settled`, return the puts admission refused.
+    fn absorb(&mut self, resps: Vec<Response>, settled: usize) -> Vec<Task> {
+        let mut rejected = Vec::new();
+        for (i, resp) in resps.into_iter().enumerate() {
             match resp {
-                Response::Ok => return,
-                Response::Rejected(mut tasks) => {
-                    if tasks.is_empty() {
-                        return;
+                Response::Ok => {}
+                Response::Rejected(mut tasks) => rejected.append(&mut tasks),
+                Response::Error(message) => {
+                    if i >= settled && self.deferred_err.is_none() {
+                        self.deferred_err = Some(DataError { message });
                     }
-                    std::thread::sleep(ADMISSION_BACKOFF);
-                    let req = match tasks.pop() {
-                        Some(t) if tasks.is_empty() => Request::Put(t),
-                        Some(t) => {
-                            tasks.push(t);
-                            Request::PutBatch(tasks)
-                        }
-                        None => return,
-                    };
-                    let sealed = self.seal(&req.encode());
-                    resp = self.exchange(self.my_server, sealed, self.next_seq);
                 }
+                other => eprintln!(
+                    "adlb client {}: unexpected response {other:?} to a queued request",
+                    self.comm.rank()
+                ),
+            }
+        }
+        rejected
+    }
+
+    /// Absorb admission backpressure: puts the server rejected for an
+    /// over-quota tenant are held here and re-offered until the quota
+    /// drains. The client stays mid-put (never parked), so termination
+    /// detection keeps waiting on it — the work cannot be lost, only
+    /// delayed.
+    fn reoffer(&mut self, mut tasks: Vec<Task>) {
+        while !tasks.is_empty() {
+            std::thread::sleep(ADMISSION_BACKOFF);
+            let req = Request::Batch(tasks.drain(..).map(Request::Put).collect());
+            match self.roundtrip(self.my_server, &req) {
+                Response::Batch(resps) => tasks = self.absorb(resps, 0),
                 other => {
                     eprintln!(
                         "adlb client {}: put got unexpected response {other:?}; task may be lost",
@@ -432,73 +471,115 @@ impl AdlbClient {
         }
     }
 
+    fn take_deferred(&mut self) -> Result<(), DataError> {
+        self.deferred_err.take().map_or(Ok(()), Err)
+    }
+
+    /// Send everything queued, wait for the answers, and report the first
+    /// error a write-behind request came back with (with its original
+    /// message). Engines call this at the end of every fragment.
+    pub fn flush(&mut self) -> Result<(), DataError> {
+        self.flush_all();
+        self.take_deferred()
+    }
+
+    /// End-of-task barrier for workers: writes queued for *other* servers
+    /// are flushed and answered, so an error still belongs to the task
+    /// that issued them. Writes for the home server stay queued and leave
+    /// in one fire-and-forget batch with the task's ack — a failure among
+    /// them fails that ack on the server.
+    pub fn settle_task(&mut self) -> Result<(), DataError> {
+        self.flush_except(self.my_server);
+        self.take_deferred()
+    }
+
+    // -- work -------------------------------------------------------------
+
+    /// Submit a task. `target` pins it to a rank; `priority` is
+    /// higher-runs-first. With an outbox the task may wait there until
+    /// the next flush point (outbox full, any awaited request, or
+    /// [`AdlbClient::flush`]).
+    pub fn put(&mut self, work_type: u32, priority: i32, target: Option<Rank>, payload: Vec<u8>) {
+        let task =
+            Task::new(work_type, priority, target, Bytes::from(payload)).with_tenant(self.tenant);
+        self.defer(self.my_server, Request::Put(task), true);
+    }
+
     // -- output streaming -------------------------------------------------
 
     /// Stream a chunk of this rank's stdout to the server tier, where it
-    /// is accumulated (and replicated) per rank. Output shipped before a
-    /// rank dies survives it — the run's report can include everything
-    /// the dead rank managed to say.
+    /// is accumulated (and replicated) per rank. It leaves with the next
+    /// server trip; output shipped before a rank dies survives it — the
+    /// run's report can include everything the dead rank managed to say.
     pub fn send_output(&mut self, text: &str) {
-        if text.is_empty() {
-            return;
+        if !text.is_empty() {
+            self.defer_quiet(Request::Output {
+                text: text.to_string(),
+                tenant: self.tenant,
+            });
         }
-        self.out_buf.push_str(text);
-        if self.out_buf.len() >= self.config.output_buffer {
-            self.flush_output();
-        }
-    }
-
-    /// Force out any buffered output now (fire-and-forget).
-    pub fn flush_output(&mut self) {
-        if self.out_buf.is_empty() {
-            return;
-        }
-        let text = std::mem::take(&mut self.out_buf);
-        let tenant = self.tenant;
-        self.send_ff(Request::Output { text, tenant }.encode());
     }
 
     // -- leases -----------------------------------------------------------
 
     /// Record the outcome of the task currently handed to the caller, if
-    /// any. The ack ships (batched) on the next server trip;
-    /// non-overtaking delivery guarantees the server sees it before
-    /// whatever request follows it on the same connection.
-    fn resolve_delivered(&mut self, ok: bool, error: &str) {
+    /// any. The ack rides the outbox on the next server trip;
+    /// non-overtaking delivery guarantees the server sees it after the
+    /// task's own writes and before whatever request follows.
+    fn resolve_delivered(&mut self, mut ok: bool, error: &str) {
         if !self.handed_out {
             return;
         }
         self.handed_out = false;
-        self.pending_acks.push((ok, error.to_string()));
+        // A task is acked only once the tasks it put are admitted (a
+        // rejected put is re-offered by an awaited flush) and its writes
+        // on other servers are answered.
+        let home = self.layout.server_index(self.my_server);
+        if self.outbox[home]
+            .iter()
+            .any(|r| matches!(r, Request::Put(_)))
+        {
+            self.flush_home(self.my_server);
+        }
+        self.flush_except(self.my_server);
+        let mut error = error.to_string();
+        if ok {
+            if let Some(e) = self.deferred_err.take() {
+                (ok, error) = (false, e.message);
+            }
+        }
+        self.defer_quiet(Request::TaskDone { ok, error });
     }
 
-    /// Ship pending lease acknowledgements: one `TaskDoneBatch` (or a
-    /// plain `TaskDone` for a single result) releasing the oldest leases
-    /// first. Fire-and-forget, like PR 1's `TaskDone`.
-    fn flush_acks(&mut self) {
-        if self.pending_acks.is_empty() {
-            return;
-        }
-        let mut results = std::mem::take(&mut self.pending_acks);
-        let req = match results.pop() {
-            Some((ok, error)) if results.is_empty() => Request::TaskDone { ok, error },
-            Some(r) => {
-                results.push(r);
-                Request::TaskDoneBatch { results }
-            }
-            None => return, // guarded above; never panic on a race
-        };
-        self.send_ff(req.encode());
+    /// A task is now in the caller's hands.
+    fn hand_out(&mut self, task: Task) -> Option<Task> {
+        self.handed_out = true;
+        self.task_mark = self.outbox[self.layout.server_index(self.my_server)].len();
+        Some(task)
     }
 
     /// Report that the most recently delivered task failed in a contained
     /// way (its execution errored with `error` but this rank survives).
     /// The server will retry the task elsewhere or quarantine it per its
-    /// [`crate::RetryPolicy`]. Failure acks flush immediately so the
-    /// retry starts without waiting for this client's next server trip.
+    /// [`crate::RetryPolicy`]. The task's unsent writes are discarded, and
+    /// the failure ack flushes immediately so the retry starts without
+    /// waiting for this client's next server trip.
     pub fn task_failed(&mut self, error: &str) {
+        if !self.handed_out {
+            return;
+        }
+        let home = self.layout.server_index(self.my_server);
+        for (i, q) in self.outbox.iter_mut().enumerate() {
+            if i == home {
+                q.truncate(self.task_mark);
+            } else {
+                q.clear();
+                self.outbox_bytes[i] = 0;
+            }
+        }
+        self.deferred_err = None;
         self.resolve_delivered(false, error);
-        self.flush_acks();
+        self.flush_home(self.my_server);
     }
 
     /// Quarantine reports this client's server attached to its shutdown
@@ -544,38 +625,31 @@ impl AdlbClient {
     /// if it failed.
     ///
     /// A prefetched task (from an earlier `DeliverBatch`) is handed out
-    /// with no server traffic at all; the accumulated acks flush as one
-    /// message when the deque runs dry and the client returns to the
-    /// server.
+    /// with no server traffic at all; the accumulated acks leave with the
+    /// outbox when the deque runs dry and the client returns to the
+    /// server. Nothing stays queued across a blocking get.
     pub fn get(&mut self, work_types: &[u32]) -> Option<Task> {
         self.resolve_delivered(true, "");
         if let Some(t) = self.prefetch.pop_front() {
-            self.handed_out = true;
-            return Some(t);
+            return self.hand_out(t);
         }
         if self.shutdown_seen {
             return None;
         }
         loop {
-            self.flush_puts();
-            self.flush_output();
-            self.flush_acks();
+            self.flush_all();
             let body = self.encoded_get(work_types);
             let sealed = self.seal(&body);
             // Zero-copy decode: task payloads alias the arrival buffer.
             let resp = self.exchange(self.my_server, sealed, self.next_seq);
             match resp {
-                Response::DeliverTask(t) => {
-                    self.handed_out = true;
-                    return Some(t);
-                }
+                Response::DeliverTask(t) => return self.hand_out(t),
                 Response::DeliverBatch(tasks) => {
                     let mut it = tasks.into_iter();
                     match it.next() {
                         Some(first) => {
                             self.prefetch.extend(it);
-                            self.handed_out = true;
-                            return Some(first);
+                            return self.hand_out(first);
                         }
                         None => {
                             // An empty batch is a server bug; ask again.
@@ -621,8 +695,10 @@ impl AdlbClient {
         // failures so the server reruns them on a surviving client
         // instead of waiting forever on their leases.
         while self.prefetch.pop_front().is_some() {
-            self.pending_acks
-                .push((false, "returned unexecuted: client finished".to_string()));
+            self.defer_quiet(Request::TaskDone {
+                ok: false,
+                error: "returned unexecuted: client finished".to_string(),
+            });
         }
         self.finished_sent = true;
         match self.request(self.my_server, &Request::Finished) {
@@ -636,127 +712,131 @@ impl AdlbClient {
 
     // -- data -------------------------------------------------------------
 
-    fn unexpected(op: &str, resp: Response) -> DataError {
-        DataError {
-            message: format!("{op}: unexpected response {resp:?}"),
-        }
+    /// A write: queued for `id`'s home server; reports whatever error is
+    /// due (immediately its own when the outbox is off).
+    fn write(&mut self, id: u64, req: Request, wakes: bool) -> Result<(), DataError> {
+        self.defer(self.layout.data_owner(id), req, wakes);
+        self.take_deferred()
     }
 
-    fn expect_ok(resp: Response, op: &str) -> Result<(), DataError> {
-        match resp {
-            Response::Ok => Ok(()),
-            Response::Error(e) => Err(DataError { message: e }),
-            other => Err(Self::unexpected(op, other)),
-        }
+    /// A read: one awaited round trip behind `id`'s home outbox, so it
+    /// observes this client's own earlier writes.
+    fn read<T>(
+        &mut self,
+        id: u64,
+        req: &Request,
+        op: &str,
+        pick: impl FnOnce(Response) -> Result<T, Response>,
+    ) -> Result<T, DataError> {
+        let t0 = trace::now_us();
+        let resp = self.request(self.layout.data_owner(id), req);
+        trace::record_since(trace::KIND_DATA_OP, id, t0);
+        self.take_deferred()?;
+        pick(resp).map_err(|resp| match resp {
+            Response::Error(message) => DataError { message },
+            other => DataError {
+                message: format!("{op}: unexpected response {other:?}"),
+            },
+        })
     }
 
     /// Create a datum of the given Turbine type tag.
     pub fn create(&mut self, id: u64, type_tag: u8) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(id, &Request::DataCreate { id, type_tag }),
-            "create",
-        )
+        self.write(id, Request::DataCreate { id, type_tag }, false)
     }
 
     /// Store a scalar value, closing the datum and releasing subscribers.
     pub fn store(&mut self, id: u64, value: Vec<u8>) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(
-                id,
-                &Request::DataStore {
-                    id,
-                    value: Bytes::from(value),
-                },
-            ),
-            "store",
-        )
+        let value = Bytes::from(value);
+        self.write(id, Request::DataStore { id, value }, true)
     }
 
     /// Fetch a closed scalar's value (`None` while still open).
     pub fn retrieve(&mut self, id: u64) -> Result<Option<Bytes>, DataError> {
-        match self.data_request(id, &Request::DataRetrieve { id }) {
+        self.read(id, &Request::DataRetrieve { id }, "retrieve", |r| match r {
             Response::MaybeBytes(v) => Ok(v),
-            Response::Error(e) => Err(DataError { message: e }),
-            other => Err(Self::unexpected("retrieve", other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Subscribe `notify_rank` to the close of `id`. Returns `true` if the
     /// datum is already closed (no notification will arrive).
     pub fn subscribe(&mut self, id: u64, notify_rank: Rank) -> Result<bool, DataError> {
-        match self.data_request(
+        let req = Request::DataSubscribe {
             id,
-            &Request::DataSubscribe {
-                id,
-                rank: notify_rank,
-            },
-        ) {
+            rank: notify_rank,
+            notify_closed: false,
+        };
+        self.read(id, &req, "subscribe", |r| match r {
             Response::Bool(closed) => Ok(closed),
-            Response::Error(e) => Err(DataError { message: e }),
-            other => Err(Self::unexpected("subscribe", other)),
-        }
+            other => Err(other),
+        })
+    }
+
+    /// Write-behind subscribe: `notify_rank` gets a close notification for
+    /// `id` in every case — at once when the datum is already closed — so
+    /// the caller need not wait to learn which.
+    pub fn subscribe_notify(&mut self, id: u64, notify_rank: Rank) -> Result<(), DataError> {
+        let req = Request::DataSubscribe {
+            id,
+            rank: notify_rank,
+            notify_closed: true,
+        };
+        self.write(id, req, false)
     }
 
     /// Insert a member into an open container.
     pub fn insert(&mut self, id: u64, key: &str, value: Vec<u8>) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(
-                id,
-                &Request::DataInsert {
-                    id,
-                    key: key.to_string(),
-                    value: Bytes::from(value),
-                },
-            ),
-            "insert",
-        )
+        let req = Request::DataInsert {
+            id,
+            key: key.to_string(),
+            value: Bytes::from(value),
+        };
+        self.write(id, req, false)
     }
 
     /// Look up a container member.
     pub fn lookup(&mut self, id: u64, key: &str) -> Result<Option<Bytes>, DataError> {
-        match self.data_request(
+        let req = Request::DataLookup {
             id,
-            &Request::DataLookup {
-                id,
-                key: key.to_string(),
-            },
-        ) {
+            key: key.to_string(),
+        };
+        self.read(id, &req, "lookup", |r| match r {
             Response::MaybeBytes(v) => Ok(v),
-            Response::Error(e) => Err(DataError { message: e }),
-            other => Err(Self::unexpected("lookup", other)),
-        }
+            other => Err(other),
+        })
     }
 
     /// Enumerate a container's members in subscript order.
     pub fn enumerate(&mut self, id: u64) -> Result<Vec<(String, Bytes)>, DataError> {
-        match self.data_request(id, &Request::DataEnumerate { id }) {
-            Response::Pairs(p) => Ok(p),
-            Response::Error(e) => Err(DataError { message: e }),
-            other => Err(Self::unexpected("enumerate", other)),
-        }
+        self.read(
+            id,
+            &Request::DataEnumerate { id },
+            "enumerate",
+            |r| match r {
+                Response::Pairs(p) => Ok(p),
+                other => Err(other),
+            },
+        )
     }
 
     /// Close a container, releasing subscribers.
     pub fn close(&mut self, id: u64) -> Result<(), DataError> {
-        Self::expect_ok(self.data_request(id, &Request::DataClose { id }), "close")
+        self.write(id, Request::DataClose { id }, true)
     }
 
     /// Adjust a container's writer slot count (Swift/T slot counting); a
     /// drop to zero closes it.
     pub fn incr_writers(&mut self, id: u64, delta: i64) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(id, &Request::DataIncrWriters { id, delta }),
-            "incr_writers",
-        )
+        self.write(id, Request::DataIncrWriters { id, delta }, true)
     }
 
     /// Whether the datum exists and is closed.
     pub fn exists(&mut self, id: u64) -> Result<bool, DataError> {
-        match self.data_request(id, &Request::DataExists { id }) {
+        self.read(id, &Request::DataExists { id }, "exists", |r| match r {
             Response::Bool(b) => Ok(b),
-            Response::Error(e) => Err(DataError { message: e }),
-            other => Err(Self::unexpected("exists", other)),
-        }
+            other => Err(other),
+        })
     }
 }
 
@@ -1007,6 +1087,114 @@ mod tests {
         });
         let total: u64 = out.iter().flatten().sum();
         assert_eq!(total, 200);
+    }
+
+    /// Like `with_runtime`, with write-behind outboxes on.
+    fn with_batched<T: Send>(
+        size: usize,
+        servers: usize,
+        body: impl Fn(AdlbClient) -> T + Sync,
+    ) -> Vec<Option<T>> {
+        let layout = Layout::new(size, servers);
+        World::run(size, move |comm| {
+            if layout.is_server(comm.rank()) {
+                serve(comm, layout, ServerConfig::default());
+                None
+            } else {
+                let config = ClientConfig::batched();
+                Some(body(AdlbClient::with_config(comm, layout, config)))
+            }
+        })
+    }
+
+    #[test]
+    fn queued_writes_are_visible_to_own_reads_and_errors_keep_their_message() {
+        let out = with_batched(2, 1, |mut c| {
+            let id = c.alloc_id();
+            c.create(id, 0).unwrap();
+            c.store(id, b"v".to_vec()).unwrap();
+            // Nothing was sent yet; the read flushes first.
+            let v = c.retrieve(id).unwrap().unwrap();
+            // The second store is accepted into the outbox; its error
+            // surfaces at the flush, word for word.
+            c.store(id, b"w".to_vec()).unwrap();
+            let err = c.flush().unwrap_err();
+            c.flush().expect("an error is reported once");
+            c.finish();
+            (v.to_vec(), err.message)
+        });
+        let (v, err) = out[0].clone().unwrap();
+        assert_eq!(v, b"v");
+        assert!(err.contains("double assignment"), "{err}");
+    }
+
+    #[test]
+    fn a_resent_batch_is_applied_once_and_answered_verbatim() {
+        // Drive the server with raw wire messages: the same sealed batch
+        // twice (what a client does when its server dies mid-request and
+        // the successor holds the replicated state). The second copy must
+        // get the cached response byte for byte and change nothing.
+        let layout = Layout::new(2, 1);
+        World::run(2, move |comm| {
+            if layout.is_server(comm.rank()) {
+                serve(comm, layout, ServerConfig::default());
+                return;
+            }
+            let ask = |req: &Request, seq: u64| {
+                comm.send(1, TAG_REQ, seal_seq(&req.encode(), seq));
+                if !req.wants_reply() {
+                    return None;
+                }
+                let m = comm.recv(Src::Of(1), TagSel::Of(TAG_RESP));
+                Some(m.data)
+            };
+            let value = Bytes::from_static(b"v");
+            let batch = Request::Batch(vec![
+                Request::DataCreate { id: 7, type_tag: 0 },
+                Request::DataStore { id: 7, value },
+                Request::DataCreate { id: 7, type_tag: 0 },
+                Request::Put(Task::new(WORK_TYPE_WORK, 0, None, Bytes::from_static(b"t"))),
+            ]);
+            let first = ask(&batch, 1).unwrap();
+            let again = ask(&batch, 1).unwrap();
+            assert_eq!(first, again, "the cached response, verbatim");
+            let (resp, seq) = Response::decode_sealed(&first).unwrap();
+            assert_eq!(seq, 1);
+            match resp {
+                Response::Batch(r) => {
+                    assert_eq!(r.len(), 4);
+                    assert_eq!(
+                        (&r[0], &r[1], &r[3]),
+                        (&Response::Ok, &Response::Ok, &Response::Ok)
+                    );
+                    assert!(matches!(&r[2], Response::Error(e) if e.contains("already exists")));
+                }
+                other => panic!("wrong response {other:?}"),
+            }
+            // Exactly one task came of the two copies.
+            let get = Request::Get {
+                work_types: vec![WORK_TYPE_WORK],
+                max_tasks: 8,
+                tenant: None,
+            };
+            let (resp, _) = Response::decode_sealed(&ask(&get, 2).unwrap()).unwrap();
+            assert!(matches!(resp, Response::DeliverTask(_)), "{resp:?}");
+            // A failed write ahead of an ack fails that ack: the task is
+            // retried, not lost, and the batch needs no answer.
+            let done = Request::TaskDone {
+                ok: true,
+                error: String::new(),
+            };
+            let dup = Request::DataCreate { id: 7, type_tag: 0 };
+            assert!(ask(&Request::Batch(vec![dup, done.clone()]), 3).is_none());
+            let (resp, _) = Response::decode_sealed(&ask(&get, 4).unwrap()).unwrap();
+            match resp {
+                Response::DeliverTask(t) => assert_eq!(t.attempts, 1, "the retry of the same task"),
+                other => panic!("wrong response {other:?}"),
+            }
+            ask(&done, 5);
+            ask(&Request::Finished, 6).unwrap();
+        });
     }
 
     #[test]

@@ -120,9 +120,14 @@ pub fn seal_seq(body: &[u8], seq: u64) -> Bytes {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     Put(Task),
-    /// Pipelined puts: many tasks in one wire message with a single ack.
-    /// The server routes each exactly as if it had arrived alone.
-    PutBatch(Vec<Task>),
+    /// A client's write-behind outbox for one home server: requests whose
+    /// answer is only Ok/Error, applied in order as ONE request — one seq,
+    /// one replication commit, one [`Response::Batch`] carrying a response
+    /// per entry. A write that fails turns the next `TaskDone { ok: true }`
+    /// behind it in the batch into a failure carrying its error, so the
+    /// retry/quarantine path belongs to the task that issued the write.
+    /// Batches do not nest and never carry a `Get`.
+    Batch(Vec<Request>),
     Get {
         work_types: Vec<u32>,
         /// Prefetch hint: the server may deliver up to this many queued
@@ -142,13 +147,6 @@ pub enum Request {
     TaskDone {
         ok: bool,
         error: String,
-    },
-    /// Batched lease acknowledgements, one `(ok, error)` per finished task
-    /// in execution order — the oldest unacknowledged lease first. Sent
-    /// when a client that drained a prefetched batch returns to the
-    /// server, so N tasks cost one ack message.
-    TaskDoneBatch {
-        results: Vec<(bool, String)>,
     },
     /// Incremental stdout from a client (fire-and-forget). The server
     /// accumulates and replicates each client's stream so output produced
@@ -173,6 +171,10 @@ pub enum Request {
     DataSubscribe {
         id: u64,
         rank: Rank,
+        /// Write-behind form: answer only Ok/Error, and when the datum is
+        /// already closed send `rank` its close notification right away
+        /// instead of answering `Bool(true)`.
+        notify_closed: bool,
     },
     DataInsert {
         id: u64,
@@ -207,8 +209,8 @@ pub enum Response {
     Pairs(Vec<(String, Bytes)>),
     DeliverTask(Task),
     /// Prefetch delivery: the client leases every task in the batch and
-    /// drains them locally, acknowledging with one
-    /// [`Request::TaskDoneBatch`] on its next server trip.
+    /// drains them locally; the acknowledgements ride its outbox on its
+    /// next server trip.
     DeliverBatch(Vec<Task>),
     /// Shutdown: no more work will ever arrive. Carries the (capped)
     /// quarantine reports of the responding server so clients can explain
@@ -224,6 +226,8 @@ pub enum Response {
     /// them in a deferred buffer and re-offers them later instead of the
     /// server's queue growing without bound.
     Rejected(Vec<Task>),
+    /// One response per entry of the [`Request::Batch`] it answers.
+    Batch(Vec<Response>),
 }
 
 /// Server ↔ server messages.
@@ -343,10 +347,31 @@ impl Request {
     /// client's sequence number — see [`seal_seq`].
     pub fn encode(&self) -> Bytes {
         let mut w = WireWriter::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Whether the server answers this request. Acks and output are
+    /// fire-and-forget; so is a batch whose every write is followed by a
+    /// `TaskDone` (which takes over the write's error). Client and server
+    /// both decide by this one rule.
+    pub fn wants_reply(&self) -> bool {
+        match self {
+            Request::TaskDone { .. } | Request::Output { .. } => false,
+            Request::Batch(ops) => ops
+                .iter()
+                .rev()
+                .take_while(|r| !matches!(r, Request::TaskDone { .. }))
+                .any(|r| !matches!(r, Request::Output { .. })),
+            _ => true,
+        }
+    }
+
+    fn encode_into(&self, w: &mut WireWriter) {
         match self {
             Request::Put(t) => {
                 w.put_u8(0);
-                t.encode_into(&mut w);
+                t.encode_into(w);
             }
             Request::Get {
                 work_types,
@@ -354,7 +379,7 @@ impl Request {
                 tenant,
             } => {
                 w.put_u8(1);
-                put_u32_list(&mut w, work_types);
+                put_u32_list(w, work_types);
                 w.put_u32(*max_tasks);
                 w.put_i64(tenant.map(|t| t as i64).unwrap_or(-1));
             }
@@ -375,10 +400,15 @@ impl Request {
                 w.put_u8(5);
                 w.put_u64(*id);
             }
-            Request::DataSubscribe { id, rank } => {
+            Request::DataSubscribe {
+                id,
+                rank,
+                notify_closed,
+            } => {
                 w.put_u8(6);
                 w.put_u64(*id);
                 w.put_u64(*rank as u64);
+                w.put_u8(*notify_closed as u8);
             }
             Request::DataInsert { id, key, value } => {
                 w.put_u8(7);
@@ -413,16 +443,11 @@ impl Request {
                 w.put_u8(*ok as u8);
                 w.put_str(error);
             }
-            Request::PutBatch(tasks) => {
+            Request::Batch(ops) => {
                 w.put_u8(14);
-                encode_task_list(&mut w, tasks);
-            }
-            Request::TaskDoneBatch { results } => {
-                w.put_u8(15);
-                w.put_u32(results.len() as u32);
-                for (ok, error) in results {
-                    w.put_u8(*ok as u8);
-                    w.put_str(error);
+                w.put_u32(ops.len() as u32);
+                for op in ops {
+                    op.encode_into(w);
                 }
             }
             Request::Output { text, tenant } => {
@@ -431,7 +456,6 @@ impl Request {
                 w.put_u32(*tenant);
             }
         }
-        w.finish()
     }
 
     /// Deserialize a sealed wire message into `(request, seq)` (payload
@@ -450,11 +474,19 @@ impl Request {
     }
 
     fn decode_reader(mut r: WireReader) -> Result<(Request, u64), WireError> {
-        let kind = r.get_u8()?;
-        let req = match kind {
-            0 => Request::Put(Task::decode_from(&mut r)?),
+        let req = Self::decode_body(&mut r, true)?;
+        let seq = r.get_u64()?;
+        r.expect_end()?;
+        Ok((req, seq))
+    }
+
+    /// `top` is false inside a batch, where a nested batch is malformed
+    /// (hostile bytes must not buy unbounded recursion).
+    fn decode_body(r: &mut WireReader, top: bool) -> Result<Request, WireError> {
+        let req = match r.get_u8()? {
+            0 => Request::Put(Task::decode_from(r)?),
             1 => Request::Get {
-                work_types: get_u32_list(&mut r)?,
+                work_types: get_u32_list(r)?,
                 max_tasks: r.get_u32()?,
                 tenant: match r.get_i64()? {
                     -1 => None,
@@ -474,6 +506,7 @@ impl Request {
             6 => Request::DataSubscribe {
                 id: r.get_u64()?,
                 rank: r.get_u64()? as Rank,
+                notify_closed: r.get_u8()? != 0,
             },
             7 => Request::DataInsert {
                 id: r.get_u64()?,
@@ -495,16 +528,13 @@ impl Request {
                 ok: r.get_u8()? != 0,
                 error: r.get_str()?.to_string(),
             },
-            14 => Request::PutBatch(decode_task_list(&mut r)?),
-            15 => {
+            14 if top => {
                 let n = r.get_u32()? as usize;
-                let mut results = Vec::with_capacity(n.min(4096));
+                let mut ops = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let ok = r.get_u8()? != 0;
-                    let error = r.get_str()?.to_string();
-                    results.push((ok, error));
+                    ops.push(Self::decode_body(r, false)?);
                 }
-                Request::TaskDoneBatch { results }
+                Request::Batch(ops)
             }
             16 => {
                 let text = r.get_str()?.to_string();
@@ -520,9 +550,7 @@ impl Request {
                 })
             }
         };
-        let seq = r.get_u64()?;
-        r.expect_end()?;
-        Ok((req, seq))
+        Ok(req)
     }
 }
 
@@ -530,6 +558,11 @@ impl Response {
     /// Serialize for the wire.
     pub fn encode(&self) -> Bytes {
         let mut w = WireWriter::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    fn encode_into(&self, w: &mut WireWriter) {
         match self {
             Response::Ok => {
                 w.put_u8(0);
@@ -560,17 +593,14 @@ impl Response {
             }
             Response::DeliverTask(t) => {
                 w.put_u8(4);
-                t.encode_into(&mut w);
+                t.encode_into(w);
             }
             Response::NoMore {
                 quarantined,
                 aborted,
             } => {
                 w.put_u8(5);
-                w.put_u32(quarantined.len() as u32);
-                for q in quarantined {
-                    w.put_str(q);
-                }
+                put_str_list(w, quarantined);
                 match aborted {
                     None => {
                         w.put_u8(0);
@@ -587,14 +617,20 @@ impl Response {
             }
             Response::DeliverBatch(tasks) => {
                 w.put_u8(7);
-                encode_task_list(&mut w, tasks);
+                encode_task_list(w, tasks);
             }
             Response::Rejected(tasks) => {
                 w.put_u8(8);
-                encode_task_list(&mut w, tasks);
+                encode_task_list(w, tasks);
+            }
+            Response::Batch(resps) => {
+                w.put_u8(9);
+                w.put_u32(resps.len() as u32);
+                for r in resps {
+                    r.encode_into(w);
+                }
             }
         }
-        w.finish()
     }
 
     /// Deserialize from the wire (payload bytes copied out of `buf`).
@@ -618,7 +654,7 @@ impl Response {
     /// the answer to a later request.
     pub fn decode_sealed(buf: &Bytes) -> Result<(Response, u64), WireError> {
         let mut r = WireReader::shared(buf);
-        let resp = Self::decode_body(&mut r)?;
+        let resp = Self::decode_body(&mut r, true)?;
         let seq = r.get_u64()?;
         r.expect_end()?;
         Ok((resp, seq))
@@ -626,12 +662,13 @@ impl Response {
 
     #[cfg(test)]
     fn decode_reader(mut r: WireReader) -> Result<Response, WireError> {
-        let resp = Self::decode_body(&mut r)?;
+        let resp = Self::decode_body(&mut r, true)?;
         r.expect_end()?;
         Ok(resp)
     }
 
-    fn decode_body(r: &mut WireReader) -> Result<Response, WireError> {
+    /// `top` is false inside a batch: batches do not nest.
+    fn decode_body(r: &mut WireReader, top: bool) -> Result<Response, WireError> {
         let resp = match r.get_u8()? {
             0 => Response::Ok,
             1 => Response::Bool(r.get_u8()? != 0),
@@ -644,7 +681,7 @@ impl Response {
             }
             3 => {
                 let n = r.get_u32()? as usize;
-                let mut pairs = Vec::with_capacity(n);
+                let mut pairs = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
                     let k = r.get_str()?.to_string();
                     let v = Bytes::copy_from_slice(r.get_bytes()?);
@@ -654,11 +691,7 @@ impl Response {
             }
             4 => Response::DeliverTask(Task::decode_from(r)?),
             5 => {
-                let n = r.get_u32()? as usize;
-                let mut quarantined = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    quarantined.push(r.get_str()?.to_string());
-                }
+                let quarantined = get_str_list(r)?;
                 let aborted = match r.get_u8()? {
                     0 => None,
                     _ => Some(r.get_str()?.to_string()),
@@ -671,6 +704,14 @@ impl Response {
             6 => Response::Error(r.get_str()?.to_string()),
             7 => Response::DeliverBatch(decode_task_list(r)?),
             8 => Response::Rejected(decode_task_list(r)?),
+            9 if top => {
+                let n = r.get_u32()? as usize;
+                let mut resps = Vec::with_capacity(n.min(4096));
+                for _ in 0..n {
+                    resps.push(Self::decode_body(r, false)?);
+                }
+                Response::Batch(resps)
+            }
             _ => {
                 return Err(WireError {
                     context: "unknown response kind",
@@ -903,15 +944,15 @@ mod tests {
                 max_tasks: 16,
                 tenant: Some(2),
             },
-            Request::PutBatch(vec![task(1, 3, None), task(0, -1, Some(2))]),
-            Request::PutBatch(vec![]),
-            Request::TaskDoneBatch {
-                results: vec![
-                    (true, String::new()),
-                    (false, "boom".into()),
-                    (true, String::new()),
-                ],
-            },
+            Request::Batch(vec![
+                Request::DataCreate { id: 7, type_tag: 3 },
+                Request::Put(task(1, 3, None)),
+                Request::TaskDone {
+                    ok: false,
+                    error: "boom".into(),
+                },
+            ]),
+            Request::Batch(vec![]),
             Request::Finished,
             Request::TaskDone {
                 ok: true,
@@ -931,7 +972,16 @@ mod tests {
                 value: Bytes::from_static(b"v"),
             },
             Request::DataRetrieve { id: u64::MAX },
-            Request::DataSubscribe { id: 1, rank: 42 },
+            Request::DataSubscribe {
+                id: 1,
+                rank: 42,
+                notify_closed: false,
+            },
+            Request::DataSubscribe {
+                id: 1,
+                rank: 42,
+                notify_closed: true,
+            },
             Request::DataInsert {
                 id: 2,
                 key: "k with spaces".into(),
@@ -987,10 +1037,49 @@ mod tests {
             Response::Error("bad thing".into()),
             Response::Rejected(vec![task(1, 0, None).with_tenant(9)]),
             Response::Rejected(vec![]),
+            Response::Batch(vec![
+                Response::Ok,
+                Response::Error("double assignment".into()),
+                Response::Rejected(vec![task(1, 0, None)]),
+            ]),
+            Response::Batch(vec![]),
         ];
         for c in cases {
             assert_eq!(Response::decode(&c.encode()).unwrap(), c);
         }
+    }
+
+    #[test]
+    fn batches_do_not_nest() {
+        let inner = Request::Batch(vec![Request::Finished]);
+        let wire = seal_seq(&Request::Batch(vec![inner]).encode(), 1);
+        assert!(Request::decode(&wire).is_err());
+        let inner = Response::Batch(vec![Response::Ok]);
+        assert!(Response::decode(&Response::Batch(vec![inner]).encode()).is_err());
+    }
+
+    #[test]
+    fn a_batch_is_silent_only_when_acks_cover_every_write() {
+        let done = || Request::TaskDone {
+            ok: true,
+            error: String::new(),
+        };
+        let store = || Request::DataStore {
+            id: 1,
+            value: Bytes::new(),
+        };
+        let out = || Request::Output {
+            text: "x".into(),
+            tenant: 0,
+        };
+        assert!(!done().wants_reply());
+        assert!(!out().wants_reply());
+        assert!(store().wants_reply());
+        assert!(!Request::Batch(vec![store(), out(), done()]).wants_reply());
+        assert!(!Request::Batch(vec![store(), done(), out()]).wants_reply());
+        assert!(Request::Batch(vec![store(), done(), store()]).wants_reply());
+        assert!(Request::Batch(vec![store(), out()]).wants_reply());
+        assert!(!Request::Batch(vec![]).wants_reply());
     }
 
     #[test]

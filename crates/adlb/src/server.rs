@@ -363,11 +363,18 @@ struct Server {
     /// One human-readable report per quarantined task (the error of its
     /// final attempt); shipped to clients with the shutdown notice.
     quarantine_reports: Vec<String>,
-    /// Per-client request dedup high-water mark (see [`ReplOp::SeqResp`]).
-    client_seqs: HashMap<Rank, u64>,
-    /// Cached encoded response for each client's last awaited request,
-    /// re-sent verbatim when a failover makes the client repeat it.
-    client_resps: HashMap<Rank, (u64, Bytes)>,
+    /// Request dedup high-water mark per `(home, client)` (see
+    /// [`ReplOp::SeqResp`]). A client numbers its requests in one
+    /// sequence across all servers, so only the requests it addressed to
+    /// one home arrive in seq order: after this server promotes a dead
+    /// home, that home's re-sent (older) requests and the client's direct
+    /// (newer) ones interleave, and one mark per client would drop the
+    /// former as duplicates.
+    client_seqs: HashMap<(Rank, Rank), u64>,
+    /// Cached encoded response for the last awaited request of each
+    /// `(home, client)`, re-sent verbatim when a failover makes the
+    /// client repeat it.
+    client_resps: HashMap<(Rank, Rank), (u64, Bytes)>,
     /// Accumulated stdout stream per `(client, tenant)`.
     outputs: HashMap<(Rank, u32), String>,
     /// Ranks whose stream is known-incomplete.
@@ -815,11 +822,7 @@ impl Server {
         for (c, n) in ledger.credits {
             *self.lease_revoked.entry(c).or_insert(0) += n as usize;
         }
-        for (c, s) in ledger.seqs {
-            let hw = self.client_seqs.entry(c).or_default();
-            *hw = (*hw).max(s);
-        }
-        self.client_resps.extend(ledger.resps);
+        self.adopt_seqs(&[self.comm.rank()], ledger.seqs, ledger.resps);
         for q in ledger.quarantine {
             if !self.quarantine_reports.contains(&q) {
                 self.quarantine_reports.push(q);
@@ -856,9 +859,16 @@ impl Server {
     /// re-send byte-for-byte — or push it unprompted at promotion, in
     /// case the client's copy died in the dead server's send queue.
     fn send_response(&mut self, rank: Rank, seq: u64, resp: Response, replicate: bool) {
+        // Everything answered through here is a `Get` (or its terminal
+        // notice): a request to the client's own home.
+        self.respond(self.layout.server_of(rank), rank, seq, resp, replicate);
+    }
+
+    /// [`Server::send_response`] for a request addressed to `home`.
+    fn respond(&mut self, home: Rank, rank: Rank, seq: u64, resp: Response, replicate: bool) {
         let bytes = seal_seq(&resp.encode(), seq);
         if replicate {
-            self.record_seq(rank, seq, Some(bytes.clone()));
+            self.record_seq(home, rank, seq, Some(bytes.clone()));
         }
         // Any answered round trip un-strands the client: it got the
         // response it was blocked on (see `linger`).
@@ -866,15 +876,35 @@ impl Server {
         self.tx_sends.push((rank, TAG_RESP, bytes));
     }
 
-    /// Mark client request `seq` fully processed (with its cached
-    /// response, for awaited requests).
-    fn record_seq(&mut self, client: Rank, seq: u64, resp: Option<Bytes>) {
-        let hw = self.client_seqs.entry(client).or_default();
+    /// Mark `client`'s request `seq` to `home` fully processed (with its
+    /// cached response, for awaited requests).
+    fn record_seq(&mut self, home: Rank, client: Rank, seq: u64, resp: Option<Bytes>) {
+        let hw = self.client_seqs.entry((home, client)).or_default();
         *hw = (*hw).max(seq);
         if let Some(b) = &resp {
-            self.client_resps.insert(client, (seq, b.clone()));
+            self.client_resps.insert((home, client), (seq, b.clone()));
         }
         self.op(ReplOp::SeqResp { client, seq, resp });
+    }
+
+    /// Take over a ledger's dedup state for every home it covered. A
+    /// ledger keeps one mark per client, so a merged one (its server had
+    /// promoted others) is as coarse as it always was.
+    fn adopt_seqs(
+        &mut self,
+        homes: &[Rank],
+        seqs: HashMap<Rank, u64>,
+        resps: HashMap<Rank, (u64, Bytes)>,
+    ) {
+        for &h in homes {
+            for (c, s) in &seqs {
+                let hw = self.client_seqs.entry((h, *c)).or_default();
+                *hw = (*hw).max(*s);
+            }
+            for (c, r) in &resps {
+                self.client_resps.insert((h, *c), r.clone());
+            }
+        }
     }
 
     fn quiescent(&self) -> bool {
@@ -1462,7 +1492,8 @@ impl Server {
     }
 
     /// The data shard a request implicates (`None` for non-data ops,
-    /// which belong to the sending client's home server).
+    /// which belong to the sending client's home server). A batch is one
+    /// home's outbox, so its first data op speaks for all of them.
     fn data_home(&self, req: &Request) -> Option<Rank> {
         match req {
             Request::DataCreate { id, .. }
@@ -1475,26 +1506,34 @@ impl Server {
             | Request::DataClose { id }
             | Request::DataExists { id }
             | Request::DataIncrWriters { id, .. } => Some(self.layout.data_owner(*id)),
+            Request::Batch(ops) => ops.iter().find_map(|r| self.data_home(r)),
             _ => None,
         }
     }
 
-    /// A message implicates home server `home`: if that peer silently
-    /// died (the sender noticed before we did), confirm against the
-    /// oracle and run the failover now, so the merged state is in place
-    /// before the message is served.
+    /// A message implicates home server `home`, and its sender routed it
+    /// here: in the sender's view every server from `home` round the ring
+    /// to this one is dead. For each of them that died silently (the
+    /// sender noticed before we did), confirm against the oracle and run
+    /// the failover now, so the merged state — leases included — is in
+    /// place before the message is served.
     fn ensure_home(&mut self, home: Rank) {
-        if home == self.comm.rank() || self.membership.is_dead(home) {
-            return;
-        }
-        if !self.comm.is_alive(home) && self.membership.mark_dead(home) {
-            self.handle_server_death(home);
+        loop {
+            let host = self.host_of(home);
+            if host == self.comm.rank()
+                || self.comm.is_alive(host)
+                || !self.membership.mark_dead(host)
+            {
+                return;
+            }
+            self.handle_server_death(host);
         }
     }
 
     fn handle_request(&mut self, source: Rank, req: Request, seq: u64) {
-        let data_home = self.data_home(&req);
-        let home = data_home.unwrap_or_else(|| self.layout.server_of(source));
+        let home = self
+            .data_home(&req)
+            .unwrap_or_else(|| self.layout.server_of(source));
         if home != self.comm.rank() {
             self.ensure_home(home);
         }
@@ -1505,9 +1544,9 @@ impl Server {
         // high-water is answered byte-for-byte from the checkpoint's
         // response history, forcing the client down the same execution
         // path until it passes the durable prefix.
-        let hw = self.client_seqs.get(&source).copied().unwrap_or(0);
+        let hw = self.client_seqs.get(&(home, source)).copied().unwrap_or(0);
         if seq <= hw {
-            if let Some((s, bytes)) = self.client_resps.get(&source) {
+            if let Some((s, bytes)) = self.client_resps.get(&(home, source)) {
                 if *s == seq {
                     let b = bytes.clone();
                     self.tx_sends.push((source, TAG_RESP, b));
@@ -1523,231 +1562,219 @@ impl Server {
             // requests advance the high-water without response bytes and
             // were already applied — drop the duplicate. Anything else
             // here is an awaited request whose response is deliberately
-            // unreplicated (reads, deterministic errors, subscribe on an
-            // already-closed datum); the replaying client is blocked on
-            // it, so re-execute it against the restored state.
-            match req {
-                Request::TaskDone { .. }
-                | Request::TaskDoneBatch { .. }
-                | Request::Output { .. } => return,
-                _ => {}
-            }
-        }
-        // Lost shard (a data home died with no replica): answer benignly
-        // so the program winds down through the NoMore path instead of
-        // crashing on spurious data errors.
-        if let Some(h) = data_home {
-            if self.lost_homes.contains(&h) {
-                self.serve_lost_home(source, &req, seq);
+            // unreplicated (reads, deterministic errors); the replaying
+            // client is blocked on it, so re-execute it against the
+            // restored state.
+            if !req.wants_reply() {
                 return;
             }
         }
         self.epoch += 1;
+        if let Request::Get {
+            work_types,
+            max_tasks,
+            tenant,
+        } = req
+        {
+            if self.aborting || self.shutdown {
+                self.answer_no_more(source, seq);
+                return;
+            }
+            if let Some(t) = tenant {
+                // Remember which tenant this client identifies with so
+                // close notifications targeted at it carry the tag.
+                self.client_tenants.insert(source, t);
+                self.tenants.note_tenant(t);
+            }
+            let p = Parked {
+                rank: source,
+                work_types,
+                max_tasks,
+                tenant,
+                seq,
+            };
+            if !self.deliver_from_queue(&p) {
+                self.parked.push(p);
+                // An empty queue with parked clients is the steal
+                // trigger; don't wait for the poll timeout.
+                self.try_steal();
+            }
+            return;
+        }
+        let reply = req.wants_reply();
+        let (resp, mutated) = match req {
+            Request::Batch(ops) => self.apply_batch(source, ops),
+            req => self.apply(source, req),
+        };
+        if reply {
+            // Only a response that acknowledges a mutation is cached and
+            // replicated: reads and failed ops changed nothing, so a
+            // re-sent copy simply re-executes to the same answer.
+            self.respond(home, source, seq, resp, mutated);
+        } else {
+            self.record_seq(home, source, seq, None);
+        }
+    }
+
+    /// Apply a client's outbox: its entries in order, inside the caller's
+    /// one transaction, collecting one response each.
+    fn apply_batch(&mut self, source: Rank, ops: Vec<Request>) -> (Response, bool) {
+        let mut resps = Vec::with_capacity(ops.len());
+        let mut mutated = false;
+        // The first write error since the last ack: it belongs to the
+        // task whose `TaskDone` comes next.
+        let mut failed: Option<String> = None;
+        for mut op in ops {
+            if let Request::TaskDone { ok, error } = &mut op {
+                if let (true, Some(e)) = (*ok, failed.take()) {
+                    (*ok, *error) = (false, e);
+                }
+            }
+            let (resp, m) = self.apply(source, op);
+            if let Response::Error(e) = &resp {
+                failed.get_or_insert_with(|| e.clone());
+            }
+            mutated |= m;
+            resps.push(resp);
+        }
+        (Response::Batch(resps), mutated)
+    }
+
+    /// Execute one request (anything but a `Get`, which parks, or a batch)
+    /// and return its response plus whether it changed replicated state.
+    fn apply(&mut self, source: Rank, req: Request) -> (Response, bool) {
+        if let Some(h) = self.data_home(&req) {
+            self.stats.data_ops += 1;
+            // Lost shard (a data home died with no replica): answer
+            // benignly so the program winds down through the NoMore path
+            // instead of crashing on spurious data errors — reads see
+            // "not ready", writes vanish.
+            if self.lost_homes.contains(&h) {
+                let resp = match req {
+                    Request::DataRetrieve { .. } | Request::DataLookup { .. } => {
+                        Response::MaybeBytes(None)
+                    }
+                    Request::DataSubscribe {
+                        notify_closed: false,
+                        ..
+                    }
+                    | Request::DataExists { .. } => Response::Bool(false),
+                    Request::DataEnumerate { .. } => Response::Pairs(Vec::new()),
+                    _ => Response::Ok,
+                };
+                return (resp, false);
+            }
+        }
+        // Failed data ops replicate nothing: the store is unchanged, so a
+        // re-execution after failover yields the same error.
+        let wrote = |r: Result<(), crate::datastore::DataError>| match r {
+            Ok(()) => (Response::Ok, true),
+            Err(e) => (Response::Error(e.message), false),
+        };
+        let read = |r: Result<Response, crate::datastore::DataError>| {
+            (r.unwrap_or_else(|e| Response::Error(e.message)), false)
+        };
         match req {
+            Request::Batch(_) | Request::Get { .. } => (
+                Response::Error("not a request a batch can carry".to_string()),
+                false,
+            ),
             Request::Put(task) => {
                 if self.aborting {
                     // Winding down: accept and drop — the machine will
                     // never deliver it, and the client must not hang.
-                    self.send_response(source, seq, Response::Ok, false);
-                    return;
+                    return (Response::Ok, false);
                 }
                 match self.admit_put(task) {
                     Ok(task) => {
                         self.route_task(task);
-                        self.send_response(source, seq, Response::Ok, true);
+                        (Response::Ok, true)
                     }
                     // Nothing mutated: the rejection is not replicated,
-                    // and a post-failover re-send re-runs admission.
-                    Err(task) => {
-                        self.send_response(source, seq, Response::Rejected(vec![task]), false);
-                    }
-                }
-            }
-            Request::PutBatch(tasks) => {
-                if self.aborting {
-                    self.send_response(source, seq, Response::Ok, false);
-                    return;
-                }
-                // Each task routes exactly as if it had arrived alone; the
-                // batch shares one wire message and one ack. Over-quota
-                // tasks come back in a `Rejected` and the client re-offers
-                // them — admission is backpressure, never loss.
-                let mut rejected = Vec::new();
-                let mut admitted = false;
-                for task in tasks {
-                    match self.admit_put(task) {
-                        Ok(task) => {
-                            self.route_task(task);
-                            admitted = true;
-                        }
-                        Err(task) => rejected.push(task),
-                    }
-                }
-                if rejected.is_empty() {
-                    self.send_response(source, seq, Response::Ok, true);
-                } else {
-                    // A partially admitted batch DID mutate state: cache
-                    // the response so a re-sent batch after failover gets
-                    // it verbatim instead of double-admitting the prefix.
-                    self.send_response(source, seq, Response::Rejected(rejected), admitted);
-                }
-            }
-            Request::Get {
-                work_types,
-                max_tasks,
-                tenant,
-            } => {
-                if self.aborting || self.shutdown {
-                    self.answer_no_more(source, seq);
-                    return;
-                }
-                if let Some(t) = tenant {
-                    // Remember which tenant this client identifies with so
-                    // close notifications targeted at it carry the tag.
-                    self.client_tenants.insert(source, t);
-                    self.tenants.note_tenant(t);
-                }
-                let p = Parked {
-                    rank: source,
-                    work_types,
-                    max_tasks,
-                    tenant,
-                    seq,
-                };
-                if !self.deliver_from_queue(&p) {
-                    self.parked.push(p);
-                    // An empty queue with parked clients is the steal
-                    // trigger; don't wait for the poll timeout.
-                    self.try_steal();
+                    // and a post-failover re-send re-runs admission. The
+                    // client re-offers the task — admission is
+                    // backpressure, never loss.
+                    Err(task) => (Response::Rejected(vec![task]), false),
                 }
             }
             Request::TaskDone { ok, error } => {
-                self.handle_acks(source, vec![(ok, error)]);
-                self.record_seq(source, seq, None);
-            }
-            Request::TaskDoneBatch { results } => {
-                self.handle_acks(source, results);
-                self.record_seq(source, seq, None);
+                self.handle_ack(source, ok, error);
+                (Response::Ok, true)
             }
             Request::Output { text, tenant } => {
-                self.op(ReplOp::Out {
-                    client: source,
-                    text: text.clone(),
-                    tenant,
-                });
                 self.outputs
                     .entry((source, tenant))
                     .or_default()
                     .push_str(&text);
-                self.record_seq(source, seq, None);
+                self.op(ReplOp::Out {
+                    client: source,
+                    text,
+                    tenant,
+                });
+                (Response::Ok, true)
             }
             Request::Finished => {
                 self.finished.insert(source);
                 self.parked.retain(|p| p.rank != source);
                 self.op(ReplOp::ClientFinished { client: source });
-                self.send_response(source, seq, Response::Ok, true);
+                (Response::Ok, true)
             }
             Request::DataCreate { id, type_tag } => {
-                self.stats.data_ops += 1;
-                match self.store.create(id, type_tag) {
-                    Ok(()) => {
-                        self.op(ReplOp::Create { id, type_tag });
-                        self.send_response(source, seq, Response::Ok, true);
-                    }
-                    // Failed ops replicate nothing: the store is
-                    // unchanged, so a re-execution after failover yields
-                    // the same error deterministically.
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
-                }
+                wrote(self.store.create(id, type_tag).map(|()| {
+                    self.op(ReplOp::Create { id, type_tag });
+                }))
             }
             Request::DataStore { id, value } => {
-                self.stats.data_ops += 1;
-                match self.store.store(id, value.clone()) {
-                    Ok(subs) => {
-                        self.op(ReplOp::Store { id, value });
-                        self.notify_all(id, subs);
-                        self.send_response(source, seq, Response::Ok, true);
-                    }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
-                }
-            }
-            Request::DataRetrieve { id } => {
-                self.stats.data_ops += 1;
-                let resp = match self.store.retrieve(id) {
-                    Ok(v) => Response::MaybeBytes(v),
-                    Err(e) => Response::Error(e.message),
-                };
-                // Reads replicate nothing and leave the dedup high-water
-                // alone: a re-sent read simply re-executes.
-                self.send_response(source, seq, resp, false);
-            }
-            Request::DataSubscribe { id, rank } => {
-                self.stats.data_ops += 1;
-                match self.store.subscribe(id, rank) {
-                    Ok(true) => {
-                        // Already closed: no mutation happened.
-                        self.send_response(source, seq, Response::Bool(true), false);
-                    }
-                    Ok(false) => {
-                        self.op(ReplOp::Subscribe { id, rank });
-                        self.send_response(source, seq, Response::Bool(false), true);
-                    }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
-                }
+                wrote(self.store.store(id, value.clone()).map(|subs| {
+                    self.op(ReplOp::Store { id, value });
+                    self.notify_all(id, subs);
+                }))
             }
             Request::DataInsert { id, key, value } => {
-                self.stats.data_ops += 1;
-                match self.store.insert(id, &key, value.clone()) {
-                    Ok(()) => {
-                        self.op(ReplOp::Insert { id, key, value });
-                        self.send_response(source, seq, Response::Ok, true);
-                    }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
-                }
+                wrote(self.store.insert(id, &key, value.clone()).map(|()| {
+                    self.op(ReplOp::Insert { id, key, value });
+                }))
             }
-            Request::DataLookup { id, key } => {
-                self.stats.data_ops += 1;
-                let resp = match self.store.lookup(id, &key) {
-                    Ok(v) => Response::MaybeBytes(v),
-                    Err(e) => Response::Error(e.message),
-                };
-                self.send_response(source, seq, resp, false);
-            }
-            Request::DataEnumerate { id } => {
-                self.stats.data_ops += 1;
-                let resp = match self.store.enumerate(id) {
-                    Ok(pairs) => Response::Pairs(pairs),
-                    Err(e) => Response::Error(e.message),
-                };
-                self.send_response(source, seq, resp, false);
-            }
-            Request::DataClose { id } => {
-                self.stats.data_ops += 1;
-                match self.store.close(id) {
-                    Ok(subs) => {
-                        self.op(ReplOp::CloseDatum { id });
-                        self.notify_all(id, subs);
-                        self.send_response(source, seq, Response::Ok, true);
-                    }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
-                }
-            }
-            Request::DataExists { id } => {
-                self.stats.data_ops += 1;
-                let resp = Response::Bool(self.store.exists_closed(id));
-                self.send_response(source, seq, resp, false);
-            }
+            Request::DataClose { id } => wrote(self.store.close(id).map(|subs| {
+                self.op(ReplOp::CloseDatum { id });
+                self.notify_all(id, subs);
+            })),
             Request::DataIncrWriters { id, delta } => {
-                self.stats.data_ops += 1;
-                match self.store.incr_writers(id, delta) {
-                    Ok(subs) => {
-                        self.op(ReplOp::IncrWriters { id, delta });
-                        self.notify_all(id, subs);
-                        self.send_response(source, seq, Response::Ok, true);
-                    }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
-                }
+                wrote(self.store.incr_writers(id, delta).map(|subs| {
+                    self.op(ReplOp::IncrWriters { id, delta });
+                    self.notify_all(id, subs);
+                }))
             }
+            Request::DataSubscribe {
+                id,
+                rank,
+                notify_closed,
+            } => match self.store.subscribe(id, rank) {
+                Ok(false) => {
+                    self.op(ReplOp::Subscribe { id, rank });
+                    let resp = if notify_closed {
+                        Response::Ok
+                    } else {
+                        Response::Bool(false)
+                    };
+                    (resp, true)
+                }
+                // Already closed. The write-behind form gets the close
+                // notification it would otherwise have missed; the
+                // awaited form is told so and nothing mutates.
+                Ok(true) if notify_closed => {
+                    self.notify_all(id, vec![rank]);
+                    (Response::Ok, true)
+                }
+                Ok(true) => (Response::Bool(true), false),
+                Err(e) => (Response::Error(e.message), false),
+            },
+            Request::DataRetrieve { id } => read(self.store.retrieve(id).map(Response::MaybeBytes)),
+            Request::DataLookup { id, key } => {
+                read(self.store.lookup(id, &key).map(Response::MaybeBytes))
+            }
+            Request::DataEnumerate { id } => read(self.store.enumerate(id).map(Response::Pairs)),
+            Request::DataExists { id } => (Response::Bool(self.store.exists_closed(id)), false),
         }
     }
 
@@ -1769,82 +1796,50 @@ impl Server {
         );
     }
 
-    /// Benign defaults for data ops against a shard that died with no
-    /// replica: reads see "not ready", writes vanish. The program cannot
-    /// complete — the `Get` path reports why — but it must not crash on
-    /// spurious errors either.
-    fn serve_lost_home(&mut self, source: Rank, req: &Request, seq: u64) {
-        self.stats.data_ops += 1;
-        let resp = match req {
-            Request::DataRetrieve { .. } | Request::DataLookup { .. } => Response::MaybeBytes(None),
-            Request::DataSubscribe { .. } | Request::DataExists { .. } => Response::Bool(false),
-            Request::DataEnumerate { .. } => Response::Pairs(Vec::new()),
-            _ => Response::Ok,
-        };
-        self.tx_sends
-            .push((source, TAG_RESP, seal_seq(&resp.encode(), seq)));
-    }
-
-    /// Release leases for a batch of acknowledgements from `source`, in
-    /// order. Each entry either consumes a stale-ack credit (its lease was
-    /// already revoked and the task requeued) or releases the oldest open
-    /// lease; failed results feed the retry/quarantine policy.
-    fn handle_acks(&mut self, source: Rank, results: Vec<(bool, String)>) {
-        let mut credits_used = 0u32;
-        let mut dropped = 0u32;
-        for (ok, error) in results {
-            if let Some(stale) = self.lease_revoked.get_mut(&source) {
-                *stale -= 1;
-                if *stale == 0 {
-                    self.lease_revoked.remove(&source);
-                }
-                credits_used += 1;
-                continue;
+    /// One lease acknowledgement from `source`: it either consumes a
+    /// stale-ack credit (the lease was already revoked and the task
+    /// requeued) or releases the oldest open lease; a failed result feeds
+    /// the retry/quarantine policy.
+    fn handle_ack(&mut self, source: Rank, ok: bool, error: String) {
+        if let Some(stale) = self.lease_revoked.get_mut(&source) {
+            *stale -= 1;
+            if *stale == 0 {
+                self.lease_revoked.remove(&source);
             }
-            match self
-                .in_flight
-                .get_mut(&source)
-                .and_then(VecDeque::pop_front)
-            {
-                Some(lease) => {
-                    dropped += 1;
-                    self.tenants.lease_closed(lease.task.tenant);
-                    // Accept → ack: the server-side view of task latency.
-                    // The high id bits carry (tenant + 1) so per-tenant
-                    // percentiles can be split out; the low bits keep the
-                    // acking rank.
-                    trace::record_since(
-                        trace::KIND_TASK_LATENCY,
-                        ((lease.task.tenant as u64 + 1) << 32) | source as u64,
-                        lease.accepted_us,
-                    );
-                    if !ok {
-                        self.retry_or_quarantine(lease.task, false, &error);
-                    }
-                }
-                None if self.aborting => {
-                    // An adopted client acking a task its lost home leased:
-                    // nothing to release, nothing to report.
-                }
-                None => {
-                    self.protocol_error(format_args!("task ack from rank {source} with no lease"))
-                }
-            }
-        }
-        if credits_used > 0 {
             self.op(ReplOp::CreditUse {
                 client: source,
-                n: credits_used,
+                n: 1,
             });
+            return;
         }
-        if dropped > 0 {
-            self.op(ReplOp::LeaseDrop {
-                client: source,
-                n: dropped,
-            });
-        }
-        if self.in_flight.get(&source).is_some_and(VecDeque::is_empty) {
-            self.in_flight.remove(&source);
+        let leases = self.in_flight.get_mut(&source);
+        match leases.and_then(VecDeque::pop_front) {
+            Some(lease) => {
+                self.tenants.lease_closed(lease.task.tenant);
+                // Accept → ack: the server-side view of task latency.
+                // The high id bits carry (tenant + 1) so per-tenant
+                // percentiles can be split out; the low bits keep the
+                // acking rank.
+                trace::record_since(
+                    trace::KIND_TASK_LATENCY,
+                    ((lease.task.tenant as u64 + 1) << 32) | source as u64,
+                    lease.accepted_us,
+                );
+                if !ok {
+                    self.retry_or_quarantine(lease.task, false, &error);
+                }
+                self.op(ReplOp::LeaseDrop {
+                    client: source,
+                    n: 1,
+                });
+                if self.in_flight.get(&source).is_some_and(VecDeque::is_empty) {
+                    self.in_flight.remove(&source);
+                }
+            }
+            // An adopted client acking a task its lost home leased:
+            // nothing to release, nothing to report.
+            None if self.aborting => {}
+            None => self.protocol_error(format_args!("task ack from rank {source} with no lease")),
         }
     }
 
@@ -2282,6 +2277,19 @@ impl Server {
 
     /// This server's live state in replicable form.
     fn snapshot_ledger(&self) -> Ledger {
+        // A ledger keeps one dedup mark per client: the newest over the
+        // homes this server covers.
+        let mut seqs: HashMap<Rank, u64> = HashMap::new();
+        for (&(_, c), &s) in &self.client_seqs {
+            let hw = seqs.entry(c).or_default();
+            *hw = (*hw).max(s);
+        }
+        let mut resps: HashMap<Rank, (u64, Bytes)> = HashMap::new();
+        for (&(_, c), r) in &self.client_resps {
+            if resps.get(&c).is_none_or(|old| old.0 < r.0) {
+                resps.insert(c, r.clone());
+            }
+        }
         let mut leases: HashMap<Rank, VecDeque<Task>> = HashMap::new();
         for (r, d) in &self.in_flight {
             if !d.is_empty() {
@@ -2297,8 +2305,8 @@ impl Server {
                 .iter()
                 .map(|(r, n)| (*r, *n as u32))
                 .collect(),
-            seqs: self.client_seqs.clone(),
-            resps: self.client_resps.clone(),
+            seqs,
+            resps,
             outputs: self.outputs.clone(),
             finished: self.finished.clone(),
             quarantine: self.quarantine_reports.clone(),
@@ -2430,7 +2438,7 @@ impl Server {
                         );
                     }
                     Some(ledger) => {
-                        self.promote(d, ledger);
+                        self.promote(d, &chain, ledger);
                         promoted = true;
                     }
                     // After global termination nothing was lost — the run
@@ -2534,7 +2542,7 @@ impl Server {
     /// Merge a dead peer's replica ledger into this server's live state:
     /// this rank now serves the dead peer's shard, queue, leases and
     /// clients.
-    fn promote(&mut self, d: Rank, ledger: Ledger) {
+    fn promote(&mut self, d: Rank, chain: &[Rank], ledger: Ledger) {
         self.stats.failovers += 1;
         trace::record_instant(trace::KIND_FAILOVER, d as u64);
         self.epoch += 1;
@@ -2570,10 +2578,6 @@ impl Server {
         for (c, n) in ledger.credits {
             *self.lease_revoked.entry(c).or_insert(0) += n as usize;
         }
-        for (c, s) in ledger.seqs {
-            let hw = self.client_seqs.entry(c).or_default();
-            *hw = (*hw).max(s);
-        }
         // Re-send every cached response unprompted: the dead server may
         // have processed (and replicated) a request but died before the
         // response left, and the waiting client's retry could race this
@@ -2585,7 +2589,8 @@ impl Server {
         for (c, (_, bytes)) in &ledger.resps {
             self.tx_sends.push((*c, TAG_RESP, bytes.clone()));
         }
-        self.client_resps.extend(ledger.resps);
+        let covered: Vec<Rank> = std::iter::once(d).chain(chain.iter().copied()).collect();
+        self.adopt_seqs(&covered, ledger.seqs, ledger.resps);
         for (key, text) in ledger.outputs {
             self.outputs.entry(key).or_default().push_str(&text);
         }
@@ -2668,7 +2673,7 @@ impl Server {
                 if let Some(sink) = &mut self.ckpt {
                     sink.adopt_history(r.history);
                 }
-                self.promote(d, r.ledger);
+                self.promote(d, chain, r.ledger);
                 self.stats.pfs_restores += 1;
                 let micros = started.elapsed().as_micros() as u64;
                 self.stats.ckpt_restore_micros = self.stats.ckpt_restore_micros.max(micros);

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use adlb::{serve_ext, AdlbClient, Layout, ServerConfig, WORK_TYPE_WORK};
+use adlb::{serve_ext, AdlbClient, ClientConfig, Layout, ServerConfig, WORK_TYPE_WORK};
 use mpisim::{FaultPlan, World};
 
 fn replicated_config() -> ServerConfig {
@@ -87,6 +87,7 @@ fn killing_the_second_server_loses_nothing_at_replication_2() {
         // `Bye` — or finish before its 60th send so the kill never fires —
         // in which case nothing was stranded and no promotion is needed.
         if !fired {
+            assert_eq!(kill_sends, 60, "only the late kill point may miss");
             assert_eq!(
                 failovers, 0,
                 "kill_sends={kill_sends}: no kill, no promotion"
@@ -116,6 +117,7 @@ fn killing_the_master_server_loses_nothing_at_replication_2() {
             );
         }
         if !fired {
+            assert_eq!(kill_sends, 60, "only the late kill point may miss");
             assert_eq!(
                 failovers, 0,
                 "kill_sends={kill_sends}: no kill, no promotion"
@@ -172,6 +174,124 @@ fn data_store_shard_survives_its_servers_death() {
         outcome.outputs[1],
         Some(Some("replicated-value".to_string()))
     );
+}
+
+/// Twelve create/store/put triples through a write-behind client, every
+/// id homed on `victim`, then an awaited flush.
+fn outbox_client(c: &mut AdlbClient, victim: usize, layout: Layout) -> Result<(), String> {
+    // Creates and stores are not idempotent (a second create or store of
+    // an id is an error) and a put applied twice runs twice, so a batch
+    // that is re-executed instead of answered from the cache shows.
+    let ids = (0..64u64).filter(|i| layout.data_owner(*i) == victim);
+    for (k, id) in ids.take(12).enumerate() {
+        c.create(id, 0).map_err(|e| e.message)?;
+        c.store(id, vec![k as u8]).map_err(|e| e.message)?;
+        c.put(WORK_TYPE_WORK, 0, Some(1), vec![k as u8]);
+    }
+    c.flush().map_err(|e| e.message)
+}
+
+#[test]
+fn batch_in_flight_survives_its_home_servers_death() {
+    // Rank 0's home server (and the home of every id it writes) is rank
+    // 2; rank 1 consumes through rank 3. The victim dies after each of
+    // its first sends in turn, so across the sweep the death lands before
+    // the batch arrives (the successor executes it fresh), between the
+    // batch's replication and its response (the successor answers the
+    // re-sent seq from the replicated cache), and after the response.
+    // Every time: no error, every datum stored once, every task run once.
+    let layout = Layout::new(4, 2);
+    let victim = 2;
+    for kill_sends in 1..=20 {
+        let plan = FaultPlan::new().kill_after_sends(victim, kill_sends);
+        let outcome = World::run_faulty(4, &plan, |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                serve_ext(comm, layout, replicated_config());
+                return None;
+            }
+            let mut c = AdlbClient::with_config(comm, layout, ClientConfig::batched());
+            if rank == 0 {
+                let wrote = outbox_client(&mut c, victim, layout);
+                c.finish();
+                return Some((wrote, Vec::new()));
+            }
+            let mut ran = Vec::new();
+            while let Some(t) = c.get(&[WORK_TYPE_WORK]) {
+                let k = t.payload[0];
+                let id = (0..64u64)
+                    .filter(|i| layout.data_owner(*i) == victim)
+                    .nth(k as usize)
+                    .unwrap();
+                // The put never overtakes the store it was queued behind.
+                let v = c
+                    .retrieve(id)
+                    .unwrap()
+                    .expect("task saw an unwritten input");
+                assert_eq!(&v[..], &[k]);
+                ran.push(k);
+            }
+            Some((Ok(()), ran))
+        });
+        assert_eq!(outcome.killed, vec![victim], "kill_sends={kill_sends}");
+        let (wrote, _) = outcome.outputs[0].clone().unwrap().unwrap();
+        assert_eq!(wrote, Ok(()), "kill_sends={kill_sends}");
+        let (_, mut ran) = outcome.outputs[1].clone().unwrap().unwrap();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..12).collect::<Vec<u8>>(), "kill_sends={kill_sends}");
+    }
+}
+
+#[test]
+fn batch_below_the_durable_high_water_is_answered_not_rerun_on_resume() {
+    // World 1: the lone server applies the client's batch, makes it (and
+    // its response) durable, answers, and dies; the client walks away.
+    // World 2 resumes from the same store and the client replays the same
+    // requests: the batch's seq is below the durable high-water, so it is
+    // answered from the response history — re-executing it against the
+    // restored shard would fail every create.
+    let layout = Layout::new(3, 1);
+    let fs = std::sync::Arc::new(pfs::Pfs::new(pfs::PfsConfig::default()));
+    let config = |resume: bool| ServerConfig {
+        checkpoint: Some(
+            adlb::CheckpointConfig::new(fs.clone())
+                .interval(1)
+                .resume(resume),
+        ),
+        ..ServerConfig::default()
+    };
+    let plan = FaultPlan::new().kill_after_recvs(2, 1);
+    let outcome = World::run_faulty(3, &plan, |comm| {
+        let rank = comm.rank();
+        if layout.is_server(rank) {
+            serve_ext(comm, layout, config(false));
+        } else if rank == 0 {
+            let mut c = AdlbClient::with_config(comm, layout, ClientConfig::batched());
+            outbox_client(&mut c, 2, layout).expect("first run");
+        }
+    });
+    assert_eq!(outcome.killed, vec![2]);
+
+    let out = World::run(3, |comm| {
+        let rank = comm.rank();
+        if layout.is_server(rank) {
+            let stats = serve_ext(comm, layout, config(true)).stats;
+            assert_eq!(stats.pfs_restores, 1);
+            return 0;
+        }
+        let mut c = AdlbClient::with_config(comm, layout, ClientConfig::batched());
+        if rank == 0 {
+            outbox_client(&mut c, 2, layout).expect("the replay is answered, not re-run");
+            c.finish();
+            return 0;
+        }
+        let mut ran = 0;
+        while c.get(&[WORK_TYPE_WORK]).is_some() {
+            ran += 1;
+        }
+        ran
+    });
+    assert_eq!(out[1], 12, "each put took effect once across both worlds");
 }
 
 #[test]

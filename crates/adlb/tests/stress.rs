@@ -195,8 +195,8 @@ mod batch_fault_interaction {
     #[test]
     fn acked_batch_is_never_requeued_when_holder_dies() {
         // Send #1 is the Get; the victim then drains its whole batch of 8
-        // locally and send #2 is the TaskDoneBatch acknowledging all of
-        // them — it dies right after. The acks land before death
+        // locally and send #2 is the batch of acks for all of them — it
+        // dies right after. The acks land before death
         // detection (per-pair FIFO), so nothing requeues and the
         // remaining 12 tasks run exactly once on the survivor.
         let (executed, stats) = run_batch_death(2);
@@ -429,6 +429,84 @@ mod fault_properties {
             server_kill in proptest::option::of((0usize..4, 2u64..40, any::<bool>())),
         ) {
             run_deaths(servers, consumers, total, prefetch, &kills, server_kill)?;
+        }
+    }
+}
+
+mod outbox_ordering {
+    //! Property: with write-behind outboxes over two servers, a task never
+    //! observes an input its submitter wrote before putting it — whichever
+    //! servers the datum and the task live on, and however the writes of
+    //! different data interleave in the submitter's program.
+    //!
+    //! Why it holds: a put (like every request another rank can act on) is
+    //! queued only after every *other* server's outbox has been flushed
+    //! and answered, and within one server's outbox order is program
+    //! order. So when the put becomes visible, the store it follows has
+    //! been applied — on the put's own server earlier in the same batch,
+    //! on any other server by an acknowledged flush.
+
+    use adlb::{serve, AdlbClient, ClientConfig, Layout, ServerConfig, WORK_TYPE_WORK};
+    use mpisim::World;
+    use proptest::prelude::*;
+
+    /// Ranks 0 (submitter, home server 3), 1 and 2 (consumers, homes 4
+    /// and 3). Item `k` is `create, store, put` of one datum; `homes[k]`
+    /// picks its server, `picks` interleaves the items' steps.
+    fn run_interleaving(homes: &[bool], picks: &[usize]) {
+        let layout = Layout::new(5, 2);
+        World::run(5, |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                serve(comm, layout, ServerConfig::default());
+                return;
+            }
+            let mut c = AdlbClient::with_config(comm, layout, ClientConfig::batched());
+            if rank != 0 {
+                while let Some(t) = c.get(&[WORK_TYPE_WORK]) {
+                    let id = u64::from_le_bytes(t.payload[..8].try_into().unwrap());
+                    let v = c.retrieve(id).expect("input exists");
+                    assert_eq!(v.as_deref(), Some(&id.to_le_bytes()[..]), "unwritten input");
+                }
+                return;
+            }
+            // Ids alternate servers: even ones live on 3, odd ones on 4.
+            let ids: Vec<u64> = homes
+                .iter()
+                .enumerate()
+                .map(|(k, odd)| 2 * k as u64 + *odd as u64)
+                .collect();
+            let mut step = vec![0; ids.len()];
+            let mut live: Vec<usize> = (0..ids.len()).collect();
+            for &p in picks {
+                if live.is_empty() {
+                    break;
+                }
+                let slot = p % live.len();
+                let k = live[slot];
+                let id = ids[k];
+                match step[k] {
+                    0 => c.create(id, 0).unwrap(),
+                    1 => c.store(id, id.to_le_bytes().to_vec()).unwrap(),
+                    _ => c.put(WORK_TYPE_WORK, 0, None, id.to_le_bytes().to_vec()),
+                }
+                step[k] += 1;
+                if step[k] == 3 {
+                    live.swap_remove(slot);
+                }
+            }
+            c.finish();
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+        #[test]
+        fn a_task_never_observes_an_unwritten_input(
+            homes in proptest::collection::vec(any::<bool>(), 1..40),
+            picks in proptest::collection::vec(0usize..64, 120),
+        ) {
+            run_interleaving(&homes, &picks);
         }
     }
 }

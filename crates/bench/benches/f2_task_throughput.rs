@@ -65,11 +65,7 @@ fn adlb_throughput(workers: usize, payload: usize, tasks: usize, batching: bool)
     // Batched: prefetch + pipelined puts (the default wire protocol).
     // Unbatched: the PR 1 one-task-per-round-trip protocol (ablation E5).
     let config = if batching {
-        ClientConfig {
-            prefetch: 8,
-            put_buffer: 16,
-            ..ClientConfig::default()
-        }
+        ClientConfig::batched()
     } else {
         ClientConfig::unbatched()
     };

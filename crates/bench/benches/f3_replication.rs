@@ -41,15 +41,7 @@ fn pipeline(workers: usize, payload: usize, tasks: usize, replication: usize) ->
             if layout.is_server(rank) {
                 return serve_ext(comm, layout, config.clone()).stats.repl_ops;
             }
-            let mut client = AdlbClient::with_config(
-                comm,
-                layout,
-                ClientConfig {
-                    prefetch: 8,
-                    put_buffer: 16,
-                    ..ClientConfig::default()
-                },
-            );
+            let mut client = AdlbClient::with_config(comm, layout, ClientConfig::batched());
             if rank == 0 {
                 for _ in 0..tasks {
                     client.put(WORK_TYPE_WORK, 0, None, body.clone());
@@ -120,6 +112,11 @@ fn faulted_run(tasks: u64, kill_sends: Option<u64>) -> (Duration, u64) {
             .map(|o| o.unwrap_or(0))
             .sum();
         assert_eq!(done, tasks, "every task executed despite the death");
+        assert_eq!(
+            outcome.killed.is_empty(),
+            kill_sends.is_none(),
+            "the scheduled kill must land mid-run"
+        );
         let promoted: u64 = outcome
             .outputs
             .iter()

@@ -63,15 +63,7 @@ fn pipeline(workers: usize, tasks: usize, interval: Option<usize>) -> (Duration,
                 let s = serve_ext(comm, layout, config.clone()).stats;
                 return [s.ckpt_records, s.ckpt_ops, s.ckpt_segments, s.ckpt_bytes];
             }
-            let mut client = AdlbClient::with_config(
-                comm,
-                layout,
-                ClientConfig {
-                    prefetch: 8,
-                    put_buffer: 16,
-                    ..ClientConfig::default()
-                },
-            );
+            let mut client = AdlbClient::with_config(comm, layout, ClientConfig::batched());
             if rank == 0 {
                 for _ in 0..tasks {
                     client.put(WORK_TYPE_WORK, 0, None, b"payload".to_vec());

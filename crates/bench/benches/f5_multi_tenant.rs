@@ -63,15 +63,7 @@ fn shared_world(
                 let outcome = serve_ext(comm, layout, config.clone());
                 return (0, outcome.tenant_rows);
             }
-            let mut client = AdlbClient::with_config(
-                comm,
-                layout,
-                ClientConfig {
-                    prefetch: 8,
-                    put_buffer: 16,
-                    ..ClientConfig::default()
-                },
-            );
+            let mut client = AdlbClient::with_config(comm, layout, ClientConfig::batched());
             if rank < counts.len() {
                 // Submitter rank i is tenant i.
                 client.set_tenant(rank as u32);

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use crate::Rank;
 
-/// Client put (the `exchange` round-trip carrying a Put/PutBatch).
+/// Client put (the awaited flush of an outbox that carries puts).
 pub const KIND_TASK_PUT: u8 = 0;
 /// Server-side queue wait: task accepted → handed to a worker.
 pub const KIND_TASK_QUEUE: u8 = 1;

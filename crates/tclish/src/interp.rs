@@ -274,7 +274,18 @@ impl Interp {
     /// A top-level `return` yields its value; `break`/`continue` outside a
     /// loop are errors, as in Tcl.
     pub fn eval(&mut self, script: &str) -> Result<String, TclError> {
-        match self.eval_internal(script) {
+        Self::top_level(self.eval_internal(script))
+    }
+
+    /// [`Interp::eval`] for a script parsed ahead of time with
+    /// [`Script::parse`]. The tree is plain data (`Send + Sync`), so one
+    /// parse of a library can serve every interpreter in the process.
+    pub fn eval_script(&mut self, script: &Script) -> Result<String, TclError> {
+        Self::top_level(self.eval_parsed(script))
+    }
+
+    fn top_level(result: TclResult) -> Result<String, TclError> {
+        match result {
             Ok(v) => Ok(v),
             Err(Exception::Return(v)) => Ok(v),
             Err(Exception::Error(e)) => Err(e),

@@ -34,6 +34,7 @@ pub use error::{Exception, TclError, TclResult};
 pub use expr::{format_double, parse_number, Val};
 pub use interp::{CommandFn, Interp, PackageInit};
 pub use list::{format_list, parse_list};
+pub use parser::Script;
 
 #[cfg(test)]
 mod tests {
@@ -41,6 +42,24 @@ mod tests {
 
     fn ev(script: &str) -> String {
         Interp::new().eval(script).unwrap()
+    }
+
+    #[test]
+    fn long_scripts_evaluate_in_linear_time() {
+        // 64k one-command lines took minutes when every literal character
+        // re-validated the rest of the source as UTF-8.
+        let src = "set v bareword\n".repeat(64 * 1024);
+        let t = std::time::Instant::now();
+        assert_eq!(ev(&src), "bareword");
+        assert!(t.elapsed().as_secs_f64() < 2.0, "took {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn a_script_parsed_once_evaluates_in_any_interpreter() {
+        let script = Script::parse("proc twice {x} { expr {$x * 2} }\ntwice 21").unwrap();
+        assert_eq!(Interp::new().eval_script(&script).unwrap(), "42");
+        assert_eq!(Interp::new().eval_script(&script).unwrap(), "42");
+        assert!(Script::parse("set x {oops").is_err());
     }
 
     #[test]

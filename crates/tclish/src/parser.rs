@@ -79,6 +79,17 @@ impl<'a> Cursor<'a> {
     }
 }
 
+impl Script {
+    /// Parse `src` once, for [`crate::Interp::eval_script`].
+    pub fn parse(src: &str) -> Result<Script, crate::TclError> {
+        parse_script(src).map_err(|e| match e {
+            Exception::Error(e) => e,
+            // The parser raises nothing but errors.
+            other => crate::TclError::new(format!("{other:?}")),
+        })
+    }
+}
+
 /// Parse a full script into commands.
 pub fn parse_script(src: &str) -> Result<Script, Exception> {
     let mut cur = Cursor {
@@ -324,9 +335,25 @@ fn parse_bare(cur: &mut Cursor) -> Result<Word, Exception> {
 }
 
 fn next_char(cur: &mut Cursor) -> char {
-    // Decode one UTF-8 char starting at pos.
-    let s = std::str::from_utf8(&cur.src[cur.pos..]).unwrap_or("?");
-    let c = s.chars().next().unwrap_or('?');
+    // Decode one UTF-8 char starting at pos, looking at no more than its
+    // own (at most four) bytes: validating the rest of the script here
+    // made parsing quadratic in script length.
+    let rest = &cur.src[cur.pos..];
+    let len = match rest.first() {
+        Some(b) if *b < 0x80 => {
+            cur.pos += 1;
+            return *b as char;
+        }
+        Some(0xC0..=0xDF) => 2,
+        Some(0xE0..=0xEF) => 3,
+        Some(0xF0..=0xF7) => 4,
+        _ => 1,
+    };
+    let c = rest
+        .get(..len)
+        .and_then(|b| std::str::from_utf8(b).ok())
+        .and_then(|s| s.chars().next())
+        .unwrap_or('?');
     cur.pos += c.len_utf8();
     c
 }
@@ -568,6 +595,19 @@ mod tests {
             w[1].parts,
             vec![Part::Lit("a".into()), Part::Lit("$".into())]
         );
+    }
+
+    #[test]
+    fn multibyte_chars_round_trip_in_every_word_kind() {
+        // 2-, 3- and 4-byte UTF-8 sequences, bare, quoted, braced and
+        // backslash-escaped.
+        for ch in ["é", "日", "🦀"] {
+            let w = words_of(&format!("cmd a{ch}b \"q {ch}{ch}\" {{b{ch}}} \\{ch}"));
+            assert_eq!(w[1].as_lit(), Some(format!("a{ch}b").as_str()));
+            assert_eq!(w[2].as_lit(), Some(format!("q {ch}{ch}").as_str()));
+            assert_eq!(w[3].as_lit(), Some(format!("b{ch}").as_str()));
+            assert_eq!(w[4].as_lit(), Some(ch));
+        }
     }
 
     #[test]

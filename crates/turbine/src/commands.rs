@@ -101,6 +101,17 @@ fn need(argv: &[String], min: usize, max: usize, usage: &str) -> Result<(), Exce
     Ok(())
 }
 
+/// Store (and close) a scalar. An engine remembers ids it stored itself,
+/// so a rule over them never asks the server whether they are closed.
+fn store(ctx: &SharedCtx, id: u64, value: Vec<u8>) -> Result<String, Exception> {
+    let mut c = ctx.borrow_mut();
+    c.client.store(id, value).map_err(ex)?;
+    if c.is_engine {
+        c.engine.mark_closed(id);
+    }
+    Ok(String::new())
+}
+
 /// Register every `turbine::*` command plus the blobutils command set.
 pub fn register(interp: &mut Interp, ctx: SharedCtx) {
     let blobs = ctx.borrow().blobs.clone();
@@ -146,9 +157,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         "turbine::store_void",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::store_void id")?;
-            let id = parse_id(&argv[1])?;
-            ctx.borrow_mut().client.store(id, Vec::new()).map_err(ex)?;
-            Ok(String::new())
+            store(ctx, parse_id(&argv[1])?, Vec::new())
         }
     );
     cmd!(
@@ -160,11 +169,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 .trim()
                 .parse()
                 .map_err(|_| ex(format!("store_integer: \"{}\" is not an integer", argv[2])))?;
-            ctx.borrow_mut()
-                .client
-                .store(id, types::encode_integer(v).to_vec())
-                .map_err(ex)?;
-            Ok(String::new())
+            store(ctx, id, types::encode_integer(v).to_vec())
         }
     );
     cmd!(
@@ -176,23 +181,14 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 .trim()
                 .parse()
                 .map_err(|_| ex(format!("store_float: \"{}\" is not a float", argv[2])))?;
-            ctx.borrow_mut()
-                .client
-                .store(id, types::encode_float(v).to_vec())
-                .map_err(ex)?;
-            Ok(String::new())
+            store(ctx, id, types::encode_float(v).to_vec())
         }
     );
     cmd!(
         "turbine::store_string",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 3, 3, "turbine::store_string id value")?;
-            let id = parse_id(&argv[1])?;
-            ctx.borrow_mut()
-                .client
-                .store(id, argv[2].clone().into_bytes())
-                .map_err(ex)?;
-            Ok(String::new())
+            store(ctx, parse_id(&argv[1])?, argv[2].clone().into_bytes())
         }
     );
     cmd!(
@@ -207,8 +203,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 let b = blobs.borrow();
                 b.get(h).map_err(ex)?.as_bytes().to_vec()
             };
-            ctx.borrow_mut().client.store(id, bytes).map_err(ex)?;
-            Ok(String::new())
+            store(ctx, id, bytes)
         }
     );
 
@@ -386,29 +381,17 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         if !c.is_engine {
             return Err(ex("turbine::rule may only run on an engine"));
         }
-        // Work out which inputs are still open, subscribing as needed.
+        // Every input not known closed is waited on. The subscribe is
+        // write-behind: the server notifies even when the datum is closed
+        // already, so the engine never stops to ask.
         let my_rank = c.client.rank();
         let mut unclosed: HashSet<u64> = HashSet::new();
         for id in inputs {
-            if c.engine.known_closed(id) {
+            if c.engine.known_closed(id) || !unclosed.insert(id) {
                 continue;
             }
-            if c.engine.is_waiting_on(id) {
-                unclosed.insert(id);
-                continue;
-            }
-            match c.client.subscribe(id, my_rank) {
-                Ok(true) => {
-                    // Already closed at the server; remember it (and fire
-                    // anything else that was waiting, defensively).
-                    for d in c.engine.fire(id) {
-                        c.perform(d);
-                    }
-                }
-                Ok(false) => {
-                    unclosed.insert(id);
-                }
-                Err(e) => return Err(ex(e)),
+            if !c.engine.is_waiting_on(id) {
+                c.client.subscribe_notify(id, my_rank).map_err(ex)?;
             }
         }
         let d = c.engine.add_rule(unclosed, action, kind, priority, target);

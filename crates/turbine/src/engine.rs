@@ -80,6 +80,13 @@ impl EngineState {
         self.closed_cache.contains(&id)
     }
 
+    /// Record that `id` is closed without a notification saying so (this
+    /// engine stored it itself). Rules already waiting on it still fire
+    /// from the server's notification.
+    pub fn mark_closed(&mut self, id: u64) {
+        self.closed_cache.insert(id);
+    }
+
     /// Whether this engine already subscribed to `id` (has rules waiting).
     pub fn is_waiting_on(&self, id: u64) -> bool {
         self.waiting.contains_key(&id)

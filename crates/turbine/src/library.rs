@@ -9,6 +9,16 @@
 //! snippets to Swift allowed for the rapid development of Swift builtins
 //! such as printf(), strcat(), etc." (§III.A).
 
+/// Load the library into `interp`. The source is parsed once per process
+/// and the tree shared by every rank's interpreter.
+pub fn load(interp: &mut tclish::Interp) -> Result<(), tclish::TclError> {
+    static PARSED: std::sync::OnceLock<tclish::Script> = std::sync::OnceLock::new();
+    let script = PARSED.get_or_init(|| {
+        tclish::Script::parse(TURBINE_LIB).unwrap_or_else(|e| panic!("turbine library: {e}"))
+    });
+    interp.eval_script(script).map(|_| ())
+}
+
 /// The library source. Evaluated on every engine and worker before any
 /// program code; provided as the in-memory "static package" `turbine`
 /// (§IV: no small-file storms at startup).
@@ -405,7 +415,7 @@ mod tests {
             let mut interp = Interp::new();
             let buf = interp.capture_output();
             commands::register(&mut interp, ctx.clone());
-            interp.eval(super::TURBINE_LIB).unwrap();
+            super::load(&mut interp).unwrap();
             let result = interp.eval(script).unwrap();
             // Mini engine loop: drain local control actions, then pump
             // ADLB close notifications until no rules remain.
@@ -594,7 +604,7 @@ mod tests {
             let ctx = Ctx::new(client, true, InterpPolicy::Retain);
             let mut interp = Interp::new();
             commands::register(&mut interp, ctx.clone());
-            interp.eval(super::TURBINE_LIB).unwrap();
+            super::load(&mut interp).unwrap();
             interp
                 .eval(
                     "set c [turbine::unique]; turbine::create $c integer\n\

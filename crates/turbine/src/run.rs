@@ -39,7 +39,7 @@ pub struct TurbineConfig {
     pub policy: InterpPolicy,
     /// ADLB server tunables.
     pub server: ServerConfig,
-    /// Client-side wire batching: get prefetch and put pipelining. On by
+    /// Client-side wire batching: get prefetch and write-behind outboxes. On by
     /// default; switch off (the E5 ablation) to recover the PR 1
     /// one-task-per-round-trip protocol.
     pub batching: bool,
@@ -59,19 +59,12 @@ impl Default for TurbineConfig {
 
 impl TurbineConfig {
     /// The ADLB client knobs implied by [`TurbineConfig::batching`]:
-    /// prefetch batches of tasks and pipeline puts when on, PR 1 wire
-    /// behavior when off. Puts from engines and workers are always safe to
-    /// buffer because every blocking client operation flushes them first.
+    /// prefetch batches of tasks and queue writes in the client's outbox
+    /// when on, PR 1 wire behavior when off. Queued requests are always
+    /// safe because every blocking client operation flushes them first.
     pub fn client_config(&self) -> adlb::ClientConfig {
         if self.batching {
-            adlb::ClientConfig {
-                prefetch: 8,
-                put_buffer: 16,
-                // Stdout chunks ship to the server as soon as a loop
-                // iteration produces them: buffering would widen the
-                // window of output a rank death can lose.
-                output_buffer: 0,
-            }
+            adlb::ClientConfig::batched()
         } else {
             adlb::ClientConfig::unbatched()
         }
@@ -252,26 +245,12 @@ pub fn run_rank_with(
     let client = AdlbClient::with_config(comm, layout, config.client_config());
     let ctx = Ctx::new(client, role == Role::Engine, config.policy);
     ctx.borrow_mut().args = program.args.iter().cloned().collect();
-    let mut interp = Interp::new();
-    let buf = interp.capture_output();
-    commands::register(&mut interp, ctx.clone());
-    setup(&mut interp);
-
     // The runtime library plus the program's own definitions are an
     // in-memory "static package" (§IV): no filesystem involved.
-    interp
-        .eval(crate::library::TURBINE_LIB)
-        .unwrap_or_else(|e| panic!("turbine library failed to load: {e}"));
-    if !program.preamble.is_empty() {
-        interp
-            .eval(&program.preamble)
-            .unwrap_or_else(|e| panic!("program preamble failed on rank {rank}: {e}"));
+    let (mut interp, buf, err) = build_interp(&ctx, config, size, &program.preamble, &setup);
+    if let Some(e) = err {
+        panic!("{e} on rank {rank}");
     }
-    interp.set_var("turbine::n_engines", config.engines.to_string());
-    interp.set_var(
-        "turbine::n_workers",
-        (size - config.servers - config.engines).to_string(),
-    );
 
     let mut stream = OutputStreamer::new(buf.clone());
     match role {
@@ -279,6 +258,7 @@ pub fn run_rank_with(
             if rank == 0 {
                 interp
                     .eval(&program.main)
+                    .and_then(|_| flush_writes(&ctx))
                     .unwrap_or_else(|e| panic!("program main failed: {e}"));
             }
             engine_loop(&mut interp, &ctx, &mut stream)
@@ -304,6 +284,13 @@ pub fn run_rank_with(
     }
 }
 
+/// Send everything the fragment just evaluated left in the client's
+/// outbox; a write that failed surfaces here with its original message.
+fn flush_writes(ctx: &SharedCtx) -> Result<(), tclish::TclError> {
+    let flushed = ctx.borrow_mut().client.flush();
+    flushed.map_err(|e| tclish::TclError::new(e.to_string()))
+}
+
 /// Build one engine/worker interpreter: `turbine::*` commands, the host
 /// `setup` hook, the runtime library, and `preamble`. A preamble error is
 /// returned (not panicked) so multi-tenant callers can contain it to the
@@ -319,8 +306,7 @@ fn build_interp(
     let buf = interp.capture_output();
     commands::register(&mut interp, ctx.clone());
     setup(&mut interp);
-    interp
-        .eval(crate::library::TURBINE_LIB)
+    crate::library::load(&mut interp)
         .unwrap_or_else(|e| panic!("turbine library failed to load: {e}"));
     let mut err = None;
     if !preamble.is_empty() {
@@ -407,7 +393,7 @@ pub fn run_rank_tenants_with(
             // keeps serving its notifications to global termination so
             // the rest of the world is undisturbed.
             if error.is_none() {
-                if let Err(e) = interp.eval(&program.main) {
+                if let Err(e) = interp.eval(&program.main).and_then(|_| flush_writes(&ctx)) {
                     error = Some(format!("program main failed: {e}"));
                 }
             }
@@ -512,6 +498,9 @@ fn engine_loop_contained(
             }
         }
         stream.ship(&mut ctx.borrow_mut().client);
+        if let Err(e) = flush_writes(ctx) {
+            note(error, format!("data operation failed: {e}"));
+        }
         let task = ctx
             .borrow_mut()
             .client
@@ -583,7 +572,11 @@ pub fn engine_loop(
                 None => break,
             }
         }
+        // Nothing stays queued across the blocking get: the fragments'
+        // writes (and stdout) leave now, and a failed one ends the run
+        // here rather than as a hang on a future that never closes.
         stream.ship(&mut ctx.borrow_mut().client);
+        flush_writes(ctx)?;
         let task = ctx
             .borrow_mut()
             .client
@@ -784,7 +777,9 @@ mod tests {
     fn multiple_workers_share_leaf_tasks() {
         let main = r#"
             for {set i 0} {$i < 40} {incr i} {
-                turbine::spawn work 0 "puts task-$i"
+                # Enough work per task that one early worker cannot drain
+                # the whole batch before the others have started.
+                turbine::spawn work 0 "for {set k 0} {\$k < 2000} {incr k} {}; puts task-$i"
             }
         "#;
         let (stdout, outs) = run_machine(

@@ -33,6 +33,13 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
         Err(_) => Err(TclError::new("worker received non-UTF-8 task payload")),
     };
     let mut c = ctx.borrow_mut();
+    // A write the task queued may only fail now; the failure is the
+    // task's all the same.
+    let outcome = outcome.and_then(|()| {
+        c.client
+            .settle_task()
+            .map_err(|e| TclError::new(e.to_string()))
+    });
     match outcome {
         Ok(()) => {
             *count += 1;
@@ -150,7 +157,7 @@ mod tests {
     use tclish::Interp;
 
     use crate::commands::{self, Ctx};
-    use crate::types::InterpPolicy;
+    use crate::types::{InterpPolicy, TurbineType};
 
     /// 1 submitter + 1 worker + 1 server; submitter sends raw Tcl tasks.
     fn run_worker(tasks: &'static [&'static str], policy: InterpPolicy) -> (String, u64, u64) {
@@ -174,7 +181,7 @@ mod tests {
             let mut interp = Interp::new();
             let buf = interp.capture_output();
             commands::register(&mut interp, ctx.clone());
-            interp.eval(crate::library::TURBINE_LIB).unwrap();
+            crate::library::load(&mut interp).unwrap();
             let mut stream = crate::run::OutputStreamer::new(buf.clone());
             let n = super::worker_loop(&mut interp, &ctx, &mut stream).unwrap();
             let inits = ctx.borrow().interp_inits;
@@ -263,6 +270,90 @@ mod tests {
         let (retried, quarantined, _) = out[2].unwrap();
         assert_eq!(retried, 3);
         assert_eq!(quarantined, 1);
+    }
+
+    /// A write-behind worker (rank 1) fed targeted Tcl tasks by rank 0,
+    /// which first runs `prepare` on its own client. Returns the worker's
+    /// stdout, its executed count, the server's stats and the quarantine
+    /// reports the worker was handed at shutdown.
+    fn run_batched_worker(
+        prepare: fn(&mut AdlbClient),
+        tasks: &'static [&'static str],
+    ) -> (String, u64, adlb::ServerStats, Vec<String>) {
+        let layout = Layout::new(3, 1);
+        let out = World::run(3, move |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                let stats = adlb::serve(comm, layout, adlb::ServerConfig::default());
+                return (String::new(), 0, Some(stats), Vec::new());
+            }
+            let config = adlb::ClientConfig::batched();
+            let mut client = AdlbClient::with_config(comm, layout, config);
+            if rank == 0 {
+                prepare(&mut client);
+                for (i, t) in tasks.iter().enumerate() {
+                    // Descending priority: the targeted tasks run in order.
+                    client.put(
+                        adlb::WORK_TYPE_WORK,
+                        -(i as i32),
+                        Some(1),
+                        t.as_bytes().to_vec(),
+                    );
+                }
+                client.finish();
+                return (String::new(), 0, None, Vec::new());
+            }
+            let ctx = Ctx::new(client, false, InterpPolicy::Retain);
+            let mut interp = Interp::new();
+            let buf = interp.capture_output();
+            commands::register(&mut interp, ctx.clone());
+            let mut stream = crate::run::OutputStreamer::new(buf.clone());
+            let n = super::worker_loop(&mut interp, &ctx, &mut stream).unwrap();
+            let reports = ctx.borrow().client.quarantine_reports().to_vec();
+            let stdout = buf.borrow().clone();
+            (stdout, n, None, reports)
+        });
+        let (stdout, n, _, reports) = out[1].clone();
+        (stdout, n, out[2].2.unwrap(), reports)
+    }
+
+    #[test]
+    fn a_write_that_fails_behind_the_ack_fails_that_task_and_no_other() {
+        // Datum 5 is already stored. The first task's store of it is only
+        // queued when the task ends, and leaves in one fire-and-forget
+        // batch with the task's ack: the server fails that ack, so the
+        // retry budget and the quarantine report belong to this task —
+        // while the task after it on the same worker is acked clean.
+        let (stdout, _, stats, reports) = run_batched_worker(
+            |c| {
+                c.create(5, TurbineType::Integer.tag()).unwrap();
+                c.store(5, crate::types::encode_integer(1).to_vec())
+                    .unwrap();
+                c.flush().unwrap();
+            },
+            &["turbine::store_integer 5 2", "puts healthy"],
+        );
+        assert_eq!(stdout, "healthy\n");
+        assert_eq!((stats.tasks_retried, stats.tasks_quarantined), (3, 1));
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert!(reports[0].contains("double assignment"), "{reports:?}");
+    }
+
+    #[test]
+    fn a_task_that_errs_leaves_none_of_its_queued_writes_behind() {
+        // The first task queues a create and a store, then fails: both
+        // are discarded with it (every attempt), so the datum never
+        // exists for the task that looks afterwards.
+        let (stdout, n, stats, _) = run_batched_worker(
+            |_| {},
+            &[
+                "turbine::create 9 integer; turbine::store_integer 9 1; error boom",
+                "puts [catch {turbine::retrieve_integer 9} msg]; puts $msg",
+            ],
+        );
+        assert_eq!(stdout, "1\ndata: <9> does not exist\n");
+        assert_eq!(n, 1);
+        assert_eq!(stats.tasks_quarantined, 1);
     }
 
     #[test]

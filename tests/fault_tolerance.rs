@@ -49,31 +49,28 @@ fn early_worker_death_loses_no_tasks() {
 #[test]
 fn mid_run_worker_death_terminates_without_duplicates() {
     // Kill worker 3 midway through its task stream. Its executed tasks'
-    // output was streamed to the server tier before each subsequent get
-    // (and their acks flushed before the receive the kill lands on), so
-    // nothing it did is lost OR rerun: the assembled stdout holds all 40
-    // tasks exactly once even though the rank died.
+    // output and acks left in one batch ahead of every receive it ever
+    // blocked in (the kill lands on one), so nothing it did is lost OR
+    // rerun: the assembled stdout holds all 200 tasks exactly once even
+    // though the rank died. A worker receives about once per task (its
+    // input retrieve) plus once per prefetched batch; with 50 tasks a
+    // worker, 12 receives is a quarter of the way in.
     let plan = FaultPlan::new().kill_after_recvs(3, 12);
     let r = Runtime::new(6)
         .faults(plan)
-        .run(r#"foreach i in [0:39] { printf("task %d", i); }"#)
+        .run(r#"foreach i in [0:199] { printf("task %d", i); }"#)
         .expect("run must survive a mid-run worker death");
-    assert!(
-        r.killed_ranks.is_empty() || r.killed_ranks == vec![3],
-        "only the scheduled victim may die: {:?}",
-        r.killed_ranks
-    );
+    assert_eq!(r.killed_ranks, vec![3], "the scheduled victim must die");
+    assert_eq!(r.server_totals().ranks_failed, 1);
     let lines = unique_lines(&r.stdout);
     assert_eq!(
         lines.len(),
-        40,
+        200,
         "streamed output recovers the dead rank's executed tasks"
     );
-    if !r.killed_ranks.is_empty() {
-        // The server tier cannot know the victim's last words arrived;
-        // its stream is conservatively flagged as possibly-truncated.
-        assert_eq!(r.truncated_streams, vec![3]);
-    }
+    // The server tier cannot know the victim's last words arrived; its
+    // stream is conservatively flagged as possibly-truncated.
+    assert_eq!(r.truncated_streams, vec![3]);
 }
 
 #[test]
@@ -256,6 +253,18 @@ fn server_death_at_replication_1_fails_cleanly_not_hangs() {
     }
 }
 
+/// The program of the sequential-death tests: 300 printed tasks, each fed
+/// by a leaf that spins for a fraction of a millisecond. The second
+/// victim of each schedule is a server with little traffic of its own —
+/// its receives are mostly its peers' 1 ms heartbeats — so a receive
+/// count on it is a clock, and without the spin an optimised build is
+/// through the whole program (40 ms) before that clock reaches the
+/// trigger: the kill silently never fires.
+const SEQUENTIAL_DEATHS_SRC: &str = r#"
+    (int o) spin (int i) [ "for {set k 0} {$k < 400} {incr k} {}; set <<o>> <<i>>" ];
+    foreach i in [0:299] { int j = spin(i); printf("task %d", j); }
+"#;
+
 /// Rank layout for new(12).servers(4): engine 0, workers 1..=7, servers
 /// 8..=11 (master 8). Kill two servers sequentially with a gap wide
 /// enough that re-replication restores R between the deaths: after rank
@@ -266,7 +275,7 @@ fn server_death_at_replication_1_fails_cleanly_not_hangs() {
 /// failover counters live on survivors and stay visible in the totals.
 #[test]
 fn two_sequential_server_deaths_with_re_replication_complete_the_program() {
-    let src = r#"foreach i in [0:299] { printf("task %d", i); }"#;
+    let src = SEQUENTIAL_DEATHS_SRC;
     let clean = Runtime::new(12)
         .servers(4)
         .replication(2)
@@ -326,11 +335,14 @@ fn two_sequential_server_deaths_without_re_replication_end_cleanly() {
         .replication(2)
         .re_replication(false)
         .faults(plan)
-        .run(r#"foreach i in [0:299] { printf("task %d", i); }"#);
+        .run(SEQUENTIAL_DEATHS_SRC);
     match r {
         Ok(r) => {
-            // Completed before the loss bit: output must still be clean.
+            // Completed before the loss bit: output must still be clean,
+            // and the first death at least must have landed mid-run.
             unique_lines(&r.stdout);
+            assert_eq!(r.killed_ranks.first(), Some(&9), "{:?}", r.killed_ranks);
+            assert!(r.server_totals().failovers >= 1);
         }
         Err(SwiftTError::Runtime(m)) => assert!(
             m.contains("unrecoverable"),
@@ -383,7 +395,7 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
 /// points the restorer at it.
 #[test]
 fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
-    let src = r#"foreach i in [0:299] { printf("task %d", i); }"#;
+    let src = SEQUENTIAL_DEATHS_SRC;
     let clean = Runtime::new(12)
         .servers(4)
         .replication(2)
@@ -438,12 +450,14 @@ fn whole_world_kill_then_resume_completes_exactly_once() {
     assert_eq!(want.len(), 60);
 
     let fs = Arc::new(Pfs::new(PfsConfig::default()));
-    // Run 1: the lone server (rank 5) dies mid-stream; every client then
-    // panics out on total server loss. The world is gone.
+    // Run 1: the lone server (rank 5) dies mid-stream — 30 of the ~150
+    // receives a fault-free run costs it, with tasks queued, leased and
+    // acked — and every client then panics out on total server loss. The
+    // world is gone.
     let r1 = Runtime::new(6)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
-        .faults(FaultPlan::new().kill_after_recvs(5, 60))
+        .faults(FaultPlan::new().kill_after_recvs(5, 30))
         .run(src);
     match r1 {
         Err(SwiftTError::Runtime(m)) => assert!(
@@ -632,7 +646,7 @@ fn cli_checkpoint_file_resumes_across_processes() {
             "--checkpoint-file",
             img_path,
             "--faults",
-            "kill:rank=5,recvs=60",
+            "kill:rank=5,recvs=25",
         ])
         .output()
         .unwrap();

@@ -1,0 +1,133 @@
+//! The control plane's message budget, as exact counts (no wall clock),
+//! and the guarantee that spending fewer messages changes no output.
+//!
+//! `RunResult::messages` counts every point-to-point message of a run.
+//! The write-behind outbox is what separates the two protocols below;
+//! the ceilings make a later change that quietly adds a round trip to
+//! either path fail here rather than in a benchmark.
+
+use swiftt::core::Runtime;
+
+/// The benchmark's `bag_tcl` at a fixed seed: `n` independent one-line
+/// Tcl leaves.
+fn bag(n: usize) -> String {
+    format!(
+        "(int o) work (int i) [ \"set <<o>> [ expr {{<<i>> * 3 + 7}} ]\" ];\n\
+         foreach i in [1:{n}] {{ int s = work(i); }}\n"
+    )
+}
+
+/// The benchmark's `chain_serial`: `n` dependent statements.
+fn chain(n: usize) -> String {
+    let mut s = String::from(
+        "(int o) inc (int i) [ \"set <<o>> [ expr {(<<i>> * 3 + 1) % 1000003} ]\" ];\nint x0 = 1;\n",
+    );
+    for k in 1..=n {
+        s.push_str(&format!("int x{k} = inc(x{});\n", k - 1));
+    }
+    s.push_str(&format!("printf(\"final %d\", x{n});\n"));
+    s
+}
+
+fn messages_per_task(batching: bool, src: &str, tasks: u64) -> f64 {
+    let r = Runtime::new(4).batching(batching).run(src).expect("run");
+    assert_eq!(r.total_tasks(), tasks);
+    r.messages as f64 / tasks as f64
+}
+
+#[test]
+fn a_bag_task_costs_at_most_8_messages_batched_and_at_least_15_unbatched() {
+    // Batched, the engine's create/store/create/put per iteration leave
+    // 64 to a message and a worker's result rides with its ack: what is
+    // left per task is the input retrieve (2), that batch (1) and a share
+    // of the prefetching get. Unbatched, the same eight requests are each
+    // a round trip (the E5 ablation).
+    let on = messages_per_task(true, &bag(2000), 2000);
+    let off = messages_per_task(false, &bag(2000), 2000);
+    eprintln!("bag: {on:.2} messages/task batched, {off:.2} unbatched");
+    assert!(on <= 8.0, "{on:.2} messages per task with batching on");
+    assert!(off >= 15.0, "{off:.2} messages per task with batching off");
+}
+
+#[test]
+fn a_chain_hop_stays_within_its_message_ceiling() {
+    // The serial path, per hop: the worker's get and delivery, its input
+    // retrieve, one batch carrying result and ack (5); the engine's
+    // notification delivery, its awaited put, its ack and next get (5).
+    // Nothing waits in an outbox across a blocking get, so batching may
+    // only ever remove messages here.
+    let hops = 500;
+    let on = messages_per_task(true, &chain(hops), hops as u64 + 1);
+    let off = messages_per_task(false, &chain(hops), hops as u64 + 1);
+    eprintln!("chain: {on:.2} messages/hop batched, {off:.2} unbatched");
+    assert!(on <= 10.5, "{on:.2} messages per hop with batching on");
+    assert!(off <= 16.5, "{off:.2} messages per hop with batching off");
+}
+
+/// Every Swift program written as a raw string in `tests/` and
+/// `examples/` (whatever else those strings are — Tcl, Python, expected
+/// output — fails to compile and is skipped).
+fn harvested_programs() -> Vec<(String, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut programs = Vec::new();
+    for dir in ["tests", "examples"] {
+        let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+            .expect("source directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .filter(|p| !p.ends_with("round_trips.rs"))
+            .collect();
+        files.sort();
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("readable source");
+            let mut rest = text.as_str();
+            while let Some(at) = rest.find("r#\"") {
+                let body = &rest[at + 3..];
+                let Some(end) = body.find("\"#") else { break };
+                programs.push((
+                    format!("{}#{}", file.display(), programs.len()),
+                    body[..end].to_string(),
+                ));
+                rest = &body[end + 2..];
+            }
+        }
+    }
+    programs
+}
+
+#[test]
+fn batching_changes_no_programs_output() {
+    // Rank-order concatenation interleaves workers differently from run
+    // to run, so stdout is compared as a sorted multiset of lines — the
+    // same comparison every other test in this directory makes.
+    let sorted = |s: &str| {
+        let mut lines: Vec<String> = s.lines().map(str::to_string).collect();
+        lines.sort_unstable();
+        lines
+    };
+    let mut compared = 0;
+    for (name, src) in harvested_programs() {
+        if swiftt::stc::compile(&src).is_err() {
+            continue;
+        }
+        let on = Runtime::new(5).batching(true).run(&src);
+        let off = Runtime::new(5).batching(false).run(&src);
+        match (on, off) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(sorted(&a.stdout), sorted(&b.stdout), "{name}\n{src}");
+                assert_eq!(a.total_tasks(), b.total_tasks(), "{name}\n{src}");
+                compared += 1;
+            }
+            // Programs that need a native library, argv or a package the
+            // harvest cannot supply — or that deadlock on purpose — must
+            // fail both ways.
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!(
+                "{name}: batching on {:?}, off {:?}\n{src}",
+                a.map(|r| r.stdout),
+                b.map(|r| r.stdout)
+            ),
+        }
+    }
+    assert!(compared >= 60, "only {compared} programs ran both ways");
+}

@@ -87,8 +87,11 @@ fn trace_reconciles_under_server_death() {
     // still reconcile — eval spans count every executed task (including
     // requeued leases' reruns), the promotion shows up as exactly one
     // failover instant, and the re-replication that restores R records
-    // one recovery window iff the stats say R was restored.
-    let plan = FaultPlan::new().kill_after_recvs(8, 10);
+    // one recovery window iff the stats say R was restored. 40 receives
+    // is past the start-up heartbeats and the engine's first batches
+    // (the master has accepted tasks) and an eighth of what a fault-free
+    // run costs it.
+    let plan = FaultPlan::new().kill_after_recvs(8, 40);
     let r = Runtime::new(12)
         .servers(4)
         .replication(2)
