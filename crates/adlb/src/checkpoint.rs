@@ -148,6 +148,7 @@ fn absorb_history(history: &mut RespHistory, ops: &[ReplOp]) {
             client,
             seq,
             resp: Some(bytes),
+            ..
         } = op
         {
             history
@@ -206,7 +207,8 @@ pub fn decode_wal(buf: &[u8]) -> Result<Vec<(u64, Vec<ReplOp>)>, String> {
         let mut r = WireReader::new(body);
         let lsn = r.get_u64().map_err(|e| format!("wal: {e:?}"))?;
         let n = r.get_u32().map_err(|e| format!("wal: {e:?}"))?;
-        let mut ops = Vec::with_capacity(n as usize);
+        // The count is outside input: bound what it may reserve.
+        let mut ops = Vec::with_capacity((n as usize).min(4096));
         for _ in 0..n {
             ops.push(ReplOp::decode_from(&mut r).map_err(|e| format!("wal: {e:?}"))?);
         }
@@ -231,7 +233,7 @@ pub fn replay_wal_records(
         if lsn <= last {
             continue; // duplicate or already covered by the segment
         }
-        for op in &ops {
+        for op in ops {
             ledger.apply(owner, op);
         }
         last = lsn;
@@ -396,7 +398,8 @@ pub(crate) fn restore_home(client: &mut PfsClient, home: Rank) -> Result<Restore
 /// the partition is disjoint and nothing restores twice:
 ///
 /// * data ids go to `layout.data_owner(id)`,
-/// * client-keyed state goes to `layout.server_of(client)`,
+/// * leases and credits go to `layout.server_of(client)`,
+/// * `(home, client)` dedup marks and cached responses go to that home,
 /// * targeted queue tasks go to the target's home,
 /// * untargeted tasks and global flow state (pending transfers, fwd
 ///   counters, quarantine) stay with the checkpoint's owner `ckpt_owner`
@@ -415,7 +418,7 @@ pub(crate) fn split_for_home(
             out.store.insert_datum(*id, datum.clone());
         }
     }
-    for task in &full.queue {
+    for task in full.queue.tasks() {
         let keep = match task.target {
             Some(t) => layout.server_of(t) == home,
             None => owner_slice,
@@ -437,21 +440,24 @@ pub(crate) fn split_for_home(
         .filter(|(c, _)| mine(c))
         .map(|(c, v)| (*c, *v))
         .collect();
+    // Dedup marks and cached responses follow the home they were made
+    // at: every server is alive again, so a replaying client addresses
+    // each request to the home it originally did.
     out.seqs = full
         .seqs
         .iter()
-        .filter(|(c, _)| mine(c))
-        .map(|(c, v)| (*c, *v))
+        .filter(|((h, _), _)| *h == home)
+        .map(|(k, v)| (*k, *v))
         .collect();
     out.resps = full
         .resps
         .iter()
-        .filter(|(c, _)| mine(c))
-        .map(|(c, v)| (*c, v.clone()))
+        .filter(|((h, _), _)| *h == home)
+        .map(|(k, v)| (*k, v.clone()))
         .collect();
     // Transfer numbering goes to EVERY restored home: after a failover
     // the owner's counters upper-bound the subsumed origins' too (see
-    // `Server::promote`), and a resumed home reusing old fseq numbers
+    // `Ledger::absorb`), and a resumed home reusing old fseq numbers
     // would get its fresh transfers dropped by receivers' durable
     // `xfer_applied` high-waters.
     out.next_fseq = full.next_fseq.clone();
@@ -552,11 +558,11 @@ impl CheckpointSink {
         self.buf.extend_from_slice(ops);
     }
 
-    /// [`CheckpointSink::log`] taking ownership: with no replica holders
+    /// [`CheckpointSink::log`] draining `ops`: with no replica holders
     /// the op batch has no other consumer, so skip the per-op clone.
-    pub(crate) fn log_owned(&mut self, mut ops: Vec<ReplOp>) {
-        absorb_history(&mut self.history, &ops);
-        self.buf.append(&mut ops);
+    pub(crate) fn log_owned(&mut self, ops: &mut Vec<ReplOp>) {
+        absorb_history(&mut self.history, ops);
+        self.buf.append(ops);
     }
 
     /// Hold outbound sends until the buffered ops are durable.
@@ -832,6 +838,7 @@ mod tests {
             ReplOp::Create { id: 7, type_tag: 1 },
             op_store(7, b"v"),
             ReplOp::SeqResp {
+                home: 0,
                 client: 2,
                 seq: 5,
                 resp: Some(Bytes::from_static(b"resp")),
@@ -851,6 +858,23 @@ mod tests {
         let buf = encode_wal_record(1, &[op_store(1, b"x")]);
         assert!(decode_wal(&buf[..buf.len() - 1]).is_err());
         assert!(decode_wal(&[0xff, 0xff, 0xff]).is_err());
+    }
+
+    #[test]
+    fn decode_wal_survives_a_lying_op_count() {
+        // A record whose checksum matches (FNV-1a is not a MAC) but whose
+        // op count is absurd must come back as an error, not as a
+        // `u32::MAX`-element allocation that aborts the process.
+        let mut w = WireWriter::new();
+        w.put_u64(1);
+        w.put_u32(u32::MAX);
+        ReplOp::Create { id: 1, type_tag: 0 }.encode_into(&mut w);
+        let body = w.finish();
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        let err = decode_wal(&frame).unwrap_err();
+        assert!(err.starts_with("wal:"), "{err}");
     }
 
     #[test]
@@ -891,7 +915,7 @@ mod tests {
             },
             op_store(10, b"ten"),
         ];
-        for op in &ops1 {
+        for op in ops1.clone() {
             live.apply(3, op);
         }
         sink.log(&ops1);
@@ -909,11 +933,12 @@ mod tests {
 
         // Compact, keep appending, restore again.
         let ops2 = vec![ReplOp::SeqResp {
+            home: 3,
             client: 1,
             seq: 4,
             resp: Some(Bytes::from_static(b"sealed")),
         }];
-        for op in &ops2 {
+        for op in ops2.clone() {
             live.apply(3, op);
         }
         sink.log(&ops2);
@@ -924,7 +949,7 @@ mod tests {
             id: 11,
             type_tag: 1,
         }];
-        for op in &ops3 {
+        for op in ops3.clone() {
             live.apply(3, op);
         }
         sink.log(&ops3);
@@ -950,7 +975,7 @@ mod tests {
         let mut sink = CheckpointSink::new(&cfg, 5);
         let mut live = Ledger::default();
         let ops = vec![ReplOp::Create { id: 1, type_tag: 1 }];
-        for op in &ops {
+        for op in ops.clone() {
             live.apply(5, op);
         }
         sink.log(&ops);
@@ -983,9 +1008,13 @@ mod tests {
         for id in 0..16u64 {
             let _ = full.store.create(id, 1);
         }
+        // Every client has written to both homes.
         for client in (0..6).filter(|r| !layout.is_server(*r)) {
-            full.seqs.insert(client, 10 + client as u64);
-            full.resps.insert(client, (10, Bytes::from_static(b"r")));
+            for home in &servers {
+                full.seqs.insert((*home, client), 10 + client as u64);
+                full.resps
+                    .insert((*home, client), (10, Bytes::from_static(b"r")));
+            }
         }
         full.queue
             .push(Task::new(1, 0, None, Bytes::from_static(b"untargeted")));
@@ -1003,12 +1032,17 @@ mod tests {
         // Every datum lands in exactly one slice.
         let total: usize = parts.iter().map(|p| p.store.len()).sum();
         assert_eq!(total, 16);
-        // Client state follows server_of.
+        // Dedup marks follow the home they were made at.
         let total_seqs: usize = parts.iter().map(|p| p.seqs.len()).sum();
         assert_eq!(total_seqs, full.seqs.len());
+        for (part, home) in parts.iter().zip(&servers) {
+            assert!(part.seqs.keys().all(|(h, _)| h == home));
+            assert!(part.resps.keys().all(|(h, _)| h == home));
+        }
         // Untargeted task + flow state stay with the checkpoint owner.
         assert!(parts[0]
             .queue
+            .tasks()
             .iter()
             .any(|t| t.payload.as_ref() == b"untargeted"));
         assert_eq!(parts[0].fwd_out, 3);
@@ -1021,6 +1055,7 @@ mod tests {
         let idx = servers.iter().position(|s| *s == t_home).unwrap();
         assert!(parts[idx]
             .queue
+            .tasks()
             .iter()
             .any(|t| t.payload.as_ref() == b"to-0"));
     }
@@ -1035,7 +1070,7 @@ mod tests {
         let mut live = Ledger::default();
         for i in 0..5u64 {
             let ops = vec![ReplOp::Create { id: i, type_tag: 1 }];
-            for op in &ops {
+            for op in ops.clone() {
                 live.apply(3, op);
             }
             sink.log(&ops);

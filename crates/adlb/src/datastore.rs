@@ -91,12 +91,12 @@ impl DataStore {
         self.data.is_empty()
     }
 
-    /// Iterate over resident datums (replica snapshot encoding).
+    /// Iterate over resident datums (ledger encoding).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&u64, &Datum)> {
         self.data.iter()
     }
 
-    /// Install a datum wholesale (replica snapshot decoding).
+    /// Install a datum wholesale (ledger decoding).
     pub(crate) fn insert_datum(&mut self, id: u64, d: Datum) {
         self.data.insert(id, d);
     }
@@ -248,10 +248,12 @@ impl DataStore {
             }
             return Ok(Vec::new());
         }
-        d.write_refs += delta;
-        if d.write_refs < 0 {
+        // Refuse before touching anything: an error means nothing changed
+        // (`Ledger::apply` logs no op for it).
+        if d.write_refs + delta < 0 {
             return Err(DataError::new(format!("<{id}> writer count went negative")));
         }
+        d.write_refs += delta;
         if d.write_refs == 0 {
             d.closed = true;
             return Ok(std::mem::take(&mut d.subscribers));

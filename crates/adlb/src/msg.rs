@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use mpisim::{Rank, Tag, WireError, WireReader, WireWriter};
 
-use crate::replica::{Ledger, ReplOp};
+use crate::replica::ReplOp;
 
 /// Control work (engine-to-engine dataflow bookkeeping).
 pub const WORK_TYPE_CONTROL: u32 = 0;
@@ -88,7 +88,12 @@ impl Task {
     }
 }
 
-pub(crate) fn encode_task_list(w: &mut WireWriter, tasks: &[Task]) {
+pub(crate) fn encode_task_list<'a, I>(w: &mut WireWriter, tasks: I)
+where
+    I: IntoIterator<Item = &'a Task>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let tasks = tasks.into_iter();
     w.put_u32(tasks.len() as u32);
     for t in tasks {
         t.encode_into(w);
@@ -280,10 +285,6 @@ pub enum ServerMsg {
     /// Write-through replication: state-changing ops a primary streams to
     /// the ring successors holding its replica ledger.
     Repl { ops: Vec<ReplOp> },
-    /// Full replica state, sent when a server (re)gains a replica holder —
-    /// at startup, after a membership change reshapes the ring, or after a
-    /// promotion merges a dead server's ledger.
-    Snapshot { ledger: Box<Ledger> },
     /// Receiver has durably applied transfer `fseq` from `origin`'s ledger
     /// toward home `dest`; the sender may retire the write-ahead entry.
     XferAck { origin: Rank, dest: Rank, fseq: u64 },
@@ -295,9 +296,10 @@ pub enum ServerMsg {
     /// gets its replica promoted so its stranded clients still get their
     /// shutdown notices.
     Bye,
-    /// One bounded chunk of a streamed replica snapshot (re-replication).
-    /// `data` covers bytes `[cursor, cursor + data.len())` of a `total`-byte
-    /// serialized [`Ledger`]; `sync_id` is monotonic per sender so a
+    /// One bounded chunk of a full ledger streamed to a replica holder —
+    /// when a server first gains the holder, or (re-replication) after a
+    /// promotion absorbed a dead server's ledger. `data` covers bytes `[cursor, cursor + data.len())` of a `total`-byte
+    /// serialized [`crate::Ledger`]; `sync_id` is monotonic per sender so a
     /// restarted sync supersedes any chunks of the previous one still in
     /// flight. The receiver acks each chunk with [`ServerMsg::SyncAck`]
     /// carrying its contiguous high-water, which is also the resume point:
@@ -723,6 +725,18 @@ impl Response {
     }
 }
 
+/// The wire form of [`ServerMsg::Repl`], from a borrowed batch: the
+/// primary keeps its transaction buffer.
+pub(crate) fn encode_repl(ops: &[ReplOp]) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put_u8(7);
+    w.put_u32(ops.len() as u32);
+    for op in ops {
+        op.encode_into(&mut w);
+    }
+    w.finish()
+}
+
 impl ServerMsg {
     /// Serialize for the wire.
     pub fn encode(&self) -> Bytes {
@@ -787,17 +801,7 @@ impl ServerMsg {
             ServerMsg::Heartbeat => {
                 w.put_u8(6);
             }
-            ServerMsg::Repl { ops } => {
-                w.put_u8(7);
-                w.put_u32(ops.len() as u32);
-                for op in ops {
-                    op.encode_into(&mut w);
-                }
-            }
-            ServerMsg::Snapshot { ledger } => {
-                w.put_u8(8);
-                ledger.encode_into(&mut w);
-            }
+            ServerMsg::Repl { ops } => return encode_repl(ops),
             ServerMsg::XferAck { origin, dest, fseq } => {
                 w.put_u8(9);
                 w.put_u64(*origin as u64);
@@ -883,9 +887,6 @@ impl ServerMsg {
                 }
                 ServerMsg::Repl { ops }
             }
-            8 => ServerMsg::Snapshot {
-                ledger: Box::new(Ledger::decode_from(&mut r)?),
-            },
             9 => ServerMsg::XferAck {
                 origin: r.get_u64()? as Rank,
                 dest: r.get_u64()? as Rank,

@@ -1,31 +1,40 @@
 //! Server-side work queues: per-type priority queues plus targeted queues.
 //!
 //! Untargeted heaps are keyed by `(tenant, work_type)` so the fair
-//! scheduler ([`crate::tenant::TenantSched`]) can elect a tenant and pop
+//! scheduler ([`crate::tenant::TenantSched`]) can elect a tenant and take
 //! that tenant's best task without disturbing the (priority desc, arrival
 //! asc) order *within* any tenant. Targeted heaps stay keyed by
 //! `(rank, work_type)` — a pinned task can only ever run on its target, so
 //! tenant fairness never withholds it.
+//!
+//! The queue is part of a server's [`crate::Ledger`], so it has exactly
+//! two mutators — [`WorkQueue::push`] and [`WorkQueue::remove`], the
+//! bodies of `ReplOp::Push` and `ReplOp::Remove`. Everything a scheduler,
+//! thief or dead-rank sweep does is a read-only choice of a heap *head*
+//! followed by a `Remove` of that task by value, which is why removal by
+//! value is still O(log n): the primary always removes a head, and a
+//! replica that applied the same op stream has the same head.
 
 use std::collections::{BinaryHeap, HashMap};
 
 use mpisim::Rank;
 
-use crate::msg::Task;
+use crate::msg::{Task, WORK_TYPE_WORK};
 
 /// Heap entry ordered by (priority desc, arrival asc).
-struct Entry {
-    priority: i32,
+#[derive(Debug, Clone)]
+pub struct Entry {
     seq: u64,
     /// Accept time on this server's clock (µs), for queue-wait tracing.
     /// 0 when tracing is disabled; never ordered on.
-    accepted_us: u64,
-    task: Task,
+    pub accepted_us: u64,
+    /// The queued task.
+    pub task: Task,
 }
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
+        self.task.priority == other.task.priority && self.seq == other.seq
     }
 }
 impl Eq for Entry {}
@@ -37,23 +46,15 @@ impl PartialOrd for Entry {
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Max-heap: higher priority first, then earlier arrival (lower seq).
-        self.priority
-            .cmp(&other.priority)
+        self.task
+            .priority
+            .cmp(&other.task.priority)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-/// A peeked candidate: (priority, seq) — compare with
-/// [`better_candidate`].
-type Peek = (i32, u64);
-
-/// Whether candidate `a` beats `b` under (priority desc, arrival asc).
-fn better_candidate(a: Peek, b: Peek) -> bool {
-    (a.0, std::cmp::Reverse(a.1)) > (b.0, std::cmp::Reverse(b.1))
-}
-
 /// All queued work on one server.
-#[derive(Default)]
+#[derive(Debug, Default, Clone)]
 pub struct WorkQueue {
     untargeted: HashMap<(u32, u32), BinaryHeap<Entry>>,
     targeted: HashMap<(Rank, u32), BinaryHeap<Entry>>,
@@ -67,6 +68,29 @@ pub struct WorkQueue {
     len: usize,
 }
 
+/// Two queues are equal when they hold the same multiset of tasks:
+/// arrival numbering and accept stamps are local to a server's clock.
+impl PartialEq for WorkQueue {
+    fn eq(&self, other: &Self) -> bool {
+        fn key(t: &Task) -> (u32, u32, i32, Option<Rank>, u32, &[u8]) {
+            (
+                t.work_type,
+                t.tenant,
+                t.priority,
+                t.target,
+                t.attempts,
+                &t.payload,
+            )
+        }
+        fn sorted(q: &WorkQueue) -> Vec<&Task> {
+            let mut v = q.tasks();
+            v.sort_by(|a, b| key(a).cmp(&key(b)));
+            v
+        }
+        self.len == other.len && sorted(self) == sorted(other)
+    }
+}
+
 impl WorkQueue {
     /// An empty queue.
     pub fn new() -> Self {
@@ -74,7 +98,6 @@ impl WorkQueue {
     }
 
     /// Total queued tasks.
-    #[allow(dead_code)] // diagnostics / tests
     pub fn len(&self) -> usize {
         self.len
     }
@@ -82,12 +105,6 @@ impl WorkQueue {
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of untargeted tasks (the stealable pool).
-    #[allow(dead_code)] // diagnostics / tests
-    pub fn stealable(&self) -> usize {
-        self.untargeted.values().map(BinaryHeap::len).sum()
     }
 
     /// Untargeted leaf (`WORK_TYPE_WORK`) tasks queued for one tenant —
@@ -99,7 +116,6 @@ impl WorkQueue {
     /// Enqueue a task, stamping its accept time for queue-wait tracing.
     pub fn push(&mut self, task: Task) {
         let e = Entry {
-            priority: task.priority,
             seq: self.seq,
             accepted_us: mpisim::trace::now_us(),
             task,
@@ -113,7 +129,7 @@ impl WorkQueue {
                 .or_default()
                 .push(e),
             None => {
-                if e.task.work_type == crate::msg::WORK_TYPE_WORK {
+                if e.task.work_type == WORK_TYPE_WORK {
                     *self.per_tenant.entry(e.task.tenant).or_default() += 1;
                 }
                 self.untargeted
@@ -124,193 +140,129 @@ impl WorkQueue {
         }
     }
 
+    /// Remove one queued copy of `task`. It is looked for in the one heap
+    /// it can be in: popped when it is that heap's head (every removal a
+    /// primary makes, and so every one a replica in step with it applies),
+    /// found by a scan of that heap otherwise. Returns whether a copy was
+    /// queued.
+    pub fn remove(&mut self, task: &Task) -> bool {
+        fn take<K: std::hash::Hash + Eq>(
+            heaps: &mut HashMap<K, BinaryHeap<Entry>>,
+            key: K,
+            task: &Task,
+        ) -> bool {
+            let Some(heap) = heaps.get_mut(&key) else {
+                return false;
+            };
+            let found = if heap.peek().is_some_and(|e| e.task == *task) {
+                heap.pop();
+                true
+            } else {
+                let mut entries = std::mem::take(heap).into_vec();
+                let at = entries.iter().position(|e| e.task == *task);
+                if let Some(i) = at {
+                    entries.swap_remove(i);
+                }
+                *heap = entries.into();
+                at.is_some()
+            };
+            if heap.is_empty() {
+                heaps.remove(&key);
+            }
+            found
+        }
+        let found = match task.target {
+            Some(r) => take(&mut self.targeted, (r, task.work_type), task),
+            None => take(&mut self.untargeted, (task.tenant, task.work_type), task),
+        };
+        if !found {
+            return false;
+        }
+        self.len -= 1;
+        if task.target.is_none() && task.work_type == WORK_TYPE_WORK {
+            if let Some(c) = self.per_tenant.get_mut(&task.tenant) {
+                *c -= 1;
+                if *c == 0 {
+                    self.per_tenant.remove(&task.tenant);
+                }
+            }
+        }
+        true
+    }
+
+    /// Move every task of `other` in (a promoted or restored shard's
+    /// queue), each heap in its delivery order so FIFO within a priority
+    /// survives the move.
+    pub fn absorb(&mut self, other: WorkQueue) {
+        let heaps = other
+            .untargeted
+            .into_values()
+            .chain(other.targeted.into_values());
+        for heap in heaps {
+            for e in heap.into_sorted_vec().into_iter().rev() {
+                self.push(e.task);
+            }
+        }
+    }
+
+    /// Every queued task, each heap in delivery order: re-pushing them in
+    /// this order (a decoded snapshot) rebuilds heaps with the same heads.
+    pub fn tasks(&self) -> Vec<&Task> {
+        let mut out = Vec::with_capacity(self.len);
+        for heap in self.untargeted.values().chain(self.targeted.values()) {
+            let mut entries: Vec<&Entry> = heap.iter().collect();
+            entries.sort_unstable_by(|a, b| b.cmp(a));
+            out.extend(entries.into_iter().map(|e| &e.task));
+        }
+        out
+    }
+
     /// Tenants that currently have untargeted work queued in any of the
     /// given types, sorted ascending (deterministic round-robin input).
     pub fn tenants_with_work(&self, work_types: &[u32]) -> Vec<u32> {
         let mut out: Vec<u32> = self
             .untargeted
-            .iter()
-            .filter(|((_, wt), h)| work_types.contains(wt) && !h.is_empty())
-            .map(|((t, _), _)| *t)
+            .keys()
+            .filter(|(_, wt)| work_types.contains(wt))
+            .map(|(t, _)| *t)
             .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Best targeted candidate for `rank` across `work_types`.
-    pub fn peek_targeted(&self, rank: Rank, work_types: &[u32]) -> Option<Peek> {
+    /// Best head targeted at `rank` across `work_types`.
+    pub fn peek_targeted(&self, rank: Rank, work_types: &[u32]) -> Option<&Entry> {
         work_types
             .iter()
-            .filter_map(|wt| {
-                self.targeted
-                    .get(&(rank, *wt))
-                    .and_then(|h| h.peek().map(|e| (e.priority, e.seq)))
-            })
-            .max_by(|a, b| (a.0, std::cmp::Reverse(a.1)).cmp(&(b.0, std::cmp::Reverse(b.1))))
+            .filter_map(|wt| self.targeted.get(&(rank, *wt))?.peek())
+            .max()
     }
 
-    /// Best untargeted candidate of one tenant across `work_types`.
-    pub fn peek_untargeted(&self, tenant: u32, work_types: &[u32]) -> Option<Peek> {
+    /// Best untargeted head of one tenant across `work_types`.
+    pub fn peek_untargeted(&self, tenant: u32, work_types: &[u32]) -> Option<&Entry> {
         work_types
             .iter()
-            .filter_map(|wt| {
-                self.untargeted
-                    .get(&(tenant, *wt))
-                    .and_then(|h| h.peek().map(|e| (e.priority, e.seq)))
-            })
-            .max_by(|a, b| (a.0, std::cmp::Reverse(a.1)).cmp(&(b.0, std::cmp::Reverse(b.1))))
+            .filter_map(|wt| self.untargeted.get(&(tenant, *wt))?.peek())
+            .max()
     }
 
-    /// Pop the best task targeted at `rank` across `work_types`, with its
-    /// accept timestamp.
-    pub fn pop_targeted_timed(&mut self, rank: Rank, work_types: &[u32]) -> Option<(Task, u64)> {
-        let (_, wt) = work_types
+    /// A head targeted at `rank`, of any work type. Used when a rank dies:
+    /// its pinned tasks must be dropped or retargeted, or they would sit
+    /// in the queue forever and block termination.
+    pub fn targeted_head(&self, rank: Rank) -> Option<&Task> {
+        self.targeted
             .iter()
-            .filter_map(|wt| {
-                self.targeted
-                    .get(&(rank, *wt))
-                    .and_then(|h| h.peek().map(|e| ((e.priority, e.seq), *wt)))
-            })
-            .max_by(|a, b| {
-                (a.0 .0, std::cmp::Reverse(a.0 .1)).cmp(&(b.0 .0, std::cmp::Reverse(b.0 .1)))
-            })?;
-        let e = self
-            .targeted
-            .get_mut(&(rank, wt))
-            .and_then(BinaryHeap::pop)?;
-        if self
-            .targeted
-            .get(&(rank, wt))
-            .is_some_and(BinaryHeap::is_empty)
-        {
-            self.targeted.remove(&(rank, wt));
-        }
-        self.len -= 1;
-        Some((e.task, e.accepted_us))
+            .find(|((r, _), _)| *r == rank)
+            .and_then(|(_, h)| h.peek())
+            .map(|e| &e.task)
     }
 
-    /// Pop one tenant's best untargeted task across `work_types`, with
-    /// its accept timestamp.
-    pub fn pop_untargeted_timed(&mut self, tenant: u32, work_types: &[u32]) -> Option<(Task, u64)> {
-        let (_, wt) = work_types
-            .iter()
-            .filter_map(|wt| {
-                self.untargeted
-                    .get(&(tenant, *wt))
-                    .and_then(|h| h.peek().map(|e| ((e.priority, e.seq), *wt)))
-            })
-            .max_by(|a, b| {
-                (a.0 .0, std::cmp::Reverse(a.0 .1)).cmp(&(b.0 .0, std::cmp::Reverse(b.0 .1)))
-            })?;
-        let e = self
-            .untargeted
-            .get_mut(&(tenant, wt))
-            .and_then(BinaryHeap::pop)?;
-        if self
-            .untargeted
-            .get(&(tenant, wt))
-            .is_some_and(BinaryHeap::is_empty)
-        {
-            self.untargeted.remove(&(tenant, wt));
-        }
-        if wt == crate::msg::WORK_TYPE_WORK {
-            self.note_untargeted_removed(tenant, 1);
-        }
-        self.len -= 1;
-        Some((e.task, e.accepted_us))
-    }
-
-    fn note_untargeted_removed(&mut self, tenant: u32, n: usize) {
-        if let Some(c) = self.per_tenant.get_mut(&tenant) {
-            *c = c.saturating_sub(n);
-            if *c == 0 {
-                self.per_tenant.remove(&tenant);
-            }
-        }
-    }
-
-    /// Best task a requester may run: targeted-to-it first (across its
-    /// requested types, by priority), then untargeted.
-    #[allow(dead_code)] // tests and model-checking; prod uses pop_for_timed
-    pub fn pop_for(&mut self, rank: Rank, work_types: &[u32]) -> Option<Task> {
-        self.pop_for_timed(rank, work_types).map(|(t, _)| t)
-    }
-
-    /// [`WorkQueue::pop_for`] plus the popped task's accept timestamp
-    /// (µs on this server's clock; 0 when it was pushed untraced).
-    ///
-    /// This is the tenant-blind path: the untargeted candidate is the
-    /// global best across all tenants. The server's fair-scheduling path
-    /// composes [`WorkQueue::peek_targeted`] /
-    /// [`WorkQueue::pop_untargeted_timed`] instead.
-    pub fn pop_for_timed(&mut self, rank: Rank, work_types: &[u32]) -> Option<(Task, u64)> {
-        let best_targeted = self.peek_targeted(rank, work_types);
-        // Global best untargeted: max across every tenant's heaps.
-        let best_untargeted: Option<(Peek, u32)> = self
-            .untargeted
-            .iter()
-            .filter(|((_, wt), _)| work_types.contains(wt))
-            .filter_map(|((tenant, _), h)| h.peek().map(|e| ((e.priority, e.seq), *tenant)))
-            .max_by(|a, b| {
-                (a.0 .0, std::cmp::Reverse(a.0 .1)).cmp(&(b.0 .0, std::cmp::Reverse(b.0 .1)))
-            });
-
-        // Targeted wins ties: it can only run here.
-        match (best_targeted, best_untargeted) {
-            (Some(t), Some((u, tenant))) => {
-                if t.0 >= u.0 {
-                    self.pop_targeted_timed(rank, work_types)
-                } else {
-                    self.pop_untargeted_timed(tenant, work_types)
-                }
-            }
-            (Some(_), None) => self.pop_targeted_timed(rank, work_types),
-            (None, Some((_, tenant))) => self.pop_untargeted_timed(tenant, work_types),
-            (None, None) => None,
-        }
-    }
-
-    /// Every queued task, cloned, in no particular order (the replica
-    /// ledger stores the queue as a multiset; promotion re-pushes and the
-    /// priority heaps re-sort).
-    pub fn snapshot(&self) -> Vec<Task> {
-        let mut out = Vec::with_capacity(self.len);
-        for heap in self.untargeted.values() {
-            out.extend(heap.iter().map(|e| e.task.clone()));
-        }
-        for heap in self.targeted.values() {
-            out.extend(heap.iter().map(|e| e.task.clone()));
-        }
-        out
-    }
-
-    /// Remove every task targeted at `rank` (all work types). Used when a
-    /// rank dies: its pinned tasks must be dropped or retargeted, or they
-    /// would sit in the queue forever and block termination.
-    pub fn drain_targeted(&mut self, rank: Rank) -> Vec<Task> {
-        let keys: Vec<(Rank, u32)> = self
-            .targeted
-            .keys()
-            .filter(|(r, _)| *r == rank)
-            .copied()
-            .collect();
-        let mut out = Vec::new();
-        for k in keys {
-            if let Some(heap) = self.targeted.remove(&k) {
-                self.len -= heap.len();
-                out.extend(heap.into_iter().map(|e| e.task));
-            }
-        }
-        out
-    }
-
-    /// The work-stealing donation: half the untargeted tasks of the given
-    /// types per request (at least one if any exist), raised to the
-    /// thief's `need` hint when more clients are starved than half covers.
-    /// Takes across all tenants — stolen tasks keep their tenant tag, so
-    /// fairness is re-applied wherever they land.
-    pub fn steal(&mut self, work_types: &[u32], need: usize) -> Vec<Task> {
+    /// How many tasks a thief asking for `work_types` is given: half the
+    /// untargeted tasks of those types (at least one if any exist), raised
+    /// to the thief's `need` hint when more clients are starved than half
+    /// covers.
+    pub fn steal_quota(&self, work_types: &[u32], need: usize) -> usize {
         let available: usize = self
             .untargeted
             .iter()
@@ -318,53 +270,79 @@ impl WorkQueue {
             .map(|(_, h)| h.len())
             .sum();
         if available == 0 {
-            return Vec::new();
+            return 0;
         }
-        let take = (available / 2).max(need.min(available)).max(1);
-        let mut out = Vec::with_capacity(take);
-        // Round-robin across types, taking lowest-priority tasks is
-        // complex; take from the largest heap first (they queue longest).
-        while out.len() < take {
-            let key = self
-                .untargeted
-                .iter()
-                .filter(|((_, wt), h)| work_types.contains(wt) && !h.is_empty())
-                .max_by_key(|(_, h)| h.len())
-                .map(|(k, _)| *k);
-            let Some(key) = key else { break };
-            let (popped, empty) = match self.untargeted.get_mut(&key) {
-                Some(heap) => (heap.pop(), heap.is_empty()),
-                None => break, // selected key vanished: nothing left to take
-            };
-            if let Some(e) = popped {
-                out.push(e.task);
-                self.len -= 1;
-                if key.1 == crate::msg::WORK_TYPE_WORK {
-                    self.note_untargeted_removed(key.0, 1);
-                }
-            }
-            if empty {
-                self.untargeted.remove(&key);
-            }
-        }
-        out
+        (available / 2).max(need.min(available)).max(1)
     }
 
-    /// The better of two optional candidates under (priority desc,
-    /// arrival asc); used by the server to compare a targeted peek with a
-    /// tenant's untargeted peek.
-    #[allow(dead_code)] // exercised via server scheduling
-    pub fn prefer(a: Option<Peek>, b: Option<Peek>) -> Option<Peek> {
-        match (a, b) {
-            (Some(x), Some(y)) => Some(if better_candidate(y, x) { y } else { x }),
-            (x, None) => x,
-            (None, y) => y,
-        }
+    /// The next task to donate: the head of the largest untargeted heap of
+    /// the given types (they queue longest), across all tenants — stolen
+    /// tasks keep their tenant tag, so fairness is re-applied wherever
+    /// they land.
+    pub fn steal_head(&self, work_types: &[u32]) -> Option<&Task> {
+        self.untargeted
+            .iter()
+            .filter(|((_, wt), _)| work_types.contains(wt))
+            .max_by_key(|(_, h)| h.len())
+            .and_then(|(_, h)| h.peek())
+            .map(|e| &e.task)
+    }
+}
+
+#[cfg(test)]
+mod test_ops {
+    //! What the server composes from the read-only peeks plus
+    //! [`WorkQueue::remove`], for the tests below.
+
+    use super::*;
+
+    /// Tenant-blind delivery: the best task `rank` may run — targeted at
+    /// it or untargeted of any tenant — with ties won by targeted.
+    pub fn pop_for(q: &mut WorkQueue, rank: Rank, work_types: &[u32]) -> Option<Task> {
+        let targeted = q.peek_targeted(rank, work_types);
+        let untargeted = q
+            .tenants_with_work(work_types)
+            .into_iter()
+            .filter_map(|t| q.peek_untargeted(t, work_types))
+            .max();
+        let head = match (targeted, untargeted) {
+            (Some(t), Some(u)) if t.task.priority >= u.task.priority => t,
+            (t, u) => u.or(t)?,
+        };
+        let task = head.task.clone();
+        assert!(q.remove(&task));
+        Some(task)
+    }
+
+    pub fn pop_untargeted(q: &mut WorkQueue, tenant: u32, work_types: &[u32]) -> Option<Task> {
+        let task = q.peek_untargeted(tenant, work_types)?.task.clone();
+        assert!(q.remove(&task));
+        Some(task)
+    }
+
+    pub fn steal(q: &mut WorkQueue, work_types: &[u32], need: usize) -> Vec<Task> {
+        (0..q.steal_quota(work_types, need))
+            .map_while(|_| {
+                let task = q.steal_head(work_types)?.clone();
+                assert!(q.remove(&task));
+                Some(task)
+            })
+            .collect()
+    }
+
+    pub fn drain_targeted(q: &mut WorkQueue, rank: Rank) -> Vec<Task> {
+        std::iter::from_fn(|| {
+            let task = q.targeted_head(rank)?.clone();
+            assert!(q.remove(&task));
+            Some(task)
+        })
+        .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::test_ops::*;
     use super::*;
     use bytes::Bytes;
 
@@ -378,10 +356,10 @@ mod tests {
         q.push(task(1, 0, None, 1));
         q.push(task(1, 5, None, 2));
         q.push(task(1, 0, None, 3));
-        assert_eq!(q.pop_for(0, &[1]).unwrap().payload[0], 2);
-        assert_eq!(q.pop_for(0, &[1]).unwrap().payload[0], 1);
-        assert_eq!(q.pop_for(0, &[1]).unwrap().payload[0], 3);
-        assert!(q.pop_for(0, &[1]).is_none());
+        assert_eq!(pop_for(&mut q, 0, &[1]).unwrap().payload[0], 2);
+        assert_eq!(pop_for(&mut q, 0, &[1]).unwrap().payload[0], 1);
+        assert_eq!(pop_for(&mut q, 0, &[1]).unwrap().payload[0], 3);
+        assert!(pop_for(&mut q, 0, &[1]).is_none());
     }
 
     #[test]
@@ -389,17 +367,17 @@ mod tests {
         let mut q = WorkQueue::new();
         q.push(task(0, 0, None, 1));
         q.push(task(1, 0, None, 2));
-        assert_eq!(q.pop_for(0, &[1]).unwrap().payload[0], 2);
-        assert!(q.pop_for(0, &[1]).is_none());
-        assert_eq!(q.pop_for(0, &[0]).unwrap().payload[0], 1);
+        assert_eq!(pop_for(&mut q, 0, &[1]).unwrap().payload[0], 2);
+        assert!(pop_for(&mut q, 0, &[1]).is_none());
+        assert_eq!(pop_for(&mut q, 0, &[0]).unwrap().payload[0], 1);
     }
 
     #[test]
     fn targeted_only_to_target() {
         let mut q = WorkQueue::new();
         q.push(task(1, 0, Some(3), 1));
-        assert!(q.pop_for(0, &[1]).is_none());
-        assert_eq!(q.pop_for(3, &[1]).unwrap().payload[0], 1);
+        assert!(pop_for(&mut q, 0, &[1]).is_none());
+        assert_eq!(pop_for(&mut q, 3, &[1]).unwrap().payload[0], 1);
     }
 
     #[test]
@@ -407,7 +385,7 @@ mod tests {
         let mut q = WorkQueue::new();
         q.push(task(1, 0, None, 1));
         q.push(task(1, 0, Some(5), 2));
-        assert_eq!(q.pop_for(5, &[1]).unwrap().payload[0], 2);
+        assert_eq!(pop_for(&mut q, 5, &[1]).unwrap().payload[0], 2);
     }
 
     #[test]
@@ -415,7 +393,7 @@ mod tests {
         let mut q = WorkQueue::new();
         q.push(task(1, 10, None, 1));
         q.push(task(1, 0, Some(5), 2));
-        assert_eq!(q.pop_for(5, &[1]).unwrap().payload[0], 1);
+        assert_eq!(pop_for(&mut q, 5, &[1]).unwrap().payload[0], 1);
     }
 
     #[test]
@@ -425,7 +403,7 @@ mod tests {
             q.push(task(1, 0, None, i));
         }
         q.push(task(1, 0, Some(2), 99));
-        let stolen = q.steal(&[1], 1);
+        let stolen = steal(&mut q, &[1], 1);
         assert_eq!(stolen.len(), 5);
         assert_eq!(q.len(), 6); // 5 untargeted + 1 targeted
         assert!(stolen.iter().all(|t| t.target.is_none()));
@@ -434,10 +412,10 @@ mod tests {
     #[test]
     fn steal_from_empty_is_empty() {
         let mut q = WorkQueue::new();
-        assert!(q.steal(&[0, 1], 1).is_empty());
+        assert!(steal(&mut q, &[0, 1], 1).is_empty());
         q.push(task(1, 0, Some(4), 1));
         assert!(
-            q.steal(&[1], 1).is_empty(),
+            steal(&mut q, &[1], 1).is_empty(),
             "targeted tasks are not stealable"
         );
     }
@@ -446,7 +424,7 @@ mod tests {
     fn steal_single_task() {
         let mut q = WorkQueue::new();
         q.push(task(1, 0, None, 1));
-        assert_eq!(q.steal(&[1], 1).len(), 1);
+        assert_eq!(steal(&mut q, &[1], 1).len(), 1);
         assert!(q.is_empty());
     }
 
@@ -457,12 +435,12 @@ mod tests {
         q.push(task(1, 5, Some(2), 2));
         q.push(task(1, 0, Some(3), 3));
         q.push(task(1, 0, None, 4));
-        let drained = q.drain_targeted(2);
+        let drained = drain_targeted(&mut q, 2);
         assert_eq!(drained.len(), 2);
         assert!(drained.iter().all(|t| t.target == Some(2)));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_for(3, &[1]).unwrap().payload[0], 3);
-        assert_eq!(q.pop_for(9, &[1]).unwrap().payload[0], 4);
+        assert_eq!(pop_for(&mut q, 3, &[1]).unwrap().payload[0], 3);
+        assert_eq!(pop_for(&mut q, 9, &[1]).unwrap().payload[0], 4);
     }
 
     #[test]
@@ -470,8 +448,8 @@ mod tests {
         let mut q = WorkQueue::new();
         q.push(task(0, 1, None, 1));
         q.push(task(1, 9, None, 2));
-        assert_eq!(q.pop_for(0, &[0, 1]).unwrap().payload[0], 2);
-        assert_eq!(q.pop_for(0, &[0, 1]).unwrap().payload[0], 1);
+        assert_eq!(pop_for(&mut q, 0, &[0, 1]).unwrap().payload[0], 2);
+        assert_eq!(pop_for(&mut q, 0, &[0, 1]).unwrap().payload[0], 1);
     }
 
     #[test]
@@ -485,9 +463,9 @@ mod tests {
         assert_eq!(q.untargeted_of(0), 1);
         assert_eq!(q.tenants_with_work(&[1]), vec![0, 7]);
         assert!(q.tenants_with_work(&[0]).is_empty());
-        q.pop_untargeted_timed(7, &[1]).unwrap();
+        pop_untargeted(&mut q, 7, &[1]).unwrap();
         assert_eq!(q.untargeted_of(7), 1);
-        let stolen = q.steal(&[1], 4);
+        let stolen = steal(&mut q, &[1], 4);
         assert!(!stolen.is_empty());
         assert_eq!(
             q.untargeted_of(7) + q.untargeted_of(0),
@@ -503,10 +481,10 @@ mod tests {
         q.push(task(1, 5, None, 3).with_tenant(1));
         // Tenant 1's own best is the priority-5 task even though tenant 2
         // holds the global maximum.
-        assert_eq!(q.pop_untargeted_timed(1, &[1]).unwrap().0.payload[0], 3);
-        assert_eq!(q.pop_untargeted_timed(1, &[1]).unwrap().0.payload[0], 1);
-        assert!(q.pop_untargeted_timed(1, &[1]).is_none());
-        assert_eq!(q.pop_untargeted_timed(2, &[1]).unwrap().0.payload[0], 2);
+        assert_eq!(pop_untargeted(&mut q, 1, &[1]).unwrap().payload[0], 3);
+        assert_eq!(pop_untargeted(&mut q, 1, &[1]).unwrap().payload[0], 1);
+        assert!(pop_untargeted(&mut q, 1, &[1]).is_none());
+        assert_eq!(pop_untargeted(&mut q, 2, &[1]).unwrap().payload[0], 2);
     }
 
     #[test]
@@ -514,8 +492,8 @@ mod tests {
         let mut q = WorkQueue::new();
         q.push(task(1, 1, None, 1).with_tenant(1));
         q.push(task(1, 9, None, 2).with_tenant(2));
-        assert_eq!(q.pop_for(0, &[1]).unwrap().payload[0], 2);
-        assert_eq!(q.pop_for(0, &[1]).unwrap().payload[0], 1);
+        assert_eq!(pop_for(&mut q, 0, &[1]).unwrap().payload[0], 2);
+        assert_eq!(pop_for(&mut q, 0, &[1]).unwrap().payload[0], 1);
     }
 }
 
@@ -524,8 +502,11 @@ mod queue_properties {
     //! Property test: the queue agrees with a naive model on delivery
     //! order (priority desc, FIFO within priority, targeted-only-to-
     //! target with ties won by targeted) under random interleavings of
-    //! puts, gets, and steals.
+    //! puts, gets, steals and removals by value of arbitrary (mostly
+    //! non-head) tasks, and keeps its length and per-tenant quota counters
+    //! in step with it.
 
+    use super::test_ops::*;
     use super::*;
     use bytes::Bytes;
     use proptest::prelude::*;
@@ -546,6 +527,17 @@ mod queue_properties {
             wt: u32,
             need: usize,
         },
+        /// Remove the `pick`-th queued task (model order) by value.
+        Remove {
+            pick: usize,
+        },
+    }
+
+    /// One queued task in the naive model.
+    type Queued = (i32, u64, Option<Rank>, u32, u64, u32);
+
+    fn task_of((prio, _, target, wt, id, tenant): Queued) -> Task {
+        Task::new(wt, prio, target, Bytes::from(id.to_le_bytes().to_vec())).with_tenant(tenant)
     }
 
     fn push_strategy() -> impl Strategy<Value = Op> {
@@ -569,7 +561,7 @@ mod queue_properties {
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         // The vendored proptest's `prop_oneof!` is unweighted; repeating
-        // arms gets the intended 4:4:1 push/pop/steal mix.
+        // arms gets the intended 4:4:1:1 push/pop/steal/remove mix.
         prop_oneof![
             push_strategy(),
             push_strategy(),
@@ -580,17 +572,14 @@ mod queue_properties {
             pop_strategy(),
             pop_strategy(),
             ((0u32..2), 1usize..4).prop_map(|(wt, need)| Op::Steal { wt, need }),
+            (0usize..64).prop_map(|pick| Op::Remove { pick }),
         ]
     }
 
     /// Naive reference: linear scan for the best candidate.
-    fn model_pop(
-        model: &mut Vec<(i32, u64, Option<Rank>, u32, u64)>,
-        rank: Rank,
-        wts: &[u32],
-    ) -> Option<u64> {
+    fn model_pop(model: &mut Vec<Queued>, rank: Rank, wts: &[u32]) -> Option<u64> {
         let mut best: Option<usize> = None;
-        for (idx, (prio, seq, target, wt, _id)) in model.iter().enumerate() {
+        for (idx, (prio, seq, target, wt, _id, _tenant)) in model.iter().enumerate() {
             if !wts.contains(wt) {
                 continue;
             }
@@ -600,7 +589,7 @@ mod queue_properties {
             let better = match best {
                 None => true,
                 Some(b) => {
-                    let (bp, bs, bt, _, _) = model[b];
+                    let (bp, bs, bt, _, _, _) = model[b];
                     // Higher priority first; then targeted beats
                     // untargeted; then FIFO.
                     (*prio, target.is_some(), std::cmp::Reverse(*seq))
@@ -618,35 +607,26 @@ mod queue_properties {
         #[test]
         fn queue_matches_naive_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
             let mut q = WorkQueue::new();
-            let mut model: Vec<(i32, u64, Option<Rank>, u32, u64)> = Vec::new();
+            let mut model: Vec<Queued> = Vec::new();
             let mut seq = 0u64;
             let mut id = 0u64;
             for op in &ops {
                 match op {
                     Op::Push { prio, target, wt, tenant } => {
-                        q.push(
-                            Task::new(
-                                *wt,
-                                *prio,
-                                *target,
-                                Bytes::from(id.to_le_bytes().to_vec()),
-                            )
-                            .with_tenant(*tenant),
-                        );
-                        model.push((*prio, seq, *target, *wt, id));
+                        model.push((*prio, seq, *target, *wt, id, *tenant));
+                        q.push(task_of(model[model.len() - 1]));
                         seq += 1;
                         id += 1;
                     }
                     Op::Pop { rank, wt } => {
                         let wts = [*wt];
-                        let got = q
-                            .pop_for(*rank, &wts)
+                        let got = pop_for(&mut q, *rank, &wts)
                             .map(|t| u64::from_le_bytes(t.payload[..8].try_into().unwrap()));
                         let want = model_pop(&mut model, *rank, &wts);
                         prop_assert_eq!(got, want);
                     }
                     Op::Steal { wt, need } => {
-                        let stolen = q.steal(&[*wt], *need);
+                        let stolen = steal(&mut q, &[*wt], *need);
                         // Steals only take untargeted tasks of the
                         // requested type; mirror the removals in the
                         // model by task identity so subsequent pops
@@ -655,16 +635,31 @@ mod queue_properties {
                             prop_assert!(t.target.is_none());
                             prop_assert_eq!(t.work_type, *wt);
                             let tid = u64::from_le_bytes(t.payload[..8].try_into().unwrap());
-                            let at = model.iter().position(|(_, _, _, _, id)| *id == tid);
+                            let at = model.iter().position(|m| m.4 == tid);
                             prop_assert!(at.is_some(), "stole a task the model didn't hold");
                             if let Some(at) = at {
                                 model.remove(at);
                             }
                         }
                     }
+                    Op::Remove { pick } => {
+                        if !model.is_empty() {
+                            let gone = task_of(model.remove(pick % model.len()));
+                            prop_assert!(q.remove(&gone), "a queued task was not found");
+                            // Payloads are unique, so it is gone for good.
+                            prop_assert!(!q.remove(&gone));
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                for tenant in 0..3 {
+                    let leaf_work = model
+                        .iter()
+                        .filter(|m| m.2.is_none() && m.3 == WORK_TYPE_WORK && m.5 == tenant)
+                        .count();
+                    prop_assert_eq!(q.untargeted_of(tenant), leaf_work);
                 }
             }
-            prop_assert_eq!(q.len(), model.len());
 
             // Drain everything that remains through untenanted pops and
             // check the tail also respects the ordering invariant.
@@ -673,7 +668,7 @@ mod queue_properties {
                 for rank in 0..3 {
                     for wt in 0..2 {
                         let wts = [wt];
-                        if let Some(t) = q.pop_for(rank, &wts) {
+                        if let Some(t) = pop_for(&mut q, rank, &wts) {
                             let tid = u64::from_le_bytes(t.payload[..8].try_into().unwrap());
                             let want = model_pop(&mut model, rank, &wts);
                             prop_assert_eq!(Some(tid), want);

@@ -1,36 +1,41 @@
-//! Write-through replication: the ledger a server streams to its ring
-//! successors so a successor can take over the shard when the primary
-//! dies.
+//! The recoverable state of a server and the op log that changes it.
 //!
-//! Every server owns one [`Ledger`] worth of recoverable state — its data
-//! shard, queued tasks, open leases, per-client request bookkeeping, and
-//! write-ahead task transfers — and mirrors it on the first `R - 1` live
-//! ring successors ([`crate::Layout::successors`]). Mutations are shipped
-//! as [`ReplOp`] batches *before* any client-visible response leaves the
-//! server (write-through), so at `R >= 2` the replica is always at least
-//! as new as anything a client has observed. On a confirmed death the
-//! first live successor merges the dead server's ledger into its own live
-//! state and serves the shard in its place.
+//! Every server owns one [`Ledger`] — its data shard, queued tasks, open
+//! leases, per-client request bookkeeping, and write-ahead task transfers
+//! — *and serves from it*: the live shard is the ledger, not a copy of
+//! it. Each recoverable mutation is a [`ReplOp`] applied by
+//! [`Ledger::apply`]; the same op is what the primary streams to the first
+//! `R - 1` live ring successors ([`crate::Layout::successors`]) and
+//! appends to its WAL, and the same `apply` is what those holders, a
+//! chunked-sync replay and a WAL replay run. Ops are shipped *before* any
+//! client-visible response leaves the server (write-through), so at
+//! `R >= 2` a replica is always at least as new as anything a client has
+//! observed. On a confirmed death the first live successor
+//! [`Ledger::absorb`]s the dead server's ledger into its own and serves
+//! the shard in its place.
 //!
-//! What is deliberately *not* replicated: parked `Get`s (clients re-send
-//! them on failover), steal/backoff heuristics, and monitoring counters —
-//! all either reconstructible or harmless to lose.
+//! What is deliberately *not* in the ledger: parked `Get`s (clients
+//! re-send them on failover), steal/backoff heuristics, fair-scheduler
+//! deficits and tenant lease counts (recomputed), termination rounds, and
+//! monitoring counters — all either reconstructible or harmless to lose.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::time::Instant;
 
 use bytes::Bytes;
-use mpisim::{Rank, WireError, WireReader, WireWriter};
+use mpisim::{trace, Rank, WireError, WireReader, WireWriter};
 
 #[cfg(test)]
 use crate::datastore::TYPE_TAG_CONTAINER;
-use crate::datastore::{DataStore, Datum, DatumValue};
+use crate::datastore::{DataError, DataStore, Datum, DatumValue};
 use crate::msg::{decode_task_list, encode_task_list, Task};
+use crate::queue::WorkQueue;
 
-/// One state-changing operation against a server's [`Ledger`], streamed
-/// to its replica holders. The op stream from a primary is applied in
-/// order; each handler's ops are shipped in one [`ServerMsg::Repl`]
-/// batch, which the simulator delivers atomically — a kill can land
-/// between messages, never inside one.
+/// One state-changing operation against a server's [`Ledger`]: applied
+/// by the primary, then streamed to its replica holders and its WAL. The
+/// op stream from a primary is applied in order; each handler's ops are
+/// shipped in one [`ServerMsg::Repl`] batch, which the simulator delivers
+/// atomically — a kill can land between messages, never inside one.
 ///
 /// [`ServerMsg::Repl`]: crate::msg::ServerMsg::Repl
 #[derive(Debug, Clone, PartialEq)]
@@ -67,10 +72,12 @@ pub enum ReplOp {
     /// `client` was detected dead: permanently parked, leases and credits
     /// dropped (its requeued tasks arrive as separate task ops).
     ClientDead { client: Rank },
-    /// `client`'s request `seq` was fully processed; `resp` caches the
-    /// encoded response when the request was awaited, so a promoted
-    /// successor can answer a re-sent duplicate byte-for-byte.
+    /// `client`'s request `seq` to home server `home` was fully
+    /// processed; `resp` caches the encoded response when the request was
+    /// awaited, so a promoted successor can answer a re-sent duplicate
+    /// byte-for-byte.
     SeqResp {
+        home: Rank,
         client: Rank,
         seq: u64,
         resp: Option<Bytes>,
@@ -110,7 +117,7 @@ pub enum ReplOp {
 
 /// A write-ahead task transfer entry: `origin`'s ledger still owes the
 /// tasks to home server `dest` until the receiver acknowledges `fseq`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Xfer {
     /// Server whose ledger carries the entry (the original sender, which
     /// may be dead by the time the entry is re-driven).
@@ -124,26 +131,82 @@ pub struct Xfer {
     pub steal: bool,
     /// The tasks in flight.
     pub tasks: Vec<Task>,
+    /// Where the owning server last sent the wire message. Live-only —
+    /// never encoded or compared: `None` on a replica, and on an entry
+    /// inherited from a dead peer's ledger that was not yet re-driven.
+    pub sent_to: Option<Rank>,
 }
 
-/// The replicable state of one ADLB server. Replicas hold one `Ledger`
-/// per peer they back; a server's own live state is snapshotted into this
-/// form when a (re)synced successor needs the full picture.
+impl PartialEq for Xfer {
+    fn eq(&self, o: &Self) -> bool {
+        (self.origin, self.dest, self.fseq, self.steal) == (o.origin, o.dest, o.fseq, o.steal)
+            && self.tasks == o.tasks
+    }
+}
+
+/// An in-flight task: delivered to a client, not yet acknowledged.
+#[derive(Debug, Clone)]
+pub struct Lease {
+    /// The leased task.
+    pub task: Task,
+    /// When this ledger opened (or absorbed) the lease; what the lease
+    /// timeout runs against. Local to the holder's clock: never encoded
+    /// or compared.
+    pub since: Instant,
+    /// When the server first accepted the task (µs on the holder's trace
+    /// clock; 0 untraced). A trace annotation, never encoded or compared.
+    pub accepted_us: u64,
+}
+
+impl PartialEq for Lease {
+    fn eq(&self, other: &Self) -> bool {
+        self.task == other.task
+    }
+}
+
+/// What applying one [`ReplOp`] did that its primary must act on.
+/// Replica holders and replays drop it.
+#[derive(Debug, Default)]
+pub struct Applied {
+    /// Subscribers drained by a datum close, to be notified.
+    pub subscribers: Vec<Rank>,
+    /// Leases released (`LeaseDrop`) or revoked (`LeaseRevoke`,
+    /// `ClientDead`), oldest first.
+    pub leases: Vec<Lease>,
+    /// A data op the store refused. Nothing changed, so the op must not
+    /// be logged: re-executing it after a failover yields the same error.
+    pub error: Option<DataError>,
+}
+
+/// The recoverable state of one ADLB server, in the representations the
+/// server serves from. A server's own shard is one `Ledger`; it holds one
+/// more per ring predecessor it backs. [`Ledger::apply`] is the only code
+/// that mutates one op at a time — the primary's request handlers, the
+/// replica holders, chunked-sync replay and WAL replay all go through it —
+/// and [`Ledger::absorb`] is the only bulk merge.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Ledger {
     /// The data shard (futures and containers).
     pub store: DataStore,
-    /// Queued tasks, as a multiset (order is rebuilt on promotion; the
-    /// priority queue re-sorts).
-    pub queue: Vec<Task>,
-    /// Open leases per client, oldest first.
-    pub leases: HashMap<Rank, VecDeque<Task>>,
-    /// Stale-ack credits per client (whole-deque revocations).
+    /// Queued tasks.
+    pub queue: WorkQueue,
+    /// Open leases per client, oldest first (clients acknowledge in
+    /// delivery order).
+    pub leases: HashMap<Rank, VecDeque<Lease>>,
+    /// Stale-ack credits per client: a whole-deque revocation requeues the
+    /// tasks at once, but the (possibly still alive) holder will
+    /// eventually acknowledge them — that many acks are swallowed.
     pub credits: HashMap<Rank, u32>,
-    /// Per-client request dedup high-water mark.
-    pub seqs: HashMap<Rank, u64>,
-    /// Cached encoded response for a client's last awaited request.
-    pub resps: HashMap<Rank, (u64, Bytes)>,
+    /// Request dedup high-water mark per `(home, client)`. A client
+    /// numbers its requests in one sequence across all servers, so only
+    /// the requests it addressed to one home arrive in seq order: once a
+    /// server has promoted a dead home, that home's re-sent (older)
+    /// requests and the client's direct (newer) ones interleave, and one
+    /// mark per client would drop the former as duplicates.
+    pub seqs: HashMap<(Rank, Rank), u64>,
+    /// Cached encoded response for the last awaited request of each
+    /// `(home, client)`.
+    pub resps: HashMap<(Rank, Rank), (u64, Bytes)>,
     /// Accumulated stdout stream per `(client, tenant)`.
     pub outputs: HashMap<(Rank, u32), String>,
     /// Clients that are permanently parked (finished or dead).
@@ -152,8 +215,7 @@ pub struct Ledger {
     pub quarantine: Vec<String>,
     /// Unacknowledged outbound task transfers.
     pub pending_xfers: Vec<Xfer>,
-    /// Next outbound transfer seq per destination home (last used; next
-    /// is `+ 1`).
+    /// Last used outbound transfer seq per destination home.
     pub next_fseq: HashMap<Rank, u64>,
     /// Applied inbound transfer high-water per `(dest home, origin)`.
     pub xfer_applied: HashMap<(Rank, Rank), u64>,
@@ -161,103 +223,117 @@ pub struct Ledger {
     pub fwd_out: u64,
     /// Tasks received from peers (termination-detection flow counter).
     pub fwd_in: u64,
-    /// How many dead peers' ledgers the owning server has merged into this
-    /// state (its failover count). This is the replica freshness version:
-    /// a copy is promotable only if its `merges` covers every promotion
-    /// the holder has observed the owner perform, because the bulk merged
-    /// during a promotion never flows through the incremental op stream —
-    /// only a full (re)sync carries it. Comparing versions makes
-    /// staleness a property of the data rather than of message arrival
-    /// order.
+    /// How many dead peers' ledgers the owning server has absorbed into
+    /// this state (its failover count). This is the replica freshness
+    /// version: a copy is promotable only if its `merges` covers every
+    /// promotion the holder has observed the owner perform, because the
+    /// bulk absorbed during a promotion never flows through the
+    /// incremental op stream — only a full (re)sync carries it. Comparing
+    /// versions makes staleness a property of the data rather than of
+    /// message arrival order.
     pub merges: u64,
 }
 
+/// Leases on `tasks`, opened now on this holder's clocks.
+fn leases_from_now(tasks: impl IntoIterator<Item = Task>) -> impl Iterator<Item = Lease> {
+    let (since, accepted_us) = (Instant::now(), trace::now_us());
+    tasks.into_iter().map(move |task| Lease {
+        task,
+        since,
+        accepted_us,
+    })
+}
+
+fn raise<K: std::hash::Hash + Eq>(marks: &mut HashMap<K, u64>, key: K, to: u64) {
+    let hw = marks.entry(key).or_default();
+    *hw = (*hw).max(to);
+}
+
 impl Ledger {
-    /// Apply one op from `owner`'s replication stream. Must mirror
-    /// exactly what the primary did to its live state.
-    pub fn apply(&mut self, owner: Rank, op: &ReplOp) {
+    /// Apply one op of `owner`'s op stream.
+    pub fn apply(&mut self, owner: Rank, op: ReplOp) -> Applied {
+        let mut out = Applied::default();
+        let closed = |r: Result<Vec<Rank>, DataError>, out: &mut Applied| match r {
+            Ok(subscribers) => out.subscribers = subscribers,
+            Err(e) => out.error = Some(e),
+        };
         match op {
-            ReplOp::Create { id, type_tag } => {
-                let _ = self.store.create(*id, *type_tag);
-            }
-            ReplOp::Store { id, value } => {
-                let _ = self.store.store(*id, value.clone());
-            }
+            ReplOp::Create { id, type_tag } => out.error = self.store.create(id, type_tag).err(),
+            ReplOp::Store { id, value } => closed(self.store.store(id, value), &mut out),
             ReplOp::Insert { id, key, value } => {
-                let _ = self.store.insert(*id, key, value.clone());
+                out.error = self.store.insert(id, &key, value).err();
             }
-            ReplOp::CloseDatum { id } => {
-                let _ = self.store.close(*id);
-            }
+            ReplOp::CloseDatum { id } => closed(self.store.close(id), &mut out),
             ReplOp::IncrWriters { id, delta } => {
-                let _ = self.store.incr_writers(*id, *delta);
+                closed(self.store.incr_writers(id, delta), &mut out);
             }
-            ReplOp::Subscribe { id, rank } => {
-                let _ = self.store.subscribe(*id, *rank);
-            }
+            ReplOp::Subscribe { id, rank } => out.error = self.store.subscribe(id, rank).err(),
             ReplOp::Push { tasks } => {
-                self.queue.extend(tasks.iter().cloned());
+                for t in tasks {
+                    self.queue.push(t);
+                }
             }
             ReplOp::Remove { tasks } => {
-                for t in tasks {
-                    if let Some(i) = self.queue.iter().position(|q| q == t) {
-                        self.queue.swap_remove(i);
-                    }
+                for t in &tasks {
+                    self.queue.remove(t);
                 }
             }
             ReplOp::LeaseOpen { client, tasks } => {
                 self.leases
-                    .entry(*client)
+                    .entry(client)
                     .or_default()
-                    .extend(tasks.iter().cloned());
+                    .extend(leases_from_now(tasks));
             }
             ReplOp::LeaseDrop { client, n } => {
-                if let Some(deque) = self.leases.get_mut(client) {
-                    for _ in 0..*n {
-                        deque.pop_front();
-                    }
+                if let Some(deque) = self.leases.get_mut(&client) {
+                    let n = (n as usize).min(deque.len());
+                    out.leases.extend(deque.drain(..n));
                     if deque.is_empty() {
-                        self.leases.remove(client);
+                        self.leases.remove(&client);
                     }
                 }
             }
             ReplOp::LeaseRevoke { client } => {
-                if let Some(deque) = self.leases.remove(client) {
-                    *self.credits.entry(*client).or_default() += deque.len() as u32;
+                if let Some(deque) = self.leases.remove(&client) {
+                    *self.credits.entry(client).or_default() += deque.len() as u32;
+                    out.leases = deque.into();
                 }
             }
             ReplOp::CreditUse { client, n } => {
-                if let Some(c) = self.credits.get_mut(client) {
-                    *c = c.saturating_sub(*n);
+                if let Some(c) = self.credits.get_mut(&client) {
+                    *c = c.saturating_sub(n);
                     if *c == 0 {
-                        self.credits.remove(client);
+                        self.credits.remove(&client);
                     }
                 }
             }
             ReplOp::ClientDead { client } => {
-                self.finished.insert(*client);
-                self.leases.remove(client);
-                self.credits.remove(client);
+                self.finished.insert(client);
+                self.credits.remove(&client);
+                out.leases = self.leases.remove(&client).unwrap_or_default().into();
             }
-            ReplOp::SeqResp { client, seq, resp } => {
-                let hw = self.seqs.entry(*client).or_default();
-                *hw = (*hw).max(*seq);
+            ReplOp::SeqResp {
+                home,
+                client,
+                seq,
+                resp,
+            } => {
+                raise(&mut self.seqs, (home, client), seq);
                 if let Some(bytes) = resp {
-                    self.resps.insert(*client, (*seq, bytes.clone()));
+                    self.resps.insert((home, client), (seq, bytes));
                 }
             }
             ReplOp::Out {
                 client,
                 text,
                 tenant,
-            } => {
-                self.outputs
-                    .entry((*client, *tenant))
-                    .or_default()
-                    .push_str(text);
-            }
+            } => self
+                .outputs
+                .entry((client, tenant))
+                .or_default()
+                .push_str(&text),
             ReplOp::ClientFinished { client } => {
-                self.finished.insert(*client);
+                self.finished.insert(client);
             }
             ReplOp::XferOut {
                 dest,
@@ -265,20 +341,20 @@ impl Ledger {
                 steal,
                 tasks,
             } => {
-                let next = self.next_fseq.entry(*dest).or_default();
-                *next = (*next).max(*fseq);
+                raise(&mut self.next_fseq, dest, fseq);
                 self.fwd_out += tasks.len() as u64;
                 self.pending_xfers.push(Xfer {
                     origin: owner,
-                    dest: *dest,
-                    fseq: *fseq,
-                    steal: *steal,
-                    tasks: tasks.clone(),
+                    dest,
+                    fseq,
+                    steal,
+                    tasks,
+                    sent_to: None,
                 });
             }
             ReplOp::XferDone { origin, dest, fseq } => {
                 self.pending_xfers
-                    .retain(|x| !(x.origin == *origin && x.dest == *dest && x.fseq == *fseq));
+                    .retain(|x| (x.origin, x.dest, x.fseq) != (origin, dest, fseq));
             }
             ReplOp::XferIn {
                 origin,
@@ -286,30 +362,107 @@ impl Ledger {
                 fseq,
                 n,
             } => {
-                let hw = self.xfer_applied.entry((*dest, *origin)).or_default();
-                *hw = (*hw).max(*fseq);
+                raise(&mut self.xfer_applied, (dest, origin), fseq);
                 self.fwd_in += n;
             }
-            ReplOp::Quarantine { report } => {
-                self.quarantine.push(report.clone());
+            ReplOp::Quarantine { report } => self.quarantine.push(report),
+        }
+        out
+    }
+
+    /// Merge a recovered ledger into this one: a dead peer's replica at
+    /// promotion, a shard restored from pfs, or this server's own slice at
+    /// `--resume`. `homes` names the dead servers whose shards `other`
+    /// carried (none on a resume, which takes over nobody): absorbing any
+    /// bumps [`Ledger::merges`], because copies of this ledger taken
+    /// before now are missing the bulk.
+    ///
+    /// Lease clocks restart: `since` is local to the clock of whoever held
+    /// the lease, the holder's client has to find its new server first,
+    /// and a lease that outlives a failover by a full timeout is just as
+    /// stuck as one that was opened here.
+    pub fn absorb(&mut self, other: Ledger, homes: &[Rank]) {
+        if !homes.is_empty() {
+            self.merges += 1;
+        }
+        self.store.merge(other.store);
+        self.queue.absorb(other.queue);
+        for (c, deque) in other.leases {
+            self.leases
+                .entry(c)
+                .or_default()
+                .extend(leases_from_now(deque.into_iter().map(|l| l.task)));
+        }
+        for (c, n) in other.credits {
+            *self.credits.entry(c).or_default() += n;
+        }
+        for (key, seq) in other.seqs {
+            raise(&mut self.seqs, key, seq);
+        }
+        for (key, resp) in other.resps {
+            if self.resps.get(&key).is_none_or(|mine| mine.0 < resp.0) {
+                self.resps.insert(key, resp);
+            }
+        }
+        for (key, text) in other.outputs {
+            self.outputs.entry(key).or_default().push_str(&text);
+        }
+        self.finished.extend(other.finished);
+        for q in other.quarantine {
+            if !self.quarantine.contains(&q) {
+                self.quarantine.push(q);
+            }
+        }
+        // `sent_to` is cleared: the entries are this server's to re-drive.
+        self.pending_xfers.extend(
+            other
+                .pending_xfers
+                .into_iter()
+                .map(|x| Xfer { sent_to: None, ..x }),
+        );
+        // `next_fseq` merges by max. A dead peer's counters number
+        // transfers with origin = that peer, so this server's own
+        // numbering (origin = me) does not strictly need them — but
+        // folding them in keeps the checkpoint written after a promotion
+        // a safe upper bound for ANY origin it covers: a whole-world
+        // resume hands the merged counters back to the subsumed home,
+        // whose fresh transfers must outnumber everything receivers have
+        // durably applied from it. Gaps in a sender's fseq sequence are
+        // harmless (receiver dedup is a high-water mark).
+        for (dest, f) in other.next_fseq {
+            raise(&mut self.next_fseq, dest, f);
+        }
+        for (key, f) in other.xfer_applied {
+            raise(&mut self.xfer_applied, key, f);
+        }
+        self.fwd_out += other.fwd_out;
+        self.fwd_in += other.fwd_in;
+    }
+
+    /// Give `client`'s newest leases the accept stamps of the queue
+    /// entries they were delivered from (`accepted_us[i]` for the `i`-th
+    /// newest-batch lease), so task-latency spans run accept → ack.
+    pub(crate) fn backdate_leases(&mut self, client: Rank, accepted_us: &[u64]) {
+        if let Some(deque) = self.leases.get_mut(&client) {
+            let skip = deque.len().saturating_sub(accepted_us.len());
+            for (lease, us) in deque.iter_mut().skip(skip).zip(accepted_us) {
+                lease.accepted_us = *us;
             }
         }
     }
 
-    /// Serialize the full ledger (a `Snapshot` payload).
+    /// Serialize the full ledger (a sync stream or checkpoint segment).
     pub(crate) fn encode_into(&self, w: &mut WireWriter) {
-        let datums: Vec<_> = self.store.iter().collect();
-        w.put_u32(datums.len() as u32);
-        for (id, d) in datums {
+        w.put_u32(self.store.len() as u32);
+        for (id, d) in self.store.iter() {
             w.put_u64(*id);
             encode_datum(w, d);
         }
-        encode_task_list(w, &self.queue);
+        encode_task_list(w, self.queue.tasks());
         w.put_u32(self.leases.len() as u32);
         for (client, deque) in &self.leases {
             w.put_u64(*client as u64);
-            let tasks: Vec<Task> = deque.iter().cloned().collect();
-            encode_task_list(w, &tasks);
+            encode_task_list(w, deque.iter().map(|l| &l.task));
         }
         w.put_u32(self.credits.len() as u32);
         for (client, n) in &self.credits {
@@ -317,12 +470,14 @@ impl Ledger {
             w.put_u32(*n);
         }
         w.put_u32(self.seqs.len() as u32);
-        for (client, seq) in &self.seqs {
+        for ((home, client), seq) in &self.seqs {
+            w.put_u64(*home as u64);
             w.put_u64(*client as u64);
             w.put_u64(*seq);
         }
         w.put_u32(self.resps.len() as u32);
-        for (client, (seq, bytes)) in &self.resps {
+        for ((home, client), (seq, bytes)) in &self.resps {
+            w.put_u64(*home as u64);
             w.put_u64(*client as u64);
             w.put_u64(*seq);
             w.put_bytes(bytes);
@@ -365,7 +520,8 @@ impl Ledger {
         w.put_u64(self.merges);
     }
 
-    /// Deserialize a full ledger.
+    /// Deserialize a full ledger. Lease clocks and queue accept stamps
+    /// start now.
     pub(crate) fn decode_from(r: &mut WireReader) -> Result<Ledger, WireError> {
         let mut ledger = Ledger::default();
         let n = r.get_u32()? as usize;
@@ -374,12 +530,14 @@ impl Ledger {
             let d = decode_datum(r)?;
             ledger.store.insert_datum(id, d);
         }
-        ledger.queue = decode_task_list(r)?;
+        for t in decode_task_list(r)? {
+            ledger.queue.push(t);
+        }
         let n = r.get_u32()? as usize;
         for _ in 0..n {
             let client = r.get_u64()? as Rank;
-            let tasks = decode_task_list(r)?;
-            ledger.leases.insert(client, tasks.into());
+            let leases = leases_from_now(decode_task_list(r)?);
+            ledger.leases.insert(client, leases.collect());
         }
         let n = r.get_u32()? as usize;
         for _ in 0..n {
@@ -388,15 +546,15 @@ impl Ledger {
         }
         let n = r.get_u32()? as usize;
         for _ in 0..n {
-            let client = r.get_u64()? as Rank;
-            ledger.seqs.insert(client, r.get_u64()?);
+            let key = (r.get_u64()? as Rank, r.get_u64()? as Rank);
+            ledger.seqs.insert(key, r.get_u64()?);
         }
         let n = r.get_u32()? as usize;
         for _ in 0..n {
-            let client = r.get_u64()? as Rank;
+            let key = (r.get_u64()? as Rank, r.get_u64()? as Rank);
             let seq = r.get_u64()?;
             let bytes = Bytes::copy_from_slice(r.get_bytes()?);
-            ledger.resps.insert(client, (seq, bytes));
+            ledger.resps.insert(key, (seq, bytes));
         }
         let n = r.get_u32()? as usize;
         for _ in 0..n {
@@ -422,6 +580,7 @@ impl Ledger {
                 fseq: r.get_u64()?,
                 steal: r.get_u8()? != 0,
                 tasks: decode_task_list(r)?,
+                sent_to: None,
             });
         }
         let n = r.get_u32()? as usize;
@@ -508,6 +667,28 @@ fn decode_datum(r: &mut WireReader) -> Result<Datum, WireError> {
 }
 
 impl ReplOp {
+    /// Merge adjacent ops of one transaction that say the same thing
+    /// about the same subject — per-ack `LeaseDrop`/`CreditUse`, per-task
+    /// `Push`/`Remove` — so a batch logs (and ships, and replays) one op
+    /// where its handler committed many.
+    pub(crate) fn coalesce(ops: &mut Vec<ReplOp>) {
+        ops.dedup_by(|next, prev| match (prev, next) {
+            (ReplOp::LeaseDrop { client: a, n }, ReplOp::LeaseDrop { client: b, n: m })
+            | (ReplOp::CreditUse { client: a, n }, ReplOp::CreditUse { client: b, n: m })
+                if a == b =>
+            {
+                *n += *m;
+                true
+            }
+            (ReplOp::Push { tasks }, ReplOp::Push { tasks: more })
+            | (ReplOp::Remove { tasks }, ReplOp::Remove { tasks: more }) => {
+                tasks.append(more);
+                true
+            }
+            _ => false,
+        });
+    }
+
     pub(crate) fn encode_into(&self, w: &mut WireWriter) {
         match self {
             ReplOp::Create { id, type_tag } => {
@@ -571,8 +752,14 @@ impl ReplOp {
                 w.put_u8(12);
                 w.put_u64(*client as u64);
             }
-            ReplOp::SeqResp { client, seq, resp } => {
+            ReplOp::SeqResp {
+                home,
+                client,
+                seq,
+                resp,
+            } => {
                 w.put_u8(13);
+                w.put_u64(*home as u64);
                 w.put_u64(*client as u64);
                 w.put_u64(*seq);
                 match resp {
@@ -685,6 +872,7 @@ impl ReplOp {
                 client: r.get_u64()? as Rank,
             },
             13 => {
+                let home = r.get_u64()? as Rank;
                 let client = r.get_u64()? as Rank;
                 let seq = r.get_u64()?;
                 let resp = if r.get_u8()? == 1 {
@@ -692,7 +880,12 @@ impl ReplOp {
                 } else {
                     None
                 };
-                ReplOp::SeqResp { client, seq, resp }
+                ReplOp::SeqResp {
+                    home,
+                    client,
+                    seq,
+                    resp,
+                }
             }
             14 => {
                 let client = r.get_u64()? as Rank;
@@ -739,40 +932,95 @@ impl ReplOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn task(p: i32) -> Task {
         Task::new(1, p, None, Bytes::from_static(b"work"))
     }
 
+    fn lease(p: i32, since: Instant) -> Lease {
+        Lease {
+            task: task(p),
+            since,
+            accepted_us: 7,
+        }
+    }
+
+    /// Every field populated, through the same `apply` the server uses
+    /// where an op exists for it.
     fn sample_ledger() -> Ledger {
         let mut l = Ledger::default();
-        l.store.create(3, 0).unwrap();
-        l.store.create(10, TYPE_TAG_CONTAINER).unwrap();
-        l.store.subscribe(3, 1).unwrap();
-        l.store
-            .insert(10, "0", Bytes::from_static(b"member"))
-            .unwrap();
-        l.queue.push(task(1));
-        l.queue.push(task(2));
-        l.leases.insert(0, vec![task(3), task(4)].into());
-        l.credits.insert(2, 1);
-        l.seqs.insert(0, 17);
-        l.resps.insert(0, (17, Bytes::from_static(b"resp")));
-        l.outputs.insert((1, 0), "line\n".into());
-        l.outputs.insert((1, 3), "tenant three\n".into());
-        l.finished.insert(4);
-        l.quarantine.push("bad task".into());
-        l.pending_xfers.push(Xfer {
-            origin: 8,
-            dest: 9,
-            fseq: 2,
-            steal: false,
-            tasks: vec![task(5)],
-        });
-        l.next_fseq.insert(9, 2);
-        l.xfer_applied.insert((8, 9), 4);
-        l.fwd_out = 3;
-        l.fwd_in = 2;
+        let ops = [
+            ReplOp::Create { id: 3, type_tag: 0 },
+            ReplOp::Create {
+                id: 10,
+                type_tag: TYPE_TAG_CONTAINER,
+            },
+            ReplOp::Subscribe { id: 3, rank: 1 },
+            ReplOp::Insert {
+                id: 10,
+                key: "0".into(),
+                value: Bytes::from_static(b"member"),
+            },
+            ReplOp::Push {
+                tasks: vec![
+                    task(1),
+                    task(2),
+                    task(2),
+                    Task::new(2, 9, Some(4), Bytes::from_static(b"pinned")).with_tenant(3),
+                ],
+            },
+            ReplOp::LeaseOpen {
+                client: 0,
+                tasks: vec![task(3), task(4)],
+            },
+            ReplOp::LeaseOpen {
+                client: 2,
+                tasks: vec![task(5)],
+            },
+            ReplOp::LeaseRevoke { client: 2 },
+            ReplOp::SeqResp {
+                home: 8,
+                client: 0,
+                seq: 17,
+                resp: Some(Bytes::from_static(b"resp")),
+            },
+            ReplOp::SeqResp {
+                home: 9,
+                client: 0,
+                seq: 12,
+                resp: None,
+            },
+            ReplOp::Out {
+                client: 1,
+                text: "line\n".into(),
+                tenant: 0,
+            },
+            ReplOp::Out {
+                client: 1,
+                text: "tenant three\n".into(),
+                tenant: 3,
+            },
+            ReplOp::ClientFinished { client: 4 },
+            ReplOp::Quarantine {
+                report: "bad task".into(),
+            },
+            ReplOp::XferOut {
+                dest: 9,
+                fseq: 2,
+                steal: false,
+                tasks: vec![task(5)],
+            },
+            ReplOp::XferIn {
+                origin: 9,
+                dest: 8,
+                fseq: 4,
+                n: 2,
+            },
+        ];
+        for op in ops {
+            assert!(l.apply(8, op).error.is_none());
+        }
         l.merges = 1;
         l
     }
@@ -780,13 +1028,45 @@ mod tests {
     #[test]
     fn ledger_round_trips() {
         let l = sample_ledger();
+        assert_eq!(l.queue.len(), 4);
+        assert_eq!(l.credits[&2], 1);
         let mut w = WireWriter::new();
         l.encode_into(&mut w);
         let wire = w.finish();
         let mut r = WireReader::new(&wire);
         let back = Ledger::decode_from(&mut r).unwrap();
         r.expect_end().unwrap();
+        // Queue arrival numbering, accept stamps and lease clocks are the
+        // decoder's own; equality is over the tasks.
         assert_eq!(back, l);
+        // And it is not vacuous: one queued task fewer is a difference.
+        let mut fewer = back.clone();
+        assert!(fewer.queue.remove(&task(2)));
+        assert_ne!(fewer, l);
+    }
+
+    #[test]
+    fn decoded_queue_keeps_its_heads() {
+        // Same-priority tasks leave a decoded ledger in the order they
+        // entered the encoded one, so a replica seeded from a sync stream
+        // still removes heap heads in step with its primary.
+        let mut l = Ledger::default();
+        let tagged = |i: u8| Task::new(1, 0, None, Bytes::from(vec![i]));
+        l.apply(
+            0,
+            ReplOp::Push {
+                tasks: (0..50).map(tagged).collect(),
+            },
+        );
+        let mut w = WireWriter::new();
+        l.encode_into(&mut w);
+        let wire = w.finish();
+        let mut back = Ledger::decode_from(&mut WireReader::new(&wire)).unwrap();
+        for i in 0..50 {
+            let head = back.queue.peek_untargeted(0, &[1]).unwrap().task.clone();
+            assert_eq!(head, tagged(i));
+            back.queue.remove(&head);
+        }
     }
 
     #[test]
@@ -820,11 +1100,13 @@ mod tests {
             ReplOp::CreditUse { client: 1, n: 1 },
             ReplOp::ClientDead { client: 2 },
             ReplOp::SeqResp {
+                home: 8,
                 client: 0,
                 seq: 9,
                 resp: Some(Bytes::from_static(b"ok")),
             },
             ReplOp::SeqResp {
+                home: 8,
                 client: 0,
                 seq: 10,
                 resp: None,
@@ -868,77 +1150,104 @@ mod tests {
     }
 
     #[test]
-    fn apply_mirrors_primary_mutations() {
+    fn apply_reports_what_the_primary_acts_on() {
         let mut l = Ledger::default();
         let owner = 8;
-        // Data ops.
-        l.apply(owner, &ReplOp::Create { id: 5, type_tag: 0 });
-        l.apply(owner, &ReplOp::Subscribe { id: 5, rank: 2 });
-        l.apply(
+        // Data ops: a close hands back the drained subscribers; a refused
+        // op says so and changes nothing.
+        l.apply(owner, ReplOp::Create { id: 5, type_tag: 0 });
+        l.apply(owner, ReplOp::Subscribe { id: 5, rank: 2 });
+        let stored = l.apply(
             owner,
-            &ReplOp::Store {
+            ReplOp::Store {
                 id: 5,
                 value: Bytes::from_static(b"42"),
             },
         );
+        assert_eq!(stored.subscribers, vec![2]);
         assert_eq!(l.store.retrieve(5).unwrap().unwrap(), &b"42"[..]);
-        // Store drains subscribers on the replica too (notify tasks are
-        // replicated separately as task ops).
-        l.apply(owner, &ReplOp::Create { id: 6, type_tag: 0 });
+        let before = l.clone();
+        let again = l.apply(
+            owner,
+            ReplOp::Store {
+                id: 5,
+                value: Bytes::from_static(b"43"),
+            },
+        );
+        assert!(again.error.unwrap().message.contains("double assignment"));
+        let missing = l.apply(owner, ReplOp::IncrWriters { id: 6, delta: -1 });
+        assert!(missing.error.is_some());
+        l.apply(owner, ReplOp::Create { id: 6, type_tag: 0 });
+        let before_neg = l.clone();
+        assert!(l
+            .apply(owner, ReplOp::IncrWriters { id: 6, delta: -2 })
+            .error
+            .is_some());
+        assert_eq!(l, before_neg, "a refused op changes nothing");
+        assert_eq!(before.store.len() + 1, l.store.len());
 
-        // Queue + lease ops.
+        // Queue + lease ops: drops and revocations hand the leases back.
         l.apply(
             owner,
-            &ReplOp::Push {
+            ReplOp::Push {
                 tasks: vec![task(1), task(2)],
             },
         );
         l.apply(
             owner,
-            &ReplOp::Remove {
+            ReplOp::Remove {
                 tasks: vec![task(1)],
             },
         );
-        assert_eq!(l.queue, vec![task(2)]);
+        assert_eq!(l.queue.tasks(), vec![&task(2)]);
         l.apply(
             owner,
-            &ReplOp::LeaseOpen {
+            ReplOp::LeaseOpen {
                 client: 0,
-                tasks: vec![task(1), task(3)],
+                tasks: vec![task(1), task(3), task(4)],
             },
         );
-        l.apply(owner, &ReplOp::LeaseDrop { client: 0, n: 1 });
-        assert_eq!(l.leases[&0], VecDeque::from(vec![task(3)]));
-        l.apply(owner, &ReplOp::LeaseRevoke { client: 0 });
+        let dropped = l.apply(owner, ReplOp::LeaseDrop { client: 0, n: 1 });
+        assert_eq!(dropped.leases.len(), 1);
+        assert_eq!(dropped.leases[0].task, task(1));
+        let revoked = l.apply(owner, ReplOp::LeaseRevoke { client: 0 });
+        let tasks: Vec<Task> = revoked.leases.into_iter().map(|l| l.task).collect();
+        assert_eq!(tasks, vec![task(3), task(4)]);
         assert!(l.leases.is_empty());
-        assert_eq!(l.credits[&0], 1);
-        l.apply(owner, &ReplOp::CreditUse { client: 0, n: 1 });
+        assert_eq!(l.credits[&0], 2);
+        l.apply(owner, ReplOp::CreditUse { client: 0, n: 2 });
         assert!(l.credits.is_empty());
+        l.apply(
+            owner,
+            ReplOp::LeaseOpen {
+                client: 1,
+                tasks: vec![task(6)],
+            },
+        );
+        let dead = l.apply(owner, ReplOp::ClientDead { client: 1 });
+        assert_eq!(dead.leases.len(), 1);
+        assert!(l.finished.contains(&1) && l.leases.is_empty());
 
-        // Request bookkeeping.
-        l.apply(
-            owner,
-            &ReplOp::SeqResp {
-                client: 0,
-                seq: 3,
-                resp: Some(Bytes::from_static(b"r")),
-            },
-        );
-        l.apply(
-            owner,
-            &ReplOp::SeqResp {
-                client: 0,
-                seq: 5,
-                resp: None,
-            },
-        );
-        assert_eq!(l.seqs[&0], 5);
-        assert_eq!(l.resps[&0].0, 3);
+        // Request bookkeeping is per (home, client).
+        for (home, seq, resp) in [(8, 3, Some("r")), (8, 5, None), (9, 4, Some("other home"))] {
+            l.apply(
+                owner,
+                ReplOp::SeqResp {
+                    home,
+                    client: 0,
+                    seq,
+                    resp: resp.map(|r| Bytes::from_static(r.as_bytes())),
+                },
+            );
+        }
+        assert_eq!(l.seqs[&(8, 0)], 5);
+        assert_eq!(l.resps[&(8, 0)].0, 3);
+        assert_eq!(l.seqs[&(9, 0)], 4);
 
         // Transfers.
         l.apply(
             owner,
-            &ReplOp::XferOut {
+            ReplOp::XferOut {
                 dest: 9,
                 fseq: 1,
                 steal: false,
@@ -950,7 +1259,7 @@ mod tests {
         assert_eq!(l.fwd_out, 1);
         l.apply(
             owner,
-            &ReplOp::XferDone {
+            ReplOp::XferDone {
                 origin: owner,
                 dest: 9,
                 fseq: 1,
@@ -959,7 +1268,7 @@ mod tests {
         assert!(l.pending_xfers.is_empty());
         l.apply(
             owner,
-            &ReplOp::XferIn {
+            ReplOp::XferIn {
                 origin: 9,
                 dest: owner,
                 fseq: 2,
@@ -968,5 +1277,214 @@ mod tests {
         );
         assert_eq!(l.xfer_applied[&(owner, 9)], 2);
         assert_eq!(l.fwd_in, 3);
+    }
+
+    #[test]
+    fn coalesce_merges_only_adjacent_like_ops() {
+        let mut ops = vec![
+            ReplOp::Remove {
+                tasks: vec![task(1)],
+            },
+            ReplOp::Remove {
+                tasks: vec![task(2)],
+            },
+            ReplOp::LeaseOpen {
+                client: 0,
+                tasks: vec![task(1), task(2)],
+            },
+            ReplOp::LeaseDrop { client: 0, n: 1 },
+            ReplOp::LeaseDrop { client: 0, n: 1 },
+            ReplOp::LeaseDrop { client: 1, n: 1 },
+            ReplOp::Push {
+                tasks: vec![task(3)],
+            },
+            ReplOp::CreditUse { client: 1, n: 1 },
+            ReplOp::CreditUse { client: 1, n: 2 },
+            ReplOp::Push {
+                tasks: vec![task(4)],
+            },
+            ReplOp::Push {
+                tasks: vec![task(5)],
+            },
+        ];
+        let mut whole = Ledger::default();
+        whole.apply(
+            0,
+            ReplOp::Push {
+                tasks: vec![task(1), task(2)],
+            },
+        );
+        whole.apply(
+            0,
+            ReplOp::LeaseOpen {
+                client: 1,
+                tasks: vec![task(9), task(9), task(9), task(9)],
+            },
+        );
+        whole.apply(0, ReplOp::LeaseRevoke { client: 1 });
+        whole.apply(
+            0,
+            ReplOp::LeaseOpen {
+                client: 1,
+                tasks: vec![task(8)],
+            },
+        );
+        let mut merged = whole.clone();
+        for op in ops.clone() {
+            whole.apply(0, op);
+        }
+        ReplOp::coalesce(&mut ops);
+        assert_eq!(
+            ops,
+            vec![
+                ReplOp::Remove {
+                    tasks: vec![task(1), task(2)],
+                },
+                ReplOp::LeaseOpen {
+                    client: 0,
+                    tasks: vec![task(1), task(2)],
+                },
+                ReplOp::LeaseDrop { client: 0, n: 2 },
+                ReplOp::LeaseDrop { client: 1, n: 1 },
+                ReplOp::Push {
+                    tasks: vec![task(3)],
+                },
+                ReplOp::CreditUse { client: 1, n: 3 },
+                ReplOp::Push {
+                    tasks: vec![task(4), task(5)],
+                },
+            ]
+        );
+        for op in ops {
+            merged.apply(0, op);
+        }
+        assert_eq!(
+            merged, whole,
+            "the coalesced batch applies to the same state"
+        );
+    }
+
+    #[test]
+    fn absorb_merges_counters_by_max_and_restarts_lease_clocks() {
+        let long_ago = Instant::now() - Duration::from_secs(3600);
+        let mut mine = Ledger::default();
+        mine.next_fseq.insert(9, 5);
+        mine.next_fseq.insert(7, 1);
+        mine.xfer_applied.insert((8, 9), 4);
+        mine.quarantine.push("shared report".into());
+        mine.quarantine.push("mine".into());
+        mine.leases.insert(0, [lease(1, long_ago)].into());
+        mine.credits.insert(0, 1);
+        mine.fwd_out = 2;
+        mine.outputs.insert((1, 0), "a".into());
+        mine.pending_xfers.push(Xfer {
+            origin: 8,
+            dest: 9,
+            fseq: 5,
+            steal: false,
+            tasks: vec![task(1)],
+            sent_to: Some(9),
+        });
+
+        let mut dead = Ledger::default();
+        dead.next_fseq.insert(9, 3);
+        dead.next_fseq.insert(6, 2);
+        dead.xfer_applied.insert((8, 9), 6);
+        dead.xfer_applied.insert((7, 9), 1);
+        dead.quarantine.push("shared report".into());
+        dead.quarantine.push("theirs".into());
+        dead.leases.insert(0, [lease(2, long_ago)].into());
+        dead.leases.insert(3, [lease(3, long_ago)].into());
+        dead.credits.insert(0, 2);
+        dead.fwd_out = 3;
+        dead.fwd_in = 4;
+        dead.outputs.insert((1, 0), "b".into());
+        dead.finished.insert(5);
+        dead.queue.push(task(7));
+        dead.pending_xfers.push(Xfer {
+            origin: 7,
+            dest: 9,
+            fseq: 3,
+            steal: true,
+            tasks: vec![task(2)],
+            sent_to: Some(9),
+        });
+
+        let before = Instant::now();
+        mine.absorb(dead, &[7]);
+        assert_eq!(mine.merges, 1);
+        assert_eq!(mine.next_fseq, HashMap::from([(9, 5), (7, 1), (6, 2)]));
+        assert_eq!(mine.xfer_applied, HashMap::from([((8, 9), 6), ((7, 9), 1)]));
+        assert_eq!(mine.quarantine, ["shared report", "mine", "theirs"]);
+        // This server's own lease keeps its clock; the absorbed ones
+        // behind it restart theirs.
+        let held: Vec<(i32, bool)> = mine.leases[&0]
+            .iter()
+            .map(|l| (l.task.priority, l.since >= before))
+            .collect();
+        assert_eq!(held, [(1, false), (2, true)]);
+        assert!(mine.leases[&3][0].since >= before);
+        assert_eq!(mine.credits[&0], 3);
+        assert_eq!((mine.fwd_out, mine.fwd_in), (5, 4));
+        assert_eq!(mine.outputs[&(1, 0)], "ab");
+        assert!(mine.finished.contains(&5));
+        assert_eq!(mine.queue.len(), 1);
+        // Inherited transfers are this server's to re-drive; its own stay
+        // where they were sent.
+        let sent: Vec<_> = mine.pending_xfers.iter().map(|x| x.sent_to).collect();
+        assert_eq!(sent, [Some(9), None]);
+
+        // A resume takes over nobody: same merge, no version bump.
+        let mut resumed = Ledger::default();
+        resumed.absorb(mine.clone(), &[]);
+        assert_eq!(resumed.merges, 0);
+        assert_eq!(resumed.queue, mine.queue);
+    }
+
+    #[test]
+    fn home_client_marks_survive_a_chain_of_two_promotions() {
+        // Client 0 wrote to homes 6, 7 and 8 under one seq counter. Server
+        // 6 dies and 7 promotes it; then 7 dies and 8 promotes *that*. A
+        // re-sent old request to home 6 must still be recognised (and one
+        // above its mark must not be mistaken for a duplicate because of
+        // the client's newer writes to 7 or 8) — which one mark per client
+        // on the wire could not express.
+        let mark = |l: &mut Ledger, owner, home, seq, resp: &'static [u8]| {
+            l.apply(
+                owner,
+                ReplOp::SeqResp {
+                    home,
+                    client: 0,
+                    seq,
+                    resp: Some(Bytes::from_static(resp)),
+                },
+            );
+        };
+        let (mut six, mut seven, mut eight) =
+            (Ledger::default(), Ledger::default(), Ledger::default());
+        mark(&mut six, 6, 6, 3, b"six@3");
+        mark(&mut seven, 7, 7, 10, b"seven@10");
+        mark(&mut eight, 8, 8, 20, b"eight@20");
+
+        seven.absorb(six, &[6]);
+        // Over a sync stream to its new holder, as after any promotion.
+        let mut w = WireWriter::new();
+        seven.encode_into(&mut w);
+        let wire = w.finish();
+        let seven_at_eight = Ledger::decode_from(&mut WireReader::new(&wire)).unwrap();
+        assert_eq!(seven_at_eight, seven);
+        // Server 7, now also serving home 6, answers a newer request to it.
+        let mut seven_at_eight = seven_at_eight;
+        mark(&mut seven_at_eight, 7, 6, 12, b"six@12");
+
+        eight.absorb(seven_at_eight, &[7, 6]);
+        assert_eq!(eight.merges, 1);
+        assert_eq!(
+            eight.seqs,
+            HashMap::from([((6, 0), 12), ((7, 0), 10), ((8, 0), 20)])
+        );
+        assert_eq!(eight.resps[&(6, 0)], (12, Bytes::from_static(b"six@12")));
+        assert_eq!(eight.resps[&(7, 0)], (10, Bytes::from_static(b"seven@10")));
+        assert_eq!(eight.resps[&(8, 0)], (20, Bytes::from_static(b"eight@20")));
     }
 }

@@ -6,16 +6,19 @@
 //! timer is a short receive timeout that paces steal attempts, heartbeats
 //! and termination polls.
 //!
-//! With `replication >= 2` the server additionally mirrors its
-//! recoverable state (a [`Ledger`]) on its ring successors, streams every
-//! state change to them *before* any client-visible response leaves this
-//! rank (write-through), and participates in the heartbeat membership
-//! protocol — see [`crate::replica`] and [`crate::membership`]. When a
-//! peer dies, the first live successor merges the dead peer's ledger into
-//! its own live state and serves the shard in its place; the other
-//! servers re-route their in-flight task transfers and carry on.
+//! Everything recoverable — the data shard, the queue, leases, request
+//! dedup marks, write-ahead transfers — lives in one [`Ledger`] that the
+//! handlers change only by `commit`ting a [`ReplOp`]; what is left on
+//! [`Server`] is live-only. With `replication >= 2` the server streams
+//! every committed op to its ring successors *before* any client-visible
+//! response leaves this rank (write-through), holds their ledgers in
+//! turn, and participates in the heartbeat membership protocol — see
+//! [`crate::replica`] and [`crate::membership`]. When a peer dies, the
+//! first live successor absorbs the dead peer's ledger into its own and
+//! serves the shard in its place; the other servers re-route their
+//! in-flight task transfers and carry on.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -24,14 +27,13 @@ use mpisim::{trace, Comm, Rank, Src, TagSel, WireReader, WireWriter};
 use crate::checkpoint::{
     restore_home, split_for_home, split_history_for_home, CheckpointConfig, CheckpointSink,
 };
-use crate::datastore::DataStore;
 use crate::layout::Layout;
 use crate::membership::Membership;
 use crate::msg::{
-    seal_seq, Request, Response, ServerMsg, Task, TAG_REQ, TAG_RESP, TAG_SRV, WORK_TYPE_WORK,
+    encode_repl, seal_seq, Request, Response, ServerMsg, Task, TAG_REQ, TAG_RESP, TAG_SRV,
+    WORK_TYPE_NOTIFY, WORK_TYPE_WORK,
 };
-use crate::queue::WorkQueue;
-use crate::replica::{Ledger, ReplOp, Xfer};
+use crate::replica::{Applied, Ledger, ReplOp};
 use crate::tenant::{TenantSched, TenantSpec, TenantStats};
 
 /// How a server treats tasks whose holder died or reported failure.
@@ -40,10 +42,6 @@ pub struct RetryPolicy {
     /// Times a task may be re-run after its first attempt before it is
     /// quarantined. 0 means never retry.
     pub max_retries: u32,
-    /// Priority subtracted per accumulated attempt when a task is
-    /// requeued, so repeatedly failing work drifts behind fresh work
-    /// instead of hot-looping at the head of the queue.
-    pub priority_penalty: i32,
     /// A lease older than this is revoked and its task requeued even
     /// though the holder still looks alive. On by default (30 s — far
     /// beyond any healthy task round trip, so it only fires on truly
@@ -57,24 +55,32 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 3,
-            priority_penalty: 1,
             lease_timeout: Some(Duration::from_secs(30)),
         }
     }
 }
 
+/// Receive timeout pacing idle actions (steals, termination polls).
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
+/// How often an otherwise-idle server beacons liveness to its peers.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(1);
+/// Peer silence beyond this marks it suspect; suspects are confirmed
+/// against the transport's liveness oracle before failover starts.
+const SUSPECT_AFTER: Duration = Duration::from_millis(10);
+/// Priority of data-close notification tasks: above all user work, so
+/// dataflow progress is never queued behind bulk tasks.
+const NOTIFY_PRIORITY: i32 = i32::MAX;
+/// Priority subtracted per accumulated attempt when a task is requeued,
+/// so repeatedly failing work drifts behind fresh work instead of
+/// hot-looping at the head of the queue.
+const PRIORITY_PENALTY: i32 = 1;
+
 /// Tunables for the server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Receive timeout pacing idle actions (steals, termination polls).
-    pub poll_interval: Duration,
     /// Whether servers steal work from each other. Ablation E5 turns this
     /// off to measure what load balancing buys.
     pub steal_enabled: bool,
-    /// Priority assigned to data-close notification tasks; the default
-    /// outranks all user work so dataflow progress is never queued behind
-    /// bulk tasks.
-    pub notify_priority: i32,
     /// Retry/requeue policy for failed tasks and dead clients.
     pub retry: RetryPolicy,
     /// Copies of each server's recoverable state, counting the primary.
@@ -82,17 +88,11 @@ pub struct ServerConfig {
     /// survivor winds the run down with a diagnosis); `R >= 2` survives
     /// `R - 1` server deaths with full failover.
     pub replication: usize,
-    /// How often an otherwise-idle server beacons liveness to its peers.
-    pub heartbeat_interval: Duration,
-    /// Peer silence beyond this marks it suspect; suspects are confirmed
-    /// against the transport's liveness oracle before failover starts.
-    pub suspect_after: Duration,
-    /// Post-failover re-replication: when a death reshapes the ring,
-    /// stream full replica state to new (and, after a promotion, stale)
-    /// holders in bounded chunks so `replication` live copies are
-    /// restored mid-run. Off falls back to one-shot snapshots to
-    /// first-seen holders only — R stays degraded after a failover and
-    /// a second death of the promoted shard's holders loses it.
+    /// Post-failover re-replication: after this server promotes a dead
+    /// peer's shard, re-stream its (now merged) ledger to every replica
+    /// holder so `replication` live copies are restored mid-run. Off
+    /// syncs first-seen holders only — R stays degraded after a failover
+    /// and a second death of the promoted shard's holders loses it.
     pub re_replicate: bool,
     /// Payload bytes per [`crate::msg::ServerMsg::ReplSync`] chunk.
     /// Smaller chunks interleave more with normal service at the cost of
@@ -111,13 +111,9 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            poll_interval: Duration::from_micros(200),
             steal_enabled: true,
-            notify_priority: i32::MAX,
             retry: RetryPolicy::default(),
             replication: 1,
-            heartbeat_interval: Duration::from_millis(1),
-            suspect_after: Duration::from_millis(10),
             re_replicate: true,
             sync_chunk: 16 * 1024,
             checkpoint: None,
@@ -164,7 +160,8 @@ pub struct ServerStats {
     /// one op counted once per holder it was sent to).
     pub repl_ops: u64,
     /// Completed full-ledger sync streams (startup seeding plus
-    /// post-failover re-replication).
+    /// post-failover re-replication). Counted, like the two fields
+    /// below, only with re-replication on.
     pub repl_syncs: u64,
     /// Serialized ledger bytes acknowledged by sync receivers.
     pub repl_sync_bytes: u64,
@@ -257,8 +254,8 @@ impl ServerStats {
 }
 
 /// Everything a server hands back at shutdown: counters, the stdout
-/// streams its clients uploaded, and which streams are known-truncated
-/// (their rank died mid-run).
+/// streams its clients uploaded, which streams are known-truncated
+/// (their rank died mid-run), and the ledgers it ended with.
 #[derive(Debug, Clone, Default)]
 pub struct ServerOutcome {
     /// Monitoring counters.
@@ -270,16 +267,11 @@ pub struct ServerOutcome {
     pub truncated: Vec<Rank>,
     /// Per-tenant admission/fairness counters, sorted by tenant id.
     pub tenant_rows: Vec<(u32, TenantStats)>,
-}
-
-/// An in-flight task: delivered to a client, not yet acknowledged.
-struct Lease {
-    task: Task,
-    since: Instant,
-    /// When the server first accepted the task (µs on this server's
-    /// trace clock; 0 untraced). In-memory only — the replica ledger
-    /// stores leases as raw tasks, so nothing wire-visible changes.
-    accepted_us: u64,
+    /// The server's own final ledger, moved out at exit — minus
+    /// `outputs`, which were moved into `streams`.
+    pub ledger: Ledger,
+    /// The replica ledgers it held for its ring predecessors.
+    pub replicas: HashMap<Rank, Ledger>,
 }
 
 /// A parked `Get`, waiting for matching work.
@@ -296,14 +288,6 @@ struct Parked {
     /// when the `Get` is finally answered, so a re-sent copy of a parked
     /// `Get` after failover is processed fresh instead of dropped.
     seq: u64,
-}
-
-/// A write-ahead transfer awaiting its receiver's ack, plus where the
-/// wire message was last sent (`None`: inherited from a dead peer's
-/// ledger and not yet re-driven).
-struct PendingXfer {
-    x: Xfer,
-    sent_to: Option<Rank>,
 }
 
 /// A full-ledger snapshot being streamed to one replica holder in
@@ -338,45 +322,15 @@ struct Server {
     comm: Comm,
     layout: Layout,
     config: ServerConfig,
-    queue: WorkQueue,
-    store: DataStore,
+    /// This server's recoverable state. Read freely; changed only through
+    /// [`Server::commit`] (one op) and [`Server::adopt`] (a recovered
+    /// ledger).
+    ledger: Ledger,
     /// Parked GET requests in arrival order.
     parked: Vec<Parked>,
-    finished: HashSet<Rank>,
     /// Clients this server is responsible for: its layout clients plus
     /// any adopted from dead peers.
     my_clients: HashSet<Rank>,
-    /// Tasks delivered to clients and not yet acknowledged, keyed by the
-    /// holder's rank. A client may hold a whole prefetched batch; leases
-    /// are released oldest-first because clients acknowledge in execution
-    /// order (which is delivery order).
-    in_flight: HashMap<Rank, VecDeque<Lease>>,
-    /// Stale-ack credits per rank: when leases are revoked by timeout the
-    /// tasks are requeued immediately, but the (possibly still alive)
-    /// holder will eventually acknowledge them. That many subsequent acks
-    /// from the rank refer to revoked leases and must be swallowed, not
-    /// matched against newer leases.
-    lease_revoked: HashMap<Rank, usize>,
-    /// Tasks dropped after exhausting their retry budget, kept for
-    /// post-mortem inspection.
-    quarantined: Vec<Task>,
-    /// One human-readable report per quarantined task (the error of its
-    /// final attempt); shipped to clients with the shutdown notice.
-    quarantine_reports: Vec<String>,
-    /// Request dedup high-water mark per `(home, client)` (see
-    /// [`ReplOp::SeqResp`]). A client numbers its requests in one
-    /// sequence across all servers, so only the requests it addressed to
-    /// one home arrive in seq order: after this server promotes a dead
-    /// home, that home's re-sent (older) requests and the client's direct
-    /// (newer) ones interleave, and one mark per client would drop the
-    /// former as duplicates.
-    client_seqs: HashMap<(Rank, Rank), u64>,
-    /// Cached encoded response for the last awaited request of each
-    /// `(home, client)`, re-sent verbatim when a failover makes the
-    /// client repeat it.
-    client_resps: HashMap<(Rank, Rank), (u64, Bytes)>,
-    /// Accumulated stdout stream per `(client, tenant)`.
-    outputs: HashMap<(Rank, u32), String>,
     /// Ranks whose stream is known-incomplete.
     truncated: HashSet<Rank>,
     /// Admission controller + weighted fair scheduler.
@@ -397,19 +351,15 @@ struct Server {
     inbound_syncs: HashMap<Rank, InSync>,
     /// Minimum [`Ledger::merges`] a copy of each peer's ledger must carry
     /// to be promotable: the number of promotions this server has
-    /// observed that peer perform. When a peer merges a dead server's
-    /// shard, every copy of its ledger snapshotted before the merge is
-    /// missing that bulk import (write-through ops only cover mutations,
-    /// not the merge itself) — such a copy must never be promoted, or the
+    /// observed that peer perform. When a peer absorbs a dead server's
+    /// shard, every copy of its ledger taken before that is missing the
+    /// bulk import (write-through ops only cover mutations, not the
+    /// merge itself) — such a copy must never be promoted, or the
     /// missing state would be lost silently and the run would hang on it.
     /// Version comparison rather than a boolean mark makes this immune to
     /// arrival order: a fresh resync that lands before this server even
     /// observes the triggering death still carries the higher version.
     required_merges: HashMap<Rank, u64>,
-    /// How many dead peers' ledgers this server has merged into its own
-    /// live state; stamped into every outgoing snapshot as
-    /// [`Ledger::merges`].
-    merges: u64,
     /// Dead servers whose shard another survivor merged: `e → p` means
     /// peer `p` promoted (or was expected to promote) dead server `e`'s
     /// shard, so `e`'s fate now travels with `p`'s ledger. When `p` dies
@@ -425,12 +375,6 @@ struct Server {
     /// Trace-clock twin of `r_restore_started`, for the
     /// `failover_recovery` span.
     r_restore_started_us: u64,
-    /// Write-ahead transfer entries not yet acked by their receiver.
-    pending_xfers: Vec<PendingXfer>,
-    /// Last used outbound transfer seq per destination home (origin=me).
-    next_fseq: HashMap<Rank, u64>,
-    /// Applied inbound transfer high-water per `(dest home, origin)`.
-    xfer_applied: HashMap<(Rank, Rank), u64>,
     /// Homes whose shard was lost (died with no replica to promote).
     lost_homes: HashSet<Rank>,
     /// Winding down after an unrecoverable peer death (replication=1):
@@ -458,8 +402,9 @@ struct Server {
     stranded: HashSet<Rank>,
     last_heartbeat: Instant,
     // -- transaction buffer ----------------------------------------------
-    /// Replication ops of the message currently being handled; committed
-    /// (sent to `repl_targets`) before any buffered send leaves.
+    /// Ops the message currently being handled committed, for the replica
+    /// holders and the WAL; shipped before any buffered send leaves. Stays
+    /// empty when neither consumer exists.
     tx_ops: Vec<ReplOp>,
     /// Outbound messages of the current handler, flushed after the ops.
     /// The client-visible response is always pushed last, so a mid-handler
@@ -480,8 +425,6 @@ struct Server {
     steal_backoff: u32,
     // -- termination detection (master only) -----------------------------
     epoch: u64,
-    fwd_out: u64,
-    fwd_in: u64,
     check_round: u64,
     check_members: Vec<Rank>,
     check_responses: HashMap<Rank, (bool, u64, u64, u64)>,
@@ -506,81 +449,70 @@ pub fn serve(comm: Comm, layout: Layout, config: ServerConfig) -> ServerStats {
 /// Run the ADLB server loop on this rank until global termination.
 pub fn serve_ext(comm: Comm, layout: Layout, config: ServerConfig) -> ServerOutcome {
     assert!(layout.is_server(comm.rank()), "serve() on a client rank");
-    let me = comm.rank();
-    let my_clients: HashSet<Rank> = layout.clients_of(me).into_iter().collect();
-    let peers: Vec<Rank> = layout.server_ranks().filter(|r| *r != me).collect();
-    let now = Instant::now();
-    let membership = Membership::new(peers, config.suspect_after, now);
-    let mut s = Server {
-        comm,
-        layout,
-        queue: WorkQueue::new(),
-        store: DataStore::new(),
-        parked: Vec::new(),
-        finished: HashSet::new(),
-        my_clients,
-        in_flight: HashMap::new(),
-        lease_revoked: HashMap::new(),
-        quarantined: Vec::new(),
-        quarantine_reports: Vec::new(),
-        client_seqs: HashMap::new(),
-        client_resps: HashMap::new(),
-        outputs: HashMap::new(),
-        truncated: HashSet::new(),
-        tenants: TenantSched::new(&config.tenants),
-        client_tenants: HashMap::new(),
-        membership,
-        ledgers: HashMap::new(),
-        repl_targets: Vec::new(),
-        outbound_syncs: HashMap::new(),
-        inbound_syncs: HashMap::new(),
-        required_merges: HashMap::new(),
-        merges: 0,
-        subsumed: HashMap::new(),
-        next_sync_id: 0,
-        r_restore_started: None,
-        r_restore_started_us: 0,
-        pending_xfers: Vec::new(),
-        next_fseq: HashMap::new(),
-        xfer_applied: HashMap::new(),
-        abort_reason: None,
-        shutdown: false,
-        byes: HashSet::new(),
-        stranded: HashSet::new(),
-        lost_homes: HashSet::new(),
-        aborting: false,
-        last_heartbeat: now,
-        tx_ops: Vec::new(),
-        tx_sends: Vec::new(),
-        outstanding_steal: false,
-        steal_victim: None,
-        steal_started_us: 0,
-        steal_victim_cursor: 0,
-        empty_steal_streak: 0,
-        steal_backoff: 0,
-        epoch: 0,
-        fwd_out: 0,
-        fwd_in: 0,
-        check_round: 0,
-        check_members: Vec::new(),
-        check_responses: HashMap::new(),
-        check_in_flight: false,
-        prev_snapshot: None,
-        stats: ServerStats::default(),
-        ckpt: config
-            .checkpoint
-            .as_ref()
-            .map(|c| CheckpointSink::new(c, me)),
-        config,
-    };
-    // A resume loads the shard's durable state before the ring forms, so
-    // the initial replica streams below carry the restored state too.
-    let resumed = s.resume_from_pfs();
-    s.refresh_repl_targets(resumed);
-    s.run()
+    Server::new(comm, layout, config).run()
 }
 
 impl Server {
+    fn new(comm: Comm, layout: Layout, config: ServerConfig) -> Server {
+        let me = comm.rank();
+        let my_clients: HashSet<Rank> = layout.clients_of(me).into_iter().collect();
+        let peers: Vec<Rank> = layout.server_ranks().filter(|r| *r != me).collect();
+        let now = Instant::now();
+        let mut s = Server {
+            comm,
+            layout,
+            ledger: Ledger::default(),
+            parked: Vec::new(),
+            my_clients,
+            truncated: HashSet::new(),
+            tenants: TenantSched::new(&config.tenants),
+            client_tenants: HashMap::new(),
+            membership: Membership::new(peers, SUSPECT_AFTER, now),
+            ledgers: HashMap::new(),
+            repl_targets: Vec::new(),
+            outbound_syncs: HashMap::new(),
+            inbound_syncs: HashMap::new(),
+            required_merges: HashMap::new(),
+            subsumed: HashMap::new(),
+            next_sync_id: 0,
+            r_restore_started: None,
+            r_restore_started_us: 0,
+            abort_reason: None,
+            shutdown: false,
+            byes: HashSet::new(),
+            stranded: HashSet::new(),
+            lost_homes: HashSet::new(),
+            aborting: false,
+            last_heartbeat: now,
+            tx_ops: Vec::new(),
+            tx_sends: Vec::new(),
+            outstanding_steal: false,
+            steal_victim: None,
+            steal_started_us: 0,
+            steal_victim_cursor: 0,
+            empty_steal_streak: 0,
+            steal_backoff: 0,
+            epoch: 0,
+            check_round: 0,
+            check_members: Vec::new(),
+            check_responses: HashMap::new(),
+            check_in_flight: false,
+            prev_snapshot: None,
+            stats: ServerStats::default(),
+            ckpt: config
+                .checkpoint
+                .as_ref()
+                .map(|c| CheckpointSink::new(c, me)),
+            config,
+        };
+        // A resume loads the shard's durable state before the ring forms,
+        // so the initial replica streams below carry the restored state
+        // too.
+        s.resume_from_pfs();
+        s.refresh_repl_targets(false);
+        s
+    }
+
     fn run(&mut self) -> ServerOutcome {
         loop {
             // Drain the pipe without blocking first: an empty pipe is the
@@ -591,8 +523,7 @@ impl Server {
                 if self.ckpt.as_ref().is_some_and(|s| s.buffered() > 0) {
                     self.ckpt_flush(false);
                 }
-                self.comm
-                    .recv_timeout(Src::Any, TagSel::Any, self.config.poll_interval)
+                self.comm.recv_timeout(Src::Any, TagSel::Any, POLL_INTERVAL)
             });
             match next {
                 // Shared decode: task payloads alias the arrival buffer
@@ -661,21 +592,22 @@ impl Server {
     /// replicas.
     fn commit_tx(&mut self) {
         if !self.tx_ops.is_empty() {
-            let ops = std::mem::take(&mut self.tx_ops);
+            ReplOp::coalesce(&mut self.tx_ops);
             // The durable tier logs the same op stream the replicas get.
-            if !self.repl_targets.is_empty() && !self.aborting {
+            if !self.repl_targets.is_empty() {
                 if let Some(sink) = &mut self.ckpt {
-                    sink.log(&ops);
+                    sink.log(&self.tx_ops);
                 }
-                self.stats.repl_ops += (ops.len() * self.repl_targets.len()) as u64;
-                let msg = ServerMsg::Repl { ops }.encode();
-                for &t in &self.repl_targets.clone() {
+                self.stats.repl_ops += (self.tx_ops.len() * self.repl_targets.len()) as u64;
+                let msg = encode_repl(&self.tx_ops);
+                for &t in &self.repl_targets {
                     self.comm.send(t, TAG_SRV, msg.clone());
                 }
             } else if let Some(sink) = &mut self.ckpt {
                 // No replica holders: the batch has no other consumer.
-                sink.log_owned(ops);
+                sink.log_owned(&mut self.tx_ops);
             }
+            self.tx_ops.clear();
         }
         // Group commit: while ops sit unflushed in the WAL buffer, every
         // buffered send is held inside the sink — a response (or a task
@@ -712,8 +644,7 @@ impl Server {
         let sends = sink.flush_wal();
         let wrote = sink.records > before;
         if force_segment || sink.due_segment() {
-            let ledger = self.snapshot_ledger();
-            sink.write_segment(&ledger);
+            sink.write_segment(&self.ledger);
         }
         self.stats.ckpt_records = sink.records;
         self.stats.ckpt_ops = sink.ops_logged;
@@ -746,15 +677,14 @@ impl Server {
 
     /// With `resume` configured, load this shard's durable state (following
     /// redirect tombstones to the covering checkpoint, then keeping only
-    /// this home's slice) before serving. Returns whether state was
-    /// restored.
-    fn resume_from_pfs(&mut self) -> bool {
-        let Some(cfg) = self.config.checkpoint.clone() else {
-            return false;
+    /// this home's slice) before serving. Unlike a promotion this neither
+    /// counts a failover nor re-pushes cached responses unprompted: the
+    /// restarted clients replay their request streams from seq 1 and pull
+    /// every durable response through the dedup path instead.
+    fn resume_from_pfs(&mut self) {
+        let Some(cfg) = self.config.checkpoint.clone().filter(|c| c.resume) else {
+            return;
         };
-        if !cfg.resume {
-            return false;
-        }
         let me = self.comm.rank();
         let start_us = trace::now_us();
         let started = Instant::now();
@@ -772,7 +702,7 @@ impl Server {
                     ledger.queue.len(),
                     history.len(),
                 );
-                self.install_resumed(ledger);
+                self.adopt(ledger, &[]);
                 if let Some(sink) = &mut self.ckpt {
                     sink.adopt_history(history);
                     sink.fast_forward(r.last_lsn, r.seg_no);
@@ -785,70 +715,34 @@ impl Server {
                 let micros = started.elapsed().as_micros() as u64;
                 self.stats.ckpt_restore_micros = self.stats.ckpt_restore_micros.max(micros);
                 trace::record_since(trace::KIND_CKPT_RESTORE, me as u64, start_us);
-                true
             }
-            Err(e) => {
-                eprintln!(
-                    "adlb server {me}: resume found no usable checkpoint ({e}); starting empty"
-                );
-                false
-            }
+            Err(e) => eprintln!(
+                "adlb server {me}: resume found no usable checkpoint ({e}); starting empty"
+            ),
         }
     }
 
-    /// Install a resumed shard into the (empty) live state. Unlike
-    /// [`Server::promote`] this neither counts a failover nor re-pushes
-    /// cached responses unprompted: the restarted clients replay their
-    /// request streams from seq 1 and pull every durable response through
-    /// the dedup path instead.
-    fn install_resumed(&mut self, ledger: Ledger) {
-        self.store.merge(ledger.store);
-        for t in ledger.queue {
-            self.queue.push(t);
+    /// Apply `op` to this server's ledger — the one way a handler changes
+    /// recoverable state — and log it for the replica holders and the WAL
+    /// when either exists. An op the store refused changed nothing and is
+    /// not logged.
+    fn commit(&mut self, op: ReplOp) -> Applied {
+        let log = (!self.repl_targets.is_empty() || self.ckpt.is_some()).then(|| op.clone());
+        let applied = self.ledger.apply(self.comm.rank(), op);
+        if applied.error.is_none() {
+            self.tx_ops.extend(log);
         }
-        let now = Instant::now();
-        let now_us = trace::now_us();
-        for (c, deque) in ledger.leases {
-            let mine = self.in_flight.entry(c).or_default();
-            for task in deque {
-                self.tenants.lease_opened(task.tenant);
-                mine.push_back(Lease {
-                    task,
-                    since: now,
-                    accepted_us: now_us,
-                });
-            }
-        }
-        for (c, n) in ledger.credits {
-            *self.lease_revoked.entry(c).or_insert(0) += n as usize;
-        }
-        self.adopt_seqs(&[self.comm.rank()], ledger.seqs, ledger.resps);
-        for q in ledger.quarantine {
-            if !self.quarantine_reports.contains(&q) {
-                self.quarantine_reports.push(q);
-            }
-        }
-        for x in ledger.pending_xfers {
-            self.pending_xfers.push(PendingXfer { x, sent_to: None });
-        }
-        // Unlike promotion, `next_fseq` IS restored: these counters number
-        // transfers with origin = this rank, and peers resume with durable
-        // `xfer_applied` high-waters — reusing old fseq numbers would get
-        // fresh transfers dropped as duplicates.
-        for (dest, f) in ledger.next_fseq {
-            let hw = self.next_fseq.entry(dest).or_default();
-            *hw = (*hw).max(f);
-        }
-        for (k, f) in ledger.xfer_applied {
-            let hw = self.xfer_applied.entry(k).or_default();
-            *hw = (*hw).max(f);
-        }
-        self.fwd_out += ledger.fwd_out;
-        self.fwd_in += ledger.fwd_in;
+        applied
     }
 
-    fn op(&mut self, op: ReplOp) {
-        self.tx_ops.push(op);
+    /// Take a recovered ledger — a dead peer's replica, a shard restored
+    /// from pfs, this server's own resumed slice — into the live state.
+    /// `homes` are the dead servers it carried (see [`Ledger::absorb`]).
+    fn adopt(&mut self, ledger: Ledger, homes: &[Rank]) {
+        for lease in ledger.leases.values().flatten() {
+            self.tenants.lease_opened(lease.task.tenant);
+        }
+        self.ledger.absorb(ledger, homes);
     }
 
     /// Buffer a response, sealed with the seq of the request it answers
@@ -879,42 +773,22 @@ impl Server {
     /// Mark `client`'s request `seq` to `home` fully processed (with its
     /// cached response, for awaited requests).
     fn record_seq(&mut self, home: Rank, client: Rank, seq: u64, resp: Option<Bytes>) {
-        let hw = self.client_seqs.entry((home, client)).or_default();
-        *hw = (*hw).max(seq);
-        if let Some(b) = &resp {
-            self.client_resps.insert((home, client), (seq, b.clone()));
-        }
-        self.op(ReplOp::SeqResp { client, seq, resp });
-    }
-
-    /// Take over a ledger's dedup state for every home it covered. A
-    /// ledger keeps one mark per client, so a merged one (its server had
-    /// promoted others) is as coarse as it always was.
-    fn adopt_seqs(
-        &mut self,
-        homes: &[Rank],
-        seqs: HashMap<Rank, u64>,
-        resps: HashMap<Rank, (u64, Bytes)>,
-    ) {
-        for &h in homes {
-            for (c, s) in &seqs {
-                let hw = self.client_seqs.entry((h, *c)).or_default();
-                *hw = (*hw).max(*s);
-            }
-            for (c, r) in &resps {
-                self.client_resps.insert((h, *c), r.clone());
-            }
-        }
+        self.commit(ReplOp::SeqResp {
+            home,
+            client,
+            seq,
+            resp,
+        });
     }
 
     fn quiescent(&self) -> bool {
         self.my_clients
             .iter()
-            .all(|c| self.finished.contains(c) || self.parked.iter().any(|p| p.rank == *c))
-            && self.queue.is_empty()
+            .all(|c| self.ledger.finished.contains(c) || self.parked.iter().any(|p| p.rank == *c))
+            && self.ledger.queue.is_empty()
             && !self.outstanding_steal
-            && self.in_flight.values().all(VecDeque::is_empty)
-            && self.pending_xfers.is_empty()
+            && self.ledger.leases.values().all(|d| d.is_empty())
+            && self.ledger.pending_xfers.is_empty()
     }
 
     /// The current termination-detection owner: the first live server on
@@ -950,32 +824,19 @@ impl Server {
     /// the promoted successor if the receiver dies first.
     fn send_xfer(&mut self, dest: Rank, tasks: Vec<Task>, steal: bool) {
         debug_assert!(!tasks.is_empty());
-        let fseq = {
-            let e = self.next_fseq.entry(dest).or_default();
-            *e += 1;
-            *e
-        };
-        self.fwd_out += tasks.len() as u64;
-        self.op(ReplOp::XferOut {
+        let fseq = self.ledger.next_fseq.get(&dest).copied().unwrap_or(0) + 1;
+        let host = self.host_of(dest);
+        let wire = xfer_wire(self.comm.rank(), dest, fseq, steal, &tasks);
+        self.commit(ReplOp::XferOut {
             dest,
             fseq,
             steal,
-            tasks: tasks.clone(),
+            tasks,
         });
-        let origin = self.comm.rank();
-        let host = self.host_of(dest);
-        let wire = xfer_wire(origin, dest, fseq, steal, &tasks);
+        if let Some(x) = self.ledger.pending_xfers.last_mut() {
+            x.sent_to = Some(host);
+        }
         self.tx_sends.push((host, TAG_SRV, wire));
-        self.pending_xfers.push(PendingXfer {
-            x: Xfer {
-                origin,
-                dest,
-                fseq,
-                steal,
-                tasks,
-            },
-            sent_to: Some(host),
-        });
     }
 
     /// Apply an inbound transfer exactly once (dedup by `(dest, origin)`
@@ -999,28 +860,34 @@ impl Server {
                 return false;
             }
         }
-        let hw = self.xfer_applied.get(&(dest, origin)).copied().unwrap_or(0);
-        let fresh = fseq > hw;
-        if fresh {
-            self.xfer_applied.insert((dest, origin), fseq);
-            self.epoch += 1;
-            self.fwd_in += tasks.len() as u64;
-            self.op(ReplOp::XferIn {
-                origin,
-                dest,
-                fseq,
-                n: tasks.len() as u64,
-            });
-            for t in tasks {
-                self.accept_task(t);
-            }
-        }
+        let fresh = self.take_xfer_in(origin, dest, fseq, tasks);
         self.tx_sends.push((
             sender,
             TAG_SRV,
             ServerMsg::XferAck { origin, dest, fseq }.encode(),
         ));
         fresh
+    }
+
+    /// Accept the tasks of transfer `fseq` from `origin`'s ledger toward
+    /// home `dest` unless they already were (dedup by `(dest, origin)`
+    /// high-water). Returns whether the transfer was fresh.
+    fn take_xfer_in(&mut self, origin: Rank, dest: Rank, fseq: u64, tasks: Vec<Task>) -> bool {
+        let applied = self.ledger.xfer_applied.get(&(dest, origin));
+        if fseq <= applied.copied().unwrap_or(0) {
+            return false;
+        }
+        self.epoch += 1;
+        self.commit(ReplOp::XferIn {
+            origin,
+            dest,
+            fseq,
+            n: tasks.len() as u64,
+        });
+        for t in tasks {
+            self.accept_task(t);
+        }
+        true
     }
 
     /// Re-send every write-ahead entry whose last receiver died (or that
@@ -1030,51 +897,28 @@ impl Server {
     /// had already applied them.
     fn redrive_pending_xfers(&mut self) {
         let me = self.comm.rank();
-        let mut retired = Vec::new();
-        for i in 0..self.pending_xfers.len() {
-            let needs = match self.pending_xfers[i].sent_to {
-                None => true,
-                Some(h) => self.membership.is_dead(h),
-            };
-            if !needs {
+        let mut mine = Vec::new();
+        for i in 0..self.ledger.pending_xfers.len() {
+            let x = &self.ledger.pending_xfers[i];
+            if x.sent_to.is_some_and(|h| !self.membership.is_dead(h)) {
                 continue;
             }
-            let x = self.pending_xfers[i].x.clone();
             let host = self.host_of(x.dest);
             if host == me {
-                let hw = self
-                    .xfer_applied
-                    .get(&(x.dest, x.origin))
-                    .copied()
-                    .unwrap_or(0);
-                if x.fseq > hw {
-                    self.xfer_applied.insert((x.dest, x.origin), x.fseq);
-                    self.epoch += 1;
-                    self.fwd_in += x.tasks.len() as u64;
-                    self.op(ReplOp::XferIn {
-                        origin: x.origin,
-                        dest: x.dest,
-                        fseq: x.fseq,
-                        n: x.tasks.len() as u64,
-                    });
-                    for t in x.tasks {
-                        self.accept_task(t);
-                    }
-                }
-                self.op(ReplOp::XferDone {
-                    origin: x.origin,
-                    dest: x.dest,
-                    fseq: x.fseq,
-                });
-                retired.push(i);
+                mine.push(x.clone());
             } else {
                 let wire = xfer_wire(x.origin, x.dest, x.fseq, x.steal, &x.tasks);
                 self.tx_sends.push((host, TAG_SRV, wire));
-                self.pending_xfers[i].sent_to = Some(host);
+                self.ledger.pending_xfers[i].sent_to = Some(host);
             }
         }
-        for i in retired.into_iter().rev() {
-            self.pending_xfers.remove(i);
+        for x in mine {
+            self.take_xfer_in(x.origin, x.dest, x.fseq, x.tasks);
+            self.commit(ReplOp::XferDone {
+                origin: x.origin,
+                dest: x.dest,
+                fseq: x.fseq,
+            });
         }
     }
 
@@ -1134,14 +978,11 @@ impl Server {
                 self.send_response(p.rank, p.seq, Response::DeliverTask(task), true);
             }
             None => {
-                self.op(ReplOp::Push {
-                    tasks: vec![task.clone()],
-                });
                 let tenant = task.tenant;
                 let untargeted = task.target.is_none();
-                self.queue.push(task);
+                self.commit(ReplOp::Push { tasks: vec![task] });
                 if untargeted {
-                    let depth = self.queue.untargeted_of(tenant) as u64;
+                    let depth = self.ledger.queue.untargeted_of(tenant) as u64;
                     let row = self.tenants.stats_mut(tenant);
                     row.queue_peak = row.queue_peak.max(depth);
                 }
@@ -1149,57 +990,50 @@ impl Server {
         }
     }
 
-    /// Open a lease per task, in delivery order, and replicate them.
-    /// Clients acknowledge in the same order, so releases always pop the
-    /// front of the deque. `accepted_us[i]` is task `i`'s accept stamp on
-    /// the trace clock; missing entries default to *now*.
+    /// Open a lease per task, in delivery order. Clients acknowledge in
+    /// the same order, so releases always pop the front of the deque.
+    /// `accepted_us[i]` is task `i`'s accept stamp on the trace clock.
     fn open_leases(&mut self, rank: Rank, tasks: &[Task], accepted_us: &[u64]) {
-        self.op(ReplOp::LeaseOpen {
-            client: rank,
-            tasks: tasks.to_vec(),
-        });
-        let now = Instant::now();
-        let now_us = trace::now_us();
         for t in tasks {
             self.tenants.lease_opened(t.tenant);
         }
-        let leases = self.in_flight.entry(rank).or_default();
-        for (i, t) in tasks.iter().enumerate() {
-            leases.push_back(Lease {
-                task: t.clone(),
-                since: now,
-                accepted_us: accepted_us.get(i).copied().unwrap_or(now_us),
-            });
+        self.commit(ReplOp::LeaseOpen {
+            client: rank,
+            tasks: tasks.to_vec(),
+        });
+        if trace::enabled() {
+            self.ledger.backdate_leases(rank, accepted_us);
         }
     }
 
-    /// Pop the single best deliverable task for the parked request `p`,
-    /// composing the targeted heaps with the fair scheduler:
+    /// Choose and dequeue the single best deliverable task for the parked
+    /// request `p`, composing the targeted heaps with the fair scheduler:
     ///
     /// 1. Targeted work for `p.rank` competes on raw priority and wins
     ///    ties — it can only run there, and fairness never withholds it.
     /// 2. Untargeted work first elects a tenant by deficit round robin
     ///    over the tenants that have matching work, honor the request's
-    ///    tenant filter, and are under their lease cap; the pop then
-    ///    takes that tenant's best task, so intra-tenant (priority desc,
-    ///    arrival asc) order is preserved.
+    ///    tenant filter, and are under their lease cap; that tenant's
+    ///    best task is taken, so intra-tenant (priority desc, arrival
+    ///    asc) order is preserved.
     ///
     /// With a single tenant the DRR always elects it and this reduces to
-    /// the pre-tenant global-best pop.
+    /// the pre-tenant global-best pop. The choice only reads the queue
+    /// (peeks at heap heads); the task then leaves it like any other
+    /// recoverable change, as a committed `Remove`. Returns the task with
+    /// its accept stamp (trace clock, µs).
     fn next_scheduled(&mut self, p: &Parked) -> Option<(Task, u64)> {
-        let best_targeted = self.queue.peek_targeted(p.rank, &p.work_types);
+        let queue = &self.ledger.queue;
+        let targeted = queue.peek_targeted(p.rank, &p.work_types);
         let eligible: Vec<u32> = match p.tenant {
             Some(t) => {
-                if self.tenants.can_lease(t)
-                    && self.queue.peek_untargeted(t, &p.work_types).is_some()
-                {
+                if self.tenants.can_lease(t) && queue.peek_untargeted(t, &p.work_types).is_some() {
                     vec![t]
                 } else {
                     Vec::new()
                 }
             }
-            None => self
-                .queue
+            None => queue
                 .tenants_with_work(&p.work_types)
                 .into_iter()
                 .filter(|t| self.tenants.can_lease(*t))
@@ -1207,67 +1041,43 @@ impl Server {
         };
         let best_untargeted_prio = eligible
             .iter()
-            .filter_map(|t| self.queue.peek_untargeted(*t, &p.work_types))
-            .map(|(prio, _)| prio)
+            .filter_map(|t| queue.peek_untargeted(*t, &p.work_types))
+            .map(|e| e.task.priority)
             .max();
-        let take_targeted = match (best_targeted, best_untargeted_prio) {
-            (Some((tp, _)), Some(up)) => tp >= up,
-            (Some(_), None) => true,
-            (None, _) => false,
+        let head = match (targeted, best_untargeted_prio) {
+            (Some(t), up) if up.is_none_or(|up| t.task.priority >= up) => t,
+            _ => {
+                let elected = self.tenants.elect(&eligible)?;
+                if eligible.len() > 1 {
+                    self.tenants.stats_mut(elected).delivered_contended += 1;
+                }
+                queue.peek_untargeted(elected, &p.work_types)?
+            }
         };
-        if take_targeted {
-            let popped = self.queue.pop_targeted_timed(p.rank, &p.work_types);
-            if let Some((task, _)) = &popped {
-                self.tenants.stats_mut(task.tenant).delivered += 1;
-            }
-            return popped;
-        }
-        let contended = eligible.len() > 1;
-        let elected = self.tenants.elect(&eligible)?;
-        let popped = self.queue.pop_untargeted_timed(elected, &p.work_types);
-        if popped.is_some() {
-            let row = self.tenants.stats_mut(elected);
-            row.delivered += 1;
-            if contended {
-                row.delivered_contended += 1;
-            }
-        }
-        popped
+        let (task, accepted_us) = (head.task.clone(), head.accepted_us);
+        self.tenants.stats_mut(task.tenant).delivered += 1;
+        self.commit(ReplOp::Remove {
+            tasks: vec![task.clone()],
+        });
+        Some((task, accepted_us))
     }
 
-    /// Pop up to `cap` matching tasks for the parked request `p`, each
-    /// paired with its accept stamp (trace clock, µs).
-    fn take_from_queue(&mut self, p: &Parked, cap: usize) -> Option<Vec<(Task, u64)>> {
-        let first = self.next_scheduled(p)?;
-        let mut batch = vec![first];
-        while batch.len() < cap {
-            match self.next_scheduled(p) {
-                Some(t) => batch.push(t),
-                None => break,
-            }
-        }
-        Some(batch)
-    }
-
-    /// Answer a `Get` from the queue, opening leases and caching the
-    /// response under the request's seq.
+    /// Answer a `Get` from the queue with up to `max_tasks` tasks, opening
+    /// leases and caching the response under the request's seq.
     fn deliver_from_queue(&mut self, p: &Parked) -> bool {
         let cap = p.max_tasks.max(1) as usize;
-        let Some(timed) = self.take_from_queue(p, cap) else {
-            return false;
-        };
-        if timed.is_empty() {
-            // A prefetch race can in principle hand back an empty batch;
-            // deliver nothing (the Get stays parked) and count it — an
-            // empty delivery must never panic the server loop.
-            self.protocol_error(format_args!(
-                "empty delivery batch for a Get from rank {}",
-                p.rank
-            ));
+        let mut batch = Vec::new();
+        let mut accepted = Vec::new();
+        while batch.len() < cap {
+            let Some((task, us)) = self.next_scheduled(p) else {
+                break;
+            };
+            batch.push(task);
+            accepted.push(us);
+        }
+        if batch.is_empty() {
             return false;
         }
-        let accepted: Vec<u64> = timed.iter().map(|(_, us)| *us).collect();
-        let mut batch: Vec<Task> = timed.into_iter().map(|(t, _)| t).collect();
         if trace::enabled() {
             for (i, &us) in accepted.iter().enumerate() {
                 trace::record_since(
@@ -1277,29 +1087,13 @@ impl Server {
                 );
             }
         }
-        self.op(ReplOp::Remove {
-            tasks: batch.clone(),
-        });
         self.stats.tasks_delivered += batch.len() as u64;
-        if batch.len() > 1 {
-            self.stats.tasks_prefetched += batch.len() as u64 - 1;
-        }
+        self.stats.tasks_prefetched += batch.len() as u64 - 1;
         self.open_leases(p.rank, &batch, &accepted);
-        let resp = match batch.pop() {
-            Some(t) if batch.is_empty() => Response::DeliverTask(t),
-            Some(t) => {
-                batch.push(t);
-                Response::DeliverBatch(batch)
-            }
-            // Unreachable after the guard above, but degrade to a counted
-            // protocol error rather than a panic path.
-            None => {
-                self.protocol_error(format_args!(
-                    "delivery batch for rank {} emptied mid-handling",
-                    p.rank
-                ));
-                return false;
-            }
+        let resp = if batch.len() == 1 {
+            Response::DeliverTask(batch.remove(0))
+        } else {
+            Response::DeliverBatch(batch)
         };
         self.send_response(p.rank, p.seq, resp, true);
         true
@@ -1332,11 +1126,7 @@ impl Server {
                 task.work_type, task.tenant, task.attempts, error
             );
             eprintln!("adlb server {}: {report}", self.comm.rank());
-            self.op(ReplOp::Quarantine {
-                report: report.clone(),
-            });
-            self.quarantine_reports.push(report);
-            self.quarantined.push(task);
+            self.commit(ReplOp::Quarantine { report });
             return;
         }
         if death {
@@ -1344,11 +1134,7 @@ impl Server {
         } else {
             self.stats.tasks_retried += 1;
         }
-        let penalty = self
-            .config
-            .retry
-            .priority_penalty
-            .saturating_mul(task.attempts as i32);
+        let penalty = PRIORITY_PENALTY.saturating_mul(task.attempts as i32);
         task.priority = task.priority.saturating_sub(penalty);
         // A requeue is fresh activity for termination detection.
         self.epoch += 1;
@@ -1361,7 +1147,7 @@ impl Server {
     /// survivor can run them.
     fn retarget_for_dead(&mut self, mut task: Task, dead: Rank) -> Option<Task> {
         if task.target == Some(dead) {
-            if task.work_type == crate::msg::WORK_TYPE_NOTIFY {
+            if task.work_type == WORK_TYPE_NOTIFY {
                 return None;
             }
             task.target = None;
@@ -1377,7 +1163,7 @@ impl Server {
             .my_clients
             .iter()
             .copied()
-            .filter(|r| !self.finished.contains(r) && !self.comm.is_alive(*r))
+            .filter(|r| !self.ledger.finished.contains(r) && !self.comm.is_alive(*r))
             .collect();
         for rank in mine {
             self.stats.ranks_failed += 1;
@@ -1386,28 +1172,24 @@ impl Server {
                 "adlb server {}: client rank {rank} died; requeueing its work",
                 self.comm.rank()
             );
-            self.finished.insert(rank);
             self.truncated.insert(rank);
             self.parked.retain(|p| p.rank != rank);
-            self.lease_revoked.remove(&rank);
-            self.op(ReplOp::ClientDead { client: rank });
+            self.client_tenants.remove(&rank);
             // The dead rank's ENTIRE lease deque requeues: with prefetch a
             // client may die holding a whole undone batch, and every one
             // of those tasks must run somewhere else.
-            self.client_tenants.remove(&rank);
-            if let Some(leases) = self.in_flight.remove(&rank) {
-                for lease in leases {
-                    self.tenants.lease_closed(lease.task.tenant);
-                    if let Some(task) = self.retarget_for_dead(lease.task, rank) {
-                        self.retry_or_quarantine(task, true, &format!("holder rank {rank} died"));
-                    }
+            for lease in self.commit(ReplOp::ClientDead { client: rank }).leases {
+                self.tenants.lease_closed(lease.task.tenant);
+                if let Some(task) = self.retarget_for_dead(lease.task, rank) {
+                    self.retry_or_quarantine(task, true, &format!("holder rank {rank} died"));
                 }
             }
-            let stranded = self.queue.drain_targeted(rank);
-            if !stranded.is_empty() {
-                self.op(ReplOp::Remove {
-                    tasks: stranded.clone(),
+            let mut stranded = Vec::new();
+            while let Some(t) = self.ledger.queue.targeted_head(rank).cloned() {
+                self.commit(ReplOp::Remove {
+                    tasks: vec![t.clone()],
                 });
+                stranded.push(t);
             }
             for t in stranded {
                 if let Some(t) = self.retarget_for_dead(t, rank) {
@@ -1424,7 +1206,8 @@ impl Server {
         };
         let now = Instant::now();
         let expired: Vec<Rank> = self
-            .in_flight
+            .ledger
+            .leases
             .iter()
             .filter(|(_, d)| {
                 d.front()
@@ -1436,25 +1219,16 @@ impl Server {
             // Revoke the rank's whole deque, not just the expired front:
             // acks are matched FIFO, so releasing later leases while the
             // front is requeued would misattribute every following ack.
-            //
-            // The deque can already be gone: the dead-client sweep runs in
-            // the same idle tick and removes `in_flight` entries for ranks
-            // it declared dead (requeueing their tasks itself), racing the
-            // snapshot taken above. Nothing left to revoke is fine — never
-            // a panic.
-            let Some(leases) = self.in_flight.remove(&rank) else {
-                continue;
-            };
+            // The holder may still be alive and eventually ack; the
+            // revocation turns that many acks into stale-ack credits so
+            // they do not release newer leases.
+            let revoked = self.commit(ReplOp::LeaseRevoke { client: rank }).leases;
             eprintln!(
                 "adlb server {}: {} lease(s) on rank {rank} expired; requeueing",
                 self.comm.rank(),
-                leases.len()
+                revoked.len()
             );
-            // The holder may still be alive and eventually ack; that many
-            // acks are now stale and must not release newer leases.
-            *self.lease_revoked.entry(rank).or_insert(0) += leases.len();
-            self.op(ReplOp::LeaseRevoke { client: rank });
-            for lease in leases {
+            for lease in revoked {
                 self.tenants.lease_closed(lease.task.tenant);
                 self.retry_or_quarantine(
                     lease.task,
@@ -1481,7 +1255,7 @@ impl Server {
         }
         let tenant = task.tenant;
         self.tenants.note_tenant(tenant);
-        let queued = self.queue.untargeted_of(tenant);
+        let queued = self.ledger.queue.untargeted_of(tenant);
         if self.tenants.admits(tenant, queued) {
             self.tenants.stats_mut(tenant).admitted += 1;
             Ok(task)
@@ -1544,9 +1318,9 @@ impl Server {
         // high-water is answered byte-for-byte from the checkpoint's
         // response history, forcing the client down the same execution
         // path until it passes the durable prefix.
-        let hw = self.client_seqs.get(&(home, source)).copied().unwrap_or(0);
+        let hw = self.ledger.seqs.get(&(home, source)).copied().unwrap_or(0);
         if seq <= hw {
-            if let Some((s, bytes)) = self.client_resps.get(&(home, source)) {
+            if let Some((s, bytes)) = self.ledger.resps.get(&(home, source)) {
                 if *s == seq {
                     let b = bytes.clone();
                     self.tx_sends.push((source, TAG_RESP, b));
@@ -1665,12 +1439,6 @@ impl Server {
                 return (resp, false);
             }
         }
-        // Failed data ops replicate nothing: the store is unchanged, so a
-        // re-execution after failover yields the same error.
-        let wrote = |r: Result<(), crate::datastore::DataError>| match r {
-            Ok(()) => (Response::Ok, true),
-            Err(e) => (Response::Error(e.message), false),
-        };
         let read = |r: Result<Response, crate::datastore::DataError>| {
             (r.unwrap_or_else(|e| Response::Error(e.message)), false)
         };
@@ -1702,11 +1470,7 @@ impl Server {
                 (Response::Ok, true)
             }
             Request::Output { text, tenant } => {
-                self.outputs
-                    .entry((source, tenant))
-                    .or_default()
-                    .push_str(&text);
-                self.op(ReplOp::Out {
+                self.commit(ReplOp::Out {
                     client: source,
                     text,
                     tenant,
@@ -1714,75 +1478,75 @@ impl Server {
                 (Response::Ok, true)
             }
             Request::Finished => {
-                self.finished.insert(source);
                 self.parked.retain(|p| p.rank != source);
-                self.op(ReplOp::ClientFinished { client: source });
+                self.commit(ReplOp::ClientFinished { client: source });
                 (Response::Ok, true)
             }
-            Request::DataCreate { id, type_tag } => {
-                wrote(self.store.create(id, type_tag).map(|()| {
-                    self.op(ReplOp::Create { id, type_tag });
-                }))
-            }
-            Request::DataStore { id, value } => {
-                wrote(self.store.store(id, value.clone()).map(|subs| {
-                    self.op(ReplOp::Store { id, value });
-                    self.notify_all(id, subs);
-                }))
-            }
+            Request::DataCreate { id, type_tag } => self.write(id, ReplOp::Create { id, type_tag }),
+            Request::DataStore { id, value } => self.write(id, ReplOp::Store { id, value }),
             Request::DataInsert { id, key, value } => {
-                wrote(self.store.insert(id, &key, value.clone()).map(|()| {
-                    self.op(ReplOp::Insert { id, key, value });
-                }))
+                self.write(id, ReplOp::Insert { id, key, value })
             }
-            Request::DataClose { id } => wrote(self.store.close(id).map(|subs| {
-                self.op(ReplOp::CloseDatum { id });
-                self.notify_all(id, subs);
-            })),
+            Request::DataClose { id } => self.write(id, ReplOp::CloseDatum { id }),
             Request::DataIncrWriters { id, delta } => {
-                wrote(self.store.incr_writers(id, delta).map(|subs| {
-                    self.op(ReplOp::IncrWriters { id, delta });
-                    self.notify_all(id, subs);
-                }))
+                self.write(id, ReplOp::IncrWriters { id, delta })
+            }
+            // Already closed: the write-behind form gets the close
+            // notification it would otherwise have missed; the awaited
+            // form is told so and nothing mutates.
+            Request::DataSubscribe {
+                id,
+                rank,
+                notify_closed,
+            } if self.ledger.store.exists_closed(id) => {
+                if notify_closed {
+                    self.notify_all(id, vec![rank]);
+                    (Response::Ok, true)
+                } else {
+                    (Response::Bool(true), false)
+                }
             }
             Request::DataSubscribe {
                 id,
                 rank,
                 notify_closed,
-            } => match self.store.subscribe(id, rank) {
-                Ok(false) => {
-                    self.op(ReplOp::Subscribe { id, rank });
-                    let resp = if notify_closed {
-                        Response::Ok
-                    } else {
-                        Response::Bool(false)
-                    };
-                    (resp, true)
-                }
-                // Already closed. The write-behind form gets the close
-                // notification it would otherwise have missed; the
-                // awaited form is told so and nothing mutates.
-                Ok(true) if notify_closed => {
-                    self.notify_all(id, vec![rank]);
-                    (Response::Ok, true)
-                }
-                Ok(true) => (Response::Bool(true), false),
-                Err(e) => (Response::Error(e.message), false),
+            } => match self.write(id, ReplOp::Subscribe { id, rank }) {
+                (Response::Ok, _) if !notify_closed => (Response::Bool(false), true),
+                other => other,
             },
-            Request::DataRetrieve { id } => read(self.store.retrieve(id).map(Response::MaybeBytes)),
-            Request::DataLookup { id, key } => {
-                read(self.store.lookup(id, &key).map(Response::MaybeBytes))
+            Request::DataRetrieve { id } => {
+                read(self.ledger.store.retrieve(id).map(Response::MaybeBytes))
             }
-            Request::DataEnumerate { id } => read(self.store.enumerate(id).map(Response::Pairs)),
-            Request::DataExists { id } => (Response::Bool(self.store.exists_closed(id)), false),
+            Request::DataLookup { id, key } => {
+                read(self.ledger.store.lookup(id, &key).map(Response::MaybeBytes))
+            }
+            Request::DataEnumerate { id } => {
+                read(self.ledger.store.enumerate(id).map(Response::Pairs))
+            }
+            Request::DataExists { id } => {
+                (Response::Bool(self.ledger.store.exists_closed(id)), false)
+            }
+        }
+    }
+
+    /// Commit a data write to datum `id` and notify whoever its close
+    /// released. A refused write changes and replicates nothing, so a
+    /// re-execution after failover yields the same error.
+    fn write(&mut self, id: u64, op: ReplOp) -> (Response, bool) {
+        let applied = self.commit(op);
+        match applied.error {
+            Some(e) => (Response::Error(e.message), false),
+            None => {
+                self.notify_all(id, applied.subscribers);
+                (Response::Ok, true)
+            }
         }
     }
 
     /// Terminal answer for a client's `Get` while winding down: `NoMore`
     /// with the diagnosis, and the client counts as permanently parked.
     fn answer_no_more(&mut self, source: Rank, seq: u64) {
-        self.finished.insert(source);
-        self.op(ReplOp::ClientFinished { client: source });
+        self.commit(ReplOp::ClientFinished { client: source });
         let quarantined = self.capped_reports();
         let aborted = self.abort_reason.clone();
         self.send_response(
@@ -1801,45 +1565,38 @@ impl Server {
     /// requeued) or releases the oldest open lease; a failed result feeds
     /// the retry/quarantine policy.
     fn handle_ack(&mut self, source: Rank, ok: bool, error: String) {
-        if let Some(stale) = self.lease_revoked.get_mut(&source) {
-            *stale -= 1;
-            if *stale == 0 {
-                self.lease_revoked.remove(&source);
-            }
-            self.op(ReplOp::CreditUse {
+        if self.ledger.credits.contains_key(&source) {
+            self.commit(ReplOp::CreditUse {
                 client: source,
                 n: 1,
             });
             return;
         }
-        let leases = self.in_flight.get_mut(&source);
-        match leases.and_then(VecDeque::pop_front) {
-            Some(lease) => {
-                self.tenants.lease_closed(lease.task.tenant);
-                // Accept → ack: the server-side view of task latency.
-                // The high id bits carry (tenant + 1) so per-tenant
-                // percentiles can be split out; the low bits keep the
-                // acking rank.
-                trace::record_since(
-                    trace::KIND_TASK_LATENCY,
-                    ((lease.task.tenant as u64 + 1) << 32) | source as u64,
-                    lease.accepted_us,
-                );
-                if !ok {
-                    self.retry_or_quarantine(lease.task, false, &error);
-                }
-                self.op(ReplOp::LeaseDrop {
-                    client: source,
-                    n: 1,
-                });
-                if self.in_flight.get(&source).is_some_and(VecDeque::is_empty) {
-                    self.in_flight.remove(&source);
-                }
-            }
+        if self.ledger.leases.get(&source).is_none_or(|d| d.is_empty()) {
             // An adopted client acking a task its lost home leased:
             // nothing to release, nothing to report.
-            None if self.aborting => {}
-            None => self.protocol_error(format_args!("task ack from rank {source} with no lease")),
+            if !self.aborting {
+                self.protocol_error(format_args!("task ack from rank {source} with no lease"));
+            }
+            return;
+        }
+        let drop = ReplOp::LeaseDrop {
+            client: source,
+            n: 1,
+        };
+        for lease in self.commit(drop).leases {
+            self.tenants.lease_closed(lease.task.tenant);
+            // Accept → ack: the server-side view of task latency. The
+            // high id bits carry (tenant + 1) so per-tenant percentiles
+            // can be split out; the low bits keep the acking rank.
+            trace::record_since(
+                trace::KIND_TASK_LATENCY,
+                ((lease.task.tenant as u64 + 1) << 32) | source as u64,
+                lease.accepted_us,
+            );
+            if !ok {
+                self.retry_or_quarantine(lease.task, false, &error);
+            }
         }
     }
 
@@ -1851,8 +1608,8 @@ impl Server {
             self.stats.notifications += 1;
             let tenant = self.client_tenants.get(&rank).copied().unwrap_or(0);
             let task = Task::new(
-                crate::msg::WORK_TYPE_NOTIFY,
-                self.config.notify_priority,
+                WORK_TYPE_NOTIFY,
+                NOTIFY_PRIORITY,
                 Some(rank),
                 Bytes::copy_from_slice(&id.to_le_bytes()),
             )
@@ -1879,7 +1636,17 @@ impl Server {
                 work_types,
                 need,
             } => {
-                let tasks = self.queue.steal(&work_types, need as usize);
+                let quota = self.ledger.queue.steal_quota(&work_types, need as usize);
+                let mut tasks = Vec::with_capacity(quota);
+                while tasks.len() < quota {
+                    let Some(t) = self.ledger.queue.steal_head(&work_types).cloned() else {
+                        break;
+                    };
+                    self.commit(ReplOp::Remove {
+                        tasks: vec![t.clone()],
+                    });
+                    tasks.push(t);
+                }
                 if tasks.is_empty() {
                     // Empty steal traffic must not perturb the epoch or
                     // the transfer ledger, or the steal retry loop would
@@ -1899,9 +1666,6 @@ impl Server {
                 } else {
                     self.epoch += 1;
                     self.stats.tasks_donated += tasks.len() as u64;
-                    self.op(ReplOp::Remove {
-                        tasks: tasks.clone(),
-                    });
                     self.send_xfer(thief, tasks, true);
                 }
             }
@@ -1944,39 +1708,13 @@ impl Server {
                 }
             }
             ServerMsg::XferAck { origin, dest, fseq } => {
-                let before = self.pending_xfers.len();
-                self.pending_xfers
-                    .retain(|p| !(p.x.origin == origin && p.x.dest == dest && p.x.fseq == fseq));
-                if self.pending_xfers.len() != before {
-                    self.op(ReplOp::XferDone { origin, dest, fseq });
+                let pending = &self.ledger.pending_xfers;
+                if pending
+                    .iter()
+                    .any(|x| (x.origin, x.dest, x.fseq) == (origin, dest, fseq))
+                {
+                    self.commit(ReplOp::XferDone { origin, dest, fseq });
                 }
-            }
-            ServerMsg::Repl { ops } => {
-                self.apply_repl_ops(source, ops);
-            }
-            ServerMsg::Snapshot { ledger } => {
-                // A one-shot snapshot supersedes any chunked stream from
-                // the same primary.
-                self.inbound_syncs.remove(&source);
-                self.ledgers.insert(source, *ledger);
-            }
-            ServerMsg::ReplSync {
-                sync_id,
-                cursor,
-                total,
-                data,
-            } => {
-                self.absorb_sync_chunk(source, sync_id, cursor, total, &data, true);
-            }
-            ServerMsg::SyncAck { sync_id, cursor } => {
-                self.handle_sync_ack(source, sync_id, cursor);
-            }
-            ServerMsg::Heartbeat => {}
-            ServerMsg::Bye => {
-                // A peer can finish (and say goodbye) before this server
-                // has processed its own Shutdown; remember the receipt for
-                // the linger phase.
-                self.byes.insert(source);
             }
             ServerMsg::Check { round } => {
                 // Termination polls do not bump the epoch: they must not
@@ -1985,8 +1723,8 @@ impl Server {
                     round,
                     quiescent: self.quiescent(),
                     epoch: self.epoch,
-                    fwd_out: self.fwd_out,
-                    fwd_in: self.fwd_in,
+                    fwd_out: self.ledger.fwd_out,
+                    fwd_in: self.ledger.fwd_in,
                 };
                 self.tx_sends.push((source, TAG_SRV, resp.encode()));
             }
@@ -2006,9 +1744,9 @@ impl Server {
                 }
             }
             ServerMsg::Shutdown { reports } => {
-                for r in reports {
-                    if !self.quarantine_reports.contains(&r) {
-                        self.quarantine_reports.push(r);
+                for report in reports {
+                    if !self.ledger.quarantine.contains(&report) {
+                        self.commit(ReplOp::Quarantine { report });
                     }
                 }
                 // Relay to every live peer before exiting: if the master
@@ -2027,8 +1765,45 @@ impl Server {
                 }
                 return true;
             }
+            other => {
+                self.take_repl_traffic(source, other, true);
+            }
         }
         false
+    }
+
+    /// The replica-holder side of the protocol, shared by the serving
+    /// loop, the post-shutdown linger and the drain of a dead peer's
+    /// mailbox: op batches and sync chunks for the ledger this server
+    /// holds for `source`, acks of its own outbound stream, and the
+    /// liveness/goodbye beacons. `live` is false for a dead peer's drained
+    /// mailbox: nobody is left to ack, and its acks of our stream to it
+    /// are moot. Anything else is handed back.
+    fn take_repl_traffic(&mut self, source: Rank, msg: ServerMsg, live: bool) -> Option<ServerMsg> {
+        match msg {
+            ServerMsg::Repl { ops } => self.apply_repl_ops(source, ops),
+            ServerMsg::ReplSync {
+                sync_id,
+                cursor,
+                total,
+                data,
+            } => self.absorb_sync_chunk(source, sync_id, cursor, total, &data, live),
+            ServerMsg::SyncAck { sync_id, cursor } => {
+                if live {
+                    self.handle_sync_ack(source, sync_id, cursor);
+                }
+            }
+            ServerMsg::Heartbeat => {}
+            // A peer can finish (and say goodbye) before this server has
+            // processed its own Shutdown, or die right after completing
+            // its shutdown (its clients then already have their notices);
+            // remember the receipt for the linger phase.
+            ServerMsg::Bye => {
+                self.byes.insert(source);
+            }
+            other => return Some(other),
+        }
+        None
     }
 
     // -- membership & failover ---------------------------------------------
@@ -2038,7 +1813,7 @@ impl Server {
             return;
         }
         let now = Instant::now();
-        if now.duration_since(self.last_heartbeat) < self.config.heartbeat_interval {
+        if now.duration_since(self.last_heartbeat) < HEARTBEAT_INTERVAL {
             return;
         }
         self.last_heartbeat = now;
@@ -2050,13 +1825,12 @@ impl Server {
 
     /// Recompute who holds this server's replica: the first `R - 1` live
     /// ring successors over the (possibly shrunken) ring. A holder seen
-    /// for the first time gets the full ledger; `resync_all` — set after
-    /// this server promoted a dead peer's shard into its own state —
-    /// re-streams it to *every* holder, since their replicas predate the
-    /// merge. With re-replication on, the ledger streams in bounded
-    /// [`ServerMsg::ReplSync`] chunks interleaved with normal service;
-    /// the off-knob keeps the legacy one-shot snapshot to first-seen
-    /// holders only (R stays degraded after a failover).
+    /// for the first time is streamed the full ledger, in bounded
+    /// [`ServerMsg::ReplSync`] chunks interleaved with normal service.
+    /// `resync_all` — set after this server promoted a dead peer's shard
+    /// into its own state — re-streams it to *every* holder, since their
+    /// replicas predate the merge; with re-replication off that never
+    /// happens and R stays degraded after a failover.
     fn refresh_repl_targets(&mut self, resync_all: bool) {
         if self.config.replication < 2 || self.aborting || self.shutdown {
             self.repl_targets.clear();
@@ -2070,16 +1844,8 @@ impl Server {
             .live_successors(me, want, self.membership.dead());
         for &t in &targets {
             let first_seen = !self.repl_targets.contains(&t);
-            if self.config.re_replicate {
-                if first_seen || resync_all {
-                    self.start_sync(t);
-                }
-            } else if first_seen {
-                let snap = ServerMsg::Snapshot {
-                    ledger: Box::new(self.snapshot_ledger()),
-                }
-                .encode();
-                self.comm.send(t, TAG_SRV, snap);
+            if first_seen || (resync_all && self.config.re_replicate) {
+                self.start_sync(t);
             }
         }
         // Streams to ranks that rotated out of the holder set are moot.
@@ -2097,7 +1863,7 @@ impl Server {
     /// snapshot is about to replace (and is already included in it).
     fn start_sync(&mut self, target: Rank) {
         let mut w = WireWriter::new();
-        self.snapshot_ledger().encode_into(&mut w);
+        self.ledger.encode_into(&mut w);
         let data = w.finish();
         self.next_sync_id += 1;
         self.outbound_syncs.insert(
@@ -2137,7 +1903,7 @@ impl Server {
         let stalled: Vec<Rank> = self
             .outbound_syncs
             .iter()
-            .filter(|(_, o)| now.duration_since(o.last_sent) > self.config.suspect_after)
+            .filter(|(_, o)| now.duration_since(o.last_sent) > SUSPECT_AFTER)
             .map(|(r, _)| *r)
             .collect();
         for t in stalled {
@@ -2162,7 +1928,10 @@ impl Server {
             self.send_sync_chunk(source);
             return;
         }
-        if let Some(o) = self.outbound_syncs.remove(&source) {
+        // The sync counters report re-replication: with it off the one
+        // seeding stream per holder stays out of them.
+        let retired = self.outbound_syncs.remove(&source);
+        if let (Some(o), true) = (retired, self.config.re_replicate) {
             self.stats.repl_syncs += 1;
             self.stats.repl_sync_bytes += o.data.len() as u64;
             trace::record_since(trace::KIND_REPL_SYNC, source as u64, o.started_us);
@@ -2244,7 +2013,7 @@ impl Server {
         let mut r = WireReader::new(&ins.buf);
         match Ledger::decode_from(&mut r) {
             Ok(mut ledger) => {
-                for op in &ins.ops {
+                for op in ins.ops {
                     ledger.apply(source, op);
                 }
                 self.ledgers.insert(source, ledger);
@@ -2269,53 +2038,9 @@ impl Server {
             ins.ops.extend(ops);
         } else {
             let ledger = self.ledgers.entry(source).or_default();
-            for op in &ops {
+            for op in ops {
                 ledger.apply(source, op);
             }
-        }
-    }
-
-    /// This server's live state in replicable form.
-    fn snapshot_ledger(&self) -> Ledger {
-        // A ledger keeps one dedup mark per client: the newest over the
-        // homes this server covers.
-        let mut seqs: HashMap<Rank, u64> = HashMap::new();
-        for (&(_, c), &s) in &self.client_seqs {
-            let hw = seqs.entry(c).or_default();
-            *hw = (*hw).max(s);
-        }
-        let mut resps: HashMap<Rank, (u64, Bytes)> = HashMap::new();
-        for (&(_, c), r) in &self.client_resps {
-            if resps.get(&c).is_none_or(|old| old.0 < r.0) {
-                resps.insert(c, r.clone());
-            }
-        }
-        let mut leases: HashMap<Rank, VecDeque<Task>> = HashMap::new();
-        for (r, d) in &self.in_flight {
-            if !d.is_empty() {
-                leases.insert(*r, d.iter().map(|l| l.task.clone()).collect());
-            }
-        }
-        Ledger {
-            store: self.store.clone(),
-            queue: self.queue.snapshot(),
-            leases,
-            credits: self
-                .lease_revoked
-                .iter()
-                .map(|(r, n)| (*r, *n as u32))
-                .collect(),
-            seqs,
-            resps,
-            outputs: self.outputs.clone(),
-            finished: self.finished.clone(),
-            quarantine: self.quarantine_reports.clone(),
-            pending_xfers: self.pending_xfers.iter().map(|p| p.x.clone()).collect(),
-            next_fseq: self.next_fseq.clone(),
-            xfer_applied: self.xfer_applied.clone(),
-            fwd_out: self.fwd_out,
-            fwd_in: self.fwd_in,
-            merges: self.merges,
         }
     }
 
@@ -2342,33 +2067,9 @@ impl Server {
                 continue;
             }
             match ServerMsg::decode_shared(&m.data) {
-                Ok(ServerMsg::Repl { ops }) => {
-                    self.apply_repl_ops(d, ops);
-                }
-                Ok(ServerMsg::Snapshot { ledger }) => {
-                    self.inbound_syncs.remove(&d);
-                    self.ledgers.insert(d, *ledger);
-                }
-                Ok(ServerMsg::ReplSync {
-                    sync_id,
-                    cursor,
-                    total,
-                    data,
-                }) => {
-                    // A chunk the peer sent before dying can complete its
-                    // stream and make the fresh ledger promotable; nobody
-                    // is left to ack.
-                    self.absorb_sync_chunk(d, sync_id, cursor, total, &data, false);
-                }
-                // Our own stream to the dead peer is moot.
-                Ok(ServerMsg::SyncAck { .. }) => {}
-                Ok(ServerMsg::Heartbeat) => {}
-                Ok(ServerMsg::Bye) => {
-                    // The peer died after completing its shutdown: its
-                    // clients already have their notices.
-                    self.byes.insert(d);
-                }
-                Ok(other) => deferred.push(other),
+                // A chunk the peer sent before dying can complete its
+                // stream and make the fresh ledger promotable.
+                Ok(msg) => deferred.extend(self.take_repl_traffic(d, msg, false)),
                 Err(e) => {
                     self.protocol_error(format_args!("undecodable message from dead {d}: {e:?}"))
                 }
@@ -2509,7 +2210,7 @@ impl Server {
         // re-answered or is itself confirmed dead.
         if successor && self.shutdown {
             for c in self.layout.clients_of(d) {
-                if !self.finished.contains(&c) {
+                if !self.ledger.finished.contains(&c) {
                     self.stranded.insert(c);
                 }
             }
@@ -2521,7 +2222,10 @@ impl Server {
         // R-restoration clock: when the last one completes, this server's
         // shard is fully replicated again.
         self.refresh_repl_targets(promoted);
-        if !self.outbound_syncs.is_empty() && self.r_restore_started.is_none() {
+        if self.config.re_replicate
+            && !self.outbound_syncs.is_empty()
+            && self.r_restore_started.is_none()
+        {
             self.r_restore_started = Some(Instant::now());
             self.r_restore_started_us = trace::now_us();
         }
@@ -2539,45 +2243,19 @@ impl Server {
         shutdown
     }
 
-    /// Merge a dead peer's replica ledger into this server's live state:
-    /// this rank now serves the dead peer's shard, queue, leases and
-    /// clients.
+    /// Absorb a dead peer's ledger into this server's own: this rank now
+    /// serves the dead peer's shard, queue, leases and clients.
     fn promote(&mut self, d: Rank, chain: &[Rank], ledger: Ledger) {
         self.stats.failovers += 1;
         trace::record_instant(trace::KIND_FAILOVER, d as u64);
         self.epoch += 1;
-        // Bump the freshness version: copies of this server's ledger
-        // snapshotted before this merge are no longer promotable.
-        self.merges += 1;
         eprintln!(
             "adlb server {}: promoting replica of server {d} ({} datums, {} queued, {} leased)",
             self.comm.rank(),
             ledger.store.len(),
             ledger.queue.len(),
-            ledger.leases.values().map(VecDeque::len).sum::<usize>(),
+            ledger.leases.values().map(|d| d.len()).sum::<usize>(),
         );
-        self.store.merge(ledger.store);
-        // Queue entries go in silently: the re-replication stream started
-        // right after the merge carries them to every replica holder.
-        for t in ledger.queue {
-            self.queue.push(t);
-        }
-        let now = Instant::now();
-        let now_us = trace::now_us();
-        for (c, deque) in ledger.leases {
-            let mine = self.in_flight.entry(c).or_default();
-            for task in deque {
-                self.tenants.lease_opened(task.tenant);
-                mine.push_back(Lease {
-                    task,
-                    since: now,
-                    accepted_us: now_us,
-                });
-            }
-        }
-        for (c, n) in ledger.credits {
-            *self.lease_revoked.entry(c).or_insert(0) += n as usize;
-        }
         // Re-send every cached response unprompted: the dead server may
         // have processed (and replicated) a request but died before the
         // response left, and the waiting client's retry could race this
@@ -2586,42 +2264,14 @@ impl Server {
         // merged `ClientFinished` can satisfy quiescence and let the
         // survivor exit while the finished client still waits for the Ok
         // that died with its server.
-        for (c, (_, bytes)) in &ledger.resps {
+        for ((_, c), (_, bytes)) in &ledger.resps {
             self.tx_sends.push((*c, TAG_RESP, bytes.clone()));
         }
+        // Queued tasks and the rest of the bulk go in without ops: the
+        // re-replication stream started right after the merge carries
+        // them to every replica holder.
         let covered: Vec<Rank> = std::iter::once(d).chain(chain.iter().copied()).collect();
-        self.adopt_seqs(&covered, ledger.seqs, ledger.resps);
-        for (key, text) in ledger.outputs {
-            self.outputs.entry(key).or_default().push_str(&text);
-        }
-        self.finished.extend(ledger.finished);
-        for q in ledger.quarantine {
-            if !self.quarantine_reports.contains(&q) {
-                self.quarantine_reports.push(q);
-            }
-        }
-        for x in ledger.pending_xfers {
-            self.pending_xfers.push(PendingXfer { x, sent_to: None });
-        }
-        // `next_fseq` merges by max. The dead peer's counters number
-        // transfers with origin `d`, so this server's own numbering
-        // (origin = me) did not strictly need them — but folding them in
-        // keeps the checkpoint written after this merge a safe upper
-        // bound for ANY origin it covers: a whole-world resume hands the
-        // merged counters back to the subsumed home, whose fresh
-        // transfers must outnumber everything receivers have durably
-        // applied from it. Gaps in a sender's fseq sequence are harmless
-        // (receiver dedup is a high-water mark).
-        for (dest, f) in ledger.next_fseq {
-            let hw = self.next_fseq.entry(dest).or_default();
-            *hw = (*hw).max(f);
-        }
-        for (k, f) in ledger.xfer_applied {
-            let hw = self.xfer_applied.entry(k).or_default();
-            *hw = (*hw).max(f);
-        }
-        self.fwd_out += ledger.fwd_out;
-        self.fwd_in += ledger.fwd_in;
+        self.adopt(ledger, &covered);
     }
 
     /// No replica to promote: the shard is lost. Stay up, answer every
@@ -2732,11 +2382,11 @@ impl Server {
             );
             eprintln!("adlb server {}: {report}; winding down", self.comm.rank());
             self.abort_reason = Some(report.clone());
-            self.quarantine_reports.push(report);
+            self.commit(ReplOp::Quarantine { report });
         }
         // Parked clients will never be served: tell them now.
         for p in std::mem::take(&mut self.parked) {
-            self.finished.insert(p.rank);
+            self.commit(ReplOp::ClientFinished { client: p.rank });
             let quarantined = self.capped_reports();
             let aborted = self.abort_reason.clone();
             self.send_response(
@@ -2783,7 +2433,7 @@ impl Server {
             return self
                 .my_clients
                 .iter()
-                .all(|c| self.finished.contains(c) || !self.comm.is_alive(*c));
+                .all(|c| self.ledger.finished.contains(c) || !self.comm.is_alive(*c));
         }
         // Termination check next: a fresh steal attempt would otherwise
         // mark this server non-quiescent on every tick.
@@ -2808,7 +2458,7 @@ impl Server {
             || self.steal_backoff > 0
             || self.outstanding_steal
             || self.parked.is_empty()
-            || !self.queue.is_empty()
+            || !self.ledger.queue.is_empty()
         {
             return;
         }
@@ -2872,8 +2522,8 @@ impl Server {
     fn evaluate_check_round(&mut self) -> bool {
         self.check_in_flight = false;
         let mut all_quiescent = self.quiescent();
-        let mut fwd_out_sum = self.fwd_out;
-        let mut fwd_in_sum = self.fwd_in;
+        let mut fwd_out_sum = self.ledger.fwd_out;
+        let mut fwd_in_sum = self.ledger.fwd_in;
         let mut snapshot: Vec<u64> = Vec::with_capacity(self.check_members.len() + 1);
         snapshot.push(self.epoch);
         for r in self.check_members.clone() {
@@ -2900,8 +2550,8 @@ impl Server {
 
     fn capped_reports(&self) -> Vec<String> {
         // Cap the reports shipped per message; the full list stays in
-        // `self.quarantine_reports` for post-mortem inspection.
-        self.quarantine_reports.iter().take(8).cloned().collect()
+        // the ledger for post-mortem inspection.
+        self.ledger.quarantine.iter().take(8).cloned().collect()
     }
 
     fn finish_run(&mut self) -> ServerOutcome {
@@ -2914,8 +2564,7 @@ impl Server {
         // the cached notices to whoever missed theirs.
         let reports = self.capped_reports();
         for p in std::mem::take(&mut self.parked) {
-            self.finished.insert(p.rank);
-            self.op(ReplOp::ClientFinished { client: p.rank });
+            self.commit(ReplOp::ClientFinished { client: p.rank });
             let resp = Response::NoMore {
                 quarantined: reports.clone(),
                 aborted: self.abort_reason.clone(),
@@ -2940,8 +2589,8 @@ impl Server {
         self.repl_targets.clear();
         self.outbound_syncs.clear();
         self.linger();
-        let mut streams: Vec<(Rank, u32, String)> =
-            self.outputs.drain().map(|((r, t), s)| (r, t, s)).collect();
+        let outputs = self.ledger.outputs.drain();
+        let mut streams: Vec<(Rank, u32, String)> = outputs.map(|((r, t), s)| (r, t, s)).collect();
         streams.sort();
         let mut truncated: Vec<Rank> = self.truncated.iter().copied().collect();
         truncated.sort_unstable();
@@ -2950,6 +2599,8 @@ impl Server {
             streams,
             truncated,
             tenant_rows: self.tenants.stats_rows(),
+            ledger: std::mem::take(&mut self.ledger),
+            replicas: std::mem::take(&mut self.ledgers),
         }
     }
 
@@ -2980,10 +2631,7 @@ impl Server {
             {
                 return;
             }
-            match self
-                .comm
-                .recv_timeout(Src::Any, TagSel::Any, self.config.poll_interval)
-            {
+            match self.comm.recv_timeout(Src::Any, TagSel::Any, POLL_INTERVAL) {
                 Some(m) if m.tag == TAG_REQ => {
                     // `shutdown` makes `Get` terminal (`NoMore`); dedup,
                     // cached-response replay and data ops work as usual
@@ -2998,37 +2646,15 @@ impl Server {
                         continue;
                     }
                     self.membership.heard(m.source, Instant::now());
-                    match ServerMsg::decode_shared(&m.data) {
-                        Ok(ServerMsg::Bye) => {
-                            self.byes.insert(m.source);
-                        }
-                        Ok(ServerMsg::Repl { ops }) => {
-                            self.apply_repl_ops(m.source, ops);
-                        }
-                        Ok(ServerMsg::Snapshot { ledger }) => {
-                            self.inbound_syncs.remove(&m.source);
-                            self.ledgers.insert(m.source, *ledger);
-                        }
-                        Ok(ServerMsg::ReplSync {
-                            sync_id,
-                            cursor,
-                            total,
-                            data,
-                        }) => {
-                            // A peer may still be restoring R when
-                            // termination lands; keep acking so its stream
-                            // retires cleanly (and the ledger stays fresh
-                            // in case the peer dies mid-linger).
-                            self.absorb_sync_chunk(m.source, sync_id, cursor, total, &data, true);
-                        }
-                        Ok(ServerMsg::SyncAck { sync_id, cursor }) => {
-                            self.handle_sync_ack(m.source, sync_id, cursor);
-                        }
-                        // Anything else is pre-shutdown traffic whose
-                        // effects no longer matter: termination required
-                        // global quiescence, so no transfer, steal or
-                        // check round can still be live.
-                        Ok(_) | Err(_) => {}
+                    // A peer may still be restoring R when termination
+                    // lands: keep its ledger fresh (in case it dies
+                    // mid-linger) and keep acking so its stream retires
+                    // cleanly. Anything else is pre-shutdown traffic whose
+                    // effects no longer matter: termination required
+                    // global quiescence, so no transfer, steal or check
+                    // round can still be live.
+                    if let Ok(msg) = ServerMsg::decode_shared(&m.data) {
+                        self.take_repl_traffic(m.source, msg, true);
                     }
                 }
                 Some(_) => {}
@@ -3070,6 +2696,9 @@ fn xfer_wire(origin: Rank, dest: Rank, fseq: u64, steal: bool, tasks: &[Task]) -
         .encode()
     }
 }
+
+#[cfg(test)]
+mod ledger_tests;
 
 #[cfg(test)]
 mod stats_tests {

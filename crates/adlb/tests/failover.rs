@@ -612,7 +612,6 @@ mod lease_races {
                 retry: RetryPolicy {
                     lease_timeout: Some(Duration::from_millis(1)),
                     max_retries: 8,
-                    ..RetryPolicy::default()
                 },
                 ..ServerConfig::default()
             };

@@ -702,24 +702,39 @@ mod sequential_server_deaths {
 
 /// WAL replay idempotence: a crashed writer's re-appended tail leaves the
 /// log with duplicated and (after concatenating partial files) reordered
-/// records. Replay must produce exactly the state and LSN of the clean
-/// log, and replaying the messy log on top of an already-restored ledger
-/// must change nothing.
+/// records. Replay must produce exactly the state of a live ledger that
+/// applied the ops as they were committed (and the LSN of the clean log),
+/// and replaying the messy log on top of an already-restored ledger must
+/// change nothing.
 mod wal_replay {
     use bytes::Bytes;
     use proptest::prelude::*;
 
-    use adlb::{decode_wal, encode_wal_record, replay_wal_records, Ledger, ReplOp};
+    use adlb::{decode_wal, encode_wal_record, replay_wal_records, Ledger, ReplOp, Task};
 
-    /// One synthetic mutation per index: deterministic, queue-free ops
-    /// covering the store, subscriber set, output stream, and response
-    /// history. Invalid transitions (store before create, double close)
-    /// are fine — `Ledger::apply` absorbs them identically on every
+    /// One synthetic mutation per index: deterministic ops covering the
+    /// store, subscriber set, queue, leases, output stream, and response
+    /// history. Invalid transitions (store before create, double close,
+    /// removing a task that is not queued, dropping more leases than are
+    /// open) are fine — `Ledger::apply` absorbs them identically on every
     /// replay, which is the property under test.
     fn op(i: u64) -> ReplOp {
         let id = i % 7;
         let client = (i % 5) as usize;
-        match i % 8 {
+        // Few distinct tasks, so removals and drops often hit.
+        let task = |k: u64| Task::new(1, (k % 3) as i32, None, Bytes::from(vec![(k % 4) as u8]));
+        match i % 12 {
+            8 => ReplOp::Push {
+                tasks: vec![task(i), task(i / 12)],
+            },
+            9 => ReplOp::Remove {
+                tasks: vec![task(i / 12)],
+            },
+            10 => ReplOp::LeaseOpen {
+                client,
+                tasks: vec![task(i)],
+            },
+            11 => ReplOp::LeaseDrop { client, n: 1 },
             0 => ReplOp::Create { id, type_tag: 0 },
             1 => ReplOp::Store {
                 id,
@@ -733,6 +748,7 @@ mod wal_replay {
                 tenant: (i % 3) as u32,
             },
             5 => ReplOp::SeqResp {
+                home: (i % 2) as usize,
                 client,
                 seq: i,
                 resp: Some(Bytes::from(format!("r{i}"))),
@@ -764,10 +780,16 @@ mod wal_replay {
                 })
                 .collect();
 
-            // The clean log is the reference.
+            // The reference is the live ledger: each op applied as its
+            // handler commits it, which the clean log must replay to.
+            let mut live = Ledger::default();
+            for op in records.iter().flat_map(|(_, ops)| ops.clone()) {
+                live.apply(0, op);
+            }
             let mut clean = Ledger::default();
             let clean_lsn = replay_wal_records(&mut clean, 0, 0, records.clone());
             prop_assert_eq!(clean_lsn, n as u64);
+            prop_assert_eq!(&clean, &live);
 
             // Crashed-writer tail: duplicate every record from `tail` on,
             // then shuffle the whole log.
