@@ -598,6 +598,20 @@ impl AdlbClient {
         self.abort_reason.as_deref()
     }
 
+    /// Whether the next [`AdlbClient::get`] hands out a prefetched task
+    /// while the outbox holds nothing but acks and stdout, so the ack of
+    /// the task in hand follows no unanswered write. The server charges a
+    /// write that fails ahead of an ack to that ack's task; a caller whose
+    /// writes must fail the run, not its task, flushes when this is false.
+    pub fn next_get_is_local(&self) -> bool {
+        !self.prefetch.is_empty()
+            && self
+                .outbox
+                .iter()
+                .flatten()
+                .all(|r| matches!(r, Request::TaskDone { .. } | Request::Output { .. }))
+    }
+
     /// Encoded `Get` body for `work_types`, reusing the cached encoding
     /// when the types match the previous call (cloning [`Bytes`] is an
     /// `Arc` bump, not a copy).

@@ -74,5 +74,7 @@ pub use layout::Layout;
 pub use membership::{MemberState, Membership};
 pub use msg::{Task, WORK_TYPE_CONTROL, WORK_TYPE_NOTIFY, WORK_TYPE_WORK};
 pub use replica::{Applied, Lease, Ledger, ReplOp};
-pub use server::{serve, serve_ext, RetryPolicy, ServerConfig, ServerOutcome, ServerStats};
+pub use server::{
+    serve, serve_ext, RetryPolicy, ServerConfig, ServerOutcome, ServerStats, NOTIFY_VALUE_MAX,
+};
 pub use tenant::{merge_tenant_rows, TenantQuota, TenantSched, TenantSpec, TenantStats};

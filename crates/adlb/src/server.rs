@@ -70,6 +70,10 @@ const SUSPECT_AFTER: Duration = Duration::from_millis(10);
 /// Priority of data-close notification tasks: above all user work, so
 /// dataflow progress is never queued behind bulk tasks.
 const NOTIFY_PRIORITY: i32 = i32::MAX;
+/// Largest closed-scalar value a close notification carries. Anything
+/// bigger (and every container) is announced by id alone, and the
+/// subscriber reads it with a `retrieve` as before.
+pub const NOTIFY_VALUE_MAX: usize = 1024;
 /// Priority subtracted per accumulated attempt when a task is requeued,
 /// so repeatedly failing work drifts behind fresh work instead of
 /// hot-looping at the head of the queue.
@@ -1603,17 +1607,29 @@ impl Server {
     /// Turn a datum close into targeted high-priority notification tasks,
     /// each tagged with the subscriber's tenant so multi-tenant latency
     /// attribution stays per-program.
+    ///
+    /// The payload is the id (8 bytes, little-endian), then — for a closed
+    /// scalar of at most [`NOTIFY_VALUE_MAX`] bytes — a `1` flag byte and
+    /// the value, so an empty (void) value is told apart from one not
+    /// carried. Single assignment makes the value final; it is copied once
+    /// here and shared by every subscriber's task.
     fn notify_all(&mut self, id: u64, subscribers: Vec<Rank>) {
+        if subscribers.is_empty() {
+            return;
+        }
+        let mut note = id.to_le_bytes().to_vec();
+        if let Ok(Some(value)) = self.ledger.store.retrieve(id) {
+            if value.len() <= NOTIFY_VALUE_MAX {
+                note.push(1);
+                note.extend_from_slice(&value);
+            }
+        }
+        let note = Bytes::from(note);
         for rank in subscribers {
             self.stats.notifications += 1;
             let tenant = self.client_tenants.get(&rank).copied().unwrap_or(0);
-            let task = Task::new(
-                WORK_TYPE_NOTIFY,
-                NOTIFY_PRIORITY,
-                Some(rank),
-                Bytes::copy_from_slice(&id.to_le_bytes()),
-            )
-            .with_tenant(tenant);
+            let task = Task::new(WORK_TYPE_NOTIFY, NOTIFY_PRIORITY, Some(rank), note.clone())
+                .with_tenant(tenant);
             self.route_task(task);
         }
     }

@@ -7,16 +7,16 @@
 //! (§III.C), and blob support (§III.B).
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use adlb::AdlbClient;
 use blobutils::{Blob, BlobHandle, BlobRegistry, SharedRegistry};
+use bytes::Bytes;
 use pythonish::Python;
 use rish::R;
 use tclish::{Exception, Interp};
 
-use crate::engine::{ActionKind, Dispatch, EngineState};
+use crate::engine::{ActionKind, Dispatch, EngineState, MalformedNotification};
 use crate::types::{self, InterpPolicy, TurbineType};
 
 /// Shared per-rank runtime state reachable from Tcl commands.
@@ -26,6 +26,9 @@ pub struct Ctx {
     /// Engine dataflow state (unused on workers, but present so control
     /// fragments behave identically wherever they run).
     pub engine: EngineState,
+    /// Input values the leaf task being executed carries (workers; set
+    /// and cleared around each task).
+    pub(crate) inputs: Vec<(u64, Bytes)>,
     /// Whether this rank is an engine (rules allowed).
     pub is_engine: bool,
     /// §III.C interpreter state policy.
@@ -56,6 +59,7 @@ impl Ctx {
         Rc::new(RefCell::new(Ctx {
             client,
             engine: EngineState::new(),
+            inputs: Vec::new(),
             is_engine,
             policy,
             python: None,
@@ -70,8 +74,26 @@ impl Ctx {
 
     /// Perform a dispatch decision from the engine state.
     pub fn perform(&mut self, d: Dispatch) {
-        if let Dispatch::Put(wt, prio, target, action) = d {
-            self.client.put(wt, prio, target, action.into_bytes());
+        if let Dispatch::Put(wt, prio, target, payload) = d {
+            self.client.put(wt, prio, target, payload);
+        }
+    }
+
+    /// Handle a close notification delivered to this engine: remember
+    /// what it says, fire the rules it releases and put their tasks.
+    pub(crate) fn notified(&mut self, payload: &[u8]) -> Result<(), MalformedNotification> {
+        for d in self.engine.notified(payload)? {
+            self.perform(d);
+        }
+        Ok(())
+    }
+
+    /// The value of closed scalar `id` if this rank already holds it: an
+    /// input the running task carries, or one the engine remembers.
+    fn known_value(&self, id: u64) -> Option<&[u8]> {
+        match self.inputs.iter().find(|(i, _)| *i == id) {
+            Some((_, v)) => Some(v),
+            None => self.engine.known_value(id),
         }
     }
 }
@@ -101,15 +123,34 @@ fn need(argv: &[String], min: usize, max: usize, usage: &str) -> Result<(), Exce
     Ok(())
 }
 
-/// Store (and close) a scalar. An engine remembers ids it stored itself,
-/// so a rule over them never asks the server whether they are closed.
+/// Store (and close) a scalar. An engine remembers what it stored, so a
+/// rule over it never subscribes and a read of it never leaves the rank.
+/// The store itself always goes to the server: a double assignment still
+/// fails there, with its own message, and a store refused on the spot is
+/// not remembered.
 fn store(ctx: &SharedCtx, id: u64, value: Vec<u8>) -> Result<String, Exception> {
     let mut c = ctx.borrow_mut();
+    let kept = (c.is_engine && value.len() <= adlb::NOTIFY_VALUE_MAX).then(|| value.clone());
     c.client.store(id, value).map_err(ex)?;
     if c.is_engine {
-        c.engine.mark_closed(id);
+        c.engine.remember(id, kept);
     }
     Ok(String::new())
+}
+
+/// Read closed scalar `id` through `decode`: from what this rank already
+/// holds when it can, else with one round trip to the server.
+fn retrieve<T>(
+    ctx: &SharedCtx,
+    id: u64,
+    decode: impl FnOnce(&[u8]) -> Result<T, String>,
+) -> Result<T, Exception> {
+    if let Some(v) = ctx.borrow().known_value(id) {
+        return decode(v).map_err(ex);
+    }
+    let fetched = ctx.borrow_mut().client.retrieve(id).map_err(ex)?;
+    let v = fetched.ok_or_else(|| ex(format!("retrieve of open datum <{id}> (dataflow bug)")))?;
+    decode(&v).map_err(ex)
 }
 
 /// Register every `turbine::*` command plus the blobutils command set.
@@ -129,16 +170,6 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         need(argv, 1, 1, "turbine::rank")?;
         Ok(ctx.borrow_mut().client.rank().to_string())
     });
-    cmd!(
-        "turbine::engines",
-        |_i, ctx: &SharedCtx, argv: &[String]| {
-            need(argv, 1, 1, "turbine::engines")?;
-            // Engines = clients serving control work; recorded by run.rs in
-            // the interpreter as ::turbine::n_engines. Fallback: 1.
-            let _ = ctx;
-            Ok(String::new())
-        }
-    );
     cmd!("turbine::unique", |_i, ctx: &SharedCtx, argv: &[String]| {
         need(argv, 1, 1, "turbine::unique")?;
         Ok(ctx.borrow_mut().client.alloc_id().to_string())
@@ -208,53 +239,50 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
     );
 
     // -- scalar retrieves --------------------------------------------------
-    fn fetch_closed(ctx: &SharedCtx, id: u64) -> Result<bytes::Bytes, Exception> {
-        ctx.borrow_mut()
-            .client
-            .retrieve(id)
-            .map_err(ex)?
-            .ok_or_else(|| ex(format!("retrieve of open datum <{id}> (dataflow bug)")))
-    }
     cmd!(
         "turbine::retrieve_integer",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::retrieve_integer id")?;
-            let b = fetch_closed(ctx, parse_id(&argv[1])?)?;
-            types::decode_integer(&b).map(|v| v.to_string()).map_err(ex)
+            retrieve(ctx, parse_id(&argv[1])?, |b| {
+                types::decode_integer(b).map(|v| v.to_string())
+            })
         }
     );
     cmd!(
         "turbine::retrieve_float",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::retrieve_float id")?;
-            let b = fetch_closed(ctx, parse_id(&argv[1])?)?;
-            types::decode_float(&b)
-                .map(tclish::format_double)
-                .map_err(ex)
+            retrieve(ctx, parse_id(&argv[1])?, |b| {
+                types::decode_float(b).map(tclish::format_double)
+            })
         }
     );
     cmd!(
         "turbine::retrieve_string",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::retrieve_string id")?;
-            let b = fetch_closed(ctx, parse_id(&argv[1])?)?;
-            types::decode_string(&b).map_err(ex)
+            retrieve(ctx, parse_id(&argv[1])?, types::decode_string)
         }
     );
     cmd!(
         "turbine::retrieve_blob",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::retrieve_blob id")?;
-            let b = fetch_closed(ctx, parse_id(&argv[1])?)?;
+            let blob = retrieve(ctx, parse_id(&argv[1])?, |b| {
+                Ok(Blob::from_bytes(b.to_vec()))
+            })?;
             let c = ctx.borrow();
-            let h = c.blobs.borrow_mut().insert(Blob::from_bytes(b.to_vec()));
+            let h = c.blobs.borrow_mut().insert(blob);
             Ok(h.to_token())
         }
     );
     cmd!("turbine::closed", |_i, ctx: &SharedCtx, argv: &[String]| {
         need(argv, 2, 2, "turbine::closed id")?;
         let id = parse_id(&argv[1])?;
-        Ok((ctx.borrow_mut().client.exists(id).map_err(ex)? as i64).to_string())
+        let mut c = ctx.borrow_mut();
+        let known = c.engine.known_closed(id) || c.known_value(id).is_some();
+        let closed = known || c.client.exists(id).map_err(ex)?;
+        Ok((closed as i64).to_string())
     });
 
     // -- containers --------------------------------------------------------
@@ -384,17 +412,11 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         // Every input not known closed is waited on. The subscribe is
         // write-behind: the server notifies even when the datum is closed
         // already, so the engine never stops to ask.
+        let (subscribe, d) = c.engine.rule(inputs, action, kind, priority, target);
         let my_rank = c.client.rank();
-        let mut unclosed: HashSet<u64> = HashSet::new();
-        for id in inputs {
-            if c.engine.known_closed(id) || !unclosed.insert(id) {
-                continue;
-            }
-            if !c.engine.is_waiting_on(id) {
-                c.client.subscribe_notify(id, my_rank).map_err(ex)?;
-            }
+        for id in subscribe {
+            c.client.subscribe_notify(id, my_rank).map_err(ex)?;
         }
-        let d = c.engine.add_rule(unclosed, action, kind, priority, target);
         c.perform(d);
         Ok(String::new())
     });
@@ -486,13 +508,6 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
             Ok((ctx.borrow().args.contains_key(&argv[1]) as i64).to_string())
         }
     );
-    cmd!("turbine::log", |interp: &mut Interp,
-                          _ctx: &SharedCtx,
-                          argv: &[String]| {
-        let _ = interp;
-        let _ = argv;
-        Ok(String::new())
-    });
 }
 
 #[cfg(test)]
@@ -532,6 +547,104 @@ mod tests {
             Some(result)
         });
         out.into_iter().flatten().next().unwrap()
+    }
+
+    /// An engine with client `config` against one server: `setup` may
+    /// add test commands or write behind the engine's back, then `script`
+    /// runs. Returns the script's result and how many data operations
+    /// reached the server.
+    fn run_engine(
+        config: adlb::ClientConfig,
+        setup: fn(&mut Interp, &SharedCtx),
+        script: &'static str,
+    ) -> (Result<String, tclish::TclError>, u64) {
+        let layout = Layout::new(2, 1);
+        let mut out = World::run(2, move |comm| {
+            if layout.is_server(comm.rank()) {
+                let stats = adlb::serve(comm, layout, adlb::ServerConfig::default());
+                return (None, stats.data_ops);
+            }
+            let client = AdlbClient::with_config(comm, layout, config);
+            let ctx = Ctx::new(client, true, InterpPolicy::Retain);
+            let mut interp = Interp::new();
+            register(&mut interp, ctx.clone());
+            setup(&mut interp, &ctx);
+            let result = interp.eval(script);
+            ctx.borrow_mut().client.finish();
+            (Some(result), 0)
+        });
+        let ops = out[1].1;
+        (out.swap_remove(0).0.unwrap(), ops)
+    }
+
+    #[test]
+    fn an_engines_own_store_is_read_back_before_any_flush() {
+        // Nothing leaves the 64-entry outbox before `finish`: the reads
+        // are answered from what the engine stored, void included.
+        let (out, ops) = run_engine(
+            adlb::ClientConfig::batched(),
+            |_, _| {},
+            "set x [turbine::unique]; turbine::create $x integer\n\
+             set v [turbine::unique]; turbine::create $v void\n\
+             turbine::store_integer $x 42; turbine::store_void $v\n\
+             list [turbine::retrieve_integer $x] [turbine::closed $v]",
+        );
+        assert_eq!(out.unwrap(), "42 1");
+        assert_eq!(ops, 4, "two creates and two stores reach the server");
+    }
+
+    #[test]
+    fn an_evicted_value_is_fetched_again_with_the_same_bytes() {
+        let (out, ops) = run_engine(
+            adlb::ClientConfig::batched(),
+            |interp, ctx| {
+                let ctx = ctx.clone();
+                interp.register("test::flood", move |_, _| {
+                    let mut c = ctx.borrow_mut();
+                    for k in 0..crate::engine::KNOWN_MAX_IDS as u64 {
+                        c.engine.remember(u64::MAX - k, Some(b"0".to_vec()));
+                    }
+                    Ok(String::new())
+                });
+            },
+            "set x [turbine::unique]; turbine::create $x string\n\
+             turbine::store_string $x {hello, world}\n\
+             test::flood\n\
+             turbine::retrieve_string $x",
+        );
+        assert_eq!(out.unwrap(), "hello, world");
+        assert_eq!(ops, 3, "create, store and the retrieve of the evicted id");
+    }
+
+    #[test]
+    fn a_value_over_the_inline_limit_is_read_from_the_server() {
+        let (out, ops) = run_engine(
+            adlb::ClientConfig::batched(),
+            |_, _| {},
+            "set x [turbine::unique]; turbine::create $x string\n\
+             turbine::store_string $x [string repeat ab 2048]\n\
+             list [turbine::closed $x] [string length [turbine::retrieve_string $x]]",
+        );
+        assert_eq!(out.unwrap(), "1 4096");
+        assert_eq!(ops, 3, "known closed, but its 4 KiB are fetched");
+    }
+
+    #[test]
+    fn a_store_refused_on_the_spot_is_not_remembered() {
+        // Without an outbox a double assignment fails at once. Datum 9 was
+        // stored behind the engine's back, so the caught refusal of 2 must
+        // leave nothing for the read to find: it asks the server.
+        let (out, ops) = run_engine(
+            adlb::ClientConfig::default(),
+            |_, ctx| {
+                let mut c = ctx.borrow_mut();
+                c.client.create(9, TurbineType::Integer.tag()).unwrap();
+                c.client.store(9, b"1".to_vec()).unwrap();
+            },
+            "list [catch {turbine::store_integer 9 2}] [turbine::retrieve_integer 9]",
+        );
+        assert_eq!(out.unwrap(), "1 1");
+        assert_eq!(ops, 4, "create, store, the refused store and the read");
     }
 
     #[test]

@@ -438,12 +438,7 @@ mod tests {
                     .get(&[adlb::WORK_TYPE_NOTIFY, adlb::WORK_TYPE_CONTROL]);
                 match task {
                     Some(t) if t.work_type == adlb::WORK_TYPE_NOTIFY => {
-                        let id = u64::from_le_bytes(t.payload[..8].try_into().unwrap());
-                        let ds = ctx.borrow_mut().engine.fire(id);
-                        let mut c = ctx.borrow_mut();
-                        for d in ds {
-                            c.perform(d);
-                        }
+                        ctx.borrow_mut().notified(&t.payload).unwrap();
                     }
                     Some(t) => {
                         let code = String::from_utf8(t.payload.to_vec()).unwrap();
@@ -633,14 +628,7 @@ mod tests {
                 }
                 let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_NOTIFY]);
                 match task {
-                    Some(t) => {
-                        let id = u64::from_le_bytes(t.payload[..8].try_into().unwrap());
-                        let ds = ctx.borrow_mut().engine.fire(id);
-                        let mut c = ctx.borrow_mut();
-                        for d in ds {
-                            c.perform(d);
-                        }
-                    }
+                    Some(t) => ctx.borrow_mut().notified(&t.payload).unwrap(),
                     None => break,
                 }
             }

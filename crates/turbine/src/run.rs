@@ -291,6 +291,21 @@ fn flush_writes(ctx: &SharedCtx) -> Result<(), tclish::TclError> {
     flushed.map_err(|e| tclish::TclError::new(e.to_string()))
 }
 
+/// The engine's flush point, before each get: the fragments' writes and
+/// stdout leave now and are answered, unless the get hands out a
+/// prefetched task and nothing but acks and stdout is queued. So an
+/// engine's write never rides ahead of its task's ack, where the server
+/// would charge a refusal to the task and retry it (a retried notification
+/// then succeeds) instead of the run failing here; the acks and stdout of
+/// prefetched tasks that wrote nothing share one batch.
+fn flush_before_get(ctx: &SharedCtx, stream: &mut OutputStreamer) -> Result<(), tclish::TclError> {
+    if ctx.borrow().client.next_get_is_local() {
+        return Ok(());
+    }
+    stream.ship(&mut ctx.borrow_mut().client);
+    flush_writes(ctx)
+}
+
 /// Build one engine/worker interpreter: `turbine::*` commands, the host
 /// `setup` hook, the runtime library, and `preamble`. A preamble error is
 /// returned (not panicked) so multi-tenant callers can contain it to the
@@ -497,8 +512,7 @@ fn engine_loop_contained(
                 None => break,
             }
         }
-        stream.ship(&mut ctx.borrow_mut().client);
-        if let Err(e) = flush_writes(ctx) {
+        if let Err(e) = flush_before_get(ctx, stream) {
             note(error, format!("data operation failed: {e}"));
         }
         let task = ctx
@@ -527,18 +541,8 @@ fn engine_loop_contained(
                 return;
             }
             Some(t) if t.work_type == adlb::WORK_TYPE_NOTIFY => {
-                let Some(id) = t
-                    .payload
-                    .get(..8)
-                    .and_then(|b| b.try_into().ok())
-                    .map(u64::from_le_bytes)
-                else {
-                    continue;
-                };
-                let dispatches = ctx.borrow_mut().engine.fire(id);
-                let mut c = ctx.borrow_mut();
-                for d in dispatches {
-                    c.perform(d);
+                if let Err(e) = ctx.borrow_mut().notified(&t.payload) {
+                    note(error, e.to_string());
                 }
             }
             Some(t) => match std::str::from_utf8(&t.payload) {
@@ -553,9 +557,12 @@ fn engine_loop_contained(
     }
 }
 
-/// The engine loop: drain locally ready actions, then block on control
-/// tasks and data-close notifications until global termination. Output
-/// produced so far streams to the server tier before each blocking get.
+/// The engine loop: drain locally ready actions, then take the next
+/// control task or data-close notification until global termination.
+///
+/// Writes are flushed and answered before the next get (see
+/// [`flush_before_get`]); the output produced so far streams to the
+/// server tier with them.
 pub fn engine_loop(
     interp: &mut Interp,
     ctx: &SharedCtx,
@@ -572,11 +579,10 @@ pub fn engine_loop(
                 None => break,
             }
         }
-        // Nothing stays queued across the blocking get: the fragments'
-        // writes (and stdout) leave now, and a failed one ends the run
-        // here rather than as a hang on a future that never closes.
-        stream.ship(&mut ctx.borrow_mut().client);
-        flush_writes(ctx)?;
+        // No write stays queued across a get: the fragments' writes (and
+        // stdout) leave now, and a failed one ends the run here rather
+        // than as a hang on a future that never closes.
+        flush_before_get(ctx, stream)?;
         let task = ctx
             .borrow_mut()
             .client
@@ -614,28 +620,11 @@ pub fn engine_loop(
                 return Ok(());
             }
             Some(t) if t.work_type == adlb::WORK_TYPE_NOTIFY => {
-                // A malformed notification must not take the engine rank
-                // down: skip it and keep serving (the td it named, if
-                // any, will be re-learned through the closed-cache on
-                // the next subscribe).
-                let Some(id) = t
-                    .payload
-                    .get(..8)
-                    .and_then(|b| b.try_into().ok())
-                    .map(u64::from_le_bytes)
-                else {
-                    eprintln!(
-                        "turbine engine {}: malformed notify payload ({} bytes); dropped",
-                        ctx.borrow_mut().client.rank(),
-                        t.payload.len()
-                    );
-                    continue;
-                };
-                let dispatches = ctx.borrow_mut().engine.fire(id);
-                let mut c = ctx.borrow_mut();
-                for d in dispatches {
-                    c.perform(d);
-                }
+                // A notification that does not decode names no datum: the
+                // rules waiting on it could never fire, so the run fails
+                // here rather than as a dataflow deadlock at the end.
+                let notified = ctx.borrow_mut().notified(&t.payload);
+                notified.map_err(|e| tclish::TclError::new(e.to_string()))?;
             }
             Some(t) => {
                 let code = std::str::from_utf8(&t.payload)
@@ -940,6 +929,101 @@ result = sum(range(n))}
             .collect();
         assert_eq!(healthy, "survived\n");
         assert!(outs[1].program_error.is_none());
+    }
+
+    /// Engine 0 waits on a future nobody stores while rank 1 sends it a
+    /// 3-byte close notification. Returns the error the engine loop — the
+    /// contained one or not — ended with.
+    fn engine_meets_a_malformed_notification(contained: bool) -> Option<String> {
+        let config = TurbineConfig::default();
+        let layout = config.layout(3);
+        let out = World::run(3, |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                adlb::serve(comm, layout, ServerConfig::default());
+                return None;
+            }
+            let mut client = AdlbClient::with_config(comm, layout, config.client_config());
+            if rank == 1 {
+                client.put(adlb::WORK_TYPE_NOTIFY, 0, Some(0), vec![1, 2, 3]);
+                client.finish();
+                return None;
+            }
+            let ctx = Ctx::new(client, true, config.policy);
+            let (mut interp, buf, _) = build_interp(&ctx, &config, 3, "", &|_: &mut Interp| {});
+            interp
+                .eval("set x [turbine::unique]; turbine::create $x integer; turbine::rule [list $x] {puts never} control")
+                .unwrap();
+            let mut stream = OutputStreamer::new(buf);
+            let error = if contained {
+                let mut error = None;
+                engine_loop_contained(&mut interp, &ctx, &mut stream, &mut error);
+                error
+            } else {
+                engine_loop(&mut interp, &ctx, &mut stream)
+                    .err()
+                    .map(|e| e.message)
+            };
+            // The failed loop stopped serving; let the world wind down.
+            ctx.borrow_mut().client.finish();
+            Some(error)
+        });
+        out.into_iter().flatten().next().flatten()
+    }
+
+    #[test]
+    fn a_malformed_notification_fails_the_engine_naming_its_length() {
+        for contained in [false, true] {
+            let err = engine_meets_a_malformed_notification(contained);
+            assert_eq!(
+                err.as_deref(),
+                Some("malformed close notification (3 bytes)"),
+                "contained: {contained}"
+            );
+        }
+    }
+
+    /// A worker stores w, x, y and z, each waited on by a rule on the
+    /// engine. The rule x's notification fires stores x again and then
+    /// runs `then`, while the notifications of y and z still wait in the
+    /// prefetch (w's may have been handed to the parked engine alone).
+    /// The refused store must fail the run however the engine's writes
+    /// and acks are batched.
+    fn engine_double_stores(then: &str) {
+        let main = format!(
+            r#"
+            set w [turbine::unique]; turbine::create $w integer
+            set x [turbine::unique]; turbine::create $x integer
+            set y [turbine::unique]; turbine::create $y integer
+            set z [turbine::unique]; turbine::create $z integer
+            turbine::rule [list $w] "puts w" control
+            turbine::rule [list $x] "turbine::store_integer $x 2{then}" control
+            turbine::rule [list $y] "puts y" control
+            turbine::rule [list $z] "puts z" control
+            turbine::spawn work 0 "turbine::store_integer $w 1; turbine::store_integer $x 1; turbine::store_integer $y 1; turbine::store_integer $z 1"
+            "#
+        );
+        run_machine(
+            3,
+            TurbineConfig::default(),
+            TurbineProgram {
+                preamble: String::new(),
+                main,
+                args: Vec::new(),
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "double assignment")]
+    fn an_engines_own_double_assignment_still_fails_the_run() {
+        engine_double_stores("");
+    }
+
+    #[test]
+    #[should_panic(expected = "double assignment")]
+    fn an_engines_double_assignment_before_a_put_still_fails_the_run() {
+        engine_double_stores("; turbine::spawn work 0 {puts leaf}");
     }
 
     #[test]

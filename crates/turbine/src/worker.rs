@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use tclish::{Interp, TclError};
 
 use crate::commands::SharedCtx;
+use crate::engine::open_envelope;
 use crate::run::OutputStreamer;
 use crate::types::InterpPolicy;
 
@@ -26,13 +27,22 @@ use crate::types::InterpPolicy;
 /// Returns whether the task succeeded.
 fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: &mut u64) -> bool {
     // Zero-copy hot path: the payload is a view into the arrival
-    // buffer; validate UTF-8 in place instead of cloning it.
+    // buffer; validate UTF-8 in place instead of cloning it. The input
+    // values it carries answer this task's retrieves, and only this
+    // task's: a retry is delivered with the same envelope.
     let eval_start = mpisim::trace::now_us();
-    let outcome = match std::str::from_utf8(&task.payload) {
-        Ok(code) => interp.eval(code).map(|_| ()),
-        Err(_) => Err(TclError::new("worker received non-UTF-8 task payload")),
+    let outcome = match open_envelope(&task.payload) {
+        Ok((inputs, fragment)) => {
+            ctx.borrow_mut().inputs = inputs;
+            match std::str::from_utf8(&fragment) {
+                Ok(code) => interp.eval(code).map(|_| ()),
+                Err(_) => Err(TclError::new("worker received non-UTF-8 task payload")),
+            }
+        }
+        Err(e) => Err(TclError::new(e)),
     };
     let mut c = ctx.borrow_mut();
+    c.inputs.clear();
     // A write the task queued may only fail now; the failure is the
     // task's all the same.
     let outcome = outcome.and_then(|()| {
@@ -157,6 +167,7 @@ mod tests {
     use tclish::Interp;
 
     use crate::commands::{self, Ctx};
+    use crate::engine::seal_envelope;
     use crate::types::{InterpPolicy, TurbineType};
 
     /// 1 submitter + 1 worker + 1 server; submitter sends raw Tcl tasks.
@@ -278,7 +289,7 @@ mod tests {
     /// reports the worker was handed at shutdown.
     fn run_batched_worker(
         prepare: fn(&mut AdlbClient),
-        tasks: &'static [&'static str],
+        tasks: &[Vec<u8>],
     ) -> (String, u64, adlb::ServerStats, Vec<String>) {
         let layout = Layout::new(3, 1);
         let out = World::run(3, move |comm| {
@@ -293,12 +304,7 @@ mod tests {
                 prepare(&mut client);
                 for (i, t) in tasks.iter().enumerate() {
                     // Descending priority: the targeted tasks run in order.
-                    client.put(
-                        adlb::WORK_TYPE_WORK,
-                        -(i as i32),
-                        Some(1),
-                        t.as_bytes().to_vec(),
-                    );
+                    client.put(adlb::WORK_TYPE_WORK, -(i as i32), Some(1), t.clone());
                 }
                 client.finish();
                 return (String::new(), 0, None, Vec::new());
@@ -317,6 +323,53 @@ mod tests {
         (stdout, n, out[2].2.unwrap(), reports)
     }
 
+    fn bare(fragments: &[&str]) -> Vec<Vec<u8>> {
+        fragments.iter().map(|f| f.as_bytes().to_vec()).collect()
+    }
+
+    #[test]
+    fn carried_inputs_answer_only_their_own_task() {
+        // Datum 77 exists nowhere: only the envelope can answer for it.
+        // The task after it reads the same id without one and goes to the
+        // server, which has never heard of it.
+        let read = "puts [catch {turbine::retrieve_integer 77} msg]; puts $msg";
+        let (stdout, n, _, _) = run_batched_worker(
+            |_| {},
+            &[seal_envelope(&[(77, b"7")], read), read.as_bytes().to_vec()],
+        );
+        assert_eq!(stdout, "0\n7\n1\ndata: <77> does not exist\n");
+        assert_eq!(n, 2);
+    }
+
+    #[test]
+    fn a_retried_task_still_carries_its_inputs() {
+        let (stdout, n, stats, _) = run_batched_worker(
+            |_| {},
+            &[seal_envelope(
+                &[(77, b"7"), (78, b"")],
+                "if {![info exists ::tried]} { set ::tried 1; error first }\n\
+                 puts [turbine::retrieve_string 77][turbine::retrieve_string 78]",
+            )],
+        );
+        assert_eq!(stdout, "7\n");
+        assert_eq!((n, stats.tasks_retried), (1, 1));
+    }
+
+    #[test]
+    fn a_malformed_envelope_is_a_contained_task_failure() {
+        let mut truncated = seal_envelope(&[(77, b"seven")], "puts never");
+        truncated.truncate(15);
+        let (stdout, n, stats, reports) =
+            run_batched_worker(|_| {}, &[truncated, b"puts healthy".to_vec()]);
+        assert_eq!(stdout, "healthy\n");
+        assert_eq!(n, 1);
+        assert_eq!((stats.tasks_retried, stats.tasks_quarantined), (3, 1));
+        assert!(
+            reports[0].contains("malformed task envelope (15 bytes)"),
+            "{reports:?}"
+        );
+    }
+
     #[test]
     fn a_write_that_fails_behind_the_ack_fails_that_task_and_no_other() {
         // Datum 5 is already stored. The first task's store of it is only
@@ -331,7 +384,7 @@ mod tests {
                     .unwrap();
                 c.flush().unwrap();
             },
-            &["turbine::store_integer 5 2", "puts healthy"],
+            &bare(&["turbine::store_integer 5 2", "puts healthy"]),
         );
         assert_eq!(stdout, "healthy\n");
         assert_eq!((stats.tasks_retried, stats.tasks_quarantined), (3, 1));
@@ -346,10 +399,10 @@ mod tests {
         // exists for the task that looks afterwards.
         let (stdout, n, stats, _) = run_batched_worker(
             |_| {},
-            &[
+            &bare(&[
                 "turbine::create 9 integer; turbine::store_integer 9 1; error boom",
                 "puts [catch {turbine::retrieve_integer 9} msg]; puts $msg",
-            ],
+            ]),
         );
         assert_eq!(stdout, "1\ndata: <9> does not exist\n");
         assert_eq!(n, 1);

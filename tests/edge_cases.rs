@@ -191,3 +191,24 @@ fn boolean_used_as_int_in_arithmetic() {
         .unwrap();
     assert_eq!(r.stdout, "trace: 11\n");
 }
+
+#[test]
+fn a_4_kib_string_flows_through_a_rule_and_a_leaf_intact() {
+    // A close notification and a task envelope carry values up to 1 KiB;
+    // a bigger one is read from the server at every hop instead. Either
+    // way, the bytes that arrive are the bytes stored.
+    let big: String = (0..4096u32)
+        .map(|i| char::from(b'a' + (i % 26) as u8))
+        .collect();
+    for s in [&big[..], &big[..1000]] {
+        let src = format!(
+            "(string o) echo (string s) [ \"set <<o>> <<s>>\" ];\n\
+             string a = \"{s}\";\n\
+             string b = strcat(a, \"!\");\n\
+             string c = echo(b);\n\
+             printf(\"%s\", c);\n"
+        );
+        let r = Runtime::new(4).run(&src).unwrap();
+        assert_eq!(r.stdout, format!("{s}!\n"), "{} bytes", s.len());
+    }
+}

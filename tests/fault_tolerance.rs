@@ -52,10 +52,13 @@ fn mid_run_worker_death_terminates_without_duplicates() {
     // output and acks left in one batch ahead of every receive it ever
     // blocked in (the kill lands on one), so nothing it did is lost OR
     // rerun: the assembled stdout holds all 200 tasks exactly once even
-    // though the rank died. A worker receives about once per task (its
-    // input retrieve) plus once per prefetched batch; with 50 tasks a
-    // worker, 12 receives is a quarter of the way in.
-    let plan = FaultPlan::new().kill_after_recvs(3, 12);
+    // though the rank died. A worker receives once per prefetched batch
+    // (its tasks carry their inputs): 16–18 times for its ~50 tasks in
+    // release and debug builds alike (the largest receive count a kill
+    // still fires at), so 4 receives is about a quarter of the way in,
+    // with room for a worker dealt fewer batches than its share (a kill
+    // at 6 missed once in about a hundred suite runs).
+    let plan = FaultPlan::new().kill_after_recvs(3, 4);
     let r = Runtime::new(6)
         .faults(plan)
         .run(r#"foreach i in [0:199] { printf("task %d", i); }"#)
@@ -219,20 +222,35 @@ fn second_server_death_at_replication_2_output_matches_fault_free() {
     }
 }
 
+/// The replication-1 death tests' program: the 120 printed tasks of the
+/// tests above, each fed by a leaf that spins for a fraction of a
+/// millisecond. Rank 7's receives are mostly rank 6's 1 ms heartbeats —
+/// a clock — and the bare 120-task program (its tasks read no input from
+/// the server) is over before rank 7's 15th receive in about half the
+/// runs of a release build: a kill at receive 10 lands after termination
+/// often enough to flake. With the spin, rank 7
+/// receives ~100–150 messages in a release run, so receive 10 is early
+/// in it (measured through `swiftt -n 8 -s 2 --replication 1 --faults
+/// kill:rank=7,recvs=K`: mid-run in 10 of 10 runs up to K = 60).
+const R1_DEATH_SRC: &str = r#"
+    (int o) spin (int i) [ "for {set k 0} {$k < 400} {incr k} {}; set <<o>> <<i>>" ];
+    foreach i in [0:119] { int j = spin(i); printf("task %d", j); }
+"#;
+
 #[test]
 fn server_death_at_replication_1_fails_cleanly_not_hangs() {
-    // The same death schedule with replication disabled: the shard is
-    // lost, so the run cannot complete — but it must end in a clean,
-    // attributable error (the shard-loss diagnosis), never a hang.
-    // checkpoint(0) pins the tier off even under SWIFTT_CHECKPOINT=on
-    // (the CI fault matrix): this test is *about* the no-durability path.
+    // A server death with replication disabled: the shard is lost, so
+    // the run cannot complete — but it must end in a clean, attributable
+    // error (the shard-loss diagnosis), never a hang. checkpoint(0) pins
+    // the tier off even under SWIFTT_CHECKPOINT=on (the CI fault matrix):
+    // this test is *about* the no-durability path.
     let plan = FaultPlan::new().kill_after_recvs(7, 10);
     let err = Runtime::new(8)
         .servers(2)
         .replication(1)
         .checkpoint(0)
         .faults(plan)
-        .run(r#"foreach i in [0:119] { printf("task %d", i); }"#)
+        .run(R1_DEATH_SRC)
         .expect_err("an unreplicated shard loss cannot complete the program");
     match err {
         SwiftTError::Runtime(m) => {
@@ -358,7 +376,7 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
     // tier on: the successor restores the dead server's shard from its
     // pfs checkpoint (there is no RAM replica at replication 1), and the
     // run completes with the fault-free output.
-    let src = r#"foreach i in [0:119] { printf("task %d", i); }"#;
+    let src = R1_DEATH_SRC;
     let clean = Runtime::new(8)
         .servers(2)
         .replication(1)
@@ -450,14 +468,15 @@ fn whole_world_kill_then_resume_completes_exactly_once() {
     assert_eq!(want.len(), 60);
 
     let fs = Arc::new(Pfs::new(PfsConfig::default()));
-    // Run 1: the lone server (rank 5) dies mid-stream — 30 of the ~150
-    // receives a fault-free run costs it, with tasks queued, leased and
-    // acked — and every client then panics out on total server loss. The
-    // world is gone.
+    // Run 1: the lone server (rank 5) dies mid-stream — 20 of the ~55
+    // receives a fault-free run costs it (a kill still fires at 50 in 10
+    // of 10 runs, at 55 in 5 of 10), with tasks queued, leased and acked
+    // — and every client then panics out on total server loss. The world
+    // is gone.
     let r1 = Runtime::new(6)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
-        .faults(FaultPlan::new().kill_after_recvs(5, 30))
+        .faults(FaultPlan::new().kill_after_recvs(5, 20))
         .run(src);
     match r1 {
         Err(SwiftTError::Runtime(m)) => assert!(

@@ -29,39 +29,86 @@ fn chain(n: usize) -> String {
     s
 }
 
-fn messages_per_task(batching: bool, src: &str, tasks: u64) -> f64 {
+/// The benchmark's `pipeline_dataflow` without its checksum leaf: `n`
+/// iterations of `t = f(i); u = g(t); v = u + t; out[i] = v`.
+fn pipeline(n: usize) -> String {
+    format!(
+        "(int o) f (int i) [ \"set <<o>> [ expr {{3 * <<i>> + 5}} ]\" ];\n\
+         (int o) g (int t) [ \"set <<o>> [ expr {{<<t>> % 7}} ]\" ];\n\
+         int out[];\n\
+         foreach i in [0:{last}] {{ int t = f(i); int u = g(t); int v = u + t; out[i] = v; }}\n\
+         printf(\"n %d\", size(out));\n",
+        last = n - 1
+    )
+}
+
+fn run(batching: bool, src: &str, tasks: u64) -> swiftt::core::RunResult {
     let r = Runtime::new(4).batching(batching).run(src).expect("run");
     assert_eq!(r.total_tasks(), tasks);
-    r.messages as f64 / tasks as f64
+    r
+}
+
+fn messages_per_task(batching: bool, src: &str, tasks: u64) -> f64 {
+    run(batching, src, tasks).messages as f64 / tasks as f64
 }
 
 #[test]
-fn a_bag_task_costs_at_most_8_messages_batched_and_at_least_15_unbatched() {
+fn a_bag_task_costs_at_most_1_2_messages_batched_and_at_least_12_unbatched() {
     // Batched, the engine's create/store/create/put per iteration leave
-    // 64 to a message and a worker's result rides with its ack: what is
-    // left per task is the input retrieve (2), that batch (1) and a share
-    // of the prefetching get. Unbatched, the same eight requests are each
-    // a round trip (the E5 ablation).
+    // 64 to a message, the worker's input rides inside its task, and its
+    // result store rides with its ack in the batch that leaves when the
+    // prefetched tasks run out: what is left per task is a share of
+    // those batches and of the prefetching get. Unbatched, the engine's
+    // four requests are four round trips (8), and the worker's get (2),
+    // store (2) and ack (1) add five (the E5 ablation).
     let on = messages_per_task(true, &bag(2000), 2000);
     let off = messages_per_task(false, &bag(2000), 2000);
     eprintln!("bag: {on:.2} messages/task batched, {off:.2} unbatched");
-    assert!(on <= 8.0, "{on:.2} messages per task with batching on");
-    assert!(off >= 15.0, "{off:.2} messages per task with batching off");
+    assert!(on <= 1.2, "{on:.2} messages per task with batching on");
+    assert!(off >= 12.0, "{off:.2} messages per task with batching off");
 }
 
 #[test]
 fn a_chain_hop_stays_within_its_message_ceiling() {
-    // The serial path, per hop: the worker's get and delivery, its input
-    // retrieve, one batch carrying result and ack (5); the engine's
-    // notification delivery, its awaited put, its ack and next get (5).
+    // The serial path, per hop: the worker's get and delivery, one batch
+    // carrying result and ack (3) — its input came inside the task; the
+    // engine's notification delivery, which carries the value it puts on
+    // with the next task, its awaited put, its ack and next get (5).
     // Nothing waits in an outbox across a blocking get, so batching may
     // only ever remove messages here.
     let hops = 500;
     let on = messages_per_task(true, &chain(hops), hops as u64 + 1);
     let off = messages_per_task(false, &chain(hops), hops as u64 + 1);
     eprintln!("chain: {on:.2} messages/hop batched, {off:.2} unbatched");
-    assert!(on <= 10.5, "{on:.2} messages per hop with batching on");
-    assert!(off <= 16.5, "{off:.2} messages per hop with batching off");
+    assert!(on <= 8.5, "{on:.2} messages per hop with batching on");
+    assert!(off <= 14.5, "{off:.2} messages per hop with batching off");
+}
+
+#[test]
+fn a_pipeline_leaf_reads_no_value_its_rank_already_holds() {
+    // Per iteration the engine stores `i`, learns `t` and `u` from their
+    // close notifications and stores `v` itself, so neither it nor the
+    // workers (whose tasks carry `i` and `t`) retrieve anything: 14 data
+    // ops per two leaves — four creates, the store of `i`, three
+    // subscribes, two writer-count changes, the workers' two stores, the
+    // store of `v` and the array insert.
+    //
+    // Messages: each of the engine's three notifications per iteration
+    // runs a fragment that writes (the put of `g`, the store of `v`, the
+    // insert of `v`), and an engine's writes are answered before the task
+    // that made them is acked: three round trips, 3 messages per leaf.
+    // The rest is shared by many tasks — the workers' prefetching gets
+    // and the batches carrying their stores and acks, the engine's gets,
+    // and the loop's creates, stores and puts, 64 to a batch.
+    let n = 1000;
+    let leaves = 2 * n as u64 + 1;
+    let r = run(true, &pipeline(n), leaves);
+    let msgs = r.messages as f64 / leaves as f64;
+    let ops = r.server_totals().data_ops as f64 / leaves as f64;
+    eprintln!("pipeline: {msgs:.2} messages and {ops:.2} data ops per leaf task");
+    assert_eq!(r.stdout, format!("n {n}\n"));
+    assert!(msgs <= 6.2, "{msgs:.2} messages per leaf task");
+    assert!(ops <= 7.1, "{ops:.2} data ops per leaf task");
 }
 
 /// Every Swift program written as a raw string in `tests/` and
