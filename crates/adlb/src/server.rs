@@ -106,9 +106,10 @@ pub struct ServerConfig {
     /// (the default) keeps the pre-checkpoint behavior: losing every
     /// holder of a shard aborts the run. See [`CheckpointConfig`].
     pub checkpoint: Option<CheckpointConfig>,
-    /// Declared tenants (weights and quotas) for multi-tenant runs.
-    /// Empty keeps the single-program behavior: every task belongs to
-    /// tenant 0, which is always admitted and always elected.
+    /// Declared tenants (weights and quotas), one per program of the run.
+    /// A tenant that shows up on the wire undeclared gets weight 1 and no
+    /// quota, so with one tenant — declared or not — every task is
+    /// admitted and that tenant is always elected.
     pub tenants: Vec<TenantSpec>,
 }
 

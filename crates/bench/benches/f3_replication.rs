@@ -9,8 +9,8 @@
 //! workload fault-free: the difference is the price of a failover
 //! (suspect → confirm → promote → replay) as seen by the application.
 //!
-//! Writes `BENCH_f3.json`; `BENCH_f3_baseline.json` is the committed
-//! reference trajectory.
+//! Writes `BENCH_f3.json`, a record of this figure; performance claims
+//! cite the pinned benchmark (`benchmark/`) instead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

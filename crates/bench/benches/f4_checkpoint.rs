@@ -13,8 +13,8 @@
 //! the record count is the number of pfs round-trips paid, the byte
 //! count the log volume, and the wall-clock gap the group-commit win.
 //!
-//! Writes `BENCH_f4.json`; `BENCH_f4_baseline.json` is the committed
-//! reference trajectory.
+//! Writes `BENCH_f4.json`, a record of this figure; performance claims
+//! cite the pinned benchmark (`benchmark/`) instead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -15,8 +15,8 @@
 //! (deliveries made while another tenant also had eligible work — the
 //! only regime where "share" is defined) against the weight vector.
 //!
-//! Writes `BENCH_f5.json`; `BENCH_f5_baseline.json` is the committed
-//! reference trajectory.
+//! Writes `BENCH_f5.json`, a record of this figure; performance claims
+//! cite the pinned benchmark (`benchmark/`) instead.
 
 use std::sync::Mutex;
 use std::time::Duration;

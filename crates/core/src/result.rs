@@ -40,8 +40,9 @@ impl From<stc::CompileError> for SwiftTError {
 /// The outcome of a successful run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// All `printf`/`puts`/embedded-interpreter output, concatenated in
-    /// rank order (within a rank, output is in execution order).
+    /// All `printf`/`puts`/embedded-interpreter output: each tenant's
+    /// [`TenantReport::stdout`] in tenant order (a lone program is the
+    /// only tenant).
     pub stdout: String,
     /// Per-rank details for the ranks that survived (killed ranks produce
     /// no output record).
@@ -69,22 +70,22 @@ pub struct RunResult {
     /// Latency percentiles distilled from `traces`; `None` when tracing
     /// was off.
     pub latency: Option<LatencyReport>,
-    /// Per-tenant reports (multi-tenant runs only; empty otherwise),
-    /// ordered by tenant id.
+    /// One report per program, in the run's program order (a lone
+    /// program is tenant 0, "main").
     pub tenants: Vec<TenantReport>,
 }
 
-/// One tenant's slice of a multi-tenant run.
+/// One program's slice of a run.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
-    /// Tenant id (also its engine's rank).
+    /// Tenant id, as stamped on the program's tasks and output.
     pub id: u32,
     /// Human-readable program name.
     pub name: String,
     /// Fair-share weight the servers scheduled it under.
     pub weight: u32,
-    /// Everything this tenant's program printed, engine first, then each
-    /// worker's per-tenant stream in rank order.
+    /// Everything this tenant's program printed, each rank's per-tenant
+    /// stream in rank order (engines first).
     pub stdout: String,
     /// Admission/scheduling accounting merged across servers.
     pub stats: adlb::TenantStats,
@@ -95,8 +96,9 @@ pub struct TenantReport {
     /// Task latency percentiles for this tenant's tasks (requires
     /// [`tracing`](crate::Runtime::tracing)).
     pub latency: Option<LatencyStats>,
-    /// The program's contained failure, if it had one. A broken tenant
-    /// never fails the run; it fails here.
+    /// The program's contained failure, if it had one. Beside other
+    /// programs a broken tenant never fails the run; it fails here. (A
+    /// lone program's failure fails the run.)
     pub error: Option<String>,
 }
 
@@ -139,9 +141,8 @@ impl LatencyReport {
 
 /// Task-latency durations for one tenant, filtered from the merged
 /// traces. The server tags each task-latency span's correlation id with
-/// `tenant + 1` in the high 32 bits (0 there means an untagged span from
-/// a single-tenant run), so per-tenant percentiles fall out of the same
-/// trace stream the global report uses.
+/// `tenant + 1` in the high 32 bits, so per-tenant percentiles fall out
+/// of the same trace stream the global report uses.
 pub fn tenant_task_durations(traces: &[RankTrace], tenant: u32) -> Vec<u64> {
     traces
         .iter()
@@ -152,7 +153,7 @@ pub fn tenant_task_durations(traces: &[RankTrace], tenant: u32) -> Vec<u64> {
 }
 
 impl RunResult {
-    /// The report for tenant `id`, if this was a multi-tenant run.
+    /// The report for tenant `id`.
     pub fn tenant(&self, id: u32) -> Option<&TenantReport> {
         self.tenants.iter().find(|t| t.id == id)
     }

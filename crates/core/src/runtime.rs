@@ -1,6 +1,6 @@
 //! The runtime: configure a simulated machine, compile Swift, run it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -8,7 +8,7 @@ use adlb::{merge_tenant_rows, TenantQuota, TenantSpec, TenantStats};
 use mpisim::{FaultPlan, LatencyStats, World};
 use pfs::{Pfs, PfsConfig};
 use tclish::PackageInit;
-use turbine::{InterpPolicy, RankOutput, TurbineConfig, TurbineProgram};
+use turbine::{InterpPolicy, TurbineConfig, TurbineProgram};
 
 use crate::native::NativeLibrary;
 use crate::result::{tenant_task_durations, LatencyReport, RunResult, SwiftTError, TenantReport};
@@ -85,7 +85,8 @@ impl Runtime {
         self
     }
 
-    /// Set the number of engines.
+    /// Set the number of engines. A run of N programs gets at least N;
+    /// engine rank `r` serves program `r mod N`.
     pub fn engines(mut self, n: usize) -> Self {
         self.engines = n;
         self
@@ -252,8 +253,9 @@ impl Runtime {
     /// round-robin (relative to the other tenants), and `quota` caps its
     /// queued tasks / in-flight leases (unlimited when `None`). Tenants
     /// run with [`Runtime::run_tenants`]; tenant `i` (in submission
-    /// order) gets engine rank `i` to itself while the worker and server
-    /// fleets are shared by everyone.
+    /// order) is served by engine rank `i` (and by every further engine
+    /// `r` with `r mod N = i`) while the worker and server fleets are
+    /// shared by everyone.
     pub fn submit(
         mut self,
         name: impl Into<String>,
@@ -276,10 +278,19 @@ impl Runtime {
     }
 
     /// Reject unsatisfiable machine shapes *before* any rank starts.
-    /// `engines` is the effective engine count (the builder's, or one per
-    /// program in a multi-tenant run).
-    fn validate_config(&self, engines: usize) -> Result<(), SwiftTError> {
+    /// `engines` is the effective engine count (the builder's, but at
+    /// least one per program).
+    fn validate_config(
+        &self,
+        engines: usize,
+        programs: &[(TenantSpec, TurbineProgram)],
+    ) -> Result<(), SwiftTError> {
         let fail = |m: String| Err(SwiftTError::Config(m));
+        if programs.is_empty() {
+            return fail(
+                "no tenant programs: submit() at least one before run_tenants()".to_string(),
+            );
+        }
         if self.servers == 0 {
             return fail(format!(
                 "need at least one ADLB server (servers = 0, ranks = {}); \
@@ -323,20 +334,18 @@ impl Runtime {
                     .to_string(),
             );
         }
-        for job in &self.tenants {
-            if let Some(q) = &job.quota {
-                if q.max_queued == Some(0) {
-                    return fail(format!(
-                        "tenant \"{}\": max_queued quota of 0 would reject every put",
-                        job.name
-                    ));
-                }
-                if q.max_leases == Some(0) {
-                    return fail(format!(
-                        "tenant \"{}\": max_leases quota of 0 could never deliver a task",
-                        job.name
-                    ));
-                }
+        for (spec, _) in programs {
+            if spec.quota.max_queued == Some(0) {
+                return fail(format!(
+                    "tenant \"{}\": max_queued quota of 0 would reject every put",
+                    spec.name
+                ));
+            }
+            if spec.quota.max_leases == Some(0) {
+                return fail(format!(
+                    "tenant \"{}\": max_leases quota of 0 could never deliver a task",
+                    spec.name
+                ));
             }
         }
         Ok(())
@@ -428,7 +437,8 @@ impl Runtime {
         }
     }
 
-    /// Compile and run Swift source on this machine.
+    /// Compile and run Swift source on this machine, as a lone program:
+    /// tenant 0, named "main", served by every engine.
     pub fn run(&self, swift_source: &str) -> Result<RunResult, SwiftTError> {
         let program = stc::compile(swift_source)?;
         self.run_turbine(TurbineProgram {
@@ -438,16 +448,10 @@ impl Runtime {
         })
     }
 
-    /// Run already-compiled (or hand-written) Turbine code.
+    /// Run already-compiled (or hand-written) Turbine code as a lone
+    /// program.
     pub fn run_turbine(&self, program: TurbineProgram) -> Result<RunResult, SwiftTError> {
-        self.validate_config(self.engines)?;
-        let config = self.turbine_config();
-        config.validate(self.ranks);
-        let setup = self.interp_setup();
-        let (result, _per_rank, _streamed) = self.run_world(&config, |comm| {
-            turbine::run_rank_with(comm, &config, &program, &setup)
-        })?;
-        Ok(result)
+        self.run_programs(vec![(TenantSpec::new(0, "main"), program)])
     }
 
     /// Compile every program queued with [`Runtime::submit`] and run them
@@ -455,14 +459,10 @@ impl Runtime {
     /// `i`, the servers schedule leaf work across tenants by weight and
     /// enforce each tenant's quota, and the workers execute everyone's
     /// tasks in per-tenant interpreters. Per-tenant output, accounting and
-    /// latency land in [`RunResult::tenants`]; a tenant's program failure
-    /// is contained there instead of failing the run.
+    /// latency land in [`RunResult::tenants`]; when several programs run,
+    /// a tenant's program failure is contained there instead of failing
+    /// the run.
     pub fn run_tenants(&self) -> Result<RunResult, SwiftTError> {
-        if self.tenants.is_empty() {
-            return Err(SwiftTError::Config(
-                "no tenant programs: submit() at least one before run_tenants()".to_string(),
-            ));
-        }
         let mut programs = Vec::with_capacity(self.tenants.len());
         for (i, job) in self.tenants.iter().enumerate() {
             let compiled = stc::compile(&job.source)?;
@@ -479,98 +479,20 @@ impl Runtime {
                 },
             ));
         }
-        self.run_turbine_tenants(programs)
+        self.run_programs(programs)
     }
 
     /// Multi-tenant analogue of [`Runtime::run_turbine`]: run
-    /// already-compiled programs, one per tenant. The builder's engine
-    /// count is ignored — multi-tenant runs use exactly one engine per
-    /// program.
+    /// already-compiled programs, one per tenant.
     pub fn run_turbine_tenants(
         &self,
         programs: Vec<(TenantSpec, TurbineProgram)>,
     ) -> Result<RunResult, SwiftTError> {
-        self.validate_config(programs.len())?;
-        let mut config = self.turbine_config();
-        config.engines = programs.len();
-        config.server.tenants = programs.iter().map(|(s, _)| s.clone()).collect();
-        let setup = self.interp_setup();
-        let (mut result, per_rank, streamed) = self.run_world(&config, |comm| {
-            turbine::run_rank_tenants_with(comm, &config, &programs, &setup)
-        })?;
-
-        // Per-tenant accounting rows, merged across servers.
-        let mut rows: Vec<(u32, TenantStats)> = Vec::new();
-        for o in per_rank.iter().flatten() {
-            merge_tenant_rows(&mut rows, &o.tenant_rows);
-        }
-        let contended_total: u64 = rows.iter().map(|(_, s)| s.delivered_contended).sum();
-
-        let mut reports = Vec::with_capacity(programs.len());
-        for (spec, _) in &programs {
-            // Per-tenant stdout in rank order: a survivor's locally
-            // captured per-tenant buffer is authoritative; a killed
-            // rank's contribution is what it streamed to the servers
-            // under this tenant's tag.
-            let mut stdout = String::new();
-            for (rank, o) in per_rank.iter().enumerate() {
-                match o {
-                    Some(ro) => {
-                        if let Some((_, s)) = ro.tenant_stdout.iter().find(|(t, _)| *t == spec.id) {
-                            stdout.push_str(s);
-                        }
-                    }
-                    None => {
-                        if let Some(s) = streamed.get(&rank).and_then(|m| m.get(&spec.id)) {
-                            stdout.push_str(s);
-                        }
-                    }
-                }
-            }
-            let stats = rows
-                .iter()
-                .find(|(t, _)| *t == spec.id)
-                .map(|(_, s)| *s)
-                .unwrap_or_default();
-            let share_of_delivered = (contended_total > 0)
-                .then(|| stats.delivered_contended as f64 / contended_total as f64);
-            // The tenant's engine holds its program error; worker-side
-            // containment messages are prefixed with the tenant id.
-            let engine_err = per_rank
-                .get(spec.id as usize)
-                .and_then(|o| o.as_ref())
-                .and_then(|o| o.program_error.clone());
-            let worker_err = per_rank.iter().flatten().find_map(|o| {
-                o.program_error
-                    .as_ref()
-                    .filter(|e| e.starts_with(&format!("tenant {}", spec.id)))
-                    .cloned()
-            });
-            let latency = if self.tracing {
-                LatencyStats::from_durations(tenant_task_durations(&result.traces, spec.id))
-            } else {
-                None
-            };
-            reports.push(TenantReport {
-                id: spec.id,
-                name: spec.name.clone(),
-                weight: spec.weight,
-                stdout,
-                stats,
-                share_of_delivered,
-                latency,
-                error: engine_err.or(worker_err),
-            });
-        }
-        // The rank-order global stdout interleaves tenants arbitrarily;
-        // tenant-order concatenation is the deterministic view.
-        result.stdout = reports.iter().map(|r| r.stdout.as_str()).collect();
-        result.tenants = reports;
-        Ok(result)
+        self.run_programs(programs)
     }
 
-    /// The engine/worker interpreter setup hook shared by both run paths:
-    /// native libraries (§III.B) and in-memory Tcl packages.
+    /// The engine/worker interpreter setup hook: native libraries
+    /// (§III.B) and in-memory Tcl packages.
     fn interp_setup(&self) -> impl Fn(&mut tclish::Interp) + '_ {
         move |interp: &mut tclish::Interp| {
             for lib in &self.natives {
@@ -586,97 +508,126 @@ impl Runtime {
         }
     }
 
-    /// Execute the world and assemble the run-shape-independent parts of
-    /// the result. Also returns the raw per-rank outputs (index = rank;
-    /// `None` = killed) and the server-tier streams keyed by rank then
-    /// tenant, for callers that post-process per tenant.
-    #[allow(clippy::type_complexity)]
-    fn run_world<F>(
+    /// The one run path: execute the world on `programs` and assemble the
+    /// result, one [`TenantReport`] per program. The machine has the
+    /// builder's engine count, but at least one engine per program.
+    fn run_programs(
         &self,
-        config: &TurbineConfig,
-        body: F,
-    ) -> Result<
-        (
-            RunResult,
-            Vec<Option<RankOutput>>,
-            HashMap<usize, BTreeMap<u32, String>>,
-        ),
-        SwiftTError,
-    >
-    where
-        F: Fn(mpisim::Comm) -> RankOutput + Sync,
-    {
+        programs: Vec<(TenantSpec, TurbineProgram)>,
+    ) -> Result<RunResult, SwiftTError> {
+        let engines = self.engines.max(programs.len());
+        self.validate_config(engines, &programs)?;
+        let config = TurbineConfig {
+            engines,
+            ..self.turbine_config()
+        };
+        let setup = self.interp_setup();
         let start = Instant::now();
         let world = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            World::run_faulty_traced(self.ranks, &self.faults, self.tracing, body)
+            World::run_faulty_traced(self.ranks, &self.faults, self.tracing, |comm| {
+                turbine::run_rank(comm, &config, &programs, &setup)
+            })
         }));
         let elapsed = start.elapsed();
-        match world {
-            Ok(outcome) => {
-                let per_rank = outcome.outputs;
-                // Streams accumulated on the server tier recover what a
-                // killed rank shipped before dying; for survivors the
-                // locally captured stdout is authoritative (and, fault
-                // free, identical to the streamed copy).
-                let mut streamed: HashMap<usize, BTreeMap<u32, String>> = HashMap::new();
-                let mut truncated: Vec<usize> = Vec::new();
-                for o in per_rank.iter().flatten() {
-                    for (r, t, s) in &o.server_streams {
-                        let e = streamed.entry(*r).or_default().entry(*t).or_default();
-                        if s.len() > e.len() {
-                            s.clone_into(e);
-                        }
-                    }
-                    truncated.extend(o.truncated_streams.iter().copied());
+        let outcome = world.map_err(|p| {
+            let msg = p
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "rank panicked".to_string());
+            SwiftTError::Runtime(msg)
+        })?;
+        let per_rank = outcome.outputs;
+
+        // Streams accumulated on the server tier, keyed by (rank, tenant),
+        // recover what a killed rank shipped before dying; for survivors
+        // the locally captured stdout is authoritative (and, fault free,
+        // identical to the streamed copy). Tenant rows merge across
+        // servers.
+        let mut streamed: HashMap<(usize, u32), String> = HashMap::new();
+        let mut truncated: Vec<usize> = Vec::new();
+        let mut rows: Vec<(u32, TenantStats)> = Vec::new();
+        for o in per_rank.iter().flatten() {
+            for (r, t, s) in &o.server_streams {
+                let e = streamed.entry((*r, *t)).or_default();
+                if s.len() > e.len() {
+                    s.clone_into(e);
                 }
-                truncated.sort_unstable();
-                truncated.dedup();
-                let mut stdout = String::new();
-                for (rank, o) in per_rank.iter().enumerate() {
-                    match o {
-                        Some(ro) => stdout.push_str(&ro.stdout),
-                        None => {
-                            if let Some(m) = streamed.get(&rank) {
-                                for s in m.values() {
-                                    stdout.push_str(s);
-                                }
-                            }
-                        }
-                    }
-                }
-                let outputs: Vec<_> = per_rank.iter().flatten().cloned().collect();
-                let roles = (0..self.ranks)
-                    .map(|r| config.role(self.ranks, r))
-                    .collect();
-                let latency = if self.tracing {
-                    Some(LatencyReport::from_traces(&outcome.traces))
-                } else {
-                    None
-                };
-                let result = RunResult {
-                    stdout,
-                    outputs,
-                    elapsed,
-                    messages: outcome.stats.messages,
-                    bytes: outcome.stats.bytes,
-                    killed_ranks: outcome.killed,
-                    truncated_streams: truncated,
-                    roles,
-                    traces: outcome.traces,
-                    latency,
-                    tenants: Vec::new(),
-                };
-                Ok((result, per_rank, streamed))
             }
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "rank panicked".to_string());
-                Err(SwiftTError::Runtime(msg))
-            }
+            truncated.extend(o.truncated_streams.iter().copied());
+            merge_tenant_rows(&mut rows, &o.tenant_rows);
         }
+        truncated.sort_unstable();
+        truncated.dedup();
+        let contended_total: u64 = rows.iter().map(|(_, s)| s.delivered_contended).sum();
+
+        let tenants: Vec<TenantReport> = programs
+            .iter()
+            .map(|(spec, _)| {
+                // Each tenant's stdout in rank order.
+                let stdout = per_rank
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(rank, o)| match o {
+                        Some(ro) => ro
+                            .tenant_stdout
+                            .iter()
+                            .find(|(t, _)| *t == spec.id)
+                            .map(|(_, s)| s.as_str()),
+                        None => streamed.get(&(rank, spec.id)).map(String::as_str),
+                    })
+                    .collect();
+                let stats = rows
+                    .iter()
+                    .find(|(t, _)| *t == spec.id)
+                    .map(|(_, s)| *s)
+                    .unwrap_or_default();
+                let latency = self
+                    .tracing
+                    .then(|| {
+                        LatencyStats::from_durations(tenant_task_durations(
+                            &outcome.traces,
+                            spec.id,
+                        ))
+                    })
+                    .flatten();
+                // The first error contained for this tenant, in rank order:
+                // its main engine's comes first.
+                let label = format!("tenant {}: ", spec.id);
+                let error = per_rank
+                    .iter()
+                    .flatten()
+                    .find_map(|o| o.program_error.clone().filter(|e| e.starts_with(&label)));
+                TenantReport {
+                    id: spec.id,
+                    name: spec.name.clone(),
+                    weight: spec.weight,
+                    stdout,
+                    stats,
+                    share_of_delivered: (contended_total > 0)
+                        .then(|| stats.delivered_contended as f64 / contended_total as f64),
+                    latency,
+                    error,
+                }
+            })
+            .collect();
+        Ok(RunResult {
+            stdout: tenants.iter().map(|t| t.stdout.as_str()).collect(),
+            outputs: per_rank.into_iter().flatten().collect(),
+            elapsed,
+            messages: outcome.stats.messages,
+            bytes: outcome.stats.bytes,
+            killed_ranks: outcome.killed,
+            truncated_streams: truncated,
+            roles: (0..self.ranks)
+                .map(|r| config.role(self.ranks, r))
+                .collect(),
+            latency: self
+                .tracing
+                .then(|| LatencyReport::from_traces(&outcome.traces)),
+            traces: outcome.traces,
+            tenants,
+        })
     }
 }
 

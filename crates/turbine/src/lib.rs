@@ -21,8 +21,12 @@
 //! * the **Tcl runtime library** ([`library`]): the pure-Tcl procs
 //!   (`swt:*`) that STC-generated code calls for arithmetic, string ops,
 //!   printf, and loop splitting — the analogue of Turbine's `lib/*.tcl`;
-//! * the **per-rank driver** ([`run`]): role dispatch and output
-//!   collection for a whole simulated machine.
+//! * the **per-rank driver** ([`run`]): role dispatch, the engine loop
+//!   and output collection for a whole simulated machine. Every program is
+//!   a tenant: a lone program is tenant 0 and owns every engine; with N
+//!   programs engine rank `r` serves program `r mod N`, workers keep one
+//!   interpreter per program, and errors fail the world fast only when a
+//!   program runs alone.
 //!
 //! The integration tests in this crate run hand-written Turbine code; the
 //! `stc` crate generates such code from Swift source, and `swiftt-core`
@@ -36,8 +40,5 @@ pub mod types;
 pub mod worker;
 
 pub use commands::{Ctx, SharedCtx};
-pub use run::{
-    run_rank, run_rank_tenants, run_rank_tenants_with, run_rank_with, RankOutput, Role,
-    TurbineConfig, TurbineProgram,
-};
+pub use run::{run_rank, RankOutput, Role, TurbineConfig, TurbineProgram};
 pub use types::{InterpPolicy, TurbineType};

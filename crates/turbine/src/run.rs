@@ -1,9 +1,12 @@
 //! Per-rank driver: role assignment, program startup, engine loop, output
 //! collection.
 //!
-//! This is the analogue of `turbine::start`: given a compiled program
-//! (preamble of proc definitions + a main body), each rank takes its role
-//! from the layout (Fig. 2) and runs to global termination.
+//! This is the analogue of `turbine::start`: given compiled programs (each
+//! a preamble of proc definitions + a main body), each rank takes its role
+//! from the layout (Fig. 2) and runs to global termination. Every program
+//! is a tenant of the world; a lone program is tenant 0 and owns every
+//! engine, and N programs share the worker and server fleet with engine
+//! rank `r` serving program `r mod N`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -32,8 +35,9 @@ pub enum Role {
 pub struct TurbineConfig {
     /// Number of ADLB server ranks (at the top of the rank space).
     pub servers: usize,
-    /// Number of engine ranks (at the bottom of the rank space). Engine 0
-    /// evaluates the program's main body.
+    /// Number of engine ranks (at the bottom of the rank space), at least
+    /// one per program. Engine `r` serves program `r mod N` and evaluates
+    /// that program's main when `r < N`.
     pub engines: usize,
     /// §III.C interpreter policy on workers.
     pub policy: InterpPolicy,
@@ -69,9 +73,7 @@ impl TurbineConfig {
             adlb::ClientConfig::unbatched()
         }
     }
-}
 
-impl TurbineConfig {
     /// The ADLB layout for a world of `size` ranks.
     pub fn layout(&self, size: usize) -> Layout {
         Layout::new(size, self.servers)
@@ -89,11 +91,16 @@ impl TurbineConfig {
         }
     }
 
-    /// Validate against a world size: need at least one engine, and a
-    /// worker if any leaf tasks are to run.
-    pub fn validate(&self, size: usize) {
+    /// Validate against a world size and a program count: need at least
+    /// one program, an engine per program, and a worker if any leaf tasks
+    /// are to run.
+    pub fn validate(&self, size: usize, programs: usize) {
         let clients = size - self.servers;
-        assert!(self.engines >= 1, "need at least one engine");
+        assert!(
+            programs >= 1 && self.engines >= programs,
+            "need at least one engine per program ({} engines, {programs} programs)",
+            self.engines
+        );
         assert!(
             clients > self.engines,
             "need at least one worker rank (size {size}, servers {}, engines {})",
@@ -109,7 +116,8 @@ pub struct TurbineProgram {
     /// Proc definitions and package setup; evaluated on every engine and
     /// worker before any task runs.
     pub preamble: String,
-    /// The program body; evaluated on engine 0 only.
+    /// The program body; evaluated once, by the engine whose rank is the
+    /// program's position in the run.
     pub main: String,
     /// Program arguments, readable via `turbine::argv` / Swift `argv()`.
     pub args: Vec<(String, String)>,
@@ -120,8 +128,9 @@ pub struct TurbineProgram {
 pub struct RankOutput {
     /// The role this rank played.
     pub role: Role,
-    /// Everything the rank's interpreter wrote via `puts` (and embedded
-    /// interpreter output).
+    /// Everything the rank's interpreters wrote via `puts` (and embedded
+    /// interpreter output): [`RankOutput::tenant_stdout`] concatenated in
+    /// tenant order.
     pub stdout: String,
     /// Leaf tasks executed (workers).
     pub tasks_executed: u64,
@@ -143,17 +152,14 @@ pub struct RankOutput {
     /// Client ranks whose stream is known-incomplete — the rank died
     /// mid-run (servers only).
     pub truncated_streams: Vec<Rank>,
-    /// Per-tenant scheduling/admission accounting (servers only; empty in
-    /// single-tenant runs, which never register tenants).
+    /// Per-tenant scheduling/admission accounting (servers only).
     pub tenant_rows: Vec<(u32, TenantStats)>,
-    /// The tenant this rank served exclusively (multi-tenant engines).
-    pub tenant: Option<u32>,
-    /// Per-tenant stdout captured locally on this rank (multi-tenant
-    /// engines and workers). [`RankOutput::stdout`] is the concatenation
-    /// in tenant order.
+    /// Per-tenant stdout captured locally on this rank (engines and
+    /// workers), in tenant order.
     pub tenant_stdout: Vec<(u32, String)>,
-    /// The first program error this rank contained (multi-tenant runs
-    /// isolate failures per tenant instead of panicking the world).
+    /// The first program error this rank contained, as `tenant <id>:
+    /// <error>` (only when several programs share the world; a lone
+    /// program's errors panic it instead).
     pub program_error: Option<String>,
 }
 
@@ -172,7 +178,6 @@ impl RankOutput {
             server_streams: Vec::new(),
             truncated_streams: Vec::new(),
             tenant_rows: Vec::new(),
-            tenant: None,
             tenant_stdout: Vec::new(),
             program_error: None,
         }
@@ -206,33 +211,42 @@ impl OutputStreamer {
     }
 }
 
-/// Run one rank of the machine to global termination.
+/// Run one rank of a machine to global termination. `programs[i]` runs
+/// as tenant `programs[i].0.id`; a lone program is
+/// `[(TenantSpec::new(0, "main"), program)]`. Engine rank `r` serves
+/// program `r % programs.len()` and evaluates its main only when
+/// `r < programs.len()`; the workers and servers are shared by every
+/// program.
+///
+/// `setup` customizes each engine/worker interpreter after the
+/// `turbine::*` commands are registered — this is where the host attaches
+/// native libraries (the SWIG path of §III.B) and extra in-memory Tcl
+/// packages.
 ///
 /// # Panics
-/// Panics on Tcl errors in the program (poisoning the world so other
-/// ranks fail fast rather than hanging).
-pub fn run_rank(comm: Comm, config: &TurbineConfig, program: &TurbineProgram) -> RankOutput {
-    run_rank_with(comm, config, program, |_| {})
-}
-
-/// Like [`run_rank`], with a hook that customizes each engine/worker
-/// interpreter after the `turbine::*` commands are registered — this is
-/// where the host attaches native libraries (the SWIG path of §III.B) and
-/// extra in-memory Tcl packages.
-pub fn run_rank_with(
+/// A lone program's errors panic (poisoning the world so other ranks fail
+/// fast rather than hanging). Beside other programs, each program's
+/// failures are contained to its own tasks and reported in
+/// [`RankOutput::program_error`], so one broken program cannot take its
+/// neighbors down.
+pub fn run_rank(
     comm: Comm,
     config: &TurbineConfig,
-    program: &TurbineProgram,
+    programs: &[(TenantSpec, TurbineProgram)],
     setup: impl Fn(&mut Interp),
 ) -> RankOutput {
     let size = comm.size();
-    config.validate(size);
+    config.validate(size, programs.len());
     let rank = comm.rank();
     let role = config.role(size, rank);
     let layout = config.layout(size);
 
     if role == Role::Server {
-        let outcome = adlb::serve_ext(comm, layout, config.server.clone());
+        let server = ServerConfig {
+            tenants: programs.iter().map(|(s, _)| s.clone()).collect(),
+            ..config.server.clone()
+        };
+        let outcome = adlb::serve_ext(comm, layout, server);
         return RankOutput {
             server_stats: Some(outcome.stats),
             server_streams: outcome.streams,
@@ -244,44 +258,79 @@ pub fn run_rank_with(
 
     let client = AdlbClient::with_config(comm, layout, config.client_config());
     let ctx = Ctx::new(client, role == Role::Engine, config.policy);
-    ctx.borrow_mut().args = program.args.iter().cloned().collect();
-    // The runtime library plus the program's own definitions are an
+    // The runtime library plus a program's own definitions are an
     // in-memory "static package" (§IV): no filesystem involved.
-    let (mut interp, buf, err) = build_interp(&ctx, config, size, &program.preamble, &setup);
-    if let Some(e) = err {
-        panic!("{e} on rank {rank}");
-    }
-
-    let mut stream = OutputStreamer::new(buf.clone());
-    match role {
-        Role::Engine => {
-            if rank == 0 {
-                interp
-                    .eval(&program.main)
-                    .and_then(|_| flush_writes(&ctx))
-                    .unwrap_or_else(|e| panic!("program main failed: {e}"));
+    let build = |preamble: &str| build_interp(&ctx, config, size, preamble, &setup);
+    let (tenant_stdout, program_error) = if role == Role::Engine {
+        run_engine(&ctx, rank, programs, build)
+    } else {
+        let mut opened = Vec::new();
+        let mut first_err = None;
+        worker::worker_loop(&ctx, programs, &mut |tenant, preamble| {
+            let (interp, buf, err) = build(preamble);
+            if first_err.is_none() {
+                first_err = err.map(|e| format!("tenant {tenant}: {e}"));
             }
-            engine_loop(&mut interp, &ctx, &mut stream)
-                .unwrap_or_else(|e| panic!("engine {rank} failed: {e}"));
-        }
-        Role::Worker => {
-            worker::worker_loop(&mut interp, &ctx, &mut stream)
-                .unwrap_or_else(|e| panic!("worker {rank} task failed: {e}"));
-        }
-        Role::Server => unreachable!(),
-    }
-
+            opened.push((tenant, buf.clone()));
+            (interp, OutputStreamer::new(buf))
+        });
+        opened.sort_by_key(|(t, _)| *t);
+        let stdout = opened.into_iter().map(|(t, b)| (t, b.take())).collect();
+        (stdout, first_err)
+    };
     let c = ctx.borrow();
-    let stdout = buf.borrow().clone();
     RankOutput {
-        stdout,
+        stdout: tenant_stdout.iter().map(|(_, s)| s.as_str()).collect(),
         tasks_executed: c.tasks_executed,
         tasks_failed: c.tasks_failed,
         rules_created: c.engine.rules_created,
         rules_fired: c.engine.rules_fired,
         interp_inits: c.interp_inits,
+        tenant_stdout,
+        program_error,
         ..RankOutput::empty(role)
     }
+}
+
+/// Drive engine `rank`: build the interpreter of the program it serves,
+/// evaluate that program's main when this rank owns it, and serve
+/// notifications and control tasks to global termination. Returns the
+/// engine's stdout under its tenant and the error a shared sink contained.
+fn run_engine(
+    ctx: &SharedCtx,
+    rank: Rank,
+    programs: &[(TenantSpec, TurbineProgram)],
+    build: impl Fn(&str) -> (Interp, Rc<RefCell<String>>, Option<String>),
+) -> (Vec<(u32, String)>, Option<String>) {
+    let (spec, program) = &programs[rank % programs.len()];
+    {
+        let mut c = ctx.borrow_mut();
+        c.args = program.args.iter().cloned().collect();
+        c.client.set_tenant(spec.id);
+        c.client.set_get_filter(Some(spec.id));
+    }
+    let (mut interp, buf, preamble_err) = build(&program.preamble);
+    let mut stream = OutputStreamer::new(buf.clone());
+    let mut sink = ErrorSink::for_programs(programs.len());
+    // A broken preamble skips main; a shared engine still serves its
+    // notifications to termination so the rest of the world is undisturbed.
+    let started = match preamble_err {
+        Some(e) => sink.take(Err(e)),
+        None if rank < programs.len() => sink.take(
+            interp
+                .eval(&program.main)
+                .and_then(|_| flush_writes(ctx))
+                .map_err(|e| format!("program main failed: {e}")),
+        ),
+        None => Ok(()),
+    };
+    let served = started.and_then(|()| engine_loop(&mut interp, ctx, &mut stream, &mut sink));
+    if let Err(e) = served {
+        panic!("engine {rank} failed: {e}");
+    }
+    let stdout = buf.take();
+    let error = sink.first().map(|e| format!("tenant {}: {e}", spec.id));
+    (vec![(spec.id, stdout)], error)
 }
 
 /// Send everything the fragment just evaluated left in the client's
@@ -308,8 +357,8 @@ fn flush_before_get(ctx: &SharedCtx, stream: &mut OutputStreamer) -> Result<(), 
 
 /// Build one engine/worker interpreter: `turbine::*` commands, the host
 /// `setup` hook, the runtime library, and `preamble`. A preamble error is
-/// returned (not panicked) so multi-tenant callers can contain it to the
-/// offending tenant.
+/// returned (not panicked) so it can be contained to the offending
+/// program.
 fn build_interp(
     ctx: &SharedCtx,
     config: &TurbineConfig,
@@ -337,301 +386,128 @@ fn build_interp(
     (interp, buf, err)
 }
 
-/// Run one rank of a *multi-tenant* machine: `programs[i]` runs as tenant
-/// `programs[i].0.id`, evaluated by engine rank `i`, over the shared
-/// worker/server fleet. Requires exactly one engine per program.
-///
-/// Unlike [`run_rank`], program errors do not panic the world: each
-/// tenant's failures are contained to its own tasks and reported in
-/// [`RankOutput::program_error`], so one broken program cannot take its
-/// neighbors down.
-pub fn run_rank_tenants(
-    comm: Comm,
-    config: &TurbineConfig,
-    programs: &[(TenantSpec, TurbineProgram)],
-) -> RankOutput {
-    run_rank_tenants_with(comm, config, programs, |_| {})
+/// Where an engine sends its program's errors, chosen from the program
+/// count. A lone program fails fast: the error comes back out of
+/// [`ErrorSink::take`] and the driver panics the world with it. Beside
+/// other programs the first error is kept and the engine serves on to
+/// global termination, so one broken program cannot stall or abort its
+/// neighbors.
+enum ErrorSink {
+    Lone,
+    Shared(Option<String>),
 }
 
-/// Like [`run_rank_tenants`], with the same interpreter-setup hook as
-/// [`run_rank_with`].
-pub fn run_rank_tenants_with(
-    comm: Comm,
-    config: &TurbineConfig,
-    programs: &[(TenantSpec, TurbineProgram)],
-    setup: impl Fn(&mut Interp),
-) -> RankOutput {
-    let size = comm.size();
-    config.validate(size);
-    assert!(
-        config.engines == programs.len(),
-        "multi-tenant runs need exactly one engine per program \
-         ({} engines, {} programs)",
-        config.engines,
-        programs.len()
-    );
-    let rank = comm.rank();
-    let role = config.role(size, rank);
-    let layout = config.layout(size);
-
-    if role == Role::Server {
-        let mut server_cfg = config.server.clone();
-        server_cfg.tenants = programs.iter().map(|(s, _)| s.clone()).collect();
-        let outcome = adlb::serve_ext(comm, layout, server_cfg);
-        return RankOutput {
-            server_stats: Some(outcome.stats),
-            server_streams: outcome.streams,
-            truncated_streams: outcome.truncated,
-            tenant_rows: outcome.tenant_rows,
-            ..RankOutput::empty(role)
-        };
+impl ErrorSink {
+    fn for_programs(n: usize) -> Self {
+        if n == 1 {
+            ErrorSink::Lone
+        } else {
+            ErrorSink::Shared(None)
+        }
     }
 
-    let client = AdlbClient::with_config(comm, layout, config.client_config());
-    let ctx = Ctx::new(client, role == Role::Engine, config.policy);
-
-    match role {
-        Role::Engine => {
-            let (spec, program) = &programs[rank];
-            let tenant = spec.id;
-            {
-                let mut c = ctx.borrow_mut();
-                c.args = program.args.iter().cloned().collect();
-                c.client.set_tenant(tenant);
-                c.client.set_get_filter(Some(tenant));
+    /// Send `outcome` to the sink: an error ends a lone engine's loop, a
+    /// shared sink records the first one and lets the loop carry on.
+    fn take(&mut self, outcome: Result<(), String>) -> Result<(), String> {
+        match (self, outcome) {
+            (ErrorSink::Shared(first), Err(e)) => {
+                first.get_or_insert(e);
+                Ok(())
             }
-            let (mut interp, buf, mut error) =
-                build_interp(&ctx, config, size, &program.preamble, &setup);
-            let mut stream = OutputStreamer::new(buf.clone());
-            // Every engine is rank 0 of its own tenant: it runs its
-            // program's main. A failed main is contained — the engine
-            // keeps serving its notifications to global termination so
-            // the rest of the world is undisturbed.
-            if error.is_none() {
-                if let Err(e) = interp.eval(&program.main).and_then(|_| flush_writes(&ctx)) {
-                    error = Some(format!("program main failed: {e}"));
-                }
-            }
-            engine_loop_contained(&mut interp, &ctx, &mut stream, &mut error);
-            let c = ctx.borrow();
-            let stdout = buf.borrow().clone();
-            RankOutput {
-                stdout: stdout.clone(),
-                rules_created: c.engine.rules_created,
-                rules_fired: c.engine.rules_fired,
-                interp_inits: c.interp_inits,
-                tenant: Some(tenant),
-                tenant_stdout: vec![(tenant, stdout)],
-                program_error: error.map(|e| format!("tenant {} ({}): {e}", tenant, spec.name)),
-                ..RankOutput::empty(role)
-            }
+            (_, outcome) => outcome,
         }
-        Role::Worker => {
-            let preambles: std::collections::HashMap<u32, (String, Vec<(String, String)>)> =
-                programs
-                    .iter()
-                    .map(|(s, p)| (s.id, (p.preamble.clone(), p.args.clone())))
-                    .collect();
-            let mut first_err: Option<String> = None;
-            let mut bufs: Vec<(u32, Rc<RefCell<String>>)> = Vec::new();
-            let executed = {
-                let mut build = |tenant: u32| {
-                    let preamble = preambles
-                        .get(&tenant)
-                        .map(|(p, _)| p.as_str())
-                        .unwrap_or("");
-                    let (interp, buf, err) = build_interp(&ctx, config, size, preamble, &setup);
-                    if let Some(e) = err {
-                        if first_err.is_none() {
-                            first_err = Some(format!("tenant {tenant}: {e}"));
-                        }
-                    }
-                    bufs.push((tenant, buf.clone()));
-                    (interp, OutputStreamer::new(buf))
-                };
-                let args_of = |tenant: u32| {
-                    preambles
-                        .get(&tenant)
-                        .map(|(_, a)| a.iter().cloned().collect())
-                        .unwrap_or_default()
-                };
-                worker::worker_loop_tenants(&ctx, &mut build, &args_of)
-            };
-            let _ = executed;
-            bufs.sort_by_key(|(t, _)| *t);
-            let tenant_stdout: Vec<(u32, String)> = bufs
-                .into_iter()
-                .map(|(t, b)| (t, b.borrow().clone()))
-                .collect();
-            let stdout = tenant_stdout
-                .iter()
-                .map(|(_, s)| s.as_str())
-                .collect::<Vec<_>>()
-                .join("");
-            let c = ctx.borrow();
-            RankOutput {
-                stdout,
-                tasks_executed: c.tasks_executed,
-                tasks_failed: c.tasks_failed,
-                interp_inits: c.interp_inits,
-                tenant_stdout,
-                program_error: first_err,
-                ..RankOutput::empty(role)
-            }
-        }
-        Role::Server => unreachable!(),
     }
-}
 
-/// The multi-tenant engine loop: like [`engine_loop`], but evaluation
-/// errors are *contained* — recorded in `error` (first one wins) while
-/// the engine keeps serving notifications and control tasks to global
-/// termination, so one tenant's broken program cannot stall or abort its
-/// neighbors. A dataflow deadlock at termination is only reported when no
-/// earlier error explains it.
-fn engine_loop_contained(
-    interp: &mut Interp,
-    ctx: &SharedCtx,
-    stream: &mut OutputStreamer,
-    error: &mut Option<String>,
-) {
-    let note = |error: &mut Option<String>, e: String| {
-        if error.is_none() {
-            *error = Some(e);
-        }
-    };
-    loop {
-        loop {
-            let action = ctx.borrow_mut().engine.ready.pop_front();
-            match action {
-                Some(a) => {
-                    if let Err(e) = interp.eval(&a) {
-                        note(error, format!("rule action failed: {e}"));
-                    }
-                }
-                None => break,
-            }
-        }
-        if let Err(e) = flush_before_get(ctx, stream) {
-            note(error, format!("data operation failed: {e}"));
-        }
-        let task = ctx
-            .borrow_mut()
-            .client
-            .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
-        match task {
-            None => {
-                let c = ctx.borrow();
-                if let Some(reason) = c.client.run_aborted() {
-                    note(error, format!("run aborted: {reason}"));
-                    return;
-                }
-                let waiting = c.engine.rules_waiting();
-                if waiting > 0 && error.is_none() {
-                    let mut msg = format!(
-                        "dataflow deadlock: {waiting} rule(s) never fired; \
-                         some futures were never assigned"
-                    );
-                    for report in c.client.quarantine_reports() {
-                        msg.push_str("\n  ");
-                        msg.push_str(report);
-                    }
-                    *error = Some(msg);
-                }
-                return;
-            }
-            Some(t) if t.work_type == adlb::WORK_TYPE_NOTIFY => {
-                if let Err(e) = ctx.borrow_mut().notified(&t.payload) {
-                    note(error, e.to_string());
-                }
-            }
-            Some(t) => match std::str::from_utf8(&t.payload) {
-                Ok(code) => {
-                    if let Err(e) = interp.eval(code) {
-                        note(error, format!("control task failed: {e}"));
-                    }
-                }
-                Err(_) => note(error, "non-UTF-8 control task".to_string()),
-            },
+    /// Whether no error has been recorded.
+    fn is_clear(&self) -> bool {
+        !matches!(self, ErrorSink::Shared(Some(_)))
+    }
+
+    /// The error a shared sink recorded.
+    fn first(self) -> Option<String> {
+        match self {
+            ErrorSink::Shared(first) => first,
+            ErrorSink::Lone => None,
         }
     }
 }
 
 /// The engine loop: drain locally ready actions, then take the next
 /// control task or data-close notification until global termination.
+/// Every error goes to `sink`, which decides whether it ends the loop.
 ///
 /// Writes are flushed and answered before the next get (see
 /// [`flush_before_get`]); the output produced so far streams to the
 /// server tier with them.
-pub fn engine_loop(
+fn engine_loop(
     interp: &mut Interp,
     ctx: &SharedCtx,
     stream: &mut OutputStreamer,
-) -> Result<(), tclish::TclError> {
+    sink: &mut ErrorSink,
+) -> Result<(), String> {
     loop {
         // Drain everything ready to run on this engine.
         loop {
             let action = ctx.borrow_mut().engine.ready.pop_front();
-            match action {
-                Some(a) => {
-                    interp.eval(&a)?;
-                }
-                None => break,
-            }
+            let Some(a) = action else { break };
+            let fired = interp.eval(&a).map(drop);
+            sink.take(fired.map_err(|e| format!("rule action failed: {e}")))?;
         }
         // No write stays queued across a get: the fragments' writes (and
         // stdout) leave now, and a failed one ends the run here rather
         // than as a hang on a future that never closes.
-        flush_before_get(ctx, stream)?;
+        let flushed = flush_before_get(ctx, stream);
+        sink.take(flushed.map_err(|e| format!("data operation failed: {e}")))?;
         let task = ctx
             .borrow_mut()
             .client
             .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
-        match task {
-            None => {
-                let c = ctx.borrow();
-                // An aborted run (a server died with no replica to
-                // promote) may look "complete" to the engine — tasks
-                // that died with the shard leave no unfired rule behind.
-                // The shutdown notice carries the diagnosis; fail the
-                // run with it instead of reporting partial output as
-                // success.
-                if let Some(reason) = c.client.run_aborted() {
-                    return Err(tclish::TclError::new(format!("run aborted: {reason}")));
+        let Some(t) = task else {
+            let c = ctx.borrow();
+            // An aborted run (a server died with no replica to promote)
+            // may look "complete" to the engine — tasks that died with the
+            // shard leave no unfired rule behind. The shutdown notice
+            // carries the diagnosis; fail the run with it instead of
+            // reporting partial output as success.
+            if let Some(reason) = c.client.run_aborted() {
+                return sink.take(Err(format!("run aborted: {reason}")));
+            }
+            // Global termination with rules still waiting means their
+            // input futures can never close: a dataflow deadlock in the
+            // user program (e.g. reading a never-assigned variable, or a
+            // task quarantined after repeated failures). Report it like
+            // Swift/T does, with the server's quarantine reports when
+            // there are any — unless an earlier error already explains it.
+            let waiting = c.engine.rules_waiting();
+            if waiting > 0 && sink.is_clear() {
+                let mut msg = format!(
+                    "dataflow deadlock: {waiting} rule(s) never fired; \
+                     some futures were never assigned"
+                );
+                for report in c.client.quarantine_reports() {
+                    msg.push_str("\n  ");
+                    msg.push_str(report);
                 }
-                // Global termination with rules still waiting means their
-                // input futures can never close: a dataflow deadlock in
-                // the user program (e.g. reading a never-assigned
-                // variable, or a task quarantined after repeated
-                // failures). Report it like Swift/T does, with the
-                // server's quarantine reports when there are any.
-                let waiting = c.engine.rules_waiting();
-                if waiting > 0 {
-                    let mut msg = format!(
-                        "dataflow deadlock: {waiting} rule(s) never fired; \
-                         some futures were never assigned"
-                    );
-                    for report in c.client.quarantine_reports() {
-                        msg.push_str("\n  ");
-                        msg.push_str(report);
-                    }
-                    return Err(tclish::TclError::new(msg));
-                }
-                return Ok(());
+                return sink.take(Err(msg));
             }
-            Some(t) if t.work_type == adlb::WORK_TYPE_NOTIFY => {
-                // A notification that does not decode names no datum: the
-                // rules waiting on it could never fire, so the run fails
-                // here rather than as a dataflow deadlock at the end.
-                let notified = ctx.borrow_mut().notified(&t.payload);
-                notified.map_err(|e| tclish::TclError::new(e.to_string()))?;
+            return Ok(());
+        };
+        let outcome = if t.work_type == adlb::WORK_TYPE_NOTIFY {
+            // A notification that does not decode names no datum: the
+            // rules waiting on it could never fire, so it is an error here
+            // rather than a dataflow deadlock at the end.
+            let notified = ctx.borrow_mut().notified(&t.payload);
+            notified.map_err(|e| e.to_string())
+        } else {
+            match std::str::from_utf8(&t.payload) {
+                Ok(code) => interp
+                    .eval(code)
+                    .map(drop)
+                    .map_err(|e| format!("control task failed: {e}")),
+                Err(_) => Err("non-UTF-8 control task".to_string()),
             }
-            Some(t) => {
-                let code = std::str::from_utf8(&t.payload)
-                    .map_err(|_| tclish::TclError::new("non-UTF-8 control task"))?;
-                interp.eval(code)?;
-            }
-        }
+        };
+        sink.take(outcome)?;
     }
 }
 
@@ -640,14 +516,15 @@ mod tests {
     use super::*;
     use mpisim::World;
 
-    /// Run a whole machine; returns concatenated stdout (rank order) and
-    /// the per-rank outputs.
+    /// Run a whole machine on a lone program; returns concatenated stdout
+    /// (rank order) and the per-rank outputs.
     pub fn run_machine(
         size: usize,
         config: TurbineConfig,
         program: TurbineProgram,
     ) -> (String, Vec<RankOutput>) {
-        let outs = World::run(size, move |comm| run_rank(comm, &config, &program));
+        let programs = [(TenantSpec::new(0, "main"), program)];
+        let outs = World::run(size, move |comm| run_rank(comm, &config, &programs, |_| {}));
         let stdout = outs
             .iter()
             .map(|o| o.stdout.as_str())
@@ -872,7 +749,7 @@ result = sum(range(n))}
             engines: 2,
             ..TurbineConfig::default()
         };
-        let outs = World::run(6, move |comm| run_rank_tenants(comm, &config, &programs));
+        let outs = World::run(6, move |comm| run_rank(comm, &config, &programs, |_| {}));
         let mut per_tenant = [String::new(), String::new()];
         for o in &outs {
             assert!(o.program_error.is_none(), "{:?}", o.program_error);
@@ -915,7 +792,7 @@ result = sum(range(n))}
             engines: 2,
             ..TurbineConfig::default()
         };
-        let outs = World::run(5, move |comm| run_rank_tenants(comm, &config, &programs));
+        let outs = World::run(5, move |comm| run_rank(comm, &config, &programs, |_| {}));
         let broken = &outs[0];
         assert!(broken
             .program_error
@@ -932,9 +809,12 @@ result = sum(range(n))}
     }
 
     /// Engine 0 waits on a future nobody stores while rank 1 sends it a
-    /// 3-byte close notification. Returns the error the engine loop — the
-    /// contained one or not — ended with.
-    fn engine_meets_a_malformed_notification(contained: bool) -> Option<String> {
+    /// 3-byte close notification. Returns what the one engine loop ended
+    /// with under the sink of a run of `programs` programs, and what the
+    /// sink recorded.
+    fn engine_meets_a_malformed_notification(
+        programs: usize,
+    ) -> (Result<(), String>, Option<String>) {
         let config = TurbineConfig::default();
         let layout = config.layout(3);
         let out = World::run(3, |comm| {
@@ -955,32 +835,30 @@ result = sum(range(n))}
                 .eval("set x [turbine::unique]; turbine::create $x integer; turbine::rule [list $x] {puts never} control")
                 .unwrap();
             let mut stream = OutputStreamer::new(buf);
-            let error = if contained {
-                let mut error = None;
-                engine_loop_contained(&mut interp, &ctx, &mut stream, &mut error);
-                error
-            } else {
-                engine_loop(&mut interp, &ctx, &mut stream)
-                    .err()
-                    .map(|e| e.message)
-            };
-            // The failed loop stopped serving; let the world wind down.
+            let mut sink = ErrorSink::for_programs(programs);
+            let ended = engine_loop(&mut interp, &ctx, &mut stream, &mut sink);
+            // A loop that stopped early stopped serving; let the world
+            // wind down.
             ctx.borrow_mut().client.finish();
-            Some(error)
+            Some((ended, sink.first()))
         });
-        out.into_iter().flatten().next().flatten()
+        out.into_iter().flatten().next().unwrap()
     }
 
     #[test]
     fn a_malformed_notification_fails_the_engine_naming_its_length() {
-        for contained in [false, true] {
-            let err = engine_meets_a_malformed_notification(contained);
-            assert_eq!(
-                err.as_deref(),
-                Some("malformed close notification (3 bytes)"),
-                "contained: {contained}"
-            );
-        }
+        let err = "malformed close notification (3 bytes)".to_string();
+        // Alone, the loop returns the error (the driver panics with it).
+        assert_eq!(
+            engine_meets_a_malformed_notification(1),
+            (Err(err.clone()), None)
+        );
+        // Shared, the sink records it and the loop serves on to
+        // termination — where the unfired rule is not reported again.
+        assert_eq!(
+            engine_meets_a_malformed_notification(2),
+            (Ok(()), Some(err))
+        );
     }
 
     /// A worker stores w, x, y and z, each waited on by a rule on the

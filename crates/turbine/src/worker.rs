@@ -1,9 +1,10 @@
 //! The worker: leaf-task executor with embedded interpreters.
 //!
 //! Workers are the vast majority of ranks (Fig. 2). Each one loops on
-//! `ADLB_Get(WORK)`, evaluating each task's Tcl fragment in its embedded
-//! interpreter. The per-task interpreter policy of §III.C (retain vs.
-//! reinitialize Python/R state) is applied between tasks.
+//! `ADLB_Get(WORK)`, evaluating each task's Tcl fragment in the embedded
+//! interpreter of the task's program. The per-task interpreter policy of
+//! §III.C (retain vs. reinitialize Python/R state) is applied between
+//! tasks.
 //!
 //! Task failures are *contained*: an eval error (or an undecodable
 //! payload) is reported to the ADLB server as a negative acknowledgement
@@ -14,11 +15,12 @@
 
 use std::collections::HashMap;
 
+use adlb::TenantSpec;
 use tclish::{Interp, TclError};
 
 use crate::commands::SharedCtx;
 use crate::engine::open_envelope;
-use crate::run::OutputStreamer;
+use crate::run::{OutputStreamer, TurbineProgram};
 use crate::types::InterpPolicy;
 
 /// Evaluate one leaf task in `interp`, containing failures: success
@@ -86,76 +88,72 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
     }
 }
 
-/// Run the worker loop until global termination. Returns the number of
-/// tasks executed successfully. Each finished task's output streams to
-/// the server tier before the next blocking get, so a later death of this
-/// rank cannot lose it.
-///
-/// The `Result` is kept for API stability; task failures are contained
-/// (counted in `Ctx::tasks_failed` and reported to the server), so this
-/// never returns `Err`.
-pub fn worker_loop(
-    interp: &mut Interp,
-    ctx: &SharedCtx,
-    stream: &mut OutputStreamer,
-) -> Result<u64, TclError> {
-    let mut count = 0u64;
-    loop {
-        stream.ship(&mut ctx.borrow_mut().client);
-        let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
-        let Some(task) = task else {
-            return Ok(count);
-        };
-        execute_task(interp, ctx, &task, &mut count);
-    }
-}
+/// A worker serving a program that is not in the run (no preamble, no
+/// arguments). Every task's tenant comes from a program's spec, so this
+/// only answers a hand-built put.
+const NO_PROGRAM: &TurbineProgram = &TurbineProgram {
+    preamble: String::new(),
+    main: String::new(),
+    args: Vec::new(),
+};
 
-/// The multi-tenant worker loop: one shared ADLB client serving every
-/// tenant's leaf tasks, with a lazily created Tcl interpreter *per
-/// tenant* (each loaded with that tenant's preamble) so programs cannot
-/// observe each other's procs or globals. Embedded Python/R state and
-/// blobs are cleared on every tenant switch regardless of the configured
-/// §III.C policy — interpreter state is never shared across tenants.
+/// Run the worker loop until global termination: one ADLB client serving
+/// every program's leaf tasks, each evaluated in its tenant's own Tcl
+/// interpreter so programs cannot observe each other's procs or globals.
+/// `open(tenant, preamble)` builds that interpreter (plus its output
+/// streamer) on the tenant's first task. Embedded Python/R state and blobs
+/// are cleared on every tenant switch regardless of the configured §III.C
+/// policy — interpreter state is never shared across tenants.
 ///
-/// `build` constructs the interpreter (plus its output streamer) for a
-/// tenant on first use; `args_of` yields the tenant's program arguments,
-/// installed into the shared context on each switch.
-pub fn worker_loop_tenants(
+/// Task failures are contained (counted in `Ctx::tasks_failed` and
+/// reported to the server). Each finished task's output streams to the
+/// server tier under its tenant's tag before the next blocking get, so a
+/// later death of this rank cannot lose it.
+pub fn worker_loop(
     ctx: &SharedCtx,
-    build: &mut dyn FnMut(u32) -> (Interp, OutputStreamer),
-    args_of: &dyn Fn(u32) -> HashMap<String, String>,
-) -> u64 {
-    let mut interps: HashMap<u32, (Interp, OutputStreamer)> = HashMap::new();
-    let mut last_tenant: Option<u32> = None;
+    programs: &[(TenantSpec, TurbineProgram)],
+    open: &mut dyn FnMut(u32, &str) -> (Interp, OutputStreamer),
+) {
+    // Per tenant: its interpreter, output stream and arguments.
+    let mut interps: HashMap<u32, (Interp, OutputStreamer, HashMap<String, String>)> =
+        HashMap::new();
+    let mut current: Option<u32> = None;
     let mut count = 0u64;
     loop {
-        // Ship every tenant's output increments under its own tag before
-        // blocking, so a later death of this rank loses at most the task
-        // in flight.
-        for (t, (_interp, stream)) in interps.iter_mut() {
+        for (t, (_, stream, _)) in interps.iter_mut() {
             let mut c = ctx.borrow_mut();
             c.client.set_tenant(*t);
             stream.ship(&mut c.client);
         }
         let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
         let Some(task) = task else {
-            return count;
+            return;
         };
         let tenant = task.tenant;
-        if last_tenant != Some(tenant) {
+        let (interp, _, args) = interps.entry(tenant).or_insert_with(|| {
+            let program = programs
+                .iter()
+                .find(|(s, _)| s.id == tenant)
+                .map_or(NO_PROGRAM, |(_, p)| p);
+            let (interp, stream) = open(tenant, &program.preamble);
+            (interp, stream, program.args.iter().cloned().collect())
+        });
+        {
             let mut c = ctx.borrow_mut();
-            // Tenant switch: embedded interpreters and blobs must not
-            // leak across programs, whatever the retain policy says.
-            if last_tenant.is_some() {
-                c.python = None;
-                c.r = None;
-                c.blobs.borrow_mut().clear();
-            }
-            c.args = args_of(tenant);
+            // Child tasks and output belong to the task's program.
             c.client.set_tenant(tenant);
-            last_tenant = Some(tenant);
+            if current != Some(tenant) {
+                // Tenant switch: embedded interpreters and blobs must not
+                // leak across programs, whatever the retain policy says.
+                if current.is_some() {
+                    c.python = None;
+                    c.r = None;
+                    c.blobs.borrow_mut().clear();
+                }
+                c.args = args.clone();
+                current = Some(tenant);
+            }
         }
-        let (interp, _stream) = interps.entry(tenant).or_insert_with(|| build(tenant));
         execute_task(interp, ctx, &task, &mut count);
     }
 }
@@ -166,9 +164,26 @@ mod tests {
     use mpisim::World;
     use tclish::Interp;
 
-    use crate::commands::{self, Ctx};
+    use crate::commands::{self, Ctx, SharedCtx};
     use crate::engine::seal_envelope;
+    use crate::run::OutputStreamer;
     use crate::types::{InterpPolicy, TurbineType};
+
+    /// Serve leaf tasks on `ctx` to global termination in one lazily
+    /// built interpreter; returns its stdout and the tasks executed.
+    fn serve(ctx: &SharedCtx) -> (String, u64) {
+        let mut out = None;
+        super::worker_loop(ctx, &[], &mut |_, _| {
+            let mut interp = Interp::new();
+            let buf = interp.capture_output();
+            commands::register(&mut interp, ctx.clone());
+            crate::library::load(&mut interp).unwrap();
+            out = Some(buf.clone());
+            (interp, OutputStreamer::new(buf))
+        });
+        let stdout = out.map(|b| b.take()).unwrap_or_default();
+        (stdout, ctx.borrow().tasks_executed)
+    }
 
     /// 1 submitter + 1 worker + 1 server; submitter sends raw Tcl tasks.
     fn run_worker(tasks: &'static [&'static str], policy: InterpPolicy) -> (String, u64, u64) {
@@ -187,16 +202,9 @@ mod tests {
                 client.finish();
                 return None;
             }
-            let client = AdlbClient::new(comm, layout);
-            let ctx = Ctx::new(client, false, policy);
-            let mut interp = Interp::new();
-            let buf = interp.capture_output();
-            commands::register(&mut interp, ctx.clone());
-            crate::library::load(&mut interp).unwrap();
-            let mut stream = crate::run::OutputStreamer::new(buf.clone());
-            let n = super::worker_loop(&mut interp, &ctx, &mut stream).unwrap();
+            let ctx = Ctx::new(AdlbClient::new(comm, layout), false, policy);
+            let (stdout, n) = serve(&ctx);
             let inits = ctx.borrow().interp_inits;
-            let stdout = buf.borrow().clone();
             Some((stdout, n, inits))
         });
         out.into_iter().flatten().next().unwrap()
@@ -261,16 +269,10 @@ mod tests {
                 client.finish();
                 return None;
             }
-            let client = AdlbClient::new(comm, layout);
-            let ctx = Ctx::new(client, false, InterpPolicy::Retain);
-            let mut interp = Interp::new();
-            let buf = interp.capture_output();
-            commands::register(&mut interp, ctx.clone());
-            let mut stream = crate::run::OutputStreamer::new(buf.clone());
-            let n = super::worker_loop(&mut interp, &ctx, &mut stream)
-                .expect("contained loop never errs");
+            let ctx = Ctx::new(AdlbClient::new(comm, layout), false, InterpPolicy::Retain);
+            let (stdout, n) = serve(&ctx);
             let failed = ctx.borrow().tasks_failed;
-            assert_eq!(buf.borrow().as_str(), "healthy\n");
+            assert_eq!(stdout, "healthy\n");
             Some((failed, n, 1))
         });
         // Default RetryPolicy: max_retries = 3, so the poison task fails
@@ -310,13 +312,8 @@ mod tests {
                 return (String::new(), 0, None, Vec::new());
             }
             let ctx = Ctx::new(client, false, InterpPolicy::Retain);
-            let mut interp = Interp::new();
-            let buf = interp.capture_output();
-            commands::register(&mut interp, ctx.clone());
-            let mut stream = crate::run::OutputStreamer::new(buf.clone());
-            let n = super::worker_loop(&mut interp, &ctx, &mut stream).unwrap();
+            let (stdout, n) = serve(&ctx);
             let reports = ctx.borrow().client.quarantine_reports().to_vec();
-            let stdout = buf.borrow().clone();
             (stdout, n, None, reports)
         });
         let (stdout, n, _, reports) = out[1].clone();

@@ -11,7 +11,7 @@
 //!   than 2x;
 //! * one tenant's program failure is contained to its report.
 
-use swiftt::core::{Runtime, SwiftTError, TenantQuota};
+use swiftt::core::{Runtime, SwiftTError, TenantQuota, TenantSpec, TurbineProgram};
 
 /// A program that prints `name` exactly `n` times, as `n` independent
 /// leaf tasks. Every line is identical, so its stdout is deterministic
@@ -234,4 +234,61 @@ fn nonsense_configs_are_rejected_up_front() {
     // run_tenants with nothing submitted.
     let m = config_err(Runtime::new(5).run_tenants());
     assert!(m.contains("submit"), "{m}");
+}
+
+#[test]
+fn a_lone_program_is_tenant_zero_of_the_one_run_path() {
+    // `run` and a one-program `run_tenants` are the same run: the same
+    // bytes out and one report, whether that program has one engine or
+    // two (engine 1 then serves program 0 too).
+    let src = spam("main", 24);
+    for engines in [1, 2] {
+        let rt = Runtime::new(6).engines(engines);
+        let alone = rt.run(&src).unwrap();
+        let submitted = rt
+            .clone()
+            .submit("main", 1, None, src.clone())
+            .run_tenants()
+            .unwrap();
+        for r in [&alone, &submitted] {
+            assert_eq!(r.stdout, "main\n".repeat(24), "engines({engines})");
+            assert_eq!(r.tenants.len(), 1, "engines({engines})");
+            let t = r.tenant(0).unwrap();
+            assert_eq!(
+                (t.name.as_str(), t.stdout.as_str()),
+                ("main", r.stdout.as_str())
+            );
+            assert!(t.error.is_none());
+        }
+        assert_eq!(alone.stdout, submitted.stdout);
+    }
+}
+
+#[test]
+fn a_failing_main_fails_a_lone_run_and_is_contained_beside_a_neighbor() {
+    let broken = || TurbineProgram {
+        main: "error {main is broken}".into(),
+        ..TurbineProgram::default()
+    };
+    match Runtime::new(5).run_turbine(broken()) {
+        Err(SwiftTError::Runtime(m)) => {
+            assert!(m.contains("program main failed: main is broken"), "{m}")
+        }
+        other => panic!("a lone failing main must fail the run, got {other:?}"),
+    }
+    let healthy = TurbineProgram {
+        main: "turbine::spawn work 0 {puts survived}".into(),
+        ..TurbineProgram::default()
+    };
+    let r = Runtime::new(5)
+        .run_turbine_tenants(vec![
+            (TenantSpec::new(0, "broken"), broken()),
+            (TenantSpec::new(1, "healthy"), healthy),
+        ])
+        .unwrap();
+    let err = r.tenant(0).unwrap().error.as_deref().unwrap_or_default();
+    assert!(err.contains("program main failed: main is broken"), "{err}");
+    assert!(r.tenant(1).unwrap().error.is_none());
+    assert_eq!(r.tenant(1).unwrap().stdout, "survived\n");
+    assert_eq!(r.stdout, "survived\n");
 }
