@@ -64,7 +64,7 @@ const SEG_MAGIC: u32 = 0x434b_5031; // "CKP1"
 /// WAL record frame and checkpoint segment. Hand-rolled (no external
 /// hash dependency); collision resistance is irrelevant here, this only
 /// has to catch torn writes and bit rot in a durable image.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);
@@ -241,7 +241,7 @@ pub fn replay_wal_records(
     last
 }
 
-fn encode_segment(last_lsn: u64, ledger: &Ledger, history: &RespHistory) -> Vec<u8> {
+pub(crate) fn encode_segment(last_lsn: u64, ledger: &Ledger, history: &RespHistory) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u32(SEG_MAGIC);
     w.put_u64(last_lsn);
@@ -266,7 +266,7 @@ fn encode_segment(last_lsn: u64, ledger: &Ledger, history: &RespHistory) -> Vec<
     out
 }
 
-fn decode_segment(buf: &[u8]) -> Result<(u64, Ledger, RespHistory), String> {
+pub(crate) fn decode_segment(buf: &[u8]) -> Result<(u64, Ledger, RespHistory), String> {
     if buf.len() < 8 {
         return Err("segment: truncated (no checksum)".into());
     }

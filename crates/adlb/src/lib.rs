@@ -63,6 +63,8 @@ mod queue;
 mod replica;
 mod server;
 mod tenant;
+#[cfg(test)]
+mod wire_tests;
 
 pub use checkpoint::{
     decode_wal, encode_wal_record, replay_wal_records, verify_checkpoint, CheckpointConfig,
