@@ -47,7 +47,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use mpisim::{Rank, Tag, WireReader, WireWriter};
+use mpisim::{wire_enum, Rank, Tag, Wire, WireReader, WireWriter};
 use pfs::{Pfs, PfsClient};
 
 use crate::layout::Layout;
@@ -162,57 +162,29 @@ fn absorb_history(history: &mut RespHistory, ops: &[ReplOp]) {
 /// Encode one WAL record: a length-framed `[lsn, n, op...]` batch,
 /// followed by an FNV-1a checksum of the body.
 pub fn encode_wal_record(lsn: u64, ops: &[ReplOp]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u64(lsn);
-    w.put_u32(ops.len() as u32);
-    for op in ops {
-        op.encode_into(&mut w);
-    }
-    let body = w.finish();
-    let mut out = Vec::with_capacity(4 + body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out
+    let mut body = WireWriter::new();
+    body.put_u64(lsn).put_seq(ops);
+    let body = body.into_vec();
+    let mut frame = WireWriter::with_capacity(4 + body.len() + 8);
+    frame.put_bytes(&body).put_u64(fnv1a(&body));
+    frame.into_vec()
 }
 
 /// Decode a WAL file into `(lsn, ops)` records. Errors on a torn frame,
-/// a checksum mismatch, or an undecodable op — corruption, not a
-/// recoverable condition.
+/// a checksum mismatch, or a record body that is not exactly one
+/// `[lsn, n, op...]` batch — corruption, not a recoverable condition.
 pub fn decode_wal(buf: &[u8]) -> Result<Vec<(u64, Vec<ReplOp>)>, String> {
+    let mut r = WireReader::new(buf);
     let mut records = Vec::new();
-    let mut at = 0usize;
-    while at < buf.len() {
-        let len_bytes = buf
-            .get(at..at + 4)
-            .ok_or("wal: torn frame header")?
-            .try_into()
-            .map_err(|_| "wal: torn frame header")?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        at += 4;
-        let body = buf.get(at..at + len).ok_or("wal: torn frame body")?;
-        at += len;
-        let sum_bytes: [u8; 8] = buf
-            .get(at..at + 8)
-            .ok_or("wal: torn frame checksum")?
-            .try_into()
-            .map_err(|_| "wal: torn frame checksum")?;
-        at += 8;
-        if u64::from_le_bytes(sum_bytes) != fnv1a(body) {
-            return Err(format!(
-                "wal: record checksum mismatch at byte {}",
-                at - len - 12
-            ));
+    while r.remaining() > 0 {
+        let at = r.offset();
+        let torn = |e| format!("wal: torn frame at byte {at}: {e}");
+        let body = r.get_bytes().map_err(torn)?;
+        if r.get_u64().map_err(torn)? != fnv1a(body) {
+            return Err(format!("wal: record checksum mismatch at byte {at}"));
         }
-        let mut r = WireReader::new(body);
-        let lsn = r.get_u64().map_err(|e| format!("wal: {e:?}"))?;
-        let n = r.get_u32().map_err(|e| format!("wal: {e:?}"))?;
-        // The count is outside input: bound what it may reserve.
-        let mut ops = Vec::with_capacity((n as usize).min(4096));
-        for _ in 0..n {
-            ops.push(ReplOp::decode_from(&mut r).map_err(|e| format!("wal: {e:?}"))?);
-        }
-        records.push((lsn, ops));
+        let record = WireReader::new(body).exact(<(u64, Vec<ReplOp>)>::get);
+        records.push(record.map_err(|e| format!("wal: record at byte {at}: {e}"))?);
     }
     Ok(records)
 }
@@ -241,26 +213,28 @@ pub fn replay_wal_records(
     last
 }
 
+/// The response history as a segment stores it: clients ascending, each
+/// as a `u32` with its sealed responses by ascending seq.
+type HistoryLayout = Vec<(u32, Vec<(u64, Bytes)>)>;
+
+/// A segment: magic, last covered LSN, full [`Ledger`], response
+/// history, then an FNV-1a checksum of everything before it.
 pub(crate) fn encode_segment(last_lsn: u64, ledger: &Ledger, history: &RespHistory) -> Vec<u8> {
+    let mut by_client: HistoryLayout = history
+        .iter()
+        .map(|(client, by_seq)| {
+            let mut seqs: Vec<(u64, Bytes)> = by_seq.iter().map(|(s, b)| (*s, b.clone())).collect();
+            seqs.sort_by_key(|(seq, _)| *seq);
+            (*client as u32, seqs)
+        })
+        .collect();
+    by_client.sort_by_key(|(client, _)| *client);
     let mut w = WireWriter::new();
-    w.put_u32(SEG_MAGIC);
-    w.put_u64(last_lsn);
-    ledger.encode_into(&mut w);
-    let mut clients: Vec<&Rank> = history.keys().collect();
-    clients.sort();
-    w.put_u32(clients.len() as u32);
-    for c in clients {
-        w.put_u32(*c as u32);
-        let by_seq = &history[c];
-        let mut seqs: Vec<&u64> = by_seq.keys().collect();
-        seqs.sort();
-        w.put_u32(seqs.len() as u32);
-        for s in seqs {
-            w.put_u64(*s);
-            w.put_bytes(&by_seq[s]);
-        }
-    }
-    let mut out = w.finish().to_vec();
+    w.put_u32(SEG_MAGIC)
+        .put_u64(last_lsn)
+        .put(ledger)
+        .put(&by_client);
+    let mut out = w.into_vec();
     let sum = fnv1a(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
@@ -277,43 +251,29 @@ pub(crate) fn decode_segment(buf: &[u8]) -> Result<(u64, Ledger, RespHistory), S
     if u64::from_le_bytes(sum) != fnv1a(body) {
         return Err("segment: checksum mismatch".into());
     }
-    let mut r = WireReader::new(body);
-    let err = |e: mpisim::WireError| format!("segment: {e:?}");
-    if r.get_u32().map_err(err)? != SEG_MAGIC {
-        return Err("segment: bad magic".into());
-    }
-    let last_lsn = r.get_u64().map_err(err)?;
-    let ledger = Ledger::decode_from(&mut r).map_err(err)?;
-    let nclients = r.get_u32().map_err(err)?;
-    let mut history = RespHistory::new();
-    for _ in 0..nclients {
-        let client = r.get_u32().map_err(err)? as Rank;
-        let n = r.get_u32().map_err(err)?;
-        let by_seq = history.entry(client).or_default();
-        for _ in 0..n {
-            let seq = r.get_u64().map_err(err)?;
-            let bytes = r.get_bytes_shared().map_err(err)?;
-            by_seq.insert(seq, bytes);
+    let segment = WireReader::new(body).exact(|r| {
+        if r.get_u32()? != SEG_MAGIC {
+            return Err(r.error("segment magic"));
         }
-    }
+        Ok((r.get_u64()?, Ledger::get(r)?, HistoryLayout::get(r)?))
+    });
+    let (last_lsn, ledger, by_client) = segment.map_err(|e| format!("segment: {e}"))?;
+    let history = by_client
+        .into_iter()
+        .map(|(client, seqs)| (client as Rank, seqs.into_iter().collect()))
+        .collect();
     Ok((last_lsn, ledger, history))
 }
 
-const LATEST_SEGMENT: u8 = 0;
-const LATEST_REDIRECT: u8 = 1;
-
-fn encode_latest_segment(seg_no: u64) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(LATEST_SEGMENT);
-    w.put_u64(seg_no);
-    w.finish().to_vec()
-}
-
-fn encode_latest_redirect(to: Rank) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(LATEST_REDIRECT);
-    w.put_u32(to as u32);
-    w.finish().to_vec()
+wire_enum! {
+    /// What a shard's `latest` file points at.
+    enum Latest: "latest pointer" {
+        /// The newest segment epoch.
+        0 => Segment(u64),
+        /// A redirect tombstone: the rank (as a `u32`) whose checkpoint
+        /// subsumed this shard in a failover.
+        1 => Redirect(u32),
+    }
 }
 
 /// What a shard restore found on the filesystem.
@@ -348,17 +308,13 @@ pub(crate) fn restore_home(client: &mut PfsClient, home: Rank) -> Result<Restore
             break 0; // never compacted: segment 0 is the empty base
         }
         let raw = client.read(&latest_path(at)).map_err(|e| format!("{e}"))?;
-        let mut r = WireReader::new(&raw);
-        match r.get_u8() {
-            Ok(LATEST_SEGMENT) => {
-                break r.get_u64().map_err(|e| format!("latest: {e:?}"))?;
+        match Latest::decode(&raw.into()) {
+            Ok(Latest::Segment(k)) => break k,
+            Ok(Latest::Redirect(to)) => {
+                via.push(to as Rank);
+                at = to as Rank;
             }
-            Ok(LATEST_REDIRECT) => {
-                let to = r.get_u32().map_err(|e| format!("latest: {e:?}"))? as Rank;
-                via.push(to);
-                at = to;
-            }
-            _ => return Err(format!("/ckpt/{at}/latest: corrupt pointer")),
+            Err(e) => return Err(format!("/ckpt/{at}/latest: corrupt pointer: {e}")),
         }
     };
 
@@ -626,9 +582,8 @@ impl CheckpointSink {
             self.segments += 1;
             self.bytes_written += seg_bytes;
         }
-        let _ = self
-            .client
-            .put(&latest_path(self.home), &encode_latest_segment(self.seg_no));
+        let latest = Latest::Segment(self.seg_no).encode();
+        let _ = self.client.put(&latest_path(self.home), &latest);
         // Retire the superseded epoch (either file may not exist).
         let _ = self.client.unlink(&wal_path(self.home, old));
         let _ = self.client.unlink(&seg_path(self.home, old));
@@ -638,9 +593,8 @@ impl CheckpointSink {
     /// Leave a redirect tombstone in `from`'s checkpoint directory: this
     /// sink's checkpoint now covers that subsumed shard.
     pub(crate) fn write_redirect(&mut self, from: Rank) {
-        let _ = self
-            .client
-            .put(&latest_path(from), &encode_latest_redirect(self.home));
+        let latest = Latest::Redirect(self.home as u32).encode();
+        let _ = self.client.put(&latest_path(from), &latest);
         // The subsumed shard's old files are stale history now.
         let _ = self.client.unlink(&wal_path(from, 0));
     }
@@ -721,20 +675,11 @@ pub fn verify_checkpoint(fs: &Arc<Pfs>) -> FsckReport {
         // The latest pointer: absent means "never compacted", epoch 0.
         if client.exists(&latest_path(home)) {
             match client.read(&latest_path(home)) {
-                Ok(raw) => {
-                    let mut r = WireReader::new(&raw);
-                    match r.get_u8() {
-                        Ok(LATEST_SEGMENT) => match r.get_u64() {
-                            Ok(k) => shard.seg_no = k,
-                            Err(e) => shard.errors.push(format!("latest: {e:?}")),
-                        },
-                        Ok(LATEST_REDIRECT) => match r.get_u32() {
-                            Ok(to) => shard.redirect_to = Some(to as Rank),
-                            Err(e) => shard.errors.push(format!("latest: {e:?}")),
-                        },
-                        _ => shard.errors.push("latest: corrupt pointer".into()),
-                    }
-                }
+                Ok(raw) => match Latest::decode(&raw.into()) {
+                    Ok(Latest::Segment(k)) => shard.seg_no = k,
+                    Ok(Latest::Redirect(to)) => shard.redirect_to = Some(to as Rank),
+                    Err(e) => shard.errors.push(format!("latest: corrupt pointer: {e}")),
+                },
                 Err(e) => shard.errors.push(format!("latest: {e}")),
             }
         }
@@ -860,6 +805,13 @@ mod tests {
         assert!(decode_wal(&[0xff, 0xff, 0xff]).is_err());
     }
 
+    /// `body` framed as a WAL record, under its own checksum.
+    fn wal_frame(body: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_bytes(body).put_u64(fnv1a(body));
+        w.into_vec()
+    }
+
     #[test]
     fn decode_wal_survives_a_lying_op_count() {
         // A record whose checksum matches (FNV-1a is not a MAC) but whose
@@ -868,13 +820,52 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u64(1);
         w.put_u32(u32::MAX);
-        ReplOp::Create { id: 1, type_tag: 0 }.encode_into(&mut w);
-        let body = w.finish();
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        let err = decode_wal(&frame).unwrap_err();
+        w.put(&ReplOp::Create { id: 1, type_tag: 0 });
+        let err = decode_wal(&wal_frame(&w.into_vec())).unwrap_err();
         assert!(err.starts_with("wal:"), "{err}");
+    }
+
+    #[test]
+    fn a_record_or_segment_one_byte_too_long_is_corrupt() {
+        // One extra byte under a recomputed checksum: the frame and the
+        // checksum are sound, the layout inside them is not.
+        let mut body = WireWriter::new();
+        body.put_u64(1).put_seq(&[op_store(1, b"x")]);
+        let mut body = body.into_vec();
+        body.push(0);
+        let wal = wal_frame(&body);
+        let err = decode_wal(&wal).unwrap_err();
+        assert!(
+            err.starts_with("wal:") && err.contains("trailing bytes"),
+            "{err}"
+        );
+
+        let mut seg = encode_segment(1, &Ledger::default(), &RespHistory::new());
+        seg.truncate(seg.len() - 8);
+        seg.push(0);
+        seg.extend_from_slice(&fnv1a(&seg).to_le_bytes());
+        let err = decode_segment(&seg).unwrap_err();
+        assert!(
+            err.starts_with("segment:") && err.contains("trailing bytes"),
+            "{err}"
+        );
+
+        // The offline fsck reports both.
+        let fs = fs();
+        let mut c = fs.client();
+        c.put("/ckpt/0/latest", &Latest::Segment(1).encode())
+            .unwrap();
+        c.put("/ckpt/0/seg-1", &seg).unwrap();
+        c.put("/ckpt/0/wal-1", &wal).unwrap();
+        let errors = &verify_checkpoint(&fs).shards[0].errors;
+        for file in ["segment:", "wal:"] {
+            assert!(
+                errors
+                    .iter()
+                    .any(|e| e.starts_with(file) && e.contains("trailing bytes")),
+                "{file} {errors:?}"
+            );
+        }
     }
 
     #[test]
@@ -1145,13 +1136,15 @@ mod tests {
     fn fsck_flags_dangling_redirects() {
         let fs = fs();
         let mut c = fs.client();
-        c.put("/ckpt/2/latest", &encode_latest_redirect(7)).unwrap();
+        c.put("/ckpt/2/latest", &Latest::Redirect(7).encode())
+            .unwrap();
         let report = verify_checkpoint(&fs);
         assert_eq!(report.shards[0].redirect_to, Some(7));
         assert!(!report.is_clean());
 
         // Give rank 7 a checkpoint and the redirect becomes valid.
-        c.put("/ckpt/7/latest", &encode_latest_segment(0)).unwrap();
+        c.put("/ckpt/7/latest", &Latest::Segment(0).encode())
+            .unwrap();
         let report = verify_checkpoint(&fs);
         assert!(report.is_clean(), "{:?}", report.shards);
     }

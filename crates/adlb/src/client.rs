@@ -4,11 +4,11 @@ use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
-use mpisim::{trace, Comm, Rank, Src, TagSel};
+use mpisim::{trace, Comm, Rank, Src, TagSel, Wire};
 
 use crate::datastore::DataError;
 use crate::layout::Layout;
-use crate::msg::{seal_seq, Request, Response, Task, TAG_REQ, TAG_RESP};
+use crate::msg::{seal_seq, Request, Response, Sealed, Task, TAG_REQ, TAG_RESP};
 
 /// How long an awaited request waits for its response before checking
 /// whether the serving rank died. While the server is alive the client
@@ -281,7 +281,7 @@ impl AdlbClient {
                     // A malformed response must not take the client rank
                     // down: log, drop, and keep waiting — the retry loop
                     // re-sends the request if nothing valid ever lands.
-                    let Ok((resp, rseq)) = Response::decode_sealed(&m.data) else {
+                    let Ok((resp, rseq)) = Sealed::<Response>::decode(&m.data) else {
                         eprintln!(
                             "adlb client {}: undecodable response from rank {}; dropped",
                             self.comm.rank(),
@@ -1172,7 +1172,7 @@ mod tests {
             let first = ask(&batch, 1).unwrap();
             let again = ask(&batch, 1).unwrap();
             assert_eq!(first, again, "the cached response, verbatim");
-            let (resp, seq) = Response::decode_sealed(&first).unwrap();
+            let (resp, seq) = Sealed::<Response>::decode(&first).unwrap();
             assert_eq!(seq, 1);
             match resp {
                 Response::Batch(r) => {
@@ -1191,7 +1191,7 @@ mod tests {
                 max_tasks: 8,
                 tenant: None,
             };
-            let (resp, _) = Response::decode_sealed(&ask(&get, 2).unwrap()).unwrap();
+            let (resp, _) = Sealed::<Response>::decode(&ask(&get, 2).unwrap()).unwrap();
             assert!(matches!(resp, Response::DeliverTask(_)), "{resp:?}");
             // A failed write ahead of an ack fails that ack: the task is
             // retried, not lost, and the batch needs no answer.
@@ -1201,7 +1201,7 @@ mod tests {
             };
             let dup = Request::DataCreate { id: 7, type_tag: 0 };
             assert!(ask(&Request::Batch(vec![dup, done.clone()]), 3).is_none());
-            let (resp, _) = Response::decode_sealed(&ask(&get, 4).unwrap()).unwrap();
+            let (resp, _) = Sealed::<Response>::decode(&ask(&get, 4).unwrap()).unwrap();
             match resp {
                 Response::DeliverTask(t) => assert_eq!(t.attempts, 1, "the retry of the same task"),
                 other => panic!("wrong response {other:?}"),

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use mpisim::Rank;
+use mpisim::{wire_enum, Rank, Wire, WireError, WireReader, WireWriter};
 
 /// Data-store error (double assignment, missing datum, type mismatch...).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,16 +34,18 @@ impl std::fmt::Display for DataError {
 
 impl std::error::Error for DataError {}
 
-/// A datum's value: a scalar future or a container.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DatumValue {
-    /// Not yet stored.
-    Unset,
-    /// Scalar payload (int/float/string/blob — encoding is Turbine's
-    /// concern; ADLB ships bytes).
-    Scalar(Bytes),
-    /// Container members by subscript.
-    Container(HashMap<String, Bytes>),
+wire_enum! {
+    /// A datum's value: a scalar future or a container.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum DatumValue: "datum value" {
+        /// Not yet stored.
+        0 => Unset,
+        /// Scalar payload (int/float/string/blob — encoding is Turbine's
+        /// concern; ADLB ships bytes).
+        1 => Scalar(Bytes),
+        /// Container members by subscript.
+        2 => Container(HashMap<String, Bytes>),
+    }
 }
 
 /// One typed future.
@@ -63,6 +65,27 @@ pub struct Datum {
     pub write_refs: i64,
 }
 
+/// On the wire the closed flag precedes the value.
+impl Wire for Datum {
+    fn put(&self, w: &mut WireWriter) {
+        w.put(&self.type_tag)
+            .put(&self.closed)
+            .put(&self.value)
+            .put(&self.subscribers)
+            .put(&self.write_refs);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Datum, WireError> {
+        Ok(Datum {
+            type_tag: Wire::get(r)?,
+            closed: Wire::get(r)?,
+            value: Wire::get(r)?,
+            subscribers: Wire::get(r)?,
+            write_refs: Wire::get(r)?,
+        })
+    }
+}
+
 /// Type tag convention: containers use this tag, everything else is a
 /// scalar. (Kept in ADLB so `create` can pick the right value shape.)
 pub const TYPE_TAG_CONTAINER: u8 = 100;
@@ -71,6 +94,19 @@ pub const TYPE_TAG_CONTAINER: u8 = 100;
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct DataStore {
     data: HashMap<u64, Datum>,
+}
+
+/// A shard travels as its `id → datum` map.
+impl Wire for DataStore {
+    fn put(&self, w: &mut WireWriter) {
+        self.data.put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<DataStore, WireError> {
+        Ok(DataStore {
+            data: Wire::get(r)?,
+        })
+    }
 }
 
 impl DataStore {
@@ -91,12 +127,12 @@ impl DataStore {
         self.data.is_empty()
     }
 
-    /// Iterate over resident datums (ledger encoding).
+    /// Iterate over resident datums (checkpoint splitting).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&u64, &Datum)> {
         self.data.iter()
     }
 
-    /// Install a datum wholesale (ledger decoding).
+    /// Install a datum wholesale (checkpoint splitting).
     pub(crate) fn insert_datum(&mut self, id: u64, d: Datum) {
         self.data.insert(id, d);
     }

@@ -23,96 +23,98 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
 use bytes::Bytes;
-use mpisim::{trace, Rank, WireError, WireReader, WireWriter};
+use mpisim::{trace, wire_enum, Rank, Wire, WireError, WireReader, WireWriter};
 
 #[cfg(test)]
 use crate::datastore::TYPE_TAG_CONTAINER;
-use crate::datastore::{DataError, DataStore, Datum, DatumValue};
-use crate::msg::{decode_task_list, encode_task_list, Task};
+use crate::datastore::{DataError, DataStore};
+use crate::msg::Task;
 use crate::queue::WorkQueue;
 
-/// One state-changing operation against a server's [`Ledger`]: applied
-/// by the primary, then streamed to its replica holders and its WAL. The
-/// op stream from a primary is applied in order; each handler's ops are
-/// shipped in one [`ServerMsg::Repl`] batch, which the simulator delivers
-/// atomically — a kill can land between messages, never inside one.
-///
-/// [`ServerMsg::Repl`]: crate::msg::ServerMsg::Repl
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplOp {
-    /// Datum created ([`DataStore::create`]).
-    Create { id: u64, type_tag: u8 },
-    /// Scalar stored and closed. Drained subscribers are not carried
-    /// here: their notify tasks are replicated as task ops in the same
-    /// batch.
-    Store { id: u64, value: Bytes },
-    /// Container member inserted.
-    Insert { id: u64, key: String, value: Bytes },
-    /// Datum closed.
-    CloseDatum { id: u64 },
-    /// Writer slot count adjusted (may close the datum).
-    IncrWriters { id: u64, delta: i64 },
-    /// Rank subscribed to an open datum.
-    Subscribe { id: u64, rank: Rank },
-    /// Tasks entered the work queue.
-    Push { tasks: Vec<Task> },
-    /// Tasks left the work queue (delivery or donation). Always explicit —
-    /// a [`ReplOp::LeaseOpen`] alone does *not* imply removal, because
-    /// direct deliveries to a parked client never touch the queue.
-    Remove { tasks: Vec<Task> },
-    /// Tasks leased to a client (delivered, awaiting ack).
-    LeaseOpen { client: Rank, tasks: Vec<Task> },
-    /// The client's `n` oldest leases were acknowledged.
-    LeaseDrop { client: Rank, n: u32 },
-    /// Every lease of `client` was revoked (timeout); the client earns
-    /// that many stale-ack credits.
-    LeaseRevoke { client: Rank },
-    /// `n` stale-ack credits of `client` were consumed.
-    CreditUse { client: Rank, n: u32 },
-    /// `client` was detected dead: permanently parked, leases and credits
-    /// dropped (its requeued tasks arrive as separate task ops).
-    ClientDead { client: Rank },
-    /// `client`'s request `seq` to home server `home` was fully
-    /// processed; `resp` caches the encoded response when the request was
-    /// awaited, so a promoted successor can answer a re-sent duplicate
-    /// byte-for-byte.
-    SeqResp {
-        home: Rank,
-        client: Rank,
-        seq: u64,
-        resp: Option<Bytes>,
-    },
-    /// Streamed stdout from `client` on behalf of `tenant`.
-    Out {
-        client: Rank,
-        text: String,
-        tenant: u32,
-    },
-    /// `client` reported it will issue no further requests.
-    ClientFinished { client: Rank },
-    /// Write-ahead record of a task transfer toward home server `dest`
-    /// (forward or steal donation), logged *before* the tasks are sent.
-    XferOut {
-        dest: Rank,
-        fseq: u64,
-        steal: bool,
-        tasks: Vec<Task>,
-    },
-    /// Transfer acknowledged by the receiver; the write-ahead entry is
-    /// retired. `origin` is explicit because a promoted server also
-    /// retires entries it inherited from the dead primary.
-    XferDone { origin: Rank, dest: Rank, fseq: u64 },
-    /// The ledger owner applied transfer `fseq` from `origin`'s ledger
-    /// toward home `dest` (`n` tasks; the tasks themselves ride in
-    /// adjacent task ops of the same batch).
-    XferIn {
-        origin: Rank,
-        dest: Rank,
-        fseq: u64,
-        n: u64,
-    },
-    /// A task was quarantined with this report.
-    Quarantine { report: String },
+wire_enum! {
+    /// One state-changing operation against a server's [`Ledger`]: applied
+    /// by the primary, then streamed to its replica holders and its WAL. The
+    /// op stream from a primary is applied in order; each handler's ops are
+    /// shipped in one [`ServerMsg::Repl`] batch, which the simulator delivers
+    /// atomically — a kill can land between messages, never inside one.
+    ///
+    /// [`ServerMsg::Repl`]: crate::msg::ServerMsg::Repl
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ReplOp: "repl op" {
+        /// Datum created ([`DataStore::create`]).
+        0 => Create { id: u64, type_tag: u8 },
+        /// Scalar stored and closed. Drained subscribers are not carried
+        /// here: their notify tasks are replicated as task ops in the same
+        /// batch.
+        1 => Store { id: u64, value: Bytes },
+        /// Container member inserted.
+        2 => Insert { id: u64, key: String, value: Bytes },
+        /// Datum closed.
+        3 => CloseDatum { id: u64 },
+        /// Writer slot count adjusted (may close the datum).
+        4 => IncrWriters { id: u64, delta: i64 },
+        /// Rank subscribed to an open datum.
+        5 => Subscribe { id: u64, rank: Rank },
+        /// Tasks entered the work queue.
+        6 => Push { tasks: Vec<Task> },
+        /// Tasks left the work queue (delivery or donation). Always explicit —
+        /// a [`ReplOp::LeaseOpen`] alone does *not* imply removal, because
+        /// direct deliveries to a parked client never touch the queue.
+        7 => Remove { tasks: Vec<Task> },
+        /// Tasks leased to a client (delivered, awaiting ack).
+        8 => LeaseOpen { client: Rank, tasks: Vec<Task> },
+        /// The client's `n` oldest leases were acknowledged.
+        9 => LeaseDrop { client: Rank, n: u32 },
+        /// Every lease of `client` was revoked (timeout); the client earns
+        /// that many stale-ack credits.
+        10 => LeaseRevoke { client: Rank },
+        /// `n` stale-ack credits of `client` were consumed.
+        11 => CreditUse { client: Rank, n: u32 },
+        /// `client` was detected dead: permanently parked, leases and credits
+        /// dropped (its requeued tasks arrive as separate task ops).
+        12 => ClientDead { client: Rank },
+        /// `client`'s request `seq` to home server `home` was fully
+        /// processed; `resp` caches the encoded response when the request was
+        /// awaited, so a promoted successor can answer a re-sent duplicate
+        /// byte-for-byte.
+        13 => SeqResp {
+            home: Rank,
+            client: Rank,
+            seq: u64,
+            resp: Option<Bytes>,
+        },
+        /// Streamed stdout from `client` on behalf of `tenant`.
+        14 => Out {
+            client: Rank,
+            text: String,
+            tenant: u32,
+        },
+        /// `client` reported it will issue no further requests.
+        15 => ClientFinished { client: Rank },
+        /// Write-ahead record of a task transfer toward home server `dest`
+        /// (forward or steal donation), logged *before* the tasks are sent.
+        16 => XferOut {
+            dest: Rank,
+            fseq: u64,
+            steal: bool,
+            tasks: Vec<Task>,
+        },
+        /// Transfer acknowledged by the receiver; the write-ahead entry is
+        /// retired. `origin` is explicit because a promoted server also
+        /// retires entries it inherited from the dead primary.
+        17 => XferDone { origin: Rank, dest: Rank, fseq: u64 },
+        /// The ledger owner applied transfer `fseq` from `origin`'s ledger
+        /// toward home `dest` (`n` tasks; the tasks themselves ride in
+        /// adjacent task ops of the same batch).
+        18 => XferIn {
+            origin: Rank,
+            dest: Rank,
+            fseq: u64,
+            n: u64,
+        },
+        /// A task was quarantined with this report.
+        19 => Quarantine { report: String },
+    }
 }
 
 /// A write-ahead task transfer entry: `origin`'s ledger still owes the
@@ -141,6 +143,28 @@ impl PartialEq for Xfer {
     fn eq(&self, o: &Self) -> bool {
         (self.origin, self.dest, self.fseq, self.steal) == (o.origin, o.dest, o.fseq, o.steal)
             && self.tasks == o.tasks
+    }
+}
+
+/// `sent_to` is live-only: never encoded, and `None` when decoded.
+impl Wire for Xfer {
+    fn put(&self, w: &mut WireWriter) {
+        w.put(&self.origin)
+            .put(&self.dest)
+            .put(&self.fseq)
+            .put(&self.steal)
+            .put(&self.tasks);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Xfer, WireError> {
+        Ok(Xfer {
+            origin: Wire::get(r)?,
+            dest: Wire::get(r)?,
+            fseq: Wire::get(r)?,
+            steal: Wire::get(r)?,
+            tasks: Wire::get(r)?,
+            sent_to: None,
+        })
     }
 }
 
@@ -450,220 +474,63 @@ impl Ledger {
             }
         }
     }
+}
 
-    /// Serialize the full ledger (a sync stream or checkpoint segment).
-    pub(crate) fn encode_into(&self, w: &mut WireWriter) {
-        w.put_u32(self.store.len() as u32);
-        for (id, d) in self.store.iter() {
-            w.put_u64(*id);
-            encode_datum(w, d);
-        }
-        encode_task_list(w, self.queue.tasks());
+/// The full ledger, as a sync stream or checkpoint segment carries it:
+/// the store, then the queue and the leases as task lists, then every
+/// other map and counter in field order. Decoding rebuilds the queue by
+/// pushing its tasks back in delivery order, and starts lease clocks and
+/// queue accept stamps now.
+impl Wire for Ledger {
+    fn put(&self, w: &mut WireWriter) {
+        w.put(&self.store).put_seq(self.queue.tasks());
         w.put_u32(self.leases.len() as u32);
         for (client, deque) in &self.leases {
-            w.put_u64(*client as u64);
-            encode_task_list(w, deque.iter().map(|l| &l.task));
+            w.put(client).put_seq(deque.iter().map(|l| &l.task));
         }
-        w.put_u32(self.credits.len() as u32);
-        for (client, n) in &self.credits {
-            w.put_u64(*client as u64);
-            w.put_u32(*n);
-        }
-        w.put_u32(self.seqs.len() as u32);
-        for ((home, client), seq) in &self.seqs {
-            w.put_u64(*home as u64);
-            w.put_u64(*client as u64);
-            w.put_u64(*seq);
-        }
-        w.put_u32(self.resps.len() as u32);
-        for ((home, client), (seq, bytes)) in &self.resps {
-            w.put_u64(*home as u64);
-            w.put_u64(*client as u64);
-            w.put_u64(*seq);
-            w.put_bytes(bytes);
-        }
-        w.put_u32(self.outputs.len() as u32);
-        for ((client, tenant), text) in &self.outputs {
-            w.put_u64(*client as u64);
-            w.put_u32(*tenant);
-            w.put_str(text);
-        }
-        w.put_u32(self.finished.len() as u32);
-        for client in &self.finished {
-            w.put_u64(*client as u64);
-        }
-        w.put_u32(self.quarantine.len() as u32);
-        for q in &self.quarantine {
-            w.put_str(q);
-        }
-        w.put_u32(self.pending_xfers.len() as u32);
-        for x in &self.pending_xfers {
-            w.put_u64(x.origin as u64);
-            w.put_u64(x.dest as u64);
-            w.put_u64(x.fseq);
-            w.put_u8(x.steal as u8);
-            encode_task_list(w, &x.tasks);
-        }
-        w.put_u32(self.next_fseq.len() as u32);
-        for (dest, fseq) in &self.next_fseq {
-            w.put_u64(*dest as u64);
-            w.put_u64(*fseq);
-        }
-        w.put_u32(self.xfer_applied.len() as u32);
-        for ((dest, origin), fseq) in &self.xfer_applied {
-            w.put_u64(*dest as u64);
-            w.put_u64(*origin as u64);
-            w.put_u64(*fseq);
-        }
-        w.put_u64(self.fwd_out);
-        w.put_u64(self.fwd_in);
-        w.put_u64(self.merges);
+        w.put(&self.credits)
+            .put(&self.seqs)
+            .put(&self.resps)
+            .put(&self.outputs)
+            .put(&self.finished)
+            .put(&self.quarantine)
+            .put(&self.pending_xfers)
+            .put(&self.next_fseq)
+            .put(&self.xfer_applied)
+            .put(&self.fwd_out)
+            .put(&self.fwd_in)
+            .put(&self.merges);
     }
 
-    /// Deserialize a full ledger. Lease clocks and queue accept stamps
-    /// start now.
-    pub(crate) fn decode_from(r: &mut WireReader) -> Result<Ledger, WireError> {
-        let mut ledger = Ledger::default();
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let id = r.get_u64()?;
-            let d = decode_datum(r)?;
-            ledger.store.insert_datum(id, d);
+    fn get(r: &mut WireReader<'_>) -> Result<Ledger, WireError> {
+        let store = Wire::get(r)?;
+        let mut queue = WorkQueue::default();
+        for t in Vec::<Task>::get(r)? {
+            queue.push(t);
         }
-        for t in decode_task_list(r)? {
-            ledger.queue.push(t);
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let client = r.get_u64()? as Rank;
-            let leases = leases_from_now(decode_task_list(r)?);
-            ledger.leases.insert(client, leases.collect());
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let client = r.get_u64()? as Rank;
-            ledger.credits.insert(client, r.get_u32()?);
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let key = (r.get_u64()? as Rank, r.get_u64()? as Rank);
-            ledger.seqs.insert(key, r.get_u64()?);
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let key = (r.get_u64()? as Rank, r.get_u64()? as Rank);
-            let seq = r.get_u64()?;
-            let bytes = Bytes::copy_from_slice(r.get_bytes()?);
-            ledger.resps.insert(key, (seq, bytes));
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let client = r.get_u64()? as Rank;
-            let tenant = r.get_u32()?;
-            ledger
-                .outputs
-                .insert((client, tenant), r.get_str()?.to_string());
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            ledger.finished.insert(r.get_u64()? as Rank);
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            ledger.quarantine.push(r.get_str()?.to_string());
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            ledger.pending_xfers.push(Xfer {
-                origin: r.get_u64()? as Rank,
-                dest: r.get_u64()? as Rank,
-                fseq: r.get_u64()?,
-                steal: r.get_u8()? != 0,
-                tasks: decode_task_list(r)?,
-                sent_to: None,
-            });
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let dest = r.get_u64()? as Rank;
-            ledger.next_fseq.insert(dest, r.get_u64()?);
-        }
-        let n = r.get_u32()? as usize;
-        for _ in 0..n {
-            let dest = r.get_u64()? as Rank;
-            let origin = r.get_u64()? as Rank;
-            ledger.xfer_applied.insert((dest, origin), r.get_u64()?);
-        }
-        ledger.fwd_out = r.get_u64()?;
-        ledger.fwd_in = r.get_u64()?;
-        ledger.merges = r.get_u64()?;
-        Ok(ledger)
+        let leases: HashMap<Rank, Vec<Task>> = Wire::get(r)?;
+        let leases = leases
+            .into_iter()
+            .map(|(client, tasks)| (client, leases_from_now(tasks).collect()))
+            .collect();
+        Ok(Ledger {
+            store,
+            queue,
+            leases,
+            credits: Wire::get(r)?,
+            seqs: Wire::get(r)?,
+            resps: Wire::get(r)?,
+            outputs: Wire::get(r)?,
+            finished: Wire::get(r)?,
+            quarantine: Wire::get(r)?,
+            pending_xfers: Wire::get(r)?,
+            next_fseq: Wire::get(r)?,
+            xfer_applied: Wire::get(r)?,
+            fwd_out: Wire::get(r)?,
+            fwd_in: Wire::get(r)?,
+            merges: Wire::get(r)?,
+        })
     }
-}
-
-fn encode_datum(w: &mut WireWriter, d: &Datum) {
-    w.put_u8(d.type_tag);
-    w.put_u8(d.closed as u8);
-    match &d.value {
-        DatumValue::Unset => {
-            w.put_u8(0);
-        }
-        DatumValue::Scalar(b) => {
-            w.put_u8(1);
-            w.put_bytes(b);
-        }
-        DatumValue::Container(map) => {
-            w.put_u8(2);
-            w.put_u32(map.len() as u32);
-            for (k, v) in map {
-                w.put_str(k);
-                w.put_bytes(v);
-            }
-        }
-    }
-    w.put_u32(d.subscribers.len() as u32);
-    for s in &d.subscribers {
-        w.put_u64(*s as u64);
-    }
-    w.put_i64(d.write_refs);
-}
-
-fn decode_datum(r: &mut WireReader) -> Result<Datum, WireError> {
-    let type_tag = r.get_u8()?;
-    let closed = r.get_u8()? != 0;
-    let value = match r.get_u8()? {
-        0 => DatumValue::Unset,
-        1 => DatumValue::Scalar(Bytes::copy_from_slice(r.get_bytes()?)),
-        2 => {
-            let n = r.get_u32()? as usize;
-            let mut map = HashMap::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let k = r.get_str()?.to_string();
-                let v = Bytes::copy_from_slice(r.get_bytes()?);
-                map.insert(k, v);
-            }
-            DatumValue::Container(map)
-        }
-        _ => {
-            return Err(WireError {
-                context: "unknown datum value kind",
-                offset: 0,
-            })
-        }
-    };
-    let n = r.get_u32()? as usize;
-    let mut subscribers = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        subscribers.push(r.get_u64()? as Rank);
-    }
-    let write_refs = r.get_i64()?;
-    Ok(Datum {
-        type_tag,
-        value,
-        closed,
-        subscribers,
-        write_refs,
-    })
 }
 
 impl ReplOp {
@@ -687,245 +554,6 @@ impl ReplOp {
             }
             _ => false,
         });
-    }
-
-    pub(crate) fn encode_into(&self, w: &mut WireWriter) {
-        match self {
-            ReplOp::Create { id, type_tag } => {
-                w.put_u8(0);
-                w.put_u64(*id);
-                w.put_u8(*type_tag);
-            }
-            ReplOp::Store { id, value } => {
-                w.put_u8(1);
-                w.put_u64(*id);
-                w.put_bytes(value);
-            }
-            ReplOp::Insert { id, key, value } => {
-                w.put_u8(2);
-                w.put_u64(*id);
-                w.put_str(key);
-                w.put_bytes(value);
-            }
-            ReplOp::CloseDatum { id } => {
-                w.put_u8(3);
-                w.put_u64(*id);
-            }
-            ReplOp::IncrWriters { id, delta } => {
-                w.put_u8(4);
-                w.put_u64(*id);
-                w.put_i64(*delta);
-            }
-            ReplOp::Subscribe { id, rank } => {
-                w.put_u8(5);
-                w.put_u64(*id);
-                w.put_u64(*rank as u64);
-            }
-            ReplOp::Push { tasks } => {
-                w.put_u8(6);
-                encode_task_list(w, tasks);
-            }
-            ReplOp::Remove { tasks } => {
-                w.put_u8(7);
-                encode_task_list(w, tasks);
-            }
-            ReplOp::LeaseOpen { client, tasks } => {
-                w.put_u8(8);
-                w.put_u64(*client as u64);
-                encode_task_list(w, tasks);
-            }
-            ReplOp::LeaseDrop { client, n } => {
-                w.put_u8(9);
-                w.put_u64(*client as u64);
-                w.put_u32(*n);
-            }
-            ReplOp::LeaseRevoke { client } => {
-                w.put_u8(10);
-                w.put_u64(*client as u64);
-            }
-            ReplOp::CreditUse { client, n } => {
-                w.put_u8(11);
-                w.put_u64(*client as u64);
-                w.put_u32(*n);
-            }
-            ReplOp::ClientDead { client } => {
-                w.put_u8(12);
-                w.put_u64(*client as u64);
-            }
-            ReplOp::SeqResp {
-                home,
-                client,
-                seq,
-                resp,
-            } => {
-                w.put_u8(13);
-                w.put_u64(*home as u64);
-                w.put_u64(*client as u64);
-                w.put_u64(*seq);
-                match resp {
-                    Some(b) => {
-                        w.put_u8(1);
-                        w.put_bytes(b);
-                    }
-                    None => {
-                        w.put_u8(0);
-                    }
-                }
-            }
-            ReplOp::Out {
-                client,
-                text,
-                tenant,
-            } => {
-                w.put_u8(14);
-                w.put_u64(*client as u64);
-                w.put_str(text);
-                w.put_u32(*tenant);
-            }
-            ReplOp::ClientFinished { client } => {
-                w.put_u8(15);
-                w.put_u64(*client as u64);
-            }
-            ReplOp::XferOut {
-                dest,
-                fseq,
-                steal,
-                tasks,
-            } => {
-                w.put_u8(16);
-                w.put_u64(*dest as u64);
-                w.put_u64(*fseq);
-                w.put_u8(*steal as u8);
-                encode_task_list(w, tasks);
-            }
-            ReplOp::XferDone { origin, dest, fseq } => {
-                w.put_u8(17);
-                w.put_u64(*origin as u64);
-                w.put_u64(*dest as u64);
-                w.put_u64(*fseq);
-            }
-            ReplOp::XferIn {
-                origin,
-                dest,
-                fseq,
-                n,
-            } => {
-                w.put_u8(18);
-                w.put_u64(*origin as u64);
-                w.put_u64(*dest as u64);
-                w.put_u64(*fseq);
-                w.put_u64(*n);
-            }
-            ReplOp::Quarantine { report } => {
-                w.put_u8(19);
-                w.put_str(report);
-            }
-        }
-    }
-
-    pub(crate) fn decode_from(r: &mut WireReader) -> Result<ReplOp, WireError> {
-        Ok(match r.get_u8()? {
-            0 => ReplOp::Create {
-                id: r.get_u64()?,
-                type_tag: r.get_u8()?,
-            },
-            1 => ReplOp::Store {
-                id: r.get_u64()?,
-                value: Bytes::copy_from_slice(r.get_bytes()?),
-            },
-            2 => ReplOp::Insert {
-                id: r.get_u64()?,
-                key: r.get_str()?.to_string(),
-                value: Bytes::copy_from_slice(r.get_bytes()?),
-            },
-            3 => ReplOp::CloseDatum { id: r.get_u64()? },
-            4 => ReplOp::IncrWriters {
-                id: r.get_u64()?,
-                delta: r.get_i64()?,
-            },
-            5 => ReplOp::Subscribe {
-                id: r.get_u64()?,
-                rank: r.get_u64()? as Rank,
-            },
-            6 => ReplOp::Push {
-                tasks: decode_task_list(r)?,
-            },
-            7 => ReplOp::Remove {
-                tasks: decode_task_list(r)?,
-            },
-            8 => ReplOp::LeaseOpen {
-                client: r.get_u64()? as Rank,
-                tasks: decode_task_list(r)?,
-            },
-            9 => ReplOp::LeaseDrop {
-                client: r.get_u64()? as Rank,
-                n: r.get_u32()?,
-            },
-            10 => ReplOp::LeaseRevoke {
-                client: r.get_u64()? as Rank,
-            },
-            11 => ReplOp::CreditUse {
-                client: r.get_u64()? as Rank,
-                n: r.get_u32()?,
-            },
-            12 => ReplOp::ClientDead {
-                client: r.get_u64()? as Rank,
-            },
-            13 => {
-                let home = r.get_u64()? as Rank;
-                let client = r.get_u64()? as Rank;
-                let seq = r.get_u64()?;
-                let resp = if r.get_u8()? == 1 {
-                    Some(Bytes::copy_from_slice(r.get_bytes()?))
-                } else {
-                    None
-                };
-                ReplOp::SeqResp {
-                    home,
-                    client,
-                    seq,
-                    resp,
-                }
-            }
-            14 => {
-                let client = r.get_u64()? as Rank;
-                let text = r.get_str()?.to_string();
-                ReplOp::Out {
-                    client,
-                    text,
-                    tenant: r.get_u32()?,
-                }
-            }
-            15 => ReplOp::ClientFinished {
-                client: r.get_u64()? as Rank,
-            },
-            16 => ReplOp::XferOut {
-                dest: r.get_u64()? as Rank,
-                fseq: r.get_u64()?,
-                steal: r.get_u8()? != 0,
-                tasks: decode_task_list(r)?,
-            },
-            17 => ReplOp::XferDone {
-                origin: r.get_u64()? as Rank,
-                dest: r.get_u64()? as Rank,
-                fseq: r.get_u64()?,
-            },
-            18 => ReplOp::XferIn {
-                origin: r.get_u64()? as Rank,
-                dest: r.get_u64()? as Rank,
-                fseq: r.get_u64()?,
-                n: r.get_u64()?,
-            },
-            19 => ReplOp::Quarantine {
-                report: r.get_str()?.to_string(),
-            },
-            _ => {
-                return Err(WireError {
-                    context: "unknown repl op kind",
-                    offset: 0,
-                })
-            }
-        })
     }
 }
 
@@ -1030,12 +658,7 @@ mod tests {
         let l = sample_ledger();
         assert_eq!(l.queue.len(), 4);
         assert_eq!(l.credits[&2], 1);
-        let mut w = WireWriter::new();
-        l.encode_into(&mut w);
-        let wire = w.finish();
-        let mut r = WireReader::new(&wire);
-        let back = Ledger::decode_from(&mut r).unwrap();
-        r.expect_end().unwrap();
+        let back = Ledger::decode(&l.encode()).unwrap();
         // Queue arrival numbering, accept stamps and lease clocks are the
         // decoder's own; equality is over the tasks.
         assert_eq!(back, l);
@@ -1058,10 +681,7 @@ mod tests {
                 tasks: (0..50).map(tagged).collect(),
             },
         );
-        let mut w = WireWriter::new();
-        l.encode_into(&mut w);
-        let wire = w.finish();
-        let mut back = Ledger::decode_from(&mut WireReader::new(&wire)).unwrap();
+        let mut back = Ledger::decode(&l.encode()).unwrap();
         for i in 0..50 {
             let head = back.queue.peek_untargeted(0, &[1]).unwrap().task.clone();
             assert_eq!(head, tagged(i));
@@ -1139,13 +759,7 @@ mod tests {
             },
         ];
         for c in cases {
-            let mut w = WireWriter::new();
-            c.encode_into(&mut w);
-            let wire = w.finish();
-            let mut r = WireReader::new(&wire);
-            let back = ReplOp::decode_from(&mut r).unwrap();
-            r.expect_end().unwrap();
-            assert_eq!(back, c);
+            assert_eq!(ReplOp::decode(&c.encode()).unwrap(), c);
         }
     }
 
@@ -1468,10 +1082,7 @@ mod tests {
 
         seven.absorb(six, &[6]);
         // Over a sync stream to its new holder, as after any promotion.
-        let mut w = WireWriter::new();
-        seven.encode_into(&mut w);
-        let wire = w.finish();
-        let seven_at_eight = Ledger::decode_from(&mut WireReader::new(&wire)).unwrap();
+        let seven_at_eight = Ledger::decode(&seven.encode()).unwrap();
         assert_eq!(seven_at_eight, seven);
         // Server 7, now also serving home 6, answers a newer request to it.
         let mut seven_at_eight = seven_at_eight;

@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use mpisim::{trace, Comm, Rank, Src, TagSel, WireReader, WireWriter};
+use mpisim::{trace, Comm, Rank, Src, TagSel, Wire, WireReader};
 
 use crate::checkpoint::{
     restore_home, split_for_home, split_history_for_home, CheckpointConfig, CheckpointSink,
@@ -30,7 +30,7 @@ use crate::checkpoint::{
 use crate::layout::Layout;
 use crate::membership::Membership;
 use crate::msg::{
-    encode_repl, seal_seq, Request, Response, ServerMsg, Task, TAG_REQ, TAG_RESP, TAG_SRV,
+    seal_seq, Request, Response, Sealed, ServerMsg, Task, TAG_REQ, TAG_RESP, TAG_SRV,
     WORK_TYPE_NOTIFY, WORK_TYPE_WORK,
 };
 use crate::replica::{Applied, Ledger, ReplOp};
@@ -534,7 +534,7 @@ impl Server {
                 // Shared decode: task payloads alias the arrival buffer
                 // instead of being copied out of it (zero-copy receive).
                 Some(m) if m.tag == TAG_REQ => {
-                    match Request::decode_shared(&m.data) {
+                    match Sealed::<Request>::decode(&m.data) {
                         Ok((req, seq)) => self.handle_request(m.source, req, seq),
                         Err(e) => self.protocol_error(format_args!(
                             "undecodable request from rank {}: {e:?}",
@@ -551,7 +551,7 @@ impl Server {
                         continue;
                     }
                     self.membership.heard(m.source, Instant::now());
-                    match ServerMsg::decode_shared(&m.data) {
+                    match ServerMsg::decode(&m.data) {
                         Ok(msg) => {
                             let shutdown = self.handle_server_msg(m.source, msg);
                             self.commit_tx();
@@ -604,9 +604,16 @@ impl Server {
                     sink.log(&self.tx_ops);
                 }
                 self.stats.repl_ops += (self.tx_ops.len() * self.repl_targets.len()) as u64;
-                let msg = encode_repl(&self.tx_ops);
+                let repl = ServerMsg::Repl {
+                    ops: std::mem::take(&mut self.tx_ops),
+                };
+                let msg = repl.encode();
                 for &t in &self.repl_targets {
                     self.comm.send(t, TAG_SRV, msg.clone());
+                }
+                // Keep the transaction buffer's capacity.
+                if let ServerMsg::Repl { ops } = repl {
+                    self.tx_ops = ops;
                 }
             } else if let Some(sink) = &mut self.ckpt {
                 // No replica holders: the batch has no other consumer.
@@ -752,7 +759,7 @@ impl Server {
 
     /// Buffer a response, sealed with the seq of the request it answers
     /// (the client drops responses whose seq is not its outstanding
-    /// request — see [`Response::decode_sealed`]). When `replicate` is
+    /// request — see [`Sealed`]). When `replicate` is
     /// set, also record the `(seq, sealed response)` pair locally and in
     /// the replica stream so a promoted successor can answer the client's
     /// re-send byte-for-byte — or push it unprompted at promotion, in
@@ -1879,9 +1886,7 @@ impl Server {
     /// arrives; everything sent earlier lands on the old replica the base
     /// snapshot is about to replace (and is already included in it).
     fn start_sync(&mut self, target: Rank) {
-        let mut w = WireWriter::new();
-        self.ledger.encode_into(&mut w);
-        let data = w.finish();
+        let data = self.ledger.encode();
         self.next_sync_id += 1;
         self.outbound_syncs.insert(
             target,
@@ -2027,8 +2032,7 @@ impl Server {
         let Some(ins) = self.inbound_syncs.remove(&source) else {
             return;
         };
-        let mut r = WireReader::new(&ins.buf);
-        match Ledger::decode_from(&mut r) {
+        match WireReader::new(&ins.buf).exact(Ledger::get) {
             Ok(mut ledger) => {
                 for op in ins.ops {
                     ledger.apply(source, op);
@@ -2083,7 +2087,7 @@ impl Server {
             if m.tag != TAG_SRV {
                 continue;
             }
-            match ServerMsg::decode_shared(&m.data) {
+            match ServerMsg::decode(&m.data) {
                 // A chunk the peer sent before dying can complete its
                 // stream and make the fresh ledger promotable.
                 Ok(msg) => deferred.extend(self.take_repl_traffic(d, msg, false)),
@@ -2653,7 +2657,7 @@ impl Server {
                     // `shutdown` makes `Get` terminal (`NoMore`); dedup,
                     // cached-response replay and data ops work as usual
                     // over the merged state.
-                    if let Ok((req, seq)) = Request::decode_shared(&m.data) {
+                    if let Ok((req, seq)) = Sealed::<Request>::decode(&m.data) {
                         self.handle_request(m.source, req, seq);
                     }
                     self.commit_tx();
@@ -2670,7 +2674,7 @@ impl Server {
                     // effects no longer matter: termination required
                     // global quiescence, so no transfer, steal or check
                     // round can still be live.
-                    if let Ok(msg) = ServerMsg::decode_shared(&m.data) {
+                    if let Ok(msg) = ServerMsg::decode(&m.data) {
                         self.take_repl_traffic(m.source, msg, true);
                     }
                 }

@@ -185,3 +185,29 @@ fn a_server_nobody_backs_logs_nothing() {
         assert!(server.tx_ops_capacity > 0);
     }
 }
+
+#[test]
+fn a_sync_one_byte_too_long_drops_the_replica() {
+    // Servers 1 and 2; server 2 receives a whole-ledger sync from 1 in one
+    // chunk. A base that does not end where the ledger does is corrupt:
+    // a protocol error, and no replica at all rather than a wrong one.
+    let layout = Layout::new(3, 2);
+    World::run(3, |comm| {
+        if comm.rank() != 2 {
+            return;
+        }
+        let mut server = Server::new(comm, layout, ServerConfig::default());
+        let base = Ledger {
+            fwd_in: 7,
+            ..Ledger::default()
+        };
+        let good = base.encode();
+        server.absorb_sync_chunk(1, 1, 0, good.len() as u64, &good, false);
+        assert!(server.ledgers[&1] == base);
+        let mut long = good.to_vec();
+        long.push(0);
+        server.absorb_sync_chunk(1, 2, 0, long.len() as u64, &long.into(), false);
+        assert!(!server.ledgers.contains_key(&1));
+        assert_eq!(server.stats.protocol_errors, 1);
+    });
+}

@@ -9,70 +9,33 @@
 //!
 //! The hostile half feeds random bytes, every strict prefix and
 //! single-byte flips of each golden message to every decoder: each must
-//! return a value or an error, never panic.
+//! return a value or an error, never panic. Where an error is certain,
+//! the tests pin its context and byte offset.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use bytes::Bytes;
-use mpisim::{Rank, WireReader, WireWriter};
+use mpisim::{Rank, Wire, WireError};
 use proptest::prelude::*;
 
 use crate::checkpoint::{decode_segment, decode_wal, encode_segment, encode_wal_record, fnv1a};
 use crate::datastore::{Datum, DatumValue, TYPE_TAG_CONTAINER};
-use crate::msg::{seal_seq, Request, Response, ServerMsg, Task};
+use crate::msg::{seal_seq, Request, Response, Sealed, ServerMsg, Task};
 use crate::replica::{Lease, Ledger, ReplOp, Xfer};
 use crate::RespHistory;
 
-// -- the codec under test ------------------------------------------------
-
-fn task_bytes(t: &Task) -> Bytes {
-    let mut w = WireWriter::new();
-    t.encode_into(&mut w);
-    w.finish()
-}
-
-fn op_bytes(op: &ReplOp) -> Bytes {
-    let mut w = WireWriter::new();
-    op.encode_into(&mut w);
-    w.finish()
-}
-
-fn ledger_bytes(l: &Ledger) -> Bytes {
-    let mut w = WireWriter::new();
-    l.encode_into(&mut w);
-    w.finish()
-}
-
-fn decode_task(b: &Bytes) -> Option<Task> {
-    let mut r = WireReader::shared(b);
-    let t = Task::decode_from(&mut r).ok()?;
-    r.expect_end().ok().map(|_| t)
-}
-
-fn decode_op(b: &Bytes) -> Option<ReplOp> {
-    let mut r = WireReader::shared(b);
-    let op = ReplOp::decode_from(&mut r).ok()?;
-    r.expect_end().ok().map(|_| op)
-}
-
-fn decode_ledger(b: &Bytes) -> Option<Ledger> {
-    let mut r = WireReader::shared(b);
-    let l = Ledger::decode_from(&mut r).ok()?;
-    r.expect_end().ok().map(|_| l)
-}
-
 /// Every top-level decoder, as "did it produce a value".
-fn decoders() -> Vec<(&'static str, fn(&Bytes) -> bool)> {
+fn decoders() -> Vec<fn(&Bytes) -> bool> {
     vec![
-        ("request", |b| Request::decode_shared(b).is_ok()),
-        ("response", |b| Response::decode_sealed(b).is_ok()),
-        ("server msg", |b| ServerMsg::decode_shared(b).is_ok()),
-        ("repl op", |b| decode_op(b).is_some()),
-        ("task", |b| decode_task(b).is_some()),
-        ("ledger", |b| decode_ledger(b).is_some()),
-        ("wal", |b| decode_wal(b).is_ok()),
-        ("segment", |b| decode_segment(b).is_ok()),
+        |b| Sealed::<Request>::decode(b).is_ok(),
+        |b| Sealed::<Response>::decode(b).is_ok(),
+        |b| ServerMsg::decode(b).is_ok(),
+        |b| ReplOp::decode(b).is_ok(),
+        |b| Task::decode(b).is_ok(),
+        |b| Ledger::decode(b).is_ok(),
+        |b| decode_wal(b).is_ok(),
+        |b| decode_segment(b).is_ok(),
     ]
 }
 
@@ -577,16 +540,16 @@ fn encodings() -> Vec<(&'static str, Bytes)> {
         out.push((name, msg.encode()));
     }
     for (name, op) in repl_ops() {
-        out.push((name, op_bytes(&op)));
+        out.push((name, op.encode()));
     }
-    out.push(("task untargeted", task_bytes(&task(None))));
-    out.push(("task targeted", task_bytes(&task(Some(5)))));
-    out.push(("ledger container", ledger_bytes(&ledger(container()))));
+    out.push(("task untargeted", task(None).encode()));
+    out.push(("task targeted", task(Some(5)).encode()));
+    out.push(("ledger container", ledger(container()).encode()));
     out.push((
         "ledger scalar",
-        ledger_bytes(&ledger(DatumValue::Scalar(Bytes::from_static(b"s")))),
+        ledger(DatumValue::Scalar(Bytes::from_static(b"s"))).encode(),
     ));
-    out.push(("ledger unset", ledger_bytes(&ledger(DatumValue::Unset))));
+    out.push(("ledger unset", ledger(DatumValue::Unset).encode()));
     out.push(("wal record", encode_wal_record(11, &wal_ops()).into()));
     out.push((
         "segment",
@@ -617,28 +580,28 @@ fn golden_bytes_decode_to_their_values() {
     let g = |name| golden(name).unwrap();
     for (name, req) in requests() {
         assert_eq!(
-            Request::decode_shared(&seal_seq(&g(name), 9)).unwrap(),
+            Sealed::<Request>::decode(&seal_seq(&g(name), 9)).unwrap(),
             (req, 9),
             "{name}"
         );
     }
     for (name, resp) in responses() {
         assert_eq!(
-            Response::decode_sealed(&seal_seq(&g(name), 9)).unwrap(),
+            Sealed::<Response>::decode(&seal_seq(&g(name), 9)).unwrap(),
             (resp, 9),
             "{name}"
         );
     }
     for (name, msg) in server_msgs() {
-        assert_eq!(ServerMsg::decode_shared(&g(name)).unwrap(), msg, "{name}");
+        assert_eq!(ServerMsg::decode(&g(name)).unwrap(), msg, "{name}");
     }
     for (name, op) in repl_ops() {
-        assert_eq!(decode_op(&g(name)).unwrap(), op, "{name}");
+        assert_eq!(ReplOp::decode(&g(name)).unwrap(), op, "{name}");
     }
-    assert_eq!(decode_task(&g("task untargeted")).unwrap(), task(None));
-    assert_eq!(decode_task(&g("task targeted")).unwrap(), task(Some(5)));
+    assert_eq!(Task::decode(&g("task untargeted")).unwrap(), task(None));
+    assert_eq!(Task::decode(&g("task targeted")).unwrap(), task(Some(5)));
     assert_eq!(
-        decode_ledger(&g("ledger container")).unwrap(),
+        Ledger::decode(&g("ledger container")).unwrap(),
         ledger(container())
     );
     assert_eq!(decode_wal(&g("wal record")).unwrap(), vec![(11, wal_ops())]);
@@ -646,9 +609,69 @@ fn golden_bytes_decode_to_their_values() {
     assert_eq!((lsn, l, h), (11, ledger(container()), history()));
 }
 
+/// `golden(name)` with the byte at `at` replaced by `value`.
+fn edited(name: &str, at: usize, value: u8) -> Bytes {
+    let mut b = golden(name).unwrap().to_vec();
+    b[at] = value;
+    b.into()
+}
+
+/// Where and why a decode failed.
+fn failure<T: std::fmt::Debug>(decoded: Result<T, WireError>) -> (&'static str, usize) {
+    let e = decoded.unwrap_err();
+    (e.context, e.offset)
+}
+
+#[test]
+fn an_unknown_kind_is_reported_at_its_tag() {
+    // A batch entry's tag sits after the batch tag and the u32 count.
+    let request = seal_seq(&edited("request batch", 5, 99), 1);
+    assert_eq!(
+        failure(Sealed::<Request>::decode(&request)),
+        ("unknown request kind", 5)
+    );
+    let response = seal_seq(&edited("response batch", 5, 99), 1);
+    assert_eq!(
+        failure(Sealed::<Response>::decode(&response)),
+        ("unknown response kind", 5)
+    );
+    assert_eq!(
+        failure(ServerMsg::decode(&edited("server repl", 5, 99))),
+        ("unknown repl op kind", 5)
+    );
+    assert_eq!(
+        failure(ServerMsg::decode(&edited("server repl", 0, 8))),
+        ("unknown server message kind", 0)
+    );
+    // A ledger's first datum: u32 count, u64 id, type tag, closed flag.
+    assert_eq!(
+        failure(Ledger::decode(&edited("ledger unset", 14, 3))),
+        ("unknown datum value kind", 14)
+    );
+    // A batch inside a batch is refused at the inner tag, not recursed into.
+    let nested = Request::Batch(vec![Request::Batch(vec![])]);
+    assert_eq!(
+        failure(Sealed::<Request>::decode(&seal_seq(&nested.encode(), 1))),
+        ("nested batch", 5)
+    );
+}
+
+#[test]
+fn an_option_flag_is_zero_or_one() {
+    // The flag is the last byte of each of these encodings.
+    let last = |name| golden(name).unwrap().len() - 1;
+    for name in ["response no bytes", "response no more"] {
+        let sealed = seal_seq(&edited(name, last(name), 2), 1);
+        let (context, _) = failure(Sealed::<Response>::decode(&sealed));
+        assert_eq!(context, "option flag", "{name}");
+    }
+    let op = edited("op seq no resp", last("op seq no resp"), 2);
+    assert_eq!(failure(ReplOp::decode(&op)).0, "option flag");
+}
+
 /// Run every decoder over `bytes`; reaching the end is the assertion.
 fn decode_everything(bytes: &Bytes) {
-    for (_, decode) in decoders() {
+    for decode in decoders() {
         decode(bytes);
     }
 }

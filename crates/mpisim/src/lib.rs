@@ -44,7 +44,7 @@ mod world;
 pub use comm::{Comm, Message, Src, TagSel};
 pub use fault::{FaultAction, FaultPlan, RankKilled};
 pub use trace::{LatencyStats, RankTrace, TraceEvent};
-pub use wire::{WireError, WireReader, WireWriter};
+pub use wire::{Aliased, Wire, WireAs, WireError, WireReader, WireWriter};
 pub use world::{FaultyOutcome, World, WorldStats};
 
 /// A rank identifier: `0..size`.

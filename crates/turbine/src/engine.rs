@@ -19,7 +19,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
-use mpisim::{trace, Rank};
+use mpisim::{trace, Rank, WireReader, WireWriter};
 
 /// Most closed ids an engine remembers; past it the oldest is forgotten
 /// first. A forgotten id costs a subscribe or a retrieve again, never an
@@ -170,14 +170,12 @@ fn decode_notification(payload: &[u8]) -> Result<(u64, Option<&[u8]>), Malformed
 /// `u64` id, `u32` length and value bytes, then the fragment's text.
 pub(crate) fn seal_envelope(inputs: &[(u64, &[u8])], fragment: &str) -> Vec<u8> {
     let size = 5 + inputs.iter().map(|(_, v)| 12 + v.len()).sum::<usize>() + fragment.len();
-    let mut out = Vec::with_capacity(size);
-    out.push(ENVELOPE);
-    out.extend_from_slice(&(inputs.len() as u32).to_le_bytes());
+    let mut w = WireWriter::with_capacity(size);
+    w.put_u8(ENVELOPE).put_u32(inputs.len() as u32);
     for (id, value) in inputs {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        out.extend_from_slice(value);
+        w.put_u64(*id).put_bytes(value);
     }
+    let mut out = w.into_vec();
     out.extend_from_slice(fragment.as_bytes());
     out
 }
@@ -189,45 +187,12 @@ pub(crate) fn open_envelope(payload: &Bytes) -> Result<(Vec<(u64, Bytes)>, Bytes
     if payload.first() != Some(&ENVELOPE) {
         return Ok((Vec::new(), payload.clone()));
     }
-    let mut c = Cursor {
-        buf: payload,
-        at: 1,
-    };
-    let mut parse = || {
-        let count = c.u32()?;
-        // A count is only as good as the bytes behind it.
-        let mut inputs = Vec::with_capacity((count as usize).min(payload.len() / 12));
-        for _ in 0..count {
-            let id = c.u64()?;
-            let len = c.u32()?;
-            inputs.push((id, c.take(len as usize)?));
-        }
-        Some((inputs, c.take(payload.len() - c.at)?))
-    };
-    parse().ok_or_else(|| format!("malformed task envelope ({} bytes)", payload.len()))
-}
-
-/// Bounds-checked reads through an envelope.
-struct Cursor<'a> {
-    buf: &'a Bytes,
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<Bytes> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len())?;
-        let field = self.buf.slice(self.at..end);
-        self.at = end;
-        Some(field)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?[..].try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?[..].try_into().ok()?))
-    }
+    let mut r = WireReader::shared(payload);
+    let inputs = r
+        .get_u8()
+        .and_then(|_| r.get_seq(|r| Ok((r.get_u64()?, r.get_bytes_shared()?))))
+        .map_err(|_| format!("malformed task envelope ({} bytes)", payload.len()))?;
+    Ok((inputs, payload.slice(r.offset()..)))
 }
 
 impl EngineState {
