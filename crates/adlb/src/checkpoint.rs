@@ -3,8 +3,9 @@
 //! Replication (PR 3–4) keeps a shard alive as long as *one* holder
 //! survives a failure window. This module adds the layer below: every
 //! server appends its replication op stream to a per-shard write-ahead
-//! log on the simulated parallel filesystem, periodically compacted into
-//! full checkpoint segments. Two recovery paths use it:
+//! log on the simulated parallel filesystem, compacted into a full
+//! checkpoint segment whenever the log written since the last segment
+//! has grown as large as that segment. Two recovery paths use it:
 //!
 //! * **Total replica loss.** When membership confirms a shard lost every
 //!   holder, the would-be abort becomes a restore: the surviving
@@ -33,7 +34,9 @@
 //!   history (per client, every sealed response by seq — whole-world
 //!   resume replays these to restarted clients).
 //! * `wal-<k>` — length-framed records appended since segment `k`; each
-//!   record is `[lsn, n, op...]`.
+//!   record is `[lsn, n, op...]`. Compaction keeps it smaller than
+//!   `seg-<k>` at rest (see [`CheckpointSink::due_segment`]), so a
+//!   restore reads at most twice the segment's bytes.
 //! * `latest` — pointer to the newest segment epoch, or a *redirect
 //!   tombstone* naming the server that subsumed this shard in a
 //!   failover (its checkpoint now covers this home's state).
@@ -55,8 +58,6 @@ use crate::replica::{Ledger, ReplOp};
 
 /// Default ops per WAL record (the group-commit batch size).
 pub const DEFAULT_INTERVAL: usize = 64;
-/// Default WAL records between checkpoint segments.
-pub const DEFAULT_SEGMENT_EVERY: usize = 32;
 
 const SEG_MAGIC: u32 = 0x434b_5031; // "CKP1"
 
@@ -81,19 +82,16 @@ pub struct CheckpointConfig {
     /// Ops per WAL record: `1` logs (and pays the metadata server) per
     /// task-effect commit, larger values group-commit.
     pub interval: usize,
-    /// WAL records between full checkpoint segments.
-    pub segment_every: usize,
     /// Restore each server's shard from the filesystem before serving.
     pub resume: bool,
 }
 
 impl CheckpointConfig {
-    /// Checkpointing to `fs` with default cadence, not resuming.
+    /// Checkpointing to `fs` at the default interval, not resuming.
     pub fn new(fs: Arc<Pfs>) -> Self {
         CheckpointConfig {
             fs,
             interval: DEFAULT_INTERVAL,
-            segment_every: DEFAULT_SEGMENT_EVERY,
             resume: false,
         }
     }
@@ -101,12 +99,6 @@ impl CheckpointConfig {
     /// Set the group-commit interval (clamped to at least 1).
     pub fn interval(mut self, ops: usize) -> Self {
         self.interval = ops.max(1);
-        self
-    }
-
-    /// Set the segment compaction cadence (clamped to at least 1).
-    pub fn segment_every(mut self, records: usize) -> Self {
-        self.segment_every = records.max(1);
         self
     }
 
@@ -121,7 +113,6 @@ impl fmt::Debug for CheckpointConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CheckpointConfig")
             .field("interval", &self.interval)
-            .field("segment_every", &self.segment_every)
             .field("resume", &self.resume)
             .finish_non_exhaustive()
     }
@@ -286,6 +277,11 @@ pub(crate) struct Restored {
     pub last_lsn: u64,
     /// Segment epoch the restore read (resumers continue after it).
     pub seg_no: u64,
+    /// Size of that epoch's segment (0 when it has none): a resumer's
+    /// compaction baseline.
+    pub seg_bytes: u64,
+    /// Size of that epoch's WAL tail, already counted against it.
+    pub wal_bytes: u64,
     /// Redirect chain followed from the requested home to the covering
     /// checkpoint (empty when the home's own checkpoint was read).
     pub via: Vec<Rank>,
@@ -318,10 +314,12 @@ pub(crate) fn restore_home(client: &mut PfsClient, home: Rank) -> Result<Restore
         }
     };
 
+    let (mut seg_bytes, mut wal_bytes) = (0, 0);
     let (mut last_lsn, mut ledger, mut history) = if client.exists(&seg_path(at, seg_no)) {
         let raw = client
             .read(&seg_path(at, seg_no))
             .map_err(|e| format!("{e}"))?;
+        seg_bytes = raw.len() as u64;
         decode_segment(&raw)?
     } else {
         (0, Ledger::default(), RespHistory::new())
@@ -331,6 +329,7 @@ pub(crate) fn restore_home(client: &mut PfsClient, home: Rank) -> Result<Restore
         let raw = client
             .read(&wal_path(at, seg_no))
             .map_err(|e| format!("{e}"))?;
+        wal_bytes = raw.len() as u64;
         let records = decode_wal(&raw)?;
         for (_, ops) in &records {
             absorb_history(&mut history, ops);
@@ -343,6 +342,8 @@ pub(crate) fn restore_home(client: &mut PfsClient, home: Rank) -> Result<Restore
         history,
         last_lsn,
         seg_no,
+        seg_bytes,
+        wal_bytes,
         via,
     })
 }
@@ -454,7 +455,6 @@ pub(crate) struct CheckpointSink {
     client: PfsClient,
     home: Rank,
     interval: usize,
-    segment_every: usize,
     /// Ops committed to live state but not yet durable.
     buf: Vec<ReplOp>,
     /// Outbound sends held until `buf` is durable (group commit).
@@ -462,7 +462,10 @@ pub(crate) struct CheckpointSink {
     /// Next LSN to assign (first record is LSN 1).
     next_lsn: u64,
     seg_no: u64,
-    records_since_seg: u64,
+    /// The compaction baseline: the current epoch's segment size and the
+    /// WAL bytes logged on top of it (see [`CheckpointSink::due_segment`]).
+    last_seg_bytes: u64,
+    wal_bytes_since_seg: u64,
     history: RespHistory,
     /// WAL records written.
     pub records: u64,
@@ -472,6 +475,8 @@ pub(crate) struct CheckpointSink {
     pub segments: u64,
     /// Bytes written to the durable tier (WAL + segments).
     pub bytes_written: u64,
+    /// The segments' share of `bytes_written`.
+    pub segment_bytes: u64,
 }
 
 impl CheckpointSink {
@@ -480,25 +485,29 @@ impl CheckpointSink {
             client: cfg.fs.client(),
             home,
             interval: cfg.interval.max(1),
-            segment_every: cfg.segment_every.max(1),
             buf: Vec::new(),
             held: Vec::new(),
             next_lsn: 1,
             seg_no: 0,
-            records_since_seg: 0,
+            last_seg_bytes: 0,
+            wal_bytes_since_seg: 0,
             history: RespHistory::new(),
             records: 0,
             ops_logged: 0,
             segments: 0,
             bytes_written: 0,
+            segment_bytes: 0,
         }
     }
 
-    /// Continue after a restore: later records follow the restored LSN
-    /// and the next segment supersedes the restored epoch.
-    pub(crate) fn fast_forward(&mut self, last_lsn: u64, seg_no: u64) {
-        self.next_lsn = last_lsn + 1;
-        self.seg_no = seg_no;
+    /// Continue after a restore: later records follow the restored LSN,
+    /// the next segment supersedes the restored epoch, and the restored
+    /// segment and WAL tail are the compaction baseline.
+    pub(crate) fn fast_forward(&mut self, r: &Restored) {
+        self.next_lsn = r.last_lsn + 1;
+        self.seg_no = r.seg_no;
+        self.last_seg_bytes = r.seg_bytes;
+        self.wal_bytes_since_seg = r.wal_bytes;
     }
 
     /// Adopt durable response history (restore/promotion paths).
@@ -534,8 +543,14 @@ impl CheckpointSink {
         self.buf.len() >= self.interval
     }
 
+    /// A segment is due once the WAL logged since the last one is as
+    /// large as that segment. Each segment is then paid for by at least
+    /// its own size in WAL bytes, so total segment bytes stay within the
+    /// total WAL bytes plus the last segment — the tier costs O(work),
+    /// however large the ledger grows — and at rest the tail a restore
+    /// replays is smaller than the segment under it.
     pub(crate) fn due_segment(&self) -> bool {
-        self.records_since_seg >= self.segment_every as u64
+        self.wal_bytes_since_seg > 0 && self.wal_bytes_since_seg >= self.last_seg_bytes
     }
 
     /// Highest durable LSN so far (0 = nothing flushed yet).
@@ -558,7 +573,7 @@ impl CheckpointSink {
             }
             self.records += 1;
             self.ops_logged += ops.len() as u64;
-            self.records_since_seg += 1;
+            self.wal_bytes_since_seg += record.len() as u64;
         }
         std::mem::take(&mut self.held)
     }
@@ -581,13 +596,15 @@ impl CheckpointSink {
         {
             self.segments += 1;
             self.bytes_written += seg_bytes;
+            self.segment_bytes += seg_bytes;
         }
         let latest = Latest::Segment(self.seg_no).encode();
         let _ = self.client.put(&latest_path(self.home), &latest);
         // Retire the superseded epoch (either file may not exist).
         let _ = self.client.unlink(&wal_path(self.home, old));
         let _ = self.client.unlink(&seg_path(self.home, old));
-        self.records_since_seg = 0;
+        self.last_seg_bytes = seg_bytes;
+        self.wal_bytes_since_seg = 0;
     }
 
     /// Leave a redirect tombstone in `from`'s checkpoint directory: this
@@ -894,9 +911,7 @@ mod tests {
     #[test]
     fn sink_flush_and_segment_restore_round_trip() {
         let fs = fs();
-        let cfg = CheckpointConfig::new(Arc::clone(&fs))
-            .interval(2)
-            .segment_every(2);
+        let cfg = CheckpointConfig::new(Arc::clone(&fs)).interval(2);
         let mut sink = CheckpointSink::new(&cfg, 3);
         let mut live = Ledger::default();
         let ops1 = vec![
@@ -934,6 +949,7 @@ mod tests {
         }
         sink.log(&ops2);
         sink.flush_wal();
+        // No segment yet: any logged byte outgrows the empty baseline.
         assert!(sink.due_segment());
         sink.write_segment(&live);
         let ops3 = vec![ReplOp::Create {
@@ -945,11 +961,14 @@ mod tests {
         }
         sink.log(&ops3);
         sink.flush_wal();
+        // One small record has not outgrown the segment: it stays a tail.
+        assert!(!sink.due_segment());
 
         let r = restore_home(&mut c, 3).unwrap();
         assert_eq!(r.ledger, live);
         assert_eq!(r.last_lsn, 3);
         assert_eq!(r.seg_no, 1);
+        assert!(r.seg_bytes > r.wal_bytes && r.wal_bytes > 0);
         assert_eq!(
             r.history.get(&1).and_then(|m| m.get(&4)),
             Some(&Bytes::from_static(b"sealed"))
@@ -1051,41 +1070,54 @@ mod tests {
             .any(|t| t.payload.as_ref() == b"to-0"));
     }
 
+    /// One op through a sink at interval 1 the way `Server::ckpt_flush`
+    /// drives it: apply live, log, flush, compact when due.
+    fn step(sink: &mut CheckpointSink, live: &mut Ledger, id: u64) {
+        let op = ReplOp::Create { id, type_tag: 1 };
+        live.apply(sink.home, op.clone());
+        sink.log(&[op]);
+        sink.flush_wal();
+        if sink.due_segment() {
+            sink.write_segment(live);
+        }
+    }
+
+    /// Step ops `0, 1, ...` until the size rule has compacted twice and a
+    /// WAL tail sits on the second segment. Returns the ops logged.
+    fn compact_twice(sink: &mut CheckpointSink, live: &mut Ledger) -> u64 {
+        let mut id = 0;
+        while sink.seg_no < 2 || sink.wal_bytes_since_seg == 0 {
+            step(sink, live, id);
+            id += 1;
+            assert!(id < 100, "the size rule never compacted twice");
+        }
+        id
+    }
+
     #[test]
     fn fsck_passes_a_clean_image_and_flags_flipped_bits() {
         let fs = fs();
-        let cfg = CheckpointConfig::new(Arc::clone(&fs))
-            .interval(1)
-            .segment_every(2);
+        let cfg = CheckpointConfig::new(Arc::clone(&fs)).interval(1);
         let mut sink = CheckpointSink::new(&cfg, 3);
         let mut live = Ledger::default();
-        for i in 0..5u64 {
-            let ops = vec![ReplOp::Create { id: i, type_tag: 1 }];
-            for op in ops.clone() {
-                live.apply(3, op);
-            }
-            sink.log(&ops);
-            sink.flush_wal();
-            if sink.due_segment() {
-                sink.write_segment(&live);
-            }
-        }
+        let ops = compact_twice(&mut sink, &mut live);
         let report = verify_checkpoint(&fs);
         assert!(report.is_clean(), "{:?}", report.shards);
         let shard = &report.shards[0];
         assert_eq!(shard.home, 3);
-        assert_eq!(shard.seg_no, 2);
-        assert!(shard.segment_bytes > 0);
-        assert_eq!(shard.segment_lsn, 4);
-        assert_eq!(shard.wal_records, 1);
-        assert_eq!(shard.last_lsn, 5);
+        assert_eq!(shard.seg_no, sink.seg_no);
+        assert!(shard.segment_bytes > shard.wal_bytes);
+        assert!(shard.wal_records >= 1);
+        assert_eq!(shard.segment_lsn + shard.wal_records as u64, ops);
+        assert_eq!(shard.last_lsn, ops);
 
         // Flip one byte mid-WAL: the record checksum must catch it.
+        let (wal_file, seg_file) = (wal_path(3, sink.seg_no), seg_path(3, sink.seg_no));
         let mut c = fs.client();
-        let mut wal = c.read("/ckpt/3/wal-2").unwrap();
+        let mut wal = c.read(&wal_file).unwrap();
         let mid = wal.len() / 2;
         wal[mid] ^= 0x40;
-        c.put("/ckpt/3/wal-2", &wal).unwrap();
+        c.put(&wal_file, &wal).unwrap();
         let report = verify_checkpoint(&fs);
         assert!(!report.is_clean());
         assert!(
@@ -1095,16 +1127,84 @@ mod tests {
         );
 
         // Same for the segment body.
-        c.put("/ckpt/3/wal-2", &[]).unwrap();
-        let mut seg = c.read("/ckpt/3/seg-2").unwrap();
+        c.put(&wal_file, &[]).unwrap();
+        let mut seg = c.read(&seg_file).unwrap();
         let mid = seg.len() / 2;
         seg[mid] ^= 0x40;
-        c.put("/ckpt/3/seg-2", &seg).unwrap();
+        c.put(&seg_file, &seg).unwrap();
         let report = verify_checkpoint(&fs);
         assert!(report.shards[0]
             .errors
             .iter()
             .any(|e| e.contains("segment")));
+    }
+
+    /// Drive a sink over `n` ops at interval 1, each creating one datum so
+    /// the ledger grows without bound. After every flush the epoch's WAL
+    /// is no larger than its segment plus the record just flushed, and
+    /// at the end the image restores to the live ledger. Returns the
+    /// bytes written to the durable tier.
+    fn drive_growing_ledger(n: u64) -> u64 {
+        let fs = fs();
+        let cfg = CheckpointConfig::new(Arc::clone(&fs)).interval(1);
+        let mut sink = CheckpointSink::new(&cfg, 3);
+        let mut live = Ledger::default();
+        let mut c = fs.client();
+        for id in 0..n {
+            let op = ReplOp::Create { id, type_tag: 1 };
+            live.apply(3, op.clone());
+            sink.log(std::slice::from_ref(&op));
+            sink.flush_wal();
+            let record = encode_wal_record(sink.last_durable_lsn(), &[op]).len();
+            let wal = c.stat(&wal_path(3, sink.seg_no)).unwrap();
+            let seg = c.stat(&seg_path(3, sink.seg_no)).unwrap_or(0);
+            assert!(
+                wal <= seg + record,
+                "op {id}: a {wal}-byte WAL on a {seg}-byte segment"
+            );
+            if sink.due_segment() {
+                sink.write_segment(&live);
+            }
+        }
+        assert!(restore_home(&mut c, 3).unwrap().ledger == live);
+        sink.bytes_written
+    }
+
+    #[test]
+    fn checkpoint_bytes_per_op_stay_flat_as_the_ledger_grows() {
+        // Re-encoding the whole ledger every fixed number of records costs
+        // O(ledger) per op, ~4x more per op at 8,000 ops than at 2,000.
+        let per_op = |n: u64| drive_growing_ledger(n) as f64 / n as f64;
+        let (at_2k, at_8k) = (per_op(2_000), per_op(8_000));
+        assert!(
+            at_8k <= 1.3 * at_2k,
+            "{at_2k:.0} B/op at 2,000 ops, {at_8k:.0} B/op at 8,000"
+        );
+    }
+
+    #[test]
+    fn a_restored_sink_compacts_against_the_restored_segment() {
+        let fs = fs();
+        let cfg = CheckpointConfig::new(Arc::clone(&fs)).interval(1);
+        let mut sink = CheckpointSink::new(&cfg, 3);
+        let mut live = Ledger::default();
+        let id = compact_twice(&mut sink, &mut live);
+        drop(sink);
+
+        let r = restore_home(&mut fs.client(), 3).unwrap();
+        let mut resumed = CheckpointSink::new(&cfg, 3);
+        resumed.fast_forward(&r);
+        let op = ReplOp::Create { id, type_tag: 1 };
+        live.apply(3, op.clone());
+        resumed.log(&[op]);
+        resumed.flush_wal();
+        // A fresh sink's empty baseline would compact here; the restored
+        // segment is still larger than its tail plus this record.
+        assert!(!resumed.due_segment());
+        let again = restore_home(&mut fs.client(), 3).unwrap();
+        assert_eq!(again.seg_no, r.seg_no);
+        assert_eq!(again.last_lsn, r.last_lsn + 1);
+        assert_eq!(again.ledger, live);
     }
 
     #[test]

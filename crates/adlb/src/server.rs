@@ -184,6 +184,8 @@ pub struct ServerStats {
     pub ckpt_segments: u64,
     /// Bytes written to the durable tier (WAL records plus segments).
     pub ckpt_bytes: u64,
+    /// The segments' share of `ckpt_bytes` (the rest is WAL records).
+    pub ckpt_segment_bytes: u64,
     /// Shards restored from the durable tier (mid-run total-replica-loss
     /// recoveries plus whole-world resumes).
     pub pfs_restores: u64,
@@ -227,6 +229,7 @@ impl ServerStats {
             ckpt_ops,
             ckpt_segments,
             ckpt_bytes,
+            ckpt_segment_bytes,
             pfs_restores,
             ckpt_restore_micros,
         } = *other;
@@ -253,6 +256,7 @@ impl ServerStats {
         self.ckpt_ops += ckpt_ops;
         self.ckpt_segments += ckpt_segments;
         self.ckpt_bytes += ckpt_bytes;
+        self.ckpt_segment_bytes += ckpt_segment_bytes;
         self.pfs_restores += pfs_restores;
         self.ckpt_restore_micros = self.ckpt_restore_micros.max(ckpt_restore_micros);
     }
@@ -662,6 +666,7 @@ impl Server {
         self.stats.ckpt_ops = sink.ops_logged;
         self.stats.ckpt_segments = sink.segments;
         self.stats.ckpt_bytes = sink.bytes_written;
+        self.stats.ckpt_segment_bytes = sink.segment_bytes;
         self.ckpt = Some(sink);
         for (rank, tag, bytes) in sends {
             self.comm.send(rank, tag, bytes);
@@ -717,7 +722,7 @@ impl Server {
                 self.adopt(ledger, &[]);
                 if let Some(sink) = &mut self.ckpt {
                     sink.adopt_history(history);
-                    sink.fast_forward(r.last_lsn, r.seg_no);
+                    sink.fast_forward(&r);
                 }
                 // Re-anchor the durable state under this home right away:
                 // the covering checkpoint may sit in another server's
@@ -2756,8 +2761,9 @@ mod stats_tests {
             ckpt_ops: 21,
             ckpt_segments: 22,
             ckpt_bytes: 23,
-            pfs_restores: 24,
-            ckpt_restore_micros: 25,
+            ckpt_segment_bytes: 24,
+            pfs_restores: 25,
+            ckpt_restore_micros: 26,
         }
     }
 
@@ -2793,6 +2799,7 @@ mod stats_tests {
         assert_eq!(total.ckpt_ops, 2 * d.ckpt_ops);
         assert_eq!(total.ckpt_segments, 2 * d.ckpt_segments);
         assert_eq!(total.ckpt_bytes, 2 * d.ckpt_bytes);
+        assert_eq!(total.ckpt_segment_bytes, 2 * d.ckpt_segment_bytes);
         assert_eq!(total.pfs_restores, 2 * d.pfs_restores);
         assert_eq!(total.ckpt_restore_micros, d.ckpt_restore_micros);
     }

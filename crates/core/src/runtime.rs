@@ -149,7 +149,9 @@ impl Runtime {
     /// Enable the durable checkpoint/WAL tier: every server appends its
     /// shard mutations to a write-ahead log on the simulated parallel
     /// filesystem, flushed every `interval` logged operations and
-    /// periodically compacted into checkpoint segments. While the tier is
+    /// compacted into a checkpoint segment whenever the log written since
+    /// the last segment has grown as large as that segment (so the tier's
+    /// cost stays linear in the work done). While the tier is
     /// on, a shard that loses *all* its in-memory holders (even with
     /// `replication(1)`) is restored from the filesystem instead of
     /// aborting the run. `0` disables the tier. When not set explicitly,

@@ -502,11 +502,13 @@ fn main() -> ExitCode {
                 }
                 if servers.ckpt_records > 0 || servers.pfs_restores > 0 {
                     eprintln!(
-                        "checkpoint flushes : {} ({} ops, {} segments, {} bytes)",
+                        "checkpoint flushes : {} ({} ops, {} segments, {} bytes: {} WAL + {} segment)",
                         servers.ckpt_records,
                         servers.ckpt_ops,
                         servers.ckpt_segments,
-                        servers.ckpt_bytes
+                        servers.ckpt_bytes,
+                        servers.ckpt_bytes.saturating_sub(servers.ckpt_segment_bytes),
+                        servers.ckpt_segment_bytes
                     );
                     eprintln!("pfs restores       : {}", servers.pfs_restores);
                     if servers.ckpt_restore_micros > 0 {

@@ -511,6 +511,71 @@ fn whole_world_kill_then_resume_completes_exactly_once() {
     );
 }
 
+/// Every checkpointed shard in `fs`'s image is clean and at rest holds a
+/// WAL tail smaller than the segment under it: compaction is due as
+/// soon as the tail reaches the segment's size. Returns the shards'
+/// segment epochs.
+fn assert_wal_within_segment(fs: &Arc<Pfs>) -> Vec<u64> {
+    let report = swiftt::adlb::verify_checkpoint(fs);
+    assert!(report.is_clean(), "{:?}", report.shards);
+    let mut epochs = Vec::new();
+    for shard in report.shards.iter().filter(|s| s.redirect_to.is_none()) {
+        assert!(
+            shard.wal_bytes < shard.segment_bytes,
+            "home {}: a {}-byte WAL tail on a {}-byte segment",
+            shard.home,
+            shard.wal_bytes,
+            shard.segment_bytes
+        );
+        epochs.push(shard.seg_no);
+    }
+    epochs
+}
+
+/// Resume keeps the compaction bound: a run cut off after its shard
+/// compacted at least twice resumes from that image to the uninterrupted
+/// output, and the resumed run's image still restores from one segment
+/// plus a smaller tail.
+#[test]
+fn resume_after_repeated_compaction_keeps_the_wal_within_the_segment() {
+    let src = r#"foreach i in [0:59] { printf("task %d", i); }"#;
+    let clean = Runtime::new(6).run(src).expect("fault-free run");
+    let mut want: Vec<&str> = clean.stdout.lines().collect();
+    want.sort_unstable();
+
+    let fs = Arc::new(Pfs::new(PfsConfig::default()));
+    let cut = Runtime::new(6)
+        .checkpoint(4)
+        .checkpoint_store(fs.clone())
+        .faults(FaultPlan::new().kill_after_recvs(5, 20))
+        .run(src);
+    assert!(cut.is_err(), "the lone server's death ends run 1");
+    let epochs = assert_wal_within_segment(&fs);
+    assert!(
+        epochs.iter().all(|k| *k >= 2),
+        "run 1 compacted at least twice before the cut: epochs {epochs:?}"
+    );
+
+    let resumed = Runtime::new(6)
+        .checkpoint(4)
+        .checkpoint_store(fs.clone())
+        .resume(true)
+        .run(src)
+        .expect("the resumed world must complete");
+    assert!(resumed.server_totals().pfs_restores >= 1);
+    let mut got = unique_lines(&resumed.stdout);
+    got.sort_unstable();
+    assert_eq!(
+        got, want,
+        "the resumed run's output is the uninterrupted run's"
+    );
+    let after = assert_wal_within_segment(&fs);
+    assert!(
+        after.iter().zip(&epochs).all(|(a, b)| a > b),
+        "the resumed shard re-anchored in a later epoch: {epochs:?} -> {after:?}"
+    );
+}
+
 #[test]
 fn cli_faults_flag_reports_counters() {
     let out = Command::new(env!("CARGO_BIN_EXE_swiftt"))
