@@ -96,8 +96,10 @@ fn cmd_expr(i: &mut Interp, argv: &[String]) -> TclResult {
             "wrong # args: should be \"expr arg ?arg ...?\"",
         ));
     }
-    let src = argv[1..].join(" ");
-    i.expr(&src)
+    match argv {
+        [_, src] => i.expr(src),
+        _ => i.expr(&argv[1..].join(" ")),
+    }
 }
 
 fn cmd_eval(i: &mut Interp, argv: &[String]) -> TclResult {

@@ -140,7 +140,7 @@ fn cmd_string(_i: &mut Interp, argv: &[String]) -> TclResult {
             let mut out = String::new();
             let src = argv[3].as_str();
             let mut pos = 0;
-            'outer: while pos < src.len() {
+            'outer: while let Some(c) = src[pos..].chars().next() {
                 for pair in mapping.chunks(2) {
                     let (k, v) = (&pair[0], &pair[1]);
                     if !k.is_empty() && src[pos..].starts_with(k.as_str()) {
@@ -149,7 +149,6 @@ fn cmd_string(_i: &mut Interp, argv: &[String]) -> TclResult {
                         continue 'outer;
                     }
                 }
-                let c = src[pos..].chars().next().unwrap();
                 out.push(c);
                 pos += c.len_utf8();
             }
@@ -314,8 +313,8 @@ pub(crate) fn format_impl(fmt: &str, args: &[String]) -> TclResult {
         }
         // Width.
         let mut width = 0usize;
-        while i < cs.len() && cs[i].is_ascii_digit() {
-            width = width * 10 + cs[i].to_digit(10).unwrap() as usize;
+        while let Some(d) = cs.get(i).and_then(|c| c.to_digit(10)) {
+            width = width * 10 + d as usize;
             i += 1;
         }
         // Precision.
@@ -323,8 +322,8 @@ pub(crate) fn format_impl(fmt: &str, args: &[String]) -> TclResult {
         if i < cs.len() && cs[i] == '.' {
             i += 1;
             let mut p = 0usize;
-            while i < cs.len() && cs[i].is_ascii_digit() {
-                p = p * 10 + cs[i].to_digit(10).unwrap() as usize;
+            while let Some(d) = cs.get(i).and_then(|c| c.to_digit(10)) {
+                p = p * 10 + d as usize;
                 i += 1;
             }
             precision = Some(p);

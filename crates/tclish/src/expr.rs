@@ -10,6 +10,7 @@
 //! operands parse as numbers.
 
 use crate::error::{Exception, TclResult};
+use crate::list::next_char_at;
 
 /// Host services `expr` needs from the enclosing interpreter: variable
 /// lookup, nested command evaluation, and the `rand()` stream.
@@ -296,15 +297,16 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Exception> {
                             break;
                         }
                         b'\\' if i + 1 < b.len() => {
-                            s.push(match b[i + 1] {
-                                b'n' => '\n',
-                                b't' => '\t',
-                                other => other as char,
+                            let ch = next_char_at(src, i + 1);
+                            s.push(match ch {
+                                'n' => '\n',
+                                't' => '\t',
+                                other => other,
                             });
-                            i += 2;
+                            i += 1 + ch.len_utf8();
                         }
                         _ => {
-                            let ch = src[i..].chars().next().unwrap();
+                            let ch = next_char_at(src, i);
                             s.push(ch);
                             i += ch.len_utf8();
                         }
@@ -352,7 +354,7 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Exception> {
                     }
                     i += 1;
                 }
-                let text = std::str::from_utf8(&b[start..i]).unwrap();
+                let text = &src[start..i];
                 let v = parse_number(text)
                     .ok_or_else(|| Exception::error(format!("bad number \"{text}\"")))?;
                 toks.push(Tok::Val(v));
@@ -362,7 +364,7 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Exception> {
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                let word = std::str::from_utf8(&b[start..i]).unwrap().to_string();
+                let word = src[start..i].to_string();
                 match word.as_str() {
                     "eq" => toks.push(Tok::Op("eq")),
                     "ne" => toks.push(Tok::Op("ne")),
@@ -372,19 +374,19 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Exception> {
                 }
             }
             _ => {
-                // Multi-char operators first.
-                let two = &src[i..(i + 2).min(src.len())];
+                // Multi-char operators first. Matched on bytes: `i` may
+                // sit before a multibyte character, which is no operator.
+                let two = b.get(i..i + 2);
                 let op2 = ["**", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||"]
                     .iter()
-                    .find(|o| **o == two);
+                    .find(|o| Some(o.as_bytes()) == two);
                 if let Some(o) = op2 {
                     toks.push(Tok::Op(o));
                     i += 2;
                 } else {
-                    let one = &src[i..i + 1];
                     let op1 = ["+", "-", "*", "/", "%", "<", ">", "!", "~", "&", "|", "^"]
                         .iter()
-                        .find(|o| **o == one);
+                        .find(|o| o.as_bytes() == [c]);
                     match op1 {
                         Some(o) => {
                             toks.push(Tok::Op(o));
@@ -393,7 +395,7 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Exception> {
                         None => {
                             return Err(Exception::error(format!(
                                 "unexpected character '{}' in expression",
-                                &src[i..].chars().next().unwrap()
+                                next_char_at(src, i)
                             )))
                         }
                     }
@@ -555,8 +557,13 @@ impl Parser {
 // Evaluator
 // ---------------------------------------------------------------------
 
-/// Evaluate an expression string against a host.
-pub fn eval_expr<H: ExprHost>(host: &mut H, src: &str) -> Result<Val, Exception> {
+/// A parsed expression. It holds variable names and `[script]` text, never
+/// their values, so one compile serves any number of evaluations.
+#[derive(Debug)]
+pub(crate) struct Compiled(Ast);
+
+/// Tokenize and parse an expression without evaluating it.
+pub(crate) fn compile(src: &str) -> Result<Compiled, Exception> {
     let toks = tokenize(src)?;
     let mut p = Parser { toks, pos: 0 };
     let ast = p.parse_expr()?;
@@ -565,7 +572,21 @@ pub fn eval_expr<H: ExprHost>(host: &mut H, src: &str) -> Result<Val, Exception>
             "trailing tokens in expression: \"{src}\""
         )));
     }
-    eval_ast(host, &ast)
+    Ok(Compiled(ast))
+}
+
+/// Evaluate a compiled expression against a host.
+pub(crate) fn eval_compiled<H: ExprHost>(
+    host: &mut H,
+    compiled: &Compiled,
+) -> Result<Val, Exception> {
+    eval_ast(host, &compiled.0)
+}
+
+/// Evaluate an expression string against a host: the reference semantics
+/// every cached evaluation must match.
+pub fn eval_expr<H: ExprHost>(host: &mut H, src: &str) -> Result<Val, Exception> {
+    eval_compiled(host, &compile(src)?)
 }
 
 fn eval_ast<H: ExprHost>(host: &mut H, ast: &Ast) -> Result<Val, Exception> {
@@ -1199,6 +1220,17 @@ mod oracle_tests {
                     prop_assert_eq!(got, Val::Int(v), "src: {}", src);
                 }
                 None => prop_assert!(got.is_err(), "src {} must error", src),
+            }
+            // Through an interpreter, cold then warm: the substitution-free
+            // text is evaluated directly and `$z + ...` is served from the
+            // expression cache; both must equal a fresh parse.
+            let mut interp = crate::Interp::new();
+            interp.set_var("z", "0");
+            for text in [src.clone(), format!("$z + {src}")] {
+                let fresh = eval_expr(&mut interp, &text).map(|v| v.to_tcl_string());
+                for pass in ["cold", "warm"] {
+                    prop_assert_eq!(&interp.expr(&text), &fresh, "{} {}", pass, text);
+                }
             }
         }
     }

@@ -58,15 +58,51 @@ enum Output {
     Custom(Box<dyn FnMut(&str)>),
 }
 
-/// Script-cache capacity; reaching it triggers a second-chance sweep
-/// instead of a wholesale clear, so hot fragments (proc bodies, the leaf
-/// tasks a worker evaluates in a loop) keep their parse trees.
-const SCRIPT_CACHE_CAP: usize = 4096;
+/// Capacity of each parse cache (scripts, expressions); reaching it
+/// triggers a second-chance sweep instead of a wholesale clear, so hot
+/// fragments (proc bodies, loop conditions, the leaf tasks a worker
+/// evaluates in a loop) keep their trees.
+const CACHE_CAP: usize = 4096;
 
-struct CachedScript {
-    parsed: Rc<Script>,
-    /// Hit since the last eviction sweep (second-chance bit).
-    hot: bool,
+/// Parse trees keyed by their source text, each with a second-chance bit:
+/// set on a hit, cleared by the sweep that evicts entries not hit since
+/// the last one.
+struct ParseCache<T> {
+    entries: HashMap<String, (Rc<T>, bool)>,
+}
+
+impl<T> ParseCache<T> {
+    fn new() -> Self {
+        ParseCache {
+            entries: HashMap::new(),
+        }
+    }
+
+    /// The cached tree for `text`, parsing it on a miss. Parse errors are
+    /// returned, never cached.
+    fn get_or_parse(
+        &mut self,
+        text: &str,
+        parse: impl FnOnce(&str) -> Result<T, Exception>,
+    ) -> Result<Rc<T>, Exception> {
+        if let Some((tree, hot)) = self.entries.get_mut(text) {
+            *hot = true;
+            return Ok(tree.clone());
+        }
+        let tree = Rc::new(parse(text)?);
+        if self.entries.len() >= CACHE_CAP {
+            // A one-shot flood of unique texts cannot flush the fragments
+            // a worker re-evaluates every task.
+            self.entries
+                .retain(|_, (_, hot)| std::mem::replace(hot, false));
+            if self.entries.len() >= CACHE_CAP {
+                // Every entry was hot: clear rather than grow unbounded.
+                self.entries.clear();
+            }
+        }
+        self.entries.insert(text.to_string(), (tree.clone(), false));
+        Ok(tree)
+    }
 }
 
 /// A Tcl interpreter instance.
@@ -79,7 +115,8 @@ pub struct Interp {
     procs: HashMap<String, ProcDef>,
     packages: HashMap<String, (String, PackageInit)>,
     provided: HashMap<String, String>,
-    script_cache: HashMap<String, CachedScript>,
+    script_cache: ParseCache<Script>,
+    expr_cache: ParseCache<expr::Compiled>,
     context: HashMap<TypeId, Box<dyn Any>>,
     output: Output,
     rand_state: u64,
@@ -103,7 +140,8 @@ impl Interp {
             procs: HashMap::new(),
             packages: HashMap::new(),
             provided: HashMap::new(),
-            script_cache: HashMap::new(),
+            script_cache: ParseCache::new(),
+            expr_cache: ParseCache::new(),
             context: HashMap::new(),
             output: Output::Stdout,
             rand_state: 0x9E3779B97F4A7C15,
@@ -209,22 +247,22 @@ impl Interp {
 
     // -- variables --------------------------------------------------------
 
-    fn frame_for(&mut self, name: &str) -> (usize, String) {
+    fn frame_for<'n>(&self, name: &'n str) -> (usize, &'n str) {
         // Qualified names (`a::b`) and `::x` live in the global frame.
         if let Some(stripped) = name.strip_prefix("::") {
             if !stripped.contains("::") {
-                return (0, stripped.to_string());
+                return (0, stripped);
             }
-            return (0, name.to_string());
+            return (0, name);
         }
         if name.contains("::") {
-            return (0, name.to_string());
+            return (0, name);
         }
         let top = self.frames.len() - 1;
         if top > 0 && self.frames[top].global_links.contains(name) {
-            return (0, name.to_string());
+            return (0, name);
         }
-        (top, name.to_string())
+        (top, name)
     }
 
     /// Read a variable.
@@ -232,27 +270,33 @@ impl Interp {
         let (fi, key) = self.frame_for(name);
         self.frames[fi]
             .vars
-            .get(&key)
+            .get(key)
             .cloned()
             .ok_or_else(|| Exception::error(format!("can't read \"{name}\": no such variable")))
     }
 
-    /// Write a variable.
+    /// Write a variable. Only a new variable allocates its key.
     pub fn set_var(&mut self, name: &str, value: impl Into<String>) {
         let (fi, key) = self.frame_for(name);
-        self.frames[fi].vars.insert(key, value.into());
+        let vars = &mut self.frames[fi].vars;
+        match vars.get_mut(key) {
+            Some(slot) => *slot = value.into(),
+            None => {
+                vars.insert(key.to_string(), value.into());
+            }
+        }
     }
 
     /// Remove a variable; true if it existed.
     pub fn unset_var(&mut self, name: &str) -> bool {
         let (fi, key) = self.frame_for(name);
-        self.frames[fi].vars.remove(&key).is_some()
+        self.frames[fi].vars.remove(key).is_some()
     }
 
     /// Whether a variable is currently set.
     pub fn var_exists(&mut self, name: &str) -> bool {
         let (fi, key) = self.frame_for(name);
-        self.frames[fi].vars.contains_key(&key)
+        self.frames[fi].vars.contains_key(key)
     }
 
     pub(crate) fn link_global(&mut self, name: &str) {
@@ -298,36 +342,10 @@ impl Interp {
 
     /// Evaluate with full exception semantics (for control-flow commands).
     pub fn eval_internal(&mut self, script: &str) -> TclResult {
-        let parsed = self.parse_cached(script)?;
+        let parsed = self
+            .script_cache
+            .get_or_parse(script, parser::parse_script)?;
         self.eval_parsed(&parsed)
-    }
-
-    fn parse_cached(&mut self, script: &str) -> Result<Rc<Script>, Exception> {
-        if let Some(hit) = self.script_cache.get_mut(script) {
-            hit.hot = true;
-            return Ok(hit.parsed.clone());
-        }
-        let parsed = Rc::new(parser::parse_script(script)?);
-        if self.script_cache.len() >= SCRIPT_CACHE_CAP {
-            // Second-chance sweep: evict entries not hit since the last
-            // sweep and demote the survivors, so a one-shot flood of
-            // unique scripts cannot flush the fragments a worker
-            // re-evaluates every task.
-            self.script_cache
-                .retain(|_, entry| std::mem::replace(&mut entry.hot, false));
-            if self.script_cache.len() >= SCRIPT_CACHE_CAP {
-                // Every entry was hot: clear rather than grow unbounded.
-                self.script_cache.clear();
-            }
-        }
-        self.script_cache.insert(
-            script.to_string(),
-            CachedScript {
-                parsed: parsed.clone(),
-                hot: false,
-            },
-        );
-        Ok(parsed)
     }
 
     fn eval_parsed(&mut self, script: &Script) -> TclResult {
@@ -457,9 +475,18 @@ impl Interp {
         }
     }
 
-    /// Evaluate a Tcl expression string (the `expr` engine).
+    /// Evaluate a Tcl expression string (the `expr` engine). Text with a
+    /// `$` or `[` (a loop condition, a body reading variables) is compiled
+    /// once per interpreter; substitution-free text carries a task's
+    /// argument literals, is unique per task, and is evaluated directly.
     pub fn expr(&mut self, src: &str) -> TclResult {
-        expr::eval_expr(self, src).map(|v| v.to_tcl_string())
+        let v = if src.contains(['$', '[']) {
+            let compiled = self.expr_cache.get_or_parse(src, expr::compile)?;
+            expr::eval_compiled(self, &compiled)?
+        } else {
+            expr::eval_expr(self, src)?
+        };
+        Ok(v.to_tcl_string())
     }
 
     /// Evaluate an expression as a boolean (for `if`/`while` conditions).
@@ -517,33 +544,109 @@ fn annotate(e: Exception, cmd: &Command) -> Exception {
 mod tests {
     use super::*;
 
+    fn cached<T>(cache: &ParseCache<T>, text: &str) -> Rc<T> {
+        cache.entries.get(text).expect("text is cached").0.clone()
+    }
+
     #[test]
     fn script_cache_eviction_keeps_hot_fragments() {
         let mut i = Interp::new();
         // A "hot" fragment, evaluated repeatedly like a worker's leaf task.
         i.eval("set hot 1").unwrap();
-        let hot_rc = i.script_cache.get("set hot 1").unwrap().parsed.clone();
+        let hot_rc = cached(&i.script_cache, "set hot 1");
         // Flood the cache past capacity with unique one-shot scripts,
         // touching the hot fragment along the way so it carries its
         // second-chance bit into the sweep.
-        for n in 0..SCRIPT_CACHE_CAP + 10 {
+        for n in 0..CACHE_CAP + 10 {
             i.eval(&format!("set x{n} {n}")).unwrap();
             if n % 512 == 0 {
                 i.eval("set hot 1").unwrap();
             }
         }
         assert!(
-            i.script_cache.len() < SCRIPT_CACHE_CAP,
+            i.script_cache.entries.len() < CACHE_CAP,
             "sweep must have evicted the cold flood"
         );
-        let still = i
-            .script_cache
-            .get("set hot 1")
-            .expect("hot fragment survives eviction");
         assert!(
-            Rc::ptr_eq(&still.parsed, &hot_rc),
+            Rc::ptr_eq(&cached(&i.script_cache, "set hot 1"), &hot_rc),
             "hot fragment keeps its original parse tree"
         );
+
+        // The expression cache runs the same policy: a hot loop condition
+        // keeps its compiled tree across a flood of distinct `$` texts.
+        let mut i = Interp::new();
+        i.eval("set k 1; expr {$k < 1000}").unwrap();
+        let hot_rc = cached(&i.expr_cache, "$k < 1000");
+        for n in 0..5000 {
+            i.expr(&format!("$k + {n}")).unwrap();
+            if n % 512 == 0 {
+                i.expr("$k < 1000").unwrap();
+            }
+        }
+        assert!(i.expr_cache.entries.len() < CACHE_CAP);
+        assert!(Rc::ptr_eq(&cached(&i.expr_cache, "$k < 1000"), &hot_rc));
+
+        // Substitution-free text is unique per task: it never enters.
+        let mut i = Interp::new();
+        for n in 0..10_000 {
+            i.eval(&format!("expr {{{n} * 3 + 7}}")).unwrap();
+        }
+        assert!(i.expr_cache.entries.is_empty());
+    }
+
+    #[test]
+    fn a_cached_expression_reads_current_values() {
+        let mut i = Interp::new();
+        assert_eq!(i.eval("set x 1; expr {$x + 1}").unwrap(), "2");
+        assert_eq!(i.eval("set x 5; expr {$x + 1}").unwrap(), "6");
+        assert_eq!(i.expr_cache.entries.len(), 1);
+    }
+
+    #[test]
+    fn a_cached_expression_reruns_its_commands() {
+        let mut i = Interp::new();
+        i.eval("set n 0").unwrap();
+        assert_eq!(i.eval("expr {[incr n] * 2}").unwrap(), "2");
+        assert_eq!(i.eval("expr {[incr n] * 2}").unwrap(), "4");
+        assert_eq!(i.eval("expr {[incr n] * 2}").unwrap(), "6");
+        assert_eq!(i.eval("set n").unwrap(), "3");
+    }
+
+    #[test]
+    fn a_loop_compiles_its_condition_and_body_once() {
+        let mut i = Interp::new();
+        i.eval("set acc 0; for {set k 0} {$k < 1000} {incr k} { set acc [expr {$acc + $k}] }")
+            .unwrap();
+        assert_eq!(i.eval("set acc").unwrap(), "499500");
+        let mut texts: Vec<&str> = i.expr_cache.entries.keys().map(String::as_str).collect();
+        texts.sort_unstable();
+        assert_eq!(texts, ["$acc + $k", "$k < 1000"]);
+    }
+
+    #[test]
+    fn compile_errors_are_not_cached() {
+        let mut i = Interp::new();
+        let first = i.eval("expr {$x +}").unwrap_err();
+        let second = i.eval("expr {$x +}").unwrap_err();
+        assert_eq!(first.message, second.message);
+        assert!(i.expr_cache.entries.is_empty());
+    }
+
+    #[test]
+    fn multibyte_text_in_expr_is_an_error_not_a_panic() {
+        let mut i = Interp::new();
+        for (src, bad) in [
+            ("expr {é}", 'é'),
+            ("expr {1 +é}", 'é'),
+            ("expr {$x +€}", '€'),
+        ] {
+            assert_eq!(
+                i.eval(src).unwrap_err().message,
+                format!("unexpected character '{bad}' in expression")
+            );
+        }
+        // An escaped multibyte character inside quotes is kept whole.
+        assert_eq!(i.eval("expr {\"\\é\"}").unwrap(), "é");
     }
 
     #[test]

@@ -107,8 +107,12 @@ pub fn parse_list(src: &str) -> Result<Vec<String>, TclError> {
     Ok(out)
 }
 
-fn next_char_at(s: &str, i: usize) -> char {
-    s[i..].chars().next().unwrap()
+/// The character starting at byte `i`. Callers stop only on char
+/// boundaries before the end, so the replacement character never shows.
+pub(crate) fn next_char_at(s: &str, i: usize) -> char {
+    s.get(i..)
+        .and_then(|s| s.chars().next())
+        .unwrap_or(char::REPLACEMENT_CHARACTER)
 }
 
 fn unescape_one(c: u8) -> char {

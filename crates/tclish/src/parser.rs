@@ -397,7 +397,8 @@ fn parse_var_ref(cur: &mut Cursor) -> Result<Part, Exception> {
     if cur.pos == start {
         return Ok(Part::Lit("$".to_string()));
     }
-    let name = std::str::from_utf8(&cur.src[start..cur.pos]).unwrap();
+    let name = std::str::from_utf8(&cur.src[start..cur.pos])
+        .map_err(|_| Exception::error("invalid utf8 in variable name"))?;
     Ok(Part::Var(name.to_string()))
 }
 

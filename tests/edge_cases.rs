@@ -100,6 +100,35 @@ fn tcl_leaf_error_propagates() {
 }
 
 #[test]
+fn multibyte_expr_in_a_leaf_fails_the_task_not_the_rank() {
+    // The expr tokenizer once panicked on a non-ASCII byte, taking the
+    // worker's rank thread down with it. Now it is one task's Tcl error:
+    // retried, quarantined, and reported; the run ends instead of hanging.
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (done, finished) = channel();
+    let run = std::thread::spawn(move || {
+        let result = Runtime::new(3).run(
+            r#"
+            (int o) bad (int i) [ "set <<o>> [ expr {<<i>> +é} ]" ];
+            trace(bad(1));
+        "#,
+        );
+        let _ = done.send(());
+        result
+    });
+    // A panic drops the sender and ends the wait too; the join tells.
+    let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+    assert_ne!(waited, Err(RecvTimeoutError::Timeout), "the run hangs");
+    match run.join().expect("no rank panics").unwrap_err() {
+        SwiftTError::Runtime(m) => {
+            assert!(m.contains("unexpected character 'é' in expression"), "{m}");
+            assert!(m.contains("quarantined after"), "{m}");
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
 fn native_error_propagates() {
     use swiftt::core::NativeLibrary;
     let lib = NativeLibrary::new("n", "1.0").function("die", |_| Err("native sadness".into()));
