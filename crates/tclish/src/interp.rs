@@ -476,9 +476,11 @@ impl Interp {
     }
 
     /// Evaluate a Tcl expression string (the `expr` engine). Text with a
-    /// `$` or `[` (a loop condition, a body reading variables) is compiled
-    /// once per interpreter; substitution-free text carries a task's
-    /// argument literals, is unique per task, and is evaluated directly.
+    /// `$` or `[` (a loop condition, a leaf reading its arguments) is
+    /// compiled once per interpreter. Substitution-free text comes from a
+    /// double substitution such as the engine library's `expr "$x $op $y"`,
+    /// which arrives as `10 + 66`: it carries values, is seldom seen twice,
+    /// and is evaluated directly rather than churning the cache.
     pub fn expr(&mut self, src: &str) -> TclResult {
         let v = if src.contains(['$', '[']) {
             let compiled = self.expr_cache.get_or_parse(src, expr::compile)?;
@@ -586,10 +588,11 @@ mod tests {
         assert!(i.expr_cache.entries.len() < CACHE_CAP);
         assert!(Rc::ptr_eq(&cached(&i.expr_cache, "$k < 1000"), &hot_rc));
 
-        // Substitution-free text is unique per task: it never enters.
+        // A double-substituted `expr "$x + $y"` reaches `expr` as
+        // substitution-free text carrying values: it never enters.
         let mut i = Interp::new();
         for n in 0..10_000 {
-            i.eval(&format!("expr {{{n} * 3 + 7}}")).unwrap();
+            i.eval(&format!("set x {n}; expr \"$x + 66\"")).unwrap();
         }
         assert!(i.expr_cache.entries.is_empty());
     }
