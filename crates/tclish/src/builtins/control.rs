@@ -78,16 +78,7 @@ fn cmd_incr(i: &mut Interp, argv: &[String]) -> TclResult {
     } else {
         1
     };
-    let cur = if i.var_exists(&argv[1]) {
-        int_arg(&i.get_var(&argv[1])?)?
-    } else {
-        0
-    };
-    let next = cur
-        .checked_add(delta)
-        .ok_or_else(|| Exception::error("integer overflow in incr"))?;
-    i.set_var(&argv[1], next.to_string());
-    Ok(next.to_string())
+    Ok(i.incr(&argv[1], delta)?.to_string())
 }
 
 fn cmd_expr(i: &mut Interp, argv: &[String]) -> TclResult {
@@ -156,8 +147,9 @@ fn cmd_if(i: &mut Interp, argv: &[String]) -> TclResult {
 
 fn cmd_while(i: &mut Interp, argv: &[String]) -> TclResult {
     arity(argv, 3, "while test command")?;
-    while i.expr_bool(&argv[1])? {
-        match i.eval_internal(&argv[2]) {
+    let (mut test, mut body) = (None, None);
+    while i.loop_test(&argv[1], &mut test)? {
+        match i.loop_run(&argv[2], &mut body) {
             Ok(_) => {}
             Err(Exception::Break) => break,
             Err(Exception::Continue) => continue,
@@ -170,14 +162,15 @@ fn cmd_while(i: &mut Interp, argv: &[String]) -> TclResult {
 fn cmd_for(i: &mut Interp, argv: &[String]) -> TclResult {
     arity(argv, 5, "for start test next command")?;
     i.eval_internal(&argv[1])?;
-    while i.expr_bool(&argv[2])? {
-        match i.eval_internal(&argv[4]) {
+    let (mut test, mut body, mut next) = (None, None, None);
+    while i.loop_test(&argv[2], &mut test)? {
+        match i.loop_run(&argv[4], &mut body) {
             Ok(_) => {}
             Err(Exception::Break) => break,
             Err(Exception::Continue) => {}
             Err(e) => return Err(e),
         }
-        i.eval_internal(&argv[3])?;
+        i.loop_run(&argv[3], &mut next)?;
     }
     ok()
 }

@@ -15,8 +15,8 @@ use crate::list::next_char_at;
 /// Host services `expr` needs from the enclosing interpreter: variable
 /// lookup, nested command evaluation, and the `rand()` stream.
 pub trait ExprHost {
-    /// Resolve `$name`.
-    fn get_var(&mut self, name: &str) -> TclResult;
+    /// Resolve `$name` to a number where its text is one.
+    fn var_val(&mut self, name: &str) -> Result<Val, Exception>;
     /// Evaluate a `[script]` substitution.
     fn eval_script(&mut self, script: &str) -> TclResult;
     /// Next value of the `rand()` function in `[0,1)`.
@@ -42,19 +42,21 @@ impl Val {
         }
     }
 
-    fn truthy(&self) -> Result<bool, Exception> {
-        match self.coerce_num() {
-            Some(Val::Int(i)) => Ok(i != 0),
-            Some(Val::Dbl(d)) => Ok(d != 0.0),
-            _ => match self {
-                Val::Str(s) => match s.to_ascii_lowercase().as_str() {
+    /// Tcl's boolean coercion: `expr`'s `&& || ! ?:` and every
+    /// `if`/`for`/`while` condition.
+    pub(crate) fn truthy(&self) -> Result<bool, Exception> {
+        match self {
+            Val::Int(i) => Ok(*i != 0),
+            Val::Dbl(d) => Ok(*d != 0.0),
+            Val::Str(s) => match parse_number(s.trim()) {
+                Some(n) => n.truthy(),
+                None => match s.to_ascii_lowercase().as_str() {
                     "true" | "yes" | "on" => Ok(true),
                     "false" | "no" | "off" => Ok(false),
                     _ => Err(Exception::error(format!(
                         "expected boolean value but got \"{s}\""
                     ))),
                 },
-                _ => unreachable!(),
             },
         }
     }
@@ -101,10 +103,8 @@ pub fn parse_number(s: &str) -> Option<Val> {
             .map(|v| Val::Int(if neg { -v } else { v }));
     }
     if body.chars().all(|c| c.is_ascii_digit()) && !body.is_empty() {
-        return body
-            .parse::<i64>()
-            .ok()
-            .map(|v| Val::Int(if neg { -v } else { v }));
+        // Parsed with its sign, so `i64::MIN`'s own text reads back.
+        return s.parse::<i64>().ok().map(Val::Int);
     }
     // Floats, including 1., .5, 1e3, inf/nan excluded deliberately.
     if body
@@ -592,10 +592,7 @@ pub fn eval_expr<H: ExprHost>(host: &mut H, src: &str) -> Result<Val, Exception>
 fn eval_ast<H: ExprHost>(host: &mut H, ast: &Ast) -> Result<Val, Exception> {
     match ast {
         Ast::Lit(v) => Ok(v.clone()),
-        Ast::Var(name) => {
-            let s = host.get_var(name)?;
-            Ok(parse_number(&s).unwrap_or(Val::Str(s)))
-        }
+        Ast::Var(name) => host.var_val(name),
         Ast::Cmd(script) => {
             let s = host.eval_script(script)?;
             Ok(parse_number(&s).unwrap_or(Val::Str(s)))
@@ -958,11 +955,10 @@ mod tests {
     }
 
     impl ExprHost for FakeHost {
-        fn get_var(&mut self, name: &str) -> TclResult {
-            self.vars
-                .get(name)
-                .cloned()
-                .ok_or_else(|| Exception::error(format!("no such variable \"{name}\"")))
+        fn var_val(&mut self, name: &str) -> Result<Val, Exception> {
+            let s = self.vars.get(name).cloned();
+            let s = s.ok_or_else(|| Exception::error(format!("no such variable \"{name}\"")))?;
+            Ok(parse_number(&s).unwrap_or(Val::Str(s)))
         }
         fn eval_script(&mut self, script: &str) -> TclResult {
             Ok(format!("<{script}>"))
@@ -1196,7 +1192,7 @@ mod oracle_tests {
 
     struct NoHost;
     impl ExprHost for NoHost {
-        fn get_var(&mut self, name: &str) -> TclResult {
+        fn var_val(&mut self, name: &str) -> Result<Val, Exception> {
             Err(Exception::error(format!("no var {name}")))
         }
         fn eval_script(&mut self, _script: &str) -> TclResult {

@@ -5,14 +5,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::builtins;
+use crate::builtins::{self, int_arg};
 use crate::error::{Exception, TclError, TclResult};
-use crate::expr::{self, ExprHost};
+use crate::expr::{self, parse_number, ExprHost, Val};
 use crate::list;
-use crate::parser::{self, Command, Part, Script, Word};
-
-/// Marker prefix a `{*}` word carries after parsing.
-pub(crate) const EXPAND_MARKER: &str = "\u{1}EXPAND\u{1}";
+use crate::parser::{self, Command, Part, Script, Shape, EXPAND_MARKER, SHAPED};
 
 /// A native command implementation. Receives the interpreter and the fully
 /// substituted argument words (`argv[0]` is the command name).
@@ -27,6 +24,39 @@ pub(crate) struct ProcDef {
     pub body: Rc<str>,
 }
 
+/// The value of a variable or a command: an integer from `expr` or
+/// `incr` stays an `i64` until something asks for its decimal text.
+#[derive(Clone)]
+pub(crate) enum Obj {
+    Str(String),
+    Int(i64),
+}
+
+impl Obj {
+    pub(crate) fn into_string(self) -> String {
+        match self {
+            Obj::Str(s) => s,
+            Obj::Int(i) => i.to_string(),
+        }
+    }
+
+    fn push_to(&self, out: &mut String) {
+        match self {
+            Obj::Str(s) => out.push_str(s),
+            Obj::Int(i) => out.push_str(&i.to_string()),
+        }
+    }
+}
+
+impl From<Val> for Obj {
+    fn from(v: Val) -> Self {
+        match v {
+            Val::Int(i) => Obj::Int(i),
+            other => Obj::Str(other.to_tcl_string()),
+        }
+    }
+}
+
 /// How a registered package initializes itself on `package require`.
 #[derive(Clone)]
 pub enum PackageInit {
@@ -38,7 +68,7 @@ pub enum PackageInit {
 }
 
 struct Frame {
-    vars: HashMap<String, String>,
+    vars: HashMap<String, Obj>,
     /// Names in this frame linked to globals via `global`.
     global_links: std::collections::HashSet<String>,
 }
@@ -112,7 +142,11 @@ impl<T> ParseCache<T> {
 pub struct Interp {
     frames: Vec<Frame>,
     commands: HashMap<String, CommandFn>,
-    procs: HashMap<String, ProcDef>,
+    procs: HashMap<String, Rc<ProcDef>>,
+    /// Bit `Shape as usize` is set once a proc, a `register` or a
+    /// `rename … {}` has displaced that shaped builtin: its commands then
+    /// take generic dispatch.
+    displaced: u8,
     packages: HashMap<String, (String, PackageInit)>,
     provided: HashMap<String, String>,
     script_cache: ParseCache<Script>,
@@ -138,6 +172,7 @@ impl Interp {
             frames: vec![Frame::new()],
             commands: HashMap::new(),
             procs: HashMap::new(),
+            displaced: 0,
             packages: HashMap::new(),
             provided: HashMap::new(),
             script_cache: ParseCache::new(),
@@ -149,6 +184,7 @@ impl Interp {
             commands_executed: 0,
         };
         builtins::register_all(&mut interp);
+        interp.displaced = 0;
         interp
     }
 
@@ -159,12 +195,20 @@ impl Interp {
     where
         F: Fn(&mut Interp, &[String]) -> TclResult + 'static,
     {
+        self.displace(name);
         self.commands.insert(name.to_string(), Rc::new(f));
     }
 
     /// Remove a command; returns whether it existed.
     pub fn unregister(&mut self, name: &str) -> bool {
+        self.displace(name);
         self.commands.remove(name).is_some() | self.procs.remove(name).is_some()
+    }
+
+    fn displace(&mut self, name: &str) {
+        if let Some(bit) = SHAPED.iter().position(|s| *s == name) {
+            self.displaced |= 1 << bit;
+        }
     }
 
     /// True if a command or proc with this name exists.
@@ -265,26 +309,48 @@ impl Interp {
         (top, name)
     }
 
-    /// Read a variable.
-    pub fn get_var(&mut self, name: &str) -> TclResult {
+    fn var(&self, name: &str) -> Result<&Obj, Exception> {
         let (fi, key) = self.frame_for(name);
         self.frames[fi]
             .vars
             .get(key)
-            .cloned()
             .ok_or_else(|| Exception::error(format!("can't read \"{name}\": no such variable")))
     }
 
-    /// Write a variable. Only a new variable allocates its key.
+    /// Read a variable.
+    pub fn get_var(&mut self, name: &str) -> TclResult {
+        self.var(name).map(|v| v.clone().into_string())
+    }
+
+    /// Write a variable.
     pub fn set_var(&mut self, name: &str, value: impl Into<String>) {
+        self.set_obj(name, Obj::Str(value.into()));
+    }
+
+    /// Write a variable. Only a new variable allocates its key.
+    fn set_obj(&mut self, name: &str, value: Obj) {
         let (fi, key) = self.frame_for(name);
         let vars = &mut self.frames[fi].vars;
         match vars.get_mut(key) {
-            Some(slot) => *slot = value.into(),
+            Some(slot) => *slot = value,
             None => {
-                vars.insert(key.to_string(), value.into());
+                vars.insert(key.to_string(), value);
             }
         }
+    }
+
+    /// `incr name delta`: an unset variable counts as 0.
+    pub(crate) fn incr(&mut self, name: &str, delta: i64) -> Result<i64, Exception> {
+        let cur = match self.var(name) {
+            Ok(Obj::Int(i)) => *i,
+            Ok(Obj::Str(s)) => int_arg(s)?,
+            Err(_) => 0,
+        };
+        let next = cur
+            .checked_add(delta)
+            .ok_or_else(|| Exception::error("integer overflow in incr"))?;
+        self.set_obj(name, Obj::Int(next));
+        Ok(next)
     }
 
     /// Remove a variable; true if it existed.
@@ -325,7 +391,7 @@ impl Interp {
     /// [`Script::parse`]. The tree is plain data (`Send + Sync`), so one
     /// parse of a library can serve every interpreter in the process.
     pub fn eval_script(&mut self, script: &Script) -> Result<String, TclError> {
-        Self::top_level(self.eval_parsed(script))
+        Self::top_level(self.eval_parsed(script).map(Obj::into_string))
     }
 
     fn top_level(result: TclResult) -> Result<String, TclError> {
@@ -342,55 +408,94 @@ impl Interp {
 
     /// Evaluate with full exception semantics (for control-flow commands).
     pub fn eval_internal(&mut self, script: &str) -> TclResult {
+        self.eval_obj(script).map(Obj::into_string)
+    }
+
+    fn eval_obj(&mut self, script: &str) -> Result<Obj, Exception> {
         let parsed = self
             .script_cache
             .get_or_parse(script, parser::parse_script)?;
         self.eval_parsed(&parsed)
     }
 
-    fn eval_parsed(&mut self, script: &Script) -> TclResult {
-        let mut result = String::new();
+    fn eval_parsed(&mut self, script: &Script) -> Result<Obj, Exception> {
+        let mut result = Obj::Str(String::new());
         for cmd in &script.commands {
             result = self.eval_command(cmd).map_err(|e| annotate(e, cmd))?;
         }
         Ok(result)
     }
 
-    fn eval_command(&mut self, cmd: &Command) -> TclResult {
-        let mut argv: Vec<String> = Vec::with_capacity(cmd.words.len());
-        for w in &cmd.words {
-            let expand = matches!(w.parts.first(), Some(Part::Lit(l)) if l == EXPAND_MARKER);
-            let text = self.subst_word(w, expand)?;
-            if expand {
-                argv.extend(list::parse_list(&text).map_err(Exception::from)?);
-            } else {
-                argv.push(text);
-            }
+    /// Every nested proc call stacks this frame, so the argv is built and
+    /// the shaped builtins run in functions of their own.
+    fn eval_command(&mut self, cmd: &Command) -> Result<Obj, Exception> {
+        if cmd.shape != Shape::Generic && self.displaced & 1 << cmd.shape as u8 == 0 {
+            return self.eval_shaped(cmd);
         }
+        let argv = self.argv(cmd)?;
         if argv.is_empty() {
-            return Ok(String::new());
+            return Ok(Obj::Str(String::new()));
         }
-        self.invoke(&argv)
+        self.invoke(&argv).map(Obj::Str)
     }
 
-    fn subst_word(&mut self, word: &Word, skip_marker: bool) -> TclResult {
-        let parts = if skip_marker {
-            &word.parts[1..]
-        } else {
-            &word.parts[..]
+    fn argv(&mut self, cmd: &Command) -> Result<Vec<String>, Exception> {
+        let mut argv: Vec<String> = Vec::with_capacity(cmd.words.len());
+        for w in &cmd.words {
+            match w.parts.split_first() {
+                Some((Part::Lit(l), rest)) if l == EXPAND_MARKER => {
+                    let text = self.subst_parts(rest)?.into_string();
+                    argv.extend(list::parse_list(&text).map_err(Exception::from)?);
+                }
+                _ => argv.push(self.subst_parts(&w.parts)?.into_string()),
+            }
+        }
+        Ok(argv)
+    }
+
+    /// `set`, `incr` and `expr` as [`Shape`] classified them: the checks,
+    /// results and errors of their commands in `builtins`, without an
+    /// argv.
+    #[inline(never)]
+    fn eval_shaped(&mut self, cmd: &Command) -> Result<Obj, Exception> {
+        self.commands_executed += 1;
+        let (Some(name), arg) = (cmd.words[1].as_lit(), cmd.words.get(2)) else {
+            return Err(Exception::error("unshaped command"));
         };
-        if let [Part::Lit(s)] = parts {
-            return Ok(s.clone());
+        match (cmd.shape, arg) {
+            (Shape::Set, None) => self.var(name).cloned(),
+            (Shape::Set, Some(w)) => {
+                let value = self.subst_parts(&w.parts)?;
+                self.set_obj(name, value.clone());
+                Ok(value)
+            }
+            (Shape::Incr, _) => {
+                let delta = match arg.map(|w| self.subst_parts(&w.parts)).transpose()? {
+                    None => 1,
+                    Some(Obj::Int(d)) => d,
+                    Some(Obj::Str(s)) => int_arg(&s)?,
+                };
+                self.incr(name, delta).map(Obj::Int)
+            }
+            _ => self.expr_val(name).map(Obj::from),
+        }
+    }
+
+    fn subst_parts(&mut self, parts: &[Part]) -> Result<Obj, Exception> {
+        match parts {
+            [Part::Var(name)] => return self.var(name).cloned(),
+            [Part::Script(src)] => return self.eval_obj(src),
+            _ => {}
         }
         let mut out = String::new();
         for p in parts {
             match p {
                 Part::Lit(s) => out.push_str(s),
-                Part::Var(name) => out.push_str(&self.get_var(name)?),
-                Part::Script(src) => out.push_str(&self.eval_internal(src)?),
+                Part::Var(name) => self.var(name)?.push_to(&mut out),
+                Part::Script(src) => self.eval_obj(src)?.push_to(&mut out),
             }
         }
-        Ok(out)
+        Ok(Obj::Str(out))
     }
 
     /// Perform Tcl `subst`-style substitution on a string ($vars and
@@ -402,7 +507,7 @@ impl Interp {
         let script = parser::parse_script(&format!("return {wrapped}"))?;
         match self.eval_parsed(&script) {
             Err(Exception::Return(v)) => Ok(v),
-            Ok(v) => Ok(v),
+            Ok(v) => Ok(v.into_string()),
             Err(e) => Err(e),
         }
     }
@@ -421,7 +526,8 @@ impl Interp {
     }
 
     pub(crate) fn define_proc(&mut self, name: &str, def: ProcDef) {
-        self.procs.insert(name.to_string(), def);
+        self.displace(name);
+        self.procs.insert(name.to_string(), Rc::new(def));
     }
 
     fn call_proc(&mut self, name: &str, p: &ProcDef, args: &[String]) -> TclResult {
@@ -450,22 +556,22 @@ impl Interp {
         let mut ai = 0usize;
         for (pname, default) in &p.params {
             if ai < args.len() {
-                frame.vars.insert(pname.clone(), args[ai].clone());
+                frame.vars.insert(pname.clone(), Obj::Str(args[ai].clone()));
                 ai += 1;
             } else if let Some(d) = default {
-                frame.vars.insert(pname.clone(), d.clone());
+                frame.vars.insert(pname.clone(), Obj::Str(d.clone()));
             }
         }
         if p.varargs {
             let rest: Vec<&String> = args[ai.min(args.len())..].iter().collect();
             frame
                 .vars
-                .insert("args".to_string(), list::format_list(&rest));
+                .insert("args".to_string(), Obj::Str(list::format_list(&rest)));
         }
         self.frames.push(frame);
         self.depth += 1;
         let body = p.body.clone();
-        let result = self.eval_internal(&body);
+        let result = self.eval_obj(&body).map(Obj::into_string);
         self.depth -= 1;
         self.frames.pop();
         match result {
@@ -482,39 +588,61 @@ impl Interp {
     /// which arrives as `10 + 66`: it carries values, is seldom seen twice,
     /// and is evaluated directly rather than churning the cache.
     pub fn expr(&mut self, src: &str) -> TclResult {
-        let v = if src.contains(['$', '[']) {
+        Ok(self.expr_val(src)?.to_tcl_string())
+    }
+
+    fn expr_val(&mut self, src: &str) -> Result<Val, Exception> {
+        if src.contains(['$', '[']) {
             let compiled = self.expr_cache.get_or_parse(src, expr::compile)?;
-            expr::eval_compiled(self, &compiled)?
+            expr::eval_compiled(self, &compiled)
         } else {
-            expr::eval_expr(self, src)?
-        };
-        Ok(v.to_tcl_string())
+            expr::eval_expr(self, src)
+        }
     }
 
     /// Evaluate an expression as a boolean (for `if`/`while` conditions).
     pub fn expr_bool(&mut self, src: &str) -> Result<bool, Exception> {
-        let v = self.expr(src)?;
-        match v.trim() {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            "" => Err(Exception::error("empty boolean expression")),
-            other => match other.parse::<f64>() {
-                Ok(f) => Ok(f != 0.0),
-                Err(_) => match other.to_ascii_lowercase().as_str() {
-                    "true" | "yes" | "on" => Ok(true),
-                    "false" | "no" | "off" => Ok(false),
-                    _ => Err(Exception::error(format!(
-                        "expected boolean value but got \"{other}\""
-                    ))),
-                },
-            },
-        }
+        self.expr_val(src)?.truthy()
+    }
+
+    /// A loop's test: compiled on first use, then held for the loop.
+    pub(crate) fn loop_test(
+        &mut self,
+        src: &str,
+        held: &mut Option<Rc<expr::Compiled>>,
+    ) -> Result<bool, Exception> {
+        let test = match held {
+            Some(t) => t.clone(),
+            None if src.contains(['$', '[']) => held
+                .insert(self.expr_cache.get_or_parse(src, expr::compile)?)
+                .clone(),
+            None => held.insert(Rc::new(expr::compile(src)?)).clone(),
+        };
+        expr::eval_compiled(self, &test)?.truthy()
+    }
+
+    /// A loop's body or step: parsed on first use, then held for the loop.
+    pub(crate) fn loop_run(
+        &mut self,
+        src: &str,
+        held: &mut Option<Rc<Script>>,
+    ) -> Result<(), Exception> {
+        let script = match held {
+            Some(s) => s.clone(),
+            None => held
+                .insert(self.script_cache.get_or_parse(src, parser::parse_script)?)
+                .clone(),
+        };
+        self.eval_parsed(&script).map(drop)
     }
 }
 
 impl ExprHost for Interp {
-    fn get_var(&mut self, name: &str) -> TclResult {
-        Interp::get_var(self, name)
+    fn var_val(&mut self, name: &str) -> Result<Val, Exception> {
+        match self.var(name)? {
+            Obj::Int(i) => Ok(Val::Int(*i)),
+            Obj::Str(s) => Ok(parse_number(s).unwrap_or_else(|| Val::Str(s.clone()))),
+        }
     }
     fn eval_script(&mut self, script: &str) -> TclResult {
         self.eval_internal(script)

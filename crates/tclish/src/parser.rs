@@ -7,6 +7,9 @@
 
 use crate::error::Exception;
 
+/// Marker prefix a `{*}` word carries after parsing.
+pub(crate) const EXPAND_MARKER: &str = "\u{1}EXPAND\u{1}";
+
 /// One piece of a word, after tokenization but before substitution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Part {
@@ -30,13 +33,44 @@ pub struct Word {
 
 impl Word {
     /// If the word is a single literal, return it without evaluation.
-    #[cfg(test)]
     pub fn as_lit(&self) -> Option<&str> {
         match self.parts.as_slice() {
             [Part::Lit(s)] => Some(s),
             [] => Some(""),
             _ => None,
         }
+    }
+
+    fn expands(&self) -> bool {
+        matches!(self.parts.first(), Some(Part::Lit(l)) if l == EXPAND_MARKER)
+    }
+}
+
+/// The builtins a command can run without an argv, when its name and
+/// variable (or `expr` text) are literal and no word is `{*}`-expanded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// `set var ?value?`
+    Set,
+    /// `incr var ?delta?`
+    Incr,
+    /// `expr text`
+    Expr,
+    Generic,
+}
+
+/// The names of the shaped builtins, indexed by `Shape as usize`.
+pub(crate) const SHAPED: [&str; 3] = ["set", "incr", "expr"];
+
+fn shape_of(words: &[Word]) -> Shape {
+    if words.iter().any(Word::expands) || words.get(1).and_then(Word::as_lit).is_none() {
+        return Shape::Generic;
+    }
+    match (words[0].as_lit(), words.len()) {
+        (Some("set"), 2 | 3) => Shape::Set,
+        (Some("incr"), 2 | 3) => Shape::Incr,
+        (Some("expr"), 2) => Shape::Expr,
+        _ => Shape::Generic,
     }
 }
 
@@ -46,6 +80,7 @@ pub struct Command {
     pub words: Vec<Word>,
     /// Source text of the command, for error traces.
     pub source: String,
+    pub shape: Shape,
 }
 
 /// A fully parsed script.
@@ -111,6 +146,7 @@ pub fn parse_script(src: &str) -> Result<Script, Exception> {
         let end = cur.pos;
         if !words.is_empty() {
             commands.push(Command {
+                shape: shape_of(&words),
                 words,
                 source: src[start..end].trim().to_string(),
             });
@@ -182,7 +218,7 @@ fn parse_word(cur: &mut Cursor) -> Result<Word, Exception> {
             // resulting list into multiple arguments.
             cur.pos += 3;
             let mut w = parse_word(cur)?;
-            w.parts.insert(0, Part::Lit("\u{1}EXPAND\u{1}".into()));
+            w.parts.insert(0, Part::Lit(EXPAND_MARKER.into()));
             Ok(w)
         }
         Some(b'{') => parse_braced(cur),
