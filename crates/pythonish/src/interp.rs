@@ -3,13 +3,188 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-use crate::parser::{parse_expression, parse_module, Expr, FStrPart, Stmt, Target};
+use crate::parser::{parse_expression, parse_module, BinOp, CmpOp, Expr, FStrPart, Stmt, Target};
 use crate::value::{PyError, Value};
 
 #[derive(Debug, Clone)]
 struct FuncDef {
-    params: Vec<String>,
-    body: Rc<Vec<Stmt>>,
+    params: Vec<Target>,
+    body: Vec<Stmt>,
+    slots: usize,
+}
+
+impl FuncDef {
+    /// Resolve the function's locals to frame slots: its parameters and
+    /// every name it assigns, except names in a `global` statement, which
+    /// keep the lookup by name. An empty slot still falls back to globals.
+    fn resolve(params: &[String], body: &[Stmt]) -> FuncDef {
+        let (mut names, mut globals) = (params.to_vec(), HashSet::new());
+        assigned(body, &mut names, &mut globals);
+        let mut slots: HashMap<String, usize> = HashMap::new();
+        for n in names.into_iter().filter(|n| !globals.contains(n)) {
+            let next = slots.len();
+            slots.entry(n).or_insert(next);
+        }
+        let mut params: Vec<Target> = params.iter().cloned().map(Target::Name).collect();
+        params.iter_mut().for_each(|p| bind_target(p, &slots));
+        let mut body = body.to_vec();
+        bind_block(&mut body, &slots);
+        FuncDef {
+            params,
+            body,
+            slots: slots.len(),
+        }
+    }
+}
+
+/// The names a block assigns and the names its `global` statements
+/// declare, not counting nested `def`s (their own scopes).
+fn assigned(stmts: &[Stmt], names: &mut Vec<String>, globals: &mut HashSet<String>) {
+    for s in stmts {
+        match s {
+            Stmt::Assign(Target::Name(n), _)
+            | Stmt::AugAssign(Target::Name(n), ..)
+            | Stmt::For(Target::Name(n), ..) => names.push(n.clone()),
+            Stmt::Global(ns) => globals.extend(ns.iter().cloned()),
+            _ => {}
+        }
+        match s {
+            Stmt::If(arms, orelse) => {
+                arms.iter().for_each(|(_, b)| assigned(b, names, globals));
+                orelse.iter().for_each(|b| assigned(b, names, globals));
+            }
+            Stmt::While(_, b) | Stmt::For(_, _, b) => assigned(b, names, globals),
+            _ => {}
+        }
+    }
+}
+
+fn bind_block(stmts: &mut [Stmt], slots: &HashMap<String, usize>) {
+    for s in stmts {
+        match s {
+            Stmt::Expr(e) | Stmt::Return(Some(e)) => bind(e, slots),
+            Stmt::Assign(t, e) | Stmt::AugAssign(t, _, e) => {
+                bind_target(t, slots);
+                bind(e, slots);
+            }
+            Stmt::Del(t) => bind_target(t, slots),
+            Stmt::If(arms, orelse) => {
+                for (c, b) in arms {
+                    bind(c, slots);
+                    bind_block(b, slots);
+                }
+                orelse.iter_mut().for_each(|b| bind_block(b, slots));
+            }
+            Stmt::While(c, b) => {
+                bind(c, slots);
+                bind_block(b, slots);
+            }
+            Stmt::For(t, e, b) => {
+                bind_target(t, slots);
+                bind(e, slots);
+                bind_block(b, slots);
+            }
+            _ => {}
+        }
+    }
+}
+
+fn bind_target(t: &mut Target, slots: &HashMap<String, usize>) {
+    match t {
+        Target::Name(n) => {
+            if let Some(&i) = slots.get(n.as_str()) {
+                *t = Target::Local(i, std::mem::take(n));
+            }
+        }
+        Target::Index(o, i) => {
+            bind(o, slots);
+            bind(i, slots);
+        }
+        Target::Local(..) => {}
+    }
+}
+
+fn bind(e: &mut Expr, slots: &HashMap<String, usize>) {
+    match e {
+        Expr::Name(n) => {
+            if let Some(&i) = slots.get(n.as_str()) {
+                *e = Expr::Local(i, std::mem::take(n));
+            }
+        }
+        Expr::FStr(parts) => parts.iter_mut().for_each(|p| {
+            if let FStrPart::Expr(x) = p {
+                bind(x, slots);
+            }
+        }),
+        Expr::List(items) => items.iter_mut().for_each(|x| bind(x, slots)),
+        Expr::Dict(items) => items.iter_mut().for_each(|(k, v)| {
+            bind(k, slots);
+            bind(v, slots);
+        }),
+        Expr::Neg(x) | Expr::Not(x) | Expr::Attr(x, _) => bind(x, slots),
+        Expr::Binary(_, l, r)
+        | Expr::Compare(_, l, r)
+        | Expr::And(l, r)
+        | Expr::Or(l, r)
+        | Expr::Index(l, r) => {
+            bind(l, slots);
+            bind(r, slots);
+        }
+        Expr::Call(f, args) => {
+            bind(f, slots);
+            args.iter_mut().for_each(|a| bind(a, slots));
+        }
+        Expr::IfExp(c, t, f) => {
+            bind(c, slots);
+            bind(t, slots);
+            bind(f, slots);
+        }
+        Expr::Int(_)
+        | Expr::Float(_)
+        | Expr::Str(_)
+        | Expr::Bool(_)
+        | Expr::NoneLit
+        | Expr::Local(..) => {}
+    }
+}
+
+/// `range(start, stop, step)` as an iterator: ends at `stop`, or where
+/// the next value would overflow.
+struct Range {
+    next: Option<i64>,
+    stop: i64,
+    step: i64,
+}
+
+impl Range {
+    fn new(argv: &[Value]) -> Result<Range, PyError> {
+        let (start, stop, step) = match argv {
+            [stop] => (0, int_of(stop)?, 1),
+            [start, stop] => (int_of(start)?, int_of(stop)?, 1),
+            [start, stop, step] => (int_of(start)?, int_of(stop)?, int_of(step)?),
+            _ => return type_err("range() takes 1-3 arguments"),
+        };
+        if step == 0 {
+            return Err(PyError::new("ValueError", "range() step must not be zero"));
+        }
+        Ok(Range {
+            next: Some(start),
+            stop,
+            step,
+        })
+    }
+}
+
+impl Iterator for Range {
+    type Item = Value;
+
+    fn next(&mut self) -> Option<Value> {
+        let i = self
+            .next
+            .filter(|&i| (self.step > 0 && i < self.stop) || (self.step < 0 && i > self.stop))?;
+        self.next = i.checked_add(self.step);
+        Some(Value::Int(i))
+    }
 }
 
 enum Flow {
@@ -137,6 +312,7 @@ impl Python {
             Stmt::AugAssign(t, op, e) => {
                 let cur = match t {
                     Target::Name(n) => self.load_name(n, frame)?,
+                    Target::Local(i, n) => self.load_local(*i, n, frame)?,
                     Target::Index(obj, idx) => {
                         let o = self.eval_expr(obj, frame)?;
                         let i = self.eval_expr(idx, frame)?;
@@ -144,7 +320,7 @@ impl Python {
                     }
                 };
                 let rhs = self.eval_expr(e, frame)?;
-                let v = binary_op(op, &cur, &rhs)?;
+                let v = binary_op(*op, &cur, &rhs)?;
                 self.assign(t, v, frame)?;
                 Ok(Flow::Normal)
             }
@@ -169,27 +345,10 @@ impl Python {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::For(var, iter, body) => {
-                let it = self.eval_expr(iter, frame)?;
-                let items = iterate(&it)?;
-                for item in items {
-                    self.store_name(var, item, frame);
-                    match self.exec_block(body, frame)? {
-                        Flow::Break => break,
-                        Flow::Continue | Flow::Normal => {}
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
+            Stmt::For(var, iter, body) => self.exec_for(var, iter, body, frame),
             Stmt::Def(name, params, body) => {
-                self.functions.insert(
-                    name.clone(),
-                    Rc::new(FuncDef {
-                        params: params.clone(),
-                        body: body.clone(),
-                    }),
-                );
+                let f = FuncDef::resolve(params, body);
+                self.functions.insert(name.clone(), Rc::new(f));
                 Ok(Flow::Normal)
             }
             Stmt::Return(e) => {
@@ -222,26 +381,56 @@ impl Python {
                     ))
                 }
             }
-            Stmt::Del(t) => {
-                match t {
-                    Target::Name(n) => {
-                        let removed = match frame {
-                            Some(f) if !f.global_decls.contains(n) => f.locals.remove(n).is_some(),
-                            _ => self.globals.remove(n).is_some(),
-                        };
-                        if !removed && self.globals.remove(n).is_none() {
-                            return name_err(n);
-                        }
-                    }
-                    Target::Index(obj, idx) => {
-                        let o = self.eval_expr(obj, frame)?;
-                        let i = self.eval_expr(idx, frame)?;
-                        index_del(&o, &i)?;
-                    }
-                }
-                Ok(Flow::Normal)
+            Stmt::Del(t) => self.exec_del(t, frame),
+        }
+    }
+
+    // `exec_stmt`'s frame is on the stack once per nested call: its
+    // bulkier arms run in functions of their own.
+
+    fn exec_for(
+        &mut self,
+        var: &Target,
+        iter: &Expr,
+        body: &[Stmt],
+        frame: &mut Option<LocalFrame>,
+    ) -> Result<Flow, PyError> {
+        let items: Box<dyn Iterator<Item = Value>> = match self.range_of(iter, frame)? {
+            Some(range) => Box::new(range),
+            None => Box::new(iterate(&self.eval_expr(iter, frame)?)?.into_iter()),
+        };
+        for item in items {
+            self.assign(var, item, frame)?;
+            match self.exec_block(body, frame)? {
+                Flow::Break => break,
+                Flow::Continue | Flow::Normal => {}
+                ret @ Flow::Return(_) => return Ok(ret),
             }
         }
+        Ok(Flow::Normal)
+    }
+
+    fn exec_del(&mut self, t: &Target, frame: &mut Option<LocalFrame>) -> Result<Flow, PyError> {
+        match t {
+            Target::Name(n) | Target::Local(_, n) => {
+                let removed = match (frame, t) {
+                    (Some(f), Target::Local(i, _)) => {
+                        f.slots.get_mut(*i).and_then(Option::take).is_some()
+                    }
+                    (Some(f), _) if !f.global_decls.contains(n) => f.locals.remove(n).is_some(),
+                    _ => self.globals.remove(n).is_some(),
+                };
+                if !removed && self.globals.remove(n).is_none() {
+                    return name_err(n);
+                }
+            }
+            Target::Index(obj, idx) => {
+                let o = self.eval_expr(obj, frame)?;
+                let i = self.eval_expr(idx, frame)?;
+                index_del(&o, &i)?;
+            }
+        }
+        Ok(Flow::Normal)
     }
 
     fn assign(
@@ -253,6 +442,13 @@ impl Python {
         match t {
             Target::Name(n) => {
                 self.store_name(n, v, frame);
+                Ok(())
+            }
+            Target::Local(i, n) => {
+                match frame.as_mut().and_then(|f| f.slots.get_mut(*i)) {
+                    Some(slot) => *slot = Some(v),
+                    None => self.store_name(n, v, frame),
+                }
                 Ok(())
             }
             Target::Index(obj, idx) => {
@@ -286,6 +482,46 @@ impl Python {
         name_err(name)
     }
 
+    fn load_local(
+        &self,
+        slot: usize,
+        name: &str,
+        frame: &Option<LocalFrame>,
+    ) -> Result<Value, PyError> {
+        match frame.as_ref().and_then(|f| f.slots.get(slot)) {
+            Some(Some(v)) => Ok(v.clone()),
+            _ => self
+                .globals
+                .get(name)
+                .cloned()
+                .map_or_else(|| name_err(name), Ok),
+        }
+    }
+
+    /// A `for` over `range(...)`, which iterates without building the list
+    /// unless a user function named `range` shadows the builtin.
+    fn range_of(
+        &mut self,
+        iter: &Expr,
+        frame: &mut Option<LocalFrame>,
+    ) -> Result<Option<Range>, PyError> {
+        let Expr::Call(callee, args) = iter else {
+            return Ok(None);
+        };
+        match callee.as_ref() {
+            Expr::Name(n) | Expr::Local(_, n)
+                if n == "range" && !self.functions.contains_key("range") =>
+            {
+                let mut argv = Vec::with_capacity(args.len());
+                for a in args {
+                    argv.push(self.eval_expr(a, frame)?);
+                }
+                Range::new(&argv).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
     // -- expressions -----------------------------------------------------
 
     fn eval_expr(&mut self, e: &Expr, frame: &mut Option<LocalFrame>) -> Result<Value, PyError> {
@@ -296,6 +532,97 @@ impl Python {
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::NoneLit => Ok(Value::None),
             Expr::Name(n) => self.load_name(n, frame),
+            Expr::Local(i, n) => self.load_local(*i, n, frame),
+            Expr::FStr(_) | Expr::List(_) | Expr::Dict(_) => self.eval_display(e, frame),
+            Expr::Neg(inner) => {
+                let v = self.eval_expr(inner, frame)?;
+                match v {
+                    Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
+                    Value::Float(f) => Ok(Value::Float(-f)),
+                    Value::Bool(b) => Ok(Value::Int(-(b as i64))),
+                    other => type_err(format!(
+                        "bad operand type for unary -: '{}'",
+                        other.type_name()
+                    )),
+                }
+            }
+            Expr::Not(inner) => Ok(Value::Bool(!self.eval_expr(inner, frame)?.truthy())),
+            Expr::And(l, r) | Expr::Or(l, r) => {
+                // `and` stops at a false left side, `or` at a true one.
+                let lv = self.eval_expr(l, frame)?;
+                if lv.truthy() == matches!(e, Expr::Or(..)) {
+                    Ok(lv)
+                } else {
+                    self.eval_expr(r, frame)
+                }
+            }
+            Expr::Binary(op, l, r) => {
+                let lv = self.eval_expr(l, frame)?;
+                let rv = self.eval_expr(r, frame)?;
+                binary_op(*op, &lv, &rv)
+            }
+            Expr::Compare(op, l, r) => {
+                let lv = self.eval_expr(l, frame)?;
+                let rv = self.eval_expr(r, frame)?;
+                compare_op(*op, &lv, &rv)
+            }
+            Expr::IfExp(cond, t, f) => {
+                if self.eval_expr(cond, frame)?.truthy() {
+                    self.eval_expr(t, frame)
+                } else {
+                    self.eval_expr(f, frame)
+                }
+            }
+            Expr::Index(obj, idx) => {
+                let o = self.eval_expr(obj, frame)?;
+                let i = self.eval_expr(idx, frame)?;
+                index_get(&o, &i)
+            }
+            Expr::Attr(obj, attr) => {
+                // Module constants (math.pi); method *values* are not
+                // first-class — they must be called.
+                if let Expr::Name(n) | Expr::Local(_, n) = obj.as_ref() {
+                    if n == "math" {
+                        return math_const(attr);
+                    }
+                }
+                type_err(format!("attribute '{attr}' is only callable"))
+            }
+            Expr::Call(callee, args) => self.eval_call(callee, args, frame),
+        }
+    }
+
+    // `eval_expr`'s frame is on the stack once per nested call: its
+    // bulkier arms run in functions of their own.
+
+    fn eval_call(
+        &mut self,
+        callee: &Expr,
+        args: &[Expr],
+        frame: &mut Option<LocalFrame>,
+    ) -> Result<Value, PyError> {
+        let mut argv = Vec::with_capacity(args.len());
+        for a in args {
+            argv.push(self.eval_expr(a, frame)?);
+        }
+        match callee {
+            Expr::Name(n) | Expr::Local(_, n) => self.call_function(n, argv, frame),
+            Expr::Attr(obj, method) => {
+                if let Expr::Name(n) | Expr::Local(_, n) = obj.as_ref() {
+                    if n == "math" {
+                        return math_call(method, &argv);
+                    }
+                }
+                let target = self.eval_expr(obj, frame)?;
+                self.call_method(&target, method, argv)
+            }
+            other => type_err(format!("{other:?} is not callable")),
+        }
+    }
+
+    /// f-strings, lists and dicts.
+    fn eval_display(&mut self, e: &Expr, frame: &mut Option<LocalFrame>) -> Result<Value, PyError> {
+        match e {
             Expr::FStr(parts) => {
                 let mut out = String::new();
                 for p in parts {
@@ -324,79 +651,7 @@ impl Python {
                 }
                 Ok(Value::Dict(Rc::new(std::cell::RefCell::new(m))))
             }
-            Expr::Unary("-", inner) => {
-                let v = self.eval_expr(inner, frame)?;
-                match v {
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    Value::Bool(b) => Ok(Value::Int(-(b as i64))),
-                    other => type_err(format!(
-                        "bad operand type for unary -: '{}'",
-                        other.type_name()
-                    )),
-                }
-            }
-            Expr::Unary(op, _) => type_err(format!("unsupported unary operator {op}")),
-            Expr::Not(inner) => Ok(Value::Bool(!self.eval_expr(inner, frame)?.truthy())),
-            Expr::BoolOp(op, l, r) => {
-                let lv = self.eval_expr(l, frame)?;
-                match (*op, lv.truthy()) {
-                    ("and", false) => Ok(lv),
-                    ("or", true) => Ok(lv),
-                    _ => self.eval_expr(r, frame),
-                }
-            }
-            Expr::Binary(op, l, r) => {
-                let lv = self.eval_expr(l, frame)?;
-                let rv = self.eval_expr(r, frame)?;
-                binary_op(op, &lv, &rv)
-            }
-            Expr::Compare(op, l, r) => {
-                let lv = self.eval_expr(l, frame)?;
-                let rv = self.eval_expr(r, frame)?;
-                compare_op(op, &lv, &rv)
-            }
-            Expr::IfExp(cond, t, f) => {
-                if self.eval_expr(cond, frame)?.truthy() {
-                    self.eval_expr(t, frame)
-                } else {
-                    self.eval_expr(f, frame)
-                }
-            }
-            Expr::Index(obj, idx) => {
-                let o = self.eval_expr(obj, frame)?;
-                let i = self.eval_expr(idx, frame)?;
-                index_get(&o, &i)
-            }
-            Expr::Attr(obj, attr) => {
-                // Module constants (math.pi); method *values* are not
-                // first-class — they must be called.
-                if let Expr::Name(n) = obj.as_ref() {
-                    if n == "math" {
-                        return math_const(attr);
-                    }
-                }
-                type_err(format!("attribute '{attr}' is only callable"))
-            }
-            Expr::Call(callee, args) => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval_expr(a, frame)?);
-                }
-                match callee.as_ref() {
-                    Expr::Name(n) => self.call_function(n, argv, frame),
-                    Expr::Attr(obj, method) => {
-                        if let Expr::Name(n) = obj.as_ref() {
-                            if n == "math" {
-                                return math_call(method, &argv);
-                            }
-                        }
-                        let target = self.eval_expr(obj, frame)?;
-                        self.call_method(&target, method, argv)
-                    }
-                    other => type_err(format!("{other:?} is not callable")),
-                }
-            }
+            other => type_err(format!("{other:?} is not a display")),
         }
     }
 
@@ -420,14 +675,14 @@ impl Python {
                     "maximum recursion depth exceeded",
                 ));
             }
-            let mut locals = HashMap::new();
-            for (p, v) in f.params.iter().zip(argv) {
-                locals.insert(p.clone(), v);
-            }
             let mut inner = Some(LocalFrame {
-                locals,
+                slots: vec![None; f.slots],
+                locals: HashMap::new(),
                 global_decls: HashSet::new(),
             });
+            for (p, v) in f.params.iter().zip(argv) {
+                self.assign(p, v, &mut inner)?;
+            }
             self.depth += 1;
             let flow = self.exec_block(&f.body, &mut inner);
             self.depth -= 1;
@@ -468,24 +723,7 @@ impl Python {
                     )),
                 }
             }
-            "range" => {
-                let (start, stop, step) = match n_args {
-                    1 => (0, int_of(&argv[0])?, 1),
-                    2 => (int_of(&argv[0])?, int_of(&argv[1])?, 1),
-                    3 => (int_of(&argv[0])?, int_of(&argv[1])?, int_of(&argv[2])?),
-                    _ => return type_err("range() takes 1-3 arguments"),
-                };
-                if step == 0 {
-                    return Err(PyError::new("ValueError", "range() step must not be zero"));
-                }
-                let mut items = Vec::new();
-                let mut i = start;
-                while (step > 0 && i < stop) || (step < 0 && i > stop) {
-                    items.push(Value::Int(i));
-                    i += step;
-                }
-                Ok(Value::list(items))
-            }
+            "range" => Ok(Value::list(Range::new(&argv)?.collect())),
             "str" => {
                 want(1)?;
                 Ok(Value::str(argv[0].to_display()))
@@ -527,7 +765,7 @@ impl Python {
             "abs" => {
                 want(1)?;
                 match &argv[0] {
-                    Value::Int(i) => Ok(Value::Int(i.abs())),
+                    Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
                     Value::Float(f) => Ok(Value::Float(f.abs())),
                     other => type_err(format!("bad operand for abs(): {}", other.type_name())),
                 }
@@ -552,7 +790,7 @@ impl Python {
                 }
                 let mut best = items[0].clone();
                 for v in &items[1..] {
-                    let take = match compare_op("<", v, &best)? {
+                    let take = match compare_op(CmpOp::Lt, v, &best)? {
                         Value::Bool(b) => {
                             if name == "min" {
                                 b
@@ -573,7 +811,7 @@ impl Python {
                 let items = iterate(&argv[0])?;
                 let mut acc = Value::Int(0);
                 for v in items {
-                    acc = binary_op("+", &acc, &v)?;
+                    acc = binary_op(BinOp::Add, &acc, &v)?;
                 }
                 Ok(acc)
             }
@@ -581,7 +819,7 @@ impl Python {
                 want(1)?;
                 let mut items = iterate(&argv[0])?;
                 let mut fail = None;
-                items.sort_by(|a, b| match compare_op("<", a, b) {
+                items.sort_by(|a, b| match compare_op(CmpOp::Lt, a, b) {
                     Ok(Value::Bool(true)) => std::cmp::Ordering::Less,
                     Ok(_) => {
                         if a.py_eq(b) {
@@ -630,7 +868,11 @@ impl Python {
     }
 }
 
+/// A function call's variables: its resolved locals in `slots`; names
+/// in a `global` statement by name, as in `locals` before the statement
+/// runs.
 struct LocalFrame {
+    slots: Vec<Option<Value>>,
     locals: HashMap<String, Value>,
     global_decls: HashSet<String>,
 }
@@ -662,34 +904,34 @@ fn iterate(v: &Value) -> Result<Vec<Value>, PyError> {
 /// takes the divisor's sign).
 fn py_floor_div(x: i64, y: i64) -> i64 {
     let q = x.wrapping_div(y);
-    if (x % y != 0) && ((x < 0) != (y < 0)) {
+    if (x.wrapping_rem(y) != 0) && ((x < 0) != (y < 0)) {
         q - 1
     } else {
         q
     }
 }
 
-fn binary_op(op: &str, l: &Value, r: &Value) -> Result<Value, PyError> {
+fn binary_op(op: BinOp, l: &Value, r: &Value) -> Result<Value, PyError> {
     use Value::*;
     // String/list structural operators first.
     match (op, l, r) {
-        ("+", Str(a), Str(b)) => return Ok(Value::str(format!("{a}{b}"))),
-        ("+", List(a), List(b)) => {
+        (BinOp::Add, Str(a), Str(b)) => return Ok(Value::str(format!("{a}{b}"))),
+        (BinOp::Add, List(a), List(b)) => {
             let mut v = a.borrow().clone();
             v.extend(b.borrow().iter().cloned());
             return Ok(Value::list(v));
         }
-        ("*", Str(a), Int(n)) | ("*", Int(n), Str(a)) => {
+        (BinOp::Mul, Str(a), Int(n)) | (BinOp::Mul, Int(n), Str(a)) => {
             return Ok(Value::str(a.repeat((*n).max(0) as usize)))
         }
-        ("*", List(a), Int(n)) | ("*", Int(n), List(a)) => {
+        (BinOp::Mul, List(a), Int(n)) | (BinOp::Mul, Int(n), List(a)) => {
             let mut v = Vec::new();
             for _ in 0..(*n).max(0) {
                 v.extend(a.borrow().iter().cloned());
             }
             return Ok(Value::list(v));
         }
-        ("%", Str(_), _) => {
+        (BinOp::Mod, Str(_), _) => {
             return type_err("%-formatting is not supported; use f-strings");
         }
         _ => {}
@@ -708,28 +950,28 @@ fn binary_op(op: &str, l: &Value, r: &Value) -> Result<Value, PyError> {
     let both_int = l.as_int().is_some() && r.as_int().is_some();
     let (ia, ib) = (l.as_int().unwrap_or(0), r.as_int().unwrap_or(0));
     match op {
-        "+" => Ok(if both_int {
+        BinOp::Add => Ok(if both_int {
             Value::Int(ia.wrapping_add(ib))
         } else {
             Value::Float(a + b)
         }),
-        "-" => Ok(if both_int {
+        BinOp::Sub => Ok(if both_int {
             Value::Int(ia.wrapping_sub(ib))
         } else {
             Value::Float(a - b)
         }),
-        "*" => Ok(if both_int {
+        BinOp::Mul => Ok(if both_int {
             Value::Int(ia.wrapping_mul(ib))
         } else {
             Value::Float(a * b)
         }),
-        "/" => {
+        BinOp::Div => {
             if b == 0.0 {
                 return Err(PyError::new("ZeroDivisionError", "division by zero"));
             }
             Ok(Value::Float(a / b))
         }
-        "//" => {
+        BinOp::FloorDiv => {
             if b == 0.0 {
                 return Err(PyError::new(
                     "ZeroDivisionError",
@@ -742,7 +984,7 @@ fn binary_op(op: &str, l: &Value, r: &Value) -> Result<Value, PyError> {
                 Ok(Value::Float((a / b).floor()))
             }
         }
-        "%" => {
+        BinOp::Mod => {
             if b == 0.0 {
                 return Err(PyError::new("ZeroDivisionError", "modulo by zero"));
             }
@@ -754,23 +996,28 @@ fn binary_op(op: &str, l: &Value, r: &Value) -> Result<Value, PyError> {
                 Ok(Value::Float(a - b * (a / b).floor()))
             }
         }
-        "**" => {
+        BinOp::Pow => {
             if both_int && ib >= 0 {
-                let mut acc: i64 = 1;
-                for _ in 0..ib {
-                    acc = acc.wrapping_mul(ia);
+                // Square-and-multiply: the product of `ib` wrapping
+                // multiplications, in O(log ib) of them.
+                let (mut acc, mut base, mut e) = (1i64, ia, ib);
+                while e > 0 {
+                    if e & 1 == 1 {
+                        acc = acc.wrapping_mul(base);
+                    }
+                    base = base.wrapping_mul(base);
+                    e >>= 1;
                 }
                 Ok(Value::Int(acc))
             } else {
                 Ok(Value::Float(a.powf(b)))
             }
         }
-        other => type_err(format!("unknown operator {other}")),
     }
 }
 
-fn compare_op(op: &str, l: &Value, r: &Value) -> Result<Value, PyError> {
-    if op == "in" {
+fn compare_op(op: CmpOp, l: &Value, r: &Value) -> Result<Value, PyError> {
+    if op == CmpOp::In {
         return match r {
             Value::List(items) => Ok(Value::Bool(items.borrow().iter().any(|v| v.py_eq(l)))),
             Value::Str(hay) => match l {
@@ -787,10 +1034,10 @@ fn compare_op(op: &str, l: &Value, r: &Value) -> Result<Value, PyError> {
             )),
         };
     }
-    if op == "==" {
+    if op == CmpOp::Eq {
         return Ok(Value::Bool(l.py_eq(r)));
     }
-    if op == "!=" {
+    if op == CmpOp::Ne {
         return Ok(Value::Bool(!l.py_eq(r)));
     }
     let ord = match (l, r) {
@@ -811,11 +1058,11 @@ fn compare_op(op: &str, l: &Value, r: &Value) -> Result<Value, PyError> {
     };
     use std::cmp::Ordering::*;
     Ok(Value::Bool(match op {
-        "<" => ord == Less,
-        ">" => ord == Greater,
-        "<=" => ord != Greater,
-        ">=" => ord != Less,
-        _ => false,
+        CmpOp::Lt => ord == Less,
+        CmpOp::Gt => ord == Greater,
+        CmpOp::Le => ord != Greater,
+        CmpOp::Ge => ord != Less,
+        CmpOp::Eq | CmpOp::Ne | CmpOp::In => false,
     }))
 }
 
@@ -1025,10 +1272,10 @@ fn list_method(
 ) -> Result<Value, PyError> {
     match method {
         "append" => {
-            if argv.len() != 1 {
+            let Ok([v]) = <[Value; 1]>::try_from(argv) else {
                 return type_err("append() takes exactly one argument");
-            }
-            l.borrow_mut().push(argv.into_iter().next().unwrap());
+            };
+            l.borrow_mut().push(v);
             Ok(Value::None)
         }
         "extend" => {
@@ -1079,7 +1326,7 @@ fn list_method(
         "sort" => {
             let mut items = l.borrow().clone();
             let mut fail = None;
-            items.sort_by(|a, b| match compare_op("<", a, b) {
+            items.sort_by(|a, b| match compare_op(CmpOp::Lt, a, b) {
                 Ok(Value::Bool(true)) => std::cmp::Ordering::Less,
                 Ok(_) => {
                     if a.py_eq(b) {

@@ -66,16 +66,16 @@ pub fn tokenize(src: &str) -> Result<Vec<Tok>, PyError> {
                 continue;
             }
             // Emit INDENT/DEDENT.
-            let cur = *indents.last().unwrap();
+            let cur = indents.last().copied().unwrap_or(0);
             if indent > cur {
                 indents.push(indent);
                 toks.push(Tok::Indent);
             } else if indent < cur {
-                while *indents.last().unwrap() > indent {
+                while indents.last().is_some_and(|&top| top > indent) {
                     indents.pop();
                     toks.push(Tok::Dedent);
                 }
-                if *indents.last().unwrap() != indent {
+                if indents.last() != Some(&indent) {
                     return Err(PyError::new("IndentationError", "unindent does not match"));
                 }
             }
@@ -211,13 +211,13 @@ fn lex_string(line: &str, i: usize) -> Result<(String, usize), PyError> {
                     j += 2;
                 } else {
                     // Backslash before a multibyte char: keep the char.
-                    let c = line[j + 1..].chars().next().unwrap();
+                    let c = line[j + 1..].chars().next().unwrap_or_default();
                     s.push(c);
                     j += 1 + c.len_utf8();
                 }
             }
             _ => {
-                let c = line[j..].chars().next().unwrap();
+                let c = line[j..].chars().next().unwrap_or_default();
                 s.push(c);
                 j += c.len_utf8();
             }

@@ -9,10 +9,10 @@ use crate::value::PyError;
 pub enum Stmt {
     Expr(Expr),
     Assign(Target, Expr),
-    AugAssign(Target, &'static str, Expr),
+    AugAssign(Target, BinOp, Expr),
     If(Vec<(Expr, Vec<Stmt>)>, Option<Vec<Stmt>>),
     While(Expr, Vec<Stmt>),
-    For(String, Expr, Vec<Stmt>),
+    For(Target, Expr, Vec<Stmt>),
     Def(String, Vec<String>, Rc<Vec<Stmt>>),
     Return(Option<Expr>),
     Break,
@@ -26,7 +26,67 @@ pub enum Stmt {
 #[derive(Debug, Clone)]
 pub enum Target {
     Name(String),
+    /// A function's local, resolved to a slot of its frame when `def` ran.
+    Local(usize, String),
     Index(Box<Expr>, Box<Expr>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    FloorDiv,
+    Mod,
+    Pow,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    Eq,
+    Ne,
+    Lt,
+    Gt,
+    Le,
+    Ge,
+    In,
+}
+
+const BIN_OPS: [(&str, BinOp); 7] = [
+    ("+", BinOp::Add),
+    ("-", BinOp::Sub),
+    ("*", BinOp::Mul),
+    ("/", BinOp::Div),
+    ("//", BinOp::FloorDiv),
+    ("%", BinOp::Mod),
+    ("**", BinOp::Pow),
+];
+
+const CMP_OPS: [(&str, CmpOp); 7] = [
+    ("==", CmpOp::Eq),
+    ("!=", CmpOp::Ne),
+    ("<=", CmpOp::Le),
+    (">=", CmpOp::Ge),
+    ("<", CmpOp::Lt),
+    (">", CmpOp::Gt),
+    ("in", CmpOp::In),
+];
+
+fn symbol<T: PartialEq>(table: &[(&'static str, T)], op: &T) -> &'static str {
+    table.iter().find(|(_, o)| o == op).map_or("?", |(s, _)| s)
+}
+
+impl std::fmt::Display for BinOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(symbol(&BIN_OPS, self))
+    }
+}
+
+impl std::fmt::Display for CmpOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(symbol(&CMP_OPS, self))
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -44,13 +104,16 @@ pub enum Expr {
     Bool(bool),
     NoneLit,
     Name(String),
+    /// A function's local, resolved to a slot of its frame when `def` ran.
+    Local(usize, String),
     List(Vec<Expr>),
     Dict(Vec<(Expr, Expr)>),
-    Unary(&'static str, Box<Expr>),
-    Binary(&'static str, Box<Expr>, Box<Expr>),
-    BoolOp(&'static str, Box<Expr>, Box<Expr>),
+    Neg(Box<Expr>),
+    Binary(BinOp, Box<Expr>, Box<Expr>),
+    And(Box<Expr>, Box<Expr>),
+    Or(Box<Expr>, Box<Expr>),
     Not(Box<Expr>),
-    Compare(&'static str, Box<Expr>, Box<Expr>),
+    Compare(CmpOp, Box<Expr>, Box<Expr>),
     Call(Box<Expr>, Vec<Expr>),
     Attr(Box<Expr>, String),
     Index(Box<Expr>, Box<Expr>),
@@ -215,11 +278,11 @@ impl Parser {
                     return Ok(Stmt::Assign(expr_to_target(e)?, rhs));
                 }
                 for (aug, base) in [
-                    ("+=", "+"),
-                    ("-=", "-"),
-                    ("*=", "*"),
-                    ("/=", "/"),
-                    ("%=", "%"),
+                    ("+=", BinOp::Add),
+                    ("-=", BinOp::Sub),
+                    ("*=", BinOp::Mul),
+                    ("/=", BinOp::Div),
+                    ("%=", BinOp::Mod),
                 ] {
                     if self.eat_op(aug) {
                         let rhs = self.expr()?;
@@ -302,7 +365,7 @@ impl Parser {
         }
         let iter = self.expr()?;
         let body = self.suite()?;
-        Ok(Stmt::For(var, iter, body))
+        Ok(Stmt::For(Target::Name(var), iter, body))
     }
 
     fn def_stmt(&mut self) -> Result<Stmt, PyError> {
@@ -353,7 +416,7 @@ impl Parser {
         let mut lhs = self.and_expr()?;
         while self.eat_kw("or") {
             let rhs = self.and_expr()?;
-            lhs = Expr::BoolOp("or", Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
@@ -362,7 +425,7 @@ impl Parser {
         let mut lhs = self.not_expr()?;
         while self.eat_kw("and") {
             let rhs = self.not_expr()?;
-            lhs = Expr::BoolOp("and", Box::new(lhs), Box::new(rhs));
+            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
@@ -376,24 +439,15 @@ impl Parser {
 
     fn comparison(&mut self) -> Result<Expr, PyError> {
         let lhs = self.arith()?;
-        for op in ["==", "!=", "<=", ">=", "<", ">"] {
-            if matches!(self.peek(), Some(Tok::Op(o)) if *o == op) {
-                self.bump();
+        for (sym, op) in &CMP_OPS[..6] {
+            if self.eat_op(sym) {
                 let rhs = self.arith()?;
-                let op: &'static str = match op {
-                    "==" => "==",
-                    "!=" => "!=",
-                    "<=" => "<=",
-                    ">=" => ">=",
-                    "<" => "<",
-                    _ => ">",
-                };
-                return Ok(Expr::Compare(op, Box::new(lhs), Box::new(rhs)));
+                return Ok(Expr::Compare(*op, Box::new(lhs), Box::new(rhs)));
             }
         }
         if self.eat_kw("in") {
             let rhs = self.arith()?;
-            return Ok(Expr::Compare("in", Box::new(lhs), Box::new(rhs)));
+            return Ok(Expr::Compare(CmpOp::In, Box::new(lhs), Box::new(rhs)));
         }
         if self.eat_kw("not") {
             if !self.eat_kw("in") {
@@ -401,7 +455,7 @@ impl Parser {
             }
             let rhs = self.arith()?;
             return Ok(Expr::Not(Box::new(Expr::Compare(
-                "in",
+                CmpOp::In,
                 Box::new(lhs),
                 Box::new(rhs),
             ))));
@@ -413,8 +467,8 @@ impl Parser {
         let mut lhs = self.term()?;
         loop {
             let op = match self.peek() {
-                Some(Tok::Op("+")) => "+",
-                Some(Tok::Op("-")) => "-",
+                Some(Tok::Op("+")) => BinOp::Add,
+                Some(Tok::Op("-")) => BinOp::Sub,
                 _ => break,
             };
             self.bump();
@@ -428,10 +482,10 @@ impl Parser {
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek() {
-                Some(Tok::Op("*")) => "*",
-                Some(Tok::Op("/")) => "/",
-                Some(Tok::Op("//")) => "//",
-                Some(Tok::Op("%")) => "%",
+                Some(Tok::Op("*")) => BinOp::Mul,
+                Some(Tok::Op("/")) => BinOp::Div,
+                Some(Tok::Op("//")) => BinOp::FloorDiv,
+                Some(Tok::Op("%")) => BinOp::Mod,
                 _ => break,
             };
             self.bump();
@@ -443,7 +497,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, PyError> {
         if self.eat_op("-") {
-            return Ok(Expr::Unary("-", Box::new(self.unary()?)));
+            return Ok(Expr::Neg(Box::new(self.unary()?)));
         }
         if self.eat_op("+") {
             return self.unary();
@@ -456,7 +510,7 @@ impl Parser {
         if matches!(self.peek(), Some(Tok::Op("**"))) {
             self.bump();
             let exp = self.unary()?; // right-associative
-            return Ok(Expr::Binary("**", Box::new(base), Box::new(exp)));
+            return Ok(Expr::Binary(BinOp::Pow, Box::new(base), Box::new(exp)));
         }
         Ok(base)
     }

@@ -542,23 +542,18 @@ impl R {
             }
             "which.max" | "which.min" => {
                 let v = nums1(&argv)?;
-                if v.is_empty() {
-                    return Ok(RValue::Null);
-                }
-                let idx = if name == "which.max" {
-                    v.iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .unwrap()
-                        .0
-                } else {
-                    v.iter()
-                        .enumerate()
-                        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .unwrap()
-                        .0
+                let cmp = |a: &(usize, &f64), b: &(usize, &f64)| {
+                    a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal)
                 };
-                Ok(RValue::scalar((idx + 1) as f64))
+                let best = if name == "which.max" {
+                    v.iter().enumerate().max_by(cmp)
+                } else {
+                    v.iter().enumerate().min_by(cmp)
+                };
+                Ok(match best {
+                    Some((idx, _)) => RValue::scalar((idx + 1) as f64),
+                    None => RValue::Null,
+                })
             }
             "numeric" => {
                 let n = argv

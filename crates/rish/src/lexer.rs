@@ -79,12 +79,12 @@ pub fn tokenize(src: &str) -> Result<Vec<Tok>, RError> {
                             });
                             i += 2;
                         } else {
-                            let c = src[i + 1..].chars().next().unwrap();
+                            let c = src[i + 1..].chars().next().unwrap_or_default();
                             s.push(c);
                             i += 1 + c.len_utf8();
                         }
                     } else {
-                        let ch = src[i..].chars().next().unwrap();
+                        let ch = src[i..].chars().next().unwrap_or_default();
                         s.push(ch);
                         i += ch.len_utf8();
                     }
@@ -116,7 +116,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Tok>, RError> {
                 } else {
                     return Err(RError::new(format!(
                         "unexpected character '{}'",
-                        rest.chars().next().unwrap()
+                        rest.chars().next().unwrap_or_default()
                     )));
                 }
             }

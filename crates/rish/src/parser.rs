@@ -193,10 +193,6 @@ impl Parser {
                 self.bump();
                 self.skip_newlines();
                 let rhs = self.additive()?;
-                let op: &'static str = ["==", "!=", "<=", ">=", "<", ">"]
-                    .iter()
-                    .find(|o| **o == op)
-                    .unwrap();
                 return Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)));
             }
         }
