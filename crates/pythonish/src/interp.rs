@@ -105,86 +105,49 @@ fn bind_target(t: &mut Target, slots: &HashMap<String, usize>) {
 }
 
 fn bind(e: &mut Expr, slots: &HashMap<String, usize>) {
+    let mut sub: Vec<&mut Expr> = Vec::new();
     match e {
         Expr::Name(n) => {
             if let Some(&i) = slots.get(n.as_str()) {
                 *e = Expr::Local(i, std::mem::take(n));
             }
         }
-        Expr::FStr(parts) => parts.iter_mut().for_each(|p| {
-            if let FStrPart::Expr(x) = p {
-                bind(x, slots);
-            }
-        }),
-        Expr::List(items) => items.iter_mut().for_each(|x| bind(x, slots)),
-        Expr::Dict(items) => items.iter_mut().for_each(|(k, v)| {
-            bind(k, slots);
-            bind(v, slots);
-        }),
-        Expr::Neg(x) | Expr::Not(x) | Expr::Attr(x, _) => bind(x, slots),
+        Expr::FStr(parts) => sub.extend(parts.iter_mut().filter_map(|p| match p {
+            FStrPart::Expr(x) => Some(x.as_mut()),
+            FStrPart::Lit(_) => None,
+        })),
+        Expr::List(items) => sub.extend(items),
+        Expr::Dict(items) => sub.extend(items.iter_mut().flat_map(|(k, v)| [k, v])),
+        Expr::Neg(x) | Expr::Not(x) | Expr::Attr(x, _) => sub.push(x),
         Expr::Binary(_, l, r)
         | Expr::Compare(_, l, r)
         | Expr::And(l, r)
         | Expr::Or(l, r)
-        | Expr::Index(l, r) => {
-            bind(l, slots);
-            bind(r, slots);
-        }
-        Expr::Call(f, args) => {
-            bind(f, slots);
-            args.iter_mut().for_each(|a| bind(a, slots));
-        }
-        Expr::IfExp(c, t, f) => {
-            bind(c, slots);
-            bind(t, slots);
-            bind(f, slots);
-        }
-        Expr::Int(_)
-        | Expr::Float(_)
-        | Expr::Str(_)
-        | Expr::Bool(_)
-        | Expr::NoneLit
-        | Expr::Local(..) => {}
+        | Expr::Index(l, r) => sub.extend([l, r].map(Box::as_mut)),
+        Expr::Call(f, args) => sub.extend(std::iter::once(f.as_mut()).chain(args)),
+        Expr::IfExp(c, t, f) => sub.extend([c, t, f].map(Box::as_mut)),
+        _ => {}
     }
+    sub.into_iter().for_each(|x| bind(x, slots));
 }
 
-/// `range(start, stop, step)` as an iterator: ends at `stop`, or where
-/// the next value would overflow.
-struct Range {
-    next: Option<i64>,
-    stop: i64,
-    step: i64,
-}
-
-impl Range {
-    fn new(argv: &[Value]) -> Result<Range, PyError> {
-        let (start, stop, step) = match argv {
-            [stop] => (0, int_of(stop)?, 1),
-            [start, stop] => (int_of(start)?, int_of(stop)?, 1),
-            [start, stop, step] => (int_of(start)?, int_of(stop)?, int_of(step)?),
-            _ => return type_err("range() takes 1-3 arguments"),
-        };
-        if step == 0 {
-            return Err(PyError::new("ValueError", "range() step must not be zero"));
-        }
-        Ok(Range {
-            next: Some(start),
-            stop,
-            step,
-        })
+/// `range(...)` as an iterator: it ends at `stop`, or where the next
+/// value would overflow.
+fn range(argv: &[Value]) -> Result<impl Iterator<Item = Value>, PyError> {
+    let (start, stop, step) = match argv {
+        [stop] => (0, int_of(stop)?, 1),
+        [start, stop] => (int_of(start)?, int_of(stop)?, 1),
+        [start, stop, step] => (int_of(start)?, int_of(stop)?, int_of(step)?),
+        _ => return type_err("range() takes 1-3 arguments"),
+    };
+    if step == 0 {
+        return Err(PyError::new("ValueError", "range() step must not be zero"));
     }
-}
-
-impl Iterator for Range {
-    type Item = Value;
-
-    fn next(&mut self) -> Option<Value> {
-        let i = self
-            .next
-            .filter(|&i| (self.step > 0 && i < self.stop) || (self.step < 0 && i > self.stop))?;
-        self.next = i.checked_add(self.step);
-        Some(Value::Int(i))
-    }
+    Ok(
+        std::iter::successors(Some(start), move |i| i.checked_add(step))
+            .take_while(move |&i| if step > 0 { i < stop } else { i > stop })
+            .map(Value::Int),
+    )
 }
 
 enum Flow {
@@ -311,8 +274,8 @@ impl Python {
             }
             Stmt::AugAssign(t, op, e) => {
                 let cur = match t {
-                    Target::Name(n) => self.load_name(n, frame)?,
-                    Target::Local(i, n) => self.load_local(*i, n, frame)?,
+                    Target::Name(n) => self.load(None, n, frame)?,
+                    Target::Local(i, n) => self.load(Some(*i), n, frame)?,
                     Target::Index(obj, idx) => {
                         let o = self.eval_expr(obj, frame)?;
                         let i = self.eval_expr(idx, frame)?;
@@ -385,8 +348,7 @@ impl Python {
         }
     }
 
-    // `exec_stmt`'s frame is on the stack once per nested call: its
-    // bulkier arms run in functions of their own.
+    // Each nested call stacks `exec_stmt`: bulky arms live apart.
 
     fn exec_for(
         &mut self,
@@ -395,11 +357,7 @@ impl Python {
         body: &[Stmt],
         frame: &mut Option<LocalFrame>,
     ) -> Result<Flow, PyError> {
-        let items: Box<dyn Iterator<Item = Value>> = match self.range_of(iter, frame)? {
-            Some(range) => Box::new(range),
-            None => Box::new(iterate(&self.eval_expr(iter, frame)?)?.into_iter()),
-        };
-        for item in items {
+        for item in self.iter_of(iter, frame)? {
             self.assign(var, item, frame)?;
             match self.exec_block(body, frame)? {
                 Flow::Break => break,
@@ -470,56 +428,48 @@ impl Python {
         }
     }
 
-    fn load_name(&self, name: &str, frame: &Option<LocalFrame>) -> Result<Value, PyError> {
-        if let Some(f) = frame {
-            if let Some(v) = f.locals.get(name) {
-                return Ok(v.clone());
-            }
-        }
-        if let Some(v) = self.globals.get(name) {
-            return Ok(v.clone());
-        }
-        name_err(name)
-    }
-
-    fn load_local(
+    /// A function's slot or local, else a global.
+    fn load(
         &self,
-        slot: usize,
+        slot: Option<usize>,
         name: &str,
         frame: &Option<LocalFrame>,
     ) -> Result<Value, PyError> {
-        match frame.as_ref().and_then(|f| f.slots.get(slot)) {
-            Some(Some(v)) => Ok(v.clone()),
-            _ => self
-                .globals
-                .get(name)
-                .cloned()
-                .map_or_else(|| name_err(name), Ok),
+        let local = frame.as_ref().and_then(|f| match slot {
+            Some(i) => f.slots.get(i).and_then(Option::as_ref),
+            None => f.locals.get(name),
+        });
+        match local.or_else(|| self.globals.get(name)) {
+            Some(v) => Ok(v.clone()),
+            None => name_err(name),
         }
     }
 
-    /// A `for` over `range(...)`, which iterates without building the list
+    /// What a `for` iterates: `range(...)` without building the list,
     /// unless a user function named `range` shadows the builtin.
-    fn range_of(
+    fn iter_of(
         &mut self,
         iter: &Expr,
         frame: &mut Option<LocalFrame>,
-    ) -> Result<Option<Range>, PyError> {
-        let Expr::Call(callee, args) = iter else {
-            return Ok(None);
-        };
-        match callee.as_ref() {
-            Expr::Name(n) | Expr::Local(_, n)
-                if n == "range" && !self.functions.contains_key("range") =>
-            {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval_expr(a, frame)?);
+    ) -> Result<Box<dyn Iterator<Item = Value>>, PyError> {
+        if let Expr::Call(callee, args) = iter {
+            if let Expr::Name(n) | Expr::Local(_, n) = callee.as_ref() {
+                if n == "range" && !self.functions.contains_key("range") {
+                    return Ok(Box::new(range(&self.eval_args(args, frame)?)?));
                 }
-                Range::new(&argv).map(Some)
             }
-            _ => Ok(None),
         }
+        Ok(Box::new(
+            iterate(&self.eval_expr(iter, frame)?)?.into_iter(),
+        ))
+    }
+
+    fn eval_args(
+        &mut self,
+        args: &[Expr],
+        frame: &mut Option<LocalFrame>,
+    ) -> Result<Vec<Value>, PyError> {
+        args.iter().map(|a| self.eval_expr(a, frame)).collect()
     }
 
     // -- expressions -----------------------------------------------------
@@ -531,8 +481,8 @@ impl Python {
             Expr::Str(s) => Ok(Value::str(s.clone())),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::NoneLit => Ok(Value::None),
-            Expr::Name(n) => self.load_name(n, frame),
-            Expr::Local(i, n) => self.load_local(*i, n, frame),
+            Expr::Name(n) => self.load(None, n, frame),
+            Expr::Local(i, n) => self.load(Some(*i), n, frame),
             Expr::FStr(_) | Expr::List(_) | Expr::Dict(_) => self.eval_display(e, frame),
             Expr::Neg(inner) => {
                 let v = self.eval_expr(inner, frame)?;
@@ -592,8 +542,7 @@ impl Python {
         }
     }
 
-    // `eval_expr`'s frame is on the stack once per nested call: its
-    // bulkier arms run in functions of their own.
+    // Each nested call stacks `eval_expr`: bulky arms live apart.
 
     fn eval_call(
         &mut self,
@@ -601,12 +550,9 @@ impl Python {
         args: &[Expr],
         frame: &mut Option<LocalFrame>,
     ) -> Result<Value, PyError> {
-        let mut argv = Vec::with_capacity(args.len());
-        for a in args {
-            argv.push(self.eval_expr(a, frame)?);
-        }
+        let argv = self.eval_args(args, frame)?;
         match callee {
-            Expr::Name(n) | Expr::Local(_, n) => self.call_function(n, argv, frame),
+            Expr::Name(n) | Expr::Local(_, n) => self.call_function(n, argv),
             Expr::Attr(obj, method) => {
                 if let Expr::Name(n) | Expr::Local(_, n) = obj.as_ref() {
                     if n == "math" {
@@ -655,12 +601,7 @@ impl Python {
         }
     }
 
-    fn call_function(
-        &mut self,
-        name: &str,
-        argv: Vec<Value>,
-        frame: &mut Option<LocalFrame>,
-    ) -> Result<Value, PyError> {
+    fn call_function(&mut self, name: &str, argv: Vec<Value>) -> Result<Value, PyError> {
         if let Some(f) = self.functions.get(name).cloned() {
             if argv.len() != f.params.len() {
                 return type_err(format!(
@@ -691,7 +632,6 @@ impl Python {
                 _ => Ok(Value::None),
             };
         }
-        let _ = frame;
         self.call_builtin(name, argv)
     }
 
@@ -723,7 +663,7 @@ impl Python {
                     )),
                 }
             }
-            "range" => Ok(Value::list(Range::new(&argv)?.collect())),
+            "range" => Ok(Value::list(range(&argv)?.collect())),
             "str" => {
                 want(1)?;
                 Ok(Value::str(argv[0].to_display()))
@@ -818,24 +758,7 @@ impl Python {
             "sorted" => {
                 want(1)?;
                 let mut items = iterate(&argv[0])?;
-                let mut fail = None;
-                items.sort_by(|a, b| match compare_op(CmpOp::Lt, a, b) {
-                    Ok(Value::Bool(true)) => std::cmp::Ordering::Less,
-                    Ok(_) => {
-                        if a.py_eq(b) {
-                            std::cmp::Ordering::Equal
-                        } else {
-                            std::cmp::Ordering::Greater
-                        }
-                    }
-                    Err(e) => {
-                        fail = Some(e);
-                        std::cmp::Ordering::Equal
-                    }
-                });
-                if let Some(e) = fail {
-                    return Err(e);
-                }
+                sort(&mut items)?;
                 Ok(Value::list(items))
             }
             "list" => {
@@ -900,6 +823,21 @@ fn iterate(v: &Value) -> Result<Vec<Value>, PyError> {
     }
 }
 
+/// `sorted()` and `list.sort()`: by `<`, failing with its first error.
+fn sort(items: &mut [Value]) -> Result<(), PyError> {
+    let mut fail = None;
+    items.sort_by(|a, b| match compare_op(CmpOp::Lt, a, b) {
+        Ok(Value::Bool(true)) => std::cmp::Ordering::Less,
+        Ok(_) if a.py_eq(b) => std::cmp::Ordering::Equal,
+        Ok(_) => std::cmp::Ordering::Greater,
+        Err(e) => {
+            fail = Some(e);
+            std::cmp::Ordering::Equal
+        }
+    });
+    fail.map_or(Ok(()), Err)
+}
+
 /// Python's `//`: quotient floored toward negative infinity (`%` then
 /// takes the divisor's sign).
 fn py_floor_div(x: i64, y: i64) -> i64 {
@@ -941,7 +879,8 @@ fn binary_op(op: BinOp, l: &Value, r: &Value) -> Result<Value, PyError> {
         (Some(a), Some(b)) => (a, b),
         _ => {
             return type_err(format!(
-                "unsupported operand type(s) for {op}: '{}' and '{}'",
+                "unsupported operand type(s) for {}: '{}' and '{}'",
+                op.symbol(),
                 l.type_name(),
                 r.type_name()
             ))
@@ -950,21 +889,12 @@ fn binary_op(op: BinOp, l: &Value, r: &Value) -> Result<Value, PyError> {
     let both_int = l.as_int().is_some() && r.as_int().is_some();
     let (ia, ib) = (l.as_int().unwrap_or(0), r.as_int().unwrap_or(0));
     match op {
-        BinOp::Add => Ok(if both_int {
-            Value::Int(ia.wrapping_add(ib))
-        } else {
-            Value::Float(a + b)
-        }),
-        BinOp::Sub => Ok(if both_int {
-            Value::Int(ia.wrapping_sub(ib))
-        } else {
-            Value::Float(a - b)
-        }),
-        BinOp::Mul => Ok(if both_int {
-            Value::Int(ia.wrapping_mul(ib))
-        } else {
-            Value::Float(a * b)
-        }),
+        BinOp::Add if both_int => Ok(Value::Int(ia.wrapping_add(ib))),
+        BinOp::Sub if both_int => Ok(Value::Int(ia.wrapping_sub(ib))),
+        BinOp::Mul if both_int => Ok(Value::Int(ia.wrapping_mul(ib))),
+        BinOp::Add => Ok(Value::Float(a + b)),
+        BinOp::Sub => Ok(Value::Float(a - b)),
+        BinOp::Mul => Ok(Value::Float(a * b)),
         BinOp::Div => {
             if b == 0.0 {
                 return Err(PyError::new("ZeroDivisionError", "division by zero"));
@@ -1047,7 +977,8 @@ fn compare_op(op: CmpOp, l: &Value, r: &Value) -> Result<Value, PyError> {
                 (Some(a), Some(b)) => (a, b),
                 _ => {
                     return type_err(format!(
-                        "'{op}' not supported between '{}' and '{}'",
+                        "'{}' not supported between '{}' and '{}'",
+                        op.symbol(),
                         l.type_name(),
                         r.type_name()
                     ))
@@ -1325,24 +1256,7 @@ fn list_method(
         }
         "sort" => {
             let mut items = l.borrow().clone();
-            let mut fail = None;
-            items.sort_by(|a, b| match compare_op(CmpOp::Lt, a, b) {
-                Ok(Value::Bool(true)) => std::cmp::Ordering::Less,
-                Ok(_) => {
-                    if a.py_eq(b) {
-                        std::cmp::Ordering::Equal
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
-                }
-                Err(e) => {
-                    fail = Some(e);
-                    std::cmp::Ordering::Equal
-                }
-            });
-            if let Some(e) = fail {
-                return Err(e);
-            }
+            sort(&mut items)?;
             *l.borrow_mut() = items;
             Ok(Value::None)
         }
@@ -1528,6 +1442,84 @@ r = bump(5)
     #[test]
     fn conditional_expression() {
         assert_eq!(run("x = -4", "'neg' if x < 0 else 'pos'"), "neg");
+    }
+
+    #[test]
+    fn range_stops_where_the_next_value_would_overflow() {
+        let big = "range(9223372036854775800, 9223372036854775807, 10)";
+        assert_eq!(run("", &format!("len({big})")), "1");
+        assert_eq!(
+            run(&format!("n = 0\nfor i in {big}:\n    n += 1"), "n"),
+            "1"
+        );
+        let down = "range(-9223372036854775800, -9223372036854775807 - 1, -10)";
+        assert_eq!(run("", &format!("len({down})")), "1");
+    }
+
+    #[test]
+    fn a_loop_over_range_iterates_like_the_list() {
+        let code = "def f(a, b, c):\n    out = []\n    for i in range(a, b, c):\n        out.append(i)\n    return out\n";
+        let mut py = Python::new();
+        py.exec(code).unwrap();
+        for (args, want) in [
+            ("0, 5, 2", "[0, 2, 4]"),
+            ("5, 0, -2", "[5, 3, 1]"),
+            ("3, 3, 1", "[]"),
+        ] {
+            assert_eq!(py.eval(&format!("f({args})")).unwrap().to_display(), want);
+            assert_eq!(
+                py.eval(&format!("list(range({args}))"))
+                    .unwrap()
+                    .to_display(),
+                want
+            );
+        }
+        assert!(py
+            .eval("f(0, 5, 0)")
+            .unwrap_err()
+            .message
+            .starts_with("ValueError"));
+        // A user function named `range` shadows the builtin in loops too.
+        py.exec("def range(n):\n    return [7]\n").unwrap();
+        assert_eq!(
+            py.eval("f(0, 5, 1)").unwrap_err().message,
+            "TypeError: range() takes 1 arguments but 3 were given"
+        );
+    }
+
+    #[test]
+    fn floor_division_at_i64_min_wraps() {
+        let min = "(-9223372036854775807 - 1)";
+        assert_eq!(run("", &format!("{min} % -1")), "0");
+        assert_eq!(run("", &format!("{min} // -1")), "-9223372036854775808");
+        assert_eq!(run("", &format!("-{min}")), "-9223372036854775808");
+        assert_eq!(run("", "2 ** 64"), "0");
+        // 3 ** (2 ** 63 - 1) modulo 2 ** 64, read as a signed i64.
+        assert_eq!(run("", "3 ** 9223372036854775807"), "-6148914691236517205");
+    }
+
+    #[test]
+    fn global_names_keep_their_lookup_by_name() {
+        let code = r#"
+g = 1
+def f(x):
+    g = 10
+    global g
+    g = g + x
+    return g
+r = f(5)
+"#;
+        // Before `global g` runs, `g = 10` binds a local by name, which
+        // later reads still find first; the store after it goes global.
+        assert_eq!(run(code, "[r, g]"), "[10, 15]");
+        // A local slot that was never assigned reads the global.
+        assert_eq!(
+            run(
+                "t = 3\ndef h():\n    if False:\n        t = 0\n    return t\n",
+                "h()"
+            ),
+            "3"
+        );
     }
 
     #[test]

@@ -53,39 +53,16 @@ pub enum CmpOp {
     In,
 }
 
-const BIN_OPS: [(&str, BinOp); 7] = [
-    ("+", BinOp::Add),
-    ("-", BinOp::Sub),
-    ("*", BinOp::Mul),
-    ("/", BinOp::Div),
-    ("//", BinOp::FloorDiv),
-    ("%", BinOp::Mod),
-    ("**", BinOp::Pow),
-];
-
-const CMP_OPS: [(&str, CmpOp); 7] = [
-    ("==", CmpOp::Eq),
-    ("!=", CmpOp::Ne),
-    ("<=", CmpOp::Le),
-    (">=", CmpOp::Ge),
-    ("<", CmpOp::Lt),
-    (">", CmpOp::Gt),
-    ("in", CmpOp::In),
-];
-
-fn symbol<T: PartialEq>(table: &[(&'static str, T)], op: &T) -> &'static str {
-    table.iter().find(|(_, o)| o == op).map_or("?", |(s, _)| s)
-}
-
-impl std::fmt::Display for BinOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(symbol(&BIN_OPS, self))
+// `symbol` indexes by discriminant: keep the variants in this order.
+impl BinOp {
+    pub fn symbol(self) -> &'static str {
+        ["+", "-", "*", "/", "//", "%", "**"][self as usize]
     }
 }
 
-impl std::fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(symbol(&CMP_OPS, self))
+impl CmpOp {
+    pub fn symbol(self) -> &'static str {
+        ["==", "!=", "<", ">", "<=", ">=", "in"][self as usize]
     }
 }
 
@@ -439,10 +416,11 @@ impl Parser {
 
     fn comparison(&mut self) -> Result<Expr, PyError> {
         let lhs = self.arith()?;
-        for (sym, op) in &CMP_OPS[..6] {
-            if self.eat_op(sym) {
+        use CmpOp::*;
+        for op in [Eq, Ne, Lt, Gt, Le, Ge] {
+            if self.eat_op(op.symbol()) {
                 let rhs = self.arith()?;
-                return Ok(Expr::Compare(*op, Box::new(lhs), Box::new(rhs)));
+                return Ok(Expr::Compare(op, Box::new(lhs), Box::new(rhs)));
             }
         }
         if self.eat_kw("in") {

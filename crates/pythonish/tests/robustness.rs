@@ -31,3 +31,26 @@ proptest! {
         let _ = py.exec(&src);
     }
 }
+
+const CORNERS: [i64; 5] = [i64::MIN, -1, 0, 1, i64::MAX];
+const BINARY_OPS: [&str; 14] = [
+    "+", "-", "*", "/", "//", "%", "**", "==", "!=", "<", ">", "<=", ">=", "in",
+];
+
+proptest! {
+    // Corner integers through every binary operator: a value (ints wrap,
+    // as `+ - * **` always did) or a `PyError`, never a panic or a hang.
+    #[test]
+    fn binary_operators_on_corner_ints_never_panic(
+        op in 0..BINARY_OPS.len(),
+        x in 0..CORNERS.len(),
+        y in 0..CORNERS.len(),
+    ) {
+        let mut py = Python::new();
+        py.set_global("x", pythonish::Value::Int(CORNERS[x]));
+        py.set_global("y", pythonish::Value::Int(CORNERS[y]));
+        let src = format!("x {} y", BINARY_OPS[op]);
+        let _ = py.eval(&src);
+        let _ = py.exec(&format!("z = -x\nw = abs(x)\nv = x {} y", BINARY_OPS[op]));
+    }
+}

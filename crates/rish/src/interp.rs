@@ -944,6 +944,10 @@ fact <- function(n) if (n <= 1) 1 else n * fact(n - 1)
         assert_eq!(run("", "median(c(4, 1, 2, 3))"), "2.5");
         assert_eq!(run("", "quantile(1:5, 0.5)"), "3");
         assert_eq!(run("", "which.max(c(3, 9, 2))"), "2");
+        // A NaN compares equal to everything: an answer, not a panic.
+        assert!(R::new().run("", "which.max(c(3, 0/0, 9))").is_ok());
+        assert!(R::new().run("", "which.min(c(0/0, 1))").is_ok());
+        assert_eq!(run("", "which.min(numeric(0))"), run("", "NULL"));
         assert_eq!(run("", "var(c(1, 2, 3, 4))"), run("", "sd(c(1,2,3,4)) ^ 2"));
     }
 

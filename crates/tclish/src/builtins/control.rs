@@ -73,11 +73,7 @@ fn cmd_unset(i: &mut Interp, argv: &[String]) -> TclResult {
 
 fn cmd_incr(i: &mut Interp, argv: &[String]) -> TclResult {
     arity_range(argv, 2, 3, "incr varName ?increment?")?;
-    let delta = if argv.len() == 3 {
-        int_arg(&argv[2])?
-    } else {
-        1
-    };
+    let delta = argv.get(2).map_or(Ok(1), |d| int_arg(d))?;
     Ok(i.incr(&argv[1], delta)?.to_string())
 }
 

@@ -212,24 +212,14 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Exception> {
         let c = b[i];
         match c {
             b' ' | b'\t' | b'\n' | b'\r' => i += 1,
-            b'(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            b')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            b',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            b'?' => {
-                toks.push(Tok::Question);
-                i += 1;
-            }
-            b':' => {
-                toks.push(Tok::Colon);
+            b'(' | b')' | b',' | b'?' | b':' => {
+                toks.push(match c {
+                    b'(' => Tok::LParen,
+                    b')' => Tok::RParen,
+                    b',' => Tok::Comma,
+                    b'?' => Tok::Question,
+                    _ => Tok::Colon,
+                });
                 i += 1;
             }
             b'$' => {
@@ -490,25 +480,15 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Ast, Exception> {
-        match self.peek() {
-            Some(Tok::Op("-")) => {
-                self.bump();
-                Ok(Ast::Unary(UnOp::Neg, Box::new(self.parse_unary()?)))
-            }
-            Some(Tok::Op("+")) => {
-                self.bump();
-                Ok(Ast::Unary(UnOp::Pos, Box::new(self.parse_unary()?)))
-            }
-            Some(Tok::Op("!")) => {
-                self.bump();
-                Ok(Ast::Unary(UnOp::Not, Box::new(self.parse_unary()?)))
-            }
-            Some(Tok::Op("~")) => {
-                self.bump();
-                Ok(Ast::Unary(UnOp::BitNot, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_primary(),
-        }
+        let op = match self.peek() {
+            Some(Tok::Op("-")) => UnOp::Neg,
+            Some(Tok::Op("+")) => UnOp::Pos,
+            Some(Tok::Op("!")) => UnOp::Not,
+            Some(Tok::Op("~")) => UnOp::BitNot,
+            _ => return self.parse_primary(),
+        };
+        self.bump();
+        Ok(Ast::Unary(op, Box::new(self.parse_unary()?)))
     }
 
     fn parse_primary(&mut self) -> Result<Ast, Exception> {
@@ -835,91 +815,21 @@ fn call_fn<H: ExprHost>(host: &mut H, name: &str, args: Vec<Val>) -> Result<Val,
             arity(1)?;
             Ok(Val::Int(f(&args[0])? as i64))
         }
-        "double" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?))
-        }
         "round" => {
             arity(1)?;
             Ok(Val::Int(f(&args[0])?.round() as i64))
         }
-        "floor" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.floor()))
-        }
-        "ceil" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.ceil()))
-        }
-        "sqrt" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.sqrt()))
-        }
-        "exp" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.exp()))
-        }
-        "log" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.ln()))
-        }
-        "log10" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.log10()))
-        }
-        "sin" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.sin()))
-        }
-        "cos" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.cos()))
-        }
-        "tan" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.tan()))
-        }
-        "atan" => {
-            arity(1)?;
-            Ok(Val::Dbl(f(&args[0])?.atan()))
-        }
-        "atan2" => {
-            arity(2)?;
-            Ok(Val::Dbl(f(&args[0])?.atan2(f(&args[1])?)))
-        }
-        "pow" => {
-            arity(2)?;
-            Ok(Val::Dbl(f(&args[0])?.powf(f(&args[1])?)))
-        }
-        "fmod" => {
-            arity(2)?;
-            Ok(Val::Dbl(f(&args[0])? % f(&args[1])?))
-        }
-        "hypot" => {
-            arity(2)?;
-            Ok(Val::Dbl(f(&args[0])?.hypot(f(&args[1])?)))
-        }
-        "min" => {
-            if args.is_empty() {
-                return Err(Exception::error("min() needs at least one argument"));
-            }
-            let mut best = num(&args[0])?;
+        "min" | "max" => {
+            let Some(first) = args.first() else {
+                return Err(Exception::error(format!(
+                    "{name}() needs at least one argument"
+                )));
+            };
+            let mut best = num(first)?;
             for a in &args[1..] {
                 let v = num(a)?;
-                if as_f64(&v) < as_f64(&best) {
-                    best = v;
-                }
-            }
-            Ok(best)
-        }
-        "max" => {
-            if args.is_empty() {
-                return Err(Exception::error("max() needs at least one argument"));
-            }
-            let mut best = num(&args[0])?;
-            for a in &args[1..] {
-                let v = num(a)?;
-                if as_f64(&v) > as_f64(&best) {
+                let (x, b) = (as_f64(&v), as_f64(&best));
+                if (name == "min" && x < b) || (name == "max" && x > b) {
                     best = v;
                 }
             }
@@ -929,11 +839,48 @@ fn call_fn<H: ExprHost>(host: &mut H, name: &str, args: Vec<Val>) -> Result<Val,
             arity(0)?;
             Ok(Val::Dbl(host.next_rand()))
         }
-        _ => Err(Exception::error(format!(
-            "unknown math function \"{name}\""
-        ))),
+        _ => {
+            if let Some((_, g)) = UNARY_FNS.iter().find(|(n, _)| *n == name) {
+                arity(1)?;
+                return Ok(Val::Dbl(g(f(&args[0])?)));
+            }
+            match BINARY_FNS.iter().find(|(n, _)| *n == name) {
+                Some((_, g)) => {
+                    arity(2)?;
+                    Ok(Val::Dbl(g(f(&args[0])?, f(&args[1])?)))
+                }
+                None => Err(Exception::error(format!(
+                    "unknown math function \"{name}\""
+                ))),
+            }
+        }
     }
 }
+
+type F1 = fn(f64) -> f64;
+type F2 = fn(f64, f64) -> f64;
+
+/// The math functions from doubles to a double.
+const UNARY_FNS: [(&str, F1); 11] = [
+    ("double", |x| x),
+    ("floor", f64::floor),
+    ("ceil", f64::ceil),
+    ("sqrt", f64::sqrt),
+    ("exp", f64::exp),
+    ("log", f64::ln),
+    ("log10", f64::log10),
+    ("sin", f64::sin),
+    ("cos", f64::cos),
+    ("tan", f64::tan),
+    ("atan", f64::atan),
+];
+
+const BINARY_FNS: [(&str, F2); 4] = [
+    ("atan2", f64::atan2),
+    ("pow", f64::powf),
+    ("fmod", |x, y| x % y),
+    ("hypot", f64::hypot),
+];
 
 #[cfg(test)]
 mod tests {

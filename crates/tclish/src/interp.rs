@@ -39,22 +39,6 @@ impl Obj {
             Obj::Int(i) => i.to_string(),
         }
     }
-
-    fn push_to(&self, out: &mut String) {
-        match self {
-            Obj::Str(s) => out.push_str(s),
-            Obj::Int(i) => out.push_str(&i.to_string()),
-        }
-    }
-}
-
-impl From<Val> for Obj {
-    fn from(v: Val) -> Self {
-        match v {
-            Val::Int(i) => Obj::Int(i),
-            other => Obj::Str(other.to_tcl_string()),
-        }
-    }
 }
 
 /// How a registered package initializes itself on `package require`.
@@ -67,19 +51,11 @@ pub enum PackageInit {
     Native(Rc<dyn Fn(&mut Interp)>),
 }
 
+#[derive(Default)]
 struct Frame {
     vars: HashMap<String, Obj>,
     /// Names in this frame linked to globals via `global`.
     global_links: std::collections::HashSet<String>,
-}
-
-impl Frame {
-    fn new() -> Self {
-        Frame {
-            vars: HashMap::new(),
-            global_links: std::collections::HashSet::new(),
-        }
-    }
 }
 
 enum Output {
@@ -169,7 +145,7 @@ impl Interp {
     /// Create an interpreter with the standard command set registered.
     pub fn new() -> Self {
         let mut interp = Interp {
-            frames: vec![Frame::new()],
+            frames: vec![Frame::default()],
             commands: HashMap::new(),
             procs: HashMap::new(),
             displaced: 0,
@@ -477,7 +453,10 @@ impl Interp {
                 };
                 self.incr(name, delta).map(Obj::Int)
             }
-            _ => self.expr_val(name).map(Obj::from),
+            _ => match self.expr_val(name)? {
+                Val::Int(i) => Ok(Obj::Int(i)),
+                v => Ok(Obj::Str(v.to_tcl_string())),
+            },
         }
     }
 
@@ -491,8 +470,8 @@ impl Interp {
         for p in parts {
             match p {
                 Part::Lit(s) => out.push_str(s),
-                Part::Var(name) => self.var(name)?.push_to(&mut out),
-                Part::Script(src) => self.eval_obj(src)?.push_to(&mut out),
+                Part::Var(name) => out.push_str(&self.var(name)?.clone().into_string()),
+                Part::Script(src) => out.push_str(&self.eval_obj(src)?.into_string()),
             }
         }
         Ok(Obj::Str(out))
@@ -536,7 +515,7 @@ impl Interp {
                 "too many nested proc calls (infinite recursion in \"{name}\"?)"
             )));
         }
-        let mut frame = Frame::new();
+        let mut frame = Frame::default();
         let required = p.params.iter().filter(|(_, d)| d.is_none()).count();
         if args.len() < required || (!p.varargs && args.len() > p.params.len()) {
             return Err(Exception::error(format!(

@@ -46,15 +46,13 @@ impl Word {
     }
 }
 
-/// The builtins a command can run without an argv, when its name and
-/// variable (or `expr` text) are literal and no word is `{*}`-expanded.
+/// The builtins a command can run without an argv (`set var ?value?`,
+/// `incr var ?delta?`, `expr text`), when its name and variable (or
+/// `expr` text) are literal and no word is `{*}`-expanded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
-    /// `set var ?value?`
     Set,
-    /// `incr var ?delta?`
     Incr,
-    /// `expr text`
     Expr,
     Generic,
 }
@@ -265,40 +263,19 @@ fn unescape_brace_continuations(s: &str) -> String {
         return s.to_string();
     }
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'\\' && i + 1 < bytes.len() && bytes[i + 1] == b'\n' {
+    let mut chars = s.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c == '\\' && chars.peek() == Some(&'\n') {
+            chars.next();
             out.push(' ');
-            i += 2;
-            while i < bytes.len() && (bytes[i] == b' ' || bytes[i] == b'\t') {
-                i += 1;
+            while matches!(chars.peek(), Some(' ') | Some('\t')) {
+                chars.next();
             }
         } else {
-            out.push(bytes[i] as char);
-            i += 1;
+            out.push(c);
         }
     }
-    // Round-trip through char boundaries: the byte-wise loop above is only
-    // correct for ASCII; redo with chars when non-ASCII present.
-    if s.is_ascii() {
-        out
-    } else {
-        let mut out = String::with_capacity(s.len());
-        let mut chars = s.chars().peekable();
-        while let Some(c) = chars.next() {
-            if c == '\\' && chars.peek() == Some(&'\n') {
-                chars.next();
-                out.push(' ');
-                while matches!(chars.peek(), Some(' ') | Some('\t')) {
-                    chars.next();
-                }
-            } else {
-                out.push(c);
-            }
-        }
-        out
-    }
+    out
 }
 
 fn parse_quoted(cur: &mut Cursor) -> Result<Word, Exception> {
