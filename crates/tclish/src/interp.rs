@@ -27,13 +27,13 @@ pub(crate) struct ProcDef {
 /// The value of a variable or a command: an integer from `expr` or
 /// `incr` stays an `i64` until something asks for its decimal text.
 #[derive(Clone)]
-pub(crate) enum Obj {
+enum Obj {
     Str(String),
     Int(i64),
 }
 
 impl Obj {
-    pub(crate) fn into_string(self) -> String {
+    fn into_string(self) -> String {
         match self {
             Obj::Str(s) => s,
             Obj::Int(i) => i.to_string(),
@@ -464,6 +464,7 @@ impl Interp {
         match parts {
             [Part::Var(name)] => return self.var(name).cloned(),
             [Part::Script(src)] => return self.eval_obj(src),
+            [Part::Lit(s)] => return Ok(Obj::Str(s.clone())),
             _ => {}
         }
         let mut out = String::new();
