@@ -9,7 +9,7 @@ use crate::builtins::{self, int_arg};
 use crate::error::{Exception, TclError, TclResult};
 use crate::expr::{self, parse_number, ExprHost, Val};
 use crate::list;
-use crate::parser::{self, Command, Part, Script, Shape, EXPAND_MARKER, SHAPED};
+use crate::parser::{self, Command, Part, Script, Shape, SHAPED};
 
 /// A native command implementation. Receives the interpreter and the fully
 /// substituted argument words (`argv[0]` is the command name).
@@ -418,12 +418,11 @@ impl Interp {
     fn argv(&mut self, cmd: &Command) -> Result<Vec<String>, Exception> {
         let mut argv: Vec<String> = Vec::with_capacity(cmd.words.len());
         for w in &cmd.words {
-            match w.parts.split_first() {
-                Some((Part::Lit(l), rest)) if l == EXPAND_MARKER => {
-                    let text = self.subst_parts(rest)?.into_string();
-                    argv.extend(list::parse_list(&text).map_err(Exception::from)?);
-                }
-                _ => argv.push(self.subst_parts(&w.parts)?.into_string()),
+            if w.expands() {
+                let text = self.subst_parts(&w.parts[1..])?.into_string();
+                argv.extend(list::parse_list(&text).map_err(Exception::from)?);
+            } else {
+                argv.push(self.subst_parts(&w.parts)?.into_string());
             }
         }
         Ok(argv)
@@ -642,7 +641,7 @@ fn annotate(e: Exception, cmd: &Command) -> Exception {
     match e {
         Exception::Error(mut err) => {
             if err.trace.len() < 8 {
-                err.trace.push(cmd.source.clone());
+                err.trace.push(cmd.source.to_string());
             }
             Exception::Error(err)
         }

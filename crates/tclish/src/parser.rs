@@ -8,7 +8,7 @@
 use crate::error::Exception;
 
 /// Marker prefix a `{*}` word carries after parsing.
-pub(crate) const EXPAND_MARKER: &str = "\u{1}EXPAND\u{1}";
+const EXPAND_MARKER: &str = "\u{1}EXPAND\u{1}";
 
 /// One piece of a word, after tokenization but before substitution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +41,8 @@ impl Word {
         }
     }
 
-    fn expands(&self) -> bool {
+    /// Whether the word is `{*}`-expanded (its first part is the marker).
+    pub(crate) fn expands(&self) -> bool {
         matches!(self.parts.first(), Some(Part::Lit(l)) if l == EXPAND_MARKER)
     }
 }
@@ -76,8 +77,9 @@ fn shape_of(words: &[Word]) -> Shape {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Command {
     pub words: Vec<Word>,
-    /// Source text of the command, for error traces.
-    pub source: String,
+    /// Source text of the command, for error traces. Boxed: a cached
+    /// script holds one per command, and `shape` takes the bytes saved.
+    pub source: Box<str>,
     pub shape: Shape,
 }
 
@@ -146,7 +148,7 @@ pub fn parse_script(src: &str) -> Result<Script, Exception> {
             commands.push(Command {
                 shape: shape_of(&words),
                 words,
-                source: src[start..end].trim().to_string(),
+                source: src[start..end].trim().into(),
             });
         }
     }
