@@ -160,6 +160,7 @@ impl Interp {
             commands_executed: 0,
         };
         builtins::register_all(&mut interp);
+        // Registering the builtins themselves displaced nothing.
         interp.displaced = 0;
         interp
     }
