@@ -8,7 +8,7 @@ use mpisim::{trace, Comm, Rank, Src, TagSel, Wire};
 
 use crate::datastore::DataError;
 use crate::layout::Layout;
-use crate::msg::{seal_seq, Request, Response, Sealed, Task, TAG_REQ, TAG_RESP};
+use crate::msg::{seal, seal_seq, Request, Response, Sealed, Task, TAG_REQ, TAG_RESP};
 
 /// How long an awaited request waits for its response before checking
 /// whether the serving rank died. While the server is alive the client
@@ -238,10 +238,10 @@ impl AdlbClient {
         id
     }
 
-    /// Seal a request body with the next sequence number.
-    fn seal(&mut self, body: &[u8]) -> Bytes {
+    /// Seal a request with the next sequence number.
+    fn seal(&mut self, req: &Request) -> Bytes {
         self.next_seq += 1;
-        seal_seq(body, self.next_seq)
+        seal(req, self.next_seq)
     }
 
     /// The rank currently serving home server `home`.
@@ -251,8 +251,8 @@ impl AdlbClient {
 
     /// Send a sealed fire-and-forget message to the home server and
     /// remember it for re-send on failover.
-    fn send_ff(&mut self, body: Bytes) {
-        let sealed = self.seal(&body);
+    fn send_ff(&mut self, req: &Request) {
+        let sealed = self.seal(req);
         self.unconfirmed.push(sealed.clone());
         let host = self.host_of(self.my_server);
         self.comm.send(host, TAG_REQ, sealed);
@@ -326,7 +326,7 @@ impl AdlbClient {
 
     /// Seal `req` and await its response from home server `home`.
     fn roundtrip(&mut self, home: Rank, req: &Request) -> Response {
-        let sealed = self.seal(&req.encode());
+        let sealed = self.seal(req);
         self.exchange(home, sealed, self.next_seq)
     }
 
@@ -409,7 +409,7 @@ impl AdlbClient {
             Request::Batch(ops)
         };
         if !req.wants_reply() {
-            self.send_ff(req.encode());
+            self.send_ff(&req);
             return;
         }
         let t0 = trace::now_us();
@@ -653,7 +653,8 @@ impl AdlbClient {
         loop {
             self.flush_all();
             let body = self.encoded_get(work_types);
-            let sealed = self.seal(&body);
+            self.next_seq += 1;
+            let sealed = seal_seq(&body, self.next_seq);
             // Zero-copy decode: task payloads alias the arrival buffer.
             let resp = self.exchange(self.my_server, sealed, self.next_seq);
             match resp {
@@ -760,8 +761,8 @@ impl AdlbClient {
     }
 
     /// Store a scalar value, closing the datum and releasing subscribers.
-    pub fn store(&mut self, id: u64, value: Vec<u8>) -> Result<(), DataError> {
-        let value = Bytes::from(value);
+    pub fn store(&mut self, id: u64, value: impl Into<Bytes>) -> Result<(), DataError> {
+        let value = value.into();
         self.write(id, Request::DataStore { id, value }, true)
     }
 
@@ -1155,7 +1156,7 @@ mod tests {
                 return;
             }
             let ask = |req: &Request, seq: u64| {
-                comm.send(1, TAG_REQ, seal_seq(&req.encode(), seq));
+                comm.send(1, TAG_REQ, seal(req, seq));
                 if !req.wants_reply() {
                     return None;
                 }

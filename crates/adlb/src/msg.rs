@@ -139,8 +139,15 @@ impl<T: Wire, const BATCH: u8> WireAs<Vec<T>> for Unnested<BATCH> {
 /// for the answer to a later request.
 pub type Sealed<T> = (T, u64);
 
-/// Append a client's per-message sequence number to an encoded request
-/// or response body (see [`Sealed`]). The seq trails the body so cached
+/// Encode a request or response with a client's per-message sequence
+/// number behind it (see [`Sealed`]), in one buffer.
+pub fn seal<T: Wire>(body: &T, seq: u64) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put(body).put_u64(seq);
+    w.finish()
+}
+
+/// [`seal`] for a body already encoded. The seq trails the body so cached
 /// encodings (e.g. the client's repeated `Get`) can be reused
 /// byte-for-byte.
 pub fn seal_seq(body: &[u8], seq: u64) -> Bytes {
@@ -233,7 +240,9 @@ wire_enum! {
     pub enum Response: "response" {
         0 => Ok,
         1 => Bool(bool),
-        2 => MaybeBytes(Option<Bytes>),
+        /// The value is a view of the arrival buffer, not a copy: a
+        /// retrieved blob keeps the response's buffer.
+        2 => MaybeBytes(Option<Bytes> as Aliased),
         3 => Pairs(Vec<(String, Bytes)>),
         4 => DeliverTask(Task),
         /// Shutdown: no more work will ever arrive. Carries the (capped)
@@ -426,7 +435,7 @@ mod tests {
         ];
         for (i, c) in cases.into_iter().enumerate() {
             let seq = i as u64 + 1;
-            let wire = seal_seq(&c.encode(), seq);
+            let wire = seal(&c, seq);
             assert_eq!(Sealed::<Request>::decode(&wire).unwrap(), (c, seq));
         }
     }
@@ -480,7 +489,7 @@ mod tests {
     #[test]
     fn batches_do_not_nest() {
         let inner = Request::Batch(vec![Request::Finished]);
-        let wire = seal_seq(&Request::Batch(vec![inner]).encode(), 1);
+        let wire = seal(&Request::Batch(vec![inner]), 1);
         assert!(Sealed::<Request>::decode(&wire).is_err());
         let inner = Response::Batch(vec![Response::Ok]);
         assert!(Response::decode(&Response::Batch(vec![inner]).encode()).is_err());
@@ -579,7 +588,7 @@ mod tests {
 
     #[test]
     fn truncated_messages_error() {
-        let enc = seal_seq(&Request::Put(task(1, 1, None)).encode(), 1);
+        let enc = seal(&Request::Put(task(1, 1, None)), 1);
         assert!(Sealed::<Request>::decode(&enc.slice(..enc.len() - 1)).is_err());
         assert!(Sealed::<Request>::decode(&Bytes::from_static(&[99])).is_err());
     }
@@ -602,9 +611,19 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        let sealed = seal_seq(&Request::Put(task(1, 0, None)).encode(), 5);
+        let sealed = seal(&Request::Put(task(1, 0, None)), 5);
         match Sealed::<Request>::decode(&sealed).unwrap() {
             (Request::Put(t), 5) => assert_eq!(&t.payload[..], &task(1, 0, None).payload[..]),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        // A retrieved value, a blob's bytes among them, too.
+        let sealed = seal(&Response::MaybeBytes(Some(Bytes::from(vec![7u8; 64]))), 6);
+        let lo = sealed.as_ptr() as usize;
+        match Sealed::<Response>::decode(&sealed).unwrap() {
+            (Response::MaybeBytes(Some(v)), 6) => {
+                assert_eq!(v, vec![7u8; 64]);
+                assert!(v.as_ptr() as usize >= lo && v.as_ptr() as usize + 64 <= lo + sealed.len());
+            }
             other => panic!("wrong variant: {other:?}"),
         }
     }

@@ -30,8 +30,8 @@ use crate::checkpoint::{
 use crate::layout::Layout;
 use crate::membership::Membership;
 use crate::msg::{
-    seal_seq, Request, Response, Sealed, ServerMsg, Task, TAG_REQ, TAG_RESP, TAG_SRV,
-    WORK_TYPE_NOTIFY, WORK_TYPE_WORK,
+    seal, Request, Response, Sealed, ServerMsg, Task, TAG_REQ, TAG_RESP, TAG_SRV, WORK_TYPE_NOTIFY,
+    WORK_TYPE_WORK,
 };
 use crate::replica::{Applied, Ledger, ReplOp};
 use crate::tenant::{TenantSched, TenantSpec, TenantStats};
@@ -777,7 +777,7 @@ impl Server {
 
     /// [`Server::send_response`] for a request addressed to `home`.
     fn respond(&mut self, home: Rank, rank: Rank, seq: u64, resp: Response, replicate: bool) {
-        let bytes = seal_seq(&resp.encode(), seq);
+        let bytes = seal(&resp, seq);
         if replicate {
             self.record_seq(home, rank, seq, Some(bytes.clone()));
         }

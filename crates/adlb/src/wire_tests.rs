@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 use crate::checkpoint::{decode_segment, decode_wal, encode_segment, encode_wal_record, fnv1a};
 use crate::datastore::{Datum, DatumValue, TYPE_TAG_CONTAINER};
-use crate::msg::{seal_seq, Request, Response, Sealed, ServerMsg, Task};
+use crate::msg::{seal, seal_seq, Request, Response, Sealed, ServerMsg, Task};
 use crate::replica::{Lease, Ledger, ReplOp, Xfer};
 use crate::RespHistory;
 
@@ -594,6 +594,13 @@ fn golden_bytes_decode_to_their_values() {
     }
     for (name, msg) in server_msgs() {
         assert_eq!(ServerMsg::decode(&g(name)).unwrap(), msg, "{name}");
+    }
+    // One writer seals a message: its golden body, then the seq.
+    for (name, req) in requests() {
+        assert_eq!(seal(&req, 9), seal_seq(&g(name), 9), "{name}");
+    }
+    for (name, resp) in responses() {
+        assert_eq!(seal(&resp, 9), seal_seq(&g(name), 9), "{name}");
     }
     for (name, op) in repl_ops() {
         assert_eq!(ReplOp::decode(&g(name)).unwrap(), op, "{name}");

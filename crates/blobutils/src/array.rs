@@ -127,32 +127,34 @@ impl FortranArray {
     /// Decode the [`FortranArray::to_blob`] encoding.
     pub fn from_blob(blob: &Blob) -> Result<Self, BlobError> {
         let b = blob.as_bytes();
-        if b.len() < 4 {
-            return Err(BlobError::new("blob too short for array header"));
-        }
-        let ndims = u32::from_le_bytes(b[0..4].try_into().unwrap()) as usize;
+        let words = b.as_chunks::<4>().0;
+        let ndims = words
+            .first()
+            .map(|w| u32::from_le_bytes(*w) as usize)
+            .ok_or_else(|| BlobError::new("blob too short for array header"))?;
         if ndims == 0 || ndims > 16 {
             return Err(BlobError::new(format!("implausible rank {ndims}")));
         }
-        let hdr = 4 + 4 * ndims;
-        if b.len() < hdr {
-            return Err(BlobError::new("blob too short for dims"));
-        }
-        let dims: Vec<usize> = (0..ndims)
-            .map(|k| u32::from_le_bytes(b[4 + 4 * k..8 + 4 * k].try_into().unwrap()) as usize)
+        let dims: Vec<usize> = words
+            .get(1..=ndims)
+            .ok_or_else(|| BlobError::new("blob too short for dims"))?
+            .iter()
+            .map(|w| u32::from_le_bytes(*w) as usize)
             .collect();
-        let n: usize = dims.iter().product();
-        if b.len() != hdr + 8 * n {
+        let payload = b.get(4 + 4 * ndims..).unwrap_or_default();
+        let n = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if n.and_then(|n| n.checked_mul(8)) != Some(payload.len()) {
             return Err(BlobError::new(format!(
                 "payload length {} does not match dims {:?}",
-                b.len() - hdr,
+                payload.len(),
                 dims
             )));
         }
-        let data: Vec<f64> = (0..n)
-            .map(|i| f64::from_le_bytes(b[hdr + 8 * i..hdr + 8 * i + 8].try_into().unwrap()))
-            .collect();
-        FortranArray::from_data(&dims, data)
+        let (elems, _) = payload.as_chunks::<8>();
+        FortranArray::from_data(
+            &dims,
+            elems.iter().map(|e| f64::from_le_bytes(*e)).collect(),
+        )
     }
 }
 
@@ -209,7 +211,7 @@ mod tests {
     #[test]
     fn corrupt_blob_rejected() {
         let a = FortranArray::zeros(&[2, 2]);
-        let mut bytes = a.to_blob().into_bytes();
+        let mut bytes = a.to_blob().as_bytes().to_vec();
         bytes.truncate(bytes.len() - 1);
         assert!(FortranArray::from_blob(&Blob::from_bytes(bytes)).is_err());
         assert!(FortranArray::from_blob(&Blob::from_bytes(vec![9, 0, 0, 0])).is_err());

@@ -25,15 +25,32 @@ impl std::fmt::Display for BlobError {
 
 impl std::error::Error for BlobError {}
 
-/// An owned chunk of binary data.
+/// A chunk of binary data, shared rather than copied.
 ///
 /// The runtime ships blobs opaquely (like strings, "but with appropriate
 /// handling for binary data"); producers and consumers agree on the layout
-/// and use the typed constructors/views here. All views are copy-based and
-/// fully checked: no alignment traps, no `unsafe`.
+/// and use the typed constructors/views here. The bytes are one shared
+/// [`Bytes`] buffer: cloning a blob, storing it and retrieving it pass
+/// that buffer on without copying it, so a write ([`Blob::set_f64`])
+/// copies first and never changes what another holder sees. All views
+/// are copy-based and fully checked: no alignment traps, no `unsafe`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Blob {
-    data: Vec<u8>,
+    data: Bytes,
+}
+
+/// A blob of `values`, each laid out as the `N` bytes `le` gives.
+fn encode<T, const N: usize>(values: &[T], le: impl Fn(&T) -> [u8; N]) -> Blob {
+    let mut data = Vec::with_capacity(values.len() * N);
+    for v in values {
+        data.extend_from_slice(&le(v));
+    }
+    Blob::from_bytes(data)
+}
+
+/// The whole `N`-byte elements of `data`, in order.
+fn elements<const N: usize>(data: &[u8]) -> impl Iterator<Item = [u8; N]> + '_ {
+    data.as_chunks::<N>().0.iter().copied()
 }
 
 impl Blob {
@@ -43,45 +60,31 @@ impl Blob {
     }
 
     /// Wrap raw bytes.
-    pub fn from_bytes(data: impl Into<Vec<u8>>) -> Self {
+    pub fn from_bytes(data: impl Into<Bytes>) -> Self {
         Blob { data: data.into() }
     }
 
     /// Encode a slice of doubles (little-endian), the most common
     /// scientific payload.
     pub fn from_f64s(values: &[f64]) -> Self {
-        let mut data = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            data.extend_from_slice(&v.to_le_bytes());
-        }
-        Blob { data }
+        encode(values, |v| v.to_le_bytes())
     }
 
     /// Encode a slice of 64-bit integers.
     pub fn from_i64s(values: &[i64]) -> Self {
-        let mut data = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            data.extend_from_slice(&v.to_le_bytes());
-        }
-        Blob { data }
+        encode(values, |v| v.to_le_bytes())
     }
 
     /// Encode a slice of 32-bit integers.
     pub fn from_i32s(values: &[i32]) -> Self {
-        let mut data = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            data.extend_from_slice(&v.to_le_bytes());
-        }
-        Blob { data }
+        encode(values, |v| v.to_le_bytes())
     }
 
     /// Encode a UTF-8 string (no NUL terminator; lengths are explicit in
     /// this runtime, unlike C).
     #[allow(clippy::should_implement_trait)] // infallible, unlike FromStr
     pub fn from_str(s: &str) -> Self {
-        Blob {
-            data: s.as_bytes().to_vec(),
-        }
+        Blob::from_bytes(Bytes::copy_from_slice(s.as_bytes()))
     }
 
     /// Byte length.
@@ -99,19 +102,9 @@ impl Blob {
         &self.data
     }
 
-    /// Mutable access to the raw bytes.
-    pub fn as_bytes_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.data
-    }
-
-    /// Consume into the underlying buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data
-    }
-
-    /// Convert into a cheaply clonable [`Bytes`] for the wire.
+    /// The shared buffer itself, for the wire: no copy is made.
     pub fn into_shared(self) -> Bytes {
-        Bytes::from(self.data)
+        self.data
     }
 
     fn check_multiple(&self, width: usize, ty: &str) -> Result<usize, BlobError> {
@@ -126,53 +119,49 @@ impl Blob {
 
     /// Decode as little-endian doubles.
     pub fn to_f64s(&self) -> Result<Vec<f64>, BlobError> {
-        let n = self.check_multiple(8, "f64")?;
-        Ok((0..n)
-            .map(|i| f64::from_le_bytes(self.data[i * 8..i * 8 + 8].try_into().unwrap()))
-            .collect())
+        self.check_multiple(8, "f64")?;
+        Ok(elements(&self.data).map(f64::from_le_bytes).collect())
     }
 
     /// Decode as little-endian 64-bit integers.
     pub fn to_i64s(&self) -> Result<Vec<i64>, BlobError> {
-        let n = self.check_multiple(8, "i64")?;
-        Ok((0..n)
-            .map(|i| i64::from_le_bytes(self.data[i * 8..i * 8 + 8].try_into().unwrap()))
-            .collect())
+        self.check_multiple(8, "i64")?;
+        Ok(elements(&self.data).map(i64::from_le_bytes).collect())
     }
 
     /// Decode as little-endian 32-bit integers.
     pub fn to_i32s(&self) -> Result<Vec<i32>, BlobError> {
-        let n = self.check_multiple(4, "i32")?;
-        Ok((0..n)
-            .map(|i| i32::from_le_bytes(self.data[i * 4..i * 4 + 4].try_into().unwrap()))
-            .collect())
+        self.check_multiple(4, "i32")?;
+        Ok(elements(&self.data).map(i32::from_le_bytes).collect())
     }
 
     /// Decode as UTF-8 text.
     pub fn to_utf8(&self) -> Result<String, BlobError> {
-        String::from_utf8(self.data.clone()).map_err(|_| BlobError::new("blob is not valid UTF-8"))
+        String::from_utf8(self.data.to_vec()).map_err(|_| BlobError::new("blob is not valid UTF-8"))
+    }
+
+    /// The byte offset and the bytes of f64 element `i`.
+    fn f64_slot(&self, i: usize) -> Result<(usize, [u8; 8]), BlobError> {
+        let slot = i.checked_mul(8).and_then(|off| {
+            let bytes = self.data.get(off..off.checked_add(8)?)?;
+            Some((off, bytes.try_into().ok()?))
+        });
+        slot.ok_or_else(|| BlobError::new(format!("f64 index {i} out of range")))
     }
 
     /// Read one double at element index `i`.
     pub fn get_f64(&self, i: usize) -> Result<f64, BlobError> {
-        let off = i * 8;
-        let bytes: [u8; 8] = self
-            .data
-            .get(off..off + 8)
-            .ok_or_else(|| BlobError::new(format!("f64 index {i} out of range")))?
-            .try_into()
-            .unwrap();
-        Ok(f64::from_le_bytes(bytes))
+        self.f64_slot(i).map(|(_, b)| f64::from_le_bytes(b))
     }
 
-    /// Write one double at element index `i`.
+    /// Write one double at element index `i`. The buffer may be shared —
+    /// with a store still in its outbox, or with another handle retrieved
+    /// from the same datum — so the write goes to a copy of it.
     pub fn set_f64(&mut self, i: usize, v: f64) -> Result<(), BlobError> {
-        let off = i * 8;
-        let slot = self
-            .data
-            .get_mut(off..off + 8)
-            .ok_or_else(|| BlobError::new(format!("f64 index {i} out of range")))?;
-        slot.copy_from_slice(&v.to_le_bytes());
+        let (off, _) = self.f64_slot(i)?;
+        let mut data = self.data.to_vec();
+        data[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        self.data = Bytes::from(data);
         Ok(())
     }
 
@@ -227,6 +216,16 @@ mod tests {
         assert_eq!(b.get_f64(1).unwrap(), 9.5);
         assert!(b.get_f64(2).is_err());
         assert!(b.set_f64(2, 0.0).is_err());
+    }
+
+    #[test]
+    fn clones_share_one_buffer_and_a_write_copies_it() {
+        let a = Blob::from_f64s(&[1.0, 2.0]);
+        let mut b = a.clone();
+        assert_eq!(b.clone().into_shared().as_ptr(), a.as_bytes().as_ptr());
+        b.set_f64(0, 7.0).unwrap();
+        assert_eq!(a.to_f64s().unwrap(), [1.0, 2.0]);
+        assert_eq!(b.to_f64s().unwrap(), [7.0, 2.0]);
     }
 
     #[test]

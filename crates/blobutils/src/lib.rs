@@ -8,7 +8,7 @@
 //! itself — the paper's `blobutils` library bridges those "simple but
 //! myriad interlanguage complexities". This crate is that library:
 //!
-//! * [`Blob`] — an owned byte buffer with checked typed views
+//! * [`Blob`] — a shared, copy-on-write byte buffer with checked typed views
 //!   (`f64`/`i64`/`i32` slices, UTF-8 strings),
 //! * [`FortranArray`] — a column-major multidimensional `f64` array that
 //!   round-trips through a self-describing blob encoding (the paper's

@@ -3,7 +3,7 @@
 //! SWIG represents C pointers as opaque Tcl strings; Swift/T's blobutils
 //! converts between those pointers and the runtime's blob type. Here the
 //! analogue is a per-rank registry mapping handle strings (`blob#<id>`) to
-//! owned [`Blob`]s, so Tcl code and "native" functions can exchange large
+//! [`Blob`]s, so Tcl code and "native" functions can exchange large
 //! buffers by name without the bytes ever being copied through script
 //! values.
 
@@ -100,8 +100,9 @@ impl BlobRegistry {
         self.blobs.values().map(Blob::len).sum()
     }
 
-    /// Drop all blobs (task-boundary cleanup under the Reinitialize
-    /// interpreter policy).
+    /// Drop all blobs. A worker does this after every task, whatever its
+    /// outcome and whichever §III.C interpreter policy is set: a handle
+    /// lives only as long as the task that made it.
     pub fn clear(&mut self) {
         self.blobs.clear();
     }

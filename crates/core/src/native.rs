@@ -169,6 +169,7 @@ fn parse_arg(word: &str, ctx: &Option<turbine::SharedCtx>) -> Result<NativeArg, 
             .ok_or_else(|| Exception::error("blob argument without a registry"))?;
         let c = ctx.borrow();
         let blobs = c.blobs.borrow();
+        // A refcount bump: the native function reads the registry's buffer.
         let b = blobs
             .get(h)
             .map_err(|e| Exception::error(e.to_string()))?

@@ -30,6 +30,9 @@ use bytes::Bytes;
 /// hostile count costs at most this much memory up front.
 const MAX_RESERVE: usize = 4096;
 
+/// Bytes a writer leaves free behind a byte field it reserves for.
+const TRAILER_ROOM: usize = 64;
+
 /// Error produced when decoding a malformed message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
@@ -96,6 +99,21 @@ impl WireAs<Bytes> for Aliased {
     }
 }
 
+/// An optional aliased byte field: the `Option` flag, then the view.
+impl WireAs<Option<Bytes>> for Aliased {
+    fn put_as(v: &Option<Bytes>, w: &mut WireWriter) {
+        v.put(w);
+    }
+
+    fn get_as(r: &mut WireReader<'_>) -> Result<Option<Bytes>, WireError> {
+        if r.get_flag("option flag")? {
+            r.get_bytes_shared().map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
 /// Append-only message builder.
 #[derive(Default)]
 pub struct WireWriter {
@@ -139,8 +157,14 @@ impl WireWriter {
         self
     }
 
-    /// Append a length-prefixed byte slice.
+    /// Append a length-prefixed byte slice. A writer too small for it
+    /// grows once, to fit it and a short trailer such as a seal's seq, so
+    /// a large payload is not copied again by the growth behind it; a
+    /// writer sized for its message is left as it is.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
+        if self.buf.capacity() - self.buf.len() < 4 + v.len() {
+            self.buf.reserve(4 + v.len() + TRAILER_ROOM);
+        }
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
         self
@@ -604,6 +628,20 @@ macro_rules! __wire {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_byte_field_grows_its_writer_at_most_once() {
+        // Sized for its message: never grown.
+        let mut w = WireWriter::with_capacity(4 + 100 + 8);
+        w.put_bytes(&[1; 100]).put_u64(9);
+        assert_eq!(w.into_vec().capacity(), 112);
+        // Too small: grown once, with room for the seq behind it.
+        let mut w = WireWriter::new();
+        w.put_u8(2).put_bytes(&[1; 100_000]);
+        let cap = w.buf.capacity();
+        w.put_u64(9);
+        assert_eq!(w.buf.capacity(), cap);
+    }
 
     #[test]
     fn round_trip_all_types() {

@@ -128,9 +128,9 @@ fn need(argv: &[String], min: usize, max: usize, usage: &str) -> Result<(), Exce
 /// The store itself always goes to the server: a double assignment still
 /// fails there, with its own message, and a store refused on the spot is
 /// not remembered.
-fn store(ctx: &SharedCtx, id: u64, value: Vec<u8>) -> Result<String, Exception> {
+fn store(ctx: &SharedCtx, id: u64, value: Bytes) -> Result<String, Exception> {
     let mut c = ctx.borrow_mut();
-    let kept = (c.is_engine && value.len() <= adlb::NOTIFY_VALUE_MAX).then(|| value.clone());
+    let kept = (c.is_engine && value.len() <= adlb::NOTIFY_VALUE_MAX).then(|| value.to_vec());
     c.client.store(id, value).map_err(ex)?;
     if c.is_engine {
         c.engine.remember(id, kept);
@@ -148,9 +148,13 @@ fn retrieve<T>(
     if let Some(v) = ctx.borrow().known_value(id) {
         return decode(v).map_err(ex);
     }
+    decode(&fetch(ctx, id)?).map_err(ex)
+}
+
+/// Closed datum `id`'s value from the server: the response's own buffer.
+fn fetch(ctx: &SharedCtx, id: u64) -> Result<Bytes, Exception> {
     let fetched = ctx.borrow_mut().client.retrieve(id).map_err(ex)?;
-    let v = fetched.ok_or_else(|| ex(format!("retrieve of open datum <{id}> (dataflow bug)")))?;
-    decode(&v).map_err(ex)
+    fetched.ok_or_else(|| ex(format!("retrieve of open datum <{id}> (dataflow bug)")))
 }
 
 /// Register every `turbine::*` command plus the blobutils command set.
@@ -188,7 +192,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         "turbine::store_void",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::store_void id")?;
-            store(ctx, parse_id(&argv[1])?, Vec::new())
+            store(ctx, parse_id(&argv[1])?, Bytes::new())
         }
     );
     cmd!(
@@ -200,7 +204,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 .trim()
                 .parse()
                 .map_err(|_| ex(format!("store_integer: \"{}\" is not an integer", argv[2])))?;
-            store(ctx, id, types::encode_integer(v).to_vec())
+            store(ctx, id, types::encode_integer(v))
         }
     );
     cmd!(
@@ -212,14 +216,14 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 .trim()
                 .parse()
                 .map_err(|_| ex(format!("store_float: \"{}\" is not a float", argv[2])))?;
-            store(ctx, id, types::encode_float(v).to_vec())
+            store(ctx, id, types::encode_float(v))
         }
     );
     cmd!(
         "turbine::store_string",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 3, 3, "turbine::store_string id value")?;
-            store(ctx, parse_id(&argv[1])?, argv[2].clone().into_bytes())
+            store(ctx, parse_id(&argv[1])?, Bytes::from(argv[2].clone()))
         }
     );
     cmd!(
@@ -232,7 +236,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 let c = ctx.borrow();
                 let blobs = c.blobs.clone();
                 let b = blobs.borrow();
-                b.get(h).map_err(ex)?.as_bytes().to_vec()
+                b.get(h).map_err(ex)?.clone().into_shared()
             };
             store(ctx, id, bytes)
         }
@@ -268,9 +272,14 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         "turbine::retrieve_blob",
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::retrieve_blob id")?;
-            let blob = retrieve(ctx, parse_id(&argv[1])?, |b| {
-                Ok(Blob::from_bytes(b.to_vec()))
-            })?;
+            let id = parse_id(&argv[1])?;
+            // A blob this rank holds is at most a notification's size; one
+            // from the server keeps the response's buffer, uncopied.
+            let local = ctx.borrow().known_value(id).map(Bytes::copy_from_slice);
+            let blob = Blob::from_bytes(match local {
+                Some(v) => v,
+                None => fetch(ctx, id)?,
+            });
             let c = ctx.borrow();
             let h = c.blobs.borrow_mut().insert(blob);
             Ok(h.to_token())
@@ -720,6 +729,48 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, "7.0");
+    }
+
+    #[test]
+    fn a_blob_write_is_seen_by_no_other_holder_of_its_buffer() {
+        // 200 doubles: over `NOTIFY_VALUE_MAX`, so every read goes to the
+        // server. The store still sits in the outbox, sharing `b`'s buffer,
+        // when `b` is written; `r1` and `r2` come from one datum.
+        let (out, _) = run_engine(
+            adlb::ClientConfig::batched(),
+            |_, _| {},
+            "set b [blobutils_zeroes 200]\n\
+             set td [turbine::unique]; turbine::create $td blob\n\
+             turbine::store_blob $td $b\n\
+             blobutils_set_float $b 0 9.0\n\
+             set r1 [turbine::retrieve_blob $td]; set r2 [turbine::retrieve_blob $td]\n\
+             blobutils_set_float $r1 1 5.0\n\
+             list [blobutils_get_float $b 0] [blobutils_get_float $r1 0] \
+                  [blobutils_get_float $r1 1] [blobutils_get_float $r2 1]",
+        );
+        assert_eq!(out.unwrap(), "9.0 0.0 5.0 0.0");
+    }
+
+    #[test]
+    fn a_blob_copy_leaves_no_handle_on_the_engine() {
+        // An engine's registry is never cleared, so `swt:copy_body` must
+        // release the handle it retrieves through.
+        let (out, _) = run_engine(
+            adlb::ClientConfig::batched(),
+            |interp, ctx| {
+                crate::library::load(interp).unwrap();
+                let ctx = ctx.clone();
+                interp.register("test::live", move |_, _| {
+                    Ok(ctx.borrow().blobs.borrow().len().to_string())
+                });
+            },
+            "set w [turbine::unique]; turbine::create $w blob\n\
+             set z [turbine::unique]; turbine::create $z blob\n\
+             set b [blobutils_zeroes 200]; turbine::store_blob $w $b; blobutils_release $b\n\
+             swt:copy_body blob $z $w\n\
+             list [test::live] [blobutils_float_count [turbine::retrieve_blob $z]]",
+        );
+        assert_eq!(out.unwrap(), "0 200");
     }
 
     #[test]

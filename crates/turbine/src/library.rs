@@ -372,6 +372,12 @@ proc swt:copy_body {ty o i} {
         float   { turbine::store_float $o [turbine::retrieve_float $i] }
         string  { turbine::store_string $o [turbine::retrieve_string $i] }
         void    { turbine::store_void $o }
+        blob    {
+            # An engine's blob registry is never cleared: let go at once.
+            set b [turbine::retrieve_blob $i]
+            turbine::store_blob $o $b
+            blobutils_release $b
+        }
         default { error "swt:copy: bad type $ty" }
     }
 }

@@ -4,7 +4,7 @@
 //! `ADLB_Get(WORK)`, evaluating each task's Tcl fragment in the embedded
 //! interpreter of the task's program. The per-task interpreter policy of
 //! §III.C (retain vs. reinitialize Python/R state) is applied between
-//! tasks.
+//! tasks; blobs (§III.B) are released after every task under either.
 //!
 //! Task failures are *contained*: an eval error (or an undecodable
 //! payload) is reported to the ADLB server as a negative acknowledgement
@@ -26,7 +26,8 @@ use crate::types::InterpPolicy;
 /// Evaluate one leaf task in `interp`, containing failures: success
 /// increments the counters and applies the §III.C policy; an error is
 /// negatively acknowledged and forces an embedded-interpreter reset.
-/// Returns whether the task succeeded.
+/// Either way the task's blobs are released. Returns whether the task
+/// succeeded.
 fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: &mut u64) -> bool {
     // Zero-copy hot path: the payload is a view into the arrival
     // buffer; validate UTF-8 in place instead of cloning it. The input
@@ -45,6 +46,9 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
     };
     let mut c = ctx.borrow_mut();
     c.inputs.clear();
+    // Blobs belong to their task alone, whatever its outcome and the
+    // §III.C policy; a store it queued holds its own share of the buffer.
+    c.blobs.borrow_mut().clear();
     // A write the task queued may only fail now; the failure is the
     // task's all the same.
     let outcome = outcome.and_then(|()| {
@@ -62,11 +66,9 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
             if c.policy == InterpPolicy::Reinitialize {
                 // §III.C: clear interpreter state between tasks. The
                 // next task that needs Python/R pays a fresh
-                // initialization; blobs from the finished task are
-                // released.
+                // initialization.
                 c.python = None;
                 c.r = None;
-                c.blobs.borrow_mut().clear();
             }
             true
         }
@@ -82,7 +84,6 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
             // state half-mutated; force a clean slate.
             c.python = None;
             c.r = None;
-            c.blobs.borrow_mut().clear();
             false
         }
     }
@@ -101,9 +102,10 @@ const NO_PROGRAM: &TurbineProgram = &TurbineProgram {
 /// every program's leaf tasks, each evaluated in its tenant's own Tcl
 /// interpreter so programs cannot observe each other's procs or globals.
 /// `open(tenant, preamble)` builds that interpreter (plus its output
-/// streamer) on the tenant's first task. Embedded Python/R state and blobs
-/// are cleared on every tenant switch regardless of the configured §III.C
-/// policy — interpreter state is never shared across tenants.
+/// streamer) on the tenant's first task. Embedded Python/R state is
+/// cleared on every tenant switch regardless of the configured §III.C
+/// policy — interpreter state is never shared across tenants — and blobs
+/// never outlive their task.
 ///
 /// Task failures are contained (counted in `Ctx::tasks_failed` and
 /// reported to the server). Each finished task's output streams to the
@@ -143,12 +145,11 @@ pub fn worker_loop(
             // Child tasks and output belong to the task's program.
             c.client.set_tenant(tenant);
             if current != Some(tenant) {
-                // Tenant switch: embedded interpreters and blobs must not
-                // leak across programs, whatever the retain policy says.
+                // Tenant switch: embedded interpreters must not leak
+                // across programs, whatever the retain policy says.
                 if current.is_some() {
                     c.python = None;
                     c.r = None;
-                    c.blobs.borrow_mut().clear();
                 }
                 c.args = args.clone();
                 current = Some(tenant);
@@ -404,6 +405,83 @@ mod tests {
         assert_eq!(stdout, "1\ndata: <9> does not exist\n");
         assert_eq!(n, 1);
         assert_eq!(stats.tasks_quarantined, 1);
+    }
+
+    /// Like [`run_worker`], for blob lifetimes: the worker's stdout, the
+    /// blobs its registry still holds after the run, and the quarantine
+    /// reports it was handed.
+    fn run_blob_worker(
+        tasks: &'static [&'static str],
+        policy: InterpPolicy,
+    ) -> (String, usize, Vec<String>) {
+        let layout = Layout::new(3, 1);
+        let out = World::run(3, move |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                adlb::serve(comm, layout, adlb::ServerConfig::default());
+                return None;
+            }
+            let mut client = AdlbClient::new(comm, layout);
+            if rank == 0 {
+                for t in tasks {
+                    client.put(adlb::WORK_TYPE_WORK, 0, Some(1), t.as_bytes().to_vec());
+                }
+                client.finish();
+                return None;
+            }
+            let ctx = Ctx::new(client, false, policy);
+            let (stdout, _) = serve(&ctx);
+            let c = ctx.borrow();
+            let live = c.blobs.borrow().len();
+            Some((stdout, live, c.client.quarantine_reports().to_vec()))
+        });
+        out.into_iter().flatten().next().unwrap()
+    }
+
+    /// Makes a blob, keeps its handle in a global and reads it.
+    const MAKE_BLOB: &str =
+        "set ::h [blobutils_create_floats {1.0 2.0}]; puts [blobutils_sum_floats $::h]";
+    /// Reads the handle the last task kept.
+    const PEEK_BLOB: &str = "puts [catch {blobutils_size $::h} msg]; puts $msg";
+
+    #[test]
+    fn a_blob_lives_only_as_long_as_its_task_under_either_policy() {
+        for policy in [InterpPolicy::Retain, InterpPolicy::Reinitialize] {
+            let (stdout, live, _) = run_blob_worker(&[MAKE_BLOB, PEEK_BLOB], policy);
+            assert_eq!(
+                stdout, "3.0\n1\nblob error: blob#0: no such blob (already released?)\n",
+                "{policy:?}"
+            );
+            assert_eq!(live, 0, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_task_releases_its_blobs() {
+        let (stdout, live, _) = run_blob_worker(
+            &["set ::h [blobutils_zeroes 4]; error boom", PEEK_BLOB],
+            InterpPolicy::Retain,
+        );
+        // The peek may run between the failed task's attempts: whichever
+        // attempt's handle it finds is gone.
+        assert!(stdout.starts_with("1\nblob error: blob#"), "{stdout}");
+        assert!(
+            stdout.ends_with(": no such blob (already released?)\n"),
+            "{stdout}"
+        );
+        assert_eq!(live, 0);
+    }
+
+    #[test]
+    fn a_handle_kept_past_its_task_fails_the_task_that_uses_it_not_the_rank() {
+        let (stdout, live, reports) = run_blob_worker(
+            &[MAKE_BLOB, "puts [blobutils_size $::h]", "puts healthy"],
+            InterpPolicy::Retain,
+        );
+        assert_eq!(stdout, "3.0\nhealthy\n");
+        assert_eq!(live, 0);
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert!(reports[0].contains("blob#0: no such blob"), "{reports:?}");
     }
 
     #[test]

@@ -142,6 +142,26 @@ fn native_library_with_blobs() {
 }
 
 #[test]
+fn a_blob_copies_between_futures() {
+    // `blob z = w` is an engine rule (`swt:copy_body`) that retrieves
+    // `w` and stores it as `z`.
+    let r = Runtime::new(3)
+        .run(
+            r#"
+            (blob o) wave (int n) [ "set <<o>> [ blobutils_create_floats [ list 1.5 2.5 <<n>> ] ]" ];
+            (float o) total (blob b) [ "set <<o>> [ blobutils_sum_floats <<b>> ]" ];
+            blob w = wave(3);
+            blob z = w;
+            float s = total(z);
+            float t = total(w);
+            printf("%.1f %.1f", s, t);
+        "#,
+        )
+        .unwrap();
+    assert_eq!(r.stdout, "7.0 7.0\n");
+}
+
+#[test]
 fn all_languages_in_one_program() {
     let lib = NativeLibrary::new("nat", "1.0")
         .function("triple", |args| Ok(NativeArg::Int(args[0].as_i64()? * 3)));
