@@ -124,6 +124,9 @@ pub struct AdlbClient {
     task_mark: usize,
     /// First error a flushed write came back with, not yet reported.
     deferred_err: Option<DataError>,
+    /// Whether this client's writes are its program's (an engine's) rather
+    /// than the task's in hand (a worker's); see [`AdlbClient::own_writes`].
+    owns_writes: bool,
     /// Tenant stamped onto every put and output this client ships.
     /// Engines set it to their program's tenant; workers set it to the
     /// tenant of the task they are executing, so child tasks are
@@ -187,6 +190,7 @@ impl AdlbClient {
             outbox_bytes: vec![0; layout.servers],
             task_mark: 0,
             deferred_err: None,
+            owns_writes: false,
             tenant: 0,
             get_filter: None,
             cached_get: None,
@@ -229,6 +233,13 @@ impl AdlbClient {
             self.get_filter = tenant;
             self.cached_get = None;
         }
+    }
+
+    /// Make this client's writes its program's own, as an engine's are:
+    /// they leave in [`Request::OwnedBatch`]es beside the acks of many
+    /// prefetched tasks, and a refused one is never a task's failure.
+    pub fn own_writes(&mut self) {
+        self.owns_writes = true;
     }
 
     /// Allocate a globally unique datum id (disjoint per client rank).
@@ -383,9 +394,10 @@ impl AdlbClient {
     }
 
     /// Send `home`'s outbox as one request. Awaited — errors land in
-    /// `deferred_err`, rejected puts are re-offered — unless every write
-    /// in it is followed by a `TaskDone`: then the server charges a failed
-    /// write to that task and the batch is fire-and-forget.
+    /// `deferred_err`, rejected puts are re-offered — unless it holds no
+    /// write, or (a worker's) every write in it is followed by a `TaskDone`:
+    /// then the server charges a failed write to that task and the batch is
+    /// fire-and-forget.
     fn flush_home(&mut self, home: Rank) {
         let i = self.layout.server_index(home);
         if self.outbox[i].is_empty() {
@@ -396,17 +408,18 @@ impl AdlbClient {
         if home == self.my_server {
             self.task_mark = 0;
         }
-        // Errors before the last ack belong to tasks already acked.
-        let settled = ops
+        // A worker's errors before its last ack belong to tasks already
+        // acked; every error of an owned batch is the program's.
+        let acked = ops
             .iter()
-            .rposition(|r| matches!(r, Request::TaskDone { .. }))
-            .map_or(0, |p| p + 1);
+            .rposition(|r| matches!(r, Request::TaskDone { .. }));
+        let settled = acked.filter(|_| !self.owns_writes).map_or(0, |p| p + 1);
         let puts = ops.iter().filter(|r| matches!(r, Request::Put(_))).count();
         let n = ops.len() as u64;
-        let req = if ops.len() == 1 {
-            ops.swap_remove(0)
-        } else {
-            Request::Batch(ops)
+        let req = match (ops.len(), self.owns_writes) {
+            (1, _) => ops.swap_remove(0),
+            (_, true) => Request::OwnedBatch(ops),
+            (_, false) => Request::Batch(ops),
         };
         if !req.wants_reply() {
             self.send_ff(&req);
@@ -471,13 +484,16 @@ impl AdlbClient {
         }
     }
 
-    fn take_deferred(&mut self) -> Result<(), DataError> {
+    /// Report the first error a write that already left came back with,
+    /// if no call has reported it yet. Engines check after every `get`,
+    /// whose flush may have brought one back.
+    pub fn take_deferred(&mut self) -> Result<(), DataError> {
         self.deferred_err.take().map_or(Ok(()), Err)
     }
 
     /// Send everything queued, wait for the answers, and report the first
     /// error a write-behind request came back with (with its original
-    /// message). Engines call this at the end of every fragment.
+    /// message). Engines call this after the program's main.
     pub fn flush(&mut self) -> Result<(), DataError> {
         self.flush_all();
         self.take_deferred()
@@ -531,19 +547,22 @@ impl AdlbClient {
             return;
         }
         self.handed_out = false;
-        // A task is acked only once the tasks it put are admitted (a
-        // rejected put is re-offered by an awaited flush) and its writes
-        // on other servers are answered.
+        // A worker's task is acked only once the tasks it put are admitted
+        // (a rejected put is re-offered by an awaited flush) and its writes
+        // on other servers are answered; an error among them fails it. An
+        // engine's puts ride ahead of the ack in its owned batch, and its
+        // errors stay the program's.
         let home = self.layout.server_index(self.my_server);
-        if self.outbox[home]
-            .iter()
-            .any(|r| matches!(r, Request::Put(_)))
+        if !self.owns_writes
+            && self.outbox[home]
+                .iter()
+                .any(|r| matches!(r, Request::Put(_)))
         {
             self.flush_home(self.my_server);
         }
         self.flush_except(self.my_server);
         let mut error = error.to_string();
-        if ok {
+        if ok && !self.owns_writes {
             if let Some(e) = self.deferred_err.take() {
                 (ok, error) = (false, e.message);
             }
@@ -596,20 +615,6 @@ impl AdlbClient {
     /// before [`AdlbClient::get`] has returned `None`.
     pub fn run_aborted(&self) -> Option<&str> {
         self.abort_reason.as_deref()
-    }
-
-    /// Whether the next [`AdlbClient::get`] hands out a prefetched task
-    /// while the outbox holds nothing but acks and stdout, so the ack of
-    /// the task in hand follows no unanswered write. The server charges a
-    /// write that fails ahead of an ack to that ack's task; a caller whose
-    /// writes must fail the run, not its task, flushes when this is false.
-    pub fn next_get_is_local(&self) -> bool {
-        !self.prefetch.is_empty()
-            && self
-                .outbox
-                .iter()
-                .flatten()
-                .all(|r| matches!(r, Request::TaskDone { .. } | Request::Output { .. }))
     }
 
     /// Encoded `Get` body for `work_types`, reusing the cached encoding

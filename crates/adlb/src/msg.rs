@@ -110,19 +110,19 @@ impl<T: Copy + TryFrom<i64> + TryInto<i64>> WireAs<Option<T>> for OrMinusOne {
     }
 }
 
-/// The entries of a `Batch` whose own tag is `BATCH`: a list of any
-/// variant but another batch, so hostile bytes cannot buy unbounded
-/// recursion.
-struct Unnested<const BATCH: u8>;
+/// The entries of a batch whose enum's batch forms have tags `BATCH` and
+/// `OTHER`: a list of any variant but a batch of either form, so hostile
+/// bytes cannot buy unbounded recursion (alternating the forms included).
+struct Unnested<const BATCH: u8, const OTHER: u8 = BATCH>;
 
-impl<T: Wire, const BATCH: u8> WireAs<Vec<T>> for Unnested<BATCH> {
+impl<T: Wire, const BATCH: u8, const OTHER: u8> WireAs<Vec<T>> for Unnested<BATCH, OTHER> {
     fn put_as(v: &Vec<T>, w: &mut WireWriter) {
         v.put(w);
     }
 
     fn get_as(r: &mut WireReader<'_>) -> Result<Vec<T>, WireError> {
         r.get_seq(|r| {
-            if r.peek_u8() == Some(BATCH) {
+            if matches!(r.peek_u8(), Some(t) if t == BATCH || t == OTHER) {
                 return Err(r.error("nested batch"));
             }
             T::get(r)
@@ -196,14 +196,22 @@ wire_enum! {
         /// (`error` says why); the server retries or quarantines the task.
         /// `error` is empty on success.
         13 => TaskDone { ok: bool, error: String },
-        /// A client's write-behind outbox for one home server: requests whose
+        /// A worker's write-behind outbox for one home server: requests whose
         /// answer is only Ok/Error, applied in order as ONE request — one seq,
         /// one replication commit, one [`Response::Batch`] carrying a response
-        /// per entry. A write that fails turns the next `TaskDone { ok: true }`
-        /// behind it in the batch into a failure carrying its error, so the
-        /// retry/quarantine path belongs to the task that issued the write.
-        /// Batches do not nest and never carry a `Get`.
-        14 => Batch(Vec<Request> as Unnested<14>),
+        /// per entry. Its writes belong to the task in hand: a write that fails
+        /// turns the next `TaskDone { ok: true }` behind it into a failure
+        /// carrying its error, so the retry/quarantine path belongs to the task
+        /// that issued the write. Answered only when a write follows the last
+        /// `TaskDone` (see [`Request::wants_reply`]). Batches of either form do
+        /// not nest and never carry a `Get`.
+        14 => Batch(Vec<Request> as Unnested<14, 15>),
+        /// An engine's outbox: the entries of a [`Request::Batch`], but its
+        /// writes belong to the client's program, never to a `TaskDone` beside
+        /// them — so the writes of many prefetched tasks can share one. The
+        /// server charges no failure to an ack; a batch holding a write is
+        /// answered, and the client takes each error as the program's.
+        15 => OwnedBatch(Vec<Request> as Unnested<14, 15>),
         /// Incremental stdout from a client (fire-and-forget). The server
         /// accumulates and replicates each client's stream so output produced
         /// before a rank death survives it.
@@ -218,9 +226,10 @@ wire_enum! {
 
 impl Request {
     /// Whether the server answers this request. Acks and output are
-    /// fire-and-forget; so is a batch whose every write is followed by a
-    /// `TaskDone` (which takes over the write's error). Client and server
-    /// both decide by this one rule.
+    /// fire-and-forget; so is a worker's batch whose every write is followed
+    /// by a `TaskDone` (which takes over the write's error), and an owned
+    /// batch that holds no write. Client and server both decide by this one
+    /// rule.
     pub fn wants_reply(&self) -> bool {
         match self {
             Request::TaskDone { .. } | Request::Output { .. } => false,
@@ -229,6 +238,9 @@ impl Request {
                 .rev()
                 .take_while(|r| !matches!(r, Request::TaskDone { .. }))
                 .any(|r| !matches!(r, Request::Output { .. })),
+            Request::OwnedBatch(ops) => ops
+                .iter()
+                .any(|r| !matches!(r, Request::TaskDone { .. } | Request::Output { .. })),
             _ => true,
         }
     }
@@ -390,6 +402,16 @@ mod tests {
                 },
             ]),
             Request::Batch(vec![]),
+            Request::OwnedBatch(vec![
+                Request::DataStore {
+                    id: 3,
+                    value: Bytes::from_static(b"v"),
+                },
+                Request::TaskDone {
+                    ok: true,
+                    error: String::new(),
+                },
+            ]),
             Request::Finished,
             Request::TaskDone {
                 ok: true,
@@ -488,9 +510,13 @@ mod tests {
 
     #[test]
     fn batches_do_not_nest() {
-        let inner = Request::Batch(vec![Request::Finished]);
-        let wire = seal(&Request::Batch(vec![inner]), 1);
-        assert!(Sealed::<Request>::decode(&wire).is_err());
+        let forms: [fn(Vec<Request>) -> Request; 2] = [Request::Batch, Request::OwnedBatch];
+        for outer in forms {
+            for inner in forms {
+                let wire = seal(&outer(vec![inner(vec![Request::Finished])]), 1);
+                assert!(Sealed::<Request>::decode(&wire).is_err());
+            }
+        }
         let inner = Response::Batch(vec![Response::Ok]);
         assert!(Response::decode(&Response::Batch(vec![inner]).encode()).is_err());
     }
@@ -517,6 +543,11 @@ mod tests {
         assert!(Request::Batch(vec![store(), done(), store()]).wants_reply());
         assert!(Request::Batch(vec![store(), out()]).wants_reply());
         assert!(!Request::Batch(vec![]).wants_reply());
+        // An owned batch's writes are never an ack's: any write is answered.
+        assert!(Request::OwnedBatch(vec![store(), out(), done()]).wants_reply());
+        assert!(Request::OwnedBatch(vec![done(), store()]).wants_reply());
+        assert!(!Request::OwnedBatch(vec![done(), out(), done()]).wants_reply());
+        assert!(!Request::OwnedBatch(vec![]).wants_reply());
     }
 
     #[test]

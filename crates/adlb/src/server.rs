@@ -1297,7 +1297,9 @@ impl Server {
             | Request::DataClose { id }
             | Request::DataExists { id }
             | Request::DataIncrWriters { id, .. } => Some(self.layout.data_owner(*id)),
-            Request::Batch(ops) => ops.iter().find_map(|r| self.data_home(r)),
+            Request::Batch(ops) | Request::OwnedBatch(ops) => {
+                ops.iter().find_map(|r| self.data_home(r))
+            }
             _ => None,
         }
     }
@@ -1394,7 +1396,8 @@ impl Server {
         }
         let reply = req.wants_reply();
         let (resp, mutated) = match req {
-            Request::Batch(ops) => self.apply_batch(source, ops),
+            Request::Batch(ops) => self.apply_batch(source, ops, true),
+            Request::OwnedBatch(ops) => self.apply_batch(source, ops, false),
             req => self.apply(source, req),
         };
         if reply {
@@ -1408,8 +1411,10 @@ impl Server {
     }
 
     /// Apply a client's outbox: its entries in order, inside the caller's
-    /// one transaction, collecting one response each.
-    fn apply_batch(&mut self, source: Rank, ops: Vec<Request>) -> (Response, bool) {
+    /// one transaction, collecting one response each. With `charge` (a
+    /// worker's batch) a failed write fails the `TaskDone` behind it; an
+    /// owned batch's writes are its program's, and only its answer says so.
+    fn apply_batch(&mut self, source: Rank, ops: Vec<Request>, charge: bool) -> (Response, bool) {
         let mut resps = Vec::with_capacity(ops.len());
         let mut mutated = false;
         // The first write error since the last ack: it belongs to the
@@ -1422,7 +1427,7 @@ impl Server {
                 }
             }
             let (resp, m) = self.apply(source, op);
-            if let Response::Error(e) = &resp {
+            if let (true, Response::Error(e)) = (charge, &resp) {
                 failed.get_or_insert_with(|| e.clone());
             }
             mutated |= m;
@@ -1460,7 +1465,7 @@ impl Server {
             (r.unwrap_or_else(|e| Response::Error(e.message)), false)
         };
         match req {
-            Request::Batch(_) | Request::Get { .. } => (
+            Request::Batch(_) | Request::OwnedBatch(_) | Request::Get { .. } => (
                 Response::Error("not a request a batch can carry".to_string()),
                 false,
             ),

@@ -133,6 +133,16 @@ fn requests() -> Vec<(&'static str, Request)> {
             ]),
         ),
         (
+            "request owned batch",
+            Request::OwnedBatch(vec![
+                Request::DataClose { id: 1 },
+                Request::TaskDone {
+                    ok: true,
+                    error: String::new(),
+                },
+            ]),
+        ),
+        (
             "request output",
             Request::Output {
                 text: "hi\n".into(),
@@ -453,6 +463,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("request data incr writers", "0c0a00000000000000ffffffffffffffff"),
     ("request task done", "0d0004000000626f6f6d"),
     ("request batch", "0e020000000a01000000000000000d0100000000"),
+    ("request owned batch", "0f020000000a01000000000000000d0100000000"),
     ("request output", "100300000068690a02000000"),
     ("response ok", "00"),
     ("response bool", "0101"),
@@ -655,12 +666,18 @@ fn an_unknown_kind_is_reported_at_its_tag() {
         failure(Ledger::decode(&edited("ledger unset", 14, 3))),
         ("unknown datum value kind", 14)
     );
-    // A batch inside a batch is refused at the inner tag, not recursed into.
-    let nested = Request::Batch(vec![Request::Batch(vec![])]);
-    assert_eq!(
-        failure(Sealed::<Request>::decode(&seal_seq(&nested.encode(), 1))),
-        ("nested batch", 5)
-    );
+    // A batch of either form inside a batch of either form is refused at
+    // the inner tag, not recursed into.
+    let forms: [fn(Vec<Request>) -> Request; 2] = [Request::Batch, Request::OwnedBatch];
+    for outer in forms {
+        for inner in forms {
+            let nested = outer(vec![inner(vec![])]);
+            assert_eq!(
+                failure(Sealed::<Request>::decode(&seal_seq(&nested.encode(), 1))),
+                ("nested batch", 5)
+            );
+        }
+    }
 }
 
 #[test]
@@ -721,6 +738,20 @@ proptest! {
         for framed in framings(&bytes.into()) {
             decode_everything(&framed);
         }
+    }
+
+    #[test]
+    fn batches_nested_in_any_mix_of_forms_are_refused_at_the_first_inner_tag(
+        forms in proptest::collection::vec(prop_oneof![Just(14u8), Just(15u8)], 2..4096),
+    ) {
+        // Each level is its tag and a count of one; the innermost is empty.
+        let mut bytes = Vec::new();
+        for tag in forms {
+            bytes.push(tag);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        let decoded = Sealed::<Request>::decode(&seal_seq(&bytes, 1));
+        prop_assert_eq!(failure(decoded), ("nested batch", 5));
     }
 
     #[test]

@@ -54,8 +54,12 @@ pub struct Ctx {
 pub type SharedCtx = Rc<RefCell<Ctx>>;
 
 impl Ctx {
-    /// Build the per-rank context.
-    pub fn new(client: AdlbClient, is_engine: bool, policy: InterpPolicy) -> SharedCtx {
+    /// Build the per-rank context. An engine's writes are its program's
+    /// own ([`AdlbClient::own_writes`]); a worker's belong to its task.
+    pub fn new(mut client: AdlbClient, is_engine: bool, policy: InterpPolicy) -> SharedCtx {
+        if is_engine {
+            client.own_writes();
+        }
         Rc::new(RefCell::new(Ctx {
             client,
             engine: EngineState::new(),

@@ -340,21 +340,6 @@ fn flush_writes(ctx: &SharedCtx) -> Result<(), tclish::TclError> {
     flushed.map_err(|e| tclish::TclError::new(e.to_string()))
 }
 
-/// The engine's flush point, before each get: the fragments' writes and
-/// stdout leave now and are answered, unless the get hands out a
-/// prefetched task and nothing but acks and stdout is queued. So an
-/// engine's write never rides ahead of its task's ack, where the server
-/// would charge a refusal to the task and retry it (a retried notification
-/// then succeeds) instead of the run failing here; the acks and stdout of
-/// prefetched tasks that wrote nothing share one batch.
-fn flush_before_get(ctx: &SharedCtx, stream: &mut OutputStreamer) -> Result<(), tclish::TclError> {
-    if ctx.borrow().client.next_get_is_local() {
-        return Ok(());
-    }
-    stream.ship(&mut ctx.borrow_mut().client);
-    flush_writes(ctx)
-}
-
 /// Build one engine/worker interpreter: `turbine::*` commands, the host
 /// `setup` hook, the runtime library, and `preamble`. A preamble error is
 /// returned (not panicked) so it can be contained to the offending
@@ -436,9 +421,11 @@ impl ErrorSink {
 /// control task or data-close notification until global termination.
 /// Every error goes to `sink`, which decides whether it ends the loop.
 ///
-/// Writes are flushed and answered before the next get (see
-/// [`flush_before_get`]); the output produced so far streams to the
-/// server tier with them.
+/// The engine's writes are its program's (`AdlbClient::own_writes`): those
+/// of every prefetched task wait in the outbox beside their acks and the
+/// output produced so far, and leave in one answered batch when the get
+/// next goes to the server. A write the server refused comes back in that
+/// answer and is taken after the get, before the deadlock diagnosis.
 fn engine_loop(
     interp: &mut Interp,
     ctx: &SharedCtx,
@@ -453,15 +440,15 @@ fn engine_loop(
             let fired = interp.eval(&a).map(drop);
             sink.take(fired.map_err(|e| format!("rule action failed: {e}")))?;
         }
-        // No write stays queued across a get: the fragments' writes (and
-        // stdout) leave now, and a failed one ends the run here rather
-        // than as a hang on a future that never closes.
-        let flushed = flush_before_get(ctx, stream);
-        sink.take(flushed.map_err(|e| format!("data operation failed: {e}")))?;
-        let task = ctx
-            .borrow_mut()
-            .client
-            .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
+        let (task, refused) = {
+            let c = &mut ctx.borrow_mut().client;
+            stream.ship(c);
+            let task = c.get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
+            (task, c.take_deferred())
+        };
+        // A refused write ends the run here rather than as a hang on a
+        // future that never closes, or as a deadlock it explains.
+        sink.take(refused.map_err(|e| format!("data operation failed: {e}")))?;
         let Some(t) = task else {
             let c = ctx.borrow();
             // An aborted run (a server died with no replica to promote)
@@ -516,6 +503,14 @@ mod tests {
     use super::*;
     use mpisim::World;
 
+    fn program(preamble: &str, main: &str) -> TurbineProgram {
+        TurbineProgram {
+            preamble: preamble.into(),
+            main: main.into(),
+            args: Vec::new(),
+        }
+    }
+
     /// Run a whole machine on a lone program; returns concatenated stdout
     /// (rank order) and the per-rank outputs.
     pub fn run_machine(
@@ -535,38 +530,23 @@ mod tests {
 
     #[test]
     fn hello_world_from_main() {
-        let (stdout, outs) = run_machine(
-            3,
-            TurbineConfig::default(),
-            TurbineProgram {
-                preamble: String::new(),
-                main: "puts {hello distributed world}".into(),
-                args: Vec::new(),
-            },
-        );
+        let hello = program("", "puts {hello distributed world}");
+        let (stdout, outs) = run_machine(3, TurbineConfig::default(), hello);
         assert_eq!(stdout, "hello distributed world\n");
         assert_eq!(outs[2].role, Role::Server);
     }
 
     #[test]
     fn work_task_runs_on_worker() {
-        let (_, outs) = run_machine(
-            3,
-            TurbineConfig::default(),
-            TurbineProgram {
-                preamble: String::new(),
-                main: "turbine::spawn work 0 {puts {from worker}}".into(),
-                args: Vec::new(),
-            },
-        );
+        let spawn = program("", "turbine::spawn work 0 {puts {from worker}}");
+        let (_, outs) = run_machine(3, TurbineConfig::default(), spawn);
         assert_eq!(outs[1].role, Role::Worker);
         assert_eq!(outs[1].stdout, "from worker\n");
         assert_eq!(outs[1].tasks_executed, 1);
     }
 
-    #[test]
-    fn dataflow_pipeline_end_to_end() {
-        // x -> f(x) on a worker -> printed by a trace rule on the engine.
+    /// x -> f(x) on a worker -> printed by a trace rule on the engine.
+    fn doubling() -> TurbineProgram {
         let main = r#"
             set x [turbine::unique]; turbine::create $x integer
             set y [turbine::unique]; turbine::create $y integer
@@ -579,15 +559,12 @@ mod tests {
                 turbine::store_integer $o [expr {2 * [turbine::retrieve_integer $i]}]
             }
         "#;
-        let (stdout, outs) = run_machine(
-            4,
-            TurbineConfig::default(),
-            TurbineProgram {
-                preamble: preamble.into(),
-                main: main.into(),
-                args: Vec::new(),
-            },
-        );
+        program(preamble, main)
+    }
+
+    #[test]
+    fn dataflow_pipeline_end_to_end() {
+        let (stdout, outs) = run_machine(4, TurbineConfig::default(), doubling());
         assert_eq!(stdout, "trace: 42\n");
         let total_tasks: u64 = outs.iter().map(|o| o.tasks_executed).sum();
         assert_eq!(total_tasks, 1);
@@ -621,18 +598,11 @@ mod tests {
                 puts "sum=$total"
             }
         "#;
-        let (stdout, outs) = run_machine(
-            6,
-            TurbineConfig {
-                engines: 2,
-                ..TurbineConfig::default()
-            },
-            TurbineProgram {
-                preamble: preamble.into(),
-                main: main.into(),
-                args: Vec::new(),
-            },
-        );
+        let config = TurbineConfig {
+            engines: 2,
+            ..TurbineConfig::default()
+        };
+        let (stdout, outs) = run_machine(6, config, program(preamble, main));
         // 1^2 + ... + 32^2 = 32*33*65/6 = 11440.
         assert_eq!(stdout, "sum=11440\n");
         let tasks: u64 = outs.iter().map(|o| o.tasks_executed).sum();
@@ -648,18 +618,11 @@ mod tests {
                 turbine::spawn work 0 "for {set k 0} {\$k < 2000} {incr k} {}; puts task-$i"
             }
         "#;
-        let (stdout, outs) = run_machine(
-            7,
-            TurbineConfig {
-                servers: 2,
-                ..TurbineConfig::default()
-            },
-            TurbineProgram {
-                preamble: String::new(),
-                main: main.into(),
-                args: Vec::new(),
-            },
-        );
+        let config = TurbineConfig {
+            servers: 2,
+            ..TurbineConfig::default()
+        };
+        let (stdout, outs) = run_machine(7, config, program("", main));
         let lines = stdout.lines().count();
         assert_eq!(lines, 40);
         let busy_workers = outs
@@ -684,30 +647,37 @@ mod tests {
 result = sum(range(n))}
             turbine::store_string $sexpr {result}
         "#;
-        let (stdout, _) = run_machine(
-            3,
-            TurbineConfig::default(),
-            TurbineProgram {
-                preamble: String::new(),
-                main: main.into(),
-                args: Vec::new(),
-            },
-        );
+        let (stdout, _) = run_machine(3, TurbineConfig::default(), program("", main));
         assert_eq!(stdout, "trace: 45\n");
     }
 
     #[test]
     #[should_panic(expected = "program main failed")]
     fn main_error_panics_cleanly() {
-        run_machine(
-            3,
-            TurbineConfig::default(),
-            TurbineProgram {
-                preamble: String::new(),
-                main: "no_such_command_anywhere".into(),
-                args: Vec::new(),
-            },
-        );
+        let broken = program("", "no_such_command_anywhere");
+        run_machine(3, TurbineConfig::default(), broken);
+    }
+
+    /// Run `programs` as tenants 0, 1, ... on `size` ranks with an engine
+    /// each.
+    fn run_tenants(size: usize, programs: Vec<TurbineProgram>) -> Vec<RankOutput> {
+        let config = TurbineConfig {
+            engines: programs.len(),
+            ..TurbineConfig::default()
+        };
+        let programs: Vec<_> = (0..)
+            .zip(programs)
+            .map(|(t, p)| (TenantSpec::new(t, &format!("t{t}")).weight(t + 1), p))
+            .collect();
+        World::run(size, move |comm| run_rank(comm, &config, &programs, |_| {}))
+    }
+
+    /// Tenant `t`'s stdout over every rank, in rank order.
+    fn tenant_stdout(outs: &[RankOutput], t: u32) -> String {
+        let own = outs.iter().flat_map(|o| &o.tenant_stdout);
+        own.filter(|(id, _)| *id == t)
+            .map(|(_, s)| s.as_str())
+            .collect()
     }
 
     #[test]
@@ -716,49 +686,23 @@ result = sum(range(n))}
         // run it on the shared workers: per-tenant interpreters must keep
         // the definitions apart, and every output line must be accounted
         // to the right tenant.
-        use adlb::TenantSpec;
-        let programs = vec![
-            (
-                TenantSpec::new(0, "alpha"),
-                TurbineProgram {
-                    preamble: "proc who {} { return alpha }".into(),
-                    main: r#"
-                        for {set i 0} {$i < 6} {incr i} {
-                            turbine::spawn work 0 {puts [who]}
-                        }
-                    "#
-                    .into(),
-                    args: Vec::new(),
-                },
-            ),
-            (
-                TenantSpec::new(1, "beta").weight(2),
-                TurbineProgram {
-                    preamble: "proc who {} { return beta }".into(),
-                    main: r#"
-                        for {set i 0} {$i < 6} {incr i} {
-                            turbine::spawn work 0 {puts [who]}
-                        }
-                    "#
-                    .into(),
-                    args: Vec::new(),
-                },
-            ),
-        ];
-        let config = TurbineConfig {
-            engines: 2,
-            ..TurbineConfig::default()
-        };
-        let outs = World::run(6, move |comm| run_rank(comm, &config, &programs, |_| {}));
-        let mut per_tenant = [String::new(), String::new()];
+        let spawn = r#"
+            for {set i 0} {$i < 6} {incr i} {
+                turbine::spawn work 0 {puts [who]}
+            }
+        "#;
+        let outs = run_tenants(
+            6,
+            vec![
+                program("proc who {} { return alpha }", spawn),
+                program("proc who {} { return beta }", spawn),
+            ],
+        );
         for o in &outs {
             assert!(o.program_error.is_none(), "{:?}", o.program_error);
-            for (t, s) in &o.tenant_stdout {
-                per_tenant[*t as usize].push_str(s);
-            }
         }
-        assert_eq!(per_tenant[0], "alpha\n".repeat(6));
-        assert_eq!(per_tenant[1], "beta\n".repeat(6));
+        assert_eq!(tenant_stdout(&outs, 0), "alpha\n".repeat(6));
+        assert_eq!(tenant_stdout(&outs, 1), "beta\n".repeat(6));
         // The server accounted both tenants.
         let rows = &outs[5].tenant_rows;
         assert_eq!(rows.len(), 2);
@@ -769,105 +713,92 @@ result = sum(range(n))}
 
     #[test]
     fn tenant_failure_is_contained_to_its_program() {
-        use adlb::TenantSpec;
-        let programs = vec![
-            (
-                TenantSpec::new(0, "broken"),
-                TurbineProgram {
-                    preamble: String::new(),
-                    main: "error {deliberate failure}".into(),
-                    args: Vec::new(),
-                },
-            ),
-            (
-                TenantSpec::new(1, "healthy"),
-                TurbineProgram {
-                    preamble: String::new(),
-                    main: "turbine::spawn work 0 {puts survived}".into(),
-                    args: Vec::new(),
-                },
-            ),
-        ];
-        let config = TurbineConfig {
-            engines: 2,
-            ..TurbineConfig::default()
-        };
-        let outs = World::run(5, move |comm| run_rank(comm, &config, &programs, |_| {}));
+        let outs = run_tenants(
+            5,
+            vec![
+                program("", "error {deliberate failure}"),
+                program("", "turbine::spawn work 0 {puts survived}"),
+            ],
+        );
         let broken = &outs[0];
         assert!(broken
             .program_error
             .as_deref()
             .is_some_and(|e| e.contains("deliberate failure")));
-        let healthy: String = outs
-            .iter()
-            .flat_map(|o| o.tenant_stdout.iter())
-            .filter(|(t, _)| *t == 1)
-            .map(|(_, s)| s.clone())
-            .collect();
-        assert_eq!(healthy, "survived\n");
+        assert_eq!(tenant_stdout(&outs, 1), "survived\n");
         assert!(outs[1].program_error.is_none());
     }
 
-    /// Engine 0 waits on a future nobody stores while rank 1 sends it a
-    /// 3-byte close notification. Returns what the one engine loop ended
-    /// with under the sink of a run of `programs` programs, and what the
-    /// sink recorded.
-    fn engine_meets_a_malformed_notification(
+    /// What [`engine_world`]'s engine ended with: its loop's outcome, what
+    /// its sink recorded, and its stdout.
+    type EngineEnd = (Result<(), String>, Option<String>, String);
+
+    /// A 3-rank world of engine 0, `peer` on rank 1 and the server. The
+    /// engine evaluates `main` and serves to global termination under the
+    /// sink of a run of `programs` programs. Returns how the engine ended
+    /// and the server's stats.
+    fn engine_world(
         programs: usize,
-    ) -> (Result<(), String>, Option<String>) {
+        main: &str,
+        peer: impl Fn(Comm) + Sync,
+    ) -> (EngineEnd, ServerStats) {
         let config = TurbineConfig::default();
         let layout = config.layout(3);
-        let out = World::run(3, |comm| {
-            let rank = comm.rank();
-            if layout.is_server(rank) {
-                adlb::serve(comm, layout, ServerConfig::default());
-                return None;
+        let outs = World::run(3, |comm| match comm.rank() {
+            0 => {
+                let client = AdlbClient::with_config(comm, layout, config.client_config());
+                let ctx = Ctx::new(client, true, config.policy);
+                let (mut interp, buf, _) = build_interp(&ctx, &config, 3, "", &|_: &mut Interp| {});
+                interp.eval(main).unwrap();
+                let mut stream = OutputStreamer::new(buf.clone());
+                let mut sink = ErrorSink::for_programs(programs);
+                let ended = engine_loop(&mut interp, &ctx, &mut stream, &mut sink);
+                // A loop that stopped early stopped serving; let the world
+                // wind down.
+                ctx.borrow_mut().client.finish();
+                (Some((ended, sink.first(), buf.take())), None)
             }
-            let mut client = AdlbClient::with_config(comm, layout, config.client_config());
-            if rank == 1 {
-                client.put(adlb::WORK_TYPE_NOTIFY, 0, Some(0), vec![1, 2, 3]);
-                client.finish();
-                return None;
+            1 => {
+                peer(comm);
+                (None, None)
             }
-            let ctx = Ctx::new(client, true, config.policy);
-            let (mut interp, buf, _) = build_interp(&ctx, &config, 3, "", &|_: &mut Interp| {});
-            interp
-                .eval("set x [turbine::unique]; turbine::create $x integer; turbine::rule [list $x] {puts never} control")
-                .unwrap();
-            let mut stream = OutputStreamer::new(buf);
-            let mut sink = ErrorSink::for_programs(programs);
-            let ended = engine_loop(&mut interp, &ctx, &mut stream, &mut sink);
-            // A loop that stopped early stopped serving; let the world
-            // wind down.
-            ctx.borrow_mut().client.finish();
-            Some((ended, sink.first()))
+            _ => (
+                None,
+                Some(adlb::serve(comm, layout, ServerConfig::default())),
+            ),
         });
-        out.into_iter().flatten().next().unwrap()
+        let mut outs = outs.into_iter();
+        let (engine, _) = outs.next().unwrap();
+        let (_, stats) = outs.nth(1).unwrap();
+        (engine.unwrap(), stats.unwrap())
     }
 
     #[test]
     fn a_malformed_notification_fails_the_engine_naming_its_length() {
+        // Engine 0 waits on a future nobody stores while rank 1 sends it a
+        // 3-byte close notification.
+        let meet = |programs| {
+            let main = "set x [turbine::unique]; turbine::create $x integer; turbine::rule [list $x] {puts never} control";
+            let ((ended, recorded, _), _) = engine_world(programs, main, |comm| {
+                let mut client = AdlbClient::new(comm, Layout::new(3, 1));
+                client.put(adlb::WORK_TYPE_NOTIFY, 0, Some(0), vec![1, 2, 3]);
+                client.finish();
+            });
+            (ended, recorded)
+        };
         let err = "malformed close notification (3 bytes)".to_string();
         // Alone, the loop returns the error (the driver panics with it).
-        assert_eq!(
-            engine_meets_a_malformed_notification(1),
-            (Err(err.clone()), None)
-        );
+        assert_eq!(meet(1), (Err(err.clone()), None));
         // Shared, the sink records it and the loop serves on to
         // termination — where the unfired rule is not reported again.
-        assert_eq!(
-            engine_meets_a_malformed_notification(2),
-            (Ok(()), Some(err))
-        );
+        assert_eq!(meet(2), (Ok(()), Some(err)));
     }
 
     /// A worker stores w, x, y and z, each waited on by a rule on the
     /// engine. The rule x's notification fires stores x again and then
     /// runs `then`, while the notifications of y and z still wait in the
     /// prefetch (w's may have been handed to the parked engine alone).
-    /// The refused store must fail the run however the engine's writes
-    /// and acks are batched.
-    fn engine_double_stores(then: &str) {
+    fn double_stores(then: &str) -> TurbineProgram {
         let main = format!(
             r#"
             set w [turbine::unique]; turbine::create $w integer
@@ -881,27 +812,79 @@ result = sum(range(n))}
             turbine::spawn work 0 "turbine::store_integer $w 1; turbine::store_integer $x 1; turbine::store_integer $y 1; turbine::store_integer $z 1"
             "#
         );
-        run_machine(
-            3,
-            TurbineConfig::default(),
-            TurbineProgram {
-                preamble: String::new(),
-                main,
-                args: Vec::new(),
-            },
-        );
+        program("", &main)
     }
 
     #[test]
     #[should_panic(expected = "double assignment")]
     fn an_engines_own_double_assignment_still_fails_the_run() {
-        engine_double_stores("");
+        run_machine(3, TurbineConfig::default(), double_stores(""));
     }
 
     #[test]
     #[should_panic(expected = "double assignment")]
     fn an_engines_double_assignment_before_a_put_still_fails_the_run() {
-        engine_double_stores("; turbine::spawn work 0 {puts leaf}");
+        let then = "; turbine::spawn work 0 {puts leaf}";
+        run_machine(3, TurbineConfig::default(), double_stores(then));
+    }
+
+    #[test]
+    fn prefetched_notifications_share_a_batch_and_a_refused_write_fails_no_lease() {
+        // As in `double_stores`, w's notification may come alone, and x's,
+        // y's and z's as one prefetched batch. The rules of x and z store a
+        // fresh datum and y's stores y again, so y's refusal sits between
+        // two good writes. z's rule prints only if it fired before the
+        // answer to y's store came back: their writes left in one batch.
+        let main = r#"
+            foreach v {w x y z a b} { set $v [turbine::unique]; turbine::create [set $v] integer }
+            turbine::rule [list $w] "puts w" control
+            turbine::rule [list $x] "turbine::store_integer $a 1" control
+            turbine::rule [list $y] "turbine::store_integer $y 2" control
+            turbine::rule [list $z] "turbine::store_integer $b 3; puts z" control
+            turbine::spawn work 0 "turbine::store_integer $w 1; turbine::store_integer $x 1; turbine::store_integer $y 1; turbine::store_integer $z 1"
+        "#;
+        let worker = |comm| {
+            let programs = [(TenantSpec::new(0, "main"), TurbineProgram::default())];
+            run_rank(comm, &TurbineConfig::default(), &programs, |_| {});
+        };
+        let ((ended, _, stdout), stats) = engine_world(1, main, worker);
+        let err = ended.unwrap_err();
+        assert!(err.contains("double assignment"), "{err}");
+        assert_eq!(
+            stdout, "w\nz\n",
+            "z's rule fired before y's store was answered"
+        );
+        // The refusal was the program's: no notification was retried.
+        assert_eq!(stats.tasks_retried, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "double assignment")]
+    fn a_double_assignment_in_the_last_rule_is_not_reported_as_a_deadlock() {
+        // The refusal comes back with the get that then waits for global
+        // termination, where the rule over y (never stored) would read as
+        // a dataflow deadlock.
+        let main = r#"
+            set x [turbine::unique]; turbine::create $x integer
+            set y [turbine::unique]; turbine::create $y integer
+            turbine::rule [list $x] "turbine::store_integer $x 2" control
+            turbine::rule [list $y] "puts never" control
+            turbine::spawn work 0 "turbine::store_integer $x 1"
+        "#;
+        run_machine(3, TurbineConfig::default(), program("", main));
+    }
+
+    #[test]
+    fn a_tenants_refused_write_is_its_own_and_its_neighbor_runs_as_if_alone() {
+        let (solo, _) = run_machine(3, TurbineConfig::default(), doubling());
+        let outs = run_tenants(5, vec![double_stores(""), doubling()]);
+        let err = outs[0].program_error.clone().unwrap_or_default();
+        assert!(
+            err.starts_with("tenant 0: ") && err.contains("double assignment"),
+            "{err}"
+        );
+        assert!(outs[1..].iter().all(|o| o.program_error.is_none()));
+        assert_eq!(tenant_stdout(&outs, 1), solo);
     }
 
     #[test]

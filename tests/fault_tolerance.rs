@@ -53,9 +53,9 @@ fn mid_run_worker_death_terminates_without_duplicates() {
     // blocked in (the kill lands on one), so nothing it did is lost OR
     // rerun: the assembled stdout holds all 200 tasks exactly once even
     // though the rank died. A worker receives once per prefetched batch
-    // (its tasks carry their inputs): 16–18 times for its ~50 tasks in
-    // release and debug builds alike (the largest receive count a kill
-    // still fires at), so 4 receives is about a quarter of the way in,
+    // (its tasks carry their inputs): 13–17 times for its ~50 tasks in a
+    // fault-free release run (10 of 10), so 4 receives is about a quarter
+    // of the way in,
     // with room for a worker dealt fewer batches than its share (a kill
     // at 6 missed once in about a hundred suite runs).
     let plan = FaultPlan::new().kill_after_recvs(3, 4);
@@ -222,16 +222,51 @@ fn second_server_death_at_replication_2_output_matches_fault_free() {
     }
 }
 
+/// The benchmark's `pipeline_dataflow` at 200 wide: f → g → + into an
+/// array, and a checksum leaf over it. Unlike the printing loops above,
+/// every iteration sends the engine three close notifications, and
+/// their acks share its answered batches with the writes the rules make.
+const PIPELINE_SRC: &str = r#"
+    (int o) f (int i) [ "set <<o>> [ expr {3 * <<i>> + 5} ]" ];
+    (int o) g (int t) [ "set <<o>> [ expr {<<t>> % 7} ]" ];
+    (int o) checksum (int a[]) [ "set <<o>> 0; foreach v [ turbine::container_values <<a>> ] { incr <<o>> $v }" ];
+    int out[];
+    foreach i in [0:199] { int t = f(i); int u = g(t); int v = u + t; out[i] = v; }
+    printf("checksum %d", checksum(out));
+"#;
+
+#[test]
+fn engine_home_death_mid_pipeline_at_replication_2_output_matches_fault_free() {
+    // Rank 6 is the engine's home server and the master. It receives
+    // 430–550 messages in a fault-free release run (10 of 10), so its
+    // 100th receive is early: the successor must replay the engine's
+    // owned batches, acks and writes together, exactly once.
+    let machine = || Runtime::new(8).servers(2).replication(2);
+    let clean = machine().run(PIPELINE_SRC).expect("fault-free run");
+    assert_eq!(clean.stdout, "checksum 61298\n");
+    let r = machine()
+        .faults(FaultPlan::new().kill_after_recvs(6, 100))
+        .run(PIPELINE_SRC)
+        .expect("a server death at replication 2 must not fail the pipeline");
+    assert_eq!(
+        r.killed_ranks,
+        vec![6],
+        "the scheduled server victim must die"
+    );
+    assert_eq!(r.server_totals().failovers, 1, "a successor promoted");
+    assert_eq!(r.stdout, clean.stdout);
+}
+
 /// The replication-1 death tests' program: the 120 printed tasks of the
 /// tests above, each fed by a leaf that spins for a fraction of a
 /// millisecond. Rank 7's receives are mostly rank 6's 1 ms heartbeats —
 /// a clock — and the bare 120-task program (its tasks read no input from
 /// the server) is over before rank 7's 15th receive in about half the
 /// runs of a release build: a kill at receive 10 lands after termination
-/// often enough to flake. With the spin, rank 7
-/// receives ~100–150 messages in a release run, so receive 10 is early
-/// in it (measured through `swiftt -n 8 -s 2 --replication 1 --faults
-/// kill:rank=7,recvs=K`: mid-run in 10 of 10 runs up to K = 60).
+/// often enough to flake. With the spin, rank 7 receives 19–82 messages
+/// in a fault-free release run (10 of 10 runs of `swiftt -n 8 -s 2
+/// --replication 1`; 19–23 with `--checkpoint 8`), so receive 10 is
+/// still inside it.
 const R1_DEATH_SRC: &str = r#"
     (int o) spin (int i) [ "for {set k 0} {$k < 400} {incr k} {}; set <<o>> <<i>>" ];
     foreach i in [0:119] { int j = spin(i); printf("task %d", j); }
@@ -468,11 +503,10 @@ fn whole_world_kill_then_resume_completes_exactly_once() {
     assert_eq!(want.len(), 60);
 
     let fs = Arc::new(Pfs::new(PfsConfig::default()));
-    // Run 1: the lone server (rank 5) dies mid-stream — 20 of the ~55
-    // receives a fault-free run costs it (a kill still fires at 50 in 10
-    // of 10 runs, at 55 in 5 of 10), with tasks queued, leased and acked
-    // — and every client then panics out on total server loss. The world
-    // is gone.
+    // Run 1: the lone server (rank 5) dies mid-stream — 20 of the 33–45
+    // receives a fault-free release run costs it (10 of 10 runs), with
+    // tasks queued, leased and acked — and every client then panics out
+    // on total server loss. The world is gone.
     let r1 = Runtime::new(6)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
@@ -730,7 +764,7 @@ fn cli_checkpoint_file_resumes_across_processes() {
             "--checkpoint-file",
             img_path,
             "--faults",
-            "kill:rank=5,recvs=25",
+            "kill:rank=5,recvs=15",
         ])
         .output()
         .unwrap();
