@@ -2149,83 +2149,50 @@ impl Server {
             }
         }
         let required = self.required_merges.remove(&d).unwrap_or(0);
+        let replica = match self.ledgers.get(&d) {
+            _ if sync_incomplete => Replica::SyncIncomplete,
+            Some(l) if l.merges < required => Replica::Stale,
+            Some(_) => Replica::Fresh,
+            None => Replica::Absent,
+        };
+        let plan = recovery_plan(Death {
+            successor,
+            replica,
+            checkpoint: self.config.checkpoint.is_some(),
+            replication: self.config.replication,
+            shutdown: self.shutdown,
+        });
+        // The successor takes whatever copy it held, promoted or (stale)
+        // dropped.
+        let held = if successor {
+            self.ledgers.remove(&d)
+        } else {
+            None
+        };
         let mut promoted = false;
-        if self.config.replication >= 2 {
-            if successor {
-                match self.ledgers.remove(&d) {
-                    // A copy whose merge count predates a promotion the
-                    // dead peer performed is missing that merge:
-                    // promoting it would silently lose the subsumed shard
-                    // and the run would hang on the lost tasks. Abort
-                    // with the diagnosis instead — the flip side of
-                    // re-replication, which ships a fresh copy (carrying
-                    // the higher version) long before a well-gapped
-                    // second death.
-                    Some(ledger) if ledger.merges < required && !self.shutdown => {
-                        promoted = self.try_pfs_restore(
-                            d,
-                            required,
-                            &chain,
-                            "the only replica here predates an earlier failover and was never refreshed",
-                        );
-                    }
-                    Some(ledger) => {
-                        self.promote(d, &chain, ledger);
-                        promoted = true;
-                    }
-                    // After global termination nothing was lost — the run
-                    // completed; retried requests get terminal answers.
-                    None if self.shutdown => {}
-                    None if sync_incomplete => {
-                        promoted = self.try_pfs_restore(
-                            d,
-                            required,
-                            &chain,
-                            "it died before finishing its re-replication to this successor",
-                        );
-                    }
-                    None => {
-                        promoted = self.try_pfs_restore(
-                            d,
-                            required,
-                            &chain,
-                            "its replica never reached this successor",
-                        );
-                    }
-                }
-            } else if !self.shutdown {
-                // Another survivor now serves the dead peer's shard,
-                // merging it into its own ledger. Any copy of THAT
-                // peer's ledger snapshotted before the merge no longer
-                // reflects its state: the merge bulk never flows through
-                // write-through ops. Raise the merge count a promotable
-                // copy must carry (its post-promotion resync ships one;
-                // off re-replication, nothing ever does) — and remember
-                // that the dead shard (plus anything already riding with
-                // it) now travels inside the promoter's ledger.
+        match (plan, held) {
+            (Plan::Promote, Some(ledger)) => {
+                self.promote(d, &chain, ledger);
+                promoted = true;
+            }
+            (Plan::Restore(why), _) => promoted = self.try_pfs_restore(d, required, &chain, why),
+            (Plan::WindDown(why), _) => self.enter_abort(d, why, &chain),
+            // Another survivor now serves the dead peer's shard, merging
+            // it into its own ledger. Any copy of THAT peer's ledger
+            // snapshotted before the merge no longer reflects its state:
+            // the merge bulk never flows through write-through ops. Raise
+            // the merge count a promotable copy must carry (its
+            // post-promotion resync ships one; off re-replication,
+            // nothing ever does) — and remember that the dead shard (plus
+            // anything already riding with it) now travels inside the
+            // promoter's ledger.
+            (Plan::Subsume, _) => {
                 *self.required_merges.entry(promoter).or_insert(0) += 1;
                 for &e in std::iter::once(&d).chain(chain.iter()) {
                     self.subsumed.insert(e, promoter);
                 }
             }
-        } else if !self.shutdown {
-            if self.config.checkpoint.is_some() {
-                // The durable tier makes replication=1 survivable: the
-                // successor restores the shard from pfs, and the others
-                // track the subsumption exactly as the replicated path
-                // does so later deaths route and adopt correctly.
-                if successor {
-                    promoted =
-                        self.try_pfs_restore(d, required, &chain, "replication=1 keeps no replica");
-                } else {
-                    *self.required_merges.entry(promoter).or_insert(0) += 1;
-                    for &e in std::iter::once(&d).chain(chain.iter()) {
-                        self.subsumed.insert(e, promoter);
-                    }
-                }
-            } else {
-                self.enter_abort(d, "replication=1 keeps no replica", &chain);
-            }
+            _ => {}
         }
         // The merged bulk of a promotion never flows through the op
         // stream; only a full snapshot captures it. Anchor the merged
@@ -2305,23 +2272,6 @@ impl Server {
         self.adopt(ledger, &covered);
     }
 
-    /// No replica to promote: the shard is lost. Stay up, answer every
-    /// `Get` with `NoMore` plus the diagnosis (a clean, attributable
-    /// failure instead of a hang), give lost-shard data ops benign
-    /// defaults, and exit once every client is accounted for.
-    /// The chain of shards subsumed into an unrecoverable peer's ledger
-    /// is lost with it: record each as a lost home (data ops on it get
-    /// benign defaults instead of parking forever) with its clients'
-    /// streams marked truncated.
-    fn mark_chain_lost(&mut self, chain: &[Rank]) {
-        for &e in chain {
-            self.lost_homes.insert(e);
-            for c in self.layout.clients_of(e) {
-                self.truncated.insert(c);
-            }
-        }
-    }
-
     /// No usable RAM replica for dead home `d` — the last line of defense
     /// is the durable tier. Restore the shard's latest checkpoint segment
     /// plus WAL tail and promote it exactly like a replica; on any
@@ -2332,7 +2282,6 @@ impl Server {
     fn try_pfs_restore(&mut self, d: Rank, required: u64, chain: &[Rank], why: &str) -> bool {
         let Some(cfg) = self.config.checkpoint.clone() else {
             self.enter_abort(d, why, chain);
-            self.mark_chain_lost(chain);
             return false;
         };
         let start_us = trace::now_us();
@@ -2368,49 +2317,34 @@ impl Server {
                     r.last_lsn
                 );
                 self.enter_abort(d, &msg, chain);
-                self.mark_chain_lost(chain);
                 false
             }
             Err(e) => {
                 let msg = format!("{why}, and its checkpoint failed to restore: {e}");
                 self.enter_abort(d, &msg, chain);
-                self.mark_chain_lost(chain);
                 false
             }
         }
     }
 
+    /// No replica to promote: the shard is lost, and with it the chain of
+    /// shards subsumed into it. Record each as a lost home (data ops on it
+    /// get benign defaults instead of parking forever) with its clients'
+    /// streams marked truncated, then stay up, answer every `Get` with
+    /// `NoMore` plus the diagnosis (a clean, attributable failure instead
+    /// of a hang), and exit once every client is accounted for.
     fn enter_abort(&mut self, d: Rank, why: &str, chain: &[Rank]) {
-        self.lost_homes.insert(d);
-        for c in self.layout.clients_of(d) {
-            self.truncated.insert(c);
+        for &e in std::iter::once(&d).chain(chain) {
+            self.lost_homes.insert(e);
+            for c in self.layout.clients_of(e) {
+                self.truncated.insert(c);
+            }
         }
         if !self.aborting {
             self.aborting = true;
             self.repl_targets.clear();
             self.outbound_syncs.clear();
-            let chain_note = if chain.is_empty() {
-                String::new()
-            } else {
-                let links: Vec<String> = chain.iter().map(|e| e.to_string()).collect();
-                format!(
-                    " (which had subsumed the shard{} of rank{} {})",
-                    if chain.len() == 1 { "" } else { "s" },
-                    if chain.len() == 1 { "" } else { "s" },
-                    links.join(", ")
-                )
-            };
-            let durable_note = if self.config.checkpoint.is_some() {
-                // `why` already carries the last durable LSN when a
-                // restore was attempted and failed.
-                String::new()
-            } else {
-                "; no checkpoint configured".to_string()
-            };
-            let report = format!(
-                "server rank {d} died and its shard{chain_note} is unrecoverable \
-                 ({why}{durable_note}): queued tasks, leases and data futures on it are lost"
-            );
+            let report = diagnosis(d, why, chain, self.config.checkpoint.is_some());
             eprintln!("adlb server {}: {report}; winding down", self.comm.rank());
             self.abort_reason = Some(report.clone());
             self.commit(ReplOp::Quarantine { report });
@@ -2706,6 +2640,119 @@ impl Server {
     }
 }
 
+/// What a survivor knows about a dead peer's shard when it decides how
+/// to recover it.
+#[derive(Debug, Clone, Copy)]
+struct Death {
+    /// This server is the dead peer's first live successor: its clients
+    /// and shard are this server's to take over.
+    successor: bool,
+    /// The copy of the dead peer's ledger held here.
+    replica: Replica,
+    /// The durable tier is configured.
+    checkpoint: bool,
+    replication: usize,
+    /// Global termination was already decided.
+    shutdown: bool,
+}
+
+/// The state of the replica a survivor holds for a dead peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Replica {
+    /// Carries every merge the peer was seen to perform.
+    Fresh,
+    /// Predates a promotion the peer performed (`merges < required`):
+    /// promoting it would silently lose the subsumed shard.
+    Stale,
+    Absent,
+    /// The peer died mid-way through re-streaming it: whatever copy was
+    /// held predates the state being re-sent, and was dropped.
+    SyncIncomplete,
+}
+
+/// How a survivor recovers a dead peer's shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plan {
+    /// Absorb the replica held here.
+    Promote,
+    /// Restore the shard from its pfs checkpoint; should that fail too,
+    /// wind down with this diagnosis (plus the restore's failure).
+    Restore(&'static str),
+    /// The shard is lost: wind the run down with this diagnosis.
+    WindDown(&'static str),
+    /// Another survivor takes the shard over: record that it now travels
+    /// in that survivor's ledger.
+    Subsume,
+    Nothing,
+}
+
+const NO_REPLICA: &str = "replication=1 keeps no replica";
+
+/// The one recovery decision. After global termination nothing was lost
+/// (the run completed), so only a replica already held here is taken
+/// over: its cached terminal notices re-answer stranded clients. Before
+/// it, a successor promotes a fresh replica or else falls back to the
+/// durable tier; without one, the shard is lost. At replication 1 with no
+/// checkpoint every survivor, not only the successor, winds down.
+fn recovery_plan(d: Death) -> Plan {
+    let replicated = d.replication >= 2;
+    let held = matches!(d.replica, Replica::Fresh | Replica::Stale);
+    if d.shutdown {
+        return if d.successor && replicated && held {
+            Plan::Promote
+        } else {
+            Plan::Nothing
+        };
+    }
+    if !d.successor {
+        return if replicated || d.checkpoint {
+            Plan::Subsume
+        } else {
+            Plan::WindDown(NO_REPLICA)
+        };
+    }
+    let why = match d.replica {
+        _ if !replicated => NO_REPLICA,
+        Replica::Fresh => return Plan::Promote,
+        Replica::Stale => {
+            "the only replica here predates an earlier failover and was never refreshed"
+        }
+        Replica::SyncIncomplete => "it died before finishing its re-replication to this successor",
+        Replica::Absent => "its replica never reached this successor",
+    };
+    if d.checkpoint {
+        Plan::Restore(why)
+    } else {
+        Plan::WindDown(why)
+    }
+}
+
+/// The shard-loss diagnosis every `NoMore` carries: which shard died, the
+/// shards it had subsumed, and why nothing could restore it.
+fn diagnosis(d: Rank, why: &str, chain: &[Rank], checkpoint: bool) -> String {
+    let chain_note = if chain.is_empty() {
+        String::new()
+    } else {
+        let links: Vec<String> = chain.iter().map(|e| e.to_string()).collect();
+        let s = if chain.len() == 1 { "" } else { "s" };
+        format!(
+            " (which had subsumed the shard{s} of rank{s} {})",
+            links.join(", ")
+        )
+    };
+    // With the durable tier, `why` already carries the last durable LSN
+    // when a restore was attempted and failed.
+    let durable_note = if checkpoint {
+        ""
+    } else {
+        "; no checkpoint configured"
+    };
+    format!(
+        "server rank {d} died and its shard{chain_note} is unrecoverable \
+         ({why}{durable_note}): queued tasks, leases and data futures on it are lost"
+    )
+}
+
 /// The wire form of a write-ahead transfer: single non-steal tasks ride
 /// the `Forward` variant, everything else a `StealResp`.
 fn xfer_wire(origin: Rank, dest: Rank, fseq: u64, steal: bool, tasks: &[Task]) -> Bytes {
@@ -2730,6 +2777,9 @@ fn xfer_wire(origin: Rank, dest: Rank, fseq: u64, steal: bool, tasks: &[Task]) -
 
 #[cfg(test)]
 mod ledger_tests;
+
+#[cfg(test)]
+mod recovery_tests;
 
 #[cfg(test)]
 mod stats_tests {
