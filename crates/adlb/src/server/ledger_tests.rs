@@ -10,7 +10,9 @@ use mpisim::World;
 use pfs::{Pfs, PfsConfig};
 
 use super::*;
+use crate::checkpoint::restore_home;
 use crate::client::{AdlbClient, ClientConfig};
+use crate::msg::{WORK_TYPE_NOTIFY, WORK_TYPE_WORK};
 
 const TASKS: u64 = 40;
 const CLIENTS: usize = 4;
@@ -93,7 +95,7 @@ fn run(servers: usize, config: &ServerConfig, client: ClientConfig) -> HashMap<R
         let ended = Ended {
             own,
             replicas: outcome.replicas,
-            tx_ops_capacity: server.tx_ops.capacity(),
+            tx_ops_capacity: server.shard.tx_ops_capacity(),
         };
         Some((rank, ended))
     });
@@ -201,11 +203,11 @@ fn a_sync_one_byte_too_long_drops_the_replica() {
         };
         let good = base.encode();
         server.absorb_sync_chunk(1, 1, 0, good.len() as u64, &good, false);
-        assert!(server.ledgers[&1] == base);
+        assert!(server.failover.replica(1) == Some(&base));
         let mut long = good.to_vec();
         long.push(0);
         server.absorb_sync_chunk(1, 2, 0, long.len() as u64, &long.into(), false);
-        assert!(!server.ledgers.contains_key(&1));
+        assert!(server.failover.replica(1).is_none());
         assert_eq!(server.stats.protocol_errors, 1);
     });
 }
