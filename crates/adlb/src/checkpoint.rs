@@ -1070,7 +1070,7 @@ mod tests {
             .any(|t| t.payload.as_ref() == b"to-0"));
     }
 
-    /// One op through a sink at interval 1 the way `Server::ckpt_flush`
+    /// One op through a sink at interval 1 the way `Shard::flush`
     /// drives it: apply live, log, flush, compact when due.
     fn step(sink: &mut CheckpointSink, live: &mut Ledger, id: u64) {
         let op = ReplOp::Create { id, type_tag: 1 };

@@ -65,7 +65,7 @@ fn workload(mut c: AdlbClient) {
 }
 
 /// What one server ended with: its own ledger (stdout put back where
-/// `finish_run` moved it from), the replicas it held, and how much room
+/// `Server::outcome` moved it from), the replicas it held, and how much room
 /// its transaction buffer ever needed.
 struct Ended {
     own: Ledger,

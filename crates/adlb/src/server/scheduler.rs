@@ -13,6 +13,8 @@ use crate::msg::{Response, ServerMsg, Task, TAG_SRV, WORK_TYPE_NOTIFY, WORK_TYPE
 use crate::replica::{Ledger, ReplOp};
 use crate::tenant::{TenantSched, TenantSpec, TenantStats};
 
+mod steal;
+
 /// A parked `Get`, waiting for matching work.
 #[derive(Clone)]
 struct Parked {
@@ -102,12 +104,6 @@ impl Scheduler {
         }
     }
 
-    /// Every parked `Get` as `(client, seq)`, unparked.
-    pub(super) fn take_parked(&mut self) -> Vec<(Rank, u64)> {
-        let parked = std::mem::take(&mut self.parked);
-        parked.into_iter().map(|p| (p.rank, p.seq)).collect()
-    }
-
     pub(super) fn unpark(&mut self, client: Rank) {
         self.parked.retain(|p| p.rank != client);
     }
@@ -173,6 +169,13 @@ impl Server {
             // An empty queue with parked clients is the steal trigger;
             // don't wait for the poll timeout.
             self.try_steal();
+        }
+    }
+
+    /// Answer every parked client terminally: none of them will be served.
+    pub(super) fn release_parked(&mut self) {
+        for p in std::mem::take(&mut self.sched.parked) {
+            self.answer_no_more(p.rank, p.seq);
         }
     }
 
@@ -661,121 +664,6 @@ impl Server {
                 self.retry_or_quarantine(lease.task, false, &error);
             }
         }
-    }
-
-    // -- work stealing -----------------------------------------------------
-
-    /// A thief asks for up to `need` tasks of `work_types`: donate them
-    /// under the write-ahead transfer protocol, or answer empty.
-    pub(super) fn on_steal_req(&mut self, thief: Rank, work_types: Vec<u32>, need: u32) {
-        let quota = (self.shard.ledger().queue).steal_quota(&work_types, need as usize);
-        let mut tasks = Vec::with_capacity(quota);
-        while tasks.len() < quota {
-            let Some(t) = self.shard.ledger().queue.steal_head(&work_types).cloned() else {
-                break;
-            };
-            self.commit(ReplOp::Remove {
-                tasks: vec![t.clone()],
-            });
-            tasks.push(t);
-        }
-        if tasks.is_empty() {
-            // Empty steal traffic must not perturb the epoch or the
-            // transfer ledger, or the steal retry loop would keep
-            // termination detection from ever seeing two stable rounds.
-            // fseq 0 marks "nothing transferred".
-            let empty = ServerMsg::StealResp {
-                origin: self.comm.rank(),
-                dest: thief,
-                fseq: 0,
-                tasks: Vec::new(),
-            };
-            self.shard.send(thief, TAG_SRV, empty.encode());
-        } else {
-            self.term.bump();
-            self.stats.tasks_donated += tasks.len() as u64;
-            self.send_xfer(thief, tasks, true);
-        }
-    }
-
-    /// A victim's answer to a steal (or a write-ahead transfer riding the
-    /// same wire form).
-    pub(super) fn on_steal_resp(
-        &mut self,
-        source: Rank,
-        origin: Rank,
-        dest: Rank,
-        fseq: u64,
-        tasks: Vec<Task>,
-    ) {
-        let mine = dest == self.comm.rank();
-        let sched = &mut self.sched;
-        if mine && sched.outstanding_steal {
-            sched.outstanding_steal = false;
-            sched.steal_victim = None;
-            // Steal round-trip, empty or not; id = victim rank.
-            trace::record_since(trace::KIND_STEAL, origin as u64, sched.steal_started_us);
-            if fseq == 0 {
-                // Try the next victim on the next idle tick; after a fully
-                // empty sweep, back off.
-                sched.steal_victim_cursor += 1;
-                sched.empty_steal_streak += 1;
-                let live_victims = self.failover.live_peers().len();
-                if sched.empty_steal_streak >= live_victims.max(1) {
-                    sched.empty_steal_streak = 0;
-                    sched.steal_backoff = 50;
-                }
-            }
-        }
-        if fseq != 0 {
-            let n = tasks.len() as u64;
-            let fresh = self.apply_xfer(source, origin, dest, fseq, tasks);
-            if fresh && mine {
-                self.sched.empty_steal_streak = 0;
-                self.stats.steals_successful += 1;
-                self.stats.tasks_stolen += n;
-                // The victim clearly has work: if clients are still
-                // starved, go straight back for more instead of pacing the
-                // next attempt on the poll timeout.
-                self.try_steal();
-            }
-        }
-    }
-
-    pub(super) fn try_steal(&mut self) {
-        let sched = &mut self.sched;
-        if !self.config.steal_enabled
-            || self.failover.aborting()
-            || sched.steal_backoff > 0
-            || sched.outstanding_steal
-            || sched.parked.is_empty()
-            || !self.shard.ledger().queue.is_empty()
-        {
-            return;
-        }
-        let others = self.failover.live_peers();
-        if others.is_empty() {
-            return;
-        }
-        // Union of work types our parked clients want.
-        let mut types: Vec<u32> = Vec::new();
-        for t in sched.parked.iter().flat_map(|p| &p.work_types) {
-            if !types.contains(t) {
-                types.push(*t);
-            }
-        }
-        let victim = others[sched.steal_victim_cursor % others.len()];
-        sched.outstanding_steal = true;
-        sched.steal_victim = Some(victim);
-        sched.steal_started_us = trace::now_us();
-        self.stats.steals_attempted += 1;
-        let req = ServerMsg::StealReq {
-            thief: self.comm.rank(),
-            work_types: types,
-            // Sizing hint: at least one task per starved client.
-            need: sched.parked.len() as u32,
-        };
-        self.shard.send(victim, TAG_SRV, req.encode());
     }
 }
 

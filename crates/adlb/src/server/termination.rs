@@ -73,10 +73,6 @@ impl Termination {
         self.round
     }
 
-    pub(super) fn members(&self) -> &[Rank] {
-        &self.members
-    }
-
     /// Record `source`'s answer to `round`; true once every member of the
     /// current round has answered.
     pub(super) fn answer(&mut self, source: Rank, round: u64, report: Report) -> bool {
@@ -171,14 +167,15 @@ impl Server {
     /// Poll the live peers for a termination round. Returns true when the
     /// round decided termination immediately (no peers to wait for).
     pub(super) fn start_check_round(&mut self) -> bool {
-        let round = self.term.start_round(self.failover.live_peers());
+        let members = self.failover.live_peers();
+        let round = self.term.start_round(members.clone());
         let check = ServerMsg::Check { round }.encode();
-        for &r in self.term.members() {
+        for &r in &members {
             self.shard.send(r, TAG_SRV, check.clone());
         }
         // No peers to wait for (single server, or every peer dead): decide
         // now.
-        self.term.members().is_empty() && self.evaluate_check_round()
+        members.is_empty() && self.evaluate_check_round()
     }
 
     /// All responses for the current round are in; decide, and broadcast
@@ -262,13 +259,6 @@ impl Server {
             aborted: self.failover.abort_reason(),
         };
         self.send_response(client, seq, resp, true);
-    }
-
-    /// Answer every parked client terminally: none of them will be served.
-    pub(super) fn release_parked(&mut self) {
-        for (client, seq) in self.sched.take_parked() {
-            self.answer_no_more(client, seq);
-        }
     }
 
     /// Global termination (or a finished wind-down): answer every parked

@@ -216,12 +216,6 @@ impl Runtime {
         self
     }
 
-    /// Full control over the ADLB servers' [`adlb::RetryPolicy`].
-    pub fn retry_policy(mut self, policy: adlb::RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
     /// Register a native library (§III.B): its functions become callable
     /// from leaf templates after `package require <name>` — which the
     /// template's package declaration emits automatically.
