@@ -392,7 +392,7 @@ impl Server {
     /// Apply `op` to this server's ledger and log it for the replica
     /// holders and the WAL (see [`Shard::commit`]).
     fn commit(&mut self, op: ReplOp) -> Applied {
-        self.shard.commit(op, self.failover.replicated())
+        self.shard.commit(op, !self.failover.targets().is_empty())
     }
 
     /// Ship the current handler's ops, then its sends (see
@@ -623,14 +623,15 @@ impl Server {
                 {
                     return true;
                 }
-            } else if self.comm.rank() == self.failover.master()
+            } else if self.comm.rank() == self.failover.host_of(self.layout.first_server())
                 && !self.term.in_flight()
                 && self.sched.quiescent(self.shard.ledger())
                 && self.start_check_round()
             {
-                // Termination check before stealing: a fresh steal
-                // attempt would otherwise mark this server non-quiescent
-                // on every tick.
+                // The master — the first live server on the ring from the
+                // layout's first — checks termination before stealing: a
+                // fresh steal attempt would otherwise mark this server
+                // non-quiescent on every tick.
                 return true;
             } else if !self.sched.backing_off() {
                 self.try_steal();

@@ -128,12 +128,6 @@ impl Failover {
         self.layout.route(home, self.membership.dead())
     }
 
-    /// The current termination-detection owner: the first live server on
-    /// the ring starting from the layout's first server.
-    pub(super) fn master(&self) -> Rank {
-        self.host_of(self.layout.first_server())
-    }
-
     pub(super) fn is_dead(&self, peer: Rank) -> bool {
         self.membership.is_dead(peer)
     }
@@ -146,18 +140,12 @@ impl Failover {
         self.membership.heard(peer, Instant::now());
     }
 
-    /// Peers newly confirmed dead (see [`Membership::tick`]).
     pub(super) fn tick(&mut self, now: Instant, alive: impl Fn(Rank) -> bool) -> Vec<Rank> {
         self.membership.tick(now, alive)
     }
 
-    /// The holders this server's op stream is shipped to.
     pub(super) fn targets(&self) -> &[Rank] {
         &self.repl_targets
-    }
-
-    pub(super) fn replicated(&self) -> bool {
-        !self.repl_targets.is_empty()
     }
 
     /// Winding down after an unrecoverable peer death.
@@ -182,11 +170,6 @@ impl Failover {
 
     pub(super) fn take_replicas(&mut self) -> HashMap<Rank, Ledger> {
         std::mem::take(&mut self.ledgers)
-    }
-
-    #[cfg(test)]
-    pub(super) fn replica(&self, primary: Rank) -> Option<&Ledger> {
-        self.ledgers.get(&primary)
     }
 
     /// Apply an incremental op batch from `source` — or buffer it when a
@@ -729,5 +712,12 @@ impl Server {
         }
         // Parked clients will never be served: tell them now.
         self.release_parked();
+    }
+}
+
+#[cfg(test)]
+impl Failover {
+    pub(super) fn replica(&self, primary: Rank) -> Option<&Ledger> {
+        self.ledgers.get(&primary)
     }
 }

@@ -88,7 +88,6 @@ impl Scheduler {
             .all(|c| ledger.finished.contains(c) || !alive(*c))
     }
 
-    /// Take over a dead peer's clients.
     pub(super) fn adopt_clients(&mut self, clients: Vec<Rank>) {
         self.my_clients.extend(clients);
     }

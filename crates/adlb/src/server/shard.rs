@@ -22,7 +22,7 @@ use crate::replica::{Applied, Ledger, ReplOp};
 pub(super) struct Shard {
     comm: Comm,
     /// This server's recoverable state. Read freely; changed only through
-    /// [`Shard::commit`] (one op) and [`Shard::absorb`] (a recovered
+    /// [`Shard::commit`] (one op) and [`Server::adopt`] (a recovered
     /// ledger).
     ledger: Ledger,
     /// Ops the message currently being handled committed, for the replica
@@ -68,12 +68,6 @@ impl Shard {
             self.tx_ops.extend(log);
         }
         applied
-    }
-
-    /// Merge a recovered ledger into the live one; `homes` are the dead
-    /// servers it carried (see [`Ledger::absorb`]).
-    pub(super) fn absorb(&mut self, ledger: Ledger, homes: &[Rank]) {
-        self.ledger.absorb(ledger, homes);
     }
 
     /// Buffer a send of the current handler; it leaves in `commit_tx`,
@@ -237,11 +231,6 @@ impl Shard {
     pub(super) fn take_ledger(&mut self) -> Ledger {
         std::mem::take(&mut self.ledger)
     }
-
-    #[cfg(test)]
-    pub(super) fn tx_ops_capacity(&self) -> usize {
-        self.tx_ops.capacity()
-    }
 }
 
 impl Server {
@@ -297,7 +286,7 @@ impl Server {
     /// `homes` are the dead servers it carried (see [`Ledger::absorb`]).
     pub(super) fn adopt(&mut self, ledger: Ledger, homes: &[Rank]) {
         self.sched.leases_adopted(&ledger);
-        self.shard.absorb(ledger, homes);
+        self.shard.ledger.absorb(ledger, homes);
     }
 
     /// Serve one data operation against the shard and return its response
@@ -448,5 +437,12 @@ pub(super) fn lost_shard_reply(req: &Request) -> Response {
         | Request::DataExists { .. } => Response::Bool(false),
         Request::DataEnumerate { .. } => Response::Pairs(Vec::new()),
         _ => Response::Ok,
+    }
+}
+
+#[cfg(test)]
+impl Shard {
+    pub(super) fn tx_ops_capacity(&self) -> usize {
+        self.tx_ops.capacity()
     }
 }

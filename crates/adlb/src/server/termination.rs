@@ -56,15 +56,10 @@ impl Termination {
         self.epoch += 1;
     }
 
-    pub(super) fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     pub(super) fn in_flight(&self) -> bool {
         self.in_flight
     }
 
-    /// Open a round polling `members`; returns its number.
     pub(super) fn start_round(&mut self, members: Vec<Rank>) -> u64 {
         self.round += 1;
         self.responses.clear();
@@ -158,7 +153,7 @@ impl Server {
         let ledger = self.shard.ledger();
         Report {
             quiescent: self.sched.quiescent(ledger),
-            epoch: self.term.epoch(),
+            epoch: self.term.epoch,
             fwd_out: ledger.fwd_out,
             fwd_in: ledger.fwd_in,
         }
@@ -182,17 +177,11 @@ impl Server {
     /// the shutdown when it is time. Returns true on shutdown.
     fn evaluate_check_round(&mut self) -> bool {
         let own = self.report();
-        if !self.term.decide(own) {
-            return false;
+        let done = self.term.decide(own);
+        if done {
+            self.broadcast_shutdown(None);
         }
-        let note = ServerMsg::Shutdown {
-            reports: self.capped_reports(),
-        }
-        .encode();
-        for r in self.failover.live_peers() {
-            self.shard.send(r, TAG_SRV, note.clone());
-        }
-        true
+        done
     }
 
     /// A termination poll: answer it. Polls do not bump the epoch — they
@@ -226,12 +215,18 @@ impl Server {
                 self.commit(ReplOp::Quarantine { report });
             }
         }
+        self.broadcast_shutdown(Some(source));
+    }
+
+    /// Send the shutdown notice, with the quarantine reports, to every
+    /// live peer but `except`.
+    fn broadcast_shutdown(&mut self, except: Option<Rank>) {
         let note = ServerMsg::Shutdown {
             reports: self.capped_reports(),
         }
         .encode();
         for p in self.failover.live_peers() {
-            if p != source {
+            if Some(p) != except {
                 self.shard.send(p, TAG_SRV, note.clone());
             }
         }
