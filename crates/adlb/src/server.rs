@@ -400,7 +400,8 @@ impl Server {
     /// WAL goes durable at once.
     fn commit_tx(&mut self) {
         let flush_now = self.term.shutdown() || self.failover.aborting();
-        (self.shard).commit_tx(self.failover.targets(), &mut self.stats, flush_now);
+        self.shard
+            .commit_tx(self.failover.targets(), &mut self.stats, flush_now);
     }
 
     /// The data shard a request implicates (`None` for non-data ops,

@@ -255,7 +255,9 @@ impl Server {
         }
         let me = self.comm.rank();
         let want = self.config.replication - 1;
-        let targets = (self.layout).live_successors(me, want, self.failover.membership.dead());
+        let targets = self
+            .layout
+            .live_successors(me, want, self.failover.membership.dead());
         for &t in &targets {
             let first_seen = !self.failover.repl_targets.contains(&t);
             if first_seen || (resync_all && self.config.re_replicate) {
@@ -312,7 +314,10 @@ impl Server {
     /// fault injection): past the suspect window, re-send the current
     /// chunk from the acked resume cursor.
     pub(super) fn nudge_syncs(&mut self, now: Instant) {
-        let stalled: Vec<Rank> = (self.failover.outbound_syncs.iter())
+        let stalled: Vec<Rank> = self
+            .failover
+            .outbound_syncs
+            .iter()
             .filter(|(_, o)| now.duration_since(o.last_sent) > SUSPECT_AFTER)
             .map(|(r, _)| *r)
             .collect();
@@ -508,7 +513,9 @@ impl Server {
         // account for them before exiting.
         let promoter = fo.host_of(d);
         let successor = promoter == me;
-        let chain: Vec<Rank> = (fo.subsumed.iter())
+        let chain: Vec<Rank> = fo
+            .subsumed
+            .iter()
             .filter(|&(_, p)| *p == d)
             .map(|(e, _)| *e)
             .collect();

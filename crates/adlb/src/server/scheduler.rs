@@ -529,7 +529,11 @@ impl Server {
     /// rescue tasks still queued with the dead rank as target.
     pub(super) fn detect_dead_clients(&mut self) {
         let ledger = self.shard.ledger();
-        let dead: Vec<Rank> = (self.sched.my_clients.iter().copied())
+        let dead: Vec<Rank> = self
+            .sched
+            .my_clients
+            .iter()
+            .copied()
             .filter(|r| !ledger.finished.contains(r) && !self.comm.is_alive(*r))
             .collect();
         for rank in dead {
@@ -572,7 +576,11 @@ impl Server {
             return;
         };
         let now = Instant::now();
-        let expired: Vec<Rank> = (self.shard.ledger().leases.iter())
+        let expired: Vec<Rank> = self
+            .shard
+            .ledger()
+            .leases
+            .iter()
             .filter(|(_, d)| {
                 d.front()
                     .is_some_and(|l| now.duration_since(l.since) > timeout)

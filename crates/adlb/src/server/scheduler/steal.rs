@@ -12,7 +12,11 @@ impl Server {
     /// A thief asks for up to `need` tasks of `work_types`: donate them
     /// under the write-ahead transfer protocol, or answer empty.
     pub(in crate::server) fn on_steal_req(&mut self, thief: Rank, work_types: Vec<u32>, need: u32) {
-        let quota = (self.shard.ledger().queue).steal_quota(&work_types, need as usize);
+        let quota = self
+            .shard
+            .ledger()
+            .queue
+            .steal_quota(&work_types, need as usize);
         let mut tasks = Vec::with_capacity(quota);
         while tasks.len() < quota {
             let Some(t) = self.shard.ledger().queue.steal_head(&work_types).cloned() else {
