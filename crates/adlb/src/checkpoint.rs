@@ -797,7 +797,11 @@ mod tests {
     #[test]
     fn wal_record_round_trips() {
         let ops = vec![
-            ReplOp::Create { id: 7, type_tag: 1 },
+            ReplOp::Create {
+                id: 7,
+                type_tag: 1,
+                reads: None,
+            },
             op_store(7, b"v"),
             ReplOp::SeqResp {
                 home: 0,
@@ -837,7 +841,11 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u64(1);
         w.put_u32(u32::MAX);
-        w.put(&ReplOp::Create { id: 1, type_tag: 0 });
+        w.put(&ReplOp::Create {
+            id: 1,
+            type_tag: 0,
+            reads: None,
+        });
         let err = decode_wal(&wal_frame(&w.into_vec())).unwrap_err();
         assert!(err.starts_with("wal:"), "{err}");
     }
@@ -890,9 +898,23 @@ mod tests {
         let recs = vec![
             (
                 1,
-                vec![ReplOp::Create { id: 1, type_tag: 1 }, op_store(1, b"a")],
+                vec![
+                    ReplOp::Create {
+                        id: 1,
+                        type_tag: 1,
+                        reads: None,
+                    },
+                    op_store(1, b"a"),
+                ],
             ),
-            (2, vec![ReplOp::Create { id: 2, type_tag: 1 }]),
+            (
+                2,
+                vec![ReplOp::Create {
+                    id: 2,
+                    type_tag: 1,
+                    reads: None,
+                }],
+            ),
             (3, vec![op_store(2, b"b")]),
         ];
         let mut clean = Ledger::default();
@@ -918,6 +940,7 @@ mod tests {
             ReplOp::Create {
                 id: 10,
                 type_tag: 1,
+                reads: None,
             },
             op_store(10, b"ten"),
         ];
@@ -955,6 +978,7 @@ mod tests {
         let ops3 = vec![ReplOp::Create {
             id: 11,
             type_tag: 1,
+            reads: None,
         }];
         for op in ops3.clone() {
             live.apply(3, op);
@@ -984,7 +1008,11 @@ mod tests {
         let cfg = CheckpointConfig::new(Arc::clone(&fs));
         let mut sink = CheckpointSink::new(&cfg, 5);
         let mut live = Ledger::default();
-        let ops = vec![ReplOp::Create { id: 1, type_tag: 1 }];
+        let ops = vec![ReplOp::Create {
+            id: 1,
+            type_tag: 1,
+            reads: None,
+        }];
         for op in ops.clone() {
             live.apply(5, op);
         }
@@ -1016,7 +1044,7 @@ mod tests {
         let servers: Vec<Rank> = (0..6).filter(|r| layout.is_server(*r)).collect();
         let mut full = Ledger::default();
         for id in 0..16u64 {
-            let _ = full.store.create(id, 1);
+            let _ = full.store.create(id, 1, None);
         }
         // Every client has written to both homes.
         for client in (0..6).filter(|r| !layout.is_server(*r)) {
@@ -1073,7 +1101,11 @@ mod tests {
     /// One op through a sink at interval 1 the way `Shard::flush`
     /// drives it: apply live, log, flush, compact when due.
     fn step(sink: &mut CheckpointSink, live: &mut Ledger, id: u64) {
-        let op = ReplOp::Create { id, type_tag: 1 };
+        let op = ReplOp::Create {
+            id,
+            type_tag: 1,
+            reads: None,
+        };
         live.apply(sink.home, op.clone());
         sink.log(&[op]);
         sink.flush_wal();
@@ -1151,7 +1183,11 @@ mod tests {
         let mut live = Ledger::default();
         let mut c = fs.client();
         for id in 0..n {
-            let op = ReplOp::Create { id, type_tag: 1 };
+            let op = ReplOp::Create {
+                id,
+                type_tag: 1,
+                reads: None,
+            };
             live.apply(3, op.clone());
             sink.log(std::slice::from_ref(&op));
             sink.flush_wal();
@@ -1194,7 +1230,11 @@ mod tests {
         let r = restore_home(&mut fs.client(), 3).unwrap();
         let mut resumed = CheckpointSink::new(&cfg, 3);
         resumed.fast_forward(&r);
-        let op = ReplOp::Create { id, type_tag: 1 };
+        let op = ReplOp::Create {
+            id,
+            type_tag: 1,
+            reads: None,
+        };
         live.apply(3, op.clone());
         resumed.log(&[op]);
         resumed.flush_wal();

@@ -122,6 +122,12 @@ pub struct AdlbClient {
     /// Where the handed-out task's own entries start in the home outbox;
     /// a failed task discards its unsent writes from here on.
     task_mark: usize,
+    /// Leaf reads the handed-out task made, by datum id, one entry per
+    /// read (see [`AdlbClient::note_read`]).
+    reads: Vec<u64>,
+    /// Releases of datums homed on other servers, held until the home
+    /// outbox carrying the acks of the tasks that read them has left.
+    held_releases: Vec<(Rank, Request)>,
     /// First error a flushed write came back with, not yet reported.
     deferred_err: Option<DataError>,
     /// Whether this client's writes are its program's (an engine's) rather
@@ -189,6 +195,8 @@ impl AdlbClient {
             outbox: vec![Vec::new(); layout.servers],
             outbox_bytes: vec![0; layout.servers],
             task_mark: 0,
+            reads: Vec::new(),
+            held_releases: Vec::new(),
             deferred_err: None,
             owns_writes: false,
             tenant: 0,
@@ -260,12 +268,15 @@ impl AdlbClient {
         self.layout.route(home, &self.dead)
     }
 
-    /// Send a sealed fire-and-forget message to the home server and
-    /// remember it for re-send on failover.
-    fn send_ff(&mut self, req: &Request) {
+    /// Send a sealed fire-and-forget message to home server `home`. The
+    /// client's own home remembers it for re-send on failover; a release
+    /// to another server that dies with it is a leak, never a free.
+    fn send_ff(&mut self, home: Rank, req: &Request) {
         let sealed = self.seal(req);
-        self.unconfirmed.push(sealed.clone());
-        let host = self.host_of(self.my_server);
+        if home == self.my_server {
+            self.unconfirmed.push(sealed.clone());
+        }
+        let host = self.host_of(home);
         self.comm.send(host, TAG_REQ, sealed);
     }
 
@@ -388,9 +399,13 @@ impl AdlbClient {
         }
     }
 
+    /// Flush every outbox: the other servers' first, so no write there is
+    /// overtaken by an ack or put at home, then the home outbox — and
+    /// then the releases its acks just let go.
     fn flush_all(&mut self) {
         self.flush_except(self.my_server);
         self.flush_home(self.my_server);
+        self.flush_except(self.my_server);
     }
 
     /// Send `home`'s outbox as one request. Awaited — errors land in
@@ -407,6 +422,12 @@ impl AdlbClient {
         self.outbox_bytes[i] = 0;
         if home == self.my_server {
             self.task_mark = 0;
+            // The acks leave now: the releases they held back may follow,
+            // riding whatever goes to their servers next.
+            for (h, release) in std::mem::take(&mut self.held_releases) {
+                let j = self.layout.server_index(h);
+                self.outbox[j].push(release);
+            }
         }
         // A worker's errors before its last ack belong to tasks already
         // acked; every error of an owned batch is the program's.
@@ -422,7 +443,7 @@ impl AdlbClient {
             (_, false) => Request::Batch(ops),
         };
         if !req.wants_reply() {
-            self.send_ff(&req);
+            self.send_ff(home, &req);
             return;
         }
         let t0 = trace::now_us();
@@ -568,6 +589,39 @@ impl AdlbClient {
             }
         }
         self.defer_quiet(Request::TaskDone { ok, error });
+        let reads = std::mem::take(&mut self.reads);
+        if ok {
+            self.release_reads(reads);
+        }
+    }
+
+    /// Queue a release per datum the acked task read, counting its reads,
+    /// behind that task's ack: in the home outbox right after it, or held
+    /// until it has left for a datum homed elsewhere. Releases never fill
+    /// an outbox or force a flush.
+    fn release_reads(&mut self, mut reads: Vec<u64>) {
+        while let Some(&id) = reads.first() {
+            let n = reads.iter().filter(|&&r| r == id).count() as u32;
+            reads.retain(|&r| r != id);
+            let home = self.layout.data_owner(id);
+            let release = Request::DataRelease { id, n };
+            if home == self.my_server {
+                self.defer_quiet(release);
+            } else {
+                self.held_releases.push((home, release));
+            }
+        }
+    }
+
+    /// Record that the task in hand read datum `id` (once per read, from
+    /// its envelope or from the server alike). Once the task's successful
+    /// ack has left, each read is released against the datum's count; a
+    /// task that fails or dies releases nothing, so its retry still finds
+    /// every input. Outside a task this does nothing.
+    pub fn note_read(&mut self, id: u64) {
+        if self.handed_out {
+            self.reads.push(id);
+        }
     }
 
     /// A task is now in the caller's hands.
@@ -592,7 +646,8 @@ impl AdlbClient {
             if i == home {
                 q.truncate(self.task_mark);
             } else {
-                q.clear();
+                // Earlier tasks' releases stay: those tasks succeeded.
+                q.retain(|r| matches!(r, Request::DataRelease { .. }));
                 self.outbox_bytes[i] = 0;
             }
         }
@@ -760,9 +815,25 @@ impl AdlbClient {
         })
     }
 
-    /// Create a datum of the given Turbine type tag.
+    /// Create a datum of the given Turbine type tag. It is never freed.
     pub fn create(&mut self, id: u64, type_tag: u8) -> Result<(), DataError> {
-        self.write(id, Request::DataCreate { id, type_tag }, false)
+        let req = Request::DataCreate {
+            id,
+            type_tag,
+            reads: None,
+        };
+        self.write(id, req, false)
+    }
+
+    /// Create a datum that `reads` leaf reads will consume: it is freed
+    /// once it is closed and every one of them has been released.
+    pub fn create_counted(&mut self, id: u64, type_tag: u8, reads: u32) -> Result<(), DataError> {
+        let req = Request::DataCreate {
+            id,
+            type_tag,
+            reads: Some(reads),
+        };
+        self.write(id, req, false)
     }
 
     /// Store a scalar value, closing the datum and releasing subscribers.
@@ -1170,9 +1241,17 @@ mod tests {
             };
             let value = Bytes::from_static(b"v");
             let batch = Request::Batch(vec![
-                Request::DataCreate { id: 7, type_tag: 0 },
+                Request::DataCreate {
+                    id: 7,
+                    type_tag: 0,
+                    reads: None,
+                },
                 Request::DataStore { id: 7, value },
-                Request::DataCreate { id: 7, type_tag: 0 },
+                Request::DataCreate {
+                    id: 7,
+                    type_tag: 0,
+                    reads: None,
+                },
                 Request::Put(Task::new(WORK_TYPE_WORK, 0, None, Bytes::from_static(b"t"))),
             ]);
             let first = ask(&batch, 1).unwrap();
@@ -1205,7 +1284,11 @@ mod tests {
                 ok: true,
                 error: String::new(),
             };
-            let dup = Request::DataCreate { id: 7, type_tag: 0 };
+            let dup = Request::DataCreate {
+                id: 7,
+                type_tag: 0,
+                reads: None,
+            };
             assert!(ask(&Request::Batch(vec![dup, done.clone()]), 3).is_none());
             let (resp, _) = Sealed::<Response>::decode(&ask(&get, 4).unwrap()).unwrap();
             match resp {

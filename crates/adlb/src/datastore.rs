@@ -5,6 +5,10 @@
 //! concurrency safe), and closed; closing releases every subscriber.
 //! Containers (Swift arrays) accumulate members and close when the program
 //! structure guarantees no more writers (STC emits the close).
+//!
+//! A datum STC counted also carries its leaf reads still to come: each
+//! [`DataStore::release`] takes some, and a closed datum with none left is
+//! freed. An uncounted datum lives until the run ends.
 
 use std::collections::HashMap;
 
@@ -63,6 +67,10 @@ pub struct Datum {
     /// drops to zero — Swift/T's slot counting for distributed loops that
     /// fill an array from many control tasks.
     pub write_refs: i64,
+    /// Leaf reads still to come, as STC counted them; `None` for a datum
+    /// nobody counted, which is never freed. A counted datum is freed once
+    /// it is closed and this is zero.
+    pub read_refs: Option<u32>,
 }
 
 /// On the wire the closed flag precedes the value.
@@ -72,7 +80,8 @@ impl Wire for Datum {
             .put(&self.closed)
             .put(&self.value)
             .put(&self.subscribers)
-            .put(&self.write_refs);
+            .put(&self.write_refs)
+            .put(&self.read_refs);
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Datum, WireError> {
@@ -82,6 +91,7 @@ impl Wire for Datum {
             value: Wire::get(r)?,
             subscribers: Wire::get(r)?,
             write_refs: Wire::get(r)?,
+            read_refs: Wire::get(r)?,
         })
     }
 }
@@ -145,8 +155,27 @@ impl DataStore {
         self.data.extend(other.data);
     }
 
-    /// Create a datum (idempotent creation is an error: ids are unique).
-    pub fn create(&mut self, id: u64, type_tag: u8) -> Result<(), DataError> {
+    /// Whether datum `id` is resident.
+    pub fn contains(&self, id: u64) -> bool {
+        self.data.contains_key(&id)
+    }
+
+    /// Datum `id`'s outstanding leaf reads (`None` when uncounted).
+    pub fn read_refs(&self, id: u64) -> Result<Option<u32>, DataError> {
+        match self.data.get(&id) {
+            Some(d) => Ok(d.read_refs),
+            None => Err(DataError::new(format!("<{id}> does not exist"))),
+        }
+    }
+
+    /// Create a datum (idempotent creation is an error: ids are unique),
+    /// counted with `read_refs` leaf reads to come or uncounted (`None`).
+    pub fn create(
+        &mut self,
+        id: u64,
+        type_tag: u8,
+        read_refs: Option<u32>,
+    ) -> Result<(), DataError> {
         if self.data.contains_key(&id) {
             return Err(DataError::new(format!("<{id}> already exists")));
         }
@@ -163,8 +192,32 @@ impl DataStore {
                 closed: false,
                 subscribers: Vec::new(),
                 write_refs: 1,
+                read_refs,
             },
         );
+        Ok(())
+    }
+
+    /// Free datum `id` if it is closed and counted with no read to come.
+    fn free_if_unread(&mut self, id: u64) {
+        if self
+            .data
+            .get(&id)
+            .is_some_and(|d| d.closed && d.read_refs == Some(0))
+        {
+            self.data.remove(&id);
+        }
+    }
+
+    /// Take `n` leaf reads off datum `id`'s count, freeing it when it is
+    /// closed and none is left. Releasing an uncounted datum changes
+    /// nothing; a missing one is an error (and changes nothing either).
+    pub fn release(&mut self, id: u64, n: u32) -> Result<(), DataError> {
+        let d = self.get_mut(id)?;
+        if let Some(refs) = &mut d.read_refs {
+            *refs = refs.saturating_sub(n);
+            self.free_if_unread(id);
+        }
         Ok(())
     }
 
@@ -193,7 +246,9 @@ impl DataStore {
         }
         d.value = DatumValue::Scalar(value);
         d.closed = true;
-        Ok(std::mem::take(&mut d.subscribers))
+        let subscribers = std::mem::take(&mut d.subscribers);
+        self.free_if_unread(id);
+        Ok(subscribers)
     }
 
     /// Read a scalar datum's value if closed.
@@ -292,7 +347,9 @@ impl DataStore {
         d.write_refs += delta;
         if d.write_refs == 0 {
             d.closed = true;
-            return Ok(std::mem::take(&mut d.subscribers));
+            let subscribers = std::mem::take(&mut d.subscribers);
+            self.free_if_unread(id);
+            return Ok(subscribers);
         }
         Ok(Vec::new())
     }
@@ -307,7 +364,9 @@ impl DataStore {
             return Ok(Vec::new());
         }
         d.closed = true;
-        Ok(std::mem::take(&mut d.subscribers))
+        let subscribers = std::mem::take(&mut d.subscribers);
+        self.free_if_unread(id);
+        Ok(subscribers)
     }
 }
 
@@ -318,7 +377,7 @@ mod tests {
     #[test]
     fn scalar_lifecycle() {
         let mut ds = DataStore::new();
-        ds.create(1, 0).unwrap();
+        ds.create(1, 0, None).unwrap();
         assert_eq!(ds.retrieve(1).unwrap(), None);
         assert!(!ds.exists_closed(1));
         let subs = ds.store(1, Bytes::from_static(b"42")).unwrap();
@@ -330,7 +389,7 @@ mod tests {
     #[test]
     fn double_assignment_rejected() {
         let mut ds = DataStore::new();
-        ds.create(1, 0).unwrap();
+        ds.create(1, 0, None).unwrap();
         ds.store(1, Bytes::from_static(b"x")).unwrap();
         let err = ds.store(1, Bytes::from_static(b"y")).unwrap_err();
         assert!(err.message.contains("double assignment"));
@@ -339,14 +398,14 @@ mod tests {
     #[test]
     fn duplicate_create_rejected() {
         let mut ds = DataStore::new();
-        ds.create(1, 0).unwrap();
-        assert!(ds.create(1, 0).is_err());
+        ds.create(1, 0, None).unwrap();
+        assert!(ds.create(1, 0, None).is_err());
     }
 
     #[test]
     fn subscribe_before_and_after_close() {
         let mut ds = DataStore::new();
-        ds.create(5, 0).unwrap();
+        ds.create(5, 0, None).unwrap();
         assert!(!ds.subscribe(5, 3).unwrap());
         assert!(!ds.subscribe(5, 7).unwrap());
         let subs = ds.store(5, Bytes::new()).unwrap();
@@ -358,7 +417,7 @@ mod tests {
     #[test]
     fn container_lifecycle() {
         let mut ds = DataStore::new();
-        ds.create(2, TYPE_TAG_CONTAINER).unwrap();
+        ds.create(2, TYPE_TAG_CONTAINER, None).unwrap();
         ds.insert(2, "0", Bytes::from_static(b"a")).unwrap();
         ds.insert(2, "10", Bytes::from_static(b"b")).unwrap();
         ds.insert(2, "2", Bytes::from_static(b"c")).unwrap();
@@ -380,7 +439,7 @@ mod tests {
     #[test]
     fn double_insert_rejected() {
         let mut ds = DataStore::new();
-        ds.create(2, TYPE_TAG_CONTAINER).unwrap();
+        ds.create(2, TYPE_TAG_CONTAINER, None).unwrap();
         ds.insert(2, "0", Bytes::from_static(b"a")).unwrap();
         assert!(ds.insert(2, "0", Bytes::from_static(b"b")).is_err());
     }
@@ -388,8 +447,8 @@ mod tests {
     #[test]
     fn type_confusion_rejected() {
         let mut ds = DataStore::new();
-        ds.create(1, 0).unwrap();
-        ds.create(2, TYPE_TAG_CONTAINER).unwrap();
+        ds.create(1, 0, None).unwrap();
+        ds.create(2, TYPE_TAG_CONTAINER, None).unwrap();
         assert!(ds.insert(1, "0", Bytes::new()).is_err());
         assert!(ds.store(2, Bytes::new()).is_err());
         assert!(ds.lookup(1, "0").is_err());
@@ -402,5 +461,65 @@ mod tests {
         assert!(ds.store(9, Bytes::new()).is_err());
         assert!(ds.subscribe(9, 0).is_err());
         assert!(ds.close(9).is_err());
+    }
+
+    #[test]
+    fn a_counted_datum_is_freed_after_its_last_read() {
+        let mut ds = DataStore::new();
+        ds.create(1, 0, Some(2)).unwrap();
+        assert_eq!(ds.read_refs(1).unwrap(), Some(2));
+        ds.store(1, Bytes::from_static(b"v")).unwrap();
+        ds.release(1, 1).unwrap();
+        assert_eq!(ds.retrieve(1).unwrap().unwrap(), &b"v"[..]);
+        ds.release(1, 1).unwrap();
+        assert!(!ds.contains(1), "closed with no read to come");
+        assert!(
+            ds.release(1, 1).is_err(),
+            "a release of a freed datum misses"
+        );
+        assert!(ds.retrieve(1).is_err());
+    }
+
+    #[test]
+    fn an_unread_datum_is_freed_when_it_closes() {
+        let mut ds = DataStore::new();
+        ds.create(1, 0, Some(0)).unwrap();
+        assert!(ds.contains(1), "open datums stay");
+        assert!(ds.store(1, Bytes::new()).unwrap().is_empty());
+        assert!(!ds.contains(1));
+        // Containers close by writer count or by close.
+        ds.create(2, TYPE_TAG_CONTAINER, Some(0)).unwrap();
+        ds.incr_writers(2, -1).unwrap();
+        assert!(!ds.contains(2));
+        ds.create(3, TYPE_TAG_CONTAINER, Some(0)).unwrap();
+        ds.close(3).unwrap();
+        assert!(!ds.contains(3));
+    }
+
+    #[test]
+    fn reads_released_before_the_close_free_at_the_close() {
+        let mut ds = DataStore::new();
+        ds.create(1, 0, Some(1)).unwrap();
+        ds.release(1, 1).unwrap();
+        assert!(ds.contains(1), "still open");
+        ds.store(1, Bytes::from_static(b"v")).unwrap();
+        assert!(!ds.contains(1));
+        // Over-release saturates: the count never goes negative.
+        ds.create(2, 0, Some(1)).unwrap();
+        ds.store(2, Bytes::new()).unwrap();
+        ds.release(2, 3).unwrap();
+        assert!(!ds.contains(2));
+    }
+
+    #[test]
+    fn an_uncounted_datum_is_never_freed() {
+        let mut ds = DataStore::new();
+        ds.create(1, 0, None).unwrap();
+        ds.store(1, Bytes::from_static(b"v")).unwrap();
+        let before = ds.clone();
+        ds.release(1, 5).unwrap();
+        assert_eq!(ds, before, "releasing an uncounted datum changes nothing");
+        assert_eq!(ds.read_refs(1).unwrap(), None);
+        assert!(ds.read_refs(9).is_err());
     }
 }

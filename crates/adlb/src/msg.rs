@@ -174,7 +174,13 @@ wire_enum! {
         },
         /// Client will issue no further requests; counts as permanently parked.
         2 => Finished,
-        3 => DataCreate { id: u64, type_tag: u8 },
+        /// Create a datum; `reads` is the number of leaf reads STC counted
+        /// for it (`None`: uncounted, never freed).
+        3 => DataCreate {
+            id: u64,
+            type_tag: u8,
+            reads: Option<u32>,
+        },
         4 => DataStore { id: u64, value: Bytes },
         5 => DataRetrieve { id: u64 },
         6 => DataSubscribe {
@@ -221,26 +227,32 @@ wire_enum! {
             /// each program its own stdout stream.
             tenant: u32,
         },
+        /// A worker's task read datum `id` `n` times and succeeded
+        /// (fire-and-forget, never an error): the reads come off the
+        /// datum's count. Inside a batch, releases behind a `TaskDone` that
+        /// did not complete its task successfully are skipped, since the
+        /// task's retry reads its inputs again.
+        17 => DataRelease { id: u64, n: u32 },
     }
 }
 
 impl Request {
-    /// Whether the server answers this request. Acks and output are
-    /// fire-and-forget; so is a worker's batch whose every write is followed
-    /// by a `TaskDone` (which takes over the write's error), and an owned
-    /// batch that holds no write. Client and server both decide by this one
-    /// rule.
+    /// Whether the server answers this request. Acks, output and releases
+    /// are fire-and-forget; so is a worker's batch whose every write is
+    /// followed by a `TaskDone` (which takes over the write's error), and
+    /// an owned batch that holds no write. Client and server both decide by
+    /// this one rule.
     pub fn wants_reply(&self) -> bool {
         match self {
-            Request::TaskDone { .. } | Request::Output { .. } => false,
+            Request::TaskDone { .. } | Request::Output { .. } | Request::DataRelease { .. } => {
+                false
+            }
             Request::Batch(ops) => ops
                 .iter()
                 .rev()
                 .take_while(|r| !matches!(r, Request::TaskDone { .. }))
-                .any(|r| !matches!(r, Request::Output { .. })),
-            Request::OwnedBatch(ops) => ops
-                .iter()
-                .any(|r| !matches!(r, Request::TaskDone { .. } | Request::Output { .. })),
+                .any(Request::wants_reply),
+            Request::OwnedBatch(ops) => ops.iter().any(Request::wants_reply),
             _ => true,
         }
     }
@@ -394,7 +406,11 @@ mod tests {
                 tenant: Some(2),
             },
             Request::Batch(vec![
-                Request::DataCreate { id: 7, type_tag: 3 },
+                Request::DataCreate {
+                    id: 7,
+                    type_tag: 3,
+                    reads: Some(2),
+                },
                 Request::Put(task(1, 3, None)),
                 Request::TaskDone {
                     ok: false,
@@ -425,7 +441,12 @@ mod tests {
                 text: "line one\nline two\n".into(),
                 tenant: 2,
             },
-            Request::DataCreate { id: 7, type_tag: 3 },
+            Request::DataCreate {
+                id: 7,
+                type_tag: 3,
+                reads: None,
+            },
+            Request::DataRelease { id: 7, n: 2 },
             Request::DataStore {
                 id: 9,
                 value: Bytes::from_static(b"v"),
@@ -535,8 +556,13 @@ mod tests {
             text: "x".into(),
             tenant: 0,
         };
+        let release = || Request::DataRelease { id: 1, n: 1 };
         assert!(!done().wants_reply());
         assert!(!out().wants_reply());
+        assert!(!release().wants_reply());
+        assert!(!Request::Batch(vec![store(), done(), release(), out()]).wants_reply());
+        assert!(!Request::Batch(vec![release(), release()]).wants_reply());
+        assert!(!Request::OwnedBatch(vec![done(), release()]).wants_reply());
         assert!(store().wants_reply());
         assert!(!Request::Batch(vec![store(), out(), done()]).wants_reply());
         assert!(!Request::Batch(vec![store(), done(), out()]).wants_reply());

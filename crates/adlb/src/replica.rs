@@ -41,8 +41,13 @@ wire_enum! {
     /// [`ServerMsg::Repl`]: crate::msg::ServerMsg::Repl
     #[derive(Debug, Clone, PartialEq)]
     pub enum ReplOp: "repl op" {
-        /// Datum created ([`DataStore::create`]).
-        0 => Create { id: u64, type_tag: u8 },
+        /// Datum created ([`DataStore::create`]), with the leaf reads STC
+        /// counted for it (`None`: uncounted, never freed).
+        0 => Create {
+            id: u64,
+            type_tag: u8,
+            reads: Option<u32>,
+        },
         /// Scalar stored and closed. Drained subscribers are not carried
         /// here: their notify tasks are replicated as task ops in the same
         /// batch.
@@ -114,6 +119,10 @@ wire_enum! {
         },
         /// A task was quarantined with this report.
         19 => Quarantine { report: String },
+        /// `n` leaf reads of a counted datum were released
+        /// ([`DataStore::release`]); the datum is freed if that closes its
+        /// count.
+        20 => Release { id: u64, n: u32 },
     }
 }
 
@@ -200,6 +209,8 @@ pub struct Applied {
     /// A data op the store refused. Nothing changed, so the op must not
     /// be logged: re-executing it after a failover yields the same error.
     pub error: Option<DataError>,
+    /// The op freed its datum (closed with no leaf read to come).
+    pub freed: bool,
 }
 
 /// The recoverable state of one ADLB server, in the representations the
@@ -281,8 +292,19 @@ impl Ledger {
             Ok(subscribers) => out.subscribers = subscribers,
             Err(e) => out.error = Some(e),
         };
+        let closes = match op {
+            ReplOp::Store { id, .. }
+            | ReplOp::CloseDatum { id }
+            | ReplOp::IncrWriters { id, .. }
+            | ReplOp::Release { id, .. } => Some(id),
+            _ => None,
+        };
         match op {
-            ReplOp::Create { id, type_tag } => out.error = self.store.create(id, type_tag).err(),
+            ReplOp::Create {
+                id,
+                type_tag,
+                reads,
+            } => out.error = self.store.create(id, type_tag, reads).err(),
             ReplOp::Store { id, value } => closed(self.store.store(id, value), &mut out),
             ReplOp::Insert { id, key, value } => {
                 out.error = self.store.insert(id, &key, value).err();
@@ -390,7 +412,9 @@ impl Ledger {
                 self.fwd_in += n;
             }
             ReplOp::Quarantine { report } => self.quarantine.push(report),
+            ReplOp::Release { id, n } => out.error = self.store.release(id, n).err(),
         }
+        out.freed = closes.is_some_and(|id| out.error.is_none() && !self.store.contains(id));
         out
     }
 
@@ -579,10 +603,20 @@ mod tests {
     fn sample_ledger() -> Ledger {
         let mut l = Ledger::default();
         let ops = [
-            ReplOp::Create { id: 3, type_tag: 0 },
+            ReplOp::Create {
+                id: 3,
+                type_tag: 0,
+                reads: None,
+            },
             ReplOp::Create {
                 id: 10,
                 type_tag: TYPE_TAG_CONTAINER,
+                reads: None,
+            },
+            ReplOp::Create {
+                id: 11,
+                type_tag: 0,
+                reads: Some(2),
             },
             ReplOp::Subscribe { id: 3, rank: 1 },
             ReplOp::Insert {
@@ -692,11 +726,16 @@ mod tests {
     #[test]
     fn ops_round_trip() {
         let cases = vec![
-            ReplOp::Create { id: 1, type_tag: 0 },
+            ReplOp::Create {
+                id: 1,
+                type_tag: 0,
+                reads: Some(3),
+            },
             ReplOp::Store {
                 id: 1,
                 value: Bytes::from_static(b"v"),
             },
+            ReplOp::Release { id: 1, n: 2 },
             ReplOp::Insert {
                 id: 2,
                 key: "7".into(),
@@ -769,7 +808,14 @@ mod tests {
         let owner = 8;
         // Data ops: a close hands back the drained subscribers; a refused
         // op says so and changes nothing.
-        l.apply(owner, ReplOp::Create { id: 5, type_tag: 0 });
+        l.apply(
+            owner,
+            ReplOp::Create {
+                id: 5,
+                type_tag: 0,
+                reads: None,
+            },
+        );
         l.apply(owner, ReplOp::Subscribe { id: 5, rank: 2 });
         let stored = l.apply(
             owner,
@@ -791,7 +837,14 @@ mod tests {
         assert!(again.error.unwrap().message.contains("double assignment"));
         let missing = l.apply(owner, ReplOp::IncrWriters { id: 6, delta: -1 });
         assert!(missing.error.is_some());
-        l.apply(owner, ReplOp::Create { id: 6, type_tag: 0 });
+        l.apply(
+            owner,
+            ReplOp::Create {
+                id: 6,
+                type_tag: 0,
+                reads: None,
+            },
+        );
         let before_neg = l.clone();
         assert!(l
             .apply(owner, ReplOp::IncrWriters { id: 6, delta: -2 })
@@ -799,6 +852,23 @@ mod tests {
             .is_some());
         assert_eq!(l, before_neg, "a refused op changes nothing");
         assert_eq!(before.store.len() + 1, l.store.len());
+        // A counted datum is freed by the op that closes its count, and
+        // only that op says so.
+        let create = ReplOp::Create {
+            id: 7,
+            type_tag: 0,
+            reads: Some(1),
+        };
+        assert!(!l.apply(owner, create).freed);
+        let store = ReplOp::Store {
+            id: 7,
+            value: Bytes::from_static(b"7"),
+        };
+        assert!(!l.apply(owner, store).freed);
+        assert!(l.apply(owner, ReplOp::Release { id: 7, n: 1 }).freed);
+        assert!(!l.store.contains(7));
+        let missed = l.apply(owner, ReplOp::Release { id: 7, n: 1 });
+        assert!(missed.error.is_some() && !missed.freed);
 
         // Queue + lease ops: drops and revocations hand the leases back.
         l.apply(

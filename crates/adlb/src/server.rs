@@ -227,6 +227,15 @@ server_stats! {
     /// Microseconds spent restoring shards from the durable tier. A
     /// wall-clock window like `r_restore_micros`: merged by max.
     ckpt_restore_micros: max,
+    /// Counted datums freed after their last leaf read (or closed with
+    /// none to come).
+    data_freed: sum,
+    /// Counted datums still resident when the run ended: a read count
+    /// too high, or a release lost to a death.
+    data_unreleased: sum,
+    /// Leaf reads released against a datum already freed (or never
+    /// created): a read count too low.
+    release_misses: sum,
 }
 
 /// Everything a server hands back at shutdown: counters, the stdout
@@ -392,7 +401,9 @@ impl Server {
     /// Apply `op` to this server's ledger and log it for the replica
     /// holders and the WAL (see [`Shard::commit`]).
     fn commit(&mut self, op: ReplOp) -> Applied {
-        self.shard.commit(op, !self.failover.targets().is_empty())
+        let applied = self.shard.commit(op, !self.failover.targets().is_empty());
+        self.stats.data_freed += u64::from(applied.freed);
+        applied
     }
 
     /// Ship the current handler's ops, then its sends (see
@@ -418,7 +429,8 @@ impl Server {
             | Request::DataEnumerate { id }
             | Request::DataClose { id }
             | Request::DataExists { id }
-            | Request::DataIncrWriters { id, .. } => Some(self.layout.data_owner(*id)),
+            | Request::DataIncrWriters { id, .. }
+            | Request::DataRelease { id, .. } => Some(self.layout.data_owner(*id)),
             Request::Batch(ops) | Request::OwnedBatch(ops) => {
                 ops.iter().find_map(|r| self.data_home(r))
             }
@@ -469,19 +481,29 @@ impl Server {
     /// one transaction, collecting one response each. With `charge` (a
     /// worker's batch) a failed write fails the `TaskDone` behind it; an
     /// owned batch's writes are its program's, and only its answer says so.
+    /// The releases behind a `TaskDone` that did not complete its task are
+    /// skipped: the task runs again and reads its inputs again.
     fn apply_batch(&mut self, source: Rank, ops: Vec<Request>, charge: bool) -> (Response, bool) {
         let mut resps = Vec::with_capacity(ops.len());
         let mut mutated = false;
         // The first write error since the last ack: it belongs to the
         // task whose `TaskDone` comes next.
         let mut failed: Option<String> = None;
+        let mut releasing = true;
         for mut op in ops {
             if let Request::TaskDone { ok, error } = &mut op {
                 if let (true, Some(e)) = (*ok, failed.take()) {
                     (*ok, *error) = (false, e);
                 }
             }
-            let (resp, m) = self.apply(source, op);
+            let (resp, m) = match op {
+                Request::TaskDone { ok, error } => {
+                    releasing = self.handle_ack(source, ok, error);
+                    (Response::Ok, true)
+                }
+                Request::DataRelease { .. } if !releasing => (Response::Ok, false),
+                op => self.apply(source, op),
+            };
             if let (true, Response::Error(e)) = (charge, &resp) {
                 failed.get_or_insert_with(|| e.clone());
             }
@@ -495,7 +517,11 @@ impl Server {
     /// and return its response plus whether it changed replicated state.
     fn apply(&mut self, source: Rank, req: Request) -> (Response, bool) {
         if let Some(h) = self.data_home(&req) {
-            self.stats.data_ops += 1;
+            // A release is its ack's bookkeeping, like the ack itself: no
+            // data is read or written for the client.
+            if !matches!(req, Request::DataRelease { .. }) {
+                self.stats.data_ops += 1;
+            }
             if self.failover.is_lost(h) {
                 return (lost_shard_reply(&req), false);
             }
@@ -525,6 +551,7 @@ impl Server {
                 self.handle_ack(source, ok, error);
                 (Response::Ok, true)
             }
+            Request::DataRelease { id, n } => self.release(id, n),
             Request::Output { text, tenant } => {
                 self.commit(ReplOp::Out {
                     client: source,
@@ -684,6 +711,9 @@ mod stats_tests {
             ckpt_segment_bytes: 24,
             pfs_restores: 25,
             ckpt_restore_micros: 26,
+            data_freed: 27,
+            data_unreleased: 28,
+            release_misses: 29,
         }
     }
 
@@ -722,6 +752,9 @@ mod stats_tests {
         assert_eq!(total.ckpt_segment_bytes, 2 * d.ckpt_segment_bytes);
         assert_eq!(total.pfs_restores, 2 * d.pfs_restores);
         assert_eq!(total.ckpt_restore_micros, d.ckpt_restore_micros);
+        assert_eq!(total.data_freed, 2 * d.data_freed);
+        assert_eq!(total.data_unreleased, 2 * d.data_unreleased);
+        assert_eq!(total.release_misses, 2 * d.release_misses);
     }
 
     #[test]

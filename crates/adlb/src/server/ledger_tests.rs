@@ -1,7 +1,7 @@
 //! What owning one recoverable-state type buys: after a fault-free run a
 //! replica holder's copy of a peer's ledger *is* the peer's final ledger,
 //! a restore from the durable tier *is* the live ledger at its last
-//! flush, and a server nobody backs logs nothing at all.
+//! flush — frees included — and a server nobody backs logs nothing at all.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,12 +28,18 @@ fn payload(stage: u8, k: u64) -> Vec<u8> {
 /// (every fifth one pinned to a worker); `f_k` stores `x_k` and puts
 /// `g_k`; `g_k` reads `x_k`, stores `y_k`; rank 0 reads each `y_k` as its
 /// close notification arrives. Ids alternate between data shards, so
-/// every server sees data ops, forwards, notifications and stdout.
+/// every server sees data ops, forwards, notifications and stdout. Every
+/// other `x_k` is counted with its one leaf read, so it is freed once
+/// `g_k` is acked.
 fn workload(mut c: AdlbClient) {
     let (x, y) = (|k: u64| 2 * k, |k: u64| 2 * k + 1);
     if c.rank() == 0 {
         for k in 0..TASKS {
-            c.create(x(k), 0).unwrap();
+            if k % 2 == 0 {
+                c.create_counted(x(k), 0, 1).unwrap();
+            } else {
+                c.create(x(k), 0).unwrap();
+            }
             c.create(y(k), 0).unwrap();
             c.subscribe_notify(y(k), 0).unwrap();
             let target = (k % 5 == 0).then(|| 1 + k as usize % (CLIENTS - 1));
@@ -58,6 +64,7 @@ fn workload(mut c: AdlbClient) {
                 .retrieve(x(k))
                 .unwrap()
                 .expect("g_k runs after f_k stored x_k");
+            c.note_read(x(k));
             c.store(y(k), vec![v[0] + 1]).unwrap();
             c.send_output(&format!("g{k}\n"));
         }
@@ -71,6 +78,20 @@ struct Ended {
     own: Ledger,
     replicas: HashMap<Rank, Ledger>,
     tx_ops_capacity: usize,
+    stats: ServerStats,
+}
+
+/// Every counted `x_k` was freed, exactly once, and nothing missed.
+fn all_freed(ended: &HashMap<Rank, Ended>) -> bool {
+    let mut total = ServerStats::default();
+    for e in ended.values() {
+        total.merge(&e.stats);
+    }
+    (
+        total.data_freed,
+        total.data_unreleased,
+        total.release_misses,
+    ) == (TASKS / 2, 0, 0)
 }
 
 fn run(servers: usize, config: &ServerConfig, client: ClientConfig) -> HashMap<Rank, Ended> {
@@ -96,6 +117,7 @@ fn run(servers: usize, config: &ServerConfig, client: ClientConfig) -> HashMap<R
             own,
             replicas: outcome.replicas,
             tx_ops_capacity: server.shard.tx_ops_capacity(),
+            stats: outcome.stats,
         };
         Some((rank, ended))
     });
@@ -114,6 +136,7 @@ fn a_replica_equals_its_primary() {
                 };
                 let what = format!("{servers} servers, {config:?}, {client:?}");
                 let ended = run(servers, &config, client);
+                assert!(all_freed(&ended), "{what}");
                 let layout = Layout::new(servers + CLIENTS, servers);
                 for (p, primary) in &ended {
                     let holders = layout.successors(*p, replication - 1);
@@ -146,6 +169,7 @@ fn a_restore_equals_the_live_ledger() {
                 ..ServerConfig::default()
             };
             let ended = run(servers, &config, client);
+            assert!(all_freed(&ended), "{servers} servers, {client:?}");
             for (home, server) in &ended {
                 let restored = restore_home(&mut fs.client(), *home).unwrap();
                 assert!(

@@ -635,15 +635,16 @@ impl Server {
     /// One lease acknowledgement from `source`: it either consumes a
     /// stale-ack credit (the lease was already revoked and the task
     /// requeued) or releases the oldest open lease; a failed result feeds
-    /// the retry/quarantine policy.
-    pub(super) fn handle_ack(&mut self, source: Rank, ok: bool, error: String) {
+    /// the retry/quarantine policy. Returns whether the ack completed its
+    /// task: only then do the task's leaf reads come off their counts.
+    pub(super) fn handle_ack(&mut self, source: Rank, ok: bool, error: String) -> bool {
         let ledger = self.shard.ledger();
         if ledger.credits.contains_key(&source) {
             self.commit(ReplOp::CreditUse {
                 client: source,
                 n: 1,
             });
-            return;
+            return false;
         }
         if ledger.leases.get(&source).is_none_or(|d| d.is_empty()) {
             // An adopted client acking a task its lost home leased:
@@ -651,7 +652,7 @@ impl Server {
             if !self.failover.aborting() {
                 self.protocol_error(format_args!("task ack from rank {source} with no lease"));
             }
-            return;
+            return false;
         }
         let drop = ReplOp::LeaseDrop {
             client: source,
@@ -671,6 +672,7 @@ impl Server {
                 self.retry_or_quarantine(lease.task, false, &error);
             }
         }
+        ok
     }
 }
 

@@ -297,7 +297,18 @@ impl Server {
         };
         let store = &self.shard.ledger.store;
         match req {
-            Request::DataCreate { id, type_tag } => self.write(id, ReplOp::Create { id, type_tag }),
+            Request::DataCreate {
+                id,
+                type_tag,
+                reads,
+            } => self.write(
+                id,
+                ReplOp::Create {
+                    id,
+                    type_tag,
+                    reads,
+                },
+            ),
             Request::DataStore { id, value } => self.write(id, ReplOp::Store { id, value }),
             Request::DataInsert { id, key, value } => {
                 self.write(id, ReplOp::Insert { id, key, value })
@@ -337,6 +348,23 @@ impl Server {
             Request::DataExists { id } => (Response::Bool(store.exists_closed(id)), false),
             _ => (Response::Error("not a data operation".to_string()), false),
         }
+    }
+
+    /// Take `n` leaf reads off datum `id`'s count. Never an error, so it
+    /// can never fail the ack it rides behind: a release of a datum that
+    /// is gone is counted as a miss, one of an uncounted datum changes
+    /// (and logs) nothing.
+    pub(super) fn release(&mut self, id: u64, n: u32) -> (Response, bool) {
+        match self.shard.ledger().store.read_refs(id) {
+            Err(_) => self.stats.release_misses += u64::from(n),
+            Ok(None) => {}
+            Ok(Some(left)) => {
+                self.stats.release_misses += u64::from(n.saturating_sub(left));
+                self.commit(ReplOp::Release { id, n });
+                return (Response::Ok, true);
+            }
+        }
+        (Response::Ok, false)
     }
 
     /// Commit a data write to datum `id` and notify whoever its close

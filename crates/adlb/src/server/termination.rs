@@ -295,6 +295,11 @@ impl Server {
             .map(|((r, t), s)| (r, t, s))
             .collect();
         streams.sort();
+        self.stats.data_unreleased = ledger
+            .store
+            .iter()
+            .filter(|(_, d)| d.read_refs.is_some())
+            .count() as u64;
         ServerOutcome {
             stats: self.stats,
             streams,

@@ -75,7 +75,19 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("request finished", Request::Finished),
         (
             "request data create",
-            Request::DataCreate { id: 9, type_tag: 3 },
+            Request::DataCreate {
+                id: 9,
+                type_tag: 3,
+                reads: None,
+            },
+        ),
+        (
+            "request data create counted",
+            Request::DataCreate {
+                id: 9,
+                type_tag: 3,
+                reads: Some(2),
+            },
         ),
         (
             "request data store",
@@ -149,6 +161,7 @@ fn requests() -> Vec<(&'static str, Request)> {
                 tenant: 2,
             },
         ),
+        ("request data release", Request::DataRelease { id: 9, n: 2 }),
     ]
 }
 
@@ -279,7 +292,22 @@ fn server_msgs() -> Vec<(&'static str, ServerMsg)> {
 fn repl_ops() -> Vec<(&'static str, ReplOp)> {
     let b = Bytes::from_static;
     vec![
-        ("op create", ReplOp::Create { id: 1, type_tag: 0 }),
+        (
+            "op create",
+            ReplOp::Create {
+                id: 1,
+                type_tag: 0,
+                reads: None,
+            },
+        ),
+        (
+            "op create counted",
+            ReplOp::Create {
+                id: 1,
+                type_tag: 0,
+                reads: Some(2),
+            },
+        ),
         (
             "op store",
             ReplOp::Store {
@@ -380,6 +408,7 @@ fn repl_ops() -> Vec<(&'static str, ReplOp)> {
                 report: "poison".into(),
             },
         ),
+        ("op release", ReplOp::Release { id: 1, n: 2 }),
     ]
 }
 
@@ -395,6 +424,7 @@ fn ledger(value: DatumValue) -> Ledger {
             closed: true,
             subscribers: vec![3],
             write_refs: 1,
+            read_refs: Some(2),
         },
     );
     l.queue.push(task(Some(1)));
@@ -436,7 +466,11 @@ fn history() -> RespHistory {
 
 fn wal_ops() -> Vec<ReplOp> {
     vec![
-        ReplOp::Create { id: 1, type_tag: 0 },
+        ReplOp::Create {
+            id: 1,
+            type_tag: 0,
+            reads: Some(1),
+        },
         ReplOp::Store {
             id: 1,
             value: Bytes::from_static(b"v"),
@@ -451,7 +485,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("request get any tenant", "0102000000000000000200000010000000ffffffffffffffff"),
     ("request get one tenant", "010100000001000000010000000300000000000000"),
     ("request finished", "02"),
-    ("request data create", "03090000000000000003"),
+    ("request data create", "0309000000000000000300"),
+    ("request data create counted", "030900000000000000030102000000"),
     ("request data store", "040900000000000000020000003432"),
     ("request data retrieve", "050900000000000000"),
     ("request data subscribe", "060900000000000000060000000000000001"),
@@ -465,6 +500,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("request batch", "0e020000000a01000000000000000d0100000000"),
     ("request owned batch", "0f020000000a01000000000000000d0100000000"),
     ("request output", "100300000068690a02000000"),
+    ("request data release", "11090000000000000002000000"),
     ("response ok", "00"),
     ("response bool", "0101"),
     ("response no bytes", "0200"),
@@ -489,7 +525,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("server bye", "0a"),
     ("server repl sync", "0b0100000000000000020000000000000006000000000000000400000061626364"),
     ("server sync ack", "0c01000000000000000600000000000000"),
-    ("op create", "00010000000000000000"),
+    ("op create", "0001000000000000000000"),
+    ("op create counted", "000100000000000000000102000000"),
     ("op store", "0101000000000000000100000076"),
     ("op insert", "020200000000000000010000006b0100000076"),
     ("op close datum", "030200000000000000"),
@@ -510,13 +547,14 @@ const GOLDEN: &[(&str, &str)] = &[
     ("op xfer done", "11080000000000000009000000000000000300000000000000"),
     ("op xfer in", "120900000000000000080000000000000003000000000000000100000000000000"),
     ("op quarantine", "1306000000706f69736f6e"),
+    ("op release", "14010000000000000002000000"),
     ("task untargeted", "0100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869"),
     ("task targeted", "0100000002000000fdffffffffffffff0500000000000000040000000700000070757473206869"),
-    ("ledger container", "010000000700000000000000640102010000000100000030010000006d0100000003000000000000000100000000000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
-    ("ledger scalar", "01000000070000000000000064010101000000730100000003000000000000000100000000000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
-    ("ledger unset", "0100000007000000000000006401000100000003000000000000000100000000000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
-    ("wal record", "240000000b0000000000000002000000000100000000000000000101000000000000000100000076e4fbcf8e999baef1"),
-    ("segment", "31504b430b00000000000000010000000700000000000000640102010000000100000030010000006d0100000003000000000000000100000000000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000010000000200000001000000110000000000000004000000726573700af157ea64111b5e"),
+    ("ledger container", "010000000700000000000000640102010000000100000030010000006d01000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
+    ("ledger scalar", "010000000700000000000000640101010000007301000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
+    ("ledger unset", "01000000070000000000000064010001000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
+    ("wal record", "290000000b00000000000000020000000001000000000000000001010000000101000000000000000100000076b880b71f7f509ae4"),
+    ("segment", "31504b430b00000000000000010000000700000000000000640102010000000100000030010000006d01000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff0400000007000000707574732068690100000009000000000000000300000000000000010000000800000000000000090000000000000005000000000000000100000000000000020000000000000003000000000000000100000002000000010000001100000000000000040000007265737049b49313c7729192"),
 ];
 
 fn hex(b: &[u8]) -> String {

@@ -735,7 +735,13 @@ mod wal_replay {
                 tasks: vec![task(i)],
             },
             11 => ReplOp::LeaseDrop { client, n: 1 },
-            0 => ReplOp::Create { id, type_tag: 0 },
+            // Every other create is counted, so closes and releases free.
+            0 => ReplOp::Create {
+                id,
+                type_tag: 0,
+                reads: (i % 24 == 12).then_some((i % 3) as u32),
+            },
+            7 if i % 24 == 7 => ReplOp::Release { id, n: 1 },
             1 => ReplOp::Store {
                 id,
                 value: Bytes::from(format!("v{i}")),

@@ -8,6 +8,14 @@
 //! ids as arguments; loops are split into distributable control tasks.
 //! Container writes reserve writer slots so an array closes exactly when
 //! its last (possibly remote) writer finishes — Swift/T's slot counting.
+//!
+//! A scalar datum written once and whose every read is an input argument
+//! of a Tcl-leaf call in the block that declares it is created with that
+//! many reads (`turbine::create id type reads`): the data store frees it
+//! after the last. Any other read — by the engine, a composite function,
+//! or a loop or branch body — leaves it uncounted, and it lives to the end
+//! of the run; so does a datum written twice, whose second store must
+//! still fail as a double assignment.
 
 use std::collections::HashMap;
 
@@ -65,7 +73,7 @@ pub fn compile(src: &str) -> Result<CompiledProgram, CompileError> {
     let mut scope = Scope::new();
     let mut out = String::new();
     cg.emit_block(&prog.main, &mut scope, &mut out)?;
-    cg.close_scope_containers(&scope, &mut out);
+    Codegen::close_block(&scope, &mut out);
     Ok(CompiledProgram {
         preamble: cg.preamble,
         main: out,
@@ -89,17 +97,51 @@ enum FuncKind {
 struct FuncSig {
     outputs: Vec<Type>,
     inputs: Vec<Type>,
-    /// Recorded for diagnostics and future call-site specialization.
-    #[allow(dead_code)]
     kind: FuncKind,
 }
 
+impl FuncSig {
+    /// Who reads the arguments of a call to this function.
+    fn reader(&self) -> Reader {
+        match self.kind {
+            FuncKind::TclLeaf => Reader::Leaf,
+            FuncKind::Composite => Reader::Other,
+        }
+    }
+}
+
+/// Who reads a datum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reader {
+    /// An input argument of a Tcl-leaf call: one `turbine::retrieve_*` on
+    /// the worker that runs it.
+    Leaf,
+    /// The engine, a composite function, or a loop or branch body.
+    Other,
+}
+
+/// How the block that created a scalar datum reads it.
+#[derive(Debug, Clone, Copy)]
+struct Reads {
+    /// Where the block's code ends the datum's `turbine::create` line.
+    at: usize,
+    /// Leaf input arguments it is passed as.
+    leaf: u32,
+    /// Whether anything else reads it.
+    other: bool,
+    /// Stores into it.
+    writes: u32,
+}
+
+/// One block: its variables, and what it created and must finish.
 struct Scope {
     /// Innermost last. Each frame: name → info.
     frames: Vec<HashMap<String, VarInfo>>,
     /// Containers declared in the *current top frame* (closed at scope
     /// end), in declaration order.
     owned_containers: Vec<String>,
+    /// Scalar datums this block created, by Tcl variable.
+    created: HashMap<String, Reads>,
 }
 
 impl Scope {
@@ -107,11 +149,14 @@ impl Scope {
         Scope {
             frames: vec![HashMap::new()],
             owned_containers: Vec::new(),
+            created: HashMap::new(),
         }
     }
 
     fn declare(&mut self, name: &str, info: VarInfo) -> Result<(), String> {
-        let top = self.frames.last_mut().unwrap();
+        let Some(top) = self.frames.last_mut() else {
+            return Err(format!("no scope to declare \"{name}\" in"));
+        };
         if top.contains_key(name) {
             return Err(format!(
                 "variable \"{name}\" already declared in this scope"
@@ -119,6 +164,25 @@ impl Scope {
         }
         top.insert(name.to_string(), info);
         Ok(())
+    }
+
+    /// Note a store into datum `tcl` by this block's code.
+    fn write(&mut self, tcl: &str) {
+        if let Some(r) = self.created.get_mut(tcl) {
+            r.writes += 1;
+        }
+    }
+
+    /// Note a read of datum `tcl` by this block's code. Reads of datums
+    /// another block created count for nothing here: that block saw them
+    /// captured (an `Other` read) when it passed them in.
+    fn read(&mut self, tcl: &str, by: Reader) {
+        if let Some(r) = self.created.get_mut(tcl) {
+            match by {
+                Reader::Leaf => r.leaf += 1,
+                Reader::Other => r.other = true,
+            }
+        }
     }
 
     fn lookup(&self, name: &str) -> Option<&VarInfo> {
@@ -228,23 +292,64 @@ impl Codegen {
 
     // ---- declarations & helpers --------------------------------------
 
-    fn emit_create(&self, out: &mut String, tcl: &str, ty: &Type) {
+    /// Create datum `tcl` in the block `out` holds. A scalar one may get a
+    /// read count when the block ends (see [`Codegen::close_block`]).
+    fn emit_create(out: &mut String, scope: &mut Scope, tcl: &str, ty: &Type) {
         out.push_str(&format!(
             "set {tcl} [turbine::unique]\nturbine::create ${tcl} {}\n",
             ty.turbine_name()
         ));
+        if !matches!(ty, Type::Void | Type::Array(_)) {
+            let reads = Reads {
+                at: out.len() - 1,
+                leaf: 0,
+                other: false,
+                writes: 0,
+            };
+            scope.created.insert(tcl.to_string(), reads);
+        }
     }
 
-    fn alloc_td(&mut self, out: &mut String, ty: &Type) -> String {
+    fn alloc_td(&mut self, out: &mut String, scope: &mut Scope, ty: &Type) -> String {
         let t = self.fresh_tmp();
-        self.emit_create(out, &t, ty);
+        Self::emit_create(out, scope, &t, ty);
         t
     }
 
-    fn close_scope_containers(&self, scope: &Scope, out: &mut String) {
+    /// The Tcl variable holding declared variable `name`'s datum id.
+    fn var_tcl(&self, name: &str, line: usize, scope: &Scope) -> Result<String, CompileError> {
+        match scope.lookup(name) {
+            Some(info) => Ok(info.tcl.clone()),
+            None => err(line, format!("undefined variable \"{name}\"")),
+        }
+    }
+
+    /// End the block `out` holds: close the containers it declared, and
+    /// give every datum it created, wrote once and only passed to its own
+    /// leaf calls the number of those reads.
+    fn close_block(scope: &Scope, out: &mut String) {
         for c in &scope.owned_containers {
             out.push_str(&format!("turbine::container_close ${c}\n"));
         }
+        let mut counted: Vec<(usize, u32)> = scope
+            .created
+            .values()
+            .filter(|r| !r.other && r.writes == 1)
+            .map(|r| (r.at, r.leaf))
+            .collect();
+        if counted.is_empty() {
+            return;
+        }
+        counted.sort_unstable();
+        let mut code = String::with_capacity(out.len() + 4 * counted.len());
+        let mut from = 0;
+        for (at, n) in counted {
+            code.push_str(&out[from..at]);
+            code.push_str(&format!(" {n}"));
+            from = at;
+        }
+        code.push_str(&out[from..]);
+        *out = code;
     }
 
     // ---- functions -----------------------------------------------------
@@ -277,7 +382,7 @@ impl Codegen {
         }
         let mut code = String::new();
         self.emit_block(body, &mut scope, &mut code)?;
-        self.close_scope_containers(&scope, &mut code);
+        Self::close_block(&scope, &mut code);
         self.preamble.push_str(&format!(
             "proc swift:{} {{{}}} {{\n{}}}\n",
             f.name,
@@ -438,7 +543,7 @@ impl Codegen {
                     self.tmp += 1;
                     self.tmp
                 });
-                self.emit_create(out, &tcl, ty);
+                Self::emit_create(out, scope, &tcl, ty);
                 if matches!(ty, Type::Array(_)) {
                     scope.owned_containers.push(tcl.clone());
                 }
@@ -500,7 +605,8 @@ impl Codegen {
                     if idx_ty != Type::Int {
                         return err(*line, "array subscripts must be int");
                     }
-                    let (val_td, _) = self.compile_expr_expect(value, &elem_ty, scope, out)?;
+                    let (val_td, _) =
+                        self.compile_expr_expect(value, &elem_ty, Reader::Other, scope, out)?;
                     out.push_str(&format!(
                         "turbine::write_refcount_incr ${ctcl} 1\nswt:cinsert_when ${ctcl} ${idx_td} ${val_td} {}\n",
                         elem_ty.turbine_name()
@@ -560,6 +666,7 @@ impl Codegen {
                         ),
                     );
                 }
+                let reader = sig.reader();
                 let mut argv = Vec::new();
                 for (t, oty) in targets.iter().zip(&sig.outputs) {
                     let info = scope.lookup(t).ok_or_else(|| CompileError {
@@ -576,10 +683,16 @@ impl Codegen {
                             ),
                         );
                     }
-                    argv.push(format!("${}", info.tcl));
+                    let tcl = info.tcl.clone();
+                    scope.write(&tcl);
+                    if reader == Reader::Other {
+                        // A composite's outputs are its parameters.
+                        scope.read(&tcl, Reader::Other);
+                    }
+                    argv.push(format!("${tcl}"));
                 }
                 for (a, ity) in call.args.iter().zip(&sig.inputs.clone()) {
-                    let (td, _) = self.compile_expr_expect(a, ity, scope, out)?;
+                    let (td, _) = self.compile_expr_expect(a, ity, reader, scope, out)?;
                     argv.push(format!("${td}"));
                 }
                 out.push_str(&format!("swift:{} {}\n", call.name, argv.join(" ")));
@@ -757,8 +870,21 @@ impl Codegen {
         })
     }
 
-    /// Compile an expression into a fresh datum; returns `(tcl_var, type)`.
+    /// Compile an expression into a fresh datum that the engine reads;
+    /// returns `(tcl_var, type)`.
     fn compile_expr(
+        &mut self,
+        e: &Expr,
+        scope: &mut Scope,
+        out: &mut String,
+    ) -> Result<(String, Type), CompileError> {
+        let (td, ty) = self.compile_operand(e, scope, out)?;
+        scope.read(&td, Reader::Other);
+        Ok((td, ty))
+    }
+
+    /// [`Codegen::compile_expr`], leaving the read to the caller.
+    fn compile_operand(
         &mut self,
         e: &Expr,
         scope: &mut Scope,
@@ -773,17 +899,18 @@ impl Codegen {
             return Ok((info.tcl.clone(), info.ty.clone()));
         }
         let ty = self.infer_type(e, scope)?;
-        let td = self.alloc_td(out, &ty);
+        let td = self.alloc_td(out, scope, &ty);
         self.compile_into(e, &td, &ty, scope, out)?;
         Ok((td, ty))
     }
 
     /// Compile an expression of an expected type (inserting int→float
-    /// promotion when needed).
+    /// promotion when needed) for `reader`.
     fn compile_expr_expect(
         &mut self,
         e: &Expr,
         expected: &Type,
+        reader: Reader,
         scope: &mut Scope,
         out: &mut String,
     ) -> Result<(String, Type), CompileError> {
@@ -792,12 +919,16 @@ impl Codegen {
             matches!((a, b), (Type::Bool, Type::Int) | (Type::Int, Type::Bool))
         };
         if &actual == expected || bool_int(&actual, expected) {
-            return self.compile_expr(e, scope, out);
+            let (td, ty) = self.compile_operand(e, scope, out)?;
+            scope.read(&td, reader);
+            return Ok((td, ty));
         }
         if actual == Type::Int && *expected == Type::Float {
             let (itd, _) = self.compile_expr(e, scope, out)?;
-            let ftd = self.alloc_td(out, &Type::Float);
+            let ftd = self.alloc_td(out, scope, &Type::Float);
             out.push_str(&format!("swt:itof ${ftd} ${itd}\n"));
+            scope.write(&ftd);
+            scope.read(&ftd, reader);
             return Ok((ftd, Type::Float));
         }
         err(
@@ -819,6 +950,7 @@ impl Codegen {
         scope: &mut Scope,
         out: &mut String,
     ) -> Result<(), CompileError> {
+        scope.write(target);
         // Promotion: compile as the actual type, then convert.
         let actual = self.infer_type(e, scope)?;
         if actual == Type::Int && *target_ty == Type::Float {
@@ -863,7 +995,8 @@ impl Codegen {
                 Ok(())
             }
             Expr::Var(name) => {
-                let src = scope.lookup(name).unwrap().tcl.clone();
+                let src = self.var_tcl(name, e.line(), scope)?;
+                scope.read(&src, Reader::Other);
                 out.push_str(&format!(
                     "swt:copy {} ${target} ${src}\n",
                     target_ty.turbine_name()
@@ -871,7 +1004,7 @@ impl Codegen {
                 Ok(())
             }
             Expr::Index(name, idx, line) => {
-                let ctcl = scope.lookup(name).unwrap().tcl.clone();
+                let ctcl = self.var_tcl(name, *line, scope)?;
                 let (idx_td, idx_ty) = self.compile_expr(idx, scope, out)?;
                 if idx_ty != Type::Int {
                     return err(*line, "array subscripts must be int");
@@ -919,8 +1052,8 @@ impl Codegen {
                 } else {
                     Type::Int
                 };
-                let (a, _) = self.compile_expr_expect(l, &operand_ty, scope, out)?;
-                let (b, _) = self.compile_expr_expect(r, &operand_ty, scope, out)?;
+                let (a, _) = self.compile_expr_expect(l, &operand_ty, Reader::Other, scope, out)?;
+                let (b, _) = self.compile_expr_expect(r, &operand_ty, Reader::Other, scope, out)?;
                 let proc = if is_bool {
                     "swt:ibinop"
                 } else if is_cmp {
@@ -991,8 +1124,10 @@ impl Codegen {
                 if c.args.len() != 2 {
                     return err(line, "assert(condition, message) takes two arguments");
                 }
-                let (cond, _) = self.compile_expr_expect(&c.args[0], &Type::Bool, scope, out)?;
-                let (msg, _) = self.compile_expr_expect(&c.args[1], &Type::Str, scope, out)?;
+                let (cond, _) =
+                    self.compile_expr_expect(&c.args[0], &Type::Bool, Reader::Other, scope, out)?;
+                let (msg, _) =
+                    self.compile_expr_expect(&c.args[1], &Type::Str, Reader::Other, scope, out)?;
                 out.push_str(&format!("swt:assert ${cond} ${msg}\n"));
                 Ok(())
             }
@@ -1003,7 +1138,8 @@ impl Codegen {
                 })?;
                 let mut tds = Vec::new();
                 for a in &c.args {
-                    let (td, _) = self.compile_expr_expect(a, &Type::Str, scope, out)?;
+                    let (td, _) =
+                        self.compile_expr_expect(a, &Type::Str, Reader::Other, scope, out)?;
                     tds.push(format!("${td}"));
                 }
                 out.push_str(&format!("swt:strcat ${target} {}\n", tds.join(" ")));
@@ -1049,7 +1185,9 @@ impl Codegen {
                 Ok(())
             }
             name if builtin_sig(name).is_some() && !self.sigs.contains_key(name) => {
-                let (ins, ret) = builtin_sig(name).unwrap();
+                let Some((ins, ret)) = builtin_sig(name) else {
+                    return err(line, format!("unknown builtin \"{name}\""));
+                };
                 if c.args.len() != ins.len() {
                     return err(
                         line,
@@ -1065,12 +1203,14 @@ impl Codegen {
                     None => {
                         // Result discarded: still evaluate (e.g. sh() for
                         // effect) into a throwaway datum.
-                        self.alloc_td(out, &ret)
+                        let t = self.alloc_td(out, scope, &ret);
+                        scope.write(&t);
+                        t
                     }
                 };
                 let mut tds = Vec::new();
                 for (a, ity) in c.args.iter().zip(ins) {
-                    let (td, _) = self.compile_expr_expect(a, ity, scope, out)?;
+                    let (td, _) = self.compile_expr_expect(a, ity, Reader::Other, scope, out)?;
                     tds.push(format!("${td}"));
                 }
                 let proc = match name {
@@ -1124,10 +1264,17 @@ impl Codegen {
                         ),
                     );
                 }
+                let reader = sig.reader();
                 let mut argv = Vec::new();
                 // Outputs first (STC convention).
                 match (target, sig.outputs.len()) {
-                    (Some(t), 1) => argv.push(format!("${t}")),
+                    (Some(t), 1) => {
+                        if reader == Reader::Other {
+                            // A composite's outputs are its parameters.
+                            scope.read(t, Reader::Other);
+                        }
+                        argv.push(format!("${t}"));
+                    }
                     (None, 0) => {}
                     (None, _) => unreachable!("checked by caller"),
                     (Some(_), n) => {
@@ -1138,7 +1285,7 @@ impl Codegen {
                     }
                 }
                 for (a, ity) in c.args.iter().zip(&sig.inputs) {
-                    let (td, _) = self.compile_expr_expect(a, ity, scope, out)?;
+                    let (td, _) = self.compile_expr_expect(a, ity, reader, scope, out)?;
                     argv.push(format!("${td}"));
                 }
                 out.push_str(&format!("swift:{} {}\n", c.name, argv.join(" ")));
@@ -1213,7 +1360,7 @@ impl Codegen {
         let mut body_code = String::new();
         // Loop variable TDs created inside the body from passed values.
         let vv_tcl = format!("lv_{value_var}");
-        self.emit_create(&mut body_code, &vv_tcl, &elem_ty);
+        Self::emit_create(&mut body_code, &mut body_scope, &vv_tcl, &elem_ty);
         let store = match elem_ty {
             Type::Int | Type::Bool => "turbine::store_integer",
             Type::Float => "turbine::store_float",
@@ -1221,6 +1368,7 @@ impl Codegen {
             _ => unreachable!(),
         };
         body_code.push_str(&format!("{store} ${vv_tcl} $__val\n"));
+        body_scope.write(&vv_tcl);
         body_scope
             .declare(
                 value_var,
@@ -1232,8 +1380,9 @@ impl Codegen {
             .map_err(|m| CompileError { message: m, line })?;
         if let Some(iv) = index_var {
             let iv_tcl = format!("lv_{iv}");
-            self.emit_create(&mut body_code, &iv_tcl, &Type::Int);
+            Self::emit_create(&mut body_code, &mut body_scope, &iv_tcl, &Type::Int);
             body_code.push_str(&format!("turbine::store_integer ${iv_tcl} $__idx\n"));
+            body_scope.write(&iv_tcl);
             body_scope
                 .declare(
                     iv,
@@ -1245,7 +1394,7 @@ impl Codegen {
                 .map_err(|m| CompileError { message: m, line })?;
         }
         self.emit_block(body, &mut body_scope, &mut body_code)?;
-        self.close_scope_containers(&body_scope, &mut body_code);
+        Self::close_block(&body_scope, &mut body_code);
 
         let proc_name = self.fresh_proc("loop");
         let cap_params: Vec<String> = captured.iter().map(|(_, i)| i.tcl.clone()).collect();
@@ -1255,6 +1404,9 @@ impl Codegen {
             body = indent(&body_code),
         ));
 
+        for (_, info) in &captured {
+            scope.read(&info.tcl, Reader::Other);
+        }
         let cap_refs: Vec<String> = captured
             .iter()
             .map(|(_, i)| format!("${}", i.tcl))
@@ -1278,8 +1430,10 @@ impl Codegen {
                         return err(line, "only step 1 ranges are supported");
                     }
                 }
-                let (std_, _) = self.compile_expr_expect(start, &Type::Int, scope, out)?;
-                let (etd, _) = self.compile_expr_expect(end, &Type::Int, scope, out)?;
+                let (std_, _) =
+                    self.compile_expr_expect(start, &Type::Int, Reader::Other, scope, out)?;
+                let (etd, _) =
+                    self.compile_expr_expect(end, &Type::Int, Reader::Other, scope, out)?;
                 // Build the action with [list ...] so that the captured-ids
                 // and containers sublists stay single words even when empty
                 // or multi-element.
@@ -1336,7 +1490,7 @@ impl Codegen {
             bscope.push();
             let mut code = String::new();
             cg.emit_block(branch, &mut bscope, &mut code)?;
-            cg.close_scope_containers(&bscope, &mut code);
+            Codegen::close_block(&bscope, &mut code);
             for c in released {
                 code.push_str(&format!("turbine::write_refcount_incr ${c} -1\n"));
             }
@@ -1347,6 +1501,9 @@ impl Codegen {
                 params.join(" "),
                 indent(&code)
             ));
+            for (_, info) in &captured {
+                scope.read(&info.tcl, Reader::Other);
+            }
             let refs: Vec<String> = captured
                 .iter()
                 .map(|(_, i)| format!("${}", i.tcl))
@@ -1717,6 +1874,132 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+}
+
+#[cfg(test)]
+mod read_count_tests {
+    use super::*;
+
+    const LEAVES: &str = r#"
+        (int o) f (int i) [ "set <<o>> [ expr {<<i>> + 1} ]" ];
+        (blob o) mk (int i) "bk" "1.0" [ "set <<o>> [ bk::mk <<i>> ]" ];
+        (blob o) axpy (float a, blob x, blob y) "bk" "1.0" [ "set <<o>> [ bk::axpy <<a>> <<x>> <<y>> ]" ];
+        (int o) g (int a) { o = a; }
+    "#;
+
+    /// The read count each `turbine::create` line of `code` carries, by
+    /// the Tcl variable it creates (`None`: uncounted).
+    fn counts(code: &str) -> HashMap<String, Option<u32>> {
+        code.lines()
+            .filter_map(|l| l.trim().strip_prefix("turbine::create $"))
+            .map(|rest| {
+                let words: Vec<&str> = rest.split_whitespace().collect();
+                (
+                    words[0].to_string(),
+                    words.get(2).map(|n| n.parse().unwrap()),
+                )
+            })
+            .collect()
+    }
+
+    /// The count of Swift variable `name`'s datum in `code`.
+    fn count_of(code: &str, name: &str) -> Option<u32> {
+        let prefix = format!("v_{name}_");
+        let found: Vec<Option<u32>> = counts(code)
+            .into_iter()
+            .filter(|(tcl, _)| tcl.starts_with(&prefix))
+            .map(|(_, n)| n)
+            .collect();
+        assert_eq!(found.len(), 1, "{name} in {code}");
+        found[0]
+    }
+
+    fn main_of(body: &str) -> String {
+        compile(&format!("{LEAVES}{body}")).unwrap().main
+    }
+
+    #[test]
+    fn a_leaf_only_datum_counts_each_argument_position() {
+        let main = main_of("blob w = mk(1); blob z = axpy(2.0, w, w); blob u = axpy(1.5, z, w);");
+        assert_eq!(count_of(&main, "w"), Some(3), "two positions, then one");
+        assert_eq!(count_of(&main, "z"), Some(1));
+        // The literal temporaries: 1 for mk, 2.0 and 1.5 for the axpys.
+        let temps: Vec<Option<u32>> = counts(&main)
+            .into_iter()
+            .filter(|(tcl, _)| tcl.starts_with('t'))
+            .map(|(_, n)| n)
+            .collect();
+        assert_eq!(temps, vec![Some(1); 3]);
+    }
+
+    #[test]
+    fn an_unused_datum_counts_zero() {
+        let main = main_of("int s = f(4);");
+        assert_eq!(count_of(&main, "s"), Some(0));
+    }
+
+    #[test]
+    fn a_foreach_bodys_own_index_counts() {
+        let p = compile(&format!(
+            "{LEAVES}foreach v, k in [0:3] {{ int s = f(v); int r = f(k); }}"
+        ))
+        .unwrap();
+        let loop_vars = counts(&p.preamble);
+        assert_eq!(loop_vars["lv_v"], Some(1));
+        assert_eq!(loop_vars["lv_k"], Some(1));
+    }
+
+    #[test]
+    fn an_engine_read_leaves_a_datum_uncounted() {
+        for body in [
+            r#"int x = f(1); printf("%d", x);"#,
+            "int x = f(1); int y = x + 1; int z = f(y);",
+            "int x = f(1); if (x > 0) { trace(1); }",
+            "int x = f(1); int A[]; A[0] = x;",
+            "blob x = mk(1); blob z = x;",
+        ] {
+            assert_eq!(count_of(&main_of(body), "x"), None, "{body}");
+        }
+    }
+
+    #[test]
+    fn a_datum_written_twice_or_never_is_uncounted() {
+        let main = main_of("int x; x = 1; x = 2; int y = f(x); int z;");
+        assert_eq!(count_of(&main, "x"), None, "its second store still fails");
+        assert_eq!(count_of(&main, "z"), None, "never closed");
+    }
+
+    #[test]
+    fn a_composite_argument_is_uncounted() {
+        let main = main_of("int x = f(1); int y = g(x); int z = f(y);");
+        assert_eq!(count_of(&main, "x"), None, "an input");
+        assert_eq!(count_of(&main, "y"), None, "an output");
+    }
+
+    #[test]
+    fn a_loop_capture_is_uncounted() {
+        let main = main_of("int x = f(1); foreach i in [0:2] { int y = f(x); }");
+        assert_eq!(count_of(&main, "x"), None);
+    }
+
+    #[test]
+    fn an_if_branch_capture_is_uncounted() {
+        let main = main_of("int x = f(1); int c = 1; if (c > 0) { int y = f(x); }");
+        assert_eq!(count_of(&main, "x"), None);
+    }
+
+    #[test]
+    fn arrays_and_parameters_are_uncounted() {
+        let p = compile(&format!(
+            "{LEAVES}(int o) h (int a) {{ int b = f(a); o = f(b); }}\nint A[]; A[0] = 1; int s = h(2);"
+        ))
+        .unwrap();
+        assert_eq!(count_of(&p.main, "A"), None);
+        // Inside the composite: its parameters are uncounted, its own
+        // leaf-only local is counted.
+        assert_eq!(count_of(&p.preamble, "b"), Some(1));
+        assert!(!p.preamble.contains("turbine::create $p_"));
     }
 }
 

@@ -38,6 +38,13 @@ pub struct LexError {
     pub line: usize,
 }
 
+fn unterminated(line: usize) -> LexError {
+    LexError {
+        message: "unterminated string literal".into(),
+        line,
+    }
+}
+
 pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LexError> {
     let b = src.as_bytes();
     let mut i = 0usize;
@@ -128,10 +135,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LexError> {
                 i += 1;
                 loop {
                     if i >= b.len() {
-                        return Err(LexError {
-                            message: "unterminated string literal".into(),
-                            line,
-                        });
+                        return Err(unterminated(line));
                     }
                     match b[i] {
                         b'"' => {
@@ -172,7 +176,9 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LexError> {
                                     // Multibyte char after the backslash:
                                     // keep both, consuming the whole char.
                                     s.push('\\');
-                                    let ch = src[i + 1..].chars().next().unwrap();
+                                    let Some(ch) = src[i + 1..].chars().next() else {
+                                        return Err(unterminated(line));
+                                    };
                                     s.push(ch);
                                     i += 1 + ch.len_utf8();
                                 }
@@ -184,7 +190,9 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LexError> {
                             i += 1;
                         }
                         _ => {
-                            let ch = src[i..].chars().next().unwrap();
+                            let Some(ch) = src[i..].chars().next() else {
+                                return Err(unterminated(line));
+                            };
                             s.push(ch);
                             i += ch.len_utf8();
                         }
@@ -229,7 +237,10 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LexError> {
                     i += 1;
                 } else {
                     return Err(LexError {
-                        message: format!("unexpected character {:?}", rest.chars().next().unwrap()),
+                        message: match rest.chars().next() {
+                            Some(c) => format!("unexpected character {c:?}"),
+                            None => "unexpected end of input".to_string(),
+                        },
                         line,
                     });
                 }

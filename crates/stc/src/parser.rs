@@ -404,10 +404,6 @@ impl Parser {
                 let line = self.line();
                 self.bump();
                 let rhs = self.add_expr()?;
-                let op: &'static str = ["==", "!=", "<=", ">=", "<", ">"]
-                    .iter()
-                    .find(|o| **o == op)
-                    .unwrap();
                 return Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs), line));
             }
         }

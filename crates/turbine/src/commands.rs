@@ -149,6 +149,16 @@ fn retrieve<T>(
     id: u64,
     decode: impl FnOnce(&[u8]) -> Result<T, String>,
 ) -> Result<T, Exception> {
+    let value = read_value(ctx, id, decode)?;
+    leaf_read(ctx, id);
+    Ok(value)
+}
+
+fn read_value<T>(
+    ctx: &SharedCtx,
+    id: u64,
+    decode: impl FnOnce(&[u8]) -> Result<T, String>,
+) -> Result<T, Exception> {
     if let Some(v) = ctx.borrow().known_value(id) {
         return decode(v).map_err(ex);
     }
@@ -159,6 +169,15 @@ fn retrieve<T>(
 fn fetch(ctx: &SharedCtx, id: u64) -> Result<Bytes, Exception> {
     let fetched = ctx.borrow_mut().client.retrieve(id).map_err(ex)?;
     fetched.ok_or_else(|| ex(format!("retrieve of open datum <{id}> (dataflow bug)")))
+}
+
+/// A worker runs only leaf tasks, so each of its reads is a leaf read of
+/// the task in hand, released once the task's ack has left.
+fn leaf_read(ctx: &SharedCtx, id: u64) {
+    let mut c = ctx.borrow_mut();
+    if !c.is_engine {
+        c.client.note_read(id);
+    }
 }
 
 /// Register every `turbine::*` command plus the blobutils command set.
@@ -183,11 +202,24 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         Ok(ctx.borrow_mut().client.alloc_id().to_string())
     });
     cmd!("turbine::create", |_i, ctx: &SharedCtx, argv: &[String]| {
-        need(argv, 3, 3, "turbine::create id type")?;
+        // `reads`: the leaf reads STC counted; the datum is freed after
+        // the last. Without it the datum is never freed.
+        need(argv, 3, 4, "turbine::create id type ?reads?")?;
         let id = parse_id(&argv[1])?;
         let ty = TurbineType::from_name(&argv[2])
             .ok_or_else(|| ex(format!("unknown turbine type \"{}\"", argv[2])))?;
-        ctx.borrow_mut().client.create(id, ty.tag()).map_err(ex)?;
+        let client = &mut ctx.borrow_mut().client;
+        match argv.get(3) {
+            Some(n) => {
+                let reads = n
+                    .trim()
+                    .parse()
+                    .map_err(|_| ex(format!("create: bad read count \"{n}\"")))?;
+                client.create_counted(id, ty.tag(), reads)
+            }
+            None => client.create(id, ty.tag()),
+        }
+        .map_err(ex)?;
         Ok(String::new())
     });
 
@@ -284,6 +316,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 Some(v) => v,
                 None => fetch(ctx, id)?,
             });
+            leaf_read(ctx, id);
             let c = ctx.borrow();
             let h = c.blobs.borrow_mut().insert(blob);
             Ok(h.to_token())

@@ -440,6 +440,10 @@ fn main() -> ExitCode {
                     result.messages, result.bytes
                 );
                 eprintln!("wall time          : {:?}", result.elapsed);
+                eprintln!(
+                    "data freed         : {} ({} unreleased, {} release misses)",
+                    servers.data_freed, servers.data_unreleased, servers.release_misses
+                );
                 if let Some(lat) = &result.latency {
                     let line = |name: &str, s: &Option<swiftt::core::LatencyStats>| {
                         if let Some(s) = s {

@@ -13,7 +13,8 @@
 use std::process::Command;
 use std::sync::Arc;
 
-use swiftt::core::{FaultPlan, Runtime, SwiftTError};
+use swiftt::blobutils::Blob;
+use swiftt::core::{FaultPlan, NativeArg, NativeLibrary, Runtime, SwiftTError};
 use swiftt::pfs::{Pfs, PfsConfig};
 
 /// Sorted, deduplicated stdout lines (a killed rank's buffered output is
@@ -255,6 +256,102 @@ fn engine_home_death_mid_pipeline_at_replication_2_output_matches_fault_free() {
     );
     assert_eq!(r.server_totals().failovers, 1, "a successor promoted");
     assert_eq!(r.stdout, clean.stdout);
+}
+
+/// `blob_native` at 80 wide with 4 KiB blobs: wave → axpy → bsum into an
+/// array, and a checksum leaf over it. Each iteration's `w` (read twice by
+/// `axpy`), `z` (read once by `bsum`) and `axpy`'s `2.0` are counted, so
+/// the store frees them after their last successful read.
+const BLOB_SRC: &str = r#"
+    (blob o) wave (int i) "bk" "1.0" [ "set <<o>> [ bk::wave <<i>> ]" ];
+    (blob o) axpy (float a, blob x, blob y) "bk" "1.0" [ "set <<o>> [ bk::axpy <<a>> <<x>> <<y>> ]" ];
+    (int o) bsum (blob z) "bk" "1.0" [ "set <<o>> [ bk::bsum <<z>> ]" ];
+    (int o) checksum (int a[]) [ "set <<o>> 0; foreach v [ turbine::container_values <<a>> ] { incr <<o>> $v }" ];
+    int sums[];
+    foreach i in [1:80] {
+        blob w = wave(i);
+        blob z = axpy(2.0, w, w);
+        sums[i] = bsum(z);
+    }
+    printf("checksum %d", checksum(sums));
+"#;
+
+fn blob_kernels() -> NativeLibrary {
+    NativeLibrary::new("bk", "1.0")
+        .function("wave", |args| {
+            let i = args[0].as_i64()?;
+            let data: Vec<f64> = (0..512)
+                .map(|j| ((i * 7 + j * 13) % 1_024) as f64)
+                .collect();
+            Ok(NativeArg::Blob(Blob::from_f64s(&data)))
+        })
+        .function("axpy", |args| {
+            let a = args[0].as_f64()?;
+            let x = args[1].as_blob()?.to_f64s().map_err(|e| e.to_string())?;
+            let y = args[2].as_blob()?.to_f64s().map_err(|e| e.to_string())?;
+            let out: Vec<f64> = x.iter().zip(&y).map(|(xi, yi)| a * xi + yi).collect();
+            Ok(NativeArg::Blob(Blob::from_f64s(&out)))
+        })
+        .function("bsum", |args| {
+            let x = args[0].as_blob()?.to_f64s().map_err(|e| e.to_string())?;
+            Ok(NativeArg::Int(x.iter().sum::<f64>() as i64))
+        })
+}
+
+/// Run [`BLOB_SRC`] on 8 ranks (engine 0, workers 1..=5, servers 6 and
+/// 7) at replication 2 under `plan`, and check it against the fault-free
+/// run: the same output, `victim` dead, and no task failed — a retry that
+/// found an input already freed would fail on its retrieve — nor any
+/// release that found its datum gone.
+fn assert_blob_pipeline_survives(plan: FaultPlan, victim: usize) {
+    let machine = || {
+        Runtime::new(8)
+            .servers(2)
+            .replication(2)
+            .native_library(blob_kernels())
+    };
+    let clean = machine().run(BLOB_SRC).expect("fault-free run");
+    let totals = clean.server_totals();
+    assert_eq!((totals.data_unreleased, totals.release_misses), (0, 0));
+    assert!(
+        totals.data_freed >= 3 * 80,
+        "w, z and 2.0 of every iteration"
+    );
+    let r = machine()
+        .faults(plan)
+        .run(BLOB_SRC)
+        .unwrap_or_else(|e| panic!("killing rank {victim} must not fail the run: {e}"));
+    assert_eq!(
+        r.killed_ranks,
+        vec![victim],
+        "the scheduled victim must die"
+    );
+    assert_eq!(r.stdout, clean.stdout);
+    assert_eq!(r.total_tasks_failed(), 0, "no task lost an input");
+    assert_eq!(r.server_totals().release_misses, 0);
+}
+
+#[test]
+fn a_worker_death_around_its_task_ends_frees_no_input_early() {
+    const WORKER_SENDS: u64 = 100;
+    // Workers 2 and 4 run every task here (about 120 each); the others
+    // never get one. A busy worker's sends are its gets, its leaves'
+    // stores and the batches carrying its acks and releases — about two
+    // per task end, 250–350 in a fault-free release run — so send 100
+    // lands a third of the way in. Whatever was in flight when it died (a
+    // task whose ack never left, releases that did not follow one), the
+    // retry still finds every input: a lost release is a leak, not a free.
+    assert_blob_pipeline_survives(FaultPlan::new().kill_after_sends(2, WORKER_SENDS), 2);
+}
+
+#[test]
+fn a_server_death_mid_pipeline_frees_each_datum_once() {
+    const SERVER_RECVS: u64 = 120;
+    // Rank 7 holds half the blobs and the replica of rank 6's shard, and
+    // receives 300–400 messages in a fault-free release run: its 120th is
+    // a third of the way in. Its successor promotes its ledger — read
+    // counts and frees included — and serves the releases that follow.
+    assert_blob_pipeline_survives(FaultPlan::new().kill_after_recvs(7, SERVER_RECVS), 7);
 }
 
 /// The replication-1 death tests' program: the 120 printed tasks of the

@@ -15,6 +15,9 @@
 //! the dataflow semantics: every pipeline runs, g(t) is blocked only on
 //! its own f(t), and the work spreads over multiple workers.
 
+mod common;
+
+use common::FreedExactly;
 use swiftt::core::Runtime;
 
 /// f(i) = 3*i + 1; g(t) = t % 4 — so g(f(i)) == 0 iff (3i+1) % 4 == 0,
@@ -33,7 +36,7 @@ const FIG1: &str = r#"
 
 #[test]
 fn fig1_produces_exactly_the_matching_lines() {
-    let r = Runtime::new(6).run(FIG1).unwrap();
+    let r = Runtime::new(6).run(FIG1).unwrap().freed_exactly();
     let mut lines: Vec<&str> = r.stdout.lines().collect();
     lines.sort();
     // i ∈ {1,5,9} → t ∈ {4,16,28}.
@@ -42,7 +45,7 @@ fn fig1_produces_exactly_the_matching_lines() {
 
 #[test]
 fn fig1_runs_one_f_and_one_g_per_iteration() {
-    let r = Runtime::new(6).run(FIG1).unwrap();
+    let r = Runtime::new(6).run(FIG1).unwrap().freed_exactly();
     // 10×f + 10×g leaf tasks + 3 printf tasks.
     assert_eq!(r.total_tasks(), 23);
 }
@@ -51,7 +54,7 @@ fn fig1_runs_one_f_and_one_g_per_iteration() {
 fn fig1_pipelines_spread_across_workers() {
     // 12 ranks: 1 engine, 1 server, 10 workers — with 20 leaf tasks the
     // load balancer must use more than one worker.
-    let r = Runtime::new(12).run(FIG1).unwrap();
+    let r = Runtime::new(12).run(FIG1).unwrap().freed_exactly();
     assert!(
         r.busy_workers() >= 2,
         "expected parallel pipelines, got {} busy workers",
@@ -75,7 +78,7 @@ fn fig1_statement_order_is_irrelevant() {
         (int o) f (int i) [ "set <<o>> [ expr {3 * <<i>> + 1} ]" ];
         (int o) g (int t) [ "set <<o>> [ expr {<<t>> % 4} ]" ];
     "#;
-    let r = Runtime::new(6).run(reordered).unwrap();
+    let r = Runtime::new(6).run(reordered).unwrap().freed_exactly();
     assert_eq!(r.stdout.lines().count(), 3);
 }
 
@@ -92,7 +95,11 @@ fn fig1_wide_version_scales() {
             if (g(t) == 0) { printf("hit %i", t); }
         }
     "#;
-    let r = Runtime::new(10).servers(2).run(wide).unwrap();
+    let r = Runtime::new(10)
+        .servers(2)
+        .run(wide)
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout.lines().count(), 32);
     assert_eq!(r.total_tasks(), 128 * 2 + 32);
 }

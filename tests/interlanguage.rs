@@ -6,6 +6,9 @@
 //! "Swift scripts [can] orchestrate distributed execution of code written
 //! in a wide variety of languages".
 
+mod common;
+
+use common::FreedExactly;
 use swiftt::core::{NativeArg, NativeLibrary, Runtime};
 
 #[test]
@@ -22,7 +25,8 @@ fn tcl_fragment_with_type_conversion() {
             printf("%s", s);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "result: 42 and 2.50\n");
 }
 
@@ -42,7 +46,8 @@ fn multiline_tcl_fragment() {
             printf("%d", s);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "5050\n");
 }
 
@@ -57,7 +62,8 @@ for i in range(5):
             printf("py says %s", out);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "py says 30\n");
 }
 
@@ -70,7 +76,8 @@ fn r_leaf() {
             printf("mean = %s", m);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "mean = 5\n");
 }
 
@@ -89,7 +96,8 @@ out = ','.join(parts)", "out");
             printf("sum = %s", m);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     // 1.5 * (1+...+10) = 82.5
     assert_eq!(r.stdout, "sum = 82.5\n");
 }
@@ -103,7 +111,8 @@ fn shell_leaf() {
             printf("[%s]", who);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "[swift-t]\n");
 }
 
@@ -136,7 +145,8 @@ fn native_library_with_blobs() {
             printf("dot = %.1f", d);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     // sum i^2, i=0..9 = 285.
     assert_eq!(r.stdout, "dot = 285.0\n");
 }
@@ -157,7 +167,7 @@ fn a_blob_copies_between_futures() {
             printf("%.1f %.1f", s, t);
         "#,
         )
-        .unwrap();
+        .unwrap().freed_exactly();
     assert_eq!(r.stdout, "7.0 7.0\n");
 }
 
@@ -179,7 +189,8 @@ fn all_languages_in_one_program() {
             printf("chain: %s", d);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     // 2 → 6 → 36 → 37 → 74
     assert_eq!(r.stdout, "chain: 74\n");
 }
@@ -195,7 +206,8 @@ fn interpreter_output_is_captured() {
             trace(x);
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert!(r.stdout.contains("hello from python"));
     assert!(r.stdout.contains("trace: 0"));
 }

@@ -3,6 +3,9 @@
 //! run time — the "pervasive, automatic concurrency" of §II.A applied to
 //! a dynamic call tree.
 
+mod common;
+
+use common::FreedExactly;
 use swiftt::core::Runtime;
 
 #[test]
@@ -17,7 +20,8 @@ fn fibonacci_recursion() {
             printf("%d", fib(12));
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "144\n");
 }
 
@@ -37,7 +41,8 @@ fn mutual_recursion() {
             printf("%d %d", is_even(10), is_odd(7));
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "1 1\n");
 }
 
@@ -56,7 +61,8 @@ fn recursive_tree_spawns_leaf_work() {
             printf("%d", count(5));
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "32\n");
     let leaf_tasks = r.outputs.iter().map(|o| o.tasks_executed).sum::<u64>();
     // 32 unit leaves + 1 printf.
@@ -77,6 +83,7 @@ fn ackermann_small() {
             printf("%d", ack(2, 3));
         "#,
         )
-        .unwrap();
+        .unwrap()
+        .freed_exactly();
     assert_eq!(r.stdout, "9\n");
 }

@@ -1,10 +1,13 @@
 //! Swift language semantics, end to end: every construct the compiler
 //! supports, executed on a real simulated machine.
 
+mod common;
+
+use common::FreedExactly;
 use swiftt::core::{Runtime, SwiftTError};
 
 fn run(src: &str) -> String {
-    Runtime::new(4).run(src).unwrap().stdout
+    Runtime::new(4).run(src).unwrap().freed_exactly().stdout
 }
 
 #[test]
@@ -276,7 +279,7 @@ fn many_independent_statements() {
     for i in 0..50 {
         src.push_str(&format!("trace(a{i});\n"));
     }
-    let out = Runtime::new(6).run(&src).unwrap().stdout;
+    let out = Runtime::new(6).run(&src).unwrap().freed_exactly().stdout;
     assert_eq!(out.lines().count(), 50);
 }
 
