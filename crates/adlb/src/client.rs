@@ -424,9 +424,8 @@ impl AdlbClient {
             self.task_mark = 0;
             // The acks leave now: the releases they held back may follow,
             // riding whatever goes to their servers next.
-            for (h, release) in std::mem::take(&mut self.held_releases) {
-                let j = self.layout.server_index(h);
-                self.outbox[j].push(release);
+            for (h, release) in self.held_releases.drain(..) {
+                self.outbox[self.layout.server_index(h)].push(release);
             }
         }
         // A worker's errors before its last ack belong to tasks already
@@ -589,17 +588,19 @@ impl AdlbClient {
             }
         }
         self.defer_quiet(Request::TaskDone { ok, error });
-        let reads = std::mem::take(&mut self.reads);
+        let mut reads = std::mem::take(&mut self.reads);
         if ok {
-            self.release_reads(reads);
+            self.release_reads(&mut reads);
         }
+        reads.clear();
+        self.reads = reads;
     }
 
     /// Queue a release per datum the acked task read, counting its reads,
     /// behind that task's ack: in the home outbox right after it, or held
     /// until it has left for a datum homed elsewhere. Releases never fill
     /// an outbox or force a flush.
-    fn release_reads(&mut self, mut reads: Vec<u64>) {
+    fn release_reads(&mut self, reads: &mut Vec<u64>) {
         while let Some(&id) = reads.first() {
             let n = reads.iter().filter(|&&r| r == id).count() as u32;
             reads.retain(|&r| r != id);

@@ -189,6 +189,14 @@ impl Scope {
         self.frames.iter().rev().find_map(|f| f.get(name))
     }
 
+    /// The Tcl variable holding declared variable `name`'s datum id.
+    fn tcl_of(&self, name: &str, line: usize) -> Result<String, CompileError> {
+        match self.lookup(name) {
+            Some(info) => Ok(info.tcl.clone()),
+            None => err(line, format!("undefined variable \"{name}\"")),
+        }
+    }
+
     fn push(&mut self) {
         self.frames.push(HashMap::new());
     }
@@ -314,14 +322,6 @@ impl Codegen {
         let t = self.fresh_tmp();
         Self::emit_create(out, scope, &t, ty);
         t
-    }
-
-    /// The Tcl variable holding declared variable `name`'s datum id.
-    fn var_tcl(&self, name: &str, line: usize, scope: &Scope) -> Result<String, CompileError> {
-        match scope.lookup(name) {
-            Some(info) => Ok(info.tcl.clone()),
-            None => err(line, format!("undefined variable \"{name}\"")),
-        }
     }
 
     /// End the block `out` holds: close the containers it declared, and
@@ -995,7 +995,7 @@ impl Codegen {
                 Ok(())
             }
             Expr::Var(name) => {
-                let src = self.var_tcl(name, e.line(), scope)?;
+                let src = scope.tcl_of(name, e.line())?;
                 scope.read(&src, Reader::Other);
                 out.push_str(&format!(
                     "swt:copy {} ${target} ${src}\n",
@@ -1004,7 +1004,7 @@ impl Codegen {
                 Ok(())
             }
             Expr::Index(name, idx, line) => {
-                let ctcl = self.var_tcl(name, *line, scope)?;
+                let ctcl = scope.tcl_of(name, *line)?;
                 let (idx_td, idx_ty) = self.compile_expr(idx, scope, out)?;
                 if idx_ty != Type::Int {
                     return err(*line, "array subscripts must be int");

@@ -287,15 +287,17 @@ mod tests {
     }
 
     /// A write-behind worker (rank 1) fed targeted Tcl tasks by rank 0,
-    /// which first runs `prepare` on its own client. Returns the worker's
-    /// stdout, its executed count, the server's stats and the quarantine
-    /// reports the worker was handed at shutdown.
+    /// which first runs `prepare` on its own client, over `servers`
+    /// servers. Returns the worker's stdout, its executed count, the
+    /// servers' merged stats and the quarantine reports the worker was
+    /// handed at shutdown.
     fn run_batched_worker(
+        servers: usize,
         prepare: fn(&mut AdlbClient),
         tasks: &[Vec<u8>],
     ) -> (String, u64, adlb::ServerStats, Vec<String>) {
-        let layout = Layout::new(3, 1);
-        let out = World::run(3, move |comm| {
+        let layout = Layout::new(2 + servers, servers);
+        let out = World::run(2 + servers, move |comm| {
             let rank = comm.rank();
             if layout.is_server(rank) {
                 let stats = adlb::serve(comm, layout, adlb::ServerConfig::default());
@@ -317,8 +319,12 @@ mod tests {
             let reports = ctx.borrow().client.quarantine_reports().to_vec();
             (stdout, n, None, reports)
         });
+        let mut stats = adlb::ServerStats::default();
+        for s in out.iter().filter_map(|o| o.2.as_ref()) {
+            stats.merge(s);
+        }
         let (stdout, n, _, reports) = out[1].clone();
-        (stdout, n, out[2].2.unwrap(), reports)
+        (stdout, n, stats, reports)
     }
 
     fn bare(fragments: &[&str]) -> Vec<Vec<u8>> {
@@ -332,6 +338,7 @@ mod tests {
         // server, which has never heard of it.
         let read = "puts [catch {turbine::retrieve_integer 77} msg]; puts $msg";
         let (stdout, n, _, _) = run_batched_worker(
+            1,
             |_| {},
             &[seal_envelope(&[(77, b"7")], read), read.as_bytes().to_vec()],
         );
@@ -341,16 +348,33 @@ mod tests {
 
     #[test]
     fn a_retried_task_still_carries_its_inputs() {
-        let (stdout, n, stats, _) = run_batched_worker(
-            |_| {},
-            &[seal_envelope(
-                &[(77, b"7"), (78, b"")],
-                "if {![info exists ::tried]} { set ::tried 1; error first }\n\
-                 puts [turbine::retrieve_string 77][turbine::retrieve_string 78]",
-            )],
-        );
-        assert_eq!(stdout, "7\n");
-        assert_eq!((n, stats.tasks_retried), (1, 1));
+        // Both inputs are counted with this task's one read each. The
+        // failed first attempt read them too, but releases nothing, on
+        // its own server or (over two servers, for 77) another: only the
+        // retry's reads free them.
+        for servers in [1, 2] {
+            let (stdout, n, stats, _) = run_batched_worker(
+                servers,
+                |c| {
+                    let tag = TurbineType::String.tag();
+                    for (id, v) in [(77, "7"), (78, "")] {
+                        c.create_counted(id, tag, 1).unwrap();
+                        c.store(id, v.as_bytes().to_vec()).unwrap();
+                    }
+                    c.flush().unwrap();
+                },
+                &[seal_envelope(
+                    &[(77, b"7"), (78, b"")],
+                    "set v [turbine::retrieve_string 77][turbine::retrieve_string 78]\n\
+                     if {![info exists ::tried]} { set ::tried 1; error first }\n\
+                     puts $v",
+                )],
+            );
+            assert_eq!(stdout, "7\n");
+            assert_eq!((n, stats.tasks_retried), (1, 1));
+            let freed = (stats.data_freed, stats.release_misses);
+            assert_eq!(freed, (2, 0), "{servers} servers");
+        }
     }
 
     #[test]
@@ -358,7 +382,7 @@ mod tests {
         let mut truncated = seal_envelope(&[(77, b"seven")], "puts never");
         truncated.truncate(15);
         let (stdout, n, stats, reports) =
-            run_batched_worker(|_| {}, &[truncated, b"puts healthy".to_vec()]);
+            run_batched_worker(1, |_| {}, &[truncated, b"puts healthy".to_vec()]);
         assert_eq!(stdout, "healthy\n");
         assert_eq!(n, 1);
         assert_eq!((stats.tasks_retried, stats.tasks_quarantined), (3, 1));
@@ -376,6 +400,7 @@ mod tests {
         // retry budget and the quarantine report belong to this task —
         // while the task after it on the same worker is acked clean.
         let (stdout, _, stats, reports) = run_batched_worker(
+            1,
             |c| {
                 c.create(5, TurbineType::Integer.tag()).unwrap();
                 c.store(5, crate::types::encode_integer(1).to_vec())
@@ -391,11 +416,43 @@ mod tests {
     }
 
     #[test]
+    fn a_task_whose_ack_fails_behind_its_read_releases_nothing() {
+        // Datum 6 is counted with the one leaf read this task makes. Its
+        // store of the already-stored datum 5 fails the ack the release
+        // rides behind, and the server drops the release with it: every
+        // retry still finds 6 and fails on the double assignment alone.
+        // The quarantined task never consumed its input, so 6 stays.
+        let (stdout, _, stats, reports) = run_batched_worker(
+            1,
+            |c| {
+                let tag = TurbineType::Integer.tag();
+                c.create(5, tag).unwrap();
+                c.store(5, crate::types::encode_integer(1).to_vec())
+                    .unwrap();
+                c.create_counted(6, tag, 1).unwrap();
+                c.store(6, crate::types::encode_integer(6).to_vec())
+                    .unwrap();
+                c.flush().unwrap();
+            },
+            &bare(&[
+                "turbine::retrieve_integer 6; turbine::store_integer 5 2",
+                "puts healthy",
+            ]),
+        );
+        assert_eq!(stdout, "healthy\n");
+        assert_eq!((stats.tasks_retried, stats.tasks_quarantined), (3, 1));
+        assert!(reports[0].contains("double assignment"), "{reports:?}");
+        assert_eq!(stats.release_misses, 0);
+        assert_eq!((stats.data_freed, stats.data_unreleased), (0, 1));
+    }
+
+    #[test]
     fn a_task_that_errs_leaves_none_of_its_queued_writes_behind() {
         // The first task queues a create and a store, then fails: both
         // are discarded with it (every attempt), so the datum never
         // exists for the task that looks afterwards.
         let (stdout, n, stats, _) = run_batched_worker(
+            1,
             |_| {},
             &bare(&[
                 "turbine::create 9 integer; turbine::store_integer 9 1; error boom",
