@@ -300,9 +300,12 @@ fn blob_kernels() -> NativeLibrary {
 
 /// Run [`BLOB_SRC`] on 8 ranks (engine 0, workers 1..=5, servers 6 and
 /// 7) at replication 2 under `plan`, and check it against the fault-free
-/// run: the same output, `victim` dead, and no task failed — a retry that
-/// found an input already freed would fail on its retrieve — nor any
-/// release that found its datum gone.
+/// run: `victim` dead, no release that found its datum gone, and the same
+/// output — which no task that lost an input could give: a freed datum
+/// never comes back, so its reader would fail every retry, be
+/// quarantined, and leave the checksum unprinted. (A retry can still fail
+/// otherwise: when a worker dies between a store and the ack behind it,
+/// the rerun task's store is a double assignment, read counts or not.)
 fn assert_blob_pipeline_survives(plan: FaultPlan, victim: usize) {
     let machine = || {
         Runtime::new(8)
@@ -327,7 +330,6 @@ fn assert_blob_pipeline_survives(plan: FaultPlan, victim: usize) {
         "the scheduled victim must die"
     );
     assert_eq!(r.stdout, clean.stdout);
-    assert_eq!(r.total_tasks_failed(), 0, "no task lost an input");
     assert_eq!(r.server_totals().release_misses, 0);
 }
 
