@@ -125,9 +125,6 @@ pub struct AdlbClient {
     /// Leaf reads the handed-out task made, by datum id, one entry per
     /// read (see [`AdlbClient::note_read`]).
     reads: Vec<u64>,
-    /// Releases of datums homed on other servers, held until the home
-    /// outbox carrying the acks of the tasks that read them has left.
-    held_releases: Vec<(Rank, Request)>,
     /// First error a flushed write came back with, not yet reported.
     deferred_err: Option<DataError>,
     /// Whether this client's writes are its program's (an engine's) rather
@@ -196,7 +193,6 @@ impl AdlbClient {
             outbox_bytes: vec![0; layout.servers],
             task_mark: 0,
             reads: Vec::new(),
-            held_releases: Vec::new(),
             deferred_err: None,
             owns_writes: false,
             tenant: 0,
@@ -268,15 +264,12 @@ impl AdlbClient {
         self.layout.route(home, &self.dead)
     }
 
-    /// Send a sealed fire-and-forget message to home server `home`. The
-    /// client's own home remembers it for re-send on failover; a release
-    /// to another server that dies with it is a leak, never a free.
-    fn send_ff(&mut self, home: Rank, req: &Request) {
+    /// Send a sealed fire-and-forget message to the home server and
+    /// remember it for re-send on failover.
+    fn send_ff(&mut self, req: &Request) {
         let sealed = self.seal(req);
-        if home == self.my_server {
-            self.unconfirmed.push(sealed.clone());
-        }
-        let host = self.host_of(home);
+        self.unconfirmed.push(sealed.clone());
+        let host = self.host_of(self.my_server);
         self.comm.send(host, TAG_REQ, sealed);
     }
 
@@ -399,13 +392,9 @@ impl AdlbClient {
         }
     }
 
-    /// Flush every outbox: the other servers' first, so no write there is
-    /// overtaken by an ack or put at home, then the home outbox — and
-    /// then the releases its acks just let go.
     fn flush_all(&mut self) {
         self.flush_except(self.my_server);
         self.flush_home(self.my_server);
-        self.flush_except(self.my_server);
     }
 
     /// Send `home`'s outbox as one request. Awaited — errors land in
@@ -422,11 +411,6 @@ impl AdlbClient {
         self.outbox_bytes[i] = 0;
         if home == self.my_server {
             self.task_mark = 0;
-            // The acks leave now: the releases they held back may follow,
-            // riding whatever goes to their servers next.
-            for (h, release) in self.held_releases.drain(..) {
-                self.outbox[self.layout.server_index(h)].push(release);
-            }
         }
         // A worker's errors before its last ack belong to tasks already
         // acked; every error of an owned batch is the program's.
@@ -442,7 +426,7 @@ impl AdlbClient {
             (_, false) => Request::Batch(ops),
         };
         if !req.wants_reply() {
-            self.send_ff(home, &req);
+            self.send_ff(&req);
             return;
         }
         let t0 = trace::now_us();
@@ -597,20 +581,15 @@ impl AdlbClient {
     }
 
     /// Queue a release per datum the acked task read, counting its reads,
-    /// behind that task's ack: in the home outbox right after it, or held
-    /// until it has left for a datum homed elsewhere. Releases never fill
-    /// an outbox or force a flush.
+    /// right behind that task's ack in the home outbox, wherever the datum
+    /// lives: only the home server knows whether the ack completed the
+    /// task, and it forwards the releases of datums homed elsewhere only
+    /// then. Releases never fill an outbox or force a flush.
     fn release_reads(&mut self, reads: &mut Vec<u64>) {
         while let Some(&id) = reads.first() {
             let n = reads.iter().filter(|&&r| r == id).count() as u32;
             reads.retain(|&r| r != id);
-            let home = self.layout.data_owner(id);
-            let release = Request::DataRelease { id, n };
-            if home == self.my_server {
-                self.defer_quiet(release);
-            } else {
-                self.held_releases.push((home, release));
-            }
+            self.defer_quiet(Request::DataRelease { id, n });
         }
     }
 
@@ -647,8 +626,7 @@ impl AdlbClient {
             if i == home {
                 q.truncate(self.task_mark);
             } else {
-                // Earlier tasks' releases stay: those tasks succeeded.
-                q.retain(|r| matches!(r, Request::DataRelease { .. }));
+                q.clear();
                 self.outbox_bytes[i] = 0;
             }
         }

@@ -229,9 +229,12 @@ wire_enum! {
         },
         /// A worker's task read datum `id` `n` times and succeeded
         /// (fire-and-forget, never an error): the reads come off the
-        /// datum's count. Inside a batch, releases behind a `TaskDone` that
-        /// did not complete its task successfully are skipped, since the
-        /// task's retry reads its inputs again.
+        /// datum's count. It goes to the worker's home server behind the
+        /// task's `TaskDone`, wherever the datum lives, since only that
+        /// server knows whether the ack completed the task: releases behind
+        /// one that did not are skipped (the task's retry reads its inputs
+        /// again), and the rest of a datum homed elsewhere are forwarded as
+        /// a [`ServerMsg::Release`].
         17 => DataRelease { id: u64, n: u32 },
     }
 }
@@ -372,6 +375,11 @@ wire_enum! {
         /// `sync_id`; the sender streams the next chunk from there (or retires
         /// the sync when `cursor == total`).
         12 => SyncAck { sync_id: u64, cursor: u64 },
+        /// Leaf reads `(id, n)` of datums the receiver hosts, released by
+        /// acks that completed their tasks at the sender (see
+        /// [`Request::DataRelease`]). Sent once, never re-sent: a release
+        /// lost to a death is a leak, never a second free.
+        13 => Release { releases: Vec<(u64, u32)> },
     }
 }
 

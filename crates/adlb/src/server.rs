@@ -353,8 +353,13 @@ impl Server {
                         // mid-linger, and keep acking so its stream retires
                         // cleanly). Termination required global
                         // quiescence, so no transfer, steal or check round
-                        // can still be live.
-                        Ok(msg) if self.term.shutdown() => {
+                        // can still be live. A forwarded release is still
+                        // applied: it left its sender before that sender's
+                        // `Bye`, so the linger sees every one of them.
+                        Ok(msg)
+                            if self.term.shutdown()
+                                && !matches!(msg, ServerMsg::Release { .. }) =>
+                        {
                             self.take_repl_traffic(m.source, msg, true);
                             false
                         }
@@ -417,7 +422,10 @@ impl Server {
 
     /// The data shard a request implicates (`None` for non-data ops,
     /// which belong to the sending client's home server). A batch is one
-    /// home's outbox, so its first data op speaks for all of them.
+    /// home's outbox, so its first data op speaks for all of them. A
+    /// release rides its ack to the client's home server wherever its
+    /// datum lives, so it implicates no shard here (see
+    /// [`Server::release`]).
     fn data_home(&self, req: &Request) -> Option<Rank> {
         match req {
             Request::DataCreate { id, .. }
@@ -429,8 +437,7 @@ impl Server {
             | Request::DataEnumerate { id }
             | Request::DataClose { id }
             | Request::DataExists { id }
-            | Request::DataIncrWriters { id, .. }
-            | Request::DataRelease { id, .. } => Some(self.layout.data_owner(*id)),
+            | Request::DataIncrWriters { id, .. } => Some(self.layout.data_owner(*id)),
             Request::Batch(ops) | Request::OwnedBatch(ops) => {
                 ops.iter().find_map(|r| self.data_home(r))
             }
@@ -482,7 +489,8 @@ impl Server {
     /// worker's batch) a failed write fails the `TaskDone` behind it; an
     /// owned batch's writes are its program's, and only its answer says so.
     /// The releases behind a `TaskDone` that did not complete its task are
-    /// skipped: the task runs again and reads its inputs again.
+    /// skipped: the task runs again and reads its inputs again. Those of
+    /// datums hosted elsewhere leave as one message per host.
     fn apply_batch(&mut self, source: Rank, ops: Vec<Request>, charge: bool) -> (Response, bool) {
         let mut resps = Vec::with_capacity(ops.len());
         let mut mutated = false;
@@ -490,6 +498,7 @@ impl Server {
         // task whose `TaskDone` comes next.
         let mut failed: Option<String> = None;
         let mut releasing = true;
+        let mut away = Vec::new();
         for mut op in ops {
             if let Request::TaskDone { ok, error } = &mut op {
                 if let (true, Some(e)) = (*ok, failed.take()) {
@@ -502,6 +511,7 @@ impl Server {
                     (Response::Ok, true)
                 }
                 Request::DataRelease { .. } if !releasing => (Response::Ok, false),
+                Request::DataRelease { id, n } => (Response::Ok, self.release(id, n, &mut away)),
                 op => self.apply(source, op),
             };
             if let (true, Response::Error(e)) = (charge, &resp) {
@@ -510,6 +520,7 @@ impl Server {
             mutated |= m;
             resps.push(resp);
         }
+        self.forward_releases(away);
         (Response::Batch(resps), mutated)
     }
 
@@ -517,11 +528,7 @@ impl Server {
     /// and return its response plus whether it changed replicated state.
     fn apply(&mut self, source: Rank, req: Request) -> (Response, bool) {
         if let Some(h) = self.data_home(&req) {
-            // A release is its ack's bookkeeping, like the ack itself: no
-            // data is read or written for the client.
-            if !matches!(req, Request::DataRelease { .. }) {
-                self.stats.data_ops += 1;
-            }
+            self.stats.data_ops += 1;
             if self.failover.is_lost(h) {
                 return (lost_shard_reply(&req), false);
             }
@@ -551,7 +558,12 @@ impl Server {
                 self.handle_ack(source, ok, error);
                 (Response::Ok, true)
             }
-            Request::DataRelease { id, n } => self.release(id, n),
+            Request::DataRelease { id, n } => {
+                let mut away = Vec::new();
+                let mutated = self.release(id, n, &mut away);
+                self.forward_releases(away);
+                (Response::Ok, mutated)
+            }
             Request::Output { text, tenant } => {
                 self.commit(ReplOp::Out {
                     client: source,
@@ -593,6 +605,7 @@ impl Server {
                 tasks,
             } => self.on_steal_resp(source, origin, dest, fseq, tasks),
             ServerMsg::XferAck { origin, dest, fseq } => self.xfer_acked(origin, dest, fseq),
+            ServerMsg::Release { releases } => self.on_releases(releases),
             ServerMsg::Check { round } => self.on_check(source, round),
             ServerMsg::CheckResp {
                 round,

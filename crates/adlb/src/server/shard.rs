@@ -350,21 +350,62 @@ impl Server {
         }
     }
 
-    /// Take `n` leaf reads off datum `id`'s count. Never an error, so it
-    /// can never fail the ack it rides behind: a release of a datum that
-    /// is gone is counted as a miss, one of an uncounted datum changes
-    /// (and logs) nothing.
-    pub(super) fn release(&mut self, id: u64, n: u32) -> (Response, bool) {
+    /// Take `n` leaf reads off datum `id`'s count, returning whether that
+    /// changed replicated state. A datum another server hosts is added to
+    /// that host's entry in `away` for [`Server::forward_releases`]. Never
+    /// an error, so it can never fail the ack it rides behind: a release
+    /// of a datum that is gone is counted as a miss; one of an uncounted
+    /// datum, or of a lost shard (a leak), changes and logs nothing.
+    pub(super) fn release(
+        &mut self,
+        id: u64,
+        n: u32,
+        away: &mut Vec<(Rank, Vec<(u64, u32)>)>,
+    ) -> bool {
+        let owner = self.layout.data_owner(id);
+        if owner != self.comm.rank() {
+            self.ensure_home(owner);
+        }
+        let host = self.failover.host_of(owner);
+        if host != self.comm.rank() {
+            match away.iter_mut().find(|(h, _)| *h == host) {
+                Some((_, releases)) => releases.push((id, n)),
+                None => away.push((host, vec![(id, n)])),
+            }
+            return false;
+        }
+        if self.failover.is_lost(owner) {
+            return false;
+        }
         match self.shard.ledger().store.read_refs(id) {
             Err(_) => self.stats.release_misses += u64::from(n),
             Ok(None) => {}
             Ok(Some(left)) => {
                 self.stats.release_misses += u64::from(n.saturating_sub(left));
                 self.commit(ReplOp::Release { id, n });
-                return (Response::Ok, true);
+                return true;
             }
         }
-        (Response::Ok, false)
+        false
+    }
+
+    /// Send each host its releases from `away`, after this handler's ops
+    /// (so a re-applied ack cannot release twice).
+    pub(super) fn forward_releases(&mut self, away: Vec<(Rank, Vec<(u64, u32)>)>) {
+        for (host, releases) in away {
+            let msg = ServerMsg::Release { releases }.encode();
+            self.shard.send(host, TAG_SRV, msg);
+        }
+    }
+
+    /// Apply releases a peer forwarded. One for a datum this server no
+    /// longer hosts (the peer routed it by an older view of the ring) is
+    /// dropped: a leak, never a second free.
+    pub(super) fn on_releases(&mut self, releases: Vec<(u64, u32)>) {
+        let mut away = Vec::new();
+        for (id, n) in releases {
+            self.release(id, n, &mut away);
+        }
     }
 
     /// Commit a data write to datum `id` and notify whoever its close

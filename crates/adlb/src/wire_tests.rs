@@ -286,6 +286,12 @@ fn server_msgs() -> Vec<(&'static str, ServerMsg)> {
                 cursor: 6,
             },
         ),
+        (
+            "server release",
+            ServerMsg::Release {
+                releases: vec![(9, 2), (10, 1)],
+            },
+        ),
     ]
 }
 
@@ -525,6 +531,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("server bye", "0a"),
     ("server repl sync", "0b0100000000000000020000000000000006000000000000000400000061626364"),
     ("server sync ack", "0c01000000000000000600000000000000"),
+    ("server release", "0d020000000900000000000000020000000a0000000000000001000000"),
     ("op create", "0001000000000000000000"),
     ("op create counted", "000100000000000000000102000000"),
     ("op store", "0101000000000000000100000076"),

@@ -735,11 +735,12 @@ mod wal_replay {
                 tasks: vec![task(i)],
             },
             11 => ReplOp::LeaseDrop { client, n: 1 },
-            // Every other create is counted, so closes and releases free.
+            // Every other create is counted, with 0 to 2 reads, so
+            // releases take positive counts down and closes free.
             0 => ReplOp::Create {
                 id,
                 type_tag: 0,
-                reads: (i % 24 == 12).then_some((i % 3) as u32),
+                reads: (i % 24 == 12).then_some((i / 24 % 3) as u32),
             },
             7 if i % 24 == 7 => ReplOp::Release { id, n: 1 },
             1 => ReplOp::Store {

@@ -348,10 +348,26 @@ mod tests {
 
     #[test]
     fn a_retried_task_still_carries_its_inputs() {
-        // Both inputs are counted with this task's one read each. The
-        // failed first attempt read them too, but releases nothing, on
-        // its own server or (over two servers, for 77) another: only the
-        // retry's reads free them.
+        let (stdout, n, stats, _) = run_batched_worker(
+            1,
+            |_| {},
+            &[seal_envelope(
+                &[(77, b"7"), (78, b"")],
+                "if {![info exists ::tried]} { set ::tried 1; error first }\n\
+                 puts [turbine::retrieve_string 77][turbine::retrieve_string 78]",
+            )],
+        );
+        assert_eq!(stdout, "7\n");
+        assert_eq!((n, stats.tasks_retried), (1, 1));
+    }
+
+    #[test]
+    fn a_failed_attempt_releases_none_of_its_reads() {
+        // Both inputs are counted with the task's one read each, and it
+        // carries no envelope: every attempt reads them from the server.
+        // The failed first attempt read them too but releases nothing,
+        // on the worker's home server or (over two servers, for 78)
+        // another, so the retry still finds both and alone frees them.
         for servers in [1, 2] {
             let (stdout, n, stats, _) = run_batched_worker(
                 servers,
@@ -363,14 +379,13 @@ mod tests {
                     }
                     c.flush().unwrap();
                 },
-                &[seal_envelope(
-                    &[(77, b"7"), (78, b"")],
+                &bare(&[
                     "set v [turbine::retrieve_string 77][turbine::retrieve_string 78]\n\
                      if {![info exists ::tried]} { set ::tried 1; error first }\n\
                      puts $v",
-                )],
+                ]),
             );
-            assert_eq!(stdout, "7\n");
+            assert_eq!(stdout, "7\n", "{servers} servers");
             assert_eq!((n, stats.tasks_retried), (1, 1));
             let freed = (stats.data_freed, stats.release_misses);
             assert_eq!(freed, (2, 0), "{servers} servers");
@@ -421,29 +436,34 @@ mod tests {
         // store of the already-stored datum 5 fails the ack the release
         // rides behind, and the server drops the release with it: every
         // retry still finds 6 and fails on the double assignment alone.
-        // The quarantined task never consumed its input, so 6 stays.
-        let (stdout, _, stats, reports) = run_batched_worker(
-            1,
-            |c| {
-                let tag = TurbineType::Integer.tag();
-                c.create(5, tag).unwrap();
-                c.store(5, crate::types::encode_integer(1).to_vec())
-                    .unwrap();
-                c.create_counted(6, tag, 1).unwrap();
-                c.store(6, crate::types::encode_integer(6).to_vec())
-                    .unwrap();
-                c.flush().unwrap();
-            },
-            &bare(&[
-                "turbine::retrieve_integer 6; turbine::store_integer 5 2",
-                "puts healthy",
-            ]),
-        );
-        assert_eq!(stdout, "healthy\n");
-        assert_eq!((stats.tasks_retried, stats.tasks_quarantined), (3, 1));
-        assert!(reports[0].contains("double assignment"), "{reports:?}");
-        assert_eq!(stats.release_misses, 0);
-        assert_eq!((stats.data_freed, stats.data_unreleased), (0, 1));
+        // The quarantined task never consumed its input, so 6 stays. Over
+        // two servers 5 lives on the worker's home server, which alone
+        // sees the ack fail, and 6 on the other.
+        for servers in [1, 2] {
+            let (stdout, _, stats, reports) = run_batched_worker(
+                servers,
+                |c| {
+                    let tag = TurbineType::Integer.tag();
+                    c.create(5, tag).unwrap();
+                    c.store(5, crate::types::encode_integer(1).to_vec())
+                        .unwrap();
+                    c.create_counted(6, tag, 1).unwrap();
+                    c.store(6, crate::types::encode_integer(6).to_vec())
+                        .unwrap();
+                    c.flush().unwrap();
+                },
+                &bare(&[
+                    "turbine::retrieve_integer 6; turbine::store_integer 5 2",
+                    "puts healthy",
+                ]),
+            );
+            assert_eq!(stdout, "healthy\n");
+            assert_eq!((stats.tasks_retried, stats.tasks_quarantined), (3, 1));
+            assert!(reports[0].contains("double assignment"), "{reports:?}");
+            assert_eq!(stats.release_misses, 0);
+            let kept = (stats.data_freed, stats.data_unreleased);
+            assert_eq!(kept, (0, 1), "{servers} servers");
+        }
     }
 
     #[test]

@@ -350,9 +350,10 @@ fn a_worker_death_around_its_task_ends_frees_no_input_early() {
 fn a_server_death_mid_pipeline_frees_each_datum_once() {
     const SERVER_RECVS: u64 = 120;
     // Rank 7 holds half the blobs and the replica of rank 6's shard, and
-    // receives 300–400 messages in a fault-free release run: its 120th is
-    // a third of the way in. Its successor promotes its ledger — read
-    // counts and frees included — and serves the releases that follow.
+    // receives 400–440 messages in a fault-free release run (the releases
+    // rank 6 forwards among them): its 120th is over a quarter of the way
+    // in. Its successor promotes its ledger — read counts and frees
+    // included — and serves the releases that follow.
     assert_blob_pipeline_survives(FaultPlan::new().kill_after_recvs(7, SERVER_RECVS), 7);
 }
 
