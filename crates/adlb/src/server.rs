@@ -236,6 +236,10 @@ server_stats! {
     /// Leaf reads released against a datum already freed (or never
     /// created): a read count too low.
     release_misses: sum,
+    /// Most datums resident on one server at once, taken as each is
+    /// created: what freeing after the last read and consumer-first
+    /// scheduling keep bounded. A peak per server, merged by max.
+    data_peak: max,
 }
 
 /// Everything a server hands back at shutdown: counters, the stdout
@@ -727,6 +731,7 @@ mod stats_tests {
             data_freed: 27,
             data_unreleased: 28,
             release_misses: 29,
+            data_peak: 30,
         }
     }
 
@@ -768,6 +773,7 @@ mod stats_tests {
         assert_eq!(total.data_freed, 2 * d.data_freed);
         assert_eq!(total.data_unreleased, 2 * d.data_unreleased);
         assert_eq!(total.release_misses, 2 * d.release_misses);
+        assert_eq!(total.data_peak, d.data_peak, "a per-server peak");
     }
 
     #[test]

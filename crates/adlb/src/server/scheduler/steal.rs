@@ -43,6 +43,7 @@ impl Server {
             self.term.bump();
             self.stats.tasks_donated += tasks.len() as u64;
             self.send_xfer(thief, tasks, true);
+            self.release_held();
         }
     }
 

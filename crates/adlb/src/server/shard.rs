@@ -301,14 +301,19 @@ impl Server {
                 id,
                 type_tag,
                 reads,
-            } => self.write(
-                id,
-                ReplOp::Create {
+            } => {
+                let out = self.write(
                     id,
-                    type_tag,
-                    reads,
-                },
-            ),
+                    ReplOp::Create {
+                        id,
+                        type_tag,
+                        reads,
+                    },
+                );
+                let resident = self.shard.ledger.store.len() as u64;
+                self.stats.data_peak = self.stats.data_peak.max(resident);
+                out
+            }
             Request::DataStore { id, value } => self.write(id, ReplOp::Store { id, value }),
             Request::DataInsert { id, key, value } => {
                 self.write(id, ReplOp::Insert { id, key, value })

@@ -330,6 +330,12 @@ impl EngineState {
 
     /// Process a close notification for `id`: fire every rule whose last
     /// input this was. Returns the puts the caller must perform.
+    ///
+    /// A rule fired here goes out one priority step above its declared
+    /// one: its inputs already exist and running it is what lets them be
+    /// freed, while a rule ready at creation (a producer, as a rule with
+    /// no open inputs usually is) only adds live data. So consumers run
+    /// before more producers are made.
     pub fn fire(&mut self, id: u64) -> Vec<Dispatch> {
         self.remember(id, None);
         let Some(rule_ids) = self.waiting.remove(&id) else {
@@ -348,6 +354,7 @@ impl EngineState {
             if rule.pending.is_empty() {
                 self.rules_fired += 1;
                 trace::record_since(trace::KIND_RULE_FIRE, rid, rule.created_us);
+                rule.priority = rule.priority.saturating_add(1);
                 let d = self.dispatch(rule);
                 if !matches!(d, Dispatch::QueuedLocal) {
                     out.push(d);
@@ -417,6 +424,47 @@ mod tests {
         assert!(e.fire(2).is_empty()); // local → ready, not Put
         assert_eq!(e.ready.pop_front().unwrap(), "go");
         assert_eq!(e.rules_waiting(), 0);
+    }
+
+    #[test]
+    fn a_notification_fired_rule_goes_out_one_step_above_its_priority() {
+        let mut e = EngineState::new();
+        for (input, priority) in [(1, 0), (2, 5)] {
+            let d = e.add_rule(
+                ids(&[input]),
+                "consumer".into(),
+                ActionKind::Work,
+                priority,
+                None,
+            );
+            assert_eq!(d, Dispatch::Deferred);
+            let puts = e.fire(input);
+            assert_eq!(
+                puts,
+                [Dispatch::Put(
+                    adlb::WORK_TYPE_WORK,
+                    priority + 1,
+                    None,
+                    "consumer".into()
+                )]
+            );
+        }
+        for priority in [0, 5] {
+            let d = e.add_rule(
+                ids(&[]),
+                "producer".into(),
+                ActionKind::Work,
+                priority,
+                None,
+            );
+            assert_eq!(
+                d,
+                Dispatch::Put(adlb::WORK_TYPE_WORK, priority, None, "producer".into()),
+                "ready at creation: its declared priority"
+            );
+        }
+        e.add_rule(ids(&[3]), "top".into(), ActionKind::Work, i32::MAX, None);
+        assert!(matches!(e.fire(3)[..], [Dispatch::Put(_, i32::MAX, ..)]));
     }
 
     #[test]

@@ -261,12 +261,20 @@ proc swt:sh_body {o cmd} {
 # task callable on any engine. The body proc receives the iteration value,
 # the 0-based index, and the captured TD ids. `containers` are arrays the
 # body writes: each chunk holds a writer slot until it completes.
+#
+# An `auto` chunk is n / (4 * engines) iterations, so each engine gets a
+# few chunks to balance, but at most range_chunk_max: an engine runs a
+# chunk whole before it sees the notifications that fire the chunk's
+# consumers, so a chunk's size bounds how many producers it makes ahead of
+# them, and so the data live at once, whatever n is.
+set turbine::range_chunk_max 64
 proc swt:range_foreach {bodyproc captured containers start end chunk} {
     if {$end < $start} { return }
     if {$chunk == "auto"} {
         set n [expr {$end - $start + 1}]
         set engines $turbine::n_engines
         set chunk [expr {$n / (4 * $engines)}]
+        if {$chunk > $turbine::range_chunk_max} { set chunk $turbine::range_chunk_max }
         if {$chunk < 1} { set chunk 1 }
     }
     set i $start

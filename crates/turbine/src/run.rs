@@ -610,6 +610,20 @@ mod tests {
     }
 
     #[test]
+    fn an_auto_chunk_is_at_most_range_chunk_max_iterations() {
+        // One engine: n / 4 iterations per chunk, capped at 64. The body
+        // makes no task, so the server sees only the chunks.
+        for (n, chunks) in [(1_000, 16), (32, 4)] {
+            let main = format!("swt:range_foreach body {{}} {{}} 1 {n} auto");
+            let body = program("proc body {i idx} { puts $i }", &main);
+            let (stdout, outs) = run_machine(3, TurbineConfig::default(), body);
+            assert_eq!(stdout.lines().count(), n, "every iteration ran once");
+            let stats = outs[2].server_stats.unwrap();
+            assert_eq!(stats.tasks_accepted, chunks, "{n} iterations");
+        }
+    }
+
+    #[test]
     fn multiple_workers_share_leaf_tasks() {
         let main = r#"
             for {set i 0} {$i < 40} {incr i} {

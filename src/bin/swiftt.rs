@@ -441,8 +441,11 @@ fn main() -> ExitCode {
                 );
                 eprintln!("wall time          : {:?}", result.elapsed);
                 eprintln!(
-                    "data freed         : {} ({} unreleased, {} release misses)",
-                    servers.data_freed, servers.data_unreleased, servers.release_misses
+                    "data freed         : {} ({} unreleased, {} release misses; {} resident at peak)",
+                    servers.data_freed,
+                    servers.data_unreleased,
+                    servers.release_misses,
+                    servers.data_peak
                 );
                 if let Some(lat) = &result.latency {
                     let line = |name: &str, s: &Option<swiftt::core::LatencyStats>| {

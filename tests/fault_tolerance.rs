@@ -339,8 +339,8 @@ fn a_worker_death_around_its_task_ends_frees_no_input_early() {
     // Workers 2 and 4 run every task here (about 120 each); the others
     // never get one. A busy worker's sends are its gets, its leaves'
     // stores and the batches carrying its acks and releases — about two
-    // per task end, 250–350 in a fault-free release run — so send 100
-    // lands a third of the way in. Whatever was in flight when it died (a
+    // per task end, 220–280 in a fault-free release run — so send 100
+    // lands over a third of the way in. Whatever was in flight when it died (a
     // task whose ack never left, releases that did not follow one), the
     // retry still finds every input: a lost release is a leak, not a free.
     assert_blob_pipeline_survives(FaultPlan::new().kill_after_sends(2, WORKER_SENDS), 2);
@@ -350,7 +350,7 @@ fn a_worker_death_around_its_task_ends_frees_no_input_early() {
 fn a_server_death_mid_pipeline_frees_each_datum_once() {
     const SERVER_RECVS: u64 = 120;
     // Rank 7 holds half the blobs and the replica of rank 6's shard, and
-    // receives 400–440 messages in a fault-free release run (the releases
+    // receives 340–405 messages in a fault-free release run (the releases
     // rank 6 forwards among them): its 120th is over a quarter of the way
     // in. Its successor promotes its ledger — read counts and frees
     // included — and serves the releases that follow.
