@@ -371,6 +371,39 @@ impl Interp {
         Self::top_level(self.eval_parsed(script).map(Obj::into_string))
     }
 
+    /// [`Interp::eval`] for a text that runs once, such as a shipped task
+    /// or a program's main: it has `eval`'s results, errors, traces and
+    /// top-level `return`/`break`/`continue`, but parses and runs one
+    /// command at a time, as Tcl_EvalEx does, and caches no parse of it.
+    /// So the commands before a syntax error have run when it is
+    /// returned, where `eval` runs none. A single command of plain words
+    /// is invoked without a parse tree. Command substitutions inside the
+    /// text are evaluated as `eval` evaluates them.
+    pub fn eval_once(&mut self, text: &str) -> Result<String, TclError> {
+        Self::top_level(self.run_once(text).map(Obj::into_string))
+    }
+
+    fn run_once(&mut self, text: &str) -> Result<Obj, Exception> {
+        if let Some(words) = parser::plain_words(text) {
+            let argv: Vec<String> = words.map(str::to_string).collect();
+            if argv.is_empty() {
+                return Ok(Obj::Str(String::new()));
+            }
+            return self
+                .invoke(&argv)
+                .map(Obj::Str)
+                .map_err(|e| annotate(e, text.trim()));
+        }
+        let mut result = Obj::Str(String::new());
+        for cmd in parser::Commands::new(text) {
+            let cmd = cmd?;
+            result = self
+                .eval_command(&cmd)
+                .map_err(|e| annotate(e, &cmd.source))?;
+        }
+        Ok(result)
+    }
+
     fn top_level(result: TclResult) -> Result<String, TclError> {
         match result {
             Ok(v) => Ok(v),
@@ -398,7 +431,9 @@ impl Interp {
     fn eval_parsed(&mut self, script: &Script) -> Result<Obj, Exception> {
         let mut result = Obj::Str(String::new());
         for cmd in &script.commands {
-            result = self.eval_command(cmd).map_err(|e| annotate(e, cmd))?;
+            result = self
+                .eval_command(cmd)
+                .map_err(|e| annotate(e, &cmd.source))?;
         }
         Ok(result)
     }
@@ -638,11 +673,12 @@ impl ExprHost for Interp {
     }
 }
 
-fn annotate(e: Exception, cmd: &Command) -> Exception {
+/// Add the failing command's `source` to an error's trace.
+fn annotate(e: Exception, source: &str) -> Exception {
     match e {
         Exception::Error(mut err) => {
             if err.trace.len() < 8 {
-                err.trace.push(cmd.source.to_string());
+                err.trace.push(source.to_string());
             }
             Exception::Error(err)
         }
@@ -741,6 +777,31 @@ mod tests {
         let second = i.eval("expr {$x +}").unwrap_err();
         assert_eq!(first.message, second.message);
         assert!(i.expr_cache.entries.is_empty());
+    }
+
+    #[test]
+    fn a_one_shot_text_runs_up_to_its_syntax_error() {
+        let text = "set a 1\nset b {";
+        let mut once = Interp::new();
+        let err = once.eval_once(text).unwrap_err();
+        assert_eq!(err.message, "missing close-brace");
+        assert_eq!(once.get_var("a").unwrap(), "1");
+        let mut whole = Interp::new();
+        assert_eq!(whole.eval(text).unwrap_err(), err);
+        assert!(!whole.var_exists("a"));
+    }
+
+    #[test]
+    fn a_one_shot_text_adds_no_cache_entry() {
+        let mut i = Interp::new();
+        i.eval_once("set a 1; incr a 2\nproc p {x} { return $x }")
+            .unwrap();
+        assert_eq!(i.eval_once("set a").unwrap(), "3");
+        assert!(i.script_cache.entries.is_empty());
+        // A proc body comes back, so it is cached.
+        assert_eq!(i.eval_once("p 7").unwrap(), "7");
+        let texts: Vec<&str> = i.script_cache.entries.keys().map(String::as_str).collect();
+        assert_eq!(texts, [" return $x "]);
     }
 
     #[test]

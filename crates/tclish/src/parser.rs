@@ -127,32 +127,78 @@ impl Script {
 
 /// Parse a full script into commands.
 pub fn parse_script(src: &str) -> Result<Script, Exception> {
-    let mut cur = Cursor {
-        src: src.as_bytes(),
-        pos: 0,
-    };
-    let mut commands = Vec::new();
-    loop {
-        skip_blank(&mut cur);
-        if cur.peek().is_none() {
-            break;
-        }
-        if cur.peek() == Some(b'#') {
-            skip_comment(&mut cur);
-            continue;
-        }
-        let start = cur.pos;
-        let words = parse_command(&mut cur)?;
-        let end = cur.pos;
-        if !words.is_empty() {
-            commands.push(Command {
-                shape: shape_of(&words),
-                words,
-                source: src[start..end].trim().into(),
-            });
+    let commands = Commands::new(src).collect::<Result<_, _>>()?;
+    Ok(Script { commands })
+}
+
+/// A script's commands, parsed one at a time in source order:
+/// [`parse_script`] collects them, [`crate::Interp::eval_once`] runs each
+/// before it parses the next. A parse error is the last item.
+pub(crate) struct Commands<'a> {
+    src: &'a str,
+    cur: Cursor<'a>,
+}
+
+impl<'a> Commands<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Commands {
+            src,
+            cur: Cursor {
+                src: src.as_bytes(),
+                pos: 0,
+            },
         }
     }
-    Ok(Script { commands })
+}
+
+impl Iterator for Commands<'_> {
+    type Item = Result<Command, Exception>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let cur = &mut self.cur;
+        loop {
+            skip_blank(cur);
+            match cur.peek() {
+                None => return None,
+                Some(b'#') => {
+                    skip_comment(cur);
+                    continue;
+                }
+                Some(_) => {}
+            }
+            let start = cur.pos;
+            let words = match parse_command(cur) {
+                Ok(words) => words,
+                Err(e) => {
+                    cur.pos = cur.src.len();
+                    return Some(Err(e));
+                }
+            };
+            if !words.is_empty() {
+                return Some(Ok(Command {
+                    shape: shape_of(&words),
+                    words,
+                    source: self.src[start..cur.pos].trim().into(),
+                }));
+            }
+        }
+    }
+}
+
+/// The words of `src` if it is one command of plain words: it holds no
+/// byte that substitutes, quotes, groups, escapes, ends a command or
+/// starts a comment, and no form feed or vertical tab, which Tcl counts
+/// as space but this parser keeps inside a word. Words are split on
+/// spaces and tabs, the only separators [`parse_command`] skips, and
+/// each parses to itself.
+pub(crate) fn plain_words(src: &str) -> Option<impl Iterator<Item = &str>> {
+    let special = |b| {
+        matches!(
+            b,
+            b'$' | b'[' | b']' | b'{' | b'}' | b'"' | b'\\' | b';' | b'#' | b'\n' | b'\r'
+        ) || matches!(b, 0x0b | 0x0c)
+    };
+    (!src.bytes().any(special)).then(|| src.split([' ', '\t']).filter(|w| !w.is_empty()))
 }
 
 /// Skip whitespace, command separators, and escaped newlines between

@@ -318,7 +318,7 @@ fn run_engine(
         Some(e) => sink.take(Err(e)),
         None if rank < programs.len() => sink.take(
             interp
-                .eval(&program.main)
+                .eval_once(&program.main)
                 .and_then(|_| flush_writes(ctx))
                 .map_err(|e| format!("program main failed: {e}")),
         ),
@@ -359,7 +359,7 @@ fn build_interp(
         .unwrap_or_else(|e| panic!("turbine library failed to load: {e}"));
     let mut err = None;
     if !preamble.is_empty() {
-        if let Err(e) = interp.eval(preamble) {
+        if let Err(e) = interp.eval_once(preamble) {
             err = Some(format!("program preamble failed: {e}"));
         }
     }
@@ -437,7 +437,7 @@ fn engine_loop(
         loop {
             let action = ctx.borrow_mut().engine.ready.pop_front();
             let Some(a) = action else { break };
-            let fired = interp.eval(&a).map(drop);
+            let fired = interp.eval_once(&a).map(drop);
             sink.take(fired.map_err(|e| format!("rule action failed: {e}")))?;
         }
         let (task, refused) = {
@@ -488,7 +488,7 @@ fn engine_loop(
         } else {
             match std::str::from_utf8(&t.payload) {
                 Ok(code) => interp
-                    .eval(code)
+                    .eval_once(code)
                     .map(drop)
                     .map_err(|e| format!("control task failed: {e}")),
                 Err(_) => Err("non-UTF-8 control task".to_string()),
@@ -669,6 +669,15 @@ result = sum(range(n))}
     #[should_panic(expected = "program main failed")]
     fn main_error_panics_cleanly() {
         let broken = program("", "no_such_command_anywhere");
+        run_machine(3, TurbineConfig::default(), broken);
+    }
+
+    #[test]
+    #[should_panic(expected = "program main failed: missing close-brace")]
+    fn a_late_syntax_error_in_main_fails_the_run() {
+        // Main streams: its first command has spawned a task by the time
+        // the unclosed brace is parsed.
+        let broken = program("", "turbine::spawn work 0 {puts early}\nset x {");
         run_machine(3, TurbineConfig::default(), broken);
     }
 

@@ -38,7 +38,7 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
         Ok((inputs, fragment)) => {
             ctx.borrow_mut().inputs = inputs;
             match std::str::from_utf8(&fragment) {
-                Ok(code) => interp.eval(code).map(|_| ()),
+                Ok(code) => interp.eval_once(code).map(|_| ()),
                 Err(_) => Err(TclError::new("worker received non-UTF-8 task payload")),
             }
         }

@@ -441,6 +441,10 @@ fn main() -> ExitCode {
                 );
                 eprintln!("wall time          : {:?}", result.elapsed);
                 eprintln!(
+                    "peak RSS           : {}",
+                    peak_rss_mb().map_or("unavailable".into(), |mb| format!("{mb:.1} MB"))
+                );
+                eprintln!(
                     "data freed         : {} ({} unreleased, {} release misses; {} resident at peak)",
                     servers.data_freed,
                     servers.data_unreleased,
@@ -568,6 +572,15 @@ fn main() -> ExitCode {
 /// `--verify-checkpoint FILE`: offline fsck of a durable checkpoint
 /// image (as written by `--checkpoint-file`). Read-only; exits 0 when
 /// clean, 1 on corruption, 2 when the image itself cannot be loaded.
+/// This process's peak resident set so far (`VmHWM`), in MB, where
+/// `/proc/self/status` reports it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().next()?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn verify_checkpoint_image(path: &str) -> ExitCode {
     let image = match std::fs::read(path) {
         Ok(image) => image,

@@ -43,6 +43,24 @@ fn script_file_with_args_and_report() {
 }
 
 #[test]
+fn report_shows_the_peak_resident_set() {
+    let out = swiftt()
+        .args(["--report", "--expr", "foreach i in [1:20] { trace(i); }"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("peak RSS           : "))
+        .unwrap_or_else(|| panic!("no peak RSS line in\n{stderr}"));
+    if cfg!(target_os = "linux") {
+        let mb: f64 = line.strip_suffix(" MB").unwrap().parse().unwrap();
+        assert!(mb > 0.0, "{line}");
+    }
+}
+
+#[test]
 fn emit_tcl_prints_turbine_code() {
     let out = swiftt()
         .args(["--emit-tcl", "--expr", "int x = 1 + 2; trace(x);"])
