@@ -38,7 +38,8 @@ fn bench_fragment(c: &mut Criterion) {
         b.iter(|| black_box(interp.eval("frag 6 7").unwrap()))
     });
 
-    // Parse cache effectiveness: an unseen script each call.
+    // An unseen script each call. `eval` parses its text at every call,
+    // so this differs from the repeated text above only in the text.
     let mut n = 0u64;
     group.bench_function("fragment_eval_uncached", |b| {
         b.iter(|| {

@@ -1,25 +1,28 @@
 //! Core and control-flow commands: `set`, `proc`, `if`, `while`, `for`,
 //! `foreach`, `expr`, `catch`, `error`, and friends.
 //!
-//! Control-flow commands receive their bodies as plain strings because the
-//! parser leaves braced words unsubstituted; they then evaluate those bodies
-//! with full exception semantics, exactly like Tcl's own C-coded commands.
+//! Control-flow commands receive their bodies as plain strings, because the
+//! parser leaves braced words unsubstituted, and beside them the words
+//! that hold the bodies' parses ([`held`]; a loop with none holds them
+//! itself); they evaluate the bodies with full exception semantics,
+//! exactly like Tcl's own C-coded commands.
 
 use super::{arity, arity_range, int_arg, ok};
 use crate::error::{Exception, TclResult};
 use crate::interp::{Interp, ProcDef};
 use crate::list::{format_list, parse_list};
+use crate::parser::{held, Code, Held, Word};
 
 pub fn register(i: &mut Interp) {
     i.register("set", cmd_set);
     i.register("unset", cmd_unset);
     i.register("incr", cmd_incr);
-    i.register("expr", cmd_expr);
+    i.register_code("expr", cmd_expr);
     i.register("eval", cmd_eval);
-    i.register("if", cmd_if);
-    i.register("while", cmd_while);
-    i.register("for", cmd_for);
-    i.register("foreach", cmd_foreach);
+    i.register_code("if", cmd_if);
+    i.register_code("while", cmd_while);
+    i.register_code("for", cmd_for);
+    i.register_code("foreach", cmd_foreach);
     i.register("break", |_, argv| {
         arity(argv, 1, "break")?;
         Err(Exception::Break)
@@ -31,7 +34,7 @@ pub fn register(i: &mut Interp) {
     i.register("proc", cmd_proc);
     i.register("return", cmd_return);
     i.register("error", cmd_error);
-    i.register("catch", cmd_catch);
+    i.register_code("catch", cmd_catch);
     i.register("global", cmd_global);
     i.register("variable", cmd_variable);
     i.register("uplevel", cmd_uplevel);
@@ -39,7 +42,7 @@ pub fn register(i: &mut Interp) {
     i.register("subst", cmd_subst);
     i.register("time", cmd_time);
     i.register("rename", cmd_rename);
-    i.register("switch", cmd_switch);
+    i.register_code("switch", cmd_switch);
     i.register("unknown_noop", |_, _| ok());
 }
 
@@ -77,16 +80,17 @@ fn cmd_incr(i: &mut Interp, argv: &[String]) -> TclResult {
     Ok(i.incr(&argv[1], delta)?.to_string())
 }
 
-fn cmd_expr(i: &mut Interp, argv: &[String]) -> TclResult {
+fn cmd_expr(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     if argv.len() < 2 {
         return Err(Exception::error(
             "wrong # args: should be \"expr arg ?arg ...?\"",
         ));
     }
-    match argv {
-        [_, src] => i.expr(src),
-        _ => i.expr(&argv[1..].join(" ")),
-    }
+    let val = match argv {
+        [_, src] => i.expr_in(src, held(w, 1))?,
+        _ => i.expr_in(&argv[1..].join(" "), None)?,
+    };
+    Ok(val.to_tcl_string())
 }
 
 fn cmd_eval(i: &mut Interp, argv: &[String]) -> TclResult {
@@ -99,14 +103,14 @@ fn cmd_eval(i: &mut Interp, argv: &[String]) -> TclResult {
     i.eval_internal(&src)
 }
 
-fn cmd_if(i: &mut Interp, argv: &[String]) -> TclResult {
+fn cmd_if(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     // if cond ?then? body ?elseif cond ?then? body?... ?else? body
     let mut idx = 1;
     loop {
         if idx >= argv.len() {
             return Err(Exception::error("wrong # args: no expression after \"if\""));
         }
-        let cond = &argv[idx];
+        let cond = idx;
         idx += 1;
         if argv.get(idx).map(String::as_str) == Some("then") {
             idx += 1;
@@ -115,8 +119,8 @@ fn cmd_if(i: &mut Interp, argv: &[String]) -> TclResult {
             .get(idx)
             .ok_or_else(|| Exception::error("wrong # args: no script after condition"))?;
         idx += 1;
-        if i.expr_bool(cond)? {
-            return i.eval_internal(body);
+        if i.expr_in(&argv[cond], held(w, cond))?.truthy()? {
+            return i.run(body, held(w, idx - 1));
         }
         match argv.get(idx).map(String::as_str) {
             Some("elseif") => {
@@ -127,10 +131,10 @@ fn cmd_if(i: &mut Interp, argv: &[String]) -> TclResult {
                 let body = argv
                     .get(idx + 1)
                     .ok_or_else(|| Exception::error("wrong # args: no script after \"else\""))?;
-                return i.eval_internal(body);
+                return i.run(body, held(w, idx + 1));
             }
             // Bare trailing body acts as else (Tcl allows omitting "else").
-            Some(b) if idx + 1 == argv.len() => return i.eval_internal(b),
+            Some(b) if idx + 1 == argv.len() => return i.run(b, held(w, idx)),
             None => return ok(),
             Some(other) => {
                 return Err(Exception::error(format!(
@@ -141,11 +145,12 @@ fn cmd_if(i: &mut Interp, argv: &[String]) -> TclResult {
     }
 }
 
-fn cmd_while(i: &mut Interp, argv: &[String]) -> TclResult {
+fn cmd_while(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     arity(argv, 3, "while test command")?;
-    let (mut test, mut body) = (None, None);
-    while i.loop_test(&argv[1], &mut test)? {
-        match i.loop_run(&argv[2], &mut body) {
+    let local: [Held; 2] = Default::default();
+    let [test, body] = [1, 2].map(|k| held(w, k).unwrap_or(&local[k - 1]));
+    while i.expr_in(&argv[1], Some(test))?.truthy()? {
+        match i.run_obj(&argv[2], Some(body)) {
             Ok(_) => {}
             Err(Exception::Break) => break,
             Err(Exception::Continue) => continue,
@@ -155,23 +160,24 @@ fn cmd_while(i: &mut Interp, argv: &[String]) -> TclResult {
     ok()
 }
 
-fn cmd_for(i: &mut Interp, argv: &[String]) -> TclResult {
+fn cmd_for(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     arity(argv, 5, "for start test next command")?;
-    i.eval_internal(&argv[1])?;
-    let (mut test, mut body, mut next) = (None, None, None);
-    while i.loop_test(&argv[2], &mut test)? {
-        match i.loop_run(&argv[4], &mut body) {
+    i.run(&argv[1], held(w, 1))?;
+    let local: [Held; 3] = Default::default();
+    let [test, next, body] = [2, 3, 4].map(|k| held(w, k).unwrap_or(&local[k - 2]));
+    while i.expr_in(&argv[2], Some(test))?.truthy()? {
+        match i.run_obj(&argv[4], Some(body)) {
             Ok(_) => {}
             Err(Exception::Break) => break,
             Err(Exception::Continue) => {}
             Err(e) => return Err(e),
         }
-        i.loop_run(&argv[3], &mut next)?;
+        i.run_obj(&argv[3], Some(next))?;
     }
     ok()
 }
 
-fn cmd_foreach(i: &mut Interp, argv: &[String]) -> TclResult {
+fn cmd_foreach(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     // foreach varList list ?varList list ...? body
     if argv.len() < 4 || !argv.len().is_multiple_of(2) {
         return Err(Exception::error(
@@ -179,6 +185,8 @@ fn cmd_foreach(i: &mut Interp, argv: &[String]) -> TclResult {
         ));
     }
     let body = &argv[argv.len() - 1];
+    let local = Held::default();
+    let code = held(w, argv.len() - 1).unwrap_or(&local);
     let pairs = &argv[1..argv.len() - 1];
     let mut groups: Vec<(Vec<String>, Vec<String>)> = Vec::new();
     for chunk in pairs.chunks(2) {
@@ -203,7 +211,7 @@ fn cmd_foreach(i: &mut Interp, argv: &[String]) -> TclResult {
                 i.set_var(var, val);
             }
         }
-        match i.eval_internal(body) {
+        match i.run_obj(body, Some(code)) {
             Ok(_) => {}
             Err(Exception::Break) => break,
             Err(Exception::Continue) => continue,
@@ -239,7 +247,8 @@ fn cmd_proc(i: &mut Interp, argv: &[String]) -> TclResult {
         ProcDef {
             params,
             varargs,
-            body: std::rc::Rc::from(argv[3].as_str()),
+            body: argv[3].clone(),
+            held: Held::default(),
         },
     );
     ok()
@@ -255,9 +264,9 @@ fn cmd_error(_i: &mut Interp, argv: &[String]) -> TclResult {
     Err(Exception::error(argv[1].clone()))
 }
 
-fn cmd_catch(i: &mut Interp, argv: &[String]) -> TclResult {
+fn cmd_catch(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     arity_range(argv, 2, 3, "catch script ?resultVarName?")?;
-    let (code, value) = match i.eval_internal(&argv[1]) {
+    let (code, value) = match i.run(&argv[1], held(w, 1)) {
         Ok(v) => (0i64, v),
         Err(e) => (e.code(), e.result_value()),
     };
@@ -303,10 +312,7 @@ fn cmd_info(i: &mut Interp, argv: &[String]) -> TclResult {
             Ok((i.var_exists(&argv[2]) as i64).to_string())
         }
         "procs" => Ok(format_list(&i.proc_names())),
-        "commands" => {
-            // Procs plus natives; used by tests and introspection only.
-            Ok(format_list(&i.proc_names()))
-        }
+        "commands" => Ok(format_list(&i.command_names())),
         "level" => Ok(i.level().to_string()),
         other => Err(Exception::error(format!(
             "unknown or unsupported subcommand \"info {other}\""
@@ -326,15 +332,16 @@ fn cmd_time(i: &mut Interp, argv: &[String]) -> TclResult {
     } else {
         1
     };
+    let held = Held::default();
     let start = std::time::Instant::now();
     for _ in 0..count {
-        i.eval_internal(&argv[1])?;
+        i.run_obj(&argv[1], Some(&held))?;
     }
     let per = start.elapsed().as_micros() as f64 / count as f64;
     Ok(format!("{per:.1} microseconds per iteration"))
 }
 
-fn cmd_switch(i: &mut Interp, argv: &[String]) -> TclResult {
+fn cmd_switch(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     // switch ?-exact|-glob? ?--? string {pattern body ...}
     // or     switch ?opts? string pattern body ?pattern body ...?
     let mut idx = 1;
@@ -358,11 +365,29 @@ fn cmd_switch(i: &mut Interp, argv: &[String]) -> TclResult {
         .ok_or_else(|| Exception::error("wrong # args: switch needs a string"))?
         .clone();
     idx += 1;
-    // Collect pattern/body pairs from either form.
-    let pairs: Vec<String> = if argv.len() == idx + 1 {
-        parse_list(&argv[idx]).map_err(Exception::from)?
+    // Pattern/body pairs from either form, each with its holder. A literal
+    // list word holds its arms, each a word that holds its own parse.
+    let fresh: Vec<Word>;
+    let pairs: Vec<(&str, Option<&Held>)> = if argv.len() == idx + 1 {
+        let arms = || -> Result<Vec<Word>, Exception> {
+            Ok(parse_list(&argv[idx])?.into_iter().map(Word::lit).collect())
+        };
+        let code = held(w, idx).map(|h| h.code(|| arms().map(Code::Arms)));
+        let words = match code.transpose()? {
+            Some(Code::Arms(words)) => words,
+            _ => {
+                fresh = arms()?;
+                &fresh
+            }
+        };
+        words
+            .iter()
+            .map(|w| (w.as_lit().unwrap_or_default(), Some(&w.held)))
+            .collect()
     } else {
-        argv[idx..].to_vec()
+        (idx..argv.len())
+            .map(|k| (argv[k].as_str(), held(w, k)))
+            .collect()
     };
     if pairs.is_empty() || !pairs.len().is_multiple_of(2) {
         return Err(Exception::error(
@@ -371,23 +396,23 @@ fn cmd_switch(i: &mut Interp, argv: &[String]) -> TclResult {
     }
     let mut i_pair = 0;
     while i_pair < pairs.len() {
-        let pattern = &pairs[i_pair];
+        let pattern = pairs[i_pair].0;
         let matched = pattern == "default"
             || if glob {
                 super::strings::glob_match(pattern, &value)
             } else {
-                pattern == &value
+                pattern == value
             };
         if matched {
             // `-` body falls through to the next body.
             let mut k = i_pair + 1;
-            while pairs[k] == "-" {
+            while pairs[k].0 == "-" {
                 k += 2;
                 if k >= pairs.len() {
                     return Err(Exception::error("no body specified for fall-through"));
                 }
             }
-            return i.eval_internal(&pairs[k]);
+            return i.run(pairs[k].0, pairs[k].1);
         }
         i_pair += 2;
     }
@@ -488,6 +513,34 @@ mod tests {
     #[test]
     fn subst_substitutes() {
         assert_eq!(ev("set n 3; subst {n is $n}"), "n is 3");
+        assert_eq!(ev("subst {n is [expr {1 + 2}]}"), "n is 3");
+    }
+
+    #[test]
+    fn subst_replaces_backslash_sequences() {
+        assert_eq!(ev("subst {a\\tb\\nc}"), "a\tb\nc");
+        assert_eq!(ev("subst {é\\é \\u00e9t\\xe9}"), "éé été");
+        assert_eq!(ev("subst {say \"hi\" \\\"}"), "say \"hi\" \"");
+        let mut i = Interp::new();
+        assert_eq!(i.subst("trailing \\").unwrap(), "trailing \\");
+        assert_eq!(i.eval("subst a\\").unwrap(), "a\\");
+    }
+
+    #[test]
+    fn info_commands_lists_procs_and_natives() {
+        let mut i = Interp::new();
+        i.register("native_x", |_, _| Ok(String::new()));
+        i.eval("proc p {} {}").unwrap();
+        let names = crate::parse_list(&i.eval("info commands").unwrap()).unwrap();
+        for name in ["set", "if", "native_x", "p"] {
+            assert!(names.iter().any(|n| n == name), "{name} in {names:?}");
+        }
+        i.eval("rename native_x {}; rename p {}").unwrap();
+        let names = crate::parse_list(&i.eval("info commands").unwrap()).unwrap();
+        assert!(
+            !names.iter().any(|n| n == "native_x" || n == "p"),
+            "{names:?}"
+        );
     }
 
     #[test]

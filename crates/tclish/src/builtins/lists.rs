@@ -6,6 +6,7 @@ use super::{arity, arity_range, index_arg, int_arg, ok};
 use crate::error::{Exception, TclResult};
 use crate::interp::Interp;
 use crate::list::{format_list, parse_list, quote_element};
+use crate::parser::Held;
 
 pub fn register(i: &mut Interp) {
     i.register("list", cmd_list);
@@ -235,9 +236,10 @@ fn cmd_lmap(i: &mut Interp, argv: &[String]) -> TclResult {
     arity(argv, 4, "lmap varName list body")?;
     let els = parse_list(&argv[2]).map_err(Exception::from)?;
     let mut out = Vec::with_capacity(els.len());
+    let body = Held::default();
     for e in els {
         i.set_var(&argv[1], e);
-        match i.eval_internal(&argv[3]) {
+        match i.run(&argv[3], Some(&body)) {
             Ok(v) => out.push(v),
             Err(Exception::Break) => break,
             Err(Exception::Continue) => continue,

@@ -11,6 +11,7 @@
 
 use crate::error::{Exception, TclResult};
 use crate::list::next_char_at;
+use crate::parser::{command_subst, Script};
 
 /// Host services `expr` needs from the enclosing interpreter: variable
 /// lookup, nested command evaluation, and the `rand()` stream.
@@ -18,7 +19,7 @@ pub trait ExprHost {
     /// Resolve `$name` to a number where its text is one.
     fn var_val(&mut self, name: &str) -> Result<Val, Exception>;
     /// Evaluate a `[script]` substitution.
-    fn eval_script(&mut self, script: &str) -> TclResult;
+    fn eval_script(&mut self, script: &Script) -> TclResult;
     /// Next value of the `rand()` function in `[0,1)`.
     fn next_rand(&mut self) -> f64;
 }
@@ -124,11 +125,11 @@ pub fn parse_number(s: &str) -> Option<Val> {
 // AST
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Ast {
     Lit(Val),
     Var(String),
-    Cmd(String),
+    Cmd(Script),
     Unary(UnOp, Box<Ast>),
     Binary(BinOp, Box<Ast>, Box<Ast>),
     Ternary(Box<Ast>, Box<Ast>, Box<Ast>),
@@ -190,11 +191,11 @@ fn prec(op: BinOp) -> u8 {
 // Tokenizer
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Tok {
     Val(Val),
     Var(String),
-    Cmd(String),
+    Cmd(Script),
     Ident(String),
     Op(&'static str),
     LParen,
@@ -255,24 +256,9 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Exception> {
                 }
             }
             b'[' => {
-                let mut depth = 1;
-                i += 1;
-                let start = i;
-                while i < b.len() && depth > 0 {
-                    match b[i] {
-                        b'[' => depth += 1,
-                        b']' => depth -= 1,
-                        b'\\' => i += 1,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                if depth != 0 {
-                    return Err(Exception::error("missing close-bracket in expression"));
-                }
-                toks.push(Tok::Cmd(
-                    String::from_utf8_lossy(&b[start..i - 1]).to_string(),
-                ));
+                let (script, end) = command_subst(src, i + 1)?;
+                toks.push(Tok::Cmd(script));
+                i = end;
             }
             b'"' => {
                 i += 1;
@@ -405,32 +391,20 @@ fn is_hex_literal(prefix: &[u8]) -> bool {
 // ---------------------------------------------------------------------
 
 struct Parser {
-    toks: Vec<Tok>,
-    pos: usize,
+    toks: std::iter::Peekable<std::vec::IntoIter<Tok>>,
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
-    }
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
     fn parse_expr(&mut self) -> Result<Ast, Exception> {
         self.parse_ternary()
     }
 
     fn parse_ternary(&mut self) -> Result<Ast, Exception> {
         let cond = self.parse_binary(0)?;
-        if self.peek() == Some(&Tok::Question) {
-            self.bump();
+        if self.toks.peek() == Some(&Tok::Question) {
+            self.toks.next();
             let t = self.parse_ternary()?;
-            if self.bump() != Some(Tok::Colon) {
+            if self.toks.next() != Some(Tok::Colon) {
                 return Err(Exception::error("expected ':' in ?: expression"));
             }
             let f = self.parse_ternary()?;
@@ -441,7 +415,7 @@ impl Parser {
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<Ast, Exception> {
         let mut lhs = self.parse_unary()?;
-        while let Some(Tok::Op(op)) = self.peek() {
+        while let Some(Tok::Op(op)) = self.toks.peek() {
             let bop = match *op {
                 "**" => BinOp::Pow,
                 "*" => BinOp::Mul,
@@ -470,7 +444,7 @@ impl Parser {
             if p < min_prec {
                 break;
             }
-            self.bump();
+            self.toks.next();
             // `**` is right-associative; everything else left.
             let next_min = if bop == BinOp::Pow { p } else { p + 1 };
             let rhs = self.parse_binary(next_min)?;
@@ -480,44 +454,44 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Ast, Exception> {
-        let op = match self.peek() {
+        let op = match self.toks.peek() {
             Some(Tok::Op("-")) => UnOp::Neg,
             Some(Tok::Op("+")) => UnOp::Pos,
             Some(Tok::Op("!")) => UnOp::Not,
             Some(Tok::Op("~")) => UnOp::BitNot,
             _ => return self.parse_primary(),
         };
-        self.bump();
+        self.toks.next();
         Ok(Ast::Unary(op, Box::new(self.parse_unary()?)))
     }
 
     fn parse_primary(&mut self) -> Result<Ast, Exception> {
-        match self.bump() {
+        match self.toks.next() {
             Some(Tok::Val(v)) => Ok(Ast::Lit(v)),
             Some(Tok::Var(name)) => Ok(Ast::Var(name)),
             Some(Tok::Cmd(script)) => Ok(Ast::Cmd(script)),
             Some(Tok::LParen) => {
                 let e = self.parse_expr()?;
-                if self.bump() != Some(Tok::RParen) {
+                if self.toks.next() != Some(Tok::RParen) {
                     return Err(Exception::error("expected ')'"));
                 }
                 Ok(e)
             }
             Some(Tok::Ident(name)) => {
-                if self.peek() == Some(&Tok::LParen) {
-                    self.bump();
+                if self.toks.peek() == Some(&Tok::LParen) {
+                    self.toks.next();
                     let mut args = Vec::new();
-                    if self.peek() != Some(&Tok::RParen) {
+                    if self.toks.peek() != Some(&Tok::RParen) {
                         loop {
                             args.push(self.parse_expr()?);
-                            match self.bump() {
+                            match self.toks.next() {
                                 Some(Tok::Comma) => continue,
                                 Some(Tok::RParen) => break,
                                 _ => return Err(Exception::error("expected ',' or ')'")),
                             }
                         }
                     } else {
-                        self.bump();
+                        self.toks.next();
                     }
                     Ok(Ast::Call(name, args))
                 } else {
@@ -537,17 +511,18 @@ impl Parser {
 // Evaluator
 // ---------------------------------------------------------------------
 
-/// A parsed expression. It holds variable names and `[script]` text, never
-/// their values, so one compile serves any number of evaluations.
+/// A parsed expression. It holds variable names and parsed `[script]`s,
+/// never their values, so one compile serves any number of evaluations.
 #[derive(Debug)]
 pub(crate) struct Compiled(Ast);
 
 /// Tokenize and parse an expression without evaluating it.
 pub(crate) fn compile(src: &str) -> Result<Compiled, Exception> {
-    let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks: tokenize(src)?.into_iter().peekable(),
+    };
     let ast = p.parse_expr()?;
-    if p.pos != p.toks.len() {
+    if p.toks.peek().is_some() {
         return Err(Exception::error(format!(
             "trailing tokens in expression: \"{src}\""
         )));
@@ -563,8 +538,8 @@ pub(crate) fn eval_compiled<H: ExprHost>(
     eval_ast(host, &compiled.0)
 }
 
-/// Evaluate an expression string against a host: the reference semantics
-/// every cached evaluation must match.
+/// Compile and evaluate an expression string against a host: the
+/// reference semantics every held compile must match.
 pub fn eval_expr<H: ExprHost>(host: &mut H, src: &str) -> Result<Val, Exception> {
     eval_compiled(host, &compile(src)?)
 }
@@ -907,8 +882,8 @@ mod tests {
             let s = s.ok_or_else(|| Exception::error(format!("no such variable \"{name}\"")))?;
             Ok(parse_number(&s).unwrap_or(Val::Str(s)))
         }
-        fn eval_script(&mut self, script: &str) -> TclResult {
-            Ok(format!("<{script}>"))
+        fn eval_script(&mut self, script: &Script) -> TclResult {
+            Ok(format!("<{} commands>", script.commands.len()))
         }
         fn next_rand(&mut self) -> f64 {
             self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1142,7 +1117,7 @@ mod oracle_tests {
         fn var_val(&mut self, name: &str) -> Result<Val, Exception> {
             Err(Exception::error(format!("no var {name}")))
         }
-        fn eval_script(&mut self, _script: &str) -> TclResult {
+        fn eval_script(&mut self, _script: &Script) -> TclResult {
             Err(Exception::error("no scripts"))
         }
         fn next_rand(&mut self) -> f64 {
@@ -1164,15 +1139,23 @@ mod oracle_tests {
                 }
                 None => prop_assert!(got.is_err(), "src {} must error", src),
             }
-            // Through an interpreter, cold then warm: the substitution-free
-            // text is evaluated directly and `$z + ...` is served from the
-            // expression cache; both must equal a fresh parse.
+            // Through an interpreter, by `Interp::expr` and by an `expr`
+            // command whose word holds its compile, cold then warm: each
+            // must equal a fresh parse.
             let mut interp = crate::Interp::new();
             interp.set_var("z", "0");
+            let message = |e: Exception| match e {
+                Exception::Error(e) => e.message,
+                other => format!("{other:?}"),
+            };
             for text in [src.clone(), format!("$z + {src}")] {
                 let fresh = eval_expr(&mut interp, &text).map(|v| v.to_tcl_string());
+                prop_assert_eq!(&interp.expr(&text), &fresh, "{}", text);
+                let fresh = fresh.map_err(message);
+                let held = crate::parser::Script::parse(&format!("expr {{{text}}}")).unwrap();
                 for pass in ["cold", "warm"] {
-                    prop_assert_eq!(&interp.expr(&text), &fresh, "{} {}", pass, text);
+                    let got = interp.eval_script(&held).map_err(|e| e.message);
+                    prop_assert_eq!(&got, &fresh, "{} {}", pass, text);
                 }
             }
         }

@@ -2,32 +2,44 @@
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use crate::builtins::{self, int_arg};
 use crate::error::{Exception, TclError, TclResult};
 use crate::expr::{self, parse_number, ExprHost, Val};
 use crate::list;
-use crate::parser::{self, Command, Part, Script, Shape, SHAPED};
+use crate::parser::{self, Code, Command, Held, Part, Script, Shape, Word, SHAPED};
 
 /// A native command implementation. Receives the interpreter and the fully
 /// substituted argument words (`argv[0]` is the command name).
 pub type CommandFn = Rc<dyn Fn(&mut Interp, &[String]) -> TclResult>;
 
-/// A user-defined `proc`.
+/// A builtin that runs code from its arguments (`if`, loops, `catch`,
+/// `switch`, `expr`): beside the argv it receives the command's words,
+/// which hold that code's parse.
+pub(crate) type CodeFn = fn(&mut Interp, &[String], &[Word]) -> TclResult;
+
 #[derive(Clone)]
+enum Native {
+    Argv(CommandFn),
+    Code(CodeFn),
+}
+
+/// A user-defined `proc`.
 pub(crate) struct ProcDef {
     /// `(name, default)` pairs; a trailing `args` param collects the rest.
     pub params: Vec<(String, Option<String>)>,
     pub varargs: bool,
-    pub body: Rc<str>,
+    pub body: String,
+    /// The body's parse, made at the first call.
+    pub held: Held,
 }
 
 /// The value of a variable or a command: an integer from `expr` or
 /// `incr` stays an `i64` until something asks for its decimal text.
 #[derive(Clone)]
-enum Obj {
+pub(crate) enum Obj {
     Str(String),
     Int(i64),
 }
@@ -64,60 +76,13 @@ enum Output {
     Custom(Box<dyn FnMut(&str)>),
 }
 
-/// Capacity of each parse cache (scripts, expressions); reaching it
-/// triggers a second-chance sweep instead of a wholesale clear, so hot
-/// fragments (proc bodies, loop conditions, the leaf tasks a worker
-/// evaluates in a loop) keep their trees.
-const CACHE_CAP: usize = 4096;
-
-/// Parse trees keyed by their source text, each with a second-chance bit:
-/// set on a hit, cleared by the sweep that evicts entries not hit since
-/// the last one.
-struct ParseCache<T> {
-    entries: HashMap<String, (Rc<T>, bool)>,
-}
-
-impl<T> ParseCache<T> {
-    fn new() -> Self {
-        ParseCache {
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The cached tree for `text`, parsing it on a miss. Parse errors are
-    /// returned, never cached.
-    fn get_or_parse(
-        &mut self,
-        text: &str,
-        parse: impl FnOnce(&str) -> Result<T, Exception>,
-    ) -> Result<Rc<T>, Exception> {
-        if let Some((tree, hot)) = self.entries.get_mut(text) {
-            *hot = true;
-            return Ok(tree.clone());
-        }
-        let tree = Rc::new(parse(text)?);
-        if self.entries.len() >= CACHE_CAP {
-            // A one-shot flood of unique texts cannot flush the fragments
-            // a worker re-evaluates every task.
-            self.entries
-                .retain(|_, (_, hot)| std::mem::replace(hot, false));
-            if self.entries.len() >= CACHE_CAP {
-                // Every entry was hot: clear rather than grow unbounded.
-                self.entries.clear();
-            }
-        }
-        self.entries.insert(text.to_string(), (tree.clone(), false));
-        Ok(tree)
-    }
-}
-
 /// A Tcl interpreter instance.
 ///
 /// Each Turbine worker/engine rank embeds one `Interp` — the paper's model
 /// of treating script interpreters "as native code libraries" (§III.C).
 pub struct Interp {
     frames: Vec<Frame>,
-    commands: HashMap<String, CommandFn>,
+    commands: HashMap<String, Native>,
     procs: HashMap<String, Rc<ProcDef>>,
     /// Bit `Shape as usize` is set once a proc, a `register` or a
     /// `rename … {}` has displaced that shaped builtin: its commands then
@@ -125,8 +90,6 @@ pub struct Interp {
     displaced: u8,
     packages: HashMap<String, (String, PackageInit)>,
     provided: HashMap<String, String>,
-    script_cache: ParseCache<Script>,
-    expr_cache: ParseCache<expr::Compiled>,
     context: HashMap<TypeId, Box<dyn Any>>,
     output: Output,
     rand_state: u64,
@@ -151,8 +114,6 @@ impl Interp {
             displaced: 0,
             packages: HashMap::new(),
             provided: HashMap::new(),
-            script_cache: ParseCache::new(),
-            expr_cache: ParseCache::new(),
             context: HashMap::new(),
             output: Output::Stdout,
             rand_state: 0x9E3779B97F4A7C15,
@@ -173,7 +134,12 @@ impl Interp {
         F: Fn(&mut Interp, &[String]) -> TclResult + 'static,
     {
         self.displace(name);
-        self.commands.insert(name.to_string(), Rc::new(f));
+        self.commands
+            .insert(name.to_string(), Native::Argv(Rc::new(f)));
+    }
+
+    pub(crate) fn register_code(&mut self, name: &str, f: CodeFn) {
+        self.commands.insert(name.to_string(), Native::Code(f));
     }
 
     /// Remove a command; returns whether it existed.
@@ -196,6 +162,12 @@ impl Interp {
     /// Names of all user-defined procs.
     pub fn proc_names(&self) -> Vec<String> {
         self.procs.keys().cloned().collect()
+    }
+
+    /// Names of all commands, procs and natives, sorted.
+    pub(crate) fn command_names(&self) -> Vec<&String> {
+        let names: BTreeSet<_> = self.procs.keys().chain(self.commands.keys()).collect();
+        names.into_iter().collect()
     }
 
     /// Attach host state retrievable from native commands. Stored by type;
@@ -356,7 +328,10 @@ impl Interp {
 
     // -- evaluation --------------------------------------------------------
 
-    /// Evaluate a script; this is the embedding entry point.
+    /// Evaluate a script; this is the embedding entry point. The whole
+    /// text is parsed, then run, and the parse is not kept: an embedder
+    /// that runs a text again holds [`Script::parse`] and calls
+    /// [`Interp::eval_script`].
     ///
     /// A top-level `return` yields its value; `break`/`continue` outside a
     /// loop are errors, as in Tcl.
@@ -365,8 +340,8 @@ impl Interp {
     }
 
     /// [`Interp::eval`] for a script parsed ahead of time with
-    /// [`Script::parse`]. The tree is plain data (`Send + Sync`), so one
-    /// parse of a library can serve every interpreter in the process.
+    /// [`Script::parse`]. The tree is `Send + Sync`, so one parse of a
+    /// library can serve every interpreter in the process.
     pub fn eval_script(&mut self, script: &Script) -> Result<String, TclError> {
         Self::top_level(self.eval_parsed(script).map(Obj::into_string))
     }
@@ -374,7 +349,7 @@ impl Interp {
     /// [`Interp::eval`] for a text that runs once, such as a shipped task
     /// or a program's main: it has `eval`'s results, errors, traces and
     /// top-level `return`/`break`/`continue`, but parses and runs one
-    /// command at a time, as Tcl_EvalEx does, and caches no parse of it.
+    /// command at a time, as Tcl_EvalEx does, and keeps no parse of it.
     /// So the commands before a syntax error have run when it is
     /// returned, where `eval` runs none. A single command of plain words
     /// is invoked without a parse tree. Command substitutions inside the
@@ -395,7 +370,7 @@ impl Interp {
                 .map_err(|e| annotate(e, text.trim()));
         }
         let mut result = Obj::Str(String::new());
-        for cmd in parser::Commands::new(text) {
+        for cmd in parser::Cursor::new(text) {
             let cmd = cmd?;
             result = self
                 .eval_command(&cmd)
@@ -418,14 +393,22 @@ impl Interp {
 
     /// Evaluate with full exception semantics (for control-flow commands).
     pub fn eval_internal(&mut self, script: &str) -> TclResult {
-        self.eval_obj(script).map(Obj::into_string)
+        self.run(script, None)
     }
 
-    fn eval_obj(&mut self, script: &str) -> Result<Obj, Exception> {
-        let parsed = self
-            .script_cache
-            .get_or_parse(script, parser::parse_script)?;
-        self.eval_parsed(&parsed)
+    /// Run `text` as a script, through the parse `held` keeps if given.
+    pub(crate) fn run(&mut self, text: &str, held: Option<&Held>) -> TclResult {
+        self.run_obj(text, held).map(Obj::into_string)
+    }
+
+    /// [`Interp::run`] without formatting the value (a loop drops it).
+    pub(crate) fn run_obj(&mut self, text: &str, held: Option<&Held>) -> Result<Obj, Exception> {
+        let code = held.map(|h| h.code(|| parser::parse_script(text).map(Code::Script)));
+        match code.transpose()? {
+            Some(Code::Script(script)) => self.eval_parsed(script),
+            // No holder, or a word another command held as other code.
+            _ => self.eval_parsed(&parser::parse_script(text)?),
+        }
     }
 
     fn eval_parsed(&mut self, script: &Script) -> Result<Obj, Exception> {
@@ -448,7 +431,7 @@ impl Interp {
         if argv.is_empty() {
             return Ok(Obj::Str(String::new()));
         }
-        self.invoke(&argv).map(Obj::Str)
+        self.dispatch(&argv, &cmd.words).map(Obj::Str)
     }
 
     fn argv(&mut self, cmd: &Command) -> Result<Vec<String>, Exception> {
@@ -488,7 +471,7 @@ impl Interp {
                 };
                 self.incr(name, delta).map(Obj::Int)
             }
-            _ => match self.expr_val(name)? {
+            _ => match self.expr_in(name, Some(&cmd.words[1].held))? {
                 Val::Int(i) => Ok(Obj::Int(i)),
                 v => Ok(Obj::Str(v.to_tcl_string())),
             },
@@ -498,7 +481,7 @@ impl Interp {
     fn subst_parts(&mut self, parts: &[Part]) -> Result<Obj, Exception> {
         match parts {
             [Part::Var(name)] => return self.var(name).cloned(),
-            [Part::Script(src)] => return self.eval_obj(src),
+            [Part::Script(script)] => return self.eval_parsed(script),
             [Part::Lit(s)] => return Ok(Obj::Str(s.clone())),
             _ => {}
         }
@@ -507,37 +490,38 @@ impl Interp {
             match p {
                 Part::Lit(s) => out.push_str(s),
                 Part::Var(name) => out.push_str(&self.var(name)?.clone().into_string()),
-                Part::Script(src) => out.push_str(&self.eval_obj(src)?.into_string()),
+                Part::Script(script) => out.push_str(&self.eval_parsed(script)?.into_string()),
             }
         }
         Ok(Obj::Str(out))
     }
 
-    /// Perform Tcl `subst`-style substitution on a string ($vars and
-    /// `[commands]`), used by the `subst` command and string templating.
+    /// Perform Tcl `subst`-style substitution on a string: `$vars`,
+    /// `[commands]` and backslash sequences, as inside a quoted word.
     pub fn subst(&mut self, text: &str) -> TclResult {
-        // Reuse the quoted-word parser by wrapping in quotes after escaping
-        // embedded quotes and backslashes minimally: simpler to scan here.
-        let wrapped = format!("\"{}\"", text.replace('\\', "\\\\").replace('"', "\\\""));
-        let script = parser::parse_script(&format!("return {wrapped}"))?;
-        match self.eval_parsed(&script) {
+        let parts = parser::quoted_parts(&mut parser::Cursor::new(text), false)?;
+        match self.subst_parts(&parts) {
             Err(Exception::Return(v)) => Ok(v),
-            Ok(v) => Ok(v.into_string()),
-            Err(e) => Err(e),
+            result => result.map(Obj::into_string),
         }
     }
 
     /// Invoke a command by argv. Dispatch order: procs, then natives.
     pub fn invoke(&mut self, argv: &[String]) -> TclResult {
+        self.dispatch(argv, &[])
+    }
+
+    fn dispatch(&mut self, argv: &[String], words: &[Word]) -> TclResult {
         self.commands_executed += 1;
         let name = argv[0].as_str();
         if let Some(p) = self.procs.get(name).cloned() {
             return self.call_proc(name, &p, &argv[1..]);
         }
-        if let Some(f) = self.commands.get(name).cloned() {
-            return f(self, argv);
+        match self.commands.get(name).cloned() {
+            Some(Native::Argv(f)) => f(self, argv),
+            Some(Native::Code(f)) => f(self, argv, words),
+            None => Err(Exception::error(format!("invalid command name \"{name}\""))),
         }
-        Err(Exception::error(format!("invalid command name \"{name}\"")))
     }
 
     pub(crate) fn define_proc(&mut self, name: &str, def: ProcDef) {
@@ -585,8 +569,7 @@ impl Interp {
         }
         self.frames.push(frame);
         self.depth += 1;
-        let body = p.body.clone();
-        let result = self.eval_obj(&body).map(Obj::into_string);
+        let result = self.run(&p.body, Some(&p.held));
         self.depth -= 1;
         self.frames.pop();
         match result {
@@ -596,59 +579,21 @@ impl Interp {
         }
     }
 
-    /// Evaluate a Tcl expression string (the `expr` engine). Text with a
-    /// `$` or `[` (a loop condition, a leaf reading its arguments) is
-    /// compiled once per interpreter. Substitution-free text comes from a
-    /// double substitution such as the engine library's `expr "$x $op $y"`,
-    /// which arrives as `10 + 66`: it carries values, is seldom seen twice,
-    /// and is evaluated directly rather than churning the cache.
+    /// Evaluate a Tcl expression string (the `expr` engine). The text is
+    /// compiled at each call and the compile is not kept: an `expr`
+    /// command with a literal word holds its compile on that word.
     pub fn expr(&mut self, src: &str) -> TclResult {
-        Ok(self.expr_val(src)?.to_tcl_string())
+        Ok(self.expr_in(src, None)?.to_tcl_string())
     }
 
-    fn expr_val(&mut self, src: &str) -> Result<Val, Exception> {
-        if src.contains(['$', '[']) {
-            let compiled = self.expr_cache.get_or_parse(src, expr::compile)?;
-            expr::eval_compiled(self, &compiled)
-        } else {
-            expr::eval_expr(self, src)
+    /// Evaluate `text` as an expression, through the compile `held` keeps
+    /// if given.
+    pub(crate) fn expr_in(&mut self, text: &str, held: Option<&Held>) -> Result<Val, Exception> {
+        let code = held.map(|h| h.code(|| expr::compile(text).map(Code::Expr)));
+        match code.transpose()? {
+            Some(Code::Expr(compiled)) => expr::eval_compiled(self, compiled),
+            _ => expr::eval_expr(self, text),
         }
-    }
-
-    /// Evaluate an expression as a boolean (for `if`/`while` conditions).
-    pub fn expr_bool(&mut self, src: &str) -> Result<bool, Exception> {
-        self.expr_val(src)?.truthy()
-    }
-
-    /// A loop's test: compiled on first use, then held for the loop.
-    pub(crate) fn loop_test(
-        &mut self,
-        src: &str,
-        held: &mut Option<Rc<expr::Compiled>>,
-    ) -> Result<bool, Exception> {
-        let test = match held {
-            Some(t) => t.clone(),
-            None if src.contains(['$', '[']) => held
-                .insert(self.expr_cache.get_or_parse(src, expr::compile)?)
-                .clone(),
-            None => held.insert(Rc::new(expr::compile(src)?)).clone(),
-        };
-        expr::eval_compiled(self, &test)?.truthy()
-    }
-
-    /// A loop's body or step: parsed on first use, then held for the loop.
-    pub(crate) fn loop_run(
-        &mut self,
-        src: &str,
-        held: &mut Option<Rc<Script>>,
-    ) -> Result<(), Exception> {
-        let script = match held {
-            Some(s) => s.clone(),
-            None => held
-                .insert(self.script_cache.get_or_parse(src, parser::parse_script)?)
-                .clone(),
-        };
-        self.eval_parsed(&script).map(drop)
     }
 }
 
@@ -659,8 +604,8 @@ impl ExprHost for Interp {
             Obj::Str(s) => Ok(parse_number(s).unwrap_or_else(|| Val::Str(s.clone()))),
         }
     }
-    fn eval_script(&mut self, script: &str) -> TclResult {
-        self.eval_internal(script)
+    fn eval_script(&mut self, script: &Script) -> TclResult {
+        self.eval_parsed(script).map(Obj::into_string)
     }
     fn next_rand(&mut self) -> f64 {
         // xorshift64*: deterministic per-interp stream for expr's rand().
@@ -690,93 +635,115 @@ fn annotate(e: Exception, source: &str) -> Exception {
 mod tests {
     use super::*;
 
-    fn cached<T>(cache: &ParseCache<T>, text: &str) -> Rc<T> {
-        cache.entries.get(text).expect("text is cached").0.clone()
-    }
-
     #[test]
-    fn script_cache_eviction_keeps_hot_fragments() {
+    fn repeated_and_distinct_texts_each_run() {
+        // A fragment evaluated again and again, like a worker's leaf task,
+        // among a flood of distinct one-shot texts.
         let mut i = Interp::new();
-        // A "hot" fragment, evaluated repeatedly like a worker's leaf task.
-        i.eval("set hot 1").unwrap();
-        let hot_rc = cached(&i.script_cache, "set hot 1");
-        // Flood the cache past capacity with unique one-shot scripts,
-        // touching the hot fragment along the way so it carries its
-        // second-chance bit into the sweep.
-        for n in 0..CACHE_CAP + 10 {
-            i.eval(&format!("set x{n} {n}")).unwrap();
-            if n % 512 == 0 {
-                i.eval("set hot 1").unwrap();
-            }
-        }
-        assert!(
-            i.script_cache.entries.len() < CACHE_CAP,
-            "sweep must have evicted the cold flood"
-        );
-        assert!(
-            Rc::ptr_eq(&cached(&i.script_cache, "set hot 1"), &hot_rc),
-            "hot fragment keeps its original parse tree"
-        );
-
-        // The expression cache runs the same policy: a hot loop condition
-        // keeps its compiled tree across a flood of distinct `$` texts.
-        let mut i = Interp::new();
-        i.eval("set k 1; expr {$k < 1000}").unwrap();
-        let hot_rc = cached(&i.expr_cache, "$k < 1000");
         for n in 0..5000 {
-            i.expr(&format!("$k + {n}")).unwrap();
+            assert_eq!(i.eval(&format!("set x{n} {n}")).unwrap(), n.to_string());
             if n % 512 == 0 {
-                i.expr("$k < 1000").unwrap();
+                assert_eq!(i.eval("incr hot").unwrap(), (n / 512 + 1).to_string());
             }
         }
-        assert!(i.expr_cache.entries.len() < CACHE_CAP);
-        assert!(Rc::ptr_eq(&cached(&i.expr_cache, "$k < 1000"), &hot_rc));
-
-        // A double-substituted `expr "$x + $y"` reaches `expr` as
-        // substitution-free text carrying values: it never enters.
-        let mut i = Interp::new();
-        for n in 0..10_000 {
-            i.eval(&format!("set x {n}; expr \"$x + 66\"")).unwrap();
+        // A held loop condition among distinct `$` expressions.
+        i.eval("set k 1").unwrap();
+        for n in 0..5000 {
+            assert_eq!(i.expr(&format!("$k + {n}")).unwrap(), (n + 1).to_string());
+            if n % 512 == 0 {
+                assert_eq!(
+                    i.eval("while {$k < 1000} { incr k }; set k").unwrap(),
+                    "1000"
+                );
+                i.eval("set k 1").unwrap();
+            }
         }
-        assert!(i.expr_cache.entries.is_empty());
+        // A double-substituted `expr "$x + $y"` reaches `expr` as
+        // substitution-free text carrying values.
+        for n in 0..10_000 {
+            let got = i.eval(&format!("set x {n}; expr \"$x + 66\"")).unwrap();
+            assert_eq!(got, (n + 66).to_string());
+        }
     }
 
     #[test]
-    fn a_cached_expression_reads_current_values() {
+    fn a_held_expression_reads_current_values() {
         let mut i = Interp::new();
-        assert_eq!(i.eval("set x 1; expr {$x + 1}").unwrap(), "2");
-        assert_eq!(i.eval("set x 5; expr {$x + 1}").unwrap(), "6");
-        assert_eq!(i.expr_cache.entries.len(), 1);
+        i.eval("proc f {} { expr {$::x + 1} }").unwrap();
+        assert_eq!(i.eval("set x 1; f").unwrap(), "2");
+        assert_eq!(i.eval("set x 5; f").unwrap(), "6");
     }
 
     #[test]
-    fn a_cached_expression_reruns_its_commands() {
+    fn a_held_expression_reruns_its_commands() {
         let mut i = Interp::new();
-        i.eval("set n 0").unwrap();
-        assert_eq!(i.eval("expr {[incr n] * 2}").unwrap(), "2");
-        assert_eq!(i.eval("expr {[incr n] * 2}").unwrap(), "4");
-        assert_eq!(i.eval("expr {[incr n] * 2}").unwrap(), "6");
+        i.eval("set n 0; proc f {} { expr {[incr ::n] * 2} }")
+            .unwrap();
+        assert_eq!(i.eval("f").unwrap(), "2");
+        assert_eq!(i.eval("f").unwrap(), "4");
+        assert_eq!(i.eval("f").unwrap(), "6");
         assert_eq!(i.eval("set n").unwrap(), "3");
     }
 
     #[test]
-    fn a_loop_compiles_its_condition_and_body_once() {
+    fn a_loop_reruns_its_condition_and_body() {
         let mut i = Interp::new();
         i.eval("set acc 0; for {set k 0} {$k < 1000} {incr k} { set acc [expr {$acc + $k}] }")
             .unwrap();
         assert_eq!(i.eval("set acc").unwrap(), "499500");
-        let mut texts: Vec<&str> = i.expr_cache.entries.keys().map(String::as_str).collect();
-        texts.sort_unstable();
-        assert_eq!(texts, ["$acc + $k", "$k < 1000"]);
+        // The same loop with computed words holds its parses locally.
+        i.eval("set t {$k < 1000}; set b {incr acc $k}; set acc 0")
+            .unwrap();
+        i.eval("for {set k 0} $t {incr k} $b").unwrap();
+        assert_eq!(i.eval("set acc").unwrap(), "499500");
     }
 
     #[test]
-    fn compile_errors_are_not_cached() {
+    fn a_compile_error_recurs_at_every_run() {
         let mut i = Interp::new();
-        let first = i.eval("expr {$x +}").unwrap_err();
-        let second = i.eval("expr {$x +}").unwrap_err();
+        i.eval("proc f {} { expr {$x +} }").unwrap();
+        let first = i.eval("f").unwrap_err();
+        let second = i.eval("f").unwrap_err();
         assert_eq!(first.message, second.message);
-        assert!(i.expr_cache.entries.is_empty());
+    }
+
+    #[test]
+    fn a_word_held_as_one_kind_of_code_runs_as_another() {
+        // `$c` names `catch`, which runs the word as a script, then `expr`.
+        let mut i = Interp::new();
+        i.eval("proc f {c} { $c {1 + 2} }").unwrap();
+        assert_eq!(i.eval("f catch").unwrap(), "1");
+        assert_eq!(i.eval("f expr").unwrap(), "3");
+        assert_eq!(i.eval("f catch").unwrap(), "1");
+    }
+
+    #[test]
+    fn a_redefined_proc_runs_its_new_body() {
+        let mut i = Interp::new();
+        i.eval("proc f {} { return old }").unwrap();
+        assert_eq!(i.eval("f").unwrap(), "old");
+        i.eval("proc f {} { return new }").unwrap();
+        assert_eq!(i.eval("f").unwrap(), "new");
+    }
+
+    #[test]
+    fn a_proc_redefined_during_its_run_finishes_the_old_body() {
+        let mut i = Interp::new();
+        i.eval("proc f {} { proc f {} { return new }; set x [expr {1 + 1}]; return old$x }")
+            .unwrap();
+        assert_eq!(i.eval("f").unwrap(), "old2");
+        assert_eq!(i.eval("f").unwrap(), "new");
+    }
+
+    #[test]
+    fn a_body_with_a_syntax_error_fails_alike_at_every_call() {
+        let mut i = Interp::new();
+        i.eval("proc f {} { set a 1; set b \"oops }").unwrap();
+        let first = i.eval("f").unwrap_err();
+        assert_eq!(first.message, "missing close-quote");
+        assert_eq!(i.eval("f").unwrap_err(), first);
+        // Nothing before the error ran: the body is parsed whole.
+        assert!(!i.var_exists("a"));
     }
 
     #[test]
@@ -792,16 +759,47 @@ mod tests {
     }
 
     #[test]
-    fn a_one_shot_text_adds_no_cache_entry() {
+    fn a_displaced_builtin_wins_over_a_held_parse() {
+        // Each way to displace a builtin, after a held script and a proc
+        // body have run once and filled their words' slots.
+        let displacements: [(&str, Result<&str, &str>); 6] = [
+            ("proc set {args} { return S }", Ok("30")),
+            ("proc expr {args} { return E }", Ok("E")),
+            ("proc if {args} { return F }", Ok("F")),
+            ("rename incr {}", Err("invalid command name \"incr\"")),
+            ("rename for {}", Err("invalid command name \"for\"")),
+            ("", Ok("<$x * 10>")),
+        ];
+        let text = "set x 1; incr x; for {} {0} {} {}; if {1} {expr {$x * 10}}";
+        let held = Script::parse(text).unwrap();
+        let proc = format!("proc p {{}} {{ global x; {text} }}");
+        for (displace, want) in displacements {
+            for in_proc in [false, true] {
+                let mut i = Interp::new();
+                i.eval(&proc).unwrap();
+                let run = |i: &mut Interp| match in_proc {
+                    true => i.eval("p"),
+                    false => i.eval_script(&held),
+                };
+                assert_eq!(run(&mut i).unwrap(), "20", "{displace}: before");
+                match displace {
+                    "" => i.register("expr", |_, argv| Ok(format!("<{}>", argv[1]))),
+                    _ => drop(i.eval(displace).unwrap()),
+                }
+                let got = run(&mut i).map_err(|e| e.message);
+                assert_eq!(got.as_deref().map_err(String::as_str), want, "{displace}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_shot_text_defines_a_callable_proc() {
         let mut i = Interp::new();
         i.eval_once("set a 1; incr a 2\nproc p {x} { return $x }")
             .unwrap();
         assert_eq!(i.eval_once("set a").unwrap(), "3");
-        assert!(i.script_cache.entries.is_empty());
-        // A proc body comes back, so it is cached.
         assert_eq!(i.eval_once("p 7").unwrap(), "7");
-        let texts: Vec<&str> = i.script_cache.entries.keys().map(String::as_str).collect();
-        assert_eq!(texts, [" return $x "]);
+        assert_eq!(i.eval_once("p 8").unwrap(), "8");
     }
 
     #[test]

@@ -78,6 +78,12 @@ mod tests {
     }
 
     #[test]
+    fn a_close_bracket_in_a_quoted_word_stays_inside_the_substitution() {
+        assert_eq!(ev("set x [string length \"a]b\"]"), "3");
+        assert_eq!(ev("expr {[string length \"a]b\"] + 1}"), "4");
+    }
+
+    #[test]
     fn proc_with_defaults_and_varargs() {
         let mut i = Interp::new();
         i.eval("proc f {a {b 10} args} { return [expr {$a + $b + [llength $args]}] }")

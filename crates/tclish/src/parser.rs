@@ -1,37 +1,52 @@
 //! Tcl script parser: splits a script into commands and each command into
 //! words, recording where variable and command substitution must happen.
 //!
-//! Parsing is separated from evaluation so parsed scripts can be cached:
-//! Turbine re-evaluates the same generated fragments for every task, and the
-//! cache makes the hot path a walk over pre-tokenized words.
+//! A parse lives on the text that holds it: a `[…]` substitution holds its
+//! parsed commands, and a literal word holds the code its command runs it
+//! as ([`Held`]) from the first run on. A text with no holder is parsed
+//! each time it runs.
+
+use std::sync::OnceLock;
 
 use crate::error::Exception;
+use crate::expr::Compiled;
 
 /// Marker prefix a `{*}` word carries after parsing.
 const EXPAND_MARKER: &str = "\u{1}EXPAND\u{1}";
 
 /// One piece of a word, after tokenization but before substitution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum Part {
     /// Literal text (no substitution).
     Lit(String),
     /// `$name` / `${name}` variable substitution.
     Var(String),
-    /// `[script]` command substitution; holds the raw inner script.
-    Script(String),
+    /// `[script]` command substitution; holds the parsed inner script.
+    Script(Script),
 }
 
 /// One word of a command: a sequence of parts concatenated after
-/// substitution. A fully braced word is a single `Lit` part.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// substitution. A braced word is a single `Lit` part.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Word {
     pub parts: Vec<Part>,
-    /// True when the word came from `{...}`: control-flow commands use this
-    /// to recover raw bodies, and it suppresses further substitution.
-    pub braced: bool,
+    /// The code a command runs this word as, when the word is literal.
+    pub(crate) held: Held,
 }
 
 impl Word {
+    fn new(parts: Vec<Part>) -> Self {
+        Word {
+            parts,
+            held: Held::default(),
+        }
+    }
+
+    /// A literal word, such as one element of `switch`'s arm list.
+    pub(crate) fn lit(text: String) -> Self {
+        Word::new(vec![Part::Lit(text)])
+    }
+
     /// If the word is a single literal, return it without evaluation.
     pub fn as_lit(&self) -> Option<&str> {
         match self.parts.as_slice() {
@@ -45,6 +60,56 @@ impl Word {
     pub(crate) fn expands(&self) -> bool {
         matches!(self.parts.first(), Some(Part::Lit(l)) if l == EXPAND_MARKER)
     }
+}
+
+/// What a literal word runs as: a script, an `expr`, or `switch`'s
+/// pattern/body words.
+#[derive(Debug)]
+pub(crate) enum Code {
+    Script(Script),
+    Expr(Compiled),
+    Arms(Vec<Word>),
+}
+
+/// A word's [`Code`], parsed at its first run and kept for every later
+/// one. A `OnceLock`, so a parsed [`Script`] stays `Send + Sync` and one
+/// parse can serve interpreters on many threads. It is derived from the
+/// word's text, so equality ignores it.
+#[derive(Debug, Default)]
+pub(crate) struct Held(OnceLock<Box<Code>>);
+
+impl Held {
+    /// The code held, made by `parse` on first use. A parse error is
+    /// returned and nothing is kept, so it recurs at every run.
+    pub(crate) fn code(
+        &self,
+        parse: impl FnOnce() -> Result<Code, Exception>,
+    ) -> Result<&Code, Exception> {
+        if let Some(code) = self.0.get() {
+            return Ok(code);
+        }
+        let code = Box::new(parse()?);
+        Ok(self.0.get_or_init(|| code))
+    }
+}
+
+impl PartialEq for Held {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Held {}
+
+/// The holder of a command's argument `k`, given the command's words
+/// (none when it was invoked by argv): word `k`, when that word is
+/// literal and no word is `{*}`-expanded, so argv lines up with the words.
+pub(crate) fn held(words: &[Word], k: usize) -> Option<&Held> {
+    if words.iter().any(Word::expands) {
+        return None;
+    }
+    let word = words.get(k)?;
+    word.as_lit().map(|_| &word.held)
 }
 
 /// The builtins a command can run without an argv (`set var ?value?`,
@@ -74,17 +139,17 @@ fn shape_of(words: &[Word]) -> Shape {
 }
 
 /// A parsed command: one word per argument, `words[0]` is the command name.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Command {
     pub words: Vec<Word>,
-    /// Source text of the command, for error traces. Boxed: a cached
+    /// Source text of the command, for error traces. Boxed: a held
     /// script holds one per command, and `shape` takes the bytes saved.
     pub source: Box<str>,
     pub shape: Shape,
 }
 
 /// A fully parsed script.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct Script {
     pub commands: Vec<Command>,
 }
@@ -93,14 +158,28 @@ fn err<T>(msg: impl Into<String>) -> Result<T, Exception> {
     Err(Exception::error(msg))
 }
 
-struct Cursor<'a> {
-    src: &'a [u8],
+/// A position in a script. As an iterator it yields the script's commands
+/// from there on, parsed one at a time in source order: [`parse_script`]
+/// collects them, [`crate::Interp::eval_once`] runs each before it parses
+/// the next. A parse error is the last item. Slices of `src` begin and
+/// end at ASCII delimiters, so on character boundaries.
+pub(crate) struct Cursor<'a> {
+    src: &'a str,
     pos: usize,
+    /// Inside `[…]`: a `]` outside braces and quotes ends the script.
+    nested: bool,
 }
 
 impl<'a> Cursor<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Cursor {
+            src,
+            pos: 0,
+            nested: false,
+        }
+    }
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
     fn bump(&mut self) -> Option<u8> {
         let c = self.peek();
@@ -110,7 +189,7 @@ impl<'a> Cursor<'a> {
         c
     }
     fn starts(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s.as_bytes())
+        self.src.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 }
 
@@ -127,39 +206,37 @@ impl Script {
 
 /// Parse a full script into commands.
 pub fn parse_script(src: &str) -> Result<Script, Exception> {
-    let commands = Commands::new(src).collect::<Result<_, _>>()?;
+    let commands = Cursor::new(src).collect::<Result<_, _>>()?;
     Ok(Script { commands })
 }
 
-/// A script's commands, parsed one at a time in source order:
-/// [`parse_script`] collects them, [`crate::Interp::eval_once`] runs each
-/// before it parses the next. A parse error is the last item.
-pub(crate) struct Commands<'a> {
-    src: &'a str,
-    cur: Cursor<'a>,
-}
-
-impl<'a> Commands<'a> {
-    pub(crate) fn new(src: &'a str) -> Self {
-        Commands {
-            src,
-            cur: Cursor {
-                src: src.as_bytes(),
-                pos: 0,
-            },
-        }
+/// Parse the commands of a `[…]` substitution, from `pos` just past its
+/// `[` to the `]` that closes it. As in Tcl, that is the first `]` that
+/// ends a command, so one inside a quoted or braced word does not count.
+/// Returns the script and the position past the `]`.
+pub(crate) fn command_subst(src: &str, pos: usize) -> Result<(Script, usize), Exception> {
+    let mut cur = Cursor {
+        src,
+        pos,
+        nested: true,
+    };
+    let commands = cur.by_ref().collect::<Result<_, _>>()?;
+    match cur.peek() {
+        Some(b']') => Ok((Script { commands }, cur.pos + 1)),
+        _ => err("missing close-bracket"),
     }
 }
 
-impl Iterator for Commands<'_> {
+impl Iterator for Cursor<'_> {
     type Item = Result<Command, Exception>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let cur = &mut self.cur;
+        let cur = self;
         loop {
             skip_blank(cur);
             match cur.peek() {
                 None => return None,
+                Some(b']') if cur.nested => return None,
                 Some(b'#') => {
                     skip_comment(cur);
                     continue;
@@ -178,7 +255,7 @@ impl Iterator for Commands<'_> {
                 return Some(Ok(Command {
                     shape: shape_of(&words),
                     words,
-                    source: self.src[start..cur.pos].trim().into(),
+                    source: cur.src[start..cur.pos].trim().into(),
                 }));
             }
         }
@@ -209,7 +286,7 @@ fn skip_blank(cur: &mut Cursor) {
             Some(b' ') | Some(b'\t') | Some(b'\r') | Some(b'\n') | Some(b';') => {
                 cur.pos += 1;
             }
-            Some(b'\\') if cur.src.get(cur.pos + 1) == Some(&b'\n') => {
+            Some(b'\\') if cur.starts("\\\n") => {
                 cur.pos += 2;
             }
             _ => return,
@@ -230,7 +307,8 @@ fn skip_comment(cur: &mut Cursor) {
     }
 }
 
-/// Parse one command (words up to an unescaped newline or `;`).
+/// Parse one command (words up to an unescaped newline or `;`, or inside
+/// `[…]` up to the closing `]`, which is left for the caller).
 fn parse_command(cur: &mut Cursor) -> Result<Vec<Word>, Exception> {
     let mut words = Vec::new();
     loop {
@@ -239,17 +317,17 @@ fn parse_command(cur: &mut Cursor) -> Result<Vec<Word>, Exception> {
             cur.pos += 1;
         }
         // Line continuation joins physical lines.
-        if cur.peek() == Some(b'\\') && cur.src.get(cur.pos + 1) == Some(&b'\n') {
+        if cur.starts("\\\n") {
             cur.pos += 2;
             continue;
         }
         match cur.peek() {
-            None | Some(b'\n') | Some(b';') | Some(b'\r') => {
-                if matches!(cur.peek(), Some(b'\n') | Some(b';') | Some(b'\r')) {
-                    cur.pos += 1;
-                }
+            None => return Ok(words),
+            Some(b'\n') | Some(b';') | Some(b'\r') => {
+                cur.pos += 1;
                 return Ok(words);
             }
+            Some(b']') if cur.nested => return Ok(words),
             _ => {}
         }
         words.push(parse_word(cur)?);
@@ -268,7 +346,10 @@ fn parse_word(cur: &mut Cursor) -> Result<Word, Exception> {
             Ok(w)
         }
         Some(b'{') => parse_braced(cur),
-        Some(b'"') => parse_quoted(cur),
+        Some(b'"') => {
+            cur.pos += 1;
+            quoted_parts(cur, true).map(Word::new)
+        }
         _ => parse_bare(cur),
     }
 }
@@ -289,13 +370,8 @@ fn parse_braced(cur: &mut Cursor) -> Result<Word, Exception> {
             b'}' => {
                 depth -= 1;
                 if depth == 0 {
-                    let inner = &cur.src[start..cur.pos - 1];
-                    let text = std::str::from_utf8(inner)
-                        .map_err(|_| Exception::error("invalid utf8 in braces"))?;
-                    return Ok(Word {
-                        parts: vec![Part::Lit(unescape_brace_continuations(text))],
-                        braced: true,
-                    });
+                    let text = &cur.src[start..cur.pos - 1];
+                    return Ok(Word::lit(unescape_brace_continuations(text)));
                 }
             }
             _ => {}
@@ -326,15 +402,17 @@ fn unescape_brace_continuations(s: &str) -> String {
     out
 }
 
-fn parse_quoted(cur: &mut Cursor) -> Result<Word, Exception> {
-    debug_assert_eq!(cur.peek(), Some(b'"'));
-    cur.pos += 1;
+/// The parts of a quoted word, from just past its opening `"` through the
+/// closing one; or, when not `quoted`, to the end of the text, where a
+/// `"` is literal: what `subst` substitutes.
+pub(crate) fn quoted_parts(cur: &mut Cursor, quoted: bool) -> Result<Vec<Part>, Exception> {
     let mut parts = Vec::new();
     let mut lit = String::new();
     loop {
         match cur.peek() {
-            None => return err("missing close-quote"),
-            Some(b'"') => {
+            None if quoted => return err("missing close-quote"),
+            None => break,
+            Some(b'"') if quoted => {
                 cur.pos += 1;
                 break;
             }
@@ -356,10 +434,7 @@ fn parse_quoted(cur: &mut Cursor) -> Result<Word, Exception> {
         }
     }
     flush(&mut parts, &mut lit);
-    Ok(Word {
-        parts,
-        braced: false,
-    })
+    Ok(parts)
 }
 
 fn parse_bare(cur: &mut Cursor) -> Result<Word, Exception> {
@@ -368,6 +443,7 @@ fn parse_bare(cur: &mut Cursor) -> Result<Word, Exception> {
     loop {
         match cur.peek() {
             None | Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r') | Some(b';') => break,
+            Some(b']') if cur.nested => break,
             Some(b'$') => {
                 flush(&mut parts, &mut lit);
                 parts.push(parse_var_ref(cur)?);
@@ -377,7 +453,7 @@ fn parse_bare(cur: &mut Cursor) -> Result<Word, Exception> {
                 parts.push(parse_bracket(cur)?);
             }
             Some(b'\\') => {
-                if cur.src.get(cur.pos + 1) == Some(&b'\n') {
+                if cur.starts("\\\n") {
                     break; // line continuation: word ends here
                 }
                 cur.pos += 1;
@@ -389,17 +465,14 @@ fn parse_bare(cur: &mut Cursor) -> Result<Word, Exception> {
         }
     }
     flush(&mut parts, &mut lit);
-    Ok(Word {
-        parts,
-        braced: false,
-    })
+    Ok(Word::new(parts))
 }
 
 fn next_char(cur: &mut Cursor) -> char {
     // Decode one UTF-8 char starting at pos, looking at no more than its
     // own (at most four) bytes: validating the rest of the script here
     // made parsing quadratic in script length.
-    let rest = &cur.src[cur.pos..];
+    let rest = &cur.src.as_bytes()[cur.pos..];
     let len = match rest.first() {
         Some(b) if *b < 0x80 => {
             cur.pos += 1;
@@ -434,10 +507,9 @@ fn parse_var_ref(cur: &mut Cursor) -> Result<Part, Exception> {
         let start = cur.pos;
         while let Some(c) = cur.peek() {
             if c == b'}' {
-                let name = std::str::from_utf8(&cur.src[start..cur.pos])
-                    .map_err(|_| Exception::error("invalid utf8 in variable name"))?;
+                let name = cur.src[start..cur.pos].to_string();
                 cur.pos += 1;
-                return Ok(Part::Var(name.to_string()));
+                return Ok(Part::Var(name));
             }
             cur.pos += 1;
         }
@@ -458,38 +530,15 @@ fn parse_var_ref(cur: &mut Cursor) -> Result<Part, Exception> {
     if cur.pos == start {
         return Ok(Part::Lit("$".to_string()));
     }
-    let name = std::str::from_utf8(&cur.src[start..cur.pos])
-        .map_err(|_| Exception::error("invalid utf8 in variable name"))?;
-    Ok(Part::Var(name.to_string()))
+    Ok(Part::Var(cur.src[start..cur.pos].to_string()))
 }
 
-/// Parse `[script]` with nesting.
+/// Parse `[script]`: the nested commands up to the `]` that closes them.
 fn parse_bracket(cur: &mut Cursor) -> Result<Part, Exception> {
     debug_assert_eq!(cur.peek(), Some(b'['));
-    cur.pos += 1;
-    let start = cur.pos;
-    let mut depth = 1usize;
-    let mut in_brace = 0usize;
-    while let Some(c) = cur.bump() {
-        match c {
-            b'\\' => {
-                cur.pos += 1;
-            }
-            b'{' => in_brace += 1,
-            b'}' if in_brace > 0 => in_brace -= 1,
-            b'[' if in_brace == 0 => depth += 1,
-            b']' if in_brace == 0 => {
-                depth -= 1;
-                if depth == 0 {
-                    let inner = std::str::from_utf8(&cur.src[start..cur.pos - 1])
-                        .map_err(|_| Exception::error("invalid utf8 in brackets"))?;
-                    return Ok(Part::Script(inner.to_string()));
-                }
-            }
-            _ => {}
-        }
-    }
-    err("missing close-bracket")
+    let (script, end) = command_subst(cur.src, cur.pos + 1)?;
+    cur.pos = end;
+    Ok(Part::Script(script))
 }
 
 /// Standard Tcl backslash substitution; cursor sits after the backslash.
@@ -566,9 +615,9 @@ mod tests {
     use super::*;
 
     fn words_of(src: &str) -> Vec<Word> {
-        let s = parse_script(src).unwrap();
+        let mut s = parse_script(src).unwrap();
         assert_eq!(s.commands.len(), 1, "expected 1 command in {src:?}");
-        s.commands[0].words.clone()
+        s.commands.remove(0).words
     }
 
     #[test]
@@ -581,7 +630,6 @@ mod tests {
     fn braced_word_is_literal() {
         let w = words_of("set x {a $b [c]}");
         assert_eq!(w[2].as_lit(), Some("a $b [c]"));
-        assert!(w[2].braced);
     }
 
     #[test]
@@ -618,7 +666,22 @@ mod tests {
     #[test]
     fn bracket_nesting() {
         let w = words_of("set x [f [g 1] 2]");
-        assert_eq!(w[2].parts, vec![Part::Script("f [g 1] 2".into())]);
+        let inner = parse_script("f [g 1] 2").unwrap();
+        assert_eq!(w[2].parts, vec![Part::Script(inner)]);
+    }
+
+    #[test]
+    fn a_close_bracket_in_a_quoted_or_braced_word_is_text() {
+        for (src, inner) in [
+            ("set x [string length \"a]b\"]", "string length \"a]b\""),
+            ("set x [list {a]b} c]", "list {a]b} c"),
+            ("set x [f a{b]", "f a{b"),
+        ] {
+            let w = words_of(src);
+            let inner = parse_script(inner).unwrap();
+            assert_eq!(w[2].parts, vec![Part::Script(inner)], "{src}");
+        }
+        assert!(parse_script("set x [f \"a]").is_err());
     }
 
     #[test]

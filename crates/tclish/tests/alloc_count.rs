@@ -1,12 +1,13 @@
 //! Heap allocations and dispatched commands per iteration of the Tcl
 //! loop an `interlang_leaves` leaf runs: a proc whose `for` loop reads
-//! its argument `$i`. A dedicated test binary, so the counting global
-//! allocator sees no other test's work; the count is per thread.
+//! its argument `$i`; and heap allocations per call of an engine-shaped
+//! proc. A dedicated test binary, so the counting global allocator sees
+//! no other test's work; the count is per thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tclish::Interp;
+use tclish::{Interp, Script};
 
 struct Counting;
 
@@ -44,7 +45,8 @@ const LEAF: &str = "proc leaf {i} {
 fn the_leaf_loop_allocates_at_most_once_per_iteration() {
     let mut interp = Interp::new();
     interp.eval(LEAF).unwrap();
-    // Warm the script and expression caches, as a worker's first task does.
+    // The first call parses the body and its loop, as a worker's first
+    // task does.
     interp.eval("leaf 17").unwrap();
     let (before, cmds) = (ALLOCS.with(Cell::get), interp.commands_executed);
     let out = interp.eval("leaf 17").unwrap();
@@ -62,4 +64,46 @@ fn the_leaf_loop_allocates_at_most_once_per_iteration() {
     // body's `set` and `expr` and the step's `incr`, and the closing `set`
     // and `expr`.
     assert_eq!(cmds, 3 * ITERS + 6);
+}
+
+/// An engine body in the shape of the library's `swt:scmp_body`: an `if`
+/// on a braced test, `[…]` substitutions and `expr {![…]}`.
+const SCMP: &str = "proc scmp {op a b} {
+    set x [string trim $a]
+    set y [string trim $b]
+    if {$op == \"==\"} {
+        set r [string equal $x $y]
+    } else {
+        set r [expr {![string equal $x $y]}]
+    }
+}";
+
+/// Allocations per call of `SCMP`, both branches alike, measured when
+/// each text was found in a parse cache by its text: 47 in debug and in
+/// release builds.
+const SCMP_BOUND: f64 = 47.0;
+
+#[test]
+fn an_engine_shaped_proc_call_stays_within_its_allocation_bound() {
+    let mut interp = Interp::new();
+    interp.eval(SCMP).unwrap();
+    // The calls are held, as an embedder that repeats a text holds it.
+    let calls = [
+        Script::parse("scmp == abc abd").unwrap(),
+        Script::parse("scmp != abc abd").unwrap(),
+    ];
+    for call in &calls {
+        interp.eval_script(call).unwrap();
+    }
+    let before = ALLOCS.with(Cell::get);
+    for k in 0..ITERS as usize {
+        let want = if k % 2 == 0 { "0" } else { "1" };
+        assert_eq!(interp.eval_script(&calls[k % 2]).unwrap(), want);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let per_call = allocs as f64 / ITERS as f64;
+    assert!(
+        per_call <= SCMP_BOUND,
+        "{allocs} allocations: {per_call} per call"
+    );
 }

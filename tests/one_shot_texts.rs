@@ -1,9 +1,9 @@
 //! Peak live heap of runs whose Tcl texts each run once: the shipped leaf
 //! calls of a bag (`swift:work_task <id> <id>`, fresh ids every task) and
 //! the long main of a serial chain. Such texts are streamed by
-//! `Interp::eval_once` and no parse of them is kept, so neither the
-//! worker's parse cache (up to 4,096 trees) nor the engine's parse of
-//! main stays resident. A dedicated test binary: the counting global
+//! `Interp::eval_once` and no parse of them is kept, so neither a
+//! worker's parse of each shipped leaf nor the engine's parse of main
+//! stays resident. A dedicated test binary: the counting global
 //! allocator sees every rank thread of the run and no other test's work.
 
 mod common;
