@@ -26,7 +26,7 @@
 //! makes, extended to the durable tier. Batching `interval` ops per WAL
 //! record (one metadata op + one data op per flush) is what keeps the
 //! pfs metadata server from being stormed — the paper's §IV small-file
-//! wall, measurable with `SWIFTT_CHECKPOINT=1` (per-task logging).
+//! wall, measurable with `--checkpoint 1` (per-task logging).
 //!
 //! On-disk layout under `/ckpt/<home>/`:
 //!

@@ -25,21 +25,17 @@ struct TenantJob {
 /// A configured simulated machine that can run Swift programs.
 ///
 /// Builder-style: pick rank counts and policies, register native
-/// libraries and Tcl packages, then [`Runtime::run`].
+/// libraries and Tcl packages, then [`Runtime::run`]. The machine's
+/// shape and tunables live in one [`TurbineConfig`]; only the
+/// replication default and the checkpoint tier are resolved per run.
 #[derive(Clone)]
 pub struct Runtime {
     ranks: usize,
-    servers: usize,
-    engines: usize,
-    policy: InterpPolicy,
-    steal: bool,
-    batching: Option<bool>,
+    config: TurbineConfig,
     replication: Option<usize>,
-    re_replication: Option<bool>,
     checkpoint: Option<usize>,
     resume: bool,
     checkpoint_store: Option<Arc<Pfs>>,
-    retry: adlb::RetryPolicy,
     faults: FaultPlan,
     tracing: bool,
     natives: Vec<NativeLibrary>,
@@ -51,25 +47,16 @@ pub struct Runtime {
 impl Runtime {
     /// A machine with `ranks` ranks: 1 engine, 1 ADLB server, and the rest
     /// workers — the paper's "vast majority of processes are workers"
-    /// shape scaled down.
-    ///
-    /// # Panics
-    /// Panics if `ranks < 3` (need engine + worker + server).
+    /// shape scaled down. A shape without an engine, a worker and a
+    /// server fails the run with [`SwiftTError::Config`].
     pub fn new(ranks: usize) -> Self {
-        assert!(ranks >= 3, "need at least 3 ranks (engine, worker, server)");
         Runtime {
             ranks,
-            servers: 1,
-            engines: 1,
-            policy: InterpPolicy::Retain,
-            steal: true,
-            batching: None,
+            config: TurbineConfig::default(),
             replication: None,
-            re_replication: None,
             checkpoint: None,
             resume: false,
             checkpoint_store: None,
-            retry: adlb::RetryPolicy::default(),
             faults: FaultPlan::new(),
             tracing: false,
             natives: Vec::new(),
@@ -81,37 +68,34 @@ impl Runtime {
 
     /// Set the number of ADLB servers.
     pub fn servers(mut self, n: usize) -> Self {
-        self.servers = n;
+        self.config.servers = n;
         self
     }
 
     /// Set the number of engines. A run of N programs gets at least N;
     /// engine rank `r` serves program `r mod N`.
     pub fn engines(mut self, n: usize) -> Self {
-        self.engines = n;
+        self.config.engines = n;
         self
     }
 
     /// Set the §III.C interpreter policy.
     pub fn policy(mut self, p: InterpPolicy) -> Self {
-        self.policy = p;
+        self.config.policy = p;
         self
     }
 
     /// Enable/disable ADLB work stealing (ablation switch).
     pub fn work_stealing(mut self, on: bool) -> Self {
-        self.steal = on;
+        self.config.server.steal_enabled = on;
         self
     }
 
     /// Enable/disable client-side wire batching — get prefetch and put
-    /// pipelining (ablation switch E5). Off recovers the PR 1
-    /// one-task-per-round-trip protocol. When not set explicitly, the
-    /// `SWIFTT_BATCHING` environment variable (`0`/`off`/`false` to
-    /// disable) chooses, defaulting to on — this is how the CI
-    /// fault-matrix sweeps configurations without code changes.
+    /// pipelining (ablation switch E5). On by default; off recovers the
+    /// PR 1 one-task-per-round-trip protocol.
     pub fn batching(mut self, on: bool) -> Self {
-        self.batching = Some(on);
+        self.config.batching = on;
         self
     }
 
@@ -121,12 +105,8 @@ impl Runtime {
     /// the replica and serves the dead server's shard and clients. `1`
     /// disables replication (a dead server's shard is lost and the run
     /// winds down with a diagnosis). Default: 2 when the machine has more
-    /// than one server, else 1. When not set explicitly, the
-    /// `SWIFTT_REPLICATION` environment variable chooses instead (clamped
-    /// to the server count, so a matrix sweep can export it globally).
-    ///
-    /// # Panics
-    /// Panics (at run time) if `r` is 0 or exceeds the server count.
+    /// than one server, else 1. A run with `r` of 0 or above the server
+    /// count fails with [`SwiftTError::Config`].
     pub fn replication(mut self, r: usize) -> Self {
         self.replication = Some(r);
         self
@@ -138,11 +118,9 @@ impl Runtime {
     /// successors in bounded chunks, restoring the replication factor
     /// mid-run — so a later server death (after the sync completes) is
     /// also survivable. Off recovers the PR 3 behavior: the ring shrinks
-    /// and R stays degraded until the run ends. When not set explicitly,
-    /// the `SWIFTT_REREPLICATION` environment variable (`0`/`off`/`false`
-    /// to disable) chooses, defaulting to on.
+    /// and R stays degraded until the run ends.
     pub fn re_replication(mut self, on: bool) -> Self {
-        self.re_replication = Some(on);
+        self.config.server.re_replicate = on;
         self
     }
 
@@ -154,11 +132,9 @@ impl Runtime {
     /// cost stays linear in the work done). While the tier is
     /// on, a shard that loses *all* its in-memory holders (even with
     /// `replication(1)`) is restored from the filesystem instead of
-    /// aborting the run. `0` disables the tier. When not set explicitly,
-    /// the `SWIFTT_CHECKPOINT` environment variable chooses: `off`/`0`
-    /// disables, `on` enables at the default interval, a number sets the
-    /// interval (so `SWIFTT_CHECKPOINT=1` forces a flush per logged op —
-    /// the per-task-logging worst case). Default: off.
+    /// aborting the run. `0` disables the tier; `1` flushes per logged op
+    /// (the per-task-logging worst case). Default: off, unless
+    /// [`Runtime::resume`] turns it on at the default interval.
     pub fn checkpoint(mut self, interval: usize) -> Self {
         self.checkpoint = Some(interval);
         self
@@ -167,8 +143,10 @@ impl Runtime {
     /// Resume a previous run from its durable checkpoints: at startup
     /// every server restores its shard from the checkpoint store before
     /// serving (servers whose shard was subsumed into a peer's checkpoint
-    /// follow the redirect and carve their part back out). Requires
-    /// [`Runtime::checkpoint`] to be on and a [`Runtime::checkpoint_store`]
+    /// follow the redirect and carve their part back out). Needs the
+    /// checkpoint tier, which it turns on at the default interval unless
+    /// [`Runtime::checkpoint`] set one (`checkpoint(0)` with resume fails
+    /// with [`SwiftTError::Config`]), and a [`Runtime::checkpoint_store`]
     /// holding the previous run's state — with a fresh store this is a
     /// no-op and the run starts empty. Replayed client requests dedup
     /// against durably recorded responses, so effects are exactly-once
@@ -179,8 +157,8 @@ impl Runtime {
     }
 
     /// Use a specific [`Pfs`] instance as the checkpoint store instead of
-    /// a private default one. This is how state crosses runs: keep the
-    /// `Arc` (or serialize it with [`Pfs::dump`] / revive it with
+    /// a fresh private one per run. This is how state crosses runs: keep
+    /// the `Arc` (or serialize it with [`Pfs::dump`] / revive it with
     /// [`Pfs::restore`]) and hand it to the next run together with
     /// [`Runtime::resume`].
     pub fn checkpoint_store(mut self, fs: Arc<Pfs>) -> Self {
@@ -212,7 +190,7 @@ impl Runtime {
     /// Retry budget for failed or orphaned tasks: a task is requeued up to
     /// `k` times before the servers quarantine it.
     pub fn max_retries(mut self, k: u32) -> Self {
-        self.retry.max_retries = k;
+        self.config.server.retry.max_retries = k;
         self
     }
 
@@ -268,65 +246,67 @@ impl Runtime {
         self
     }
 
-    /// Number of worker ranks in this configuration.
+    /// Number of worker ranks in this configuration (0 for a shape with
+    /// none, which a run rejects).
     pub fn workers(&self) -> usize {
-        self.ranks - self.servers - self.engines
+        self.ranks
+            .saturating_sub(self.config.servers + self.config.engines)
     }
 
     /// Reject unsatisfiable machine shapes *before* any rank starts.
     /// `engines` is the effective engine count (the builder's, but at
-    /// least one per program).
+    /// least one per program). A world needs an engine, a worker and a
+    /// server, so fewer than 3 ranks fail one of the shape checks.
     fn validate_config(
         &self,
         engines: usize,
         programs: &[(TenantSpec, TurbineProgram)],
     ) -> Result<(), SwiftTError> {
         let fail = |m: String| Err(SwiftTError::Config(m));
+        let servers = self.config.servers;
         if programs.is_empty() {
             return fail(
                 "no tenant programs: submit() at least one before run_tenants()".to_string(),
             );
         }
-        if self.servers == 0 {
+        if servers == 0 {
             return fail(format!(
                 "need at least one ADLB server (servers = 0, ranks = {}); \
                  checkpointing, data storage and scheduling all live on servers",
                 self.ranks
             ));
         }
-        if self.servers >= self.ranks {
+        if servers >= self.ranks {
             return fail(format!(
-                "{} server(s) leave no client ranks in a world of {}",
-                self.servers, self.ranks
+                "{servers} server(s) leave no client ranks in a world of {}",
+                self.ranks
             ));
         }
         if engines == 0 {
             return fail("need at least one engine rank".to_string());
         }
-        let clients = self.ranks - self.servers;
-        if clients <= engines {
+        if self.ranks - servers <= engines {
             return fail(format!(
-                "no worker ranks: {} ranks minus {} server(s) minus {} engine(s) \
-                 leaves no one to execute leaf tasks",
-                self.ranks, self.servers, engines
+                "no worker ranks: {} ranks minus {servers} server(s) minus {engines} \
+                 engine(s) leaves no one to execute leaf tasks",
+                self.ranks
             ));
         }
         if let Some(r) = self.replication {
             if r == 0 {
                 return fail("replication factor must be at least 1 (the primary)".to_string());
             }
-            if r > self.servers {
+            if r > servers {
                 return fail(format!(
-                    "replication {r} exceeds the server count {}: each copy \
-                     needs its own server rank",
-                    self.servers
+                    "replication {r} exceeds the server count {servers}: each copy \
+                     needs its own server rank"
                 ));
             }
         }
-        if self.resume && self.effective_checkpoint().is_none() {
+        if self.resume && self.checkpoint == Some(0) {
             return fail(
-                "resume requires the checkpoint tier: enable checkpoint(interval) \
-                 (or SWIFTT_CHECKPOINT) so there is a durable image to resume from"
+                "resume requires the checkpoint tier, which checkpoint(0) turns off: \
+                 give an interval, or none for the default"
                     .to_string(),
             );
         }
@@ -347,68 +327,23 @@ impl Runtime {
         Ok(())
     }
 
-    /// The effective replication factor: the explicit setting, else the
-    /// `SWIFTT_REPLICATION` environment variable (clamped to the server
-    /// count so a global matrix export never breaks 1-server machines),
-    /// else the default of 2 whenever more than one server can hold a
-    /// copy.
-    fn effective_replication(&self) -> usize {
-        let r = self
-            .replication
-            .or_else(|| {
-                std::env::var("SWIFTT_REPLICATION")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .map(|r| r.clamp(1, self.servers))
-            })
-            .unwrap_or(if self.servers > 1 { 2 } else { 1 });
-        assert!(r >= 1, "replication factor must be at least 1");
-        assert!(
-            r <= self.servers,
-            "replication {r} exceeds the server count {}",
-            self.servers
-        );
-        r
-    }
-
-    /// The effective batching switch: the explicit setting, else the
-    /// `SWIFTT_BATCHING` environment variable, else on.
-    fn effective_batching(&self) -> bool {
-        self.batching.unwrap_or_else(|| {
-            !std::env::var("SWIFTT_BATCHING")
-                .map(|v| matches!(v.as_str(), "0" | "off" | "false"))
-                .unwrap_or(false)
-        })
-    }
-
-    /// The effective re-replication switch: the explicit setting, else
-    /// the `SWIFTT_REREPLICATION` environment variable, else on.
-    fn effective_re_replication(&self) -> bool {
-        self.re_replication.unwrap_or_else(|| {
-            !std::env::var("SWIFTT_REREPLICATION")
-                .map(|v| matches!(v.as_str(), "0" | "off" | "false"))
-                .unwrap_or(false)
-        })
-    }
-
-    /// The effective checkpoint interval: the explicit setting, else the
-    /// `SWIFTT_CHECKPOINT` environment variable, else off. `None` = tier
-    /// disabled.
-    fn effective_checkpoint(&self) -> Option<usize> {
-        let interval = self.checkpoint.or_else(|| {
-            std::env::var("SWIFTT_CHECKPOINT")
-                .ok()
-                .map(|v| match v.as_str() {
-                    "off" | "false" | "0" => 0,
-                    "on" | "true" => adlb::CHECKPOINT_DEFAULT_INTERVAL,
-                    s => s.parse::<usize>().unwrap_or(0),
-                })
-        })?;
-        (interval > 0).then_some(interval)
-    }
-
-    fn turbine_config(&self) -> TurbineConfig {
-        let checkpoint = self.effective_checkpoint().map(|interval| {
+    /// The configuration of one run on `engines` engines: the builder's,
+    /// with the two settings that depend on others resolved — replication
+    /// defaults to 2 whenever more than one server can hold a copy, and
+    /// the checkpoint tier (on when an interval is set, or at the default
+    /// interval when resuming) writes to the supplied store or to a fresh
+    /// private one, so two runs never share a store by accident.
+    fn turbine_config(&self, engines: usize) -> TurbineConfig {
+        let mut config = self.config.clone();
+        config.engines = engines;
+        let default_replication = if config.servers > 1 { 2 } else { 1 };
+        config.server.replication = self.replication.unwrap_or(default_replication);
+        let interval = match self.checkpoint {
+            Some(n) => n,
+            None if self.resume => adlb::CHECKPOINT_DEFAULT_INTERVAL,
+            None => 0,
+        };
+        config.server.checkpoint = (interval > 0).then(|| {
             let fs = self
                 .checkpoint_store
                 .clone()
@@ -417,20 +352,7 @@ impl Runtime {
                 .interval(interval)
                 .resume(self.resume)
         });
-        TurbineConfig {
-            servers: self.servers,
-            engines: self.engines,
-            policy: self.policy,
-            server: adlb::ServerConfig {
-                steal_enabled: self.steal,
-                retry: self.retry,
-                replication: self.effective_replication(),
-                re_replicate: self.effective_re_replication(),
-                checkpoint,
-                ..adlb::ServerConfig::default()
-            },
-            batching: self.effective_batching(),
-        }
+        config
     }
 
     /// Compile and run Swift source on this machine, as a lone program:
@@ -511,12 +433,9 @@ impl Runtime {
         &self,
         programs: Vec<(TenantSpec, TurbineProgram)>,
     ) -> Result<RunResult, SwiftTError> {
-        let engines = self.engines.max(programs.len());
+        let engines = self.config.engines.max(programs.len());
         self.validate_config(engines, &programs)?;
-        let config = TurbineConfig {
-            engines,
-            ..self.turbine_config()
-        };
+        let config = self.turbine_config(engines);
         let setup = self.interp_setup();
         let start = Instant::now();
         let world = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -636,6 +555,34 @@ mod tests {
     fn workers_count() {
         let rt = Runtime::new(10).servers(2).engines(2);
         assert_eq!(rt.workers(), 6);
+        // A shape the run rejects has no workers rather than a negative count.
+        assert_eq!(Runtime::new(3).servers(3).workers(), 0);
+    }
+
+    #[test]
+    fn fewer_than_three_ranks_is_a_config_error() {
+        for ranks in 0..3 {
+            match Runtime::new(ranks).run(r#"printf("x");"#) {
+                Err(SwiftTError::Config(_)) => {}
+                other => panic!("{ranks} ranks: expected a config error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn resume_turns_the_checkpoint_tier_on() {
+        // A fresh store holds nothing to resume, so the run starts empty.
+        let r = Runtime::new(3).resume(true).run(r#"printf("x");"#).unwrap();
+        assert_eq!(r.stdout, "x\n");
+        assert!(r.server_totals().ckpt_records > 0, "the tier logged");
+        match Runtime::new(3)
+            .checkpoint(0)
+            .resume(true)
+            .run(r#"printf("x");"#)
+        {
+            Err(SwiftTError::Config(m)) => assert!(m.contains("resume"), "{m}"),
+            other => panic!("resume with the tier off: expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `Interp::eval_once` streams a text one command at a time and invokes a
 //! single command of plain words without a parse tree; `Interp::eval`
-//! parses the whole text into the cache first. On any text that parses,
+//! parses the whole text first, at every call. On any text that parses,
 //! both must give the same result or error, the same error trace, the
 //! same output, the same `commands_executed` and the same variables.
 

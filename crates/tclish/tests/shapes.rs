@@ -1,7 +1,9 @@
 //! `set`, `incr` and `expr` with literal names run without an argv; the
 //! same commands named through a variable (`$c_set ...`) always take
 //! generic dispatch. Both must give identical results, output and error
-//! messages, and a displaced builtin must win over a cached script.
+//! messages, and a displaced builtin must win when the same text is
+//! evaluated again (`Interp::eval` parses it at each call; `interp.rs`
+//! checks a held parse).
 
 use proptest::prelude::*;
 use tclish::Interp;
@@ -157,9 +159,10 @@ proptest! {
     }
 }
 
-/// Each way to displace a shaped builtin, applied after the script is
-/// cached: the next evaluation of the same text must call the new
-/// command.
+/// Each way to displace a shaped builtin, applied after the script ran
+/// once: the next evaluation of the same text, which `Interp::eval`
+/// parses anew, must call the new command. (The held-parse case is
+/// `interp.rs`'s `a_displaced_builtin_wins_over_a_held_parse`.)
 #[test]
 fn a_displaced_builtin_wins_over_a_cached_script() {
     let script = "set x 1; incr x; expr {$x * 10}";

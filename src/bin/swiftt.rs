@@ -150,8 +150,6 @@ options:
                        logged ops and compacted into segments. A shard
                        that loses every in-memory holder is then restored
                        from the filesystem instead of aborting the run.
-                       (SWIFTT_CHECKPOINT=off|on|N chooses when the flag
-                       is absent)
       --resume         restore every server's shard from the checkpoint
                        store before serving — with --checkpoint-file this
                        restarts a previous process's run with exactly-once
@@ -325,34 +323,19 @@ fn main() -> ExitCode {
         };
     }
 
-    // Shape and policy validation lives in the Runtime builder
-    // (SwiftTError::Config, mapped to exit code 2 below); only the
-    // constructor's hard minimum is pre-checked to avoid a panic.
-    if opts.ranks < 3 {
-        eprintln!("swiftt: need at least 3 ranks (engine, worker, server)");
-        return ExitCode::from(2);
-    }
-    // --resume without an explicit interval still needs the tier on.
-    let checkpoint = match (opts.checkpoint, opts.resume) {
-        (Some(n), _) => Some(n),
-        (None, true) => Some(swiftt::adlb::CHECKPOINT_DEFAULT_INTERVAL),
-        (None, false) => None,
-    };
-    // A shared store lets checkpoints outlive the simulated world; with
-    // --checkpoint-file it also outlives this process.
-    let mut store: Option<Arc<Pfs>> = None;
-    if checkpoint.is_some() || opts.checkpoint_file.is_some() {
-        let fs = match opts.checkpoint_file.as_deref().map(std::fs::read) {
-            Some(Ok(image)) => match Pfs::restore(PfsConfig::default(), &image) {
-                Ok(fs) => fs,
-                Err(e) => {
-                    let path = opts.checkpoint_file.as_deref().unwrap_or_default();
-                    eprintln!("swiftt: bad checkpoint image {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            },
+    // Shape and policy validation lives in the Runtime (SwiftTError::Config,
+    // mapped to exit code 2 below). With --checkpoint-file the store
+    // outlives this process: loaded here, written back at exit.
+    let mut store = None;
+    if let Some(path) = &opts.checkpoint_file {
+        let fs = match std::fs::read(path).map(|image| Pfs::restore(PfsConfig::default(), &image)) {
+            Ok(Ok(fs)) => fs,
+            Ok(Err(e)) => {
+                eprintln!("swiftt: bad checkpoint image {path}: {e}");
+                return ExitCode::from(2);
+            }
             // Missing or unreadable file: start fresh, write it at exit.
-            _ => Pfs::new(PfsConfig::default()),
+            Err(_) => Pfs::new(PfsConfig::default()),
         };
         store = Some(Arc::new(fs));
     }
@@ -361,20 +344,16 @@ fn main() -> ExitCode {
         .engines(opts.engines)
         .policy(opts.policy)
         .work_stealing(opts.steal)
+        .re_replication(opts.re_replication)
+        .resume(opts.resume)
         // --report wants latency percentiles, which come from the trace.
         .tracing(opts.trace.is_some() || opts.report)
         .faults(opts.faults.clone());
-    if !opts.re_replication {
-        rt = rt.re_replication(false);
-    }
     if let Some(r) = opts.replication {
         rt = rt.replication(r);
     }
-    if let Some(n) = checkpoint {
+    if let Some(n) = opts.checkpoint {
         rt = rt.checkpoint(n);
-    }
-    if opts.resume {
-        rt = rt.resume(true);
     }
     if let Some(fs) = &store {
         rt = rt.checkpoint_store(fs.clone());
@@ -569,9 +548,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--verify-checkpoint FILE`: offline fsck of a durable checkpoint
-/// image (as written by `--checkpoint-file`). Read-only; exits 0 when
-/// clean, 1 on corruption, 2 when the image itself cannot be loaded.
 /// This process's peak resident set so far (`VmHWM`), in MB, where
 /// `/proc/self/status` reports it.
 fn peak_rss_mb() -> Option<f64> {
@@ -581,6 +557,9 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// `--verify-checkpoint FILE`: offline fsck of a durable checkpoint
+/// image (as written by `--checkpoint-file`). Read-only; exits 0 when
+/// clean, 1 on corruption, 2 when the image itself cannot be loaded.
 fn verify_checkpoint_image(path: &str) -> ExitCode {
     let image = match std::fs::read(path) {
         Ok(image) => image,

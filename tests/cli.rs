@@ -125,6 +125,49 @@ fn nonsense_shape_exits_2_with_config_error() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("replication"), "{stderr}");
+
+    // Too few ranks for an engine, a worker and a server: the same check.
+    let out = swiftt()
+        .args(["-n", "2", "--expr", r#"printf("x");"#])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("configuration error"), "{stderr}");
+}
+
+#[test]
+fn the_environment_configures_nothing() {
+    // The CI fault matrix's variables, set to per-op checkpointing, no
+    // replication and no batching, must change nothing: the flags alone
+    // say what runs.
+    let run = |env: &[(&str, &str)]| {
+        let out = swiftt()
+            .args(["-n", "5", "-s", "2", "--report", "--expr"])
+            .arg(r#"foreach i in [0:49] { printf("t%d", i); }"#)
+            .envs(env.iter().copied())
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        // Two workers share the bag, so line order varies between runs.
+        let mut lines: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .map(String::from)
+            .collect();
+        lines.sort_unstable();
+        (lines, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (plain, _) = run(&[]);
+    assert_eq!(plain.len(), 50);
+    let (got, stderr) = run(&[
+        ("SWIFTT_CHECKPOINT", "1"),
+        ("SWIFTT_REPLICATION", "1"),
+        ("SWIFTT_BATCHING", "0"),
+    ]);
+    assert_eq!(got, plain);
+    assert!(!stderr.contains("checkpoint flushes"), "{stderr}");
+    // Two servers replicate at the default factor of 2.
+    assert!(stderr.contains("replication ops    : "), "{stderr}");
 }
 
 #[test]

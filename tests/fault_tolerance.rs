@@ -13,6 +13,7 @@
 use std::process::Command;
 use std::sync::Arc;
 
+use swiftt::adlb::CHECKPOINT_DEFAULT_INTERVAL;
 use swiftt::blobutils::Blob;
 use swiftt::core::{FaultPlan, NativeArg, NativeLibrary, Runtime, SwiftTError};
 use swiftt::pfs::{Pfs, PfsConfig};
@@ -28,13 +29,44 @@ fn unique_lines(stdout: &str) -> Vec<&str> {
     lines
 }
 
+/// The machine every run here uses: `ranks` ranks, `servers` of them ADLB
+/// servers, configured by the CI fault-matrix cell the suite runs in. A
+/// cell is four environment variables; unset, each leaves the runtime's
+/// default. `SWIFTT_BATCHING` and `SWIFTT_REREPLICATION` turn their switch
+/// off at `0`/`off`/`false`, `SWIFTT_REPLICATION` sets the factor (clamped
+/// to the server count, so one cell fits every machine), and
+/// `SWIFTT_CHECKPOINT` turns the durable tier on at `on` or an interval. A
+/// test's own builder calls come after these, so they win.
+fn machine(ranks: usize, servers: usize) -> Runtime {
+    let cell = |name: &str| std::env::var(name).ok();
+    let off = |v: String| matches!(v.as_str(), "0" | "off" | "false");
+    let mut rt = Runtime::new(ranks).servers(servers);
+    if let Some(v) = cell("SWIFTT_BATCHING") {
+        rt = rt.batching(!off(v));
+    }
+    if let Some(r) = cell("SWIFTT_REPLICATION").and_then(|v| v.parse::<usize>().ok()) {
+        rt = rt.replication(r.clamp(1, servers));
+    }
+    if let Some(v) = cell("SWIFTT_REREPLICATION") {
+        rt = rt.re_replication(!off(v));
+    }
+    let interval = match cell("SWIFTT_CHECKPOINT").as_deref() {
+        Some("on" | "true") => CHECKPOINT_DEFAULT_INTERVAL,
+        v => v.and_then(|n| n.parse().ok()).unwrap_or(0),
+    };
+    if interval > 0 {
+        rt = rt.checkpoint(interval);
+    }
+    rt
+}
+
 #[test]
 fn early_worker_death_loses_no_tasks() {
-    // Rank layout for new(6): engine 0, workers 1..=4, server 5. Kill
+    // Rank layout for machine(6, 1): engine 0, workers 1..=4, server 5. Kill
     // worker 2 at its very first receive: it has executed nothing, so
     // every task must surface from the survivors.
     let plan = FaultPlan::new().kill_after_recvs(2, 0);
-    let r = Runtime::new(6)
+    let r = machine(6, 1)
         .faults(plan)
         .run(r#"foreach i in [0:19] { printf("task %d", i); }"#)
         .expect("run must survive the dead worker");
@@ -60,7 +92,7 @@ fn mid_run_worker_death_terminates_without_duplicates() {
     // with room for a worker dealt fewer batches than its share (a kill
     // at 6 missed once in about a hundred suite runs).
     let plan = FaultPlan::new().kill_after_recvs(3, 4);
-    let r = Runtime::new(6)
+    let r = machine(6, 1)
         .faults(plan)
         .run(r#"foreach i in [0:199] { printf("task %d", i); }"#)
         .expect("run must survive a mid-run worker death");
@@ -85,7 +117,7 @@ fn worker_death_with_batch_in_flight_loses_no_tasks() {
     // to a dead rank and must be requeued — every task surfaces from the
     // survivors exactly once.
     let plan = FaultPlan::new().kill_after_sends(2, 1);
-    let r = Runtime::new(6)
+    let r = machine(6, 1)
         .faults(plan)
         .run(r#"foreach i in [0:39] { printf("task %d", i); }"#)
         .expect("run must survive the dead worker");
@@ -104,8 +136,8 @@ fn batching_ablation_produces_identical_results() {
     // and under the PR 1 one-task-per-round-trip protocol must produce
     // the same task set.
     let src = r#"foreach i in [0:19] { printf("task %d", i); }"#;
-    let batched = Runtime::new(5).run(src).expect("batched run");
-    let unbatched = Runtime::new(5)
+    let batched = machine(5, 1).run(src).expect("batched run");
+    let unbatched = machine(5, 1)
         .batching(false)
         .run(src)
         .expect("unbatched run");
@@ -124,7 +156,7 @@ fn delayed_messages_do_not_break_exactly_once() {
     let plan = FaultPlan::new()
         .delay_nth(1, 4, 2, 30)
         .delay_nth(2, 4, 3, 20);
-    let r = Runtime::new(5)
+    let r = machine(5, 1)
         .faults(plan)
         .run(r#"foreach i in [0:19] { printf("task %d", i); }"#)
         .expect("delays must not break the run");
@@ -138,7 +170,7 @@ fn poison_task_quarantined_with_bounded_retries() {
     // Python) is retried to the configured budget, quarantined, and the
     // worker keeps running — so the machine shuts down cleanly and the
     // engine diagnoses the unfilled future instead of a rank crashing.
-    let err = Runtime::new(4)
+    let err = machine(4, 1)
         .max_retries(1)
         .run(
             r#"
@@ -163,15 +195,14 @@ fn poison_task_quarantined_with_bounded_retries() {
     }
 }
 
-/// Rank layout for new(8).servers(2): engine 0, workers 1..=5, servers
+/// Rank layout for machine(8, 2): engine 0, workers 1..=5, servers
 /// 6 (master) and 7. Run the same 120-task program fault-free and with
 /// one server killed mid-run at replication 2; the output task set must
 /// be identical (worker scheduling makes line *order* nondeterministic,
 /// so we compare sorted lines).
 fn assert_server_death_output_matches(victim: usize, kill_recvs: u64) {
     let src = r#"foreach i in [0:119] { printf("task %d", i); }"#;
-    let clean = Runtime::new(8)
-        .servers(2)
+    let clean = machine(8, 2)
         .replication(2)
         .run(src)
         .expect("fault-free run");
@@ -179,8 +210,7 @@ fn assert_server_death_output_matches(victim: usize, kill_recvs: u64) {
     want.sort_unstable();
 
     let plan = FaultPlan::new().kill_after_recvs(victim, kill_recvs);
-    let r = Runtime::new(8)
-        .servers(2)
+    let r = machine(8, 2)
         .replication(2)
         .faults(plan)
         .run(src)
@@ -242,10 +272,10 @@ fn engine_home_death_mid_pipeline_at_replication_2_output_matches_fault_free() {
     // 430–550 messages in a fault-free release run (10 of 10), so its
     // 100th receive is early: the successor must replay the engine's
     // owned batches, acks and writes together, exactly once.
-    let machine = || Runtime::new(8).servers(2).replication(2);
-    let clean = machine().run(PIPELINE_SRC).expect("fault-free run");
+    let rt = || machine(8, 2).replication(2);
+    let clean = rt().run(PIPELINE_SRC).expect("fault-free run");
     assert_eq!(clean.stdout, "checksum 61298\n");
-    let r = machine()
+    let r = rt()
         .faults(FaultPlan::new().kill_after_recvs(6, 100))
         .run(PIPELINE_SRC)
         .expect("a server death at replication 2 must not fail the pipeline");
@@ -307,20 +337,15 @@ fn blob_kernels() -> NativeLibrary {
 /// otherwise: when a worker dies between a store and the ack behind it,
 /// the rerun task's store is a double assignment, read counts or not.)
 fn assert_blob_pipeline_survives(plan: FaultPlan, victim: usize) {
-    let machine = || {
-        Runtime::new(8)
-            .servers(2)
-            .replication(2)
-            .native_library(blob_kernels())
-    };
-    let clean = machine().run(BLOB_SRC).expect("fault-free run");
+    let rt = || machine(8, 2).replication(2).native_library(blob_kernels());
+    let clean = rt().run(BLOB_SRC).expect("fault-free run");
     let totals = clean.server_totals();
     assert_eq!((totals.data_unreleased, totals.release_misses), (0, 0));
     assert!(
         totals.data_freed >= 3 * 80,
         "w, z and 2.0 of every iteration"
     );
-    let r = machine()
+    let r = rt()
         .faults(plan)
         .run(BLOB_SRC)
         .unwrap_or_else(|e| panic!("killing rank {victim} must not fail the run: {e}"));
@@ -377,11 +402,10 @@ fn server_death_at_replication_1_fails_cleanly_not_hangs() {
     // A server death with replication disabled: the shard is lost, so
     // the run cannot complete — but it must end in a clean, attributable
     // error (the shard-loss diagnosis), never a hang. checkpoint(0) pins
-    // the tier off even under SWIFTT_CHECKPOINT=on (the CI fault matrix):
-    // this test is *about* the no-durability path.
+    // the tier off even in a fault-matrix cell that turns it on: this
+    // test is *about* the no-durability path.
     let plan = FaultPlan::new().kill_after_recvs(7, 10);
-    let err = Runtime::new(8)
-        .servers(2)
+    let err = machine(8, 2)
         .replication(1)
         .checkpoint(0)
         .faults(plan)
@@ -418,7 +442,7 @@ const SEQUENTIAL_DEATHS_SRC: &str = r#"
     foreach i in [0:299] { int j = spin(i); printf("task %d", j); }
 "#;
 
-/// Rank layout for new(12).servers(4): engine 0, workers 1..=7, servers
+/// Rank layout for machine(12, 4): engine 0, workers 1..=7, servers
 /// 8..=11 (master 8). Kill two servers sequentially with a gap wide
 /// enough that re-replication restores R between the deaths: after rank
 /// 9 dies, its successor 10 merges the shard and streams fresh replica
@@ -429,8 +453,7 @@ const SEQUENTIAL_DEATHS_SRC: &str = r#"
 #[test]
 fn two_sequential_server_deaths_with_re_replication_complete_the_program() {
     let src = SEQUENTIAL_DEATHS_SRC;
-    let clean = Runtime::new(12)
-        .servers(4)
+    let clean = machine(12, 4)
         .replication(2)
         .run(src)
         .expect("fault-free run");
@@ -440,8 +463,7 @@ fn two_sequential_server_deaths_with_re_replication_complete_the_program() {
     let plan = FaultPlan::new()
         .kill_after_recvs(9, 10)
         .kill_after_recvs(11, 50);
-    let r = Runtime::new(12)
-        .servers(4)
+    let r = machine(12, 4)
         .replication(2)
         .re_replication(true)
         .faults(plan)
@@ -483,8 +505,7 @@ fn two_sequential_server_deaths_without_re_replication_end_cleanly() {
     let plan = FaultPlan::new()
         .kill_after_recvs(9, 10)
         .kill_after_recvs(11, 50);
-    let r = Runtime::new(12)
-        .servers(4)
+    let r = machine(12, 4)
         .replication(2)
         .re_replication(false)
         .faults(plan)
@@ -512,8 +533,7 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
     // pfs checkpoint (there is no RAM replica at replication 1), and the
     // run completes with the fault-free output.
     let src = R1_DEATH_SRC;
-    let clean = Runtime::new(8)
-        .servers(2)
+    let clean = machine(8, 2)
         .replication(1)
         .run(src)
         .expect("fault-free run");
@@ -521,8 +541,7 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
     want.sort_unstable();
 
     let plan = FaultPlan::new().kill_after_recvs(7, 10);
-    let r = Runtime::new(8)
-        .servers(2)
+    let r = machine(8, 2)
         .replication(1)
         .checkpoint(8)
         .faults(plan)
@@ -540,7 +559,7 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
     );
 }
 
-/// Rank layout for new(12).servers(4): servers 8..=11. Kill 9, then 10 —
+/// Rank layout for machine(12, 4): servers 8..=11. Kill 9, then 10 —
 /// with re-replication off, 10 holds the only RAM copy of the shard it
 /// subsumed from 9, so 10's death loses every in-memory holder of that
 /// shard. The durable tier must bring it back: 10's forced post-promotion
@@ -549,8 +568,7 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
 #[test]
 fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
     let src = SEQUENTIAL_DEATHS_SRC;
-    let clean = Runtime::new(12)
-        .servers(4)
+    let clean = machine(12, 4)
         .replication(2)
         .run(src)
         .expect("fault-free run");
@@ -560,8 +578,7 @@ fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
     let plan = FaultPlan::new()
         .kill_after_recvs(9, 10)
         .kill_after_recvs(10, 80);
-    let r = Runtime::new(12)
-        .servers(4)
+    let r = machine(12, 4)
         .replication(2)
         .re_replication(false)
         .checkpoint(16)
@@ -597,7 +614,7 @@ fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
 #[test]
 fn whole_world_kill_then_resume_completes_exactly_once() {
     let src = r#"foreach i in [0:59] { printf("task %d", i); }"#;
-    let clean = Runtime::new(6).run(src).expect("fault-free run");
+    let clean = machine(6, 1).run(src).expect("fault-free run");
     let mut want: Vec<&str> = clean.stdout.lines().collect();
     want.sort_unstable();
     assert_eq!(want.len(), 60);
@@ -607,7 +624,7 @@ fn whole_world_kill_then_resume_completes_exactly_once() {
     // receives a fault-free release run costs it (10 of 10 runs), with
     // tasks queued, leased and acked — and every client then panics out
     // on total server loss. The world is gone.
-    let r1 = Runtime::new(6)
+    let r1 = machine(6, 1)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
         .faults(FaultPlan::new().kill_after_recvs(5, 20))
@@ -626,7 +643,7 @@ fn whole_world_kill_then_resume_completes_exactly_once() {
     );
 
     // Run 2: same program, same store, resume. No faults.
-    let r2 = Runtime::new(6)
+    let r2 = machine(6, 1)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
         .resume(true)
@@ -673,12 +690,12 @@ fn assert_wal_within_segment(fs: &Arc<Pfs>) -> Vec<u64> {
 #[test]
 fn resume_after_repeated_compaction_keeps_the_wal_within_the_segment() {
     let src = r#"foreach i in [0:59] { printf("task %d", i); }"#;
-    let clean = Runtime::new(6).run(src).expect("fault-free run");
+    let clean = machine(6, 1).run(src).expect("fault-free run");
     let mut want: Vec<&str> = clean.stdout.lines().collect();
     want.sort_unstable();
 
     let fs = Arc::new(Pfs::new(PfsConfig::default()));
-    let cut = Runtime::new(6)
+    let cut = machine(6, 1)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
         .faults(FaultPlan::new().kill_after_recvs(5, 20))
@@ -690,7 +707,7 @@ fn resume_after_repeated_compaction_keeps_the_wal_within_the_segment() {
         "run 1 compacted at least twice before the cut: epochs {epochs:?}"
     );
 
-    let resumed = Runtime::new(6)
+    let resumed = machine(6, 1)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
         .resume(true)
@@ -781,9 +798,6 @@ fn cli_report_shows_re_replication_metrics() {
             "kill:rank=9,recvs=10",
             "--report",
         ])
-        // Pin the default on: the CI fault matrix sweeps this env knob,
-        // and this test is about the metrics re-replication produces.
-        .env("SWIFTT_REREPLICATION", "1")
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");

@@ -215,8 +215,13 @@ fn nonsense_configs_are_rejected_up_front() {
     let m = config_err(Runtime::new(4).servers(1).engines(3).run("printf(\"x\");"));
     assert!(m.contains("worker"), "{m}");
 
-    // Resume without the checkpoint tier.
-    let m = config_err(Runtime::new(4).resume(true).run("printf(\"x\");"));
+    // Resume with the checkpoint tier turned off.
+    let m = config_err(
+        Runtime::new(4)
+            .checkpoint(0)
+            .resume(true)
+            .run("printf(\"x\");"),
+    );
     assert!(m.contains("resume"), "{m}");
 
     // A tenant quota that could never admit or deliver anything.
