@@ -35,7 +35,7 @@ pub struct ClientConfig {
     pub prefetch: u32,
     /// Write-behind capacity, in requests, of the per-server outbox.
     /// Requests whose answer is only Ok/Error (puts, creates, stores,
-    /// inserts, closes, writer-count changes, notifying subscribes) queue
+    /// inserts, writer-count changes, notifying subscribes) queue
     /// here and leave as one [`Request::Batch`] when the outbox fills or
     /// an awaited request (a read, a `get`, `finish`) is due; an error
     /// surfaces from a later call, [`AdlbClient::flush`] at the latest. 0
@@ -122,9 +122,9 @@ pub struct AdlbClient {
     /// Where the handed-out task's own entries start in the home outbox;
     /// a failed task discards its unsent writes from here on.
     task_mark: usize,
-    /// Leaf reads the handed-out task made, by datum id, one entry per
-    /// read (see [`AdlbClient::note_read`]).
-    reads: Vec<u64>,
+    /// Leaf reads the handed-out task made: one `(id, n)` per datum it
+    /// read `n` times (see [`AdlbClient::note_read`]).
+    reads: Vec<(u64, u32)>,
     /// First error a flushed write came back with, not yet reported.
     deferred_err: Option<DataError>,
     /// Whether this client's writes are its program's (an engine's) rather
@@ -571,26 +571,14 @@ impl AdlbClient {
                 (ok, error) = (false, e.message);
             }
         }
-        self.defer_quiet(Request::TaskDone { ok, error });
+        // A successful ack carries the task's reads, whatever their homes:
+        // only the home server learns whether the ack completes the task,
+        // and releases them only then.
         let mut reads = std::mem::take(&mut self.reads);
-        if ok {
-            self.release_reads(&mut reads);
+        if !ok {
+            reads.clear();
         }
-        reads.clear();
-        self.reads = reads;
-    }
-
-    /// Queue a release per datum the acked task read, counting its reads,
-    /// right behind that task's ack in the home outbox, wherever the datum
-    /// lives: only the home server knows whether the ack completed the
-    /// task, and it forwards the releases of datums homed elsewhere only
-    /// then. Releases never fill an outbox or force a flush.
-    fn release_reads(&mut self, reads: &mut Vec<u64>) {
-        while let Some(&id) = reads.first() {
-            let n = reads.iter().filter(|&&r| r == id).count() as u32;
-            reads.retain(|&r| r != id);
-            self.defer_quiet(Request::DataRelease { id, n });
-        }
+        self.defer_quiet(Request::TaskDone { ok, error, reads });
     }
 
     /// Record that the task in hand read datum `id` (once per read, from
@@ -599,8 +587,12 @@ impl AdlbClient {
     /// task that fails or dies releases nothing, so its retry still finds
     /// every input. Outside a task this does nothing.
     pub fn note_read(&mut self, id: u64) {
-        if self.handed_out {
-            self.reads.push(id);
+        if !self.handed_out {
+            return;
+        }
+        match self.reads.iter_mut().find(|(r, _)| *r == id) {
+            Some((_, n)) => *n += 1,
+            None => self.reads.push((id, 1)),
         }
     }
 
@@ -677,7 +669,7 @@ impl AdlbClient {
     /// previously delivered task; call [`AdlbClient::task_failed`] first
     /// if it failed.
     ///
-    /// A prefetched task (from an earlier `DeliverBatch`) is handed out
+    /// A prefetched task (from an earlier `Deliver`) is handed out
     /// with no server traffic at all; the accumulated acks leave with the
     /// outbox when the deque runs dry and the client returns to the
     /// server. Nothing stays queued across a blocking get.
@@ -697,22 +689,14 @@ impl AdlbClient {
             // Zero-copy decode: task payloads alias the arrival buffer.
             let resp = self.exchange(self.my_server, sealed, self.next_seq);
             match resp {
-                Response::DeliverTask(t) => return self.hand_out(t),
-                Response::DeliverBatch(tasks) => {
+                Response::Deliver(tasks) => {
                     let mut it = tasks.into_iter();
-                    match it.next() {
-                        Some(first) => {
-                            self.prefetch.extend(it);
-                            return self.hand_out(first);
-                        }
-                        None => {
-                            // An empty batch is a server bug; ask again.
-                            eprintln!(
-                                "adlb client {}: empty DeliverBatch; retrying",
-                                self.comm.rank()
-                            );
-                        }
+                    if let Some(first) = it.next() {
+                        self.prefetch.extend(it);
+                        return self.hand_out(first);
                     }
+                    // An empty delivery is a server bug; ask again.
+                    eprintln!("adlb client {}: empty Deliver; retrying", self.comm.rank());
                 }
                 Response::NoMore {
                     quarantined,
@@ -752,6 +736,7 @@ impl AdlbClient {
             self.defer_quiet(Request::TaskDone {
                 ok: false,
                 error: "returned unexecuted: client finished".to_string(),
+                reads: Vec::new(),
             });
         }
         self.finished_sent = true;
@@ -890,13 +875,9 @@ impl AdlbClient {
         )
     }
 
-    /// Close a container, releasing subscribers.
-    pub fn close(&mut self, id: u64) -> Result<(), DataError> {
-        self.write(id, Request::DataClose { id }, true)
-    }
-
     /// Adjust a container's writer slot count (Swift/T slot counting); a
-    /// drop to zero closes it.
+    /// drop to zero closes it, releasing subscribers. This is the only way
+    /// to close a container.
     pub fn incr_writers(&mut self, id: u64, delta: i64) -> Result<(), DataError> {
         self.write(id, Request::DataIncrWriters { id, delta }, true)
     }
@@ -1118,7 +1099,8 @@ mod tests {
                 c.create(id, crate::datastore::TYPE_TAG_CONTAINER).unwrap();
                 c.insert(id, "0", b"zero".to_vec()).unwrap();
                 c.insert(id, "1", b"one".to_vec()).unwrap();
-                c.close(id).unwrap();
+                // The creating scope's writer slot: giving it back closes.
+                c.incr_writers(id, -1).unwrap();
                 c.finish();
                 return vec![];
             }
@@ -1199,6 +1181,61 @@ mod tests {
     }
 
     #[test]
+    fn retired_kinds_are_protocol_errors_that_change_nothing() {
+        // Kind 17 was a release that could travel without the ack deciding
+        // it, kind 10 a container close beside the writer count. A server
+        // must refuse both, count each, and touch no datum.
+        let layout = Layout::new(2, 1);
+        let out = World::run(2, move |comm| {
+            if layout.is_server(comm.rank()) {
+                return Some(serve(comm, layout, ServerConfig::default()));
+            }
+            let send = |body: &[u8], seq| comm.send(1, TAG_REQ, seal_seq(body, seq));
+            let ask = |req: &Request, seq| {
+                send(&req.encode(), seq);
+                let m = comm.recv(Src::Of(1), TagSel::Of(TAG_RESP));
+                Sealed::<Response>::decode(&m.data).unwrap().0
+            };
+            let v = Bytes::from_static(b"v");
+            let create = |id, type_tag, reads| Request::DataCreate {
+                id,
+                type_tag,
+                reads,
+            };
+            assert_eq!(ask(&create(7, 0, Some(1)), 1), Response::Ok);
+            let store = Request::DataStore {
+                id: 7,
+                value: v.clone(),
+            };
+            assert_eq!(ask(&store, 2), Response::Ok);
+            // The old release of datum 7's one read: [17][id][n].
+            send(
+                &[&[17u8][..], &7u64.to_le_bytes(), &1u32.to_le_bytes()].concat(),
+                3,
+            );
+            let container = create(8, crate::datastore::TYPE_TAG_CONTAINER, None);
+            assert_eq!(ask(&container, 4), Response::Ok);
+            // The old close of container 8: [10][id].
+            send(&[&[10u8][..], &8u64.to_le_bytes()].concat(), 5);
+            let read = ask(&Request::DataRetrieve { id: 7 }, 6);
+            assert_eq!(read, Response::MaybeBytes(Some(v.clone())), "not freed");
+            let open = ask(&Request::DataExists { id: 8 }, 7);
+            assert_eq!(open, Response::Bool(false), "still open");
+            let insert = Request::DataInsert {
+                id: 8,
+                key: "0".into(),
+                value: v,
+            };
+            assert_eq!(ask(&insert, 8), Response::Ok);
+            ask(&Request::Finished, 9);
+            None
+        });
+        let stats = out[1].as_ref().unwrap();
+        assert_eq!(stats.protocol_errors, 2);
+        assert_eq!(stats.data_freed, 0);
+    }
+
+    #[test]
     fn a_resent_batch_is_applied_once_and_answered_verbatim() {
         // Drive the server with raw wire messages: the same sealed batch
         // twice (what a client does when its server dies mid-request and
@@ -1256,12 +1293,16 @@ mod tests {
                 tenant: None,
             };
             let (resp, _) = Sealed::<Response>::decode(&ask(&get, 2).unwrap()).unwrap();
-            assert!(matches!(resp, Response::DeliverTask(_)), "{resp:?}");
+            assert!(
+                matches!(&resp, Response::Deliver(t) if t.len() == 1),
+                "{resp:?}"
+            );
             // A failed write ahead of an ack fails that ack: the task is
             // retried, not lost, and the batch needs no answer.
             let done = Request::TaskDone {
                 ok: true,
                 error: String::new(),
+                reads: vec![],
             };
             let dup = Request::DataCreate {
                 id: 7,
@@ -1271,7 +1312,7 @@ mod tests {
             assert!(ask(&Request::Batch(vec![dup, done.clone()]), 3).is_none());
             let (resp, _) = Sealed::<Response>::decode(&ask(&get, 4).unwrap()).unwrap();
             match resp {
-                Response::DeliverTask(t) => assert_eq!(t.attempts, 1, "the retry of the same task"),
+                Response::Deliver(t) => assert_eq!(t[0].attempts, 1, "the retry of the same task"),
                 other => panic!("wrong response {other:?}"),
             }
             ask(&done, 5);

@@ -3,8 +3,9 @@
 //! Turbine's futures live here: a datum is created open, written exactly
 //! once (single assignment — the property that makes Swift's implicit
 //! concurrency safe), and closed; closing releases every subscriber.
-//! Containers (Swift arrays) accumulate members and close when the program
-//! structure guarantees no more writers (STC emits the close).
+//! Containers (Swift arrays) accumulate members and close when their
+//! writer slot count drops to zero ([`DataStore::incr_writers`]), once
+//! every scope that may still insert has given its slot back.
 //!
 //! A datum STC counted also carries its leaf reads still to come: each
 //! [`DataStore::release`] takes some, and a closed datum with none left is
@@ -353,21 +354,6 @@ impl DataStore {
         }
         Ok(Vec::new())
     }
-
-    /// Close a datum (containers; scalars close via store). Returns
-    /// subscribers to notify.
-    pub fn close(&mut self, id: u64) -> Result<Vec<Rank>, DataError> {
-        let d = self.get_mut(id)?;
-        if d.closed {
-            // Closing twice is tolerated for containers: nested loop
-            // structures can emit redundant closes.
-            return Ok(Vec::new());
-        }
-        d.closed = true;
-        let subscribers = std::mem::take(&mut d.subscribers);
-        self.free_if_unread(id);
-        Ok(subscribers)
-    }
 }
 
 #[cfg(test)]
@@ -430,10 +416,16 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(keys, vec!["0", "2", "10"], "numeric subscript order");
-        ds.close(2).unwrap();
+        assert!(ds.subscribe(2, 4).is_ok());
+        assert_eq!(ds.incr_writers(2, -1).unwrap(), vec![4], "the close");
+        assert!(ds.exists_closed(2));
         assert!(ds.insert(2, "3", Bytes::new()).is_err());
-        // Redundant close is tolerated.
-        assert!(ds.close(2).unwrap().is_empty());
+        // A redundant close is tolerated and notifies nobody again.
+        assert!(ds.incr_writers(2, -1).unwrap().is_empty());
+        assert!(
+            ds.incr_writers(2, 1).is_err(),
+            "no writer joins a closed one"
+        );
     }
 
     #[test]
@@ -460,7 +452,7 @@ mod tests {
         assert!(ds.retrieve(9).is_err());
         assert!(ds.store(9, Bytes::new()).is_err());
         assert!(ds.subscribe(9, 0).is_err());
-        assert!(ds.close(9).is_err());
+        assert!(ds.incr_writers(9, -1).is_err());
     }
 
     #[test]
@@ -487,12 +479,15 @@ mod tests {
         assert!(ds.contains(1), "open datums stay");
         assert!(ds.store(1, Bytes::new()).unwrap().is_empty());
         assert!(!ds.contains(1));
-        // Containers close by writer count or by close.
+        // A container closes by its writer count, its last slot included.
         ds.create(2, TYPE_TAG_CONTAINER, Some(0)).unwrap();
         ds.incr_writers(2, -1).unwrap();
         assert!(!ds.contains(2));
         ds.create(3, TYPE_TAG_CONTAINER, Some(0)).unwrap();
-        ds.close(3).unwrap();
+        ds.incr_writers(3, 1).unwrap();
+        ds.incr_writers(3, -1).unwrap();
+        assert!(ds.contains(3), "one writer left");
+        ds.incr_writers(3, -1).unwrap();
         assert!(!ds.contains(3));
     }
 

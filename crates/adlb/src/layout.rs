@@ -31,14 +31,10 @@ impl Layout {
         rank >= self.size - self.servers
     }
 
-    /// The first server rank.
+    /// The first server rank, also the master (it runs termination
+    /// detection).
     pub fn first_server(&self) -> Rank {
         self.size - self.servers
-    }
-
-    /// The master server (runs termination detection).
-    pub fn master_server(&self) -> Rank {
-        self.first_server()
     }
 
     /// All server ranks.

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use mpisim::{wire_enum, Aliased, Rank, Tag, Wire, WireAs, WireError, WireReader, WireWriter};
 
-use crate::replica::ReplOp;
+use crate::replica::{ReplOp, Xfer};
 
 /// Control work (engine-to-engine dataflow bookkeeping).
 pub const WORK_TYPE_CONTROL: u32 = 0;
@@ -165,7 +165,7 @@ wire_enum! {
         1 => Get {
             work_types: Vec<u32>,
             /// Prefetch hint: the server may deliver up to this many queued
-            /// tasks in one [`Response::DeliverBatch`]. Servers treat 0 as 1.
+            /// tasks in one [`Response::Deliver`]. Servers treat 0 as 1.
             max_tasks: u32,
             /// Restrict delivery to this tenant's tasks (`None` = any tenant).
             /// Engines get only their own program's control/notify traffic;
@@ -194,14 +194,22 @@ wire_enum! {
         7 => DataInsert { id: u64, key: String, value: Bytes },
         8 => DataLookup { id: u64, key: String },
         9 => DataEnumerate { id: u64 },
-        10 => DataClose { id: u64 },
         11 => DataExists { id: u64 },
         12 => DataIncrWriters { id: u64, delta: i64 },
         /// Acknowledge the task most recently delivered to this client,
         /// releasing its lease. `ok: false` reports a contained task failure
         /// (`error` says why); the server retries or quarantines the task.
         /// `error` is empty on success.
-        13 => TaskDone { ok: bool, error: String },
+        13 => TaskDone {
+            ok: bool,
+            error: String,
+            /// One `(id, n)` per datum a successful task read `n` times.
+            /// Only this server knows whether the ack completes the task,
+            /// so they come off the counts here, and only then (a retry
+            /// reads its inputs again); those of datums hosted elsewhere
+            /// leave as a [`ServerMsg::Release`].
+            reads: Vec<(u64, u32)>,
+        },
         /// A worker's write-behind outbox for one home server: requests whose
         /// answer is only Ok/Error, applied in order as ONE request — one seq,
         /// one replication commit, one [`Response::Batch`] carrying a response
@@ -227,29 +235,18 @@ wire_enum! {
             /// each program its own stdout stream.
             tenant: u32,
         },
-        /// A worker's task read datum `id` `n` times and succeeded
-        /// (fire-and-forget, never an error): the reads come off the
-        /// datum's count. It goes to the worker's home server behind the
-        /// task's `TaskDone`, wherever the datum lives, since only that
-        /// server knows whether the ack completed the task: releases behind
-        /// one that did not are skipped (the task's retry reads its inputs
-        /// again), and the rest of a datum homed elsewhere are forwarded as
-        /// a [`ServerMsg::Release`].
-        17 => DataRelease { id: u64, n: u32 },
     }
 }
 
 impl Request {
-    /// Whether the server answers this request. Acks, output and releases
-    /// are fire-and-forget; so is a worker's batch whose every write is
+    /// Whether the server answers this request. Acks and output are
+    /// fire-and-forget; so is a worker's batch whose every write is
     /// followed by a `TaskDone` (which takes over the write's error), and
     /// an owned batch that holds no write. Client and server both decide by
     /// this one rule.
     pub fn wants_reply(&self) -> bool {
         match self {
-            Request::TaskDone { .. } | Request::Output { .. } | Request::DataRelease { .. } => {
-                false
-            }
+            Request::TaskDone { .. } | Request::Output { .. } => false,
             Request::Batch(ops) => ops
                 .iter()
                 .rev()
@@ -271,7 +268,6 @@ wire_enum! {
         /// retrieved blob keeps the response's buffer.
         2 => MaybeBytes(Option<Bytes> as Aliased),
         3 => Pairs(Vec<(String, Bytes)>),
-        4 => DeliverTask(Task),
         /// Shutdown: no more work will ever arrive. Carries the (capped)
         /// quarantine reports of the responding server so clients can explain
         /// why some dataflow never completed, and — when the run was cut
@@ -281,10 +277,10 @@ wire_enum! {
             aborted: Option<String>,
         },
         6 => Error(String),
-        /// Prefetch delivery: the client leases every task in the batch and
-        /// drains them locally; the acknowledgements ride its outbox on its
-        /// next server trip.
-        7 => DeliverBatch(Vec<Task>),
+        /// The answer to a `Get`: the client leases every task and drains
+        /// them locally; the acknowledgements ride its outbox on its next
+        /// server trip.
+        7 => Deliver(Vec<Task>),
         /// Admission backpressure: the server refused these puts because the
         /// submitting tenant is over its queued-task quota. The client keeps
         /// them in a deferred buffer and re-offers them later instead of the
@@ -299,18 +295,11 @@ wire_enum! {
     /// Server ↔ server messages.
     #[derive(Debug, Clone, PartialEq)]
     pub enum ServerMsg: "server message" {
-        /// Move a task to the server owning its destination. `dest` is the
-        /// *home* server the task belongs to (which may be dead — the message
-        /// is then addressed to its promoted successor), `origin` the server
-        /// whose transfer ledger carries the entry, and `fseq` the per-
-        /// `(origin, dest)` write-ahead transfer sequence number used for
-        /// exactly-once application across failovers.
-        0 => Forward {
-            origin: Rank,
-            dest: Rank,
-            fseq: u64,
-            task: Task,
-        },
+        /// Tasks moving to the server hosting their home: a forward, or
+        /// (`steal`) the answer to a [`ServerMsg::StealReq`]. The message is
+        /// the sender's write-ahead entry itself; see [`Xfer`]. An empty
+        /// steal answer has `fseq` 0 and no tasks, and transfers nothing.
+        0 => Xfer(Xfer),
         1 => StealReq {
             thief: Rank,
             work_types: Vec<u32>,
@@ -318,15 +307,6 @@ wire_enum! {
             /// victim donates at least this many tasks when it has them (and
             /// never less than half its eligible queue).
             need: u32,
-        },
-        /// Stolen tasks, shipped under the same write-ahead transfer protocol
-        /// as [`ServerMsg::Forward`] (`fseq == 0` marks an empty response,
-        /// which transfers nothing and is not replicated).
-        2 => StealResp {
-            origin: Rank,
-            dest: Rank,
-            fseq: u64,
-            tasks: Vec<Task>,
         },
         /// Termination-detection poll from the master.
         3 => Check { round: u64 },
@@ -377,7 +357,7 @@ wire_enum! {
         12 => SyncAck { sync_id: u64, cursor: u64 },
         /// Leaf reads `(id, n)` of datums the receiver hosts, released by
         /// acks that completed their tasks at the sender (see
-        /// [`Request::DataRelease`]). Sent once, never re-sent: a release
+        /// [`Request::TaskDone`]). Sent once, never re-sent: a release
         /// lost to a death is a leak, never a second free.
         13 => Release { releases: Vec<(u64, u32)> },
     }
@@ -423,6 +403,7 @@ mod tests {
                 Request::TaskDone {
                     ok: false,
                     error: "boom".into(),
+                    reads: vec![],
                 },
             ]),
             Request::Batch(vec![]),
@@ -434,16 +415,19 @@ mod tests {
                 Request::TaskDone {
                     ok: true,
                     error: String::new(),
+                    reads: vec![],
                 },
             ]),
             Request::Finished,
             Request::TaskDone {
                 ok: true,
                 error: String::new(),
+                reads: vec![(7, 2), (u64::MAX, 1)],
             },
             Request::TaskDone {
                 ok: false,
                 error: "NameError: x is not defined".into(),
+                reads: vec![],
             },
             Request::Output {
                 text: "line one\nline two\n".into(),
@@ -454,7 +438,6 @@ mod tests {
                 type_tag: 3,
                 reads: None,
             },
-            Request::DataRelease { id: 7, n: 2 },
             Request::DataStore {
                 id: 9,
                 value: Bytes::from_static(b"v"),
@@ -480,7 +463,6 @@ mod tests {
                 key: "k".into(),
             },
             Request::DataEnumerate { id: 2 },
-            Request::DataClose { id: 2 },
             Request::DataExists { id: 0 },
             Request::DataIncrWriters { id: 3, delta: -1 },
         ];
@@ -503,9 +485,9 @@ mod tests {
                 ("a".into(), Bytes::from_static(b"1")),
                 ("b".into(), Bytes::new()),
             ]),
-            Response::DeliverTask(task(2, 0, Some(0))),
-            Response::DeliverBatch(vec![task(1, 5, None), task(1, 4, None), task(1, 3, None)]),
-            Response::DeliverBatch(vec![]),
+            Response::Deliver(vec![task(2, 0, Some(0))]),
+            Response::Deliver(vec![task(1, 5, None), task(1, 4, None), task(1, 3, None)]),
+            Response::Deliver(vec![]),
             Response::NoMore {
                 quarantined: vec![],
                 aborted: None,
@@ -555,6 +537,7 @@ mod tests {
         let done = || Request::TaskDone {
             ok: true,
             error: String::new(),
+            reads: vec![(1, 1)],
         };
         let store = || Request::DataStore {
             id: 1,
@@ -564,13 +547,11 @@ mod tests {
             text: "x".into(),
             tenant: 0,
         };
-        let release = || Request::DataRelease { id: 1, n: 1 };
         assert!(!done().wants_reply());
         assert!(!out().wants_reply());
-        assert!(!release().wants_reply());
-        assert!(!Request::Batch(vec![store(), done(), release(), out()]).wants_reply());
-        assert!(!Request::Batch(vec![release(), release()]).wants_reply());
-        assert!(!Request::OwnedBatch(vec![done(), release()]).wants_reply());
+        assert!(!Request::Batch(vec![store(), done(), out()]).wants_reply());
+        assert!(!Request::Batch(vec![done(), done()]).wants_reply());
+        assert!(!Request::OwnedBatch(vec![done(), out()]).wants_reply());
         assert!(store().wants_reply());
         assert!(!Request::Batch(vec![store(), out(), done()]).wants_reply());
         assert!(!Request::Batch(vec![store(), done(), out()]).wants_reply());
@@ -584,32 +565,28 @@ mod tests {
         assert!(!Request::OwnedBatch(vec![]).wants_reply());
     }
 
+    fn xfer(fseq: u64, steal: bool, tasks: Vec<Task>) -> Xfer {
+        Xfer {
+            origin: 9,
+            dest: 8,
+            fseq,
+            steal,
+            tasks,
+            sent_to: None,
+        }
+    }
+
     #[test]
     fn server_msg_round_trips() {
         let cases = vec![
-            ServerMsg::Forward {
-                origin: 9,
-                dest: 8,
-                fseq: 4,
-                task: task(1, 2, Some(5)),
-            },
+            ServerMsg::Xfer(xfer(4, false, vec![task(1, 2, Some(5))])),
             ServerMsg::StealReq {
                 thief: 8,
                 work_types: vec![1],
                 need: 3,
             },
-            ServerMsg::StealResp {
-                origin: 9,
-                dest: 8,
-                fseq: 2,
-                tasks: vec![task(1, 0, None), task(1, 9, None)],
-            },
-            ServerMsg::StealResp {
-                origin: 9,
-                dest: 8,
-                fseq: 0,
-                tasks: vec![],
-            },
+            ServerMsg::Xfer(xfer(2, true, vec![task(1, 0, None), task(1, 9, None)])),
+            ServerMsg::Xfer(xfer(0, true, vec![])),
             ServerMsg::Check { round: 3 },
             ServerMsg::CheckResp {
                 round: 3,
@@ -662,12 +639,12 @@ mod tests {
     fn shared_decode_aliases_payloads() {
         // Decoding must hand back payloads that point into the wire
         // message's own allocation — the zero-copy receive path.
-        let batch = Response::DeliverBatch(vec![task(1, 0, None), task(1, 1, None)]);
+        let batch = Response::Deliver(vec![task(1, 0, None), task(1, 1, None)]);
         let wire = batch.encode();
         let lo = wire.as_ptr() as usize;
         let hi = lo + wire.len();
         match Response::decode(&wire).unwrap() {
-            Response::DeliverBatch(tasks) => {
+            Response::Deliver(tasks) => {
                 assert_eq!(tasks.len(), 2);
                 for t in &tasks {
                     let p = t.payload.as_ptr() as usize;

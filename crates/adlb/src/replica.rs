@@ -54,8 +54,6 @@ wire_enum! {
         1 => Store { id: u64, value: Bytes },
         /// Container member inserted.
         2 => Insert { id: u64, key: String, value: Bytes },
-        /// Datum closed.
-        3 => CloseDatum { id: u64 },
         /// Writer slot count adjusted (may close the datum).
         4 => IncrWriters { id: u64, delta: i64 },
         /// Rank subscribed to an open datum.
@@ -128,6 +126,9 @@ wire_enum! {
 
 /// A write-ahead task transfer entry: `origin`'s ledger still owes the
 /// tasks to home server `dest` until the receiver acknowledges `fseq`.
+/// The entry is also the transfer's wire form ([`ServerMsg::Xfer`]).
+///
+/// [`ServerMsg::Xfer`]: crate::msg::ServerMsg::Xfer
 #[derive(Debug, Clone)]
 pub struct Xfer {
     /// Server whose ledger carries the entry (the original sender, which
@@ -138,7 +139,8 @@ pub struct Xfer {
     pub dest: Rank,
     /// Per-`(origin, dest)` transfer sequence number, from 1.
     pub fseq: u64,
-    /// Whether the transfer answers a steal request (wire variant).
+    /// Whether the transfer answers a steal request: the receiver takes
+    /// it as its steal's answer, not as a forward.
     pub steal: bool,
     /// The tasks in flight.
     pub tasks: Vec<Task>,
@@ -294,7 +296,6 @@ impl Ledger {
         };
         let closes = match op {
             ReplOp::Store { id, .. }
-            | ReplOp::CloseDatum { id }
             | ReplOp::IncrWriters { id, .. }
             | ReplOp::Release { id, .. } => Some(id),
             _ => None,
@@ -309,7 +310,6 @@ impl Ledger {
             ReplOp::Insert { id, key, value } => {
                 out.error = self.store.insert(id, &key, value).err();
             }
-            ReplOp::CloseDatum { id } => closed(self.store.close(id), &mut out),
             ReplOp::IncrWriters { id, delta } => {
                 closed(self.store.incr_writers(id, delta), &mut out);
             }
@@ -741,7 +741,6 @@ mod tests {
                 key: "7".into(),
                 value: Bytes::new(),
             },
-            ReplOp::CloseDatum { id: 2 },
             ReplOp::IncrWriters { id: 2, delta: -1 },
             ReplOp::Subscribe { id: 1, rank: 3 },
             ReplOp::Push {

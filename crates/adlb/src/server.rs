@@ -191,8 +191,8 @@ server_stats! {
     protocol_errors: sum,
     /// Client ranks of this server observed to have died.
     ranks_failed: sum,
-    /// Tasks delivered beyond the first of a `DeliverBatch` — round trips
-    /// the prefetch pipeline saved clients.
+    /// Tasks delivered beyond the first of a `Deliver` — round trips the
+    /// prefetch pipeline saved clients.
     tasks_prefetched: sum,
     /// Dead-server shards this server promoted and took over.
     failovers: sum,
@@ -426,9 +426,8 @@ impl Server {
 
     /// The data shard a request implicates (`None` for non-data ops,
     /// which belong to the sending client's home server). A batch is one
-    /// home's outbox, so its first data op speaks for all of them. A
-    /// release rides its ack to the client's home server wherever its
-    /// datum lives, so it implicates no shard here (see
+    /// home's outbox, so its first data op speaks for all of them. An ack
+    /// implicates none, though its reads may be of any shard's datums (see
     /// [`Server::release`]).
     fn data_home(&self, req: &Request) -> Option<Rank> {
         match req {
@@ -439,7 +438,6 @@ impl Server {
             | Request::DataInsert { id, .. }
             | Request::DataLookup { id, .. }
             | Request::DataEnumerate { id }
-            | Request::DataClose { id }
             | Request::DataExists { id }
             | Request::DataIncrWriters { id, .. } => Some(self.layout.data_owner(*id)),
             Request::Batch(ops) | Request::OwnedBatch(ops) => {
@@ -492,30 +490,25 @@ impl Server {
     /// one transaction, collecting one response each. With `charge` (a
     /// worker's batch) a failed write fails the `TaskDone` behind it; an
     /// owned batch's writes are its program's, and only its answer says so.
-    /// The releases behind a `TaskDone` that did not complete its task are
-    /// skipped: the task runs again and reads its inputs again. Those of
-    /// datums hosted elsewhere leave as one message per host.
+    /// The acks' releases of datums hosted elsewhere leave after the
+    /// batch's ops, one message per host.
     fn apply_batch(&mut self, source: Rank, ops: Vec<Request>, charge: bool) -> (Response, bool) {
         let mut resps = Vec::with_capacity(ops.len());
         let mut mutated = false;
         // The first write error since the last ack: it belongs to the
         // task whose `TaskDone` comes next.
         let mut failed: Option<String> = None;
-        let mut releasing = true;
         let mut away = Vec::new();
-        for mut op in ops {
-            if let Request::TaskDone { ok, error } = &mut op {
-                if let (true, Some(e)) = (*ok, failed.take()) {
-                    (*ok, *error) = (false, e);
-                }
-            }
+        for op in ops {
             let (resp, m) = match op {
-                Request::TaskDone { ok, error } => {
-                    releasing = self.handle_ack(source, ok, error);
+                Request::TaskDone { ok, error, reads } => {
+                    let (ok, error) = match failed.take() {
+                        Some(e) if ok => (false, e),
+                        _ => (ok, error),
+                    };
+                    self.handle_ack(source, ok, error, reads, &mut away);
                     (Response::Ok, true)
                 }
-                Request::DataRelease { .. } if !releasing => (Response::Ok, false),
-                Request::DataRelease { id, n } => (Response::Ok, self.release(id, n, &mut away)),
                 op => self.apply(source, op),
             };
             if let (true, Response::Error(e)) = (charge, &resp) {
@@ -558,15 +551,11 @@ impl Server {
                 // loss.
                 Err(task) => (Response::Rejected(vec![task]), false),
             },
-            Request::TaskDone { ok, error } => {
-                self.handle_ack(source, ok, error);
-                (Response::Ok, true)
-            }
-            Request::DataRelease { id, n } => {
+            Request::TaskDone { ok, error, reads } => {
                 let mut away = Vec::new();
-                let mutated = self.release(id, n, &mut away);
+                self.handle_ack(source, ok, error, reads, &mut away);
                 self.forward_releases(away);
-                (Response::Ok, mutated)
+                (Response::Ok, true)
             }
             Request::Output { text, tenant } => {
                 self.commit(ReplOp::Out {
@@ -589,25 +578,15 @@ impl Server {
     /// down.
     fn handle_server_msg(&mut self, source: Rank, msg: ServerMsg) -> bool {
         match msg {
-            ServerMsg::Forward {
-                origin,
-                dest,
-                fseq,
-                task,
-            } => {
-                self.apply_xfer(source, origin, dest, fseq, vec![task]);
+            ServerMsg::Xfer(x) if x.steal => self.on_steal_resp(source, x),
+            ServerMsg::Xfer(x) => {
+                self.apply_xfer(source, x);
             }
             ServerMsg::StealReq {
                 thief,
                 work_types,
                 need,
             } => self.on_steal_req(thief, work_types, need),
-            ServerMsg::StealResp {
-                origin,
-                dest,
-                fseq,
-                tasks,
-            } => self.on_steal_resp(source, origin, dest, fseq, tasks),
             ServerMsg::XferAck { origin, dest, fseq } => self.xfer_acked(origin, dest, fseq),
             ServerMsg::Release { releases } => self.on_releases(releases),
             ServerMsg::Check { round } => self.on_check(source, round),

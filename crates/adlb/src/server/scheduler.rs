@@ -5,7 +5,6 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use bytes::Bytes;
 use mpisim::{trace, Rank, Wire};
 
 use super::{Server, PRIORITY_PENALTY};
@@ -13,7 +12,7 @@ use crate::msg::{
     Response, ServerMsg, Task, TAG_SRV, WORK_TYPE_CONTROL, WORK_TYPE_NOTIFY, WORK_TYPE_WORK,
 };
 use crate::queue::WorkQueue;
-use crate::replica::{Ledger, ReplOp};
+use crate::replica::{Ledger, ReplOp, Xfer};
 use crate::tenant::{TenantSched, TenantSpec, TenantStats};
 
 mod steal;
@@ -220,8 +219,6 @@ impl Server {
         debug_assert!(!tasks.is_empty());
         let ledger = self.shard.ledger();
         let fseq = ledger.next_fseq.get(&dest).copied().unwrap_or(0) + 1;
-        let host = self.failover.host_of(dest);
-        let wire = xfer_wire(self.comm.rank(), dest, fseq, steal, &tasks);
         self.commit(ReplOp::XferOut {
             dest,
             fseq,
@@ -229,21 +226,13 @@ impl Server {
             tasks,
         });
         let last = self.shard.ledger().pending_xfers.len().wrapping_sub(1);
-        self.shard.mark_sent(last, host);
-        self.shard.send(host, TAG_SRV, wire);
+        self.shard.send_xfer(last, self.failover.host_of(dest));
     }
 
     /// Apply an inbound transfer exactly once (dedup by `(dest, origin)`
     /// high-water) and ack it. Returns whether the transfer was fresh.
-    pub(super) fn apply_xfer(
-        &mut self,
-        sender: Rank,
-        origin: Rank,
-        dest: Rank,
-        fseq: u64,
-        tasks: Vec<Task>,
-    ) -> bool {
-        let me = self.comm.rank();
+    pub(super) fn apply_xfer(&mut self, sender: Rank, x: Xfer) -> bool {
+        let (me, origin, dest, fseq) = (self.comm.rank(), x.origin, x.dest, x.fseq);
         if dest != me {
             // Addressed to us for a home we don't know is dead yet?
             self.ensure_home(dest);
@@ -254,28 +243,27 @@ impl Server {
                 return false;
             }
         }
-        let fresh = self.take_xfer_in(origin, dest, fseq, tasks);
+        let fresh = self.take_xfer_in(x);
         let ack = ServerMsg::XferAck { origin, dest, fseq }.encode();
         self.shard.send(sender, TAG_SRV, ack);
         fresh
     }
 
-    /// Accept the tasks of transfer `fseq` from `origin`'s ledger toward
-    /// home `dest` unless they already were (dedup by `(dest, origin)`
-    /// high-water). Returns whether the transfer was fresh.
-    fn take_xfer_in(&mut self, origin: Rank, dest: Rank, fseq: u64, tasks: Vec<Task>) -> bool {
-        let applied = self.shard.ledger().xfer_applied.get(&(dest, origin));
-        if fseq <= applied.copied().unwrap_or(0) {
+    /// Accept the tasks of transfer `x` unless they already were (dedup
+    /// by `(dest, origin)` high-water). Returns whether it was fresh.
+    fn take_xfer_in(&mut self, x: Xfer) -> bool {
+        let applied = self.shard.ledger().xfer_applied.get(&(x.dest, x.origin));
+        if x.fseq <= applied.copied().unwrap_or(0) {
             return false;
         }
         self.term.bump();
         self.commit(ReplOp::XferIn {
-            origin,
-            dest,
-            fseq,
-            n: tasks.len() as u64,
+            origin: x.origin,
+            dest: x.dest,
+            fseq: x.fseq,
+            n: x.tasks.len() as u64,
         });
-        for t in tasks {
+        for t in x.tasks {
             self.accept_task(t);
         }
         true
@@ -309,18 +297,13 @@ impl Server {
             if host == me {
                 mine.push(x.clone());
             } else {
-                let wire = xfer_wire(x.origin, x.dest, x.fseq, x.steal, &x.tasks);
-                self.shard.send(host, TAG_SRV, wire);
-                self.shard.mark_sent(i, host);
+                self.shard.send_xfer(i, host);
             }
         }
         for x in mine {
-            self.take_xfer_in(x.origin, x.dest, x.fseq, x.tasks);
-            self.commit(ReplOp::XferDone {
-                origin: x.origin,
-                dest: x.dest,
-                fseq: x.fseq,
-            });
+            let (origin, dest, fseq) = (x.origin, x.dest, x.fseq);
+            self.take_xfer_in(x);
+            self.commit(ReplOp::XferDone { origin, dest, fseq });
         }
     }
 
@@ -380,7 +363,7 @@ impl Server {
                     now_us,
                 );
                 self.open_leases(p.rank, std::slice::from_ref(&task), &[now_us]);
-                self.send_response(p.rank, p.seq, Response::DeliverTask(task), true);
+                self.send_response(p.rank, p.seq, Response::Deliver(vec![task]), true);
             }
             None => {
                 let tenant = task.tenant;
@@ -518,12 +501,7 @@ impl Server {
         self.stats.tasks_delivered += batch.len() as u64;
         self.stats.tasks_prefetched += batch.len() as u64 - 1;
         self.open_leases(p.rank, &batch, &accepted);
-        let resp = if batch.len() == 1 {
-            Response::DeliverTask(batch.remove(0))
-        } else {
-            Response::DeliverBatch(batch)
-        };
-        self.send_response(p.rank, p.seq, resp, true);
+        self.send_response(p.rank, p.seq, Response::Deliver(batch), true);
         if leaves {
             self.release_held();
         }
@@ -681,16 +659,24 @@ impl Server {
     /// One lease acknowledgement from `source`: it either consumes a
     /// stale-ack credit (the lease was already revoked and the task
     /// requeued) or releases the oldest open lease; a failed result feeds
-    /// the retry/quarantine policy. Returns whether the ack completed its
-    /// task: only then do the task's leaf reads come off their counts.
-    pub(super) fn handle_ack(&mut self, source: Rank, ok: bool, error: String) -> bool {
+    /// the retry/quarantine policy. Only an ack that completes its task
+    /// releases the task's `reads` (see [`Server::release`]); a task that
+    /// runs again reads its inputs again.
+    pub(super) fn handle_ack(
+        &mut self,
+        source: Rank,
+        ok: bool,
+        error: String,
+        reads: Vec<(u64, u32)>,
+        away: &mut Vec<(Rank, Vec<(u64, u32)>)>,
+    ) {
         let ledger = self.shard.ledger();
         if ledger.credits.contains_key(&source) {
             self.commit(ReplOp::CreditUse {
                 client: source,
                 n: 1,
             });
-            return false;
+            return;
         }
         if ledger.leases.get(&source).is_none_or(|d| d.is_empty()) {
             // An adopted client acking a task its lost home leased:
@@ -698,7 +684,7 @@ impl Server {
             if !self.failover.aborting() {
                 self.protocol_error(format_args!("task ack from rank {source} with no lease"));
             }
-            return false;
+            return;
         }
         let drop = ReplOp::LeaseDrop {
             client: source,
@@ -718,7 +704,11 @@ impl Server {
                 self.retry_or_quarantine(lease.task, false, &error);
             }
         }
-        ok
+        if ok {
+            for (id, n) in reads {
+                self.release(id, n, away);
+            }
+        }
     }
 }
 
@@ -761,28 +751,6 @@ fn retarget_for_dead(mut task: Task, dead: Rank) -> Option<Task> {
         task.target = None;
     }
     Some(task)
-}
-
-/// The wire form of a write-ahead transfer: single non-steal tasks ride
-/// the `Forward` variant, everything else a `StealResp`.
-fn xfer_wire(origin: Rank, dest: Rank, fseq: u64, steal: bool, tasks: &[Task]) -> Bytes {
-    if !steal && tasks.len() == 1 {
-        ServerMsg::Forward {
-            origin,
-            dest,
-            fseq,
-            task: tasks[0].clone(),
-        }
-        .encode()
-    } else {
-        ServerMsg::StealResp {
-            origin,
-            dest,
-            fseq,
-            tasks: tasks.to_vec(),
-        }
-        .encode()
-    }
 }
 
 #[cfg(test)]
@@ -868,6 +836,7 @@ mod tests {
             let done = Request::TaskDone {
                 ok: true,
                 error: String::new(),
+                reads: vec![],
             };
             for _ in 0..n {
                 self.send(&done);
@@ -895,8 +864,7 @@ mod tests {
     /// Work types and payloads of a delivery, in order.
     fn delivered(resp: Response) -> Vec<(u32, Vec<u8>)> {
         let tasks = match resp {
-            Response::DeliverTask(t) => vec![t],
-            Response::DeliverBatch(ts) => ts,
+            Response::Deliver(ts) => ts,
             other => panic!("not a delivery: {other:?}"),
         };
         tasks

@@ -4,8 +4,8 @@
 
 use mpisim::{trace, Rank, Wire};
 
-use crate::msg::{ServerMsg, Task, TAG_SRV};
-use crate::replica::ReplOp;
+use crate::msg::{ServerMsg, TAG_SRV};
+use crate::replica::{ReplOp, Xfer};
 use crate::server::Server;
 
 impl Server {
@@ -32,12 +32,14 @@ impl Server {
             // transfer ledger, or the steal retry loop would keep
             // termination detection from ever seeing two stable rounds.
             // fseq 0 marks "nothing transferred".
-            let empty = ServerMsg::StealResp {
+            let empty = ServerMsg::Xfer(Xfer {
                 origin: self.comm.rank(),
                 dest: thief,
                 fseq: 0,
+                steal: true,
                 tasks: Vec::new(),
-            };
+                sent_to: None,
+            });
             self.shard.send(thief, TAG_SRV, empty.encode());
         } else {
             self.term.bump();
@@ -47,17 +49,10 @@ impl Server {
         }
     }
 
-    /// A victim's answer to a steal (or a write-ahead transfer riding the
-    /// same wire form).
-    pub(in crate::server) fn on_steal_resp(
-        &mut self,
-        source: Rank,
-        origin: Rank,
-        dest: Rank,
-        fseq: u64,
-        tasks: Vec<Task>,
-    ) {
-        let mine = dest == self.comm.rank();
+    /// A victim's answer to a steal: a transfer of the tasks it donated,
+    /// or an empty one (`fseq` 0).
+    pub(in crate::server) fn on_steal_resp(&mut self, source: Rank, x: Xfer) {
+        let (mine, origin, fseq) = (x.dest == self.comm.rank(), x.origin, x.fseq);
         let sched = &mut self.sched;
         if mine && sched.outstanding_steal {
             sched.outstanding_steal = false;
@@ -77,8 +72,8 @@ impl Server {
             }
         }
         if fseq != 0 {
-            let n = tasks.len() as u64;
-            let fresh = self.apply_xfer(source, origin, dest, fseq, tasks);
+            let n = x.tasks.len() as u64;
+            let fresh = self.apply_xfer(source, x);
             if fresh && mine {
                 self.sched.empty_steal_streak = 0;
                 self.stats.steals_successful += 1;

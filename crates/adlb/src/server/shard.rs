@@ -217,10 +217,13 @@ impl Shard {
         !awaited
     }
 
-    /// Record which server a write-ahead transfer entry was last sent to.
-    pub(super) fn mark_sent(&mut self, entry: usize, host: Rank) {
+    /// Send pending transfer `entry` to `host`, its wire form being the
+    /// entry itself, and remember where it went.
+    pub(super) fn send_xfer(&mut self, entry: usize, host: Rank) {
         if let Some(x) = self.ledger.pending_xfers.get_mut(entry) {
             x.sent_to = Some(host);
+            let wire = ServerMsg::Xfer(x.clone()).encode();
+            self.send(host, TAG_SRV, wire);
         }
     }
 
@@ -318,7 +321,6 @@ impl Server {
             Request::DataInsert { id, key, value } => {
                 self.write(id, ReplOp::Insert { id, key, value })
             }
-            Request::DataClose { id } => self.write(id, ReplOp::CloseDatum { id }),
             Request::DataIncrWriters { id, delta } => {
                 self.write(id, ReplOp::IncrWriters { id, delta })
             }

@@ -176,8 +176,8 @@ mod batch_fault_interaction {
 
     #[test]
     fn dead_client_holding_prefetched_batch_requeues_every_task_once() {
-        // Send #1 is the victim's Get: it dies with the whole DeliverBatch
-        // of 8 undelivered, having executed nothing. Every task must run
+        // Send #1 is the victim's Get: it dies with the whole delivery of
+        // 8 undelivered, having executed nothing. Every task must run
         // exactly once, all on the survivor.
         let (executed, stats) = run_batch_death(1);
         for tid in 0..N_TASKS {
@@ -229,7 +229,7 @@ mod fault_properties {
     //!
     //! Why exactly-once holds for survivors: a consumer's protocol is a
     //! strict alternation of sends (TaskDone/Get) and receives
-    //! (DeliverTask), and fault kills only fire at those message
+    //! (Deliver), and fault kills only fire at those message
     //! boundaries. A task's execution (here: recording its id) happens
     //! strictly between the receive that delivered it and the TaskDone
     //! send that acknowledges it, so a kill either lands before execution
@@ -748,7 +748,7 @@ mod wal_replay {
                 value: Bytes::from(format!("v{i}")),
             },
             2 => ReplOp::Subscribe { id, rank: client },
-            3 => ReplOp::CloseDatum { id },
+            3 => ReplOp::IncrWriters { id, delta: -1 },
             4 => ReplOp::Out {
                 client,
                 text: format!("line {i}\n"),

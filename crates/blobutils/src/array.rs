@@ -71,11 +71,6 @@ impl FortranArray {
         &self.data
     }
 
-    /// Mutable flat storage.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Column-major flat offset of a multi-index.
     pub fn offset(&self, idx: &[usize]) -> Result<usize, BlobError> {
         if idx.len() != self.dims.len() {

@@ -240,11 +240,6 @@ impl Python {
         self.globals.get(name)
     }
 
-    /// Number of global bindings (used to observe state retention).
-    pub fn globals_len(&self) -> usize {
-        self.globals.len()
-    }
-
     // -- statements ------------------------------------------------------
 
     fn exec_block(

@@ -94,11 +94,6 @@ impl R {
         self.globals.get(name)
     }
 
-    /// Number of global bindings (observes state retention in tests).
-    pub fn globals_len(&self) -> usize {
-        self.globals.len()
-    }
-
     fn next_unif(&mut self) -> f64 {
         let mut x = self.rng;
         x ^= x >> 12;

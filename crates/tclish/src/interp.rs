@@ -73,7 +73,6 @@ struct Frame {
 enum Output {
     Stdout,
     Buffer(Rc<RefCell<String>>),
-    Custom(Box<dyn FnMut(&str)>),
 }
 
 /// A Tcl interpreter instance.
@@ -154,11 +153,6 @@ impl Interp {
         }
     }
 
-    /// True if a command or proc with this name exists.
-    pub fn has_command(&self, name: &str) -> bool {
-        self.procs.contains_key(name) || self.commands.contains_key(name)
-    }
-
     /// Names of all user-defined procs.
     pub fn proc_names(&self) -> Vec<String> {
         self.procs.keys().cloned().collect()
@@ -222,11 +216,6 @@ impl Interp {
         buf
     }
 
-    /// Route `puts` to a custom sink.
-    pub fn set_output<F: FnMut(&str) + 'static>(&mut self, sink: F) {
-        self.output = Output::Custom(Box::new(sink));
-    }
-
     /// Write text to the interpreter's output sink (what `puts` uses).
     /// Host commands use this to merge embedded-interpreter output into
     /// the rank's stdout stream.
@@ -234,7 +223,6 @@ impl Interp {
         match &mut self.output {
             Output::Stdout => print!("{text}"),
             Output::Buffer(b) => b.borrow_mut().push_str(text),
-            Output::Custom(f) => f(text),
         }
     }
 

@@ -37,6 +37,7 @@
 //! with STC, then run the Turbine code on an engines/servers/workers
 //! machine (paper Fig. 2).
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -63,6 +64,34 @@ struct Options {
     args: Vec<(String, String)>,
     tenants: Vec<TenantArg>,
     source: Option<SourceSpec>,
+    help: bool,
+}
+
+/// The one way `swiftt` writes stdout. When the reader goes away
+/// (`swiftt ... | head`), the rest of stdout is dropped quietly and the
+/// run goes on: its checkpoint image, trace and stderr report are still
+/// written, and the exit status is the run's own. Any other write error
+/// is reported on stderr and makes the exit status 1.
+#[derive(Default)]
+struct Stdout {
+    closed: bool,
+    failed: bool,
+}
+
+impl Stdout {
+    fn print(&mut self, text: std::fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        let mut out = std::io::stdout().lock();
+        if let Err(e) = out.write_fmt(text).and_then(|()| out.flush()) {
+            self.closed = true;
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("swiftt: cannot write stdout: {e}");
+                self.failed = true;
+            }
+        }
+    }
 }
 
 /// One `--tenant name:weight[:qN[,lM]]:script` argument.
@@ -200,6 +229,7 @@ fn parse_args() -> Result<Options, String> {
         args: Vec::new(),
         tenants: Vec::new(),
         source: None,
+        help: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -257,8 +287,8 @@ fn parse_args() -> Result<Options, String> {
                 opts.source = Some(SourceSpec::Expr(code));
             }
             "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
+                opts.help = true;
+                return Ok(opts);
             }
             other if !other.starts_with('-') => {
                 if opts.source.is_some() {
@@ -273,6 +303,16 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn main() -> ExitCode {
+    let mut stdout = Stdout::default();
+    let code = run_cli(&mut stdout);
+    if stdout.failed {
+        ExitCode::FAILURE
+    } else {
+        code
+    }
+}
+
+fn run_cli(stdout: &mut Stdout) -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
@@ -280,8 +320,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if opts.help {
+        stdout.print(format_args!("{USAGE}\n"));
+        return ExitCode::SUCCESS;
+    }
     if let Some(path) = &opts.verify_checkpoint {
-        return verify_checkpoint_image(path);
+        return verify_checkpoint_image(path, stdout);
     }
     if !opts.tenants.is_empty() && opts.source.is_some() {
         eprintln!("swiftt: give either --tenant specs or a single script, not both");
@@ -313,7 +357,7 @@ fn main() -> ExitCode {
         }
         return match stc::compile(&source) {
             Ok(p) => {
-                println!("{}", p.listing());
+                stdout.print(format_args!("{}\n", p.listing()));
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -392,7 +436,7 @@ fn main() -> ExitCode {
     }
     match run {
         Ok(result) => {
-            print!("{}", result.stdout);
+            stdout.print(format_args!("{}", result.stdout));
             // A broken tenant never fails the run (containment); it is
             // reported here and in its --report row.
             for t in &result.tenants {
@@ -560,7 +604,7 @@ fn peak_rss_mb() -> Option<f64> {
 /// `--verify-checkpoint FILE`: offline fsck of a durable checkpoint
 /// image (as written by `--checkpoint-file`). Read-only; exits 0 when
 /// clean, 1 on corruption, 2 when the image itself cannot be loaded.
-fn verify_checkpoint_image(path: &str) -> ExitCode {
+fn verify_checkpoint_image(path: &str, stdout: &mut Stdout) -> ExitCode {
     let image = match std::fs::read(path) {
         Ok(image) => image,
         Err(e) => {
@@ -577,16 +621,16 @@ fn verify_checkpoint_image(path: &str) -> ExitCode {
     };
     let report = swiftt::adlb::verify_checkpoint(&fs);
     if report.shards.is_empty() {
-        println!("{path}: no checkpoint shards found");
+        stdout.print(format_args!("{path}: no checkpoint shards found\n"));
         return ExitCode::SUCCESS;
     }
     for s in &report.shards {
         if let Some(to) = s.redirect_to {
-            println!("shard {}: redirected to rank {to}", s.home);
+            stdout.print(format_args!("shard {}: redirected to rank {to}\n", s.home));
         } else {
-            println!(
+            stdout.print(format_args!(
                 "shard {}: segment {} ({} bytes, covers LSN {}), wal {} record(s) \
-                 / {} op(s) ({} bytes), durable LSN {}",
+                 / {} op(s) ({} bytes), durable LSN {}\n",
                 s.home,
                 s.seg_no,
                 s.segment_bytes,
@@ -595,17 +639,18 @@ fn verify_checkpoint_image(path: &str) -> ExitCode {
                 s.wal_ops,
                 s.wal_bytes,
                 s.last_lsn
-            );
+            ));
         }
         for e in &s.errors {
-            println!("shard {}: CORRUPT: {e}", s.home);
+            stdout.print(format_args!("shard {}: CORRUPT: {e}\n", s.home));
         }
     }
     if report.is_clean() {
-        println!("{path}: clean ({} shard(s))", report.shards.len());
+        let n = report.shards.len();
+        stdout.print(format_args!("{path}: clean ({n} shard(s))\n"));
         ExitCode::SUCCESS
     } else {
-        println!("{path}: corruption detected");
+        stdout.print(format_args!("{path}: corruption detected\n"));
         ExitCode::FAILURE
     }
 }

@@ -258,3 +258,26 @@ fn verify_checkpoint_cli_round_trip() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn a_reader_that_stops_early_ends_stdout_quietly() {
+    use std::io::BufRead;
+    let mut child = swiftt()
+        .args(["-n", "4", "--expr"])
+        .arg(r#"foreach i in [0:19999] { printf("line %d", i); }"#)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Read one line, then close the pipe: the rest of the ~190 KB of
+    // output meets a reader that is gone.
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("line "), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}\n{stderr}", out.status);
+}

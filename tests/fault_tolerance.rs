@@ -363,11 +363,12 @@ fn a_worker_death_around_its_task_ends_frees_no_input_early() {
     const WORKER_SENDS: u64 = 100;
     // Workers 2 and 4 run every task here (about 120 each); the others
     // never get one. A busy worker's sends are its gets, its leaves'
-    // stores and the batches carrying its acks and releases — about two
-    // per task end, 220–280 in a fault-free release run — so send 100
-    // lands over a third of the way in. Whatever was in flight when it died (a
-    // task whose ack never left, releases that did not follow one), the
-    // retry still finds every input: a lost release is a leak, not a free.
+    // stores and the batches carrying its acks, whose reads the server
+    // releases — about two per task end, 225–350 for worker 2 in ten
+    // fault-free release runs — so send 100 lands over a quarter of the
+    // way in. Whatever was in flight when it died (a task whose ack never
+    // left, and the releases with it), the retry still finds every input:
+    // a lost release is a leak, not a free.
     assert_blob_pipeline_survives(FaultPlan::new().kill_after_sends(2, WORKER_SENDS), 2);
 }
 

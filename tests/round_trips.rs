@@ -1,7 +1,8 @@
 //! The control plane's message budget, as exact counts (no wall clock),
 //! and the guarantee that spending fewer messages changes no output.
 //!
-//! `RunResult::messages` counts every point-to-point message of a run.
+//! `RunResult::messages` counts every point-to-point message of a run,
+//! and `RunResult::bytes` their payload bytes.
 //! The write-behind outbox is what separates the two protocols below;
 //! the ceilings make a later change that quietly adds a round trip to
 //! either path fail here rather than in a benchmark.
@@ -61,10 +62,16 @@ fn a_bag_task_costs_at_most_1_2_messages_batched_and_at_least_12_unbatched() {
     // those batches and of the prefetching get. Unbatched, the engine's
     // four requests are four round trips (8), and the worker's get (2),
     // store (2) and ack (1) add five (the E5 ablation).
-    let on = messages_per_task(true, &bag(2000), 2000);
+    //
+    // Bytes, batched: 263–265 per task in five runs of a debug build
+    // (the task, its input and result, its ack, their share of the
+    // engine's batches); the ceiling is that plus 10%.
+    let r = run(true, &bag(2000), 2000);
+    let (on, bytes) = (r.messages as f64 / 2000.0, r.bytes as f64 / 2000.0);
     let off = messages_per_task(false, &bag(2000), 2000);
-    eprintln!("bag: {on:.2} messages/task batched, {off:.2} unbatched");
+    eprintln!("bag: {on:.2} messages/task batched ({bytes:.0} bytes), {off:.2} unbatched");
     assert!(on <= 1.2, "{on:.2} messages per task with batching on");
+    assert!(bytes <= 291.0, "{bytes:.0} bytes per task with batching on");
     assert!(off >= 12.0, "{off:.2} messages per task with batching off");
 }
 
@@ -103,14 +110,19 @@ fn a_pipeline_leaf_reads_no_value_its_rank_already_holds() {
     // gets, the workers' prefetching gets and the batches carrying their
     // stores and acks, and the loop's creates, stores and puts, 64 to a
     // batch.
+    //
+    // Bytes: 414–416 per leaf task in five runs of a debug build; the
+    // ceiling is that plus 10%.
     let n = 1000;
     let leaves = 2 * n as u64 + 1;
     let r = run(true, &pipeline(n), leaves);
     let msgs = r.messages as f64 / leaves as f64;
+    let bytes = r.bytes as f64 / leaves as f64;
     let ops = r.server_totals().data_ops as f64 / leaves as f64;
-    eprintln!("pipeline: {msgs:.2} messages and {ops:.2} data ops per leaf task");
+    eprintln!("pipeline: {msgs:.2} messages, {bytes:.0} bytes and {ops:.2} data ops per leaf task");
     assert_eq!(r.stdout, format!("n {n}\n"));
     assert!(msgs <= 2.2, "{msgs:.2} messages per leaf task");
+    assert!(bytes <= 458.0, "{bytes:.0} bytes per leaf task");
     assert!(ops <= 7.1, "{ops:.2} data ops per leaf task");
 }
 
