@@ -246,9 +246,11 @@ impl AdlbClient {
         self.owns_writes = true;
     }
 
-    /// Allocate a globally unique datum id (disjoint per client rank).
+    /// Allocate a globally unique datum id (disjoint per client rank). A
+    /// datum lives on its allocator's home server: the id is this
+    /// client's next [`Layout::datum_id`].
     pub fn alloc_id(&mut self) -> u64 {
-        let id = self.next_id * self.layout.size as u64 + self.comm.rank() as u64;
+        let id = self.layout.datum_id(self.comm.rank(), self.next_id);
         self.next_id += 1;
         id
     }

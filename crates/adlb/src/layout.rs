@@ -1,16 +1,22 @@
-//! Rank layout: which ranks are servers, who serves whom, who owns a datum.
+//! Rank layout: which ranks are servers, who serves whom, which ids a
+//! client allocates and which server hosts each datum. Placement is
+//! decided here and nowhere else.
 
 use mpisim::Rank;
 
 /// The machine layout. As in Swift/T, the last `servers` ranks are ADLB
 /// servers and the rest are clients (engines + workers); typically well
-/// over 99 % of ranks are workers (Fig. 2 of the paper).
+/// over 99 % of ranks are workers (Fig. 2 of the paper). Build it with
+/// [`Layout::new`] and do not change `size` or `servers` afterwards: the
+/// id stride is derived from them once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
     /// Total ranks in the world.
     pub size: usize,
     /// Number of server ranks (at the top of the rank space).
     pub servers: usize,
+    /// `lcm(size, servers)`: the step between one client's datum ids.
+    id_stride: u64,
 }
 
 impl Layout {
@@ -18,7 +24,12 @@ impl Layout {
     pub fn new(size: usize, servers: usize) -> Self {
         assert!(servers >= 1, "need at least one ADLB server");
         assert!(size > servers, "need at least one client rank");
-        Layout { size, servers }
+        let (a, b) = (size as u64, servers as u64);
+        Layout {
+            size,
+            servers,
+            id_stride: a / gcd(a, b) * b,
+        }
     }
 
     /// Number of client (non-server) ranks.
@@ -42,11 +53,6 @@ impl Layout {
         self.first_server()..self.size
     }
 
-    /// All client ranks.
-    pub fn client_ranks(&self) -> impl Iterator<Item = Rank> + '_ {
-        0..self.clients()
-    }
-
     /// The server that owns (serves) a client rank.
     pub fn server_of(&self, client: Rank) -> Rank {
         assert!(!self.is_server(client), "rank {client} is a server");
@@ -62,9 +68,24 @@ impl Layout {
             .collect()
     }
 
-    /// The server hosting datum `id` (sharded by id). This is the
-    /// *primary*; with replication the shard also lives on the primary's
-    /// ring successors ([`Layout::successors`]).
+    /// The `k`-th datum id allocated by `client`, which is
+    /// `k · lcm(size, servers) + client`. A datum lives on its
+    /// allocator's home server:
+    ///
+    /// * ids are disjoint per rank: the stride is a multiple of `size` and
+    ///   `client < size`, so `id ≡ client (mod size)` names the allocator;
+    /// * `data_owner(id) == server_of(client)`: the stride is a multiple of
+    ///   `servers`, so `id ≡ client (mod servers)`;
+    /// * when `servers` divides `size` (every one-server run) the stride is
+    ///   `size`, so the ids are `k · size + client`.
+    pub fn datum_id(&self, client: Rank, k: u64) -> u64 {
+        k * self.id_stride + client as u64
+    }
+
+    /// The server hosting datum `id`. For an id from
+    /// [`Layout::datum_id`] that is its allocator's home server. This is
+    /// the *primary*; with replication the shard also lives on the
+    /// primary's ring successors ([`Layout::successors`]).
     pub fn data_owner(&self, id: u64) -> Rank {
         self.first_server() + (id % self.servers as u64) as usize
     }
@@ -142,6 +163,13 @@ impl Layout {
     }
 }
 
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +196,28 @@ mod tests {
             }
         }
         seen.sort();
-        assert_eq!(seen, l.client_ranks().collect::<Vec<_>>());
+        assert_eq!(seen, (0..l.clients()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_datum_lives_on_its_allocators_home_server() {
+        use std::collections::HashSet;
+        for size in 2..=16 {
+            for servers in 1..size {
+                let l = Layout::new(size, servers);
+                let mut seen = HashSet::new();
+                for c in 0..l.clients() {
+                    for k in 0..64u64 {
+                        let id = l.datum_id(c, k);
+                        assert!(seen.insert(id), "{l:?}: id {id} of client {c} reused");
+                        assert_eq!(l.data_owner(id), l.server_of(c), "{l:?}: id {id}");
+                        if size % servers == 0 {
+                            assert_eq!(id, k * size as u64 + c as u64, "{l:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

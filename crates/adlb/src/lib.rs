@@ -17,7 +17,8 @@
 //!   parked steals half a victim's queue, giving the load balancing the
 //!   paper's `foreach` throughput depends on.
 //! * **A distributed data store.** Turbine's typed futures live *in the
-//!   servers*, sharded by id; `store` both writes and closes a datum, and
+//!   servers*: a datum lives on its allocator's home server (see
+//!   [`Layout::datum_id`]); `store` both writes and closes a datum, and
 //!   `subscribe` converts the eventual close into a high-priority targeted
 //!   task — the mechanism that lets dataflow rules fire with no central
 //!   bottleneck.

@@ -14,8 +14,7 @@ pub const WORK_TYPE_WORK: u32 = 1;
 /// Data-close notifications, delivered as targeted high-priority tasks.
 pub const WORK_TYPE_NOTIFY: u32 = 2;
 
-/// Message tags used by the ADLB protocol (all below
-/// [`mpisim::RESERVED_TAG_BASE`]).
+/// Message tags used by the ADLB protocol.
 pub const TAG_REQ: Tag = 10;
 pub const TAG_RESP: Tag = 11;
 pub const TAG_SRV: Tag = 12;

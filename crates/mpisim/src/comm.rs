@@ -1,5 +1,4 @@
-//! The per-rank communicator handle: point-to-point sends/receives and
-//! collectives built on top of them.
+//! The per-rank communicator handle: point-to-point sends and receives.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -9,7 +8,7 @@ use bytes::Bytes;
 
 use crate::mailbox::Envelope;
 use crate::world::Shared;
-use crate::{Rank, Tag, RESERVED_TAG_BASE};
+use crate::{Rank, Tag};
 
 /// Source selector for receives: a specific rank or the MPI `ANY_SOURCE`
 /// wildcard.
@@ -52,15 +51,6 @@ pub struct Message {
     /// Payload bytes.
     pub data: Bytes,
 }
-
-// Reserved tags for collectives (all >= RESERVED_TAG_BASE).
-const TAG_BARRIER_UP: Tag = RESERVED_TAG_BASE;
-const TAG_BARRIER_DOWN: Tag = RESERVED_TAG_BASE + 1;
-const TAG_BCAST: Tag = RESERVED_TAG_BASE + 2;
-const TAG_GATHER: Tag = RESERVED_TAG_BASE + 3;
-const TAG_REDUCE: Tag = RESERVED_TAG_BASE + 4;
-const TAG_ALLREDUCE_DOWN: Tag = RESERVED_TAG_BASE + 5;
-const TAG_SCATTER: Tag = RESERVED_TAG_BASE + 6;
 
 /// A rank's handle onto the simulated communicator (the analogue of
 /// `MPI_COMM_WORLD` plus the owning process's rank).
@@ -155,228 +145,5 @@ impl Comm {
             self.shared.faults.note_recv_done(self.rank);
         }
         m
-    }
-
-    /// Probe for a matching message without consuming it; returns
-    /// `(source, tag, payload_len)`.
-    pub fn iprobe(
-        &self,
-        src: impl Into<Src>,
-        tag: impl Into<TagSel>,
-    ) -> Option<(Rank, Tag, usize)> {
-        self.shared.mailboxes[self.rank].iprobe(src.into(), tag.into())
-    }
-
-    /// Number of messages currently queued at this rank (diagnostics).
-    pub fn pending(&self) -> usize {
-        self.shared.mailboxes[self.rank].len()
-    }
-
-    // ---- Collectives --------------------------------------------------
-    //
-    // Implemented with a simple fan-in to rank 0 / fan-out from rank 0.
-    // All traffic uses reserved tags, and because delivery is
-    // non-overtaking per (src, dst, tag), back-to-back collectives of the
-    // same kind cannot interfere.
-
-    /// Block until every rank has entered the barrier.
-    pub fn barrier(&self) {
-        let n = self.size();
-        if n == 1 {
-            return;
-        }
-        if self.rank == 0 {
-            for _ in 1..n {
-                self.recv(Src::Any, TAG_BARRIER_UP);
-            }
-            for r in 1..n {
-                self.send(r, TAG_BARRIER_DOWN, Bytes::new());
-            }
-        } else {
-            self.send(0, TAG_BARRIER_UP, Bytes::new());
-            self.recv(Src::Of(0), TAG_BARRIER_DOWN);
-        }
-    }
-
-    /// Broadcast `data` from `root` to every rank; returns the payload on
-    /// all ranks (including the root).
-    ///
-    /// # Panics
-    /// Panics when called on the root without `data` (API contract, like
-    /// MPI's requirement that the root supply a buffer).
-    #[allow(clippy::expect_used)] // documented caller contract
-    pub fn bcast(&self, root: Rank, data: Option<Bytes>) -> Bytes {
-        if self.size() == 1 {
-            return data.expect("bcast root must supply data");
-        }
-        if self.rank == root {
-            let data = data.expect("bcast root must supply data");
-            for r in 0..self.size() {
-                if r != root {
-                    self.send(r, TAG_BCAST, data.clone());
-                }
-            }
-            data
-        } else {
-            self.recv(Src::Of(root), TAG_BCAST).data
-        }
-    }
-
-    /// Gather each rank's payload at `root`; the root receives payloads
-    /// indexed by rank, other ranks receive `None`.
-    #[allow(clippy::unwrap_used)] // every slot filled: one recv per non-root rank
-    pub fn gather(&self, root: Rank, data: Bytes) -> Option<Vec<Bytes>> {
-        if self.rank == root {
-            let mut out: Vec<Option<Bytes>> = (0..self.size()).map(|_| None).collect();
-            out[root] = Some(data);
-            for _ in 0..self.size() - 1 {
-                let m = self.recv(Src::Any, TAG_GATHER);
-                out[m.source] = Some(m.data);
-            }
-            Some(out.into_iter().map(|o| o.unwrap()).collect())
-        } else {
-            self.send(root, TAG_GATHER, data);
-            None
-        }
-    }
-
-    /// Scatter per-rank payloads from `root`; every rank gets its slice.
-    ///
-    /// # Panics
-    /// Panics when called on the root without `data` (API contract).
-    #[allow(clippy::expect_used)] // documented caller contract
-    pub fn scatter(&self, root: Rank, data: Option<Vec<Bytes>>) -> Bytes {
-        if self.rank == root {
-            let data = data.expect("scatter root must supply data");
-            assert_eq!(
-                data.len(),
-                self.size(),
-                "scatter needs one payload per rank"
-            );
-            let mut mine = Bytes::new();
-            for (r, d) in data.into_iter().enumerate() {
-                if r == root {
-                    mine = d;
-                } else {
-                    self.send(r, TAG_SCATTER, d);
-                }
-            }
-            mine
-        } else {
-            self.recv(Src::Of(root), TAG_SCATTER).data
-        }
-    }
-
-    /// Sum-reduce a `u64` contribution at rank 0; rank 0 gets the total.
-    #[allow(clippy::unwrap_used)] // contributions are exactly 8 bytes by construction
-    pub fn reduce_sum_u64(&self, value: u64) -> Option<u64> {
-        if self.rank == 0 {
-            let mut total = value;
-            for _ in 0..self.size() - 1 {
-                let m = self.recv(Src::Any, TAG_REDUCE);
-                let arr: [u8; 8] = m.data[..8].try_into().unwrap();
-                total += u64::from_le_bytes(arr);
-            }
-            Some(total)
-        } else {
-            self.send(0, TAG_REDUCE, value.to_le_bytes().to_vec());
-            None
-        }
-    }
-
-    /// Sum-allreduce a `u64` contribution; every rank gets the total.
-    #[allow(clippy::unwrap_used)] // the total from rank 0 is exactly 8 bytes
-    pub fn allreduce_sum_u64(&self, value: u64) -> u64 {
-        match self.reduce_sum_u64(value) {
-            Some(total) => {
-                for r in 1..self.size() {
-                    self.send(r, TAG_ALLREDUCE_DOWN, total.to_le_bytes().to_vec());
-                }
-                total
-            }
-            None => {
-                let m = self.recv(Src::Of(0), TAG_ALLREDUCE_DOWN);
-                let arr: [u8; 8] = m.data[..8].try_into().unwrap();
-                u64::from_le_bytes(arr)
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::World;
-
-    #[test]
-    fn bcast_reaches_all_ranks() {
-        let out = World::run(5, |comm| {
-            let data = if comm.rank() == 2 {
-                Some(Bytes::from_static(b"hello"))
-            } else {
-                None
-            };
-            comm.bcast(2, data).to_vec()
-        });
-        for v in out {
-            assert_eq!(v, b"hello");
-        }
-    }
-
-    #[test]
-    fn gather_collects_by_rank() {
-        let out = World::run(4, |comm| {
-            let mine = Bytes::from(vec![comm.rank() as u8]);
-            comm.gather(0, mine)
-        });
-        let gathered = out[0].as_ref().unwrap();
-        for (r, b) in gathered.iter().enumerate() {
-            assert_eq!(b[0] as usize, r);
-        }
-        assert!(out[1].is_none());
-    }
-
-    #[test]
-    fn scatter_distributes_by_rank() {
-        let out = World::run(4, |comm| {
-            let data = if comm.rank() == 0 {
-                Some((0..4).map(|r| Bytes::from(vec![r as u8 * 2])).collect())
-            } else {
-                None
-            };
-            comm.scatter(0, data)[0]
-        });
-        assert_eq!(out, vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn allreduce_sums_everywhere() {
-        let out = World::run(6, |comm| comm.allreduce_sum_u64(comm.rank() as u64 + 1));
-        for v in out {
-            assert_eq!(v, 21);
-        }
-    }
-
-    #[test]
-    fn repeated_barriers_do_not_interfere() {
-        World::run(8, |comm| {
-            for _ in 0..50 {
-                comm.barrier();
-            }
-        });
-    }
-
-    #[test]
-    fn reduce_then_bcast_sequence() {
-        let out = World::run(3, |comm| {
-            let total = comm.allreduce_sum_u64(1);
-            comm.barrier();
-            let b = comm.bcast(
-                0,
-                (comm.rank() == 0).then(|| Bytes::from(vec![total as u8])),
-            );
-            b[0]
-        });
-        assert_eq!(out, vec![3, 3, 3]);
     }
 }

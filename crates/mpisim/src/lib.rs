@@ -13,9 +13,8 @@
 //!
 //! * [`Comm::send`] / [`Comm::recv`] with integer **tags**,
 //! * wildcard receives ([`Src::Any`], [`TagSel::Any`]),
-//! * non-blocking probes ([`Comm::iprobe`], [`Comm::try_recv`]),
-//! * collectives ([`Comm::barrier`], [`Comm::bcast`], [`Comm::gather`],
-//!   [`Comm::reduce_sum_u64`], ...).
+//! * non-blocking and timed receives ([`Comm::try_recv`],
+//!   [`Comm::recv_timeout`]).
 //!
 //! The crucial MPI semantic preserved here is **non-overtaking delivery**:
 //! two messages sent from the same source to the same destination with the
@@ -50,13 +49,9 @@ pub use world::{FaultyOutcome, World, WorldStats};
 /// A rank identifier: `0..size`.
 pub type Rank = usize;
 
-/// A message tag. Tags at or above [`RESERVED_TAG_BASE`] are reserved for
-/// the collective implementations in this crate.
+/// A message tag. Every tag belongs to the protocol that sends it: this
+/// crate sends no traffic of its own.
 pub type Tag = u32;
-
-/// First tag reserved for internal collective traffic. User protocols must
-/// stay below this value.
-pub const RESERVED_TAG_BASE: Tag = u32::MAX - 64;
 
 #[cfg(test)]
 mod tests {
@@ -84,7 +79,6 @@ mod tests {
     fn single_rank_world() {
         let out = World::run(1, |comm| {
             assert_eq!(comm.size(), 1);
-            comm.barrier();
             comm.rank()
         });
         assert_eq!(out, vec![0]);

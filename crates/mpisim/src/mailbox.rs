@@ -136,22 +136,6 @@ impl Mailbox {
             }
         }
     }
-
-    /// Probe without removing: returns `(source, tag, len)` of the first
-    /// matching envelope.
-    pub fn iprobe(&self, src: Src, tag: TagSel) -> Option<(Rank, Tag, usize)> {
-        let inner = self.inner.lock();
-        inner
-            .queue
-            .iter()
-            .find(|e| e.matches(src, tag))
-            .map(|e| (e.source, e.tag, e.data.len()))
-    }
-
-    /// Number of queued envelopes (diagnostics only).
-    pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -184,10 +168,10 @@ mod tests {
         mb.push(env(1, 2, b'y'));
         let m = mb.try_recv(Src::Of(1), TagSel::Of(2)).unwrap();
         assert_eq!(m.data[0], b'y');
-        // The earlier envelope is still there.
-        assert_eq!(mb.len(), 1);
+        // The earlier envelope is still there, and is the only one.
         let m = mb.try_recv(Src::Any, TagSel::Any).unwrap();
         assert_eq!(m.data[0], b'x');
+        assert!(mb.try_recv(Src::Any, TagSel::Any).is_none());
     }
 
     #[test]
@@ -197,16 +181,6 @@ mod tests {
         mb.push(env(2, 8, b'q'));
         let m = mb.try_recv(Src::Any, TagSel::Any).unwrap();
         assert_eq!((m.source, m.tag), (3, 9));
-    }
-
-    #[test]
-    fn iprobe_does_not_consume() {
-        let mb = Mailbox::new();
-        mb.push(env(5, 4, b'z'));
-        assert_eq!(mb.iprobe(Src::Any, TagSel::Of(4)), Some((5, 4, 1)));
-        assert_eq!(mb.len(), 1);
-        assert!(mb.try_recv(Src::Of(5), TagSel::Of(4)).is_some());
-        assert_eq!(mb.iprobe(Src::Any, TagSel::Any), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::Rank;
 /// harness to report message volumes alongside wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorldStats {
-    /// Total point-to-point messages sent (collective traffic included).
+    /// Total point-to-point messages sent.
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,

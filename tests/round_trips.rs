@@ -76,6 +76,38 @@ fn a_bag_task_costs_at_most_1_2_messages_batched_and_at_least_12_unbatched() {
 }
 
 #[test]
+fn a_bag_task_stays_within_its_ceiling_on_two_servers_whatever_the_rank_count() {
+    // A datum lives on its allocator's home server on every layout, so
+    // an engine's creates and stores leave in the batches it sends home
+    // anyway. Ids placed by parity alone would put every other datum of
+    // an engine on its other server on 5 and 7 ranks, behind an awaited
+    // flush there per iteration: about 5.6 messages per task.
+    //
+    // Workers homed on the engine's other server are fed by steals, whose
+    // count follows timing: single runs of a debug build read 0.96–1.24
+    // on 6 ranks. The gate takes the least of three runs, as an extra
+    // message per iteration raises every run.
+    for ranks in [5, 6, 7] {
+        let per_task = (0..3)
+            .map(|_| {
+                let r = Runtime::new(ranks)
+                    .servers(2)
+                    .replication(1)
+                    .run(&bag(2000))
+                    .expect("run");
+                assert_eq!(r.total_tasks(), 2000);
+                r.messages as f64 / 2000.0
+            })
+            .fold(f64::INFINITY, f64::min);
+        eprintln!("bag on {ranks} ranks, 2 servers: {per_task:.2} messages/task (least of 3)");
+        assert!(
+            per_task <= 1.2,
+            "{ranks} ranks: {per_task:.2} messages per task"
+        );
+    }
+}
+
+#[test]
 fn a_chain_hop_stays_within_its_message_ceiling() {
     // The serial path, per hop: the worker's get and delivery, one batch
     // carrying result and ack (3) — its input came inside the task; the
