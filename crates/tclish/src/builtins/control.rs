@@ -9,8 +9,8 @@
 
 use super::{arity, arity_range, int_arg, ok};
 use crate::error::{Exception, TclResult};
-use crate::interp::{Interp, ProcDef};
-use crate::list::{format_list, parse_list};
+use crate::interp::{Interp, Obj, ProcDef};
+use crate::list::{for_each_element, format_list, parse_list};
 use crate::parser::{held, Code, Held, Word};
 
 pub fn register(i: &mut Interp) {
@@ -80,7 +80,7 @@ fn cmd_incr(i: &mut Interp, argv: &[String]) -> TclResult {
     Ok(i.incr(&argv[1], delta)?.to_string())
 }
 
-fn cmd_expr(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
+fn cmd_expr(i: &mut Interp, argv: &[String], w: &[Word]) -> Result<Obj, Exception> {
     if argv.len() < 2 {
         return Err(Exception::error(
             "wrong # args: should be \"expr arg ?arg ...?\"",
@@ -90,7 +90,7 @@ fn cmd_expr(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
         [_, src] => i.expr_in(src, held(w, 1))?,
         _ => i.expr_in(&argv[1..].join(" "), None)?,
     };
-    Ok(val.to_tcl_string())
+    Ok(val.into())
 }
 
 fn cmd_eval(i: &mut Interp, argv: &[String]) -> TclResult {
@@ -103,7 +103,7 @@ fn cmd_eval(i: &mut Interp, argv: &[String]) -> TclResult {
     i.eval_internal(&src)
 }
 
-fn cmd_if(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
+fn cmd_if(i: &mut Interp, argv: &[String], w: &[Word]) -> Result<Obj, Exception> {
     // if cond ?then? body ?elseif cond ?then? body?... ?else? body
     let mut idx = 1;
     loop {
@@ -120,7 +120,7 @@ fn cmd_if(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
             .ok_or_else(|| Exception::error("wrong # args: no script after condition"))?;
         idx += 1;
         if i.expr_in(&argv[cond], held(w, cond))?.truthy()? {
-            return i.run(body, held(w, idx - 1));
+            return i.run_obj(body, held(w, idx - 1));
         }
         match argv.get(idx).map(String::as_str) {
             Some("elseif") => {
@@ -131,11 +131,11 @@ fn cmd_if(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
                 let body = argv
                     .get(idx + 1)
                     .ok_or_else(|| Exception::error("wrong # args: no script after \"else\""))?;
-                return i.run(body, held(w, idx + 1));
+                return i.run_obj(body, held(w, idx + 1));
             }
             // Bare trailing body acts as else (Tcl allows omitting "else").
-            Some(b) if idx + 1 == argv.len() => return i.run(b, held(w, idx)),
-            None => return ok(),
+            Some(b) if idx + 1 == argv.len() => return i.run_obj(b, held(w, idx)),
+            None => return Ok(Obj::EMPTY),
             Some(other) => {
                 return Err(Exception::error(format!(
                     "invalid \"if\" clause \"{other}\""
@@ -145,7 +145,7 @@ fn cmd_if(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     }
 }
 
-fn cmd_while(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
+fn cmd_while(i: &mut Interp, argv: &[String], w: &[Word]) -> Result<Obj, Exception> {
     arity(argv, 3, "while test command")?;
     let local: [Held; 2] = Default::default();
     let [test, body] = [1, 2].map(|k| held(w, k).unwrap_or(&local[k - 1]));
@@ -157,12 +157,12 @@ fn cmd_while(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
             Err(e) => return Err(e),
         }
     }
-    ok()
+    Ok(Obj::EMPTY)
 }
 
-fn cmd_for(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
+fn cmd_for(i: &mut Interp, argv: &[String], w: &[Word]) -> Result<Obj, Exception> {
     arity(argv, 5, "for start test next command")?;
-    i.run(&argv[1], held(w, 1))?;
+    i.run_obj(&argv[1], held(w, 1))?;
     let local: [Held; 3] = Default::default();
     let [test, next, body] = [2, 3, 4].map(|k| held(w, k).unwrap_or(&local[k - 2]));
     while i.expr_in(&argv[2], Some(test))?.truthy()? {
@@ -174,10 +174,10 @@ fn cmd_for(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
         }
         i.run_obj(&argv[3], Some(next))?;
     }
-    ok()
+    Ok(Obj::EMPTY)
 }
 
-fn cmd_foreach(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
+fn cmd_foreach(i: &mut Interp, argv: &[String], w: &[Word]) -> Result<Obj, Exception> {
     // foreach varList list ?varList list ...? body
     if argv.len() < 4 || !argv.len().is_multiple_of(2) {
         return Err(Exception::error(
@@ -218,7 +218,7 @@ fn cmd_foreach(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
             Err(e) => return Err(e),
         }
     }
-    ok()
+    Ok(Obj::EMPTY)
 }
 
 fn cmd_proc(i: &mut Interp, argv: &[String]) -> TclResult {
@@ -233,8 +233,8 @@ fn cmd_proc(i: &mut Interp, argv: &[String]) -> TclResult {
         }
         let spec = parse_list(p).map_err(Exception::from)?;
         match spec.as_slice() {
-            [name] => params.push((name.clone(), None)),
-            [name, default] => params.push((name.clone(), Some(default.clone()))),
+            [name] => params.push((name.as_str().into(), None)),
+            [name, default] => params.push((name.as_str().into(), Some(Obj::word(default)))),
             _ => {
                 return Err(Exception::error(format!(
                     "too many fields in argument specifier \"{p}\""
@@ -264,16 +264,16 @@ fn cmd_error(_i: &mut Interp, argv: &[String]) -> TclResult {
     Err(Exception::error(argv[1].clone()))
 }
 
-fn cmd_catch(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
+fn cmd_catch(i: &mut Interp, argv: &[String], w: &[Word]) -> Result<Obj, Exception> {
     arity_range(argv, 2, 3, "catch script ?resultVarName?")?;
-    let (code, value) = match i.run(&argv[1], held(w, 1)) {
+    let (code, value) = match i.run_obj(&argv[1], held(w, 1)) {
         Ok(v) => (0i64, v),
-        Err(e) => (e.code(), e.result_value()),
+        Err(e) => (e.code(), Obj::Own(e.result_value())),
     };
     if let Some(var) = argv.get(2) {
-        i.set_var(var, value);
+        i.set_obj(var, value);
     }
-    Ok(code.to_string())
+    Ok(Obj::Int(code))
 }
 
 fn cmd_global(i: &mut Interp, argv: &[String]) -> TclResult {
@@ -341,7 +341,7 @@ fn cmd_time(i: &mut Interp, argv: &[String]) -> TclResult {
     Ok(format!("{per:.1} microseconds per iteration"))
 }
 
-fn cmd_switch(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
+fn cmd_switch(i: &mut Interp, argv: &[String], w: &[Word]) -> Result<Obj, Exception> {
     // switch ?-exact|-glob? ?--? string {pattern body ...}
     // or     switch ?opts? string pattern body ?pattern body ...?
     let mut idx = 1;
@@ -370,7 +370,9 @@ fn cmd_switch(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
     let fresh: Vec<Word>;
     let pairs: Vec<(&str, Option<&Held>)> = if argv.len() == idx + 1 {
         let arms = || -> Result<Vec<Word>, Exception> {
-            Ok(parse_list(&argv[idx])?.into_iter().map(Word::lit).collect())
+            let mut arms = Vec::new();
+            for_each_element(&argv[idx], |arm| arms.push(Word::lit(&arm)))?;
+            Ok(arms)
         };
         let code = held(w, idx).map(|h| h.code(|| arms().map(Code::Arms)));
         let words = match code.transpose()? {
@@ -412,11 +414,11 @@ fn cmd_switch(i: &mut Interp, argv: &[String], w: &[Word]) -> TclResult {
                     return Err(Exception::error("no body specified for fall-through"));
                 }
             }
-            return i.run(pairs[k].0, pairs[k].1);
+            return i.run_obj(pairs[k].0, pairs[k].1);
         }
         i_pair += 2;
     }
-    ok()
+    Ok(Obj::EMPTY)
 }
 
 fn cmd_rename(i: &mut Interp, argv: &[String]) -> TclResult {

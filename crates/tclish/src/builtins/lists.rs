@@ -2,10 +2,10 @@
 //! vectors are all Tcl lists, so these are on the hot path of generated
 //! code.
 
-use super::{arity, arity_range, index_arg, int_arg, ok};
+use super::{arity, arity_range, index_arg, int_arg, list_elements, ok, value_bytes};
 use crate::error::{Exception, TclResult};
 use crate::interp::Interp;
-use crate::list::{format_list, parse_list, quote_element};
+use crate::list::{format_list, parse_list, push_element};
 use crate::parser::Held;
 
 pub fn register(i: &mut Interp) {
@@ -83,7 +83,7 @@ fn cmd_lappend(i: &mut Interp, argv: &[String]) -> TclResult {
         if !cur.is_empty() {
             cur.push(' ');
         }
-        cur.push_str(&quote_element(v));
+        push_element(&mut cur, v);
     }
     i.set_var(&argv[1], cur.clone());
     Ok(cur)
@@ -207,11 +207,19 @@ fn cmd_lrepeat(_i: &mut Interp, argv: &[String]) -> TclResult {
     if n < 0 {
         return Err(Exception::error("bad count: must be >= 0"));
     }
-    let mut els: Vec<&String> = Vec::with_capacity(n as usize * (argv.len() - 2));
-    for _ in 0..n {
-        els.extend(&argv[2..]);
+    let n = n as usize;
+    list_elements(n.checked_mul(argv.len() - 2))?;
+    // The list is `n` copies of the values' own list, space-separated.
+    let once = format_list(&argv[2..]);
+    let len = value_bytes(n.checked_mul(once.len() + 1))?;
+    let mut out = String::with_capacity(len);
+    for k in 0..n {
+        if k > 0 {
+            out.push(' ');
+        }
+        out.push_str(&once);
     }
-    Ok(format_list(&els))
+    Ok(out)
 }
 
 fn cmd_lassign(i: &mut Interp, argv: &[String]) -> TclResult {

@@ -66,7 +66,44 @@ pub(crate) fn index_arg(s: &str, len: usize) -> Result<i64, Exception> {
     int_arg(s)
 }
 
+/// Tcl's limit on one value: 2³¹−1 bytes of text, or elements of a list.
+pub(crate) const MAX_VALUE: usize = i32::MAX as usize;
+
+/// A result's size in bytes (`None` when computing it overflowed), if
+/// within [`MAX_VALUE`]; else Tcl's error, before anything is allocated.
+pub(crate) fn value_bytes(n: Option<usize>) -> Result<usize, Exception> {
+    n.filter(|&n| n <= MAX_VALUE).ok_or_else(|| {
+        Exception::error(format!(
+            "result exceeds max size for a Tcl value ({MAX_VALUE} bytes)"
+        ))
+    })
+}
+
+/// A list's length, as [`value_bytes`] checks a size.
+pub(crate) fn list_elements(n: Option<usize>) -> Result<usize, Exception> {
+    n.filter(|&n| n <= MAX_VALUE).ok_or_else(|| {
+        Exception::error(format!(
+            "max length of a Tcl list ({MAX_VALUE} elements) exceeded"
+        ))
+    })
+}
+
 /// The empty-string success result.
 pub(crate) fn ok() -> TclResult {
     Ok(String::new())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sizes_up_to_the_value_limit_pass() {
+        assert_eq!(value_bytes(Some(MAX_VALUE)).unwrap(), MAX_VALUE);
+        assert_eq!(list_elements(Some(0)).unwrap(), 0);
+        for n in [Some(MAX_VALUE + 1), None] {
+            assert!(value_bytes(n).is_err());
+            assert!(list_elements(n).is_err());
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! "oriented toward string representations" (§III.A); these commands are
 //! the workhorses of that conversion and of user Tcl fragments.
 
-use super::{arity, arity_range, index_arg, int_arg, ok};
+use super::{arity, arity_range, index_arg, int_arg, ok, value_bytes, MAX_VALUE};
 use crate::error::{Exception, TclResult};
 use crate::interp::Interp;
 use crate::list::{format_list, parse_list};
@@ -86,6 +86,7 @@ fn cmd_string(_i: &mut Interp, argv: &[String]) -> TclResult {
         "repeat" => {
             arity(argv, 4, "string repeat string count")?;
             let n = int_arg(&argv[3])?.max(0) as usize;
+            value_bytes(argv[2].len().checked_mul(n))?;
             Ok(argv[2].repeat(n))
         }
         "equal" => {
@@ -311,22 +312,11 @@ pub(crate) fn format_impl(fmt: &str, args: &[String]) -> TclResult {
             }
             i += 1;
         }
-        // Width.
-        let mut width = 0usize;
-        while let Some(d) = cs.get(i).and_then(|c| c.to_digit(10)) {
-            width = width * 10 + d as usize;
-            i += 1;
-        }
-        // Precision.
+        let width = field_size(&cs, &mut i)?;
         let mut precision: Option<usize> = None;
         if i < cs.len() && cs[i] == '.' {
             i += 1;
-            let mut p = 0usize;
-            while let Some(d) = cs.get(i).and_then(|c| c.to_digit(10)) {
-                p = p * 10 + d as usize;
-                i += 1;
-            }
-            precision = Some(p);
+            precision = Some(field_size(&cs, &mut i)?);
         }
         // Length modifiers: accepted and ignored.
         while i < cs.len() && matches!(cs[i], 'l' | 'h' | 'q' | 'L') {
@@ -409,6 +399,19 @@ pub(crate) fn format_impl(fmt: &str, args: &[String]) -> TclResult {
         out.push_str(&body);
     }
     Ok(out)
+}
+
+/// A field's width or precision: the decimal digits at `cs[*i..]`, 0 if
+/// none; a size over Tcl's value limit is an error.
+fn field_size(cs: &[char], i: &mut usize) -> Result<usize, Exception> {
+    let mut n = Some(0usize);
+    while let Some(d) = cs.get(*i).and_then(|c| c.to_digit(10)) {
+        n = n
+            .and_then(|n| n.checked_mul(10)?.checked_add(d as usize))
+            .filter(|&n| n <= MAX_VALUE);
+        *i += 1;
+    }
+    value_bytes(n)
 }
 
 fn dbl_arg(s: &str) -> Result<f64, Exception> {

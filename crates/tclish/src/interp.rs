@@ -1,13 +1,24 @@
 //! The interpreter: frames, variables, command dispatch, substitution.
+//!
+//! A value's text is shared, not copied: a literal word holds its text
+//! as an `Arc<str>`, a variable holds that same `Arc` (or an `i64`), and
+//! `$x`, `set y $x` and binding a proc argument count references. A
+//! command's result is a `String` until it is stored. A warm command call
+//! allocates nothing itself: its argument vector, a native's argument
+//! texts and a proc's frame are each recycled per nesting level.
 
 use std::any::{Any, TypeId};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::builtins::{self, int_arg};
 use crate::error::{Exception, TclError, TclResult};
 use crate::expr::{self, parse_number, ExprHost, Val};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::list;
 use crate::parser::{self, Code, Command, Held, Part, Script, Shape, Word, SHAPED};
 
@@ -17,40 +28,125 @@ pub type CommandFn = Rc<dyn Fn(&mut Interp, &[String]) -> TclResult>;
 
 /// A builtin that runs code from its arguments (`if`, loops, `catch`,
 /// `switch`, `expr`): beside the argv it receives the command's words,
-/// which hold that code's parse.
-pub(crate) type CodeFn = fn(&mut Interp, &[String], &[Word]) -> TclResult;
+/// which hold that code's parse, and it returns the code's value as is.
+pub(crate) type CodeFn = fn(&mut Interp, &[String], &[Word]) -> Result<Obj, Exception>;
 
+/// What a command name runs. Procs and natives share one table, so the
+/// latest definition of a name is the one that runs, as in Tcl.
 #[derive(Clone)]
-enum Native {
+enum Cmd {
     Argv(CommandFn),
     Code(CodeFn),
+    Proc(Rc<ProcDef>),
 }
 
 /// A user-defined `proc`.
 pub(crate) struct ProcDef {
     /// `(name, default)` pairs; a trailing `args` param collects the rest.
-    pub params: Vec<(String, Option<String>)>,
+    pub params: Vec<(Arc<str>, Option<Obj>)>,
     pub varargs: bool,
     pub body: String,
     /// The body's parse, made at the first call.
     pub held: Held,
 }
 
-/// The value of a variable or a command: an integer from `expr` or
-/// `incr` stays an `i64` until something asks for its decimal text.
+/// A value: shared text, an integer from `expr` or `incr` (or text that
+/// is exactly an integer's decimal), or a command's result not yet
+/// stored anywhere. A variable holds only the first two ([`Obj::shared`]).
 #[derive(Clone)]
 pub(crate) enum Obj {
-    Str(String),
+    Str(Arc<str>),
     Int(i64),
+    Own(String),
 }
 
+/// Argument texts longer than this are not kept for the next call.
+const TEXT_KEEP: usize = 4096;
+
+/// An argument vector, or a native's vector of argument texts, that grew
+/// past this many slots is dropped, not kept for the next call: one
+/// `{*}` of a large list leaves nothing large resident.
+const ARGS_KEEP: usize = 32;
+
+/// A frame whose variable table grew past this many slots is dropped.
+const VARS_KEEP: usize = 64;
+
+/// Spare frames kept for the next proc calls.
+const SPARE_FRAMES: usize = 64;
+
 impl Obj {
-    fn into_string(self) -> String {
+    pub(crate) const EMPTY: Obj = Obj::Own(String::new());
+
+    pub(crate) fn into_string(self) -> String {
         match self {
-            Obj::Str(s) => s,
+            Obj::Str(s) => s.to_string(),
             Obj::Int(i) => i.to_string(),
+            Obj::Own(s) => s,
         }
     }
+
+    /// The value's text.
+    pub(crate) fn text(&self) -> Cow<'_, str> {
+        match self {
+            Obj::Str(s) => Cow::Borrowed(s),
+            Obj::Int(i) => Cow::Owned(i.to_string()),
+            Obj::Own(s) => Cow::Borrowed(s),
+        }
+    }
+
+    /// Append the value's text to `out`.
+    fn push_to(&self, out: &mut String) {
+        match self {
+            Obj::Str(s) => out.push_str(s),
+            Obj::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Obj::Own(s) => out.push_str(s),
+        }
+    }
+
+    /// The value as a variable holds it: a result's text is shared from
+    /// here on, or kept as the integer it spells.
+    pub(crate) fn shared(self) -> Obj {
+        match self {
+            Obj::Own(s) => match canonical_int(&s) {
+                Some(i) => Obj::Int(i),
+                None => Obj::Str(s.into()),
+            },
+            other => other,
+        }
+    }
+
+    /// A plain word or list element: the integer it spells, or its text.
+    pub(crate) fn word(text: &str) -> Obj {
+        match canonical_int(text) {
+            Some(i) => Obj::Int(i),
+            None => Obj::Str(text.into()),
+        }
+    }
+}
+
+impl From<Val> for Obj {
+    fn from(v: Val) -> Obj {
+        match v {
+            Val::Int(i) => Obj::Int(i),
+            v => Obj::Own(v.to_tcl_string()),
+        }
+    }
+}
+
+/// `i` when `s` is exactly `i`'s decimal text, so `Obj::Int(i)` prints
+/// back byte-identical: `"007"`, `"-0"`, `"+1"` and `" 1"` stay text.
+fn canonical_int(s: &str) -> Option<i64> {
+    let b = s.as_bytes();
+    let digits = b.strip_prefix(b"-").unwrap_or(b);
+    let canonical = match digits {
+        [] => false,
+        [b'0'] => digits.len() == b.len(),
+        [b'0', ..] => false,
+        _ => digits.len() <= 19 && digits.iter().all(u8::is_ascii_digit),
+    };
+    canonical.then(|| s.parse().ok()).flatten()
 }
 
 /// How a registered package initializes itself on `package require`.
@@ -65,9 +161,9 @@ pub enum PackageInit {
 
 #[derive(Default)]
 struct Frame {
-    vars: HashMap<String, Obj>,
+    vars: FxHashMap<Arc<str>, Obj>,
     /// Names in this frame linked to globals via `global`.
-    global_links: std::collections::HashSet<String>,
+    global_links: FxHashSet<Box<str>>,
 }
 
 enum Output {
@@ -81,8 +177,14 @@ enum Output {
 /// of treating script interpreters "as native code libraries" (§III.C).
 pub struct Interp {
     frames: Vec<Frame>,
-    commands: HashMap<String, Native>,
-    procs: HashMap<String, Rc<ProcDef>>,
+    /// Cleared frames of returned proc calls, for the next calls.
+    spare_frames: Vec<Frame>,
+    /// Empty argument vectors of finished commands, one per nesting level.
+    spare_argvs: Vec<Vec<Obj>>,
+    /// Argument texts of finished native calls, one vector per nesting
+    /// level; each string keeps its capacity for the next call's copy.
+    spare_texts: Vec<Vec<String>>,
+    commands: FxHashMap<Arc<str>, Cmd>,
     /// Bit `Shape as usize` is set once a proc, a `register` or a
     /// `rename … {}` has displaced that shaped builtin: its commands then
     /// take generic dispatch.
@@ -108,8 +210,10 @@ impl Interp {
     pub fn new() -> Self {
         let mut interp = Interp {
             frames: vec![Frame::default()],
-            commands: HashMap::new(),
-            procs: HashMap::new(),
+            spare_frames: Vec::new(),
+            spare_argvs: Vec::new(),
+            spare_texts: Vec::new(),
+            commands: FxHashMap::default(),
             displaced: 0,
             packages: HashMap::new(),
             provided: HashMap::new(),
@@ -133,18 +237,17 @@ impl Interp {
         F: Fn(&mut Interp, &[String]) -> TclResult + 'static,
     {
         self.displace(name);
-        self.commands
-            .insert(name.to_string(), Native::Argv(Rc::new(f)));
+        self.commands.insert(name.into(), Cmd::Argv(Rc::new(f)));
     }
 
     pub(crate) fn register_code(&mut self, name: &str, f: CodeFn) {
-        self.commands.insert(name.to_string(), Native::Code(f));
+        self.commands.insert(name.into(), Cmd::Code(f));
     }
 
     /// Remove a command; returns whether it existed.
     pub fn unregister(&mut self, name: &str) -> bool {
         self.displace(name);
-        self.commands.remove(name).is_some() | self.procs.remove(name).is_some()
+        self.commands.remove(name).is_some()
     }
 
     fn displace(&mut self, name: &str) {
@@ -155,12 +258,16 @@ impl Interp {
 
     /// Names of all user-defined procs.
     pub fn proc_names(&self) -> Vec<String> {
-        self.procs.keys().cloned().collect()
+        self.commands
+            .iter()
+            .filter(|(_, c)| matches!(c, Cmd::Proc(_)))
+            .map(|(k, _)| k.to_string())
+            .collect()
     }
 
     /// Names of all commands, procs and natives, sorted.
-    pub(crate) fn command_names(&self) -> Vec<&String> {
-        let names: BTreeSet<_> = self.procs.keys().chain(self.commands.keys()).collect();
+    pub(crate) fn command_names(&self) -> Vec<&str> {
+        let names: BTreeSet<&str> = self.commands.keys().map(|k| &**k).collect();
         names.into_iter().collect()
     }
 
@@ -230,17 +337,22 @@ impl Interp {
 
     fn frame_for<'n>(&self, name: &'n str) -> (usize, &'n str) {
         // Qualified names (`a::b`) and `::x` live in the global frame.
-        if let Some(stripped) = name.strip_prefix("::") {
-            if !stripped.contains("::") {
-                return (0, stripped);
+        if name.as_bytes().contains(&b':') {
+            if let Some(stripped) = name.strip_prefix("::") {
+                let key = if stripped.contains("::") {
+                    name
+                } else {
+                    stripped
+                };
+                return (0, key);
             }
-            return (0, name);
-        }
-        if name.contains("::") {
-            return (0, name);
+            if name.contains("::") {
+                return (0, name);
+            }
         }
         let top = self.frames.len() - 1;
-        if top > 0 && self.frames[top].global_links.contains(name) {
+        let links = &self.frames[top].global_links;
+        if top > 0 && !links.is_empty() && links.contains(name) {
             return (0, name);
         }
         (top, name)
@@ -261,32 +373,52 @@ impl Interp {
 
     /// Write a variable.
     pub fn set_var(&mut self, name: &str, value: impl Into<String>) {
-        self.set_obj(name, Obj::Str(value.into()));
+        self.set_obj(name, Obj::Own(value.into()));
     }
 
-    /// Write a variable. Only a new variable allocates its key.
-    fn set_obj(&mut self, name: &str, value: Obj) {
+    /// Write a variable.
+    pub(crate) fn set_obj(&mut self, name: &str, value: Obj) {
+        self.set_named(name, None, value);
+    }
+
+    /// Write a variable. Only a new variable takes a key: `text`, when
+    /// that is the whole name, else a copy of the name.
+    fn set_named(&mut self, name: &str, text: Option<&Arc<str>>, value: Obj) {
+        let value = value.shared();
         let (fi, key) = self.frame_for(name);
         let vars = &mut self.frames[fi].vars;
         match vars.get_mut(key) {
             Some(slot) => *slot = value,
             None => {
-                vars.insert(key.to_string(), value);
+                let key = match text {
+                    Some(t) if t.len() == key.len() => t.clone(),
+                    _ => key.into(),
+                };
+                vars.insert(key, value);
             }
         }
     }
 
     /// `incr name delta`: an unset variable counts as 0.
     pub(crate) fn incr(&mut self, name: &str, delta: i64) -> Result<i64, Exception> {
+        self.incr_named(name, None, delta)
+    }
+
+    fn incr_named(
+        &mut self,
+        name: &str,
+        text: Option<&Arc<str>>,
+        delta: i64,
+    ) -> Result<i64, Exception> {
         let cur = match self.var(name) {
             Ok(Obj::Int(i)) => *i,
-            Ok(Obj::Str(s)) => int_arg(s)?,
+            Ok(other) => int_arg(&other.text())?,
             Err(_) => 0,
         };
         let next = cur
             .checked_add(delta)
             .ok_or_else(|| Exception::error("integer overflow in incr"))?;
-        self.set_obj(name, Obj::Int(next));
+        self.set_named(name, text, Obj::Int(next));
         Ok(next)
     }
 
@@ -305,7 +437,7 @@ impl Interp {
     pub(crate) fn link_global(&mut self, name: &str) {
         let top = self.frames.len() - 1;
         if top > 0 {
-            self.frames[top].global_links.insert(name.to_string());
+            self.frames[top].global_links.insert(name.into());
         }
     }
 
@@ -340,24 +472,26 @@ impl Interp {
     /// command at a time, as Tcl_EvalEx does, and keeps no parse of it.
     /// So the commands before a syntax error have run when it is
     /// returned, where `eval` runs none. A single command of plain words
-    /// is invoked without a parse tree. Command substitutions inside the
-    /// text are evaluated as `eval` evaluates them.
+    /// is invoked without a parse tree, each word that spells an integer
+    /// exactly as that integer. Command substitutions inside the text are
+    /// evaluated as `eval` evaluates them.
     pub fn eval_once(&mut self, text: &str) -> Result<String, TclError> {
         Self::top_level(self.run_once(text).map(Obj::into_string))
     }
 
     fn run_once(&mut self, text: &str) -> Result<Obj, Exception> {
-        if let Some(words) = parser::plain_words(text) {
-            let argv: Vec<String> = words.map(str::to_string).collect();
-            if argv.is_empty() {
-                return Ok(Obj::Str(String::new()));
-            }
-            return self
-                .invoke(&argv)
-                .map(Obj::Str)
-                .map_err(|e| annotate(e, text.trim()));
+        if let Some(mut words) = parser::plain_words(text) {
+            let Some(name) = words.next() else {
+                return Ok(Obj::EMPTY);
+            };
+            let mut argv = self.spare_argvs.pop().unwrap_or_default();
+            argv.push(Obj::Str(self.command_key(name)));
+            argv.extend(words.map(Obj::word));
+            let result = self.dispatch(&mut argv, &[]);
+            self.recycle_argv(argv);
+            return result.map_err(|e| annotate(e, text.trim()));
         }
-        let mut result = Obj::Str(String::new());
+        let mut result = Obj::EMPTY;
         for cmd in parser::Cursor::new(text) {
             let cmd = cmd?;
             result = self
@@ -365,6 +499,15 @@ impl Interp {
                 .map_err(|e| annotate(e, &cmd.source))?;
         }
         Ok(result)
+    }
+
+    /// The text of command name `name`: the key it is registered under,
+    /// shared, if it is one.
+    fn command_key(&self, name: &str) -> Arc<str> {
+        match self.commands.get_key_value(name) {
+            Some((key, _)) => key.clone(),
+            None => name.into(),
+        }
     }
 
     fn top_level(result: TclResult) -> Result<String, TclError> {
@@ -389,7 +532,7 @@ impl Interp {
         self.run_obj(text, held).map(Obj::into_string)
     }
 
-    /// [`Interp::run`] without formatting the value (a loop drops it).
+    /// [`Interp::run`] without formatting the value.
     pub(crate) fn run_obj(&mut self, text: &str, held: Option<&Held>) -> Result<Obj, Exception> {
         let code = held.map(|h| h.code(|| parser::parse_script(text).map(Code::Script)));
         match code.transpose()? {
@@ -400,7 +543,7 @@ impl Interp {
     }
 
     fn eval_parsed(&mut self, script: &Script) -> Result<Obj, Exception> {
-        let mut result = Obj::Str(String::new());
+        let mut result = Obj::EMPTY;
         for cmd in &script.commands {
             result = self
                 .eval_command(cmd)
@@ -415,24 +558,33 @@ impl Interp {
         if cmd.shape != Shape::Generic && self.displaced & 1 << cmd.shape as u8 == 0 {
             return self.eval_shaped(cmd);
         }
-        let argv = self.argv(cmd)?;
-        if argv.is_empty() {
-            return Ok(Obj::Str(String::new()));
-        }
-        self.dispatch(&argv, &cmd.words).map(Obj::Str)
+        let mut argv = self.spare_argvs.pop().unwrap_or_default();
+        let result = match self.argv(cmd, &mut argv) {
+            Ok(()) if argv.is_empty() => Ok(Obj::EMPTY),
+            Ok(()) => self.dispatch(&mut argv, &cmd.words),
+            Err(e) => Err(e),
+        };
+        self.recycle_argv(argv);
+        result
     }
 
-    fn argv(&mut self, cmd: &Command) -> Result<Vec<String>, Exception> {
-        let mut argv: Vec<String> = Vec::with_capacity(cmd.words.len());
+    fn recycle_argv(&mut self, mut argv: Vec<Obj>) {
+        if argv.capacity() <= ARGS_KEEP {
+            argv.clear();
+            self.spare_argvs.push(argv);
+        }
+    }
+
+    fn argv(&mut self, cmd: &Command, argv: &mut Vec<Obj>) -> Result<(), Exception> {
         for w in &cmd.words {
             if w.expands() {
-                let text = self.subst_parts(&w.parts[1..])?.into_string();
-                argv.extend(list::parse_list(&text).map_err(Exception::from)?);
+                let list = self.subst_parts(&w.parts[1..])?;
+                list::for_each_element(&list.text(), |el| argv.push(Obj::word(&el)))?;
             } else {
-                argv.push(self.subst_parts(&w.parts)?.into_string());
+                argv.push(self.subst_parts(&w.parts)?);
             }
         }
-        Ok(argv)
+        Ok(())
     }
 
     /// `set`, `incr` and `expr` as [`Shape`] classified them: the checks,
@@ -441,47 +593,55 @@ impl Interp {
     #[inline(never)]
     fn eval_shaped(&mut self, cmd: &Command) -> Result<Obj, Exception> {
         self.commands_executed += 1;
-        let (Some(name), arg) = (cmd.words[1].as_lit(), cmd.words.get(2)) else {
+        let word = &cmd.words[1];
+        let (Some(name), arg) = (word.as_lit(), cmd.words.get(2)) else {
             return Err(Exception::error("unshaped command"));
         };
         match (cmd.shape, arg) {
             (Shape::Set, None) => self.var(name).cloned(),
             (Shape::Set, Some(w)) => {
-                let value = self.subst_parts(&w.parts)?;
-                self.set_obj(name, value.clone());
+                let value = self.subst_parts(&w.parts)?.shared();
+                self.set_named(name, word.lit_text(), value.clone());
                 Ok(value)
             }
             (Shape::Incr, _) => {
                 let delta = match arg.map(|w| self.subst_parts(&w.parts)).transpose()? {
                     None => 1,
                     Some(Obj::Int(d)) => d,
-                    Some(Obj::Str(s)) => int_arg(&s)?,
+                    Some(other) => int_arg(&other.text())?,
                 };
-                self.incr(name, delta).map(Obj::Int)
+                self.incr_named(name, word.lit_text(), delta).map(Obj::Int)
             }
-            _ => match self.expr_in(name, Some(&cmd.words[1].held))? {
-                Val::Int(i) => Ok(Obj::Int(i)),
-                v => Ok(Obj::Str(v.to_tcl_string())),
-            },
+            _ => Ok(self.expr_in(name, Some(&word.held))?.into()),
         }
     }
 
     fn subst_parts(&mut self, parts: &[Part]) -> Result<Obj, Exception> {
         match parts {
-            [Part::Var(name)] => return self.var(name).cloned(),
-            [Part::Script(script)] => return self.eval_parsed(script),
-            [Part::Lit(s)] => return Ok(Obj::Str(s.clone())),
-            _ => {}
+            [Part::Var(name)] => self.var(name).cloned(),
+            [Part::Script(script)] => self.eval_parsed(script),
+            [Part::Lit(s)] => Ok(Obj::Str(s.clone())),
+            _ => self.concat_parts(parts),
         }
-        let mut out = String::new();
+    }
+
+    fn concat_parts(&mut self, parts: &[Part]) -> Result<Obj, Exception> {
+        let len = parts
+            .iter()
+            .map(|p| match p {
+                Part::Lit(s) => s.len(),
+                _ => 16,
+            })
+            .sum();
+        let mut out = String::with_capacity(len);
         for p in parts {
             match p {
                 Part::Lit(s) => out.push_str(s),
-                Part::Var(name) => out.push_str(&self.var(name)?.clone().into_string()),
-                Part::Script(script) => out.push_str(&self.eval_parsed(script)?.into_string()),
+                Part::Var(name) => self.var(name)?.push_to(&mut out),
+                Part::Script(script) => self.eval_parsed(script)?.push_to(&mut out),
             }
         }
-        Ok(Obj::Str(out))
+        Ok(Obj::Own(out))
     }
 
     /// Perform Tcl `subst`-style substitution on a string: `$vars`,
@@ -494,76 +654,87 @@ impl Interp {
         }
     }
 
-    /// Invoke a command by argv. Dispatch order: procs, then natives.
-    pub fn invoke(&mut self, argv: &[String]) -> TclResult {
-        self.dispatch(argv, &[])
+    /// Run the command `argv` names. A proc takes its arguments out of
+    /// `argv`.
+    fn dispatch(&mut self, argv: &mut Vec<Obj>, words: &[Word]) -> Result<Obj, Exception> {
+        self.commands_executed += 1;
+        let cmd = {
+            let name = argv[0].text();
+            match self.commands.get(&*name) {
+                Some(cmd) => cmd.clone(),
+                None => return Err(Exception::error(format!("invalid command name \"{name}\""))),
+            }
+        };
+        match cmd {
+            Cmd::Proc(p) => self.call_proc(&p, argv),
+            Cmd::Argv(f) => self.call_native(argv, |i, args| f(i, args).map(Obj::Own)),
+            Cmd::Code(f) => self.call_native(argv, |i, args| f(i, args, words)),
+        }
     }
 
-    fn dispatch(&mut self, argv: &[String], words: &[Word]) -> TclResult {
-        self.commands_executed += 1;
-        let name = argv[0].as_str();
-        if let Some(p) = self.procs.get(name).cloned() {
-            return self.call_proc(name, &p, &argv[1..]);
+    /// Call a native with `argv`'s texts, copied into strings kept from
+    /// the last call at this nesting level.
+    #[inline(never)]
+    fn call_native(
+        &mut self,
+        argv: &[Obj],
+        native: impl FnOnce(&mut Interp, &[String]) -> Result<Obj, Exception>,
+    ) -> Result<Obj, Exception> {
+        let mut texts = self.spare_texts.pop().unwrap_or_default();
+        for (k, obj) in argv.iter().enumerate() {
+            match texts.get_mut(k) {
+                Some(t) => {
+                    t.clear();
+                    obj.push_to(t);
+                }
+                None => texts.push(obj.text().into_owned()),
+            }
         }
-        match self.commands.get(name).cloned() {
-            Some(Native::Argv(f)) => f(self, argv),
-            Some(Native::Code(f)) => f(self, argv, words),
-            None => Err(Exception::error(format!("invalid command name \"{name}\""))),
+        let result = native(self, &texts[..argv.len()]);
+        if texts.capacity() <= ARGS_KEEP {
+            for t in &mut texts {
+                if t.capacity() > TEXT_KEEP {
+                    *t = String::new();
+                }
+            }
+            self.spare_texts.push(texts);
         }
+        result
     }
 
     pub(crate) fn define_proc(&mut self, name: &str, def: ProcDef) {
         self.displace(name);
-        self.procs.insert(name.to_string(), Rc::new(def));
+        self.commands.insert(name.into(), Cmd::Proc(Rc::new(def)));
     }
 
-    fn call_proc(&mut self, name: &str, p: &ProcDef, args: &[String]) -> TclResult {
+    fn call_proc(&mut self, p: &ProcDef, argv: &mut Vec<Obj>) -> Result<Obj, Exception> {
         if self.depth >= 500 {
             return Err(Exception::error(format!(
-                "too many nested proc calls (infinite recursion in \"{name}\"?)"
+                "too many nested proc calls (infinite recursion in \"{}\"?)",
+                argv[0].text()
             )));
         }
-        let mut frame = Frame::default();
+        let given = argv.len() - 1;
         let required = p.params.iter().filter(|(_, d)| d.is_none()).count();
-        if args.len() < required || (!p.varargs && args.len() > p.params.len()) {
-            return Err(Exception::error(format!(
-                "wrong # args: should be \"{name} {}\"",
-                p.params
-                    .iter()
-                    .map(|(n, d)| if d.is_some() {
-                        format!("?{n}?")
-                    } else {
-                        n.clone()
-                    })
-                    .collect::<Vec<_>>()
-                    .join(" ")
-                    + if p.varargs { " ?arg ...?" } else { "" }
-            )));
+        if given < required || (!p.varargs && given > p.params.len()) {
+            return Err(proc_usage(&argv[0].text(), p));
         }
-        let mut ai = 0usize;
-        for (pname, default) in &p.params {
-            if ai < args.len() {
-                frame.vars.insert(pname.clone(), Obj::Str(args[ai].clone()));
-                ai += 1;
-            } else if let Some(d) = default {
-                frame.vars.insert(pname.clone(), Obj::Str(d.clone()));
-            }
-        }
-        if p.varargs {
-            let rest: Vec<&String> = args[ai.min(args.len())..].iter().collect();
-            frame
-                .vars
-                .insert("args".to_string(), Obj::Str(list::format_list(&rest)));
-        }
+        let mut frame = self.spare_frames.pop().unwrap_or_default();
+        bind_params(&mut frame, p, argv);
         self.frames.push(frame);
         self.depth += 1;
-        let result = self.run(&p.body, Some(&p.held));
+        let result = self.run_obj(&p.body, Some(&p.held));
         self.depth -= 1;
-        self.frames.pop();
+        if let Some(mut frame) = self.frames.pop() {
+            if self.spare_frames.len() < SPARE_FRAMES && frame.vars.capacity() <= VARS_KEEP {
+                frame.vars.clear();
+                frame.global_links.clear();
+                self.spare_frames.push(frame);
+            }
+        }
         match result {
-            Err(Exception::Return(v)) => Ok(v),
-            Ok(v) => Ok(v),
-            Err(e) => Err(e),
+            Err(Exception::Return(v)) => Ok(Obj::Own(v)),
+            result => result,
         }
     }
 
@@ -585,11 +756,49 @@ impl Interp {
     }
 }
 
+/// Bind a proc's parameters in `frame`, moving the arguments out of
+/// `argv` (`argv[0]` is the proc's name), whose arity the caller checked.
+fn bind_params(frame: &mut Frame, p: &ProcDef, argv: &mut Vec<Obj>) {
+    let mut args = argv.drain(1..);
+    for (name, default) in &p.params {
+        if let Some(value) = args.next().or_else(|| default.clone()) {
+            frame.vars.insert(name.clone(), value.shared());
+        }
+    }
+    if p.varargs {
+        let rest: Vec<Obj> = args.collect();
+        let texts: Vec<Cow<str>> = rest.iter().map(Obj::text).collect();
+        frame
+            .vars
+            .insert("args".into(), Obj::Own(list::format_list(&texts)).shared());
+    }
+}
+
+#[inline(never)]
+fn proc_usage(name: &str, p: &ProcDef) -> Exception {
+    Exception::error(format!(
+        "wrong # args: should be \"{name} {}\"",
+        p.params
+            .iter()
+            .map(|(n, d)| if d.is_some() {
+                format!("?{n}?")
+            } else {
+                n.to_string()
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+            + if p.varargs { " ?arg ...?" } else { "" }
+    ))
+}
+
 impl ExprHost for Interp {
     fn var_val(&mut self, name: &str) -> Result<Val, Exception> {
         match self.var(name)? {
             Obj::Int(i) => Ok(Val::Int(*i)),
-            Obj::Str(s) => Ok(parse_number(s).unwrap_or_else(|| Val::Str(s.clone()))),
+            other => {
+                let s = other.text();
+                Ok(parse_number(&s).unwrap_or_else(|| Val::Str(s.into_owned())))
+            }
         }
     }
     fn eval_script(&mut self, script: &Script) -> TclResult {
@@ -622,6 +831,61 @@ fn annotate(e: Exception, source: &str) -> Exception {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_integer_is_kept_only_when_its_text_is_canonical() {
+        for i in [0, 7, -1, 10, -10, 1234567890, i64::MAX, i64::MIN] {
+            assert_eq!(canonical_int(&i.to_string()), Some(i));
+        }
+        for s in [
+            "",
+            "-",
+            "007",
+            "-0",
+            "+1",
+            " 1",
+            "1 ",
+            "1e3",
+            "0x10",
+            "00",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "12345678901234567890",
+        ] {
+            assert_eq!(canonical_int(s), None, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn a_large_splice_leaves_no_large_spare_resident() {
+        let mut i = Interp::new();
+        let script = "proc f {big} { set n [llength [list {*}$big]]; return $n }
+            f [lrepeat 100000 x]";
+        assert_eq!(i.eval(script).unwrap(), "100000");
+        assert!(!i.spare_argvs.is_empty() && !i.spare_texts.is_empty());
+        assert!(i.spare_argvs.iter().all(|a| a.capacity() <= ARGS_KEEP));
+        assert!(i.spare_texts.iter().all(|t| t.capacity() <= ARGS_KEEP));
+        let locals: String = (0..200).map(|k| format!("set v{k} {k}\n")).collect();
+        i.eval(&format!("proc g {{}} {{ {locals} }}; g")).unwrap();
+        assert!(i
+            .spare_frames
+            .iter()
+            .all(|f| f.vars.capacity() <= VARS_KEEP));
+    }
+
+    #[test]
+    fn procs_and_natives_share_one_table() {
+        let mut i = Interp::new();
+        i.eval("proc f {} { return proc }").unwrap();
+        i.register("f", |_, _| Ok("native".into()));
+        assert_eq!(i.eval("f").unwrap(), "native");
+        i.eval("proc f {} { return proc }").unwrap();
+        assert_eq!(i.eval("f").unwrap(), "proc");
+        assert_eq!(i.proc_names(), ["f"]);
+        assert!(i.unregister("f"));
+        assert!(i.eval("f").is_err());
+        assert!(!i.unregister("f"));
+    }
 
     #[test]
     fn repeated_and_distinct_texts_each_run() {

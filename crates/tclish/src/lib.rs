@@ -26,6 +26,7 @@
 mod builtins;
 mod error;
 mod expr;
+mod hash;
 mod interp;
 mod list;
 mod parser;
@@ -33,7 +34,7 @@ mod parser;
 pub use error::{Exception, TclError, TclResult};
 pub use expr::{format_double, parse_number, Val};
 pub use interp::{CommandFn, Interp, PackageInit};
-pub use list::{format_list, parse_list};
+pub use list::{for_each_element, format_list, parse_list};
 pub use parser::Script;
 
 #[cfg(test)]

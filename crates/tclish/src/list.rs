@@ -7,12 +7,21 @@
 //! well-formed list, and `parse_list(format_list(v)) == v` for arbitrary
 //! element strings — the property test in this module checks the latter.
 
+use std::borrow::Cow;
+
 use crate::error::TclError;
 
 /// Split a Tcl list string into its elements.
 pub fn parse_list(src: &str) -> Result<Vec<String>, TclError> {
-    let b = src.as_bytes();
     let mut out = Vec::new();
+    for_each_element(src, |el| out.push(el.into_owned()))?;
+    Ok(out)
+}
+
+/// Call `f` on each element of list `src` in order: a braced element, or
+/// a bare one without backslashes, borrowed from `src`.
+pub fn for_each_element<'a>(src: &'a str, mut f: impl FnMut(Cow<'a, str>)) -> Result<(), TclError> {
+    let b = src.as_bytes();
     let mut i = 0usize;
     while i < b.len() {
         // Skip inter-element whitespace. Separators are ASCII whitespace
@@ -40,7 +49,7 @@ pub fn parse_list(src: &str) -> Result<Vec<String>, TclError> {
                 if depth != 0 {
                     return Err(TclError::new("unmatched open brace in list"));
                 }
-                out.push(src[start..i - 1].to_string());
+                f(Cow::Borrowed(&src[start..i - 1]));
                 if i < b.len() && !b[i].is_ascii_whitespace() {
                     return Err(TclError::new(
                         "list element in braces followed by non-whitespace",
@@ -80,10 +89,18 @@ pub fn parse_list(src: &str) -> Result<Vec<String>, TclError> {
                 if !closed {
                     return Err(TclError::new("unmatched quote in list"));
                 }
-                out.push(el);
+                f(Cow::Owned(el));
             }
             _ => {
-                let mut el = String::new();
+                let start = i;
+                while i < b.len() && !b[i].is_ascii_whitespace() && b[i] != b'\\' {
+                    i += 1;
+                }
+                if i == b.len() || b[i] != b'\\' {
+                    f(Cow::Borrowed(&src[start..i]));
+                    continue;
+                }
+                let mut el = src[start..i].to_string();
                 while i < b.len() && !b[i].is_ascii_whitespace() {
                     if b[i] == b'\\' && i + 1 < b.len() {
                         if b[i + 1].is_ascii() {
@@ -100,11 +117,11 @@ pub fn parse_list(src: &str) -> Result<Vec<String>, TclError> {
                         i += c.len_utf8();
                     }
                 }
-                out.push(el);
+                f(Cow::Owned(el));
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The character starting at byte `i`. Callers stop only on char
@@ -126,33 +143,39 @@ fn unescape_one(c: u8) -> char {
 
 /// Join elements into a canonical Tcl list string.
 pub fn format_list<S: AsRef<str>>(elements: &[S]) -> String {
-    let mut out = String::new();
+    let len: usize = elements.iter().map(|e| e.as_ref().len() + 1).sum();
+    let mut out = String::with_capacity(len);
     for (i, el) in elements.iter().enumerate() {
         if i > 0 {
             out.push(' ');
         }
-        out.push_str(&quote_element(el.as_ref()));
+        push_element(&mut out, el.as_ref());
     }
     out
 }
 
-/// Quote a single element so `parse_list` recovers it exactly.
-pub fn quote_element(el: &str) -> String {
+/// Append element `el` to `out`, quoted so `parse_list` recovers it
+/// exactly.
+pub(crate) fn push_element(out: &mut String, el: &str) {
     if el.is_empty() {
-        return "{}".to_string();
+        out.push_str("{}");
+        return;
     }
     let needs_quoting = el.chars().any(|c| {
         c.is_ascii_whitespace() || matches!(c, '{' | '}' | '[' | ']' | '$' | '"' | '\\' | ';')
     }) || el.starts_with('#');
     if !needs_quoting {
-        return el.to_string();
+        out.push_str(el);
+        return;
     }
     // Prefer brace quoting when braces balance and no backslash issues.
-    if braces_balanced(el) && !el.ends_with('\\') && !el.contains('\\') {
-        return format!("{{{el}}}");
+    if braces_balanced(el) && !el.contains('\\') {
+        out.push('{');
+        out.push_str(el);
+        out.push('}');
+        return;
     }
     // Fall back to backslash escaping.
-    let mut out = String::with_capacity(el.len() + 8);
     for c in el.chars() {
         match c {
             ' ' | '\t' | '{' | '}' | '[' | ']' | '$' | '"' | '\\' | ';' | '#' => {
@@ -164,7 +187,6 @@ pub fn quote_element(el: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 fn braces_balanced(s: &str) -> bool {

@@ -6,7 +6,8 @@
 //! as ([`Held`]) from the first run on. A text with no holder is parsed
 //! each time it runs.
 
-use std::sync::OnceLock;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::Exception;
 use crate::expr::Compiled;
@@ -17,8 +18,9 @@ const EXPAND_MARKER: &str = "\u{1}EXPAND\u{1}";
 /// One piece of a word, after tokenization but before substitution.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Part {
-    /// Literal text (no substitution).
-    Lit(String),
+    /// Literal text (no substitution), shared with every value made
+    /// from it.
+    Lit(Arc<str>),
     /// `$name` / `${name}` variable substitution.
     Var(String),
     /// `[script]` command substitution; holds the parsed inner script.
@@ -43,8 +45,8 @@ impl Word {
     }
 
     /// A literal word, such as one element of `switch`'s arm list.
-    pub(crate) fn lit(text: String) -> Self {
-        Word::new(vec![Part::Lit(text)])
+    pub(crate) fn lit(text: &str) -> Self {
+        Word::new(vec![Part::Lit(text.into())])
     }
 
     /// If the word is a single literal, return it without evaluation.
@@ -56,9 +58,17 @@ impl Word {
         }
     }
 
+    /// The text of a word that is one literal part, to share.
+    pub(crate) fn lit_text(&self) -> Option<&Arc<str>> {
+        match self.parts.as_slice() {
+            [Part::Lit(s)] => Some(s),
+            _ => None,
+        }
+    }
+
     /// Whether the word is `{*}`-expanded (its first part is the marker).
     pub(crate) fn expands(&self) -> bool {
-        matches!(self.parts.first(), Some(Part::Lit(l)) if l == EXPAND_MARKER)
+        matches!(self.parts.first(), Some(Part::Lit(l)) if **l == *EXPAND_MARKER)
     }
 }
 
@@ -168,6 +178,10 @@ pub(crate) struct Cursor<'a> {
     pos: usize,
     /// Inside `[…]`: a `]` outside braces and quotes ends the script.
     nested: bool,
+    /// The text of the literal part being read, once a backslash escape
+    /// made it differ from the source; empty between parts. One buffer
+    /// serves every word.
+    lit: String,
 }
 
 impl<'a> Cursor<'a> {
@@ -176,6 +190,7 @@ impl<'a> Cursor<'a> {
             src,
             pos: 0,
             nested: false,
+            lit: String::new(),
         }
     }
     fn peek(&self) -> Option<u8> {
@@ -219,6 +234,7 @@ pub(crate) fn command_subst(src: &str, pos: usize) -> Result<(Script, usize), Ex
         src,
         pos,
         nested: true,
+        lit: String::new(),
     };
     let commands = cur.by_ref().collect::<Result<_, _>>()?;
     match cur.peek() {
@@ -371,7 +387,7 @@ fn parse_braced(cur: &mut Cursor) -> Result<Word, Exception> {
                 depth -= 1;
                 if depth == 0 {
                     let text = &cur.src[start..cur.pos - 1];
-                    return Ok(Word::lit(unescape_brace_continuations(text)));
+                    return Ok(Word::lit(&unescape_brace_continuations(text)));
                 }
             }
             _ => {}
@@ -382,9 +398,9 @@ fn parse_braced(cur: &mut Cursor) -> Result<Word, Exception> {
 
 /// Inside braces, the only transformation Tcl applies is backslash-newline
 /// (plus following whitespace) → single space.
-fn unescape_brace_continuations(s: &str) -> String {
+fn unescape_brace_continuations(s: &str) -> Cow<'_, str> {
     if !s.contains("\\\n") {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars().peekable();
@@ -399,7 +415,7 @@ fn unescape_brace_continuations(s: &str) -> String {
             out.push(c);
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// The parts of a quoted word, from just past its opening `"` through the
@@ -407,64 +423,69 @@ fn unescape_brace_continuations(s: &str) -> String {
 /// `"` is literal: what `subst` substitutes.
 pub(crate) fn quoted_parts(cur: &mut Cursor, quoted: bool) -> Result<Vec<Part>, Exception> {
     let mut parts = Vec::new();
-    let mut lit = String::new();
+    // Where the literal text not yet in `cur.lit` starts.
+    let mut start = cur.pos;
     loop {
         match cur.peek() {
             None if quoted => return err("missing close-quote"),
             None => break,
-            Some(b'"') if quoted => {
-                cur.pos += 1;
-                break;
-            }
+            Some(b'"') if quoted => break,
             Some(b'$') => {
-                flush(&mut parts, &mut lit);
+                flush(&mut parts, cur, start);
                 parts.push(parse_var_ref(cur)?);
+                start = cur.pos;
             }
             Some(b'[') => {
-                flush(&mut parts, &mut lit);
+                flush(&mut parts, cur, start);
                 parts.push(parse_bracket(cur)?);
+                start = cur.pos;
             }
             Some(b'\\') => {
-                cur.pos += 1;
-                lit.push_str(&backslash_subst(cur));
+                backslash_subst(cur, start);
+                start = cur.pos;
             }
             Some(_) => {
-                lit.push(next_char(cur));
+                next_char(cur);
             }
         }
     }
-    flush(&mut parts, &mut lit);
+    flush(&mut parts, cur, start);
+    if quoted {
+        cur.pos += 1;
+    }
     Ok(parts)
 }
 
 fn parse_bare(cur: &mut Cursor) -> Result<Word, Exception> {
     let mut parts = Vec::new();
-    let mut lit = String::new();
+    let mut start = cur.pos;
     loop {
         match cur.peek() {
             None | Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r') | Some(b';') => break,
             Some(b']') if cur.nested => break,
             Some(b'$') => {
-                flush(&mut parts, &mut lit);
+                flush(&mut parts, cur, start);
                 parts.push(parse_var_ref(cur)?);
+                start = cur.pos;
             }
             Some(b'[') => {
-                flush(&mut parts, &mut lit);
+                flush(&mut parts, cur, start);
                 parts.push(parse_bracket(cur)?);
+                start = cur.pos;
             }
             Some(b'\\') => {
                 if cur.starts("\\\n") {
                     break; // line continuation: word ends here
                 }
-                cur.pos += 1;
-                lit.push_str(&backslash_subst(cur));
+                backslash_subst(cur, start);
+                start = cur.pos;
             }
             Some(_) => {
-                lit.push(next_char(cur));
+                next_char(cur);
             }
         }
     }
-    flush(&mut parts, &mut lit);
+    flush(&mut parts, cur, start);
     Ok(Word::new(parts))
 }
 
@@ -492,10 +513,20 @@ fn next_char(cur: &mut Cursor) -> char {
     c
 }
 
-fn flush(parts: &mut Vec<Part>, lit: &mut String) {
-    if !lit.is_empty() {
-        parts.push(Part::Lit(std::mem::take(lit)));
+/// End the literal part being read, if any: the source from `start` on,
+/// after what escapes put in `cur.lit`. Its text is allocated once,
+/// straight from the source or the buffer, which is kept for the next.
+fn flush(parts: &mut Vec<Part>, cur: &mut Cursor, start: usize) {
+    let rest = &cur.src[start..cur.pos];
+    if cur.lit.is_empty() {
+        if !rest.is_empty() {
+            parts.push(Part::Lit(rest.into()));
+        }
+        return;
     }
+    cur.lit.push_str(rest);
+    parts.push(Part::Lit(cur.lit.as_str().into()));
+    cur.lit.clear();
 }
 
 /// Parse `$name`, `${name}`; a lone `$` is literal.
@@ -528,7 +559,7 @@ fn parse_var_ref(cur: &mut Cursor) -> Result<Part, Exception> {
         }
     }
     if cur.pos == start {
-        return Ok(Part::Lit("$".to_string()));
+        return Ok(Part::Lit("$".into()));
     }
     Ok(Part::Var(cur.src[start..cur.pos].to_string()))
 }
@@ -541,26 +572,30 @@ fn parse_bracket(cur: &mut Cursor) -> Result<Part, Exception> {
     Ok(Part::Script(script))
 }
 
-/// Standard Tcl backslash substitution; cursor sits after the backslash.
-fn backslash_subst(cur: &mut Cursor) -> String {
-    let c = match cur.peek() {
-        Some(c) => c,
-        None => return "\\".to_string(),
+/// Standard Tcl backslash substitution: the literal source from `start`,
+/// then the escape's character, onto `cur.lit`. The cursor sits on the
+/// backslash, and is left after the escape.
+fn backslash_subst(cur: &mut Cursor, start: usize) {
+    cur.lit.push_str(&cur.src[start..cur.pos]);
+    cur.pos += 1;
+    let Some(c) = cur.peek() else {
+        cur.lit.push('\\');
+        return;
     };
     cur.pos += 1;
-    match c {
-        b'n' => "\n".into(),
-        b't' => "\t".into(),
-        b'r' => "\r".into(),
-        b'a' => "\x07".into(),
-        b'b' => "\x08".into(),
-        b'f' => "\x0c".into(),
-        b'v' => "\x0b".into(),
+    let ch = match c {
+        b'n' => '\n',
+        b't' => '\t',
+        b'r' => '\r',
+        b'a' => '\x07',
+        b'b' => '\x08',
+        b'f' => '\x0c',
+        b'v' => '\x0b',
         b'\n' => {
             while matches!(cur.peek(), Some(b' ') | Some(b'\t')) {
                 cur.pos += 1;
             }
-            " ".into()
+            ' '
         }
         b'x' => {
             let mut v: u32 = 0;
@@ -574,10 +609,13 @@ fn backslash_subst(cur: &mut Cursor) -> String {
                     break;
                 }
             }
-            if any {
-                char::from_u32(v).map(String::from).unwrap_or_default()
+            if !any {
+                'x'
             } else {
-                "x".into()
+                match char::from_u32(v) {
+                    Some(ch) => ch,
+                    None => return,
+                }
             }
         }
         b'u' => {
@@ -593,21 +631,23 @@ fn backslash_subst(cur: &mut Cursor) -> String {
                     None => break,
                 }
             }
-            if n > 0 {
-                char::from_u32(v).map(String::from).unwrap_or_default()
+            if n == 0 {
+                'u'
             } else {
-                "u".into()
+                match char::from_u32(v) {
+                    Some(ch) => ch,
+                    None => return,
+                }
             }
         }
-        other => {
+        _ => {
             // Everything else (including \\ \" \$ \[ \] \{ \} \;) maps to
             // the character itself.
             cur.pos -= 1;
-            let ch = next_char(cur);
-            let _ = other;
-            ch.to_string()
+            next_char(cur)
         }
-    }
+    };
+    cur.lit.push(ch);
 }
 
 #[cfg(test)]

@@ -112,12 +112,18 @@ fn parse_id(s: &str) -> Result<u64, Exception> {
         .map_err(|_| ex(format!("bad turbine datum id \"{s}\"")))
 }
 
+/// The ids of Tcl list `s`, read without copying its unquoted elements.
 fn parse_id_list(s: &str) -> Result<Vec<u64>, Exception> {
-    tclish::parse_list(s)
-        .map_err(ex)?
-        .iter()
-        .map(|e| parse_id(e))
-        .collect()
+    let mut ids = Vec::new();
+    let mut bad = None;
+    tclish::for_each_element(s, |e| match parse_id(&e) {
+        Ok(id) => ids.push(id),
+        Err(e) => {
+            bad.get_or_insert(e);
+        }
+    })
+    .map_err(ex)?;
+    bad.map_or(Ok(ids), Err)
 }
 
 fn need(argv: &[String], min: usize, max: usize, usage: &str) -> Result<(), Exception> {
@@ -561,6 +567,21 @@ mod tests {
     use super::*;
     use adlb::Layout;
     use mpisim::World;
+
+    #[test]
+    fn an_id_list_reads_alike_with_and_without_quoting() {
+        for (list, want) in [
+            ("", vec![]),
+            ("7", vec![7]),
+            (" 7\t8\n9 ", vec![7, 8, 9]),
+            ("{7} 8 \"9\"", vec![7, 8, 9]),
+        ] {
+            assert_eq!(parse_id_list(list).unwrap(), want, "{list:?}");
+        }
+        for bad in ["7 x", "{7", "-1", "7{"] {
+            assert!(parse_id_list(bad).is_err(), "{bad:?}");
+        }
+    }
 
     /// Single client + single server world running Tcl against the
     /// command set.

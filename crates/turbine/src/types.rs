@@ -76,9 +76,16 @@ impl TurbineType {
     }
 }
 
-/// Encode an integer for the store.
+/// Encode an integer for the store: its decimal digits, written
+/// straight into the one allocation the value takes.
 pub fn encode_integer(v: i64) -> Bytes {
-    Bytes::from(v.to_string())
+    use std::io::Write;
+    // `i64::MIN` is the longest, at 20 bytes.
+    let mut digits = [0u8; 20];
+    let mut rest = &mut digits[..];
+    let _ = write!(rest, "{v}");
+    let len = 20 - rest.len();
+    Bytes::copy_from_slice(&digits[..len])
 }
 
 /// Encode a float for the store (Tcl form: always distinguishable from an
@@ -151,6 +158,9 @@ mod tests {
     #[test]
     fn scalar_encodings() {
         assert_eq!(decode_integer(&encode_integer(-42)).unwrap(), -42);
+        for v in [0, 7, -1, i64::MAX, i64::MIN] {
+            assert_eq!(&encode_integer(v)[..], v.to_string().as_bytes());
+        }
         assert_eq!(decode_float(&encode_float(2.5)).unwrap(), 2.5);
         assert_eq!(decode_float(&encode_float(2.0)).unwrap(), 2.0);
         assert_eq!(&encode_float(2.0)[..], b"2.0");
