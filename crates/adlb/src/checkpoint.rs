@@ -355,7 +355,7 @@ pub(crate) fn restore_home(client: &mut PfsClient, home: Rank) -> Result<Restore
 /// the partition is disjoint and nothing restores twice:
 ///
 /// * data ids go to `layout.data_owner(id)`,
-/// * leases and credits go to `layout.server_of(client)`,
+/// * leases go to `layout.server_of(client)`,
 /// * `(home, client)` dedup marks and cached responses go to that home,
 /// * targeted queue tasks go to the target's home,
 /// * untargeted tasks and global flow state (pending transfers, fwd
@@ -390,12 +390,6 @@ pub(crate) fn split_for_home(
         .iter()
         .filter(|(c, _)| mine(c))
         .map(|(c, v)| (*c, v.clone()))
-        .collect();
-    out.credits = full
-        .credits
-        .iter()
-        .filter(|(c, _)| mine(c))
-        .map(|(c, v)| (*c, *v))
         .collect();
     // Dedup marks and cached responses follow the home they were made
     // at: every server is alive again, so a replaying client addresses

@@ -4,7 +4,7 @@ use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
-use mpisim::{trace, Comm, Rank, Src, TagSel, Wire};
+use mpisim::{trace, Comm, Point, Rank, Src, TagSel, Wire};
 
 use crate::datastore::DataError;
 use crate::layout::Layout;
@@ -286,9 +286,13 @@ impl AdlbClient {
     /// successor rather than the rank the request was sent to (the
     /// successor pushes a dead server's cached responses unprompted), and
     /// stale duplicates of already-consumed responses must be dropped.
-    fn exchange(&mut self, home: Rank, sealed: Bytes, seq: u64) -> Response {
+    /// `sent` is the fault point the request's first send reaches.
+    fn exchange(&mut self, home: Rank, sealed: Bytes, seq: u64, sent: Option<Point>) -> Response {
         let mut host = self.host_of(home);
         self.comm.send(host, TAG_REQ, sealed.clone());
+        if let Some(point) = sent {
+            self.comm.fault_point(point);
+        }
         loop {
             match self
                 .comm
@@ -344,7 +348,7 @@ impl AdlbClient {
     /// Seal `req` and await its response from home server `home`.
     fn roundtrip(&mut self, home: Rank, req: &Request) -> Response {
         let sealed = self.seal(req);
-        self.exchange(home, sealed, self.next_seq)
+        self.exchange(home, sealed, self.next_seq, None)
     }
 
     /// One acknowledged round trip for a request that cannot wait in an
@@ -421,6 +425,10 @@ impl AdlbClient {
             .rposition(|r| matches!(r, Request::TaskDone { .. }));
         let settled = acked.filter(|_| !self.owns_writes).map_or(0, |p| p + 1);
         let puts = ops.iter().filter(|r| matches!(r, Request::Put(_))).count();
+        let acks = ops
+            .iter()
+            .filter(|r| matches!(r, Request::TaskDone { .. }))
+            .count();
         let n = ops.len() as u64;
         let req = match (ops.len(), self.owns_writes) {
             (1, _) => ops.swap_remove(0),
@@ -429,6 +437,7 @@ impl AdlbClient {
         };
         if !req.wants_reply() {
             self.send_ff(&req);
+            self.acks_sent(acks);
             return;
         }
         let t0 = trace::now_us();
@@ -443,7 +452,15 @@ impl AdlbClient {
             one => vec![one],
         };
         let rejected = self.absorb(resps, settled);
+        self.acks_sent(acks);
         self.reoffer(rejected);
+    }
+
+    /// `n` acks just left: one [`Point::AckSent`] hit each.
+    fn acks_sent(&self, n: usize) {
+        for _ in 0..n {
+            self.comm.fault_point(Point::AckSent);
+        }
     }
 
     /// Digest the per-entry responses of a flushed outbox: remember the
@@ -600,6 +617,7 @@ impl AdlbClient {
 
     /// A task is now in the caller's hands.
     fn hand_out(&mut self, task: Task) -> Option<Task> {
+        self.comm.fault_point(Point::TaskReceived);
         self.handed_out = true;
         self.task_mark = self.outbox[self.layout.server_index(self.my_server)].len();
         Some(task)
@@ -608,7 +626,7 @@ impl AdlbClient {
     /// Report that the most recently delivered task failed in a contained
     /// way (its execution errored with `error` but this rank survives).
     /// The server will retry the task elsewhere or quarantine it per its
-    /// [`crate::RetryPolicy`]. The task's unsent writes are discarded, and
+    /// [`crate::ServerConfig::max_retries`]. The task's unsent writes are discarded, and
     /// the failure ack flushes immediately so the retry starts without
     /// waiting for this client's next server trip.
     pub fn task_failed(&mut self, error: &str) {
@@ -689,7 +707,7 @@ impl AdlbClient {
             self.next_seq += 1;
             let sealed = seal_seq(&body, self.next_seq);
             // Zero-copy decode: task payloads alias the arrival buffer.
-            let resp = self.exchange(self.my_server, sealed, self.next_seq);
+            let resp = self.exchange(self.my_server, sealed, self.next_seq, Some(Point::GetSent));
             match resp {
                 Response::Deliver(tasks) => {
                     let mut it = tasks.into_iter();

@@ -20,7 +20,6 @@
 //! monitoring counters — all either reconstructible or harmless to lose.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::Instant;
 
 use bytes::Bytes;
 use mpisim::{trace, wire_enum, Rank, Wire, WireError, WireReader, WireWriter};
@@ -68,13 +67,9 @@ wire_enum! {
         8 => LeaseOpen { client: Rank, tasks: Vec<Task> },
         /// The client's `n` oldest leases were acknowledged.
         9 => LeaseDrop { client: Rank, n: u32 },
-        /// Every lease of `client` was revoked (timeout); the client earns
-        /// that many stale-ack credits.
-        10 => LeaseRevoke { client: Rank },
-        /// `n` stale-ack credits of `client` were consumed.
-        11 => CreditUse { client: Rank, n: u32 },
-        /// `client` was detected dead: permanently parked, leases and credits
-        /// dropped (its requeued tasks arrive as separate task ops).
+        /// `client` was detected dead: permanently parked, leases dropped
+        /// (its requeued tasks arrive as separate task ops). Tags 10 and
+        /// 11 are retired: a lease ends only with its holder.
         12 => ClientDead { client: Rank },
         /// `client`'s request `seq` to home server `home` was fully
         /// processed; `resp` caches the encoded response when the request was
@@ -184,10 +179,6 @@ impl Wire for Xfer {
 pub struct Lease {
     /// The leased task.
     pub task: Task,
-    /// When this ledger opened (or absorbed) the lease; what the lease
-    /// timeout runs against. Local to the holder's clock: never encoded
-    /// or compared.
-    pub since: Instant,
     /// When the server first accepted the task (µs on the holder's trace
     /// clock; 0 untraced). A trace annotation, never encoded or compared.
     pub accepted_us: u64,
@@ -205,8 +196,8 @@ impl PartialEq for Lease {
 pub struct Applied {
     /// Subscribers drained by a datum close, to be notified.
     pub subscribers: Vec<Rank>,
-    /// Leases released (`LeaseDrop`) or revoked (`LeaseRevoke`,
-    /// `ClientDead`), oldest first.
+    /// Leases released (`LeaseDrop`) or dropped with their dead holder
+    /// (`ClientDead`), oldest first.
     pub leases: Vec<Lease>,
     /// A data op the store refused. Nothing changed, so the op must not
     /// be logged: re-executing it after a failover yields the same error.
@@ -230,10 +221,6 @@ pub struct Ledger {
     /// Open leases per client, oldest first (clients acknowledge in
     /// delivery order).
     pub leases: HashMap<Rank, VecDeque<Lease>>,
-    /// Stale-ack credits per client: a whole-deque revocation requeues the
-    /// tasks at once, but the (possibly still alive) holder will
-    /// eventually acknowledge them — that many acks are swallowed.
-    pub credits: HashMap<Rank, u32>,
     /// Request dedup high-water mark per `(home, client)`. A client
     /// numbers its requests in one sequence across all servers, so only
     /// the requests it addressed to one home arrive in seq order: once a
@@ -271,14 +258,12 @@ pub struct Ledger {
     pub merges: u64,
 }
 
-/// Leases on `tasks`, opened now on this holder's clocks.
+/// Leases on `tasks`, opened now on this holder's trace clock.
 fn leases_from_now(tasks: impl IntoIterator<Item = Task>) -> impl Iterator<Item = Lease> {
-    let (since, accepted_us) = (Instant::now(), trace::now_us());
-    tasks.into_iter().map(move |task| Lease {
-        task,
-        since,
-        accepted_us,
-    })
+    let accepted_us = trace::now_us();
+    tasks
+        .into_iter()
+        .map(move |task| Lease { task, accepted_us })
 }
 
 fn raise<K: std::hash::Hash + Eq>(marks: &mut HashMap<K, u64>, key: K, to: u64) {
@@ -339,23 +324,8 @@ impl Ledger {
                     }
                 }
             }
-            ReplOp::LeaseRevoke { client } => {
-                if let Some(deque) = self.leases.remove(&client) {
-                    *self.credits.entry(client).or_default() += deque.len() as u32;
-                    out.leases = deque.into();
-                }
-            }
-            ReplOp::CreditUse { client, n } => {
-                if let Some(c) = self.credits.get_mut(&client) {
-                    *c = c.saturating_sub(n);
-                    if *c == 0 {
-                        self.credits.remove(&client);
-                    }
-                }
-            }
             ReplOp::ClientDead { client } => {
                 self.finished.insert(client);
-                self.credits.remove(&client);
                 out.leases = self.leases.remove(&client).unwrap_or_default().into();
             }
             ReplOp::SeqResp {
@@ -425,10 +395,8 @@ impl Ledger {
     /// bumps [`Ledger::merges`], because copies of this ledger taken
     /// before now are missing the bulk.
     ///
-    /// Lease clocks restart: `since` is local to the clock of whoever held
-    /// the lease, the holder's client has to find its new server first,
-    /// and a lease that outlives a failover by a full timeout is just as
-    /// stuck as one that was opened here.
+    /// Absorbed leases take this holder's trace clock: an accept stamp
+    /// is local to the clock of whoever took the task.
     pub fn absorb(&mut self, other: Ledger, homes: &[Rank]) {
         if !homes.is_empty() {
             self.merges += 1;
@@ -440,9 +408,6 @@ impl Ledger {
                 .entry(c)
                 .or_default()
                 .extend(leases_from_now(deque.into_iter().map(|l| l.task)));
-        }
-        for (c, n) in other.credits {
-            *self.credits.entry(c).or_default() += n;
         }
         for (key, seq) in other.seqs {
             raise(&mut self.seqs, key, seq);
@@ -503,8 +468,8 @@ impl Ledger {
 /// The full ledger, as a sync stream or checkpoint segment carries it:
 /// the store, then the queue and the leases as task lists, then every
 /// other map and counter in field order. Decoding rebuilds the queue by
-/// pushing its tasks back in delivery order, and starts lease clocks and
-/// queue accept stamps now.
+/// pushing its tasks back in delivery order, and stamps leases and queue
+/// entries as accepted now.
 impl Wire for Ledger {
     fn put(&self, w: &mut WireWriter) {
         w.put(&self.store).put_seq(self.queue.tasks());
@@ -512,8 +477,7 @@ impl Wire for Ledger {
         for (client, deque) in &self.leases {
             w.put(client).put_seq(deque.iter().map(|l| &l.task));
         }
-        w.put(&self.credits)
-            .put(&self.seqs)
+        w.put(&self.seqs)
             .put(&self.resps)
             .put(&self.outputs)
             .put(&self.finished)
@@ -541,7 +505,6 @@ impl Wire for Ledger {
             store,
             queue,
             leases,
-            credits: Wire::get(r)?,
             seqs: Wire::get(r)?,
             resps: Wire::get(r)?,
             outputs: Wire::get(r)?,
@@ -559,13 +522,12 @@ impl Wire for Ledger {
 
 impl ReplOp {
     /// Merge adjacent ops of one transaction that say the same thing
-    /// about the same subject — per-ack `LeaseDrop`/`CreditUse`, per-task
-    /// `Push`/`Remove` — so a batch logs (and ships, and replays) one op
-    /// where its handler committed many.
+    /// about the same subject — per-ack `LeaseDrop`, per-task `Push`/`Remove`
+    /// — so a batch logs (and ships, and replays) one op where its handler
+    /// committed many.
     pub(crate) fn coalesce(ops: &mut Vec<ReplOp>) {
         ops.dedup_by(|next, prev| match (prev, next) {
             (ReplOp::LeaseDrop { client: a, n }, ReplOp::LeaseDrop { client: b, n: m })
-            | (ReplOp::CreditUse { client: a, n }, ReplOp::CreditUse { client: b, n: m })
                 if a == b =>
             {
                 *n += *m;
@@ -584,16 +546,14 @@ impl ReplOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn task(p: i32) -> Task {
         Task::new(1, p, None, Bytes::from_static(b"work"))
     }
 
-    fn lease(p: i32, since: Instant) -> Lease {
+    fn lease(p: i32) -> Lease {
         Lease {
             task: task(p),
-            since,
             accepted_us: 7,
         }
     }
@@ -640,7 +600,6 @@ mod tests {
                 client: 2,
                 tasks: vec![task(5)],
             },
-            ReplOp::LeaseRevoke { client: 2 },
             ReplOp::SeqResp {
                 home: 8,
                 client: 0,
@@ -691,7 +650,6 @@ mod tests {
     fn ledger_round_trips() {
         let l = sample_ledger();
         assert_eq!(l.queue.len(), 4);
-        assert_eq!(l.credits[&2], 1);
         let back = Ledger::decode(&l.encode()).unwrap();
         // Queue arrival numbering, accept stamps and lease clocks are the
         // decoder's own; equality is over the tasks.
@@ -754,8 +712,6 @@ mod tests {
                 tasks: vec![task(1)],
             },
             ReplOp::LeaseDrop { client: 0, n: 2 },
-            ReplOp::LeaseRevoke { client: 1 },
-            ReplOp::CreditUse { client: 1, n: 1 },
             ReplOp::ClientDead { client: 2 },
             ReplOp::SeqResp {
                 home: 8,
@@ -869,7 +825,7 @@ mod tests {
         let missed = l.apply(owner, ReplOp::Release { id: 7, n: 1 });
         assert!(missed.error.is_some() && !missed.freed);
 
-        // Queue + lease ops: drops and revocations hand the leases back.
+        // Queue + lease ops: drops and a dead holder hand the leases back.
         l.apply(
             owner,
             ReplOp::Push {
@@ -893,23 +849,10 @@ mod tests {
         let dropped = l.apply(owner, ReplOp::LeaseDrop { client: 0, n: 1 });
         assert_eq!(dropped.leases.len(), 1);
         assert_eq!(dropped.leases[0].task, task(1));
-        let revoked = l.apply(owner, ReplOp::LeaseRevoke { client: 0 });
-        let tasks: Vec<Task> = revoked.leases.into_iter().map(|l| l.task).collect();
+        let dead = l.apply(owner, ReplOp::ClientDead { client: 0 });
+        let tasks: Vec<Task> = dead.leases.into_iter().map(|l| l.task).collect();
         assert_eq!(tasks, vec![task(3), task(4)]);
-        assert!(l.leases.is_empty());
-        assert_eq!(l.credits[&0], 2);
-        l.apply(owner, ReplOp::CreditUse { client: 0, n: 2 });
-        assert!(l.credits.is_empty());
-        l.apply(
-            owner,
-            ReplOp::LeaseOpen {
-                client: 1,
-                tasks: vec![task(6)],
-            },
-        );
-        let dead = l.apply(owner, ReplOp::ClientDead { client: 1 });
-        assert_eq!(dead.leases.len(), 1);
-        assert!(l.finished.contains(&1) && l.leases.is_empty());
+        assert!(l.finished.contains(&0) && l.leases.is_empty());
 
         // Request bookkeeping is per (home, client).
         for (home, seq, resp) in [(8, 3, Some("r")), (8, 5, None), (9, 4, Some("other home"))] {
@@ -981,8 +924,6 @@ mod tests {
             ReplOp::Push {
                 tasks: vec![task(3)],
             },
-            ReplOp::CreditUse { client: 1, n: 1 },
-            ReplOp::CreditUse { client: 1, n: 2 },
             ReplOp::Push {
                 tasks: vec![task(4)],
             },
@@ -997,14 +938,6 @@ mod tests {
                 tasks: vec![task(1), task(2)],
             },
         );
-        whole.apply(
-            0,
-            ReplOp::LeaseOpen {
-                client: 1,
-                tasks: vec![task(9), task(9), task(9), task(9)],
-            },
-        );
-        whole.apply(0, ReplOp::LeaseRevoke { client: 1 });
         whole.apply(
             0,
             ReplOp::LeaseOpen {
@@ -1030,11 +963,7 @@ mod tests {
                 ReplOp::LeaseDrop { client: 0, n: 2 },
                 ReplOp::LeaseDrop { client: 1, n: 1 },
                 ReplOp::Push {
-                    tasks: vec![task(3)],
-                },
-                ReplOp::CreditUse { client: 1, n: 3 },
-                ReplOp::Push {
-                    tasks: vec![task(4), task(5)],
+                    tasks: vec![task(3), task(4), task(5)],
                 },
             ]
         );
@@ -1048,16 +977,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_counters_by_max_and_restarts_lease_clocks() {
-        let long_ago = Instant::now() - Duration::from_secs(3600);
+    fn absorb_merges_counters_by_max_and_appends_leases() {
         let mut mine = Ledger::default();
         mine.next_fseq.insert(9, 5);
         mine.next_fseq.insert(7, 1);
         mine.xfer_applied.insert((8, 9), 4);
         mine.quarantine.push("shared report".into());
         mine.quarantine.push("mine".into());
-        mine.leases.insert(0, [lease(1, long_ago)].into());
-        mine.credits.insert(0, 1);
+        mine.leases.insert(0, [lease(1)].into());
         mine.fwd_out = 2;
         mine.outputs.insert((1, 0), "a".into());
         mine.pending_xfers.push(Xfer {
@@ -1076,9 +1003,8 @@ mod tests {
         dead.xfer_applied.insert((7, 9), 1);
         dead.quarantine.push("shared report".into());
         dead.quarantine.push("theirs".into());
-        dead.leases.insert(0, [lease(2, long_ago)].into());
-        dead.leases.insert(3, [lease(3, long_ago)].into());
-        dead.credits.insert(0, 2);
+        dead.leases.insert(0, [lease(2)].into());
+        dead.leases.insert(3, [lease(3)].into());
         dead.fwd_out = 3;
         dead.fwd_in = 4;
         dead.outputs.insert((1, 0), "b".into());
@@ -1093,21 +1019,15 @@ mod tests {
             sent_to: Some(9),
         });
 
-        let before = Instant::now();
         mine.absorb(dead, &[7]);
         assert_eq!(mine.merges, 1);
         assert_eq!(mine.next_fseq, HashMap::from([(9, 5), (7, 1), (6, 2)]));
         assert_eq!(mine.xfer_applied, HashMap::from([((8, 9), 6), ((7, 9), 1)]));
         assert_eq!(mine.quarantine, ["shared report", "mine", "theirs"]);
-        // This server's own lease keeps its clock; the absorbed ones
-        // behind it restart theirs.
-        let held: Vec<(i32, bool)> = mine.leases[&0]
-            .iter()
-            .map(|l| (l.task.priority, l.since >= before))
-            .collect();
-        assert_eq!(held, [(1, false), (2, true)]);
-        assert!(mine.leases[&3][0].since >= before);
-        assert_eq!(mine.credits[&0], 3);
+        // Absorbed leases queue behind this server's own, oldest first.
+        let held: Vec<i32> = mine.leases[&0].iter().map(|l| l.task.priority).collect();
+        assert_eq!(held, [1, 2]);
+        assert_eq!(mine.leases[&3][0].task, task(3));
         assert_eq!((mine.fwd_out, mine.fwd_in), (5, 4));
         assert_eq!(mine.outputs[&(1, 0)], "ab");
         assert!(mine.finished.contains(&5));

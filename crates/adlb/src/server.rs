@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use mpisim::{Comm, Rank, Src, TagSel, Wire};
+use mpisim::{Comm, Point, Rank, Src, TagSel, Wire};
 
 use crate::checkpoint::CheckpointConfig;
 use crate::layout::Layout;
@@ -49,30 +49,6 @@ use failover::Failover;
 use scheduler::Scheduler;
 use shard::{lost_shard_reply, Shard};
 use termination::{Report, Termination};
-
-/// How a server treats tasks whose holder died or reported failure.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Times a task may be re-run after its first attempt before it is
-    /// quarantined. 0 means never retry.
-    pub max_retries: u32,
-    /// A lease older than this is revoked and its task requeued even
-    /// though the holder still looks alive. On by default (30 s — far
-    /// beyond any healthy task round trip, so it only fires on truly
-    /// wedged holders); set `None` to trust liveness detection alone,
-    /// which preserves exactly-once delivery for arbitrarily slow
-    /// clients.
-    pub lease_timeout: Option<Duration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            lease_timeout: Some(Duration::from_secs(30)),
-        }
-    }
-}
 
 /// Receive timeout pacing idle actions (steals, termination polls).
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
@@ -94,8 +70,11 @@ pub struct ServerConfig {
     /// Whether servers steal work from each other. Ablation E5 turns this
     /// off to measure what load balancing buys.
     pub steal_enabled: bool,
-    /// Retry/requeue policy for failed tasks and dead clients.
-    pub retry: RetryPolicy,
+    /// Times a task whose holder died or reported failure may be re-run
+    /// after its first attempt before it is quarantined. 0 means never
+    /// retry. A lease ends only with its holder (a death or an ack), so
+    /// a slow leaf is never started twice while it runs.
+    pub max_retries: u32,
     /// Copies of each server's recoverable state, counting the primary.
     /// 1 disables replication (a dead server's shard is lost and every
     /// survivor winds the run down with a diagnosis); `R >= 2` survives
@@ -126,7 +105,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             steal_enabled: true,
-            retry: RetryPolicy::default(),
+            max_retries: 3,
             replication: 1,
             re_replicate: true,
             sync_chunk: 16 * 1024,
@@ -340,6 +319,7 @@ impl Server {
                         )),
                     }
                     self.commit_tx();
+                    self.comm.fault_point(Point::RequestApplied);
                     false
                 }
                 Some(m) if m.tag == TAG_SRV => {
@@ -637,7 +617,6 @@ impl Server {
         self.term.drop_dead_stranded(|c| comm.is_alive(c));
         if !self.term.shutdown() {
             self.detect_dead_clients();
-            self.check_lease_timeouts();
             self.nudge_syncs(now);
             if self.failover.aborting() {
                 // Done when every client of ours is finished or dead.

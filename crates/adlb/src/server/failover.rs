@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use mpisim::{trace, Rank, Src, TagSel, Wire, WireReader};
+use mpisim::{trace, Point, Rank, Src, TagSel, Wire, WireReader};
 
 use super::recovery::{diagnosis, recovery_plan, Death, Plan, Replica};
 use super::Server;
@@ -202,7 +202,10 @@ impl Server {
         live: bool,
     ) -> Option<ServerMsg> {
         match msg {
-            ServerMsg::Repl { ops } => self.failover.apply_repl_ops(source, ops),
+            ServerMsg::Repl { ops } => {
+                self.failover.apply_repl_ops(source, ops);
+                self.comm.fault_point(Point::ReplicaUpdated);
+            }
             ServerMsg::ReplSync {
                 sync_id,
                 cursor,
@@ -428,6 +431,7 @@ impl Server {
                     ledger.apply(source, op);
                 }
                 self.failover.ledgers.insert(source, ledger);
+                self.comm.fault_point(Point::ReplicaInstalled);
             }
             Err(e) => {
                 // A corrupt base is worse than none: promoting the stale
@@ -618,6 +622,7 @@ impl Server {
         // 8. Merged work may satisfy parked clients right now.
         self.service_parked();
         self.commit_tx();
+        self.comm.fault_point(Point::DeathHandled);
         shutdown
     }
 

@@ -1,9 +1,8 @@
 //! The scheduler: parked `Get`s, the tenant scheduler, task routing and
 //! the write-ahead transfers between servers, delivery, leases (open,
-//! ack, timeout, dead holder, retry or quarantine) and work stealing.
+//! ack, dead holder, retry or quarantine) and work stealing.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 use mpisim::{trace, Rank, Wire};
 
@@ -526,7 +525,7 @@ impl Server {
     /// `error` is what ended this attempt.
     fn retry_or_quarantine(&mut self, mut task: Task, death: bool, error: &str) {
         task.attempts += 1;
-        if task.attempts > self.config.retry.max_retries {
+        if task.attempts > self.config.max_retries {
             self.stats.tasks_quarantined += 1;
             let report = format!(
                 "task (work_type {}, tenant {}) quarantined after {} attempts; last error: {}",
@@ -594,44 +593,6 @@ impl Server {
         }
     }
 
-    /// Revoke leases older than the configured timeout (if any).
-    pub(super) fn check_lease_timeouts(&mut self) {
-        let Some(timeout) = self.config.retry.lease_timeout else {
-            return;
-        };
-        let now = Instant::now();
-        let expired: Vec<Rank> = self
-            .shard
-            .ledger()
-            .leases
-            .iter()
-            .filter(|(_, d)| {
-                d.front()
-                    .is_some_and(|l| now.duration_since(l.since) > timeout)
-            })
-            .map(|(r, _)| *r)
-            .collect();
-        for rank in expired {
-            // Revoke the rank's whole deque, not just the expired front:
-            // acks are matched FIFO, so releasing later leases while the
-            // front is requeued would misattribute every following ack.
-            // The holder may still be alive and eventually ack; the
-            // revocation turns that many acks into stale-ack credits so
-            // they do not release newer leases.
-            let revoked = self.commit(ReplOp::LeaseRevoke { client: rank }).leases;
-            eprintln!(
-                "adlb server {}: {} lease(s) on rank {rank} expired; requeueing",
-                self.comm.rank(),
-                revoked.len()
-            );
-            for lease in revoked {
-                self.sched.tenants.lease_closed(lease.task.tenant);
-                let error = format!("lease on rank {rank} expired");
-                self.retry_or_quarantine(lease.task, true, &error);
-            }
-        }
-    }
-
     /// Put-side admission: an untargeted client put of a tenant over its
     /// `max_queued` quota is refused (`Err`) and NACKed back to the
     /// submitter. Targeted puts, control/notify tasks, and all
@@ -656,10 +617,8 @@ impl Server {
         }
     }
 
-    /// One lease acknowledgement from `source`: it either consumes a
-    /// stale-ack credit (the lease was already revoked and the task
-    /// requeued) or releases the oldest open lease; a failed result feeds
-    /// the retry/quarantine policy. Only an ack that completes its task
+    /// One lease acknowledgement from `source`: it releases the oldest
+    /// open lease; a failed result feeds the retry/quarantine policy. Only an ack that completes its task
     /// releases the task's `reads` (see [`Server::release`]); a task that
     /// runs again reads its inputs again.
     pub(super) fn handle_ack(
@@ -670,15 +629,13 @@ impl Server {
         reads: Vec<(u64, u32)>,
         away: &mut Vec<(Rank, Vec<(u64, u32)>)>,
     ) {
-        let ledger = self.shard.ledger();
-        if ledger.credits.contains_key(&source) {
-            self.commit(ReplOp::CreditUse {
-                client: source,
-                n: 1,
-            });
-            return;
-        }
-        if ledger.leases.get(&source).is_none_or(|d| d.is_empty()) {
+        if self
+            .shard
+            .ledger()
+            .leases
+            .get(&source)
+            .is_none_or(|d| d.is_empty())
+        {
             // An adopted client acking a task its lost home leased:
             // nothing to release, nothing to report.
             if !self.failover.aborting() {

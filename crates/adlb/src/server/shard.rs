@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use mpisim::{trace, Comm, Rank, Tag, Wire};
+use mpisim::{trace, Comm, Point, Rank, Tag, Wire};
 
 use super::{Server, ServerStats, NOTIFY_PRIORITY, NOTIFY_VALUE_MAX};
 use crate::checkpoint::{
@@ -98,6 +98,7 @@ impl Shard {
                 for &t in targets {
                     self.comm.send(t, TAG_SRV, msg.clone());
                 }
+                self.comm.fault_point(Point::OpsReplicated);
                 // Keep the transaction buffer's capacity.
                 if let ServerMsg::Repl { ops } = repl {
                     self.tx_ops = ops;

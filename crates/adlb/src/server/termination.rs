@@ -6,7 +6,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mpisim::{Rank, Wire};
+use mpisim::{Point, Rank, Wire};
 
 use super::{Server, ServerOutcome};
 use crate::msg::{Response, ServerMsg, TAG_SRV};
@@ -284,6 +284,7 @@ impl Server {
         }
         self.term.shutdown = true;
         self.failover.stop_replicating();
+        self.comm.fault_point(Point::TerminationDecided);
     }
 
     /// What the server hands back once the linger ends.

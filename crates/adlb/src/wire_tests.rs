@@ -13,7 +13,6 @@
 //! the tests pin its context and byte offset.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use bytes::Bytes;
 use mpisim::{Rank, Wire, WireError};
@@ -263,7 +262,7 @@ fn server_msgs() -> Vec<(&'static str, ServerMsg)> {
             ServerMsg::Repl {
                 ops: vec![
                     ReplOp::IncrWriters { id: 1, delta: -1 },
-                    ReplOp::LeaseRevoke { client: 2 },
+                    ReplOp::ClientDead { client: 2 },
                 ],
             },
         ),
@@ -357,8 +356,6 @@ fn repl_ops() -> Vec<(&'static str, ReplOp)> {
             },
         ),
         ("op lease drop", ReplOp::LeaseDrop { client: 2, n: 1 }),
-        ("op lease revoke", ReplOp::LeaseRevoke { client: 2 }),
-        ("op credit use", ReplOp::CreditUse { client: 2, n: 1 }),
         ("op client dead", ReplOp::ClientDead { client: 2 }),
         (
             "op seq resp",
@@ -441,11 +438,9 @@ fn ledger(value: DatumValue) -> Ledger {
     l.queue.push(task(Some(1)));
     let lease = Lease {
         task: task(None),
-        since: Instant::now(),
         accepted_us: 0,
     };
     l.leases.insert(2, [lease].into());
-    l.credits.insert(2, 1);
     l.seqs.insert((8, 2), 17);
     l.resps.insert((8, 2), (17, Bytes::from_static(b"resp")));
     l.outputs.insert((2, 1), "out\n".into());
@@ -529,7 +524,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("server check resp", "04050000000000000001060000000000000007000000000000000800000000000000"),
     ("server shutdown", "05010000000100000071"),
     ("server heartbeat", "06"),
-    ("server repl", "0702000000040100000000000000ffffffffffffffff0a0200000000000000"),
+    ("server repl", "0702000000040100000000000000ffffffffffffffff0c0200000000000000"),
     ("server xfer ack", "09080000000000000009000000000000000400000000000000"),
     ("server bye", "0a"),
     ("server repl sync", "0b0100000000000000020000000000000006000000000000000400000061626364"),
@@ -545,8 +540,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("op remove", "07010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869"),
     ("op lease open", "080200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869"),
     ("op lease drop", "09020000000000000001000000"),
-    ("op lease revoke", "0a0200000000000000"),
-    ("op credit use", "0b020000000000000001000000"),
     ("op client dead", "0c0200000000000000"),
     ("op seq resp", "0d080000000000000002000000000000000700000000000000010100000072"),
     ("op seq no resp", "0d08000000000000000200000000000000080000000000000000"),
@@ -559,11 +552,11 @@ const GOLDEN: &[(&str, &str)] = &[
     ("op release", "14010000000000000002000000"),
     ("task untargeted", "0100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869"),
     ("task targeted", "0100000002000000fdffffffffffffff0500000000000000040000000700000070757473206869"),
-    ("ledger container", "010000000700000000000000640102010000000100000030010000006d01000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
-    ("ledger scalar", "010000000700000000000000640101010000007301000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
-    ("ledger unset", "01000000070000000000000064010001000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
+    ("ledger container", "010000000700000000000000640102010000000100000030010000006d01000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff0400000007000000707574732068690100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
+    ("ledger scalar", "010000000700000000000000640101010000007301000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff0400000007000000707574732068690100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
+    ("ledger unset", "01000000070000000000000064010001000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff0400000007000000707574732068690100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000900000000000000030000000000000001000000080000000000000009000000000000000500000000000000010000000000000002000000000000000300000000000000"),
     ("wal record", "290000000b00000000000000020000000001000000000000000001010000000101000000000000000100000076b880b71f7f509ae4"),
-    ("segment", "31504b430b00000000000000010000000700000000000000640102010000000100000030010000006d01000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff040000000700000070757473206869010000000200000000000000010000000100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff0400000007000000707574732068690100000009000000000000000300000000000000010000000800000000000000090000000000000005000000000000000100000000000000020000000000000003000000000000000100000002000000010000001100000000000000040000007265737049b49313c7729192"),
+    ("segment", "31504b430b00000000000000010000000700000000000000640102010000000100000030010000006d01000000030000000000000001000000000000000102000000010000000100000002000000fdffffffffffffff0100000000000000040000000700000070757473206869010000000200000000000000010000000100000002000000fdffffffffffffffffffffffffffffff0400000007000000707574732068690100000008000000000000000200000000000000110000000000000001000000080000000000000002000000000000001100000000000000040000007265737001000000020000000000000001000000040000006f75740a0100000004000000000000000100000006000000706f69736f6e0100000008000000000000000900000000000000030000000000000001010000000100000002000000fdffffffffffffffffffffffffffffff04000000070000007075747320686901000000090000000000000003000000000000000100000008000000000000000900000000000000050000000000000001000000000000000200000000000000030000000000000001000000020000000100000011000000000000000400000072657370071cd41bd3d97ac2"),
 ];
 
 fn hex(b: &[u8]) -> String {

@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use adlb::{serve_ext, AdlbClient, ClientConfig, Layout, ServerConfig, WORK_TYPE_WORK};
-use mpisim::{FaultPlan, World};
+use mpisim::{FaultPlan, Point, World};
 
 fn replicated_config() -> ServerConfig {
     ServerConfig {
@@ -16,17 +16,18 @@ fn replicated_config() -> ServerConfig {
     }
 }
 
-/// 2 servers, 4 clients; kill one server after `kill_sends` of its sends.
+/// 2 servers, 4 clients; kill one server at the `n`th hit of `point`.
 /// Returns (tid → execution count, survivor failover count, whether the
 /// kill actually fired — a late schedule point can land past the victim's
 /// final `Bye`, in which case it exits normally and nothing fails over).
 fn run_server_death(
     victim_server: usize,
-    kill_sends: u64,
+    point: Point,
+    n: u64,
     total: u64,
 ) -> (HashMap<u64, u64>, u64, bool) {
     let layout = Layout::new(6, 2);
-    let plan = FaultPlan::new().kill_after_sends(victim_server, kill_sends);
+    let plan = FaultPlan::new().kill_at(victim_server, point, n);
     let executed: Mutex<HashMap<u64, u64>> = Mutex::new(HashMap::new());
     let outcome = World::run_faulty(6, &plan, |comm| {
         let rank = comm.rank();
@@ -71,11 +72,13 @@ fn run_server_death(
 
 #[test]
 fn killing_the_second_server_loses_nothing_at_replication_2() {
-    // Rank 5 is the non-master server; kill it mid-run at several points
-    // in its send stream (early: barely past startup snapshots; later:
-    // mid-delivery with leases and forwards in flight).
-    for kill_sends in [4, 20, 60] {
-        let (executed, failovers, fired) = run_server_death(5, kill_sends, 40);
+    // Rank 5 is the non-master server and holds rank 4's replica; kill it
+    // after it applied rank 4's 1st, 5th and 20th op batch (early: barely
+    // past startup; later: mid-delivery with leases and forwards in
+    // flight).
+    for kill_sends in [1, 5, 20] {
+        let (executed, failovers, fired) =
+            run_server_death(5, Point::ReplicaUpdated, kill_sends, 40);
         for tid in 0..40 {
             let n = executed.get(&tid).copied().unwrap_or(0);
             assert_eq!(
@@ -84,7 +87,7 @@ fn killing_the_second_server_loses_nothing_at_replication_2() {
             );
         }
         // At the late kill point the victim can die on or after its final
-        // `Bye` — or finish before its 60th send so the kill never fires —
+        // `Bye` — or finish before its 20th hit so the kill never fires —
         // in which case nothing was stranded and no promotion is needed.
         if !fired {
             assert_eq!(kill_sends, 60, "only the late kill point may miss");
@@ -106,9 +109,11 @@ fn killing_the_second_server_loses_nothing_at_replication_2() {
 #[test]
 fn killing_the_master_server_loses_nothing_at_replication_2() {
     // Rank 4 is the master (termination detection owner): its successor
-    // must take over both the shard and the termination protocol.
-    for kill_sends in [4, 20, 60] {
-        let (executed, failovers, fired) = run_server_death(4, kill_sends, 40);
+    // must take over both the shard and the termination protocol. It dies
+    // after its 1st, 5th and 20th client request.
+    for kill_sends in [1, 5, 20] {
+        let (executed, failovers, fired) =
+            run_server_death(4, Point::RequestApplied, kill_sends, 40);
         for tid in 0..40 {
             let n = executed.get(&tid).copied().unwrap_or(0);
             assert_eq!(
@@ -138,9 +143,9 @@ fn data_store_shard_survives_its_servers_death() {
     // A datum created and stored on the victim's shard must be readable
     // after failover, and a subscription parked on it must still fire.
     let layout = Layout::new(4, 2);
-    // Servers are ranks 2 and 3. Kill rank 3 after its traffic includes
-    // the replicated create/store.
-    let plan = FaultPlan::new().kill_after_sends(3, 12);
+    // Servers are ranks 2 and 3. Kill rank 3 once it shipped its first
+    // transaction's ops, the create/store batch, to its replica.
+    let plan = FaultPlan::new().kill_at(3, Point::OpsReplicated, 1);
     let outcome = World::run_faulty(4, &plan, |comm| {
         let rank = comm.rank();
         if layout.is_server(rank) {
@@ -203,7 +208,7 @@ fn batch_in_flight_survives_its_home_servers_death() {
     let layout = Layout::new(4, 2);
     let victim = 2;
     for kill_sends in 1..=20 {
-        let plan = FaultPlan::new().kill_after_sends(victim, kill_sends);
+        let plan = FaultPlan::new().kill_at(victim, Point::Send, kill_sends);
         let outcome = World::run_faulty(4, &plan, |comm| {
             let rank = comm.rank();
             if layout.is_server(rank) {
@@ -260,7 +265,7 @@ fn batch_below_the_durable_high_water_is_answered_not_rerun_on_resume() {
         ),
         ..ServerConfig::default()
     };
-    let plan = FaultPlan::new().kill_after_recvs(2, 1);
+    let plan = FaultPlan::new().kill_at(2, Point::RequestApplied, 1);
     let outcome = World::run_faulty(3, &plan, |comm| {
         let rank = comm.rank();
         if layout.is_server(rank) {
@@ -300,9 +305,9 @@ fn replication_1_server_death_fails_cleanly_not_hangs() {
     // the run must still terminate (no hang), clients must get a NoMore
     // with a diagnosis, and nobody may panic.
     let layout = Layout::new(6, 2);
-    // Kill early (6 sends: barely past the first deliveries) so the death
-    // lands while work is still in flight, not during shutdown.
-    let plan = FaultPlan::new().kill_after_sends(5, 6);
+    // Kill rank 5 after its first client request so the death lands
+    // while work is still in flight, not during shutdown.
+    let plan = FaultPlan::new().kill_at(5, Point::RequestApplied, 1);
     let outcome = World::run_faulty(6, &plan, |comm| {
         let rank = comm.rank();
         if layout.is_server(rank) {
@@ -337,7 +342,9 @@ fn output_streams_survive_a_server_death() {
     // Clients stream output through the victim server; after failover the
     // survivor must hold the replicated streams.
     let layout = Layout::new(4, 2);
-    let plan = FaultPlan::new().kill_after_sends(3, 14);
+    // Rank 3 dies once it replicated its first transaction: rank 1's
+    // output.
+    let plan = FaultPlan::new().kill_at(3, Point::OpsReplicated, 1);
     let outcome = World::run_faulty(4, &plan, |comm| {
         let rank = comm.rank();
         if layout.is_server(rank) {
@@ -377,22 +384,22 @@ mod re_replication {
     use std::time::Duration;
 
     use adlb::{serve_ext, AdlbClient, Layout, ServerConfig, ServerStats, WORK_TYPE_WORK};
-    use mpisim::{FaultPlan, World};
+    use mpisim::{FaultPlan, Point, World};
 
     /// 3 servers (ranks 6..=8), 1 submitter, 5 workers. Kill `kills` as
-    /// (victim rank, kill_after_sends). Returns (tid → execution count,
+    /// (victim rank, point, nth hit). Returns (tid → execution count,
     /// summed survivor stats, every client's quarantine reports, killed).
     #[allow(clippy::type_complexity)]
     fn run_kills(
-        kills: &[(usize, u64)],
+        kills: &[(usize, Point, u64)],
         total: u64,
         think: Duration,
         config: ServerConfig,
     ) -> (HashMap<u64, u64>, ServerStats, Vec<String>, Vec<usize>) {
         let layout = Layout::new(9, 3);
         let mut plan = FaultPlan::new();
-        for &(victim, sends) in kills {
-            plan = plan.kill_after_sends(victim, sends);
+        for &(victim, point, n) in kills {
+            plan = plan.kill_at(victim, point, n);
         }
         let executed: Mutex<HashMap<u64, u64>> = Mutex::new(HashMap::new());
         let outcome = World::run_faulty(9, &plan, |comm| {
@@ -448,15 +455,20 @@ mod re_replication {
 
     #[test]
     fn second_server_death_survives_once_r_is_restored() {
-        // Kill rank 7 almost immediately; rank 8 much later, past the
-        // point where 8 promoted 7's shard and the post-promotion sync to
-        // the recomputed successors completed. With R restored, the run
+        // Kill rank 7 once it installed its startup replica; rank 8 after
+        // its 50th client request (it serves about 90 once it adopted 7's
+        // clients), much later, past the point where 8 promoted 7's shard
+        // and the post-promotion sync to the recomputed successors
+        // completed. With R restored, the run
         // must survive BOTH deaths: every task exactly once and a
         // measured time-to-R-restored. (The first promotion's failover
         // counter dies with rank 8, so the surviving tier reports the
         // second promotion only.)
         let (executed, stats, reports, killed) = run_kills(
-            &[(7, 4), (8, 200)],
+            &[
+                (7, Point::ReplicaInstalled, 1),
+                (8, Point::RequestApplied, 50),
+            ],
             300,
             Duration::from_micros(800),
             ServerConfig {
@@ -493,7 +505,9 @@ mod re_replication {
         // must not depend on the chunk size.
         let payload = vec![0xabu8; 256];
         let layout = Layout::new(9, 3);
-        let plan = FaultPlan::new().kill_after_sends(7, 10);
+        // Rank 7 dies after its 10th send, inside its own 64-byte-chunk
+        // stream to its replica holder: a message boundary on purpose.
+        let plan = FaultPlan::new().kill_at(7, Point::Send, 10);
         let executed: Mutex<HashMap<u64, u64>> = Mutex::new(HashMap::new());
         let config = ServerConfig {
             replication: 2,
@@ -551,7 +565,10 @@ mod re_replication {
         // diagnosis, not hang, and must never duplicate work on
         // survivors.
         let (executed, stats, reports, killed) = run_kills(
-            &[(7, 4), (8, 200)],
+            &[
+                (7, Point::ReplicaInstalled, 1),
+                (8, Point::RequestApplied, 50),
+            ],
             300,
             Duration::from_micros(800),
             ServerConfig {
@@ -578,92 +595,6 @@ mod re_replication {
                 let n = executed.get(&tid).copied().unwrap_or(0);
                 assert_eq!(n, 1, "completed run lost task {tid}");
             }
-        }
-    }
-}
-
-mod lease_races {
-    //! Regression for the lease-expiry / dead-client race: a client that
-    //! dies holding a lease just as the lease-timeout sweep revokes it
-    //! used to trip `expect("expired lease")` — the dead-client sweep had
-    //! already removed the rank's lease table. The server must survive
-    //! the interleaving in either order.
-
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    use adlb::{serve, AdlbClient, Layout, RetryPolicy, ServerConfig, WORK_TYPE_WORK};
-    use mpisim::{FaultPlan, World};
-
-    #[test]
-    fn lease_expiry_racing_dead_client_sweep_does_not_panic() {
-        // Rank 1 dies right after receiving its first task, holding the
-        // lease. A 1 ms lease timeout expires it around the same moment
-        // the liveness sweep notices the death (~10 ms) — sweep order is
-        // timing-dependent, so run several kill points. A panic on any
-        // server rank fails the World::run_faulty unwind; beyond that,
-        // every task must still run exactly once on the survivor.
-        for kill_recvs in [1u64, 2, 3] {
-            let layout = Layout::new(4, 1);
-            let plan = FaultPlan::new().kill_after_recvs(1, kill_recvs);
-            let executed: Mutex<HashMap<u64, Vec<usize>>> = Mutex::new(HashMap::new());
-            let config = ServerConfig {
-                retry: RetryPolicy {
-                    lease_timeout: Some(Duration::from_millis(1)),
-                    max_retries: 8,
-                },
-                ..ServerConfig::default()
-            };
-            let outcome = World::run_faulty(4, &plan, |comm| {
-                let rank = comm.rank();
-                if layout.is_server(rank) {
-                    return Some(serve(comm, layout, config.clone()));
-                }
-                let mut client = AdlbClient::new(comm, layout);
-                if rank == 0 {
-                    for tid in 0..12u64 {
-                        client.put(WORK_TYPE_WORK, 0, None, tid.to_le_bytes().to_vec());
-                    }
-                    client.finish();
-                    return None;
-                }
-                // The survivor starts late so the victim's Get is served
-                // first and the victim dies with the lease outstanding.
-                if rank == 2 {
-                    std::thread::sleep(Duration::from_millis(30));
-                }
-                while let Some(t) = client.get(&[WORK_TYPE_WORK]) {
-                    let tid = u64::from_le_bytes(t.payload[..8].try_into().unwrap());
-                    executed.lock().unwrap().entry(tid).or_default().push(rank);
-                }
-                None
-            });
-            assert_eq!(outcome.killed, vec![1], "kill_recvs={kill_recvs}");
-            let executed = executed.into_inner().unwrap();
-            for tid in 0..12u64 {
-                let execs = executed.get(&tid).cloned().unwrap_or_default();
-                // Never lost — and strict exactly-once on the survivor
-                // (the victim may have run a task and acked it before
-                // dying, or run it unacked so it legitimately reruns).
-                assert!(
-                    !execs.is_empty(),
-                    "kill_recvs={kill_recvs}: task {tid} was lost"
-                );
-                let by_survivor = execs.iter().filter(|&&r| r == 2).count();
-                assert!(
-                    by_survivor <= 1,
-                    "kill_recvs={kill_recvs}: task {tid} ran {execs:?}"
-                );
-            }
-            let stats = outcome
-                .outputs
-                .into_iter()
-                .flatten()
-                .flatten()
-                .next()
-                .expect("server stats");
-            assert_eq!(stats.ranks_failed, 1);
         }
     }
 }

@@ -124,18 +124,17 @@ mod batch_fault_interaction {
     use std::sync::Mutex;
 
     use adlb::{serve, AdlbClient, Layout, ServerConfig, WORK_TYPE_WORK};
-    use mpisim::{FaultPlan, World};
+    use mpisim::{FaultPlan, Point, World};
 
     const N_TASKS: u64 = 20;
 
     /// Ranks: 0 submitter, 1 victim, 2 survivor, 3 server. The submitter
     /// queues all tasks before the victim's first `Get` (so the server
-    /// leases it a full prefetch batch of 8); `kill_sends` scripts the
-    /// victim's death point in its send stream. Returns (tid → executing
-    /// ranks, server stats).
-    fn run_batch_death(kill_sends: u64) -> (HashMap<u64, Vec<usize>>, adlb::ServerStats) {
+    /// leases it a full prefetch batch of 8); the victim dies at the `n`th
+    /// hit of `point`. Returns (tid → executing ranks, server stats).
+    fn run_batch_death(point: Point, n: u64) -> (HashMap<u64, Vec<usize>>, adlb::ServerStats) {
         let layout = Layout::new(4, 1);
-        let plan = FaultPlan::new().kill_after_sends(1, kill_sends);
+        let plan = FaultPlan::new().kill_at(1, point, n);
         let executed: Mutex<HashMap<u64, Vec<usize>>> = Mutex::new(HashMap::new());
         let outcome = World::run_faulty(4, &plan, |comm| {
             let rank = comm.rank();
@@ -176,10 +175,10 @@ mod batch_fault_interaction {
 
     #[test]
     fn dead_client_holding_prefetched_batch_requeues_every_task_once() {
-        // Send #1 is the victim's Get: it dies with the whole delivery of
-        // 8 undelivered, having executed nothing. Every task must run
+        // The victim dies as its first Get leaves, with the whole delivery
+        // of 8 undelivered, having executed nothing. Every task must run
         // exactly once, all on the survivor.
-        let (executed, stats) = run_batch_death(1);
+        let (executed, stats) = run_batch_death(Point::GetSent, 1);
         for tid in 0..N_TASKS {
             let ranks = executed.get(&tid).cloned().unwrap_or_default();
             assert_eq!(ranks, vec![2], "task {tid} ran {ranks:?}, want once on 2");
@@ -194,12 +193,11 @@ mod batch_fault_interaction {
 
     #[test]
     fn acked_batch_is_never_requeued_when_holder_dies() {
-        // Send #1 is the Get; the victim then drains its whole batch of 8
-        // locally and send #2 is the batch of acks for all of them — it
-        // dies right after. The acks land before death
+        // The victim drains its whole batch of 8 locally and dies as the
+        // 8th ack leaves, in the one batch that carries them all. The acks land before death
         // detection (per-pair FIFO), so nothing requeues and the
         // remaining 12 tasks run exactly once on the survivor.
-        let (executed, stats) = run_batch_death(2);
+        let (executed, stats) = run_batch_death(Point::AckSent, 8);
         let mut victim_ran = 0;
         for tid in 0..N_TASKS {
             let ranks = executed.get(&tid).cloned().unwrap_or_default();
@@ -252,10 +250,8 @@ mod fault_properties {
     use std::collections::HashMap;
     use std::sync::Mutex;
 
-    use adlb::{
-        serve, AdlbClient, ClientConfig, Layout, RetryPolicy, ServerConfig, WORK_TYPE_WORK,
-    };
-    use mpisim::{FaultPlan, World};
+    use adlb::{serve, AdlbClient, ClientConfig, Layout, ServerConfig, WORK_TYPE_WORK};
+    use mpisim::{FaultPlan, Point, World};
     use proptest::prelude::*;
 
     /// One death-schedule scenario. `kills` pairs a consumer index with a
@@ -284,10 +280,12 @@ mod fault_properties {
                 continue;
             }
             victims.push(victim);
+            // `recv` counts from 1, so a consumer killed on receive always
+            // completed at least one.
             plan = if on_send {
-                plan.kill_after_sends(victim, n + 1)
+                plan.kill_at(victim, Point::Send, n + 1)
             } else {
-                plan.kill_after_recvs(victim, n)
+                plan.kill_at(victim, Point::Recv, n.max(1))
             };
         }
         // At most one server victim, and only when a replica exists to
@@ -297,9 +295,9 @@ mod fault_properties {
                 let victim = clients + sidx % servers;
                 victims.push(victim);
                 plan = if on_send {
-                    plan.kill_after_sends(victim, n)
+                    plan.kill_at(victim, Point::Send, n.max(1))
                 } else {
-                    plan.kill_after_recvs(victim, n)
+                    plan.kill_at(victim, Point::Recv, n.max(1))
                 };
             }
         }
@@ -308,10 +306,7 @@ mod fault_properties {
         // `victims.len()` failed attempts; a roomy budget keeps the
         // quarantine path out of this test.
         let config = ServerConfig {
-            retry: RetryPolicy {
-                max_retries: 16,
-                ..RetryPolicy::default()
-            },
+            max_retries: 16,
             replication: if servers > 1 { 2 } else { 1 },
             ..ServerConfig::default()
         };
@@ -600,7 +595,7 @@ mod sequential_server_deaths {
     use std::time::Duration;
 
     use adlb::{serve_ext, AdlbClient, Layout, ServerConfig, WORK_TYPE_WORK};
-    use mpisim::{FaultPlan, World};
+    use mpisim::{FaultPlan, Point, World};
     use proptest::prelude::*;
 
     fn run_two_deaths(first_sends: u64, gap_sends: u64) -> Result<(), TestCaseError> {
@@ -609,8 +604,8 @@ mod sequential_server_deaths {
         // the promoted-shard chain without beheading the submitter.
         let layout = Layout::new(9, 3);
         let plan = FaultPlan::new()
-            .kill_after_sends(7, first_sends)
-            .kill_after_sends(8, first_sends + gap_sends);
+            .kill_at(7, Point::Send, first_sends.max(1))
+            .kill_at(8, Point::Send, (first_sends + gap_sends).max(1));
         let executed: Mutex<HashMap<u64, u64>> = Mutex::new(HashMap::new());
         let config = ServerConfig {
             replication: 2,

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use adlb::{serve_ext, AdlbClient, ClientConfig, Layout, ServerConfig, WORK_TYPE_WORK};
-use mpisim::{FaultPlan, World};
+use mpisim::{FaultPlan, Point, World};
 use swiftt_bench::{banner, header, ms, rate, row, smoke, time_median, BenchReport, Json};
 
 /// One submitter floods `tasks` tasks of `payload` bytes; `workers`
@@ -65,16 +65,17 @@ fn pipeline(workers: usize, payload: usize, tasks: usize, replication: usize) ->
 }
 
 /// The F2-style workload with per-task think time (so the kill lands
-/// mid-run), optionally killing the last server after `kill_sends` of its
-/// sends. Returns (wall, failovers observed).
-fn faulted_run(tasks: u64, kill_sends: Option<u64>) -> (Duration, u64) {
+/// mid-run), optionally killing the last server, which holds the first's
+/// replica, once it applied `kill_updates` of its op batches. Returns
+/// (wall, failovers observed).
+fn faulted_run(tasks: u64, kill_updates: Option<u64>) -> (Duration, u64) {
     let workers = 4usize;
     let servers = 2usize;
     let size = workers + 1 + servers;
     let layout = Layout::new(size, servers);
     let victim = size - 1; // the non-master server
-    let plan = match kill_sends {
-        Some(n) => FaultPlan::new().kill_after_sends(victim, n),
+    let plan = match kill_updates {
+        Some(n) => FaultPlan::new().kill_at(victim, Point::ReplicaUpdated, n),
         None => FaultPlan::new(),
     };
     let failovers = AtomicU64::new(0);
@@ -114,7 +115,7 @@ fn faulted_run(tasks: u64, kill_sends: Option<u64>) -> (Duration, u64) {
         assert_eq!(done, tasks, "every task executed despite the death");
         assert_eq!(
             outcome.killed.is_empty(),
-            kill_sends.is_none(),
+            kill_updates.is_none(),
             "the scheduled kill must land mid-run"
         );
         let promoted: u64 = outcome
@@ -184,23 +185,23 @@ fn main() {
         ("series", Json::Str("failover_recovery".into())),
         ("tasks", Json::U64(ft_tasks)),
         ("replication", Json::U64(2)),
-        ("kill_sends", Json::U64(0)),
+        ("kill_replica_updates", Json::U64(0)),
         ("failovers", Json::U64(0)),
         ("wall_secs", Json::F64(clean.as_secs_f64())),
         ("recovery_overhead_secs", Json::F64(0.0)),
     ]);
-    for kill_sends in [8u64, 40] {
-        let (d, failovers) = faulted_run(ft_tasks, Some(kill_sends));
+    for kill_updates in [8u64, 40] {
+        let (d, failovers) = faulted_run(ft_tasks, Some(kill_updates));
         let overhead = d.saturating_sub(clean);
         row(
-            &format!("kill@{kill_sends} sends"),
+            &format!("kill@{kill_updates} updates"),
             &[ms(d), failovers.to_string(), ms(overhead)],
         );
         report.row(&[
             ("series", Json::Str("failover_recovery".into())),
             ("tasks", Json::U64(ft_tasks)),
             ("replication", Json::U64(2)),
-            ("kill_sends", Json::U64(kill_sends)),
+            ("kill_replica_updates", Json::U64(kill_updates)),
             ("failovers", Json::U64(failovers)),
             ("wall_secs", Json::F64(d.as_secs_f64())),
             ("recovery_overhead_secs", Json::F64(overhead.as_secs_f64())),

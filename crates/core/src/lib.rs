@@ -40,8 +40,8 @@ pub use result::{LatencyReport, RunResult, SwiftTError, TenantReport};
 pub use runtime::Runtime;
 
 // Re-export the pieces users commonly need alongside the runtime.
-pub use adlb::{RetryPolicy, TenantQuota, TenantSpec, TenantStats};
-pub use mpisim::{FaultPlan, LatencyStats, RankTrace};
+pub use adlb::{TenantQuota, TenantSpec, TenantStats};
+pub use mpisim::{FaultPlan, LatencyStats, Point, RankTrace};
 pub use stc::{compile, CompiledProgram};
 pub use turbine::{InterpPolicy, RankOutput, Role, TurbineProgram};
 

@@ -190,7 +190,7 @@ impl Runtime {
     /// Retry budget for failed or orphaned tasks: a task is requeued up to
     /// `k` times before the servers quarantine it.
     pub fn max_retries(mut self, k: u32) -> Self {
-        self.config.server.retry.max_retries = k;
+        self.config.server.max_retries = k;
         self
     }
 

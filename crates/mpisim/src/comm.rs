@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
+use crate::fault::Point;
 use crate::mailbox::Envelope;
 use crate::world::Shared;
 use crate::{Rank, Tag};
@@ -86,7 +87,7 @@ impl Comm {
     /// Send `data` to `dest` with `tag`. Never blocks (buffered send).
     ///
     /// Under a fault plan the send may be dropped, delayed, or be this
-    /// rank's scripted last act: a `KillAfterSends` fault fires *after*
+    /// rank's scripted last act: a kill at [`Point::Send`] fires *after*
     /// the triggering message is delivered. Sends to dead ranks vanish
     /// silently, as with a real failed process.
     ///
@@ -109,25 +110,40 @@ impl Comm {
                 data,
             });
         }
-        if verdict.kill_after {
+        self.fault_point(Point::Send);
+    }
+
+    /// This rank reached the protocol moment `point`. Under a plan that
+    /// kills it at the Nth hit of `point`, the Nth call does not return.
+    /// Without a fault plan this is one branch.
+    pub fn fault_point(&self, point: Point) {
+        if self.shared.faults.hit(self.rank, point) {
+            self.shared.faults.kill(self.rank);
+        }
+    }
+
+    /// A receive is about to consume: a kill at [`Point::Recv`] that
+    /// the last completed receive made due lands here.
+    fn recv_entry(&self) {
+        if self.shared.faults.due(self.rank, Point::Recv) {
             self.shared.faults.kill(self.rank);
         }
     }
 
     /// Blocking selective receive.
     pub fn recv(&self, src: impl Into<Src>, tag: impl Into<TagSel>) -> Message {
-        self.shared.faults.check_recv_entry(self.rank);
+        self.recv_entry();
         let m = self.shared.mailboxes[self.rank].recv(src.into(), tag.into());
-        self.shared.faults.note_recv_done(self.rank);
+        self.shared.faults.hit(self.rank, Point::Recv);
         m
     }
 
     /// Non-blocking selective receive.
     pub fn try_recv(&self, src: impl Into<Src>, tag: impl Into<TagSel>) -> Option<Message> {
-        self.shared.faults.check_recv_entry(self.rank);
+        self.recv_entry();
         let m = self.shared.mailboxes[self.rank].try_recv(src.into(), tag.into());
         if m.is_some() {
-            self.shared.faults.note_recv_done(self.rank);
+            self.shared.faults.hit(self.rank, Point::Recv);
         }
         m
     }
@@ -139,10 +155,10 @@ impl Comm {
         tag: impl Into<TagSel>,
         timeout: Duration,
     ) -> Option<Message> {
-        self.shared.faults.check_recv_entry(self.rank);
+        self.recv_entry();
         let m = self.shared.mailboxes[self.rank].recv_timeout(src.into(), tag.into(), timeout);
         if m.is_some() {
-            self.shared.faults.note_recv_done(self.rank);
+            self.shared.faults.hit(self.rank, Point::Recv);
         }
         m
     }

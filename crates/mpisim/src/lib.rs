@@ -41,7 +41,7 @@ mod wire;
 mod world;
 
 pub use comm::{Comm, Message, Src, TagSel};
-pub use fault::{FaultAction, FaultPlan, RankKilled};
+pub use fault::{FaultAction, FaultPlan, Point, RankKilled};
 pub use trace::{LatencyStats, RankTrace, TraceEvent};
 pub use wire::{Aliased, Wire, WireAs, WireError, WireReader, WireWriter};
 pub use world::{FaultyOutcome, World, WorldStats};

@@ -266,7 +266,7 @@ fn silence_injected_kills() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Src, TagSel};
+    use crate::{Point, Src, TagSel};
 
     #[test]
     fn results_are_indexed_by_rank() {
@@ -304,7 +304,7 @@ mod tests {
     fn killed_rank_does_not_poison_survivors() {
         // Rank 1 is killed after its first send; ranks 0 and 2 still
         // complete their own exchange.
-        let plan = FaultPlan::new().kill_after_sends(1, 1);
+        let plan = FaultPlan::new().kill_at(1, Point::Send, 1);
         let outcome = World::run_faulty(3, &plan, |comm| {
             match comm.rank() {
                 0 => {
@@ -332,10 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn kill_after_recvs_fires_on_recv_entry() {
+    fn a_recv_kill_fires_on_the_next_recv_entry() {
         // Rank 1 may complete exactly 2 receives; its third receive call
         // kills it without consuming anything.
-        let plan = FaultPlan::new().kill_after_recvs(1, 2);
+        let plan = FaultPlan::new().kill_at(1, Point::Recv, 2);
         let outcome = World::run_faulty(2, &plan, |comm| {
             if comm.rank() == 0 {
                 for _ in 0..3 {
@@ -375,24 +375,50 @@ mod tests {
 
     #[test]
     fn sends_to_dead_ranks_are_dropped() {
-        // Rank 1 dies before receiving anything; rank 0's sends to it must
+        // Rank 1 dies right after its one send; rank 0's send to it must
         // not block or panic, and the world must still terminate.
-        let plan = FaultPlan::new().kill_after_recvs(1, 0);
+        let plan = FaultPlan::new().kill_at(1, Point::Send, 1);
         let outcome = World::run_faulty(2, &plan, |comm| {
             if comm.rank() == 0 {
-                // Give rank 1 a moment to die so at least one send hits a
-                // dead destination (either way the run must terminate).
+                comm.recv(Src::Of(1), TagSel::Any);
+                // Give rank 1 a moment to finish dying so the send below
+                // hits a dead destination.
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 comm.send(1, 6, vec![0u8; 8]);
                 assert!(!comm.is_alive(1));
                 7
             } else {
+                comm.send(0, 6, vec![0u8; 1]);
                 comm.recv(Src::Any, TagSel::Any);
                 0
             }
         });
         assert_eq!(outcome.killed, vec![1]);
         assert_eq!(outcome.outputs[0], Some(7));
+    }
+
+    #[test]
+    fn a_named_point_kills_at_its_nth_hit_in_program_order() {
+        // Rank 1 hits the point between sends: its second hit is fatal,
+        // so exactly two messages reach rank 0, whatever else it sent.
+        let plan = FaultPlan::new().kill_at(1, Point::TaskReceived, 2);
+        let outcome = World::run_faulty(2, &plan, |comm| {
+            if comm.rank() == 0 {
+                let a = comm.recv(Src::Of(1), TagSel::Of(1)).data[0];
+                let b = comm.recv(Src::Of(1), TagSel::Of(1)).data[0];
+                return Some(a * 10 + b);
+            }
+            for i in 1..=3u8 {
+                comm.send(0, 2, vec![0u8]);
+                comm.send(0, 1, vec![i]);
+                // Other points do not count toward this one.
+                comm.fault_point(Point::AckSent);
+                comm.fault_point(Point::TaskReceived);
+            }
+            None
+        });
+        assert_eq!(outcome.killed, vec![1]);
+        assert_eq!(outcome.outputs[0], Some(Some(12)));
     }
 
     #[test]
@@ -408,7 +434,7 @@ mod tests {
         use crate::trace::{self, KIND_TASK_EVAL};
         // Rank 1 records a span, then dies inside its first send. The
         // world holds the recorder, so the pre-kill span must survive.
-        let plan = FaultPlan::new().kill_after_sends(1, 1);
+        let plan = FaultPlan::new().kill_at(1, Point::Send, 1);
         let outcome = World::run_faulty_traced(2, &plan, true, |comm| {
             if comm.rank() == 1 {
                 let t0 = trace::now_us();

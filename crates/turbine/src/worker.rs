@@ -8,7 +8,7 @@
 //!
 //! Task failures are *contained*: an eval error (or an undecodable
 //! payload) is reported to the ADLB server as a negative acknowledgement
-//! — the server retries or quarantines the task per its `RetryPolicy` —
+//! — the server retries or quarantines the task per its `ServerConfig::max_retries` —
 //! and the worker keeps serving. A failed task may have left the embedded
 //! Python/R interpreters in an arbitrary state, so they are reinitialized
 //! regardless of the configured §III.C policy.
@@ -276,7 +276,7 @@ mod tests {
             assert_eq!(stdout, "healthy\n");
             Some((failed, n, 1))
         });
-        // Default RetryPolicy: max_retries = 3, so the poison task fails
+        // Default `ServerConfig::max_retries` = 3, so the poison task fails
         // once fresh + 3 retries before quarantine.
         let (failed, executed, _) = out[1].unwrap();
         assert_eq!(failed, 4);

@@ -25,7 +25,7 @@
 //!                        persist the checkpoint store across processes
 //!       --verify-checkpoint FILE
 //!                        fsck a checkpoint image and exit (1 = corrupt)
-//!       --faults SPEC    inject faults (kill:rank=R,sends=N; drop:...)
+//!       --faults SPEC    inject faults (kill:rank=R,at=POINT,n=N; drop:...)
 //!       --max-retries K  requeue a failed task at most K times
 //!       --emit-tcl       print the compiled Turbine code and exit
 //!       --report         print the run report after program output
@@ -194,8 +194,12 @@ options:
                        LSN continuity, print a per-shard summary, and
                        exit (0 = clean, 1 = corruption found)
       --faults SPEC    inject faults; SPEC is ';'-separated clauses:
-                         kill:rank=R,sends=N   kill R after its Nth send
-                         kill:rank=R,recvs=N   kill R at its (N+1)th recv
+                         kill:rank=R,at=POINT,n=N     kill R at its Nth hit of
+                           POINT (send, recv, client.get_sent,
+                           client.task_received, client.ack_sent,
+                           server.request_applied, server.ops_replicated,
+                           server.replica_updated, server.replica_installed,
+                           server.death_handled, server.termination_decided)
                          drop:from=A,to=B,nth=N       drop Nth A->B message
                          delay:from=A,to=B,nth=N,ms=M delay it by M ms
       --max-retries K  requeue a failed task at most K times (default 3)

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use swiftt::adlb::CHECKPOINT_DEFAULT_INTERVAL;
 use swiftt::blobutils::Blob;
-use swiftt::core::{FaultPlan, NativeArg, NativeLibrary, Runtime, SwiftTError};
+use swiftt::core::{FaultPlan, NativeArg, NativeLibrary, Point, Runtime, SwiftTError};
 use swiftt::pfs::{Pfs, PfsConfig};
 
 /// Sorted, deduplicated stdout lines (a killed rank's buffered output is
@@ -63,9 +63,9 @@ fn machine(ranks: usize, servers: usize) -> Runtime {
 #[test]
 fn early_worker_death_loses_no_tasks() {
     // Rank layout for machine(6, 1): engine 0, workers 1..=4, server 5. Kill
-    // worker 2 at its very first receive: it has executed nothing, so
+    // worker 2 once its first Get has left: it has executed nothing, so
     // every task must surface from the survivors.
-    let plan = FaultPlan::new().kill_after_recvs(2, 0);
+    let plan = FaultPlan::new().kill_at(2, Point::GetSent, 1);
     let r = machine(6, 1)
         .faults(plan)
         .run(r#"foreach i in [0:19] { printf("task %d", i); }"#)
@@ -81,20 +81,16 @@ fn early_worker_death_loses_no_tasks() {
 
 #[test]
 fn mid_run_worker_death_terminates_without_duplicates() {
-    // Kill worker 3 midway through its task stream. Its executed tasks'
-    // output and acks left in one batch ahead of every receive it ever
-    // blocked in (the kill lands on one), so nothing it did is lost OR
-    // rerun: the assembled stdout holds all 200 tasks exactly once even
-    // though the rank died. A worker receives once per prefetched batch
-    // (its tasks carry their inputs): 13–17 times for its ~50 tasks in a
-    // fault-free release run (10 of 10), so 4 receives is about a quarter
-    // of the way in,
-    // with room for a worker dealt fewer batches than its share (a kill
-    // at 6 missed once in about a hundred suite runs).
-    let plan = FaultPlan::new().kill_after_recvs(3, 4);
+    // Kill worker 3 as its fourth Get leaves: its executed tasks' output
+    // and acks left in the outbox ahead of that Get, so nothing it did is
+    // lost OR rerun: the assembled stdout holds all 200 tasks exactly once
+    // even though the rank died. The tasks spin so every worker is dealt
+    // batches: at 200 bare printf tasks worker 3 got none in 1 of 200
+    // release runs, and a worker with no task has no mid-run moment.
+    let plan = FaultPlan::new().kill_at(3, Point::GetSent, 4);
     let r = machine(6, 1)
         .faults(plan)
-        .run(r#"foreach i in [0:199] { printf("task %d", i); }"#)
+        .run(&spin_tasks(200))
         .expect("run must survive a mid-run worker death");
     assert_eq!(r.killed_ranks, vec![3], "the scheduled victim must die");
     assert_eq!(r.server_totals().ranks_failed, 1);
@@ -112,11 +108,11 @@ fn mid_run_worker_death_terminates_without_duplicates() {
 #[test]
 fn worker_death_with_batch_in_flight_loses_no_tasks() {
     // Batching is on by default, so a worker's first Get asks for a whole
-    // batch. Kill worker 2 right after that Get is delivered: whatever
-    // the server leased to it (up to a full prefetch batch) is in flight
-    // to a dead rank and must be requeued — every task surfaces from the
-    // survivors exactly once.
-    let plan = FaultPlan::new().kill_after_sends(2, 1);
+    // batch. Kill worker 2 right after that Get is delivered, without
+    // reading the answer: whatever the server leased to it (up to a full
+    // prefetch batch) is in flight to a dead rank and must be requeued —
+    // every task surfaces from the survivors exactly once.
+    let plan = FaultPlan::new().kill_at(2, Point::GetSent, 1);
     let r = machine(6, 1)
         .faults(plan)
         .run(r#"foreach i in [0:39] { printf("task %d", i); }"#)
@@ -200,7 +196,7 @@ fn poison_task_quarantined_with_bounded_retries() {
 /// one server killed mid-run at replication 2; the output task set must
 /// be identical (worker scheduling makes line *order* nondeterministic,
 /// so we compare sorted lines).
-fn assert_server_death_output_matches(victim: usize, kill_recvs: u64) {
+fn assert_server_death_output_matches(victim: usize, point: Point, n: u64) {
     let src = r#"foreach i in [0:119] { printf("task %d", i); }"#;
     let clean = machine(8, 2)
         .replication(2)
@@ -209,13 +205,13 @@ fn assert_server_death_output_matches(victim: usize, kill_recvs: u64) {
     let mut want: Vec<&str> = clean.stdout.lines().collect();
     want.sort_unstable();
 
-    let plan = FaultPlan::new().kill_after_recvs(victim, kill_recvs);
+    let plan = FaultPlan::new().kill_at(victim, point, n);
     let r = machine(8, 2)
         .replication(2)
         .faults(plan)
         .run(src)
         .unwrap_or_else(|e| {
-            panic!("killing server {victim} at recv {kill_recvs} must not fail the run: {e}")
+            panic!("killing server {victim} at {point:?} {n} must not fail the run: {e}")
         });
     assert_eq!(
         r.killed_ranks,
@@ -240,16 +236,19 @@ fn assert_server_death_output_matches(victim: usize, kill_recvs: u64) {
 fn master_server_death_at_replication_2_output_matches_fault_free() {
     // Rank 6 is the master (first server on the ring): its successor
     // takes over the shard, the adopted clients, AND the termination
-    // protocol.
-    for kill_recvs in [10, 40] {
-        assert_server_death_output_matches(6, kill_recvs);
+    // protocol. It serves every task here; it dies after its 10th and
+    // its 40th client request.
+    for n in [10, 40] {
+        assert_server_death_output_matches(6, Point::RequestApplied, n);
     }
 }
 
 #[test]
 fn second_server_death_at_replication_2_output_matches_fault_free() {
-    for kill_recvs in [10, 40] {
-        assert_server_death_output_matches(7, kill_recvs);
+    // Rank 7's clients park and get nothing; it holds rank 6's replica,
+    // and dies after applying rank 6's 10th and 40th op batch to it.
+    for n in [10, 40] {
+        assert_server_death_output_matches(7, Point::ReplicaUpdated, n);
     }
 }
 
@@ -268,15 +267,15 @@ const PIPELINE_SRC: &str = r#"
 
 #[test]
 fn engine_home_death_mid_pipeline_at_replication_2_output_matches_fault_free() {
-    // Rank 6 is the engine's home server and the master. It receives
-    // 430–550 messages in a fault-free release run (10 of 10), so its
-    // 100th receive is early: the successor must replay the engine's
-    // owned batches, acks and writes together, exactly once.
+    // Rank 6 is the engine's home server and the master. It dies after
+    // its 100th client request, early in the pipeline: the successor must
+    // replay the engine's owned batches, acks and writes together,
+    // exactly once.
     let rt = || machine(8, 2).replication(2);
     let clean = rt().run(PIPELINE_SRC).expect("fault-free run");
     assert_eq!(clean.stdout, "checksum 61298\n");
     let r = rt()
-        .faults(FaultPlan::new().kill_after_recvs(6, 100))
+        .faults(FaultPlan::new().kill_at(6, Point::RequestApplied, 100))
         .run(PIPELINE_SRC)
         .expect("a server death at replication 2 must not fail the pipeline");
     assert_eq!(
@@ -360,43 +359,38 @@ fn assert_blob_pipeline_survives(plan: FaultPlan, victim: usize) {
 
 #[test]
 fn a_worker_death_around_its_task_ends_frees_no_input_early() {
-    const WORKER_SENDS: u64 = 100;
-    // Workers 2 and 4 run every task here (about 120 each); the others
-    // never get one. A busy worker's sends are its gets, its leaves'
-    // stores and the batches carrying its acks, whose reads the server
-    // releases — about two per task end, 225–350 for worker 2 in ten
-    // fault-free release runs — so send 100 lands over a quarter of the
-    // way in. Whatever was in flight when it died (a task whose ack never
-    // left, and the releases with it), the retry still finds every input:
-    // a lost release is a leak, not a free.
-    assert_blob_pipeline_survives(FaultPlan::new().kill_after_sends(2, WORKER_SENDS), 2);
+    // Workers 2 and 4 run every task here; the others never get one.
+    // Worker 2 dies as its 30th ack leaves, with the reads it releases.
+    // Whatever was in flight when it died (acks still in its outbox, and
+    // the releases with them), the retry still finds every input: a lost
+    // release is a leak, not a free.
+    assert_blob_pipeline_survives(FaultPlan::new().kill_at(2, Point::AckSent, 30), 2);
 }
 
 #[test]
 fn a_server_death_mid_pipeline_frees_each_datum_once() {
-    const SERVER_RECVS: u64 = 120;
-    // Rank 7 holds half the blobs and the replica of rank 6's shard, and
-    // receives 340–405 messages in a fault-free release run (the releases
-    // rank 6 forwards among them): its 120th is over a quarter of the way
-    // in. Its successor promotes its ledger — read counts and frees
-    // included — and serves the releases that follow.
-    assert_blob_pipeline_survives(FaultPlan::new().kill_after_recvs(7, SERVER_RECVS), 7);
+    // Rank 7 holds half the blobs and the replica of rank 6's shard. It
+    // dies after applying rank 6's 40th op batch. Its successor promotes
+    // its ledger — read counts and frees included — and serves the
+    // releases that follow.
+    assert_blob_pipeline_survives(FaultPlan::new().kill_at(7, Point::ReplicaUpdated, 40), 7);
 }
 
-/// The replication-1 death tests' program: the 120 printed tasks of the
-/// tests above, each fed by a leaf that spins for a fraction of a
-/// millisecond. Rank 7's receives are mostly rank 6's 1 ms heartbeats —
-/// a clock — and the bare 120-task program (its tasks read no input from
-/// the server) is over before rank 7's 15th receive in about half the
-/// runs of a release build: a kill at receive 10 lands after termination
-/// often enough to flake. With the spin, rank 7 receives 19–82 messages
-/// in a fault-free release run (10 of 10 runs of `swiftt -n 8 -s 2
-/// --replication 1`; 19–23 with `--checkpoint 8`), so receive 10 is
-/// still inside it.
-const R1_DEATH_SRC: &str = r#"
-    (int o) spin (int i) [ "for {set k 0} {$k < 400} {incr k} {}; set <<o>> <<i>>" ];
-    foreach i in [0:119] { int j = spin(i); printf("task %d", j); }
-"#;
+/// `n` printed tasks, each fed by a leaf that spins for a fraction of a
+/// millisecond, so the run lasts long enough for every rank to take part.
+fn spin_tasks(n: usize) -> String {
+    format!(
+        r#"(int o) spin (int i) [ "for {{set k 0}} {{$k < 400}} {{incr k}} {{}}; set <<o>> <<i>>" ];
+        foreach i in [0:{}] {{ int j = spin(i); printf("task %d", j); }}"#,
+        n - 1
+    )
+}
+
+/// At replication 1 rank 7's three clients park on it and get nothing
+/// (rank 6 serves every task). That third Get is the last request it
+/// applies before termination can be decided, so a kill there always
+/// lands mid-run.
+const R1_KILL: (usize, Point, u64) = (7, Point::RequestApplied, 3);
 
 #[test]
 fn server_death_at_replication_1_fails_cleanly_not_hangs() {
@@ -405,12 +399,13 @@ fn server_death_at_replication_1_fails_cleanly_not_hangs() {
     // error (the shard-loss diagnosis), never a hang. checkpoint(0) pins
     // the tier off even in a fault-matrix cell that turns it on: this
     // test is *about* the no-durability path.
-    let plan = FaultPlan::new().kill_after_recvs(7, 10);
+    let (victim, point, n) = R1_KILL;
+    let plan = FaultPlan::new().kill_at(victim, point, n);
     let err = machine(8, 2)
         .replication(1)
         .checkpoint(0)
         .faults(plan)
-        .run(R1_DEATH_SRC)
+        .run(&spin_tasks(120))
         .expect_err("an unreplicated shard loss cannot complete the program");
     match err {
         SwiftTError::Runtime(m) => {
@@ -431,18 +426,6 @@ fn server_death_at_replication_1_fails_cleanly_not_hangs() {
     }
 }
 
-/// The program of the sequential-death tests: 300 printed tasks, each fed
-/// by a leaf that spins for a fraction of a millisecond. The second
-/// victim of each schedule is a server with little traffic of its own —
-/// its receives are mostly its peers' 1 ms heartbeats — so a receive
-/// count on it is a clock, and without the spin an optimised build is
-/// through the whole program (40 ms) before that clock reaches the
-/// trigger: the kill silently never fires.
-const SEQUENTIAL_DEATHS_SRC: &str = r#"
-    (int o) spin (int i) [ "for {set k 0} {$k < 400} {incr k} {}; set <<o>> <<i>>" ];
-    foreach i in [0:299] { int j = spin(i); printf("task %d", j); }
-"#;
-
 /// Rank layout for machine(12, 4): engine 0, workers 1..=7, servers
 /// 8..=11 (master 8). Kill two servers sequentially with a gap wide
 /// enough that re-replication restores R between the deaths: after rank
@@ -451,9 +434,12 @@ const SEQUENTIAL_DEATHS_SRC: &str = r#"
 /// is back at R=2, so the second failover is just as survivable as the
 /// first. Victims 9 and 11 promote onto 10 and (wrapping) 8, so both
 /// failover counters live on survivors and stay visible in the totals.
+/// Rank 9 holds the master's replica and dies after applying its 10th op
+/// batch; rank 11 holds rank 10's and dies once it installed the second
+/// one, the merged state 10 streams after promoting 9's shard.
 #[test]
 fn two_sequential_server_deaths_with_re_replication_complete_the_program() {
-    let src = SEQUENTIAL_DEATHS_SRC;
+    let src = &spin_tasks(300);
     let clean = machine(12, 4)
         .replication(2)
         .run(src)
@@ -462,8 +448,8 @@ fn two_sequential_server_deaths_with_re_replication_complete_the_program() {
     want.sort_unstable();
 
     let plan = FaultPlan::new()
-        .kill_after_recvs(9, 10)
-        .kill_after_recvs(11, 50);
+        .kill_at(9, Point::ReplicaUpdated, 10)
+        .kill_at(11, Point::ReplicaInstalled, 2);
     let r = machine(12, 4)
         .replication(2)
         .re_replication(true)
@@ -496,21 +482,21 @@ fn two_sequential_server_deaths_with_re_replication_complete_the_program() {
     );
 }
 
-/// The same double-death schedule with re-replication disabled: R is
-/// never restored after the first death, so the second death strands a
-/// shard whose only fresh copy died with its holder. The run must end in
-/// a clean, attributable error — never a hang — unless it won the race
-/// and finished before the second death mattered.
+/// The same two victims with re-replication disabled: R is never
+/// restored after the first death, and rank 11 dies as soon as it has
+/// handled rank 9's. The run must end in a clean, attributable error —
+/// never a hang — unless it won the race and finished before the second
+/// death mattered.
 #[test]
 fn two_sequential_server_deaths_without_re_replication_end_cleanly() {
     let plan = FaultPlan::new()
-        .kill_after_recvs(9, 10)
-        .kill_after_recvs(11, 50);
+        .kill_at(9, Point::ReplicaUpdated, 10)
+        .kill_at(11, Point::DeathHandled, 1);
     let r = machine(12, 4)
         .replication(2)
         .re_replication(false)
         .faults(plan)
-        .run(SEQUENTIAL_DEATHS_SRC);
+        .run(&spin_tasks(300));
     match r {
         Ok(r) => {
             // Completed before the loss bit: output must still be clean,
@@ -533,7 +519,7 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
     // tier on: the successor restores the dead server's shard from its
     // pfs checkpoint (there is no RAM replica at replication 1), and the
     // run completes with the fault-free output.
-    let src = R1_DEATH_SRC;
+    let src = &spin_tasks(120);
     let clean = machine(8, 2)
         .replication(1)
         .run(src)
@@ -541,7 +527,8 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
     let mut want: Vec<&str> = clean.stdout.lines().collect();
     want.sort_unstable();
 
-    let plan = FaultPlan::new().kill_after_recvs(7, 10);
+    let (victim, point, n) = R1_KILL;
+    let plan = FaultPlan::new().kill_at(victim, point, n);
     let r = machine(8, 2)
         .replication(1)
         .checkpoint(8)
@@ -565,10 +552,11 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
 /// subsumed from 9, so 10's death loses every in-memory holder of that
 /// shard. The durable tier must bring it back: 10's forced post-promotion
 /// segment covers both homes, and the redirect tombstone left for 9
-/// points the restorer at it.
+/// points the restorer at it. Rank 10 dies right after handling 9's
+/// death, its promotion and that segment included.
 #[test]
 fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
-    let src = SEQUENTIAL_DEATHS_SRC;
+    let src = &spin_tasks(300);
     let clean = machine(12, 4)
         .replication(2)
         .run(src)
@@ -577,8 +565,8 @@ fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
     want.sort_unstable();
 
     let plan = FaultPlan::new()
-        .kill_after_recvs(9, 10)
-        .kill_after_recvs(10, 80);
+        .kill_at(9, Point::ReplicaUpdated, 10)
+        .kill_at(10, Point::DeathHandled, 1);
     let r = machine(12, 4)
         .replication(2)
         .re_replication(false)
@@ -621,14 +609,13 @@ fn whole_world_kill_then_resume_completes_exactly_once() {
     assert_eq!(want.len(), 60);
 
     let fs = Arc::new(Pfs::new(PfsConfig::default()));
-    // Run 1: the lone server (rank 5) dies mid-stream — 20 of the 33–45
-    // receives a fault-free release run costs it (10 of 10 runs), with
-    // tasks queued, leased and acked — and every client then panics out
-    // on total server loss. The world is gone.
+    // Run 1: the lone server (rank 5) dies after its 20th client request,
+    // with tasks queued, leased and acked, and every client then panics
+    // out on total server loss. The world is gone.
     let r1 = machine(6, 1)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
-        .faults(FaultPlan::new().kill_after_recvs(5, 20))
+        .faults(FaultPlan::new().kill_at(5, Point::RequestApplied, 20))
         .run(src);
     match r1 {
         Err(SwiftTError::Runtime(m)) => assert!(
@@ -699,7 +686,7 @@ fn resume_after_repeated_compaction_keeps_the_wal_within_the_segment() {
     let cut = machine(6, 1)
         .checkpoint(4)
         .checkpoint_store(fs.clone())
-        .faults(FaultPlan::new().kill_after_recvs(5, 20))
+        .faults(FaultPlan::new().kill_at(5, Point::RequestApplied, 20))
         .run(src);
     assert!(cut.is_err(), "the lone server's death ends run 1");
     let epochs = assert_wal_within_segment(&fs);
@@ -737,7 +724,7 @@ fn cli_faults_flag_reports_counters() {
             "-n",
             "6",
             "--faults",
-            "kill:rank=2,recvs=0",
+            "kill:rank=2,at=client.get_sent,n=1",
             "--max-retries",
             "5",
             "--report",
@@ -765,7 +752,7 @@ fn cli_replication_flag_survives_server_death() {
             "--replication",
             "2",
             "--faults",
-            "kill:rank=7,recvs=10",
+            "kill:rank=7,at=server.replica_updated,n=10",
             "--report",
         ])
         .output()
@@ -796,7 +783,7 @@ fn cli_report_shows_re_replication_metrics() {
             "--replication",
             "2",
             "--faults",
-            "kill:rank=9,recvs=10",
+            "kill:rank=9,at=server.replica_updated,n=10",
             "--report",
         ])
         .output()
@@ -827,7 +814,7 @@ fn cli_no_re_replication_flag_disables_syncs() {
             "2",
             "--no-re-replication",
             "--faults",
-            "kill:rank=9,recvs=10",
+            "kill:rank=9,at=server.replica_updated,n=10",
             "--report",
         ])
         .output()
@@ -879,7 +866,7 @@ fn cli_checkpoint_file_resumes_across_processes() {
             "--checkpoint-file",
             img_path,
             "--faults",
-            "kill:rank=5,recvs=15",
+            "kill:rank=5,at=server.request_applied,n=15",
         ])
         .output()
         .unwrap();
@@ -929,4 +916,53 @@ fn cli_rejects_malformed_fault_spec() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--faults"), "{stderr}");
+}
+
+/// Every fault point, hit once on a rank that reaches it on
+/// machine(12, 4) at replication 2 (engine 0, worker 4 on the master 8,
+/// which serves every task; rank 9 holds the master's replica): the
+/// victim dies and the output set is the fault-free run's. A point whose
+/// call site has gone never fires, and fails here.
+#[test]
+fn a_kill_at_each_fault_point_changes_no_output() {
+    let src = &spin_tasks(120);
+    let clean = machine(12, 4)
+        .replication(2)
+        .run(src)
+        .expect("fault-free run");
+    let mut want: Vec<&str> = clean.stdout.lines().collect();
+    want.sort_unstable();
+    for &point in Point::ALL {
+        let (victim, rt) = match point {
+            Point::Send | Point::GetSent | Point::TaskReceived | Point::AckSent => {
+                (4, machine(12, 4))
+            }
+            Point::RequestApplied | Point::OpsReplicated => (8, machine(12, 4)),
+            Point::Recv
+            | Point::ReplicaUpdated
+            | Point::ReplicaInstalled
+            | Point::TerminationDecided => (9, machine(12, 4)),
+            // Rank 10 promotes rank 9's shard first; with the checkpoint
+            // tier on, its own death then restores from pfs.
+            Point::DeathHandled => (10, machine(12, 4).re_replication(false).checkpoint(16)),
+        };
+        let mut plan = FaultPlan::new().kill_at(victim, point, 1);
+        if point == Point::DeathHandled {
+            plan = plan.kill_at(9, Point::ReplicaUpdated, 10);
+        }
+        let r = rt
+            .replication(2)
+            .faults(plan)
+            .run(src)
+            .unwrap_or_else(|e| panic!("{}: {e}", point.name()));
+        assert!(
+            r.killed_ranks.contains(&victim),
+            "{}: rank {victim} must die, killed {:?}",
+            point.name(),
+            r.killed_ranks
+        );
+        let mut got = unique_lines(&r.stdout);
+        got.sort_unstable();
+        assert_eq!(got, want, "{}", point.name());
+    }
 }

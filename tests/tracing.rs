@@ -12,7 +12,7 @@
 use std::process::Command;
 
 use mpisim::trace;
-use swiftt::core::{FaultPlan, Runtime};
+use swiftt::core::{FaultPlan, Point, Runtime};
 
 const PROGRAM: &str = r#"foreach i in [0:39] { printf("task %d", i); }"#;
 
@@ -87,12 +87,9 @@ fn trace_reconciles_under_server_death() {
     // still reconcile — eval spans count every executed task (including
     // requeued leases' reruns), the promotion shows up as exactly one
     // failover instant, and the re-replication that restores R records
-    // one recovery window iff the stats say R was restored. 20 receives
-    // is past the start-up heartbeats and the engine's first batches
-    // (the master has accepted tasks) and about a third of what a
-    // fault-free release run costs it (a kill still fires at 50 in 10 of
-    // 10 runs, at 60 in 1 of 10).
-    let plan = FaultPlan::new().kill_after_recvs(8, 20);
+    // one recovery window iff the stats say R was restored. The master
+    // dies after its 10th client request, once it has accepted tasks.
+    let plan = FaultPlan::new().kill_at(8, Point::RequestApplied, 10);
     let r = Runtime::new(12)
         .servers(4)
         .replication(2)
