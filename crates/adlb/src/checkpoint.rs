@@ -7,8 +7,8 @@
 //! checkpoint segment whenever the log written since the last segment
 //! has grown as large as that segment. Two recovery paths use it:
 //!
-//! * **Total replica loss.** When membership confirms a shard lost every
-//!   holder, the would-be abort becomes a restore: the surviving
+//! * **Total replica loss.** When a server death leaves a shard with no
+//!   live holder, the would-be abort becomes a restore: the surviving
 //!   successor reads the shard's latest segment, replays the WAL tail,
 //!   and promotes the result exactly as it would a RAM replica.
 //! * **Whole-world restart.** Kill every rank, relaunch with `--resume`:

@@ -154,8 +154,8 @@ pub struct AdlbClient {
     next_id: u64,
     /// Last request sequence number used (seq 0 is never sent).
     next_seq: u64,
-    /// Servers this client observed to be dead (its own view; servers
-    /// confirm independently via the membership protocol).
+    /// Servers this client observed to be dead (its own view; each server
+    /// asks the same liveness oracle on its idle ticks).
     dead: HashSet<Rank>,
     /// Sealed fire-and-forget messages (acks, output) sent to the home
     /// server since its last awaited response. If the home dies, these

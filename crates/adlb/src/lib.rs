@@ -58,7 +58,6 @@ mod checkpoint;
 mod client;
 mod datastore;
 mod layout;
-mod membership;
 mod msg;
 mod queue;
 mod replica;
@@ -74,7 +73,6 @@ pub use checkpoint::{
 pub use client::{AdlbClient, ClientConfig};
 pub use datastore::{DataError, Datum, DatumValue, TYPE_TAG_CONTAINER};
 pub use layout::Layout;
-pub use membership::{MemberState, Membership};
 pub use msg::{Task, WORK_TYPE_CONTROL, WORK_TYPE_NOTIFY, WORK_TYPE_WORK};
 pub use replica::{Applied, Lease, Ledger, ReplOp};
 pub use server::{serve, serve_ext, ServerConfig, ServerOutcome, ServerStats, NOTIFY_VALUE_MAX};

@@ -319,9 +319,6 @@ wire_enum! {
         /// Global shutdown, carrying the (capped) quarantine reports gathered
         /// by the master so every server can hand them to its clients.
         5 => Shutdown { reports: Vec<String> },
-        /// Liveness beacon between servers (membership protocol). Any message
-        /// counts as a heartbeat; this one exists for otherwise-idle servers.
-        6 => Heartbeat,
         /// Write-through replication: state-changing ops a primary streams to
         /// the ring successors holding its replica ledger.
         7 => Repl { ops: Vec<ReplOp> },
@@ -359,6 +356,10 @@ wire_enum! {
         /// [`Request::TaskDone`]). Sent once, never re-sent: a release
         /// lost to a death is a leak, never a second free.
         13 => Release { releases: Vec<(u64, u32)> },
+        /// The run cannot complete: a server lost a shard no replica or
+        /// checkpoint restores. The first server to decide it sends its
+        /// diagnosis to every live peer, and each winds down with it.
+        14 => WindDown { diagnosis: String },
     }
 }
 
@@ -598,7 +599,9 @@ mod tests {
             ServerMsg::Shutdown {
                 reports: vec!["task quarantined: boom".into()],
             },
-            ServerMsg::Heartbeat,
+            ServerMsg::WindDown {
+                diagnosis: "server rank 7 died".into(),
+            },
             ServerMsg::XferAck {
                 origin: 8,
                 dest: 9,

@@ -3,8 +3,8 @@
 //! A server owns the work queues for its clients, one shard of the data
 //! store, the work-stealing policy, and (on the master server) the
 //! termination-detection protocol. Everything is message-driven; the only
-//! timer is a short receive timeout that paces steal attempts, heartbeats
-//! and termination polls. [`Server::run`] is the one serving loop; the
+//! timer is a short receive timeout that paces steal attempts, the death
+//! pass and termination polls. [`Server::run`] is the one serving loop; the
 //! state it dispatches over lives in four components, each owning its
 //! fields privately:
 //!
@@ -14,22 +14,23 @@
 //!   transaction buffer, the WAL sink and the cached-response replay;
 //! * [`scheduler`] — parked `Get`s, tenants, routing, delivery, leases
 //!   and stealing;
-//! * [`failover`] — membership, replica ledgers and their sync streams,
-//!   and the one recovery decision for a dead peer;
+//! * [`failover`] — the dead peers, replica ledgers and their sync
+//!   streams, and the one recovery decision for a dead peer;
 //! * [`termination`] — the epoch, the check rounds, the terminal `NoMore`
 //!   and the post-termination linger.
 //!
 //! With `replication >= 2` the server streams every committed op to its
 //! ring successors *before* any client-visible response leaves this rank
-//! (write-through), holds their ledgers in turn, and participates in the
-//! heartbeat membership protocol — see [`crate::replica`] and
-//! [`crate::membership`]. When a peer dies, the first live successor
+//! (write-through) and holds their ledgers in turn — see
+//! [`crate::replica`]. A server learns a peer's death from the
+//! transport's liveness oracle, as a client does, on its idle ticks.
+//! When a peer dies, the first live successor
 //! absorbs the dead peer's ledger into its own and serves the shard in
 //! its place; the other servers re-route their in-flight task transfers
 //! and carry on.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mpisim::{Comm, Point, Rank, Src, TagSel, Wire};
 
@@ -291,12 +292,11 @@ impl Server {
     }
 
     /// The one serving loop. Before termination it serves requests and
-    /// peer messages, runs the idle actions and beacons heartbeats; once
-    /// termination is decided it turns into the linger: it keeps
-    /// answering retried requests (terminally, for a `Get`) and keeping
-    /// replicas fresh, sends no heartbeat and runs no idle action beyond
-    /// failover, and ends once every live peer said goodbye and no
-    /// stranded client waits.
+    /// peer messages and runs the idle actions; once termination is
+    /// decided it turns into the linger: it keeps answering retried
+    /// requests (terminally, for a `Get`) and keeping replicas fresh,
+    /// runs no idle action beyond the death pass, and ends once every
+    /// live peer said goodbye and no stranded client waits.
     fn run(&mut self) -> ServerOutcome {
         while !(self.term.shutdown() && self.term.linger_done(&self.failover.live_peers())) {
             // Drain the pipe without blocking first: an empty pipe is the
@@ -329,7 +329,6 @@ impl Server {
                         // now would double-apply its effects.
                         continue;
                     }
-                    self.failover.heard(m.source);
                     match ServerMsg::decode(&m.data) {
                         // After termination only replication traffic and
                         // goodbyes matter: a peer may still be restoring R
@@ -372,8 +371,6 @@ impl Server {
             };
             if done {
                 self.enter_shutdown();
-            } else if !self.term.shutdown() {
-                self.maybe_heartbeat();
             }
         }
         self.outcome()
@@ -589,6 +586,7 @@ impl Server {
                 self.on_shutdown(source, reports);
                 return true;
             }
+            ServerMsg::WindDown { diagnosis } => self.wind_down(diagnosis),
             other => {
                 self.take_repl_traffic(source, other, true);
             }
@@ -607,23 +605,36 @@ impl Server {
         // buffer holds (and whatever sends it is holding back) goes
         // durable now, at most one poll interval after commit.
         self.shard.flush_buffered(&mut self.stats);
-        let now = Instant::now();
+        // The death pass: the oracle is asked once about each peer not
+        // yet dead and each client of ours not yet finished. Every death
+        // is marked before any is handled, so each failover routes round
+        // all of them.
         let comm = self.comm.clone();
-        for d in self.failover.tick(now, |r| comm.is_alive(r)) {
+        let dead = |r: &Rank| !comm.is_alive(*r);
+        let dead_peers: Vec<Rank> = self
+            .failover
+            .live_peers()
+            .into_iter()
+            .filter(dead)
+            .collect();
+        let ledger = self.shard.ledger();
+        let dead_clients: Vec<Rank> = self.sched.unfinished(ledger).filter(dead).collect();
+        for &d in &dead_peers {
+            self.failover.mark_dead(d);
+        }
+        for d in dead_peers {
             if self.handle_server_death(d) && !self.term.shutdown() {
                 return true;
             }
         }
-        self.term.drop_dead_stranded(|c| comm.is_alive(c));
+        self.term.drop_dead_stranded(&dead_clients);
         if !self.term.shutdown() {
-            self.detect_dead_clients();
-            self.nudge_syncs(now);
+            self.clients_died(dead_clients);
+            self.nudge_syncs();
             if self.failover.aborting() {
-                // Done when every client of ours is finished or dead.
-                if self
-                    .sched
-                    .clients_done(self.shard.ledger(), |c| comm.is_alive(c))
-                {
+                // Done when every client of ours is finished, the dead
+                // ones included.
+                if self.sched.clients_done(self.shard.ledger()) {
                     return true;
                 }
             } else if self.comm.rank() == self.failover.host_of(self.layout.first_server())

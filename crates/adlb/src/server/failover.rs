@@ -1,9 +1,12 @@
-//! Membership and failover: the heartbeat failure detector, the replica
-//! ledgers this server holds for its ring predecessors and the holders of
-//! its own, the chunked full-ledger sync streams in both directions, and
-//! what a survivor does when a peer dies — one recovery decision
+//! Failover: the peers confirmed dead, the replica ledgers this server
+//! holds for its ring predecessors and the holders of its own, the
+//! chunked full-ledger sync streams in both directions, and what a
+//! survivor does when a peer dies — one recovery decision
 //! ([`recovery_plan`]) and one executor ([`Server::handle_server_death`]).
-//! An unrecoverable death winds the run down with a diagnosis.
+//! A server learns a peer's death as a client does, from the transport's
+//! liveness oracle ([`mpisim::Comm::is_alive`], the stand-in for MPI's
+//! failure notification). An unrecoverable death winds the whole run
+//! down with a diagnosis.
 
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -15,15 +18,12 @@ use super::recovery::{diagnosis, recovery_plan, Death, Plan, Replica};
 use super::Server;
 use crate::checkpoint::restore_home;
 use crate::layout::Layout;
-use crate::membership::Membership;
 use crate::msg::{ServerMsg, TAG_RESP, TAG_SRV};
 use crate::replica::{Ledger, ReplOp};
 
-/// How often an otherwise-idle server beacons liveness to its peers.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(1);
-/// Peer silence beyond this marks it suspect; suspects are confirmed
-/// against the transport's liveness oracle before failover starts.
-const SUSPECT_AFTER: Duration = Duration::from_millis(10);
+/// An outbound sync stream unacked this long re-sends its current chunk:
+/// a live receiver acks well within it, so a chunk or its ack was lost.
+const SYNC_RESEND_AFTER: Duration = Duration::from_millis(10);
 
 /// A full-ledger snapshot being streamed to one replica holder in
 /// bounded chunks. `cursor` is the receiver-acknowledged high-water —
@@ -32,9 +32,10 @@ struct OutSync {
     sync_id: u64,
     data: Bytes,
     cursor: usize,
-    /// When the last chunk left; a stream stalled past the suspect
-    /// window re-sends from the acked cursor (duplicates are harmless —
-    /// the receiver ignores non-contiguous chunks and re-acks).
+    /// When the last chunk left; a stream stalled past
+    /// [`SYNC_RESEND_AFTER`] re-sends from the acked cursor (duplicates
+    /// are harmless — the receiver ignores non-contiguous chunks and
+    /// re-acks).
     last_sent: Instant,
     /// When the stream started (µs on the trace clock), for the
     /// `repl_sync` span recorded when the final ack retires it.
@@ -56,9 +57,10 @@ struct InSync {
 
 pub(super) struct Failover {
     layout: Layout,
-    /// Peer failure detector (empty with one server).
-    membership: Membership,
-    last_heartbeat: Instant,
+    /// Every other server.
+    peers: Vec<Rank>,
+    /// Peers the oracle confirmed dead (permanent).
+    dead: HashSet<Rank>,
     /// Replica ledgers this server holds for its ring predecessors.
     ledgers: HashMap<Rank, Ledger>,
     /// Current replica holders for *this* server's ledger.
@@ -104,12 +106,10 @@ pub(super) struct Failover {
 
 impl Failover {
     pub(super) fn new(layout: Layout, me: Rank) -> Failover {
-        let peers: Vec<Rank> = layout.server_ranks().filter(|r| *r != me).collect();
-        let now = Instant::now();
         Failover {
             layout,
-            membership: Membership::new(peers, SUSPECT_AFTER, now),
-            last_heartbeat: now,
+            peers: layout.server_ranks().filter(|r| *r != me).collect(),
+            dead: HashSet::new(),
             ledgers: HashMap::new(),
             repl_targets: Vec::new(),
             outbound_syncs: HashMap::new(),
@@ -125,23 +125,22 @@ impl Failover {
 
     /// Where requests for home server `home` are currently served.
     pub(super) fn host_of(&self, home: Rank) -> Rank {
-        self.layout.route(home, self.membership.dead())
+        self.layout.route(home, &self.dead)
     }
 
     pub(super) fn is_dead(&self, peer: Rank) -> bool {
-        self.membership.is_dead(peer)
+        self.dead.contains(&peer)
     }
 
+    /// Peers not confirmed dead, in rank order.
     pub(super) fn live_peers(&self) -> Vec<Rank> {
-        self.membership.live_peers()
+        let live = self.peers.iter().filter(|p| !self.dead.contains(p));
+        live.copied().collect()
     }
 
-    pub(super) fn heard(&mut self, peer: Rank) {
-        self.membership.heard(peer, Instant::now());
-    }
-
-    pub(super) fn tick(&mut self, now: Instant, alive: impl Fn(Rank) -> bool) -> Vec<Rank> {
-        self.membership.tick(now, alive)
+    /// Record `peer`'s oracle-confirmed death; true if it is news.
+    pub(super) fn mark_dead(&mut self, peer: Rank) -> bool {
+        self.dead.insert(peer)
     }
 
     pub(super) fn targets(&self) -> &[Rank] {
@@ -192,9 +191,9 @@ impl Server {
     /// loop (before and after termination) and the drain of a dead
     /// peer's mailbox: op batches and sync chunks for the ledger this
     /// server holds for `source`, acks of its own outbound stream, and
-    /// the liveness/goodbye beacons. `live` is false for a dead peer's
-    /// drained mailbox: nobody is left to ack, and its acks of our stream
-    /// to it are moot. Anything else is handed back.
+    /// the goodbye. `live` is false for a dead peer's drained mailbox:
+    /// nobody is left to ack, and its acks of our stream to it are moot.
+    /// Anything else is handed back.
     pub(super) fn take_repl_traffic(
         &mut self,
         source: Rank,
@@ -217,7 +216,6 @@ impl Server {
                     self.handle_sync_ack(source, sync_id, cursor);
                 }
             }
-            ServerMsg::Heartbeat => {}
             // A peer can finish (and say goodbye) before this server has
             // processed its own Shutdown, or die right after completing
             // its shutdown (its clients then already have their notices);
@@ -226,21 +224,6 @@ impl Server {
             other => return Some(other),
         }
         None
-    }
-
-    pub(super) fn maybe_heartbeat(&mut self) {
-        if self.layout.servers < 2 {
-            return;
-        }
-        let now = Instant::now();
-        if now.duration_since(self.failover.last_heartbeat) < HEARTBEAT_INTERVAL {
-            return;
-        }
-        self.failover.last_heartbeat = now;
-        let beat = ServerMsg::Heartbeat.encode();
-        for p in self.failover.live_peers() {
-            self.comm.send(p, TAG_SRV, beat.clone());
-        }
     }
 
     /// Recompute who holds this server's replica: the first `R - 1` live
@@ -258,9 +241,7 @@ impl Server {
         }
         let me = self.comm.rank();
         let want = self.config.replication - 1;
-        let targets = self
-            .layout
-            .live_successors(me, want, self.failover.membership.dead());
+        let targets = self.layout.live_successors(me, want, &self.failover.dead);
         for &t in &targets {
             let first_seen = !self.failover.repl_targets.contains(&t);
             if first_seen || (resync_all && self.config.re_replicate) {
@@ -314,14 +295,14 @@ impl Server {
     }
 
     /// Re-drive outbound streams whose ack went missing (e.g. dropped by
-    /// fault injection): past the suspect window, re-send the current
+    /// fault injection): past [`SYNC_RESEND_AFTER`], re-send the current
     /// chunk from the acked resume cursor.
-    pub(super) fn nudge_syncs(&mut self, now: Instant) {
+    pub(super) fn nudge_syncs(&mut self) {
         let stalled: Vec<Rank> = self
             .failover
             .outbound_syncs
             .iter()
-            .filter(|(_, o)| now.duration_since(o.last_sent) > SUSPECT_AFTER)
+            .filter(|(_, o)| o.last_sent.elapsed() > SYNC_RESEND_AFTER)
             .map(|(r, _)| *r)
             .collect();
         for t in stalled {
@@ -355,6 +336,8 @@ impl Server {
             self.stats.repl_sync_bytes += o.data.len() as u64;
             trace::record_since(trace::KIND_REPL_SYNC, source as u64, o.started_us);
         }
+        self.comm.fault_point(Point::SyncRetired);
+        let fo = &mut self.failover;
         if !fo.outbound_syncs.is_empty() {
             return;
         }
@@ -458,7 +441,7 @@ impl Server {
             let host = self.failover.host_of(home);
             if host == self.comm.rank()
                 || self.comm.is_alive(host)
-                || !self.failover.membership.mark_dead(host)
+                || !self.failover.mark_dead(host)
             {
                 return;
             }
@@ -707,18 +690,32 @@ impl Server {
     /// No replica to promote: the shard is lost, and with it the chain of
     /// shards subsumed into it. Record each as a lost home (data ops on it
     /// get benign defaults instead of parking forever) with its clients'
-    /// streams marked truncated, then stay up, answer every `Get` with
-    /// `NoMore` plus the diagnosis (a clean, attributable failure instead
-    /// of a hang), and exit once every client is accounted for.
+    /// streams marked truncated, then wind the run down.
     fn enter_abort(&mut self, d: Rank, why: &str, chain: &[Rank]) {
         for &e in std::iter::once(&d).chain(chain) {
             self.failover.lost_homes.insert(e);
             self.sched.mark_truncated(self.layout.clients_of(e));
         }
+        self.wind_down(diagnosis(d, why, chain, self.config.checkpoint.is_some()));
+    }
+
+    /// Wind the run down with `report`: stay up, answer every `Get` with
+    /// `NoMore` plus the diagnosis (a clean, attributable failure instead
+    /// of a hang), and exit once every client is accounted for. The first
+    /// time, the diagnosis goes to every live peer too, which winds down
+    /// with it: a peer left serving would wait on check rounds and parked
+    /// clients that a wound-down server no longer answers.
+    pub(super) fn wind_down(&mut self, report: String) {
         if !self.failover.aborting() {
             self.failover.stop_replicating();
-            let report = diagnosis(d, why, chain, self.config.checkpoint.is_some());
             eprintln!("adlb server {}: {report}; winding down", self.comm.rank());
+            let note = ServerMsg::WindDown {
+                diagnosis: report.clone(),
+            }
+            .encode();
+            for p in self.failover.live_peers() {
+                self.shard.send(p, TAG_SRV, note.clone());
+            }
             self.failover.abort_reason = Some(report.clone());
             self.commit(ReplOp::Quarantine { report });
         }

@@ -82,11 +82,15 @@ impl Scheduler {
     }
 
     /// Every client of ours reached `finished` (through NoMore, Finished or
-    /// death) or is dead.
-    pub(super) fn clients_done(&self, ledger: &Ledger, alive: impl Fn(Rank) -> bool) -> bool {
-        self.my_clients
-            .iter()
-            .all(|c| ledger.finished.contains(c) || !alive(*c))
+    /// death).
+    pub(super) fn clients_done(&self, ledger: &Ledger) -> bool {
+        self.unfinished(ledger).next().is_none()
+    }
+
+    /// Clients of ours not yet `finished`.
+    pub(super) fn unfinished<'a>(&'a self, ledger: &'a Ledger) -> impl Iterator<Item = Rank> + 'a {
+        let mine = self.my_clients.iter().copied();
+        mine.filter(|c| !ledger.finished.contains(c))
     }
 
     pub(super) fn adopt_clients(&mut self, clients: Vec<Rank>) {
@@ -547,18 +551,11 @@ impl Server {
         self.accept_task(task);
     }
 
-    /// Notice dead clients of this server: mark them permanently finished
-    /// (they will never park again), requeue any task they held, and
-    /// rescue tasks still queued with the dead rank as target.
-    pub(super) fn detect_dead_clients(&mut self) {
-        let ledger = self.shard.ledger();
-        let dead: Vec<Rank> = self
-            .sched
-            .my_clients
-            .iter()
-            .copied()
-            .filter(|r| !ledger.finished.contains(r) && !self.comm.is_alive(*r))
-            .collect();
+    /// Clients of this server the death pass found dead: mark them
+    /// permanently finished (they will never park again), requeue any task
+    /// they held, and rescue tasks still queued with the dead rank as
+    /// target.
+    pub(super) fn clients_died(&mut self, dead: Vec<Rank>) {
         for rank in dead {
             self.stats.ranks_failed += 1;
             self.term.bump();

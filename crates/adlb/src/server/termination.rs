@@ -130,16 +130,15 @@ impl Termination {
 
     /// A stranded client that was itself killed will never retry; stop
     /// waiting for it.
-    pub(super) fn drop_dead_stranded(&mut self, alive: impl Fn(Rank) -> bool) {
-        self.stranded.retain(|c| alive(*c));
+    pub(super) fn drop_dead_stranded(&mut self, dead: &[Rank]) {
+        self.stranded.retain(|c| !dead.contains(c));
     }
 
     /// The linger ends once every live peer said goodbye and no adopted
     /// client still waits for an answer. This always comes: every server
     /// sends `Bye` *before* it starts waiting (no circular wait), an
     /// exited peer's `Bye` was its last completed send, and a killed peer
-    /// is confirmed dead by the membership tick and dropped from the wait
-    /// set.
+    /// is confirmed dead by the death pass and dropped from the wait set.
     pub(super) fn linger_done(&self, live_peers: &[Rank]) -> bool {
         self.shutdown
             && live_peers.iter().all(|p| self.byes.contains(p))
@@ -400,7 +399,7 @@ mod tests {
         assert!(t.linger_done(&PEERS));
         t.strand(2);
         assert!(!t.linger_done(&PEERS));
-        t.drop_dead_stranded(|c| c != 2);
+        t.drop_dead_stranded(&[2]);
         assert!(t.linger_done(&PEERS));
         t.strand(3);
         t.unstrand(3);

@@ -256,7 +256,6 @@ fn server_msgs() -> Vec<(&'static str, ServerMsg)> {
                 reports: vec!["q".into()],
             },
         ),
-        ("server heartbeat", ServerMsg::Heartbeat),
         (
             "server repl",
             ServerMsg::Repl {
@@ -295,6 +294,12 @@ fn server_msgs() -> Vec<(&'static str, ServerMsg)> {
             "server release",
             ServerMsg::Release {
                 releases: vec![(9, 2), (10, 1)],
+            },
+        ),
+        (
+            "server wind down",
+            ServerMsg::WindDown {
+                diagnosis: "lost".into(),
             },
         ),
     ]
@@ -523,13 +528,13 @@ const GOLDEN: &[(&str, &str)] = &[
     ("server check", "030500000000000000"),
     ("server check resp", "04050000000000000001060000000000000007000000000000000800000000000000"),
     ("server shutdown", "05010000000100000071"),
-    ("server heartbeat", "06"),
     ("server repl", "0702000000040100000000000000ffffffffffffffff0c0200000000000000"),
     ("server xfer ack", "09080000000000000009000000000000000400000000000000"),
     ("server bye", "0a"),
     ("server repl sync", "0b0100000000000000020000000000000006000000000000000400000061626364"),
     ("server sync ack", "0c01000000000000000600000000000000"),
     ("server release", "0d020000000900000000000000020000000a0000000000000001000000"),
+    ("server wind down", "0e040000006c6f7374"),
     ("op create", "0001000000000000000000"),
     ("op create counted", "000100000000000000000102000000"),
     ("op store", "0101000000000000000100000076"),
@@ -703,7 +708,9 @@ fn an_unknown_kind_is_reported_at_its_tag() {
     );
     // Retired kinds are unknown: a container closes by its writer count
     // (request 10, op 3), a release rides its ack (request 17), a delivery
-    // has one form (response 4) and so has a transfer (server message 2).
+    // has one form (response 4), so has a transfer (server message 2), and
+    // servers learn a peer's death from the oracle, not a heartbeat
+    // (server message 6).
     for kind in [10, 17] {
         let retired = seal_seq(&edited("request data retrieve", 0, kind), 1);
         assert_eq!(
@@ -716,10 +723,12 @@ fn an_unknown_kind_is_reported_at_its_tag() {
         failure(Sealed::<Response>::decode(&retired)),
         ("unknown response kind", 0)
     );
-    assert_eq!(
-        failure(ServerMsg::decode(&edited("server xfer steal", 0, 2))),
-        ("unknown server message kind", 0)
-    );
+    for kind in [2, 6] {
+        assert_eq!(
+            failure(ServerMsg::decode(&edited("server xfer steal", 0, kind))),
+            ("unknown server message kind", 0)
+        );
+    }
     assert_eq!(
         failure(ReplOp::decode(&edited("op incr writers", 0, 3))),
         ("unknown repl op kind", 0)

@@ -372,6 +372,37 @@ fn output_streams_survive_a_server_death() {
     );
 }
 
+#[test]
+fn idle_wall_time_sends_no_server_messages() {
+    // Two servers at replication 1 with stealing off have nothing to say
+    // to each other while every client sleeps: a peer's death comes from
+    // the liveness oracle, not from traffic, so idle wall time is free.
+    let messages = |sleep: Duration| {
+        let layout = Layout::new(4, 2);
+        let config = ServerConfig {
+            steal_enabled: false,
+            replication: 1,
+            ..ServerConfig::default()
+        };
+        let (_, stats) = World::run_with_stats(4, |comm| {
+            if layout.is_server(comm.rank()) {
+                serve_ext(comm, layout, config.clone());
+                return;
+            }
+            let mut client = AdlbClient::new(comm, layout);
+            std::thread::sleep(sleep);
+            client.finish();
+        });
+        stats.messages
+    };
+    let busy = messages(Duration::ZERO);
+    let idle = messages(Duration::from_millis(50));
+    assert!(
+        idle <= busy + 8,
+        "{idle} messages with 50 ms of idle clients, {busy} without"
+    );
+}
+
 mod re_replication {
     //! Post-failover re-replication: after a survivor promotes a dead
     //! server's shard, the recomputed ring successors receive streamed
@@ -505,9 +536,10 @@ mod re_replication {
         // must not depend on the chunk size.
         let payload = vec![0xabu8; 256];
         let layout = Layout::new(9, 3);
-        // Rank 7 dies after its 10th send, inside its own 64-byte-chunk
-        // stream to its replica holder: a message boundary on purpose.
-        let plan = FaultPlan::new().kill_at(7, Point::Send, 10);
+        // Rank 7 dies once its seeding stream to its replica holder, rank
+        // 8, retired: rank 8 holds a whole replica, promotes it, and the
+        // survivors re-stream their ledgers in 64-byte chunks.
+        let plan = FaultPlan::new().kill_at(7, Point::SyncRetired, 1);
         let executed: Mutex<HashMap<u64, u64>> = Mutex::new(HashMap::new());
         let config = ServerConfig {
             replication: 2,
@@ -555,6 +587,57 @@ mod re_replication {
             "a fat ledger must cross several 64-byte chunks (got {bytes})"
         );
         assert!(restore > 0, "death-triggered sync was timed");
+    }
+
+    #[test]
+    fn a_death_inside_the_seeding_stream_winds_every_survivor_down() {
+        // Rank 7 dies right after its first send: the first 64-byte chunk
+        // of its seeding stream to its successor, rank 8 (an empty ledger
+        // spans two). Rank 8 holds no complete replica, so the shard is
+        // lost and rank 8 winds down with the diagnosis. The master, rank
+        // 6, must wind down with it, not poll a peer that stopped
+        // answering while its own clients wait.
+        let layout = Layout::new(9, 3);
+        let plan = FaultPlan::new().kill_at(7, Point::Send, 1);
+        let config = ServerConfig {
+            replication: 2,
+            sync_chunk: 64,
+            ..ServerConfig::default()
+        };
+        let executed: Mutex<HashMap<u64, u64>> = Mutex::new(HashMap::new());
+        let outcome = World::run_faulty(9, &plan, |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                serve_ext(comm, layout, config.clone());
+                return Vec::new();
+            }
+            let mut client = AdlbClient::new(comm, layout);
+            if rank == 0 {
+                for tid in 0..120u64 {
+                    client.put(WORK_TYPE_WORK, 0, None, tid.to_le_bytes().to_vec());
+                }
+            }
+            while let Some(t) = client.get(&[WORK_TYPE_WORK]) {
+                let tid = u64::from_le_bytes(t.payload[..8].try_into().unwrap());
+                *executed.lock().unwrap().entry(tid).or_insert(0) += 1;
+                std::thread::sleep(Duration::from_micros(300));
+            }
+            client.quarantine_reports().to_vec()
+        });
+        assert_eq!(outcome.killed, vec![7]);
+        for (rank, reports) in outcome.outputs.iter().enumerate() {
+            if layout.is_server(rank) {
+                continue;
+            }
+            let reports = reports.as_ref().expect("every client survives");
+            assert!(
+                reports.iter().any(|r| r.contains("unrecoverable")),
+                "client {rank} was not told why the run ended: {reports:?}"
+            );
+        }
+        for (tid, n) in executed.into_inner().unwrap() {
+            assert!(n <= 1, "task {tid} executed {n} times");
+        }
     }
 
     #[test]

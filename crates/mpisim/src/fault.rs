@@ -71,6 +71,9 @@ points! {
     /// An ADLB server installed a full replica of a peer's ledger from a
     /// sync stream.
     ReplicaInstalled => "server.replica_installed",
+    /// An ADLB server's full-ledger sync stream to one replica holder was
+    /// acknowledged to its last byte and retired.
+    SyncRetired => "server.sync_retired",
     /// An ADLB server finished handling a peer's confirmed death: it
     /// promoted, restored or gave up the dead shard (or left it to the
     /// successor), made a promotion durable when a checkpoint tier is on,

@@ -199,7 +199,8 @@ options:
                            client.task_received, client.ack_sent,
                            server.request_applied, server.ops_replicated,
                            server.replica_updated, server.replica_installed,
-                           server.death_handled, server.termination_decided)
+                           server.sync_retired, server.death_handled,
+                           server.termination_decided)
                          drop:from=A,to=B,nth=N       drop Nth A->B message
                          delay:from=A,to=B,nth=N,ms=M delay it by M ms
       --max-retries K  requeue a failed task at most K times (default 3)

@@ -941,6 +941,7 @@ fn a_kill_at_each_fault_point_changes_no_output() {
             Point::Recv
             | Point::ReplicaUpdated
             | Point::ReplicaInstalled
+            | Point::SyncRetired
             | Point::TerminationDecided => (9, machine(12, 4)),
             // Rank 10 promotes rank 9's shard first; with the checkpoint
             // tier on, its own death then restores from pfs.

@@ -84,9 +84,11 @@ fn a_bag_task_stays_within_its_ceiling_on_two_servers_whatever_the_rank_count() 
     // flush there per iteration: about 5.6 messages per task.
     //
     // Workers homed on the engine's other server are fed by steals, whose
-    // count follows timing: single runs of a debug build read 0.96–1.24
-    // on 6 ranks. The gate takes the least of three runs, as an extra
-    // message per iteration raises every run.
+    // count follows timing; servers send nothing else to each other while
+    // a run goes well. Twenty single runs of a debug build per rank count
+    // read 0.68–1.00 on 5 ranks, 0.71–1.12 on 6 and 0.84–0.98 on 7. The
+    // gate takes the least of three runs, as an extra message per
+    // iteration raises every run.
     for ranks in [5, 6, 7] {
         let per_task = (0..3)
             .map(|_| {
